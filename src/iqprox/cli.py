@@ -17,7 +17,8 @@ from .cones import build_cone, enumerate_generators
 from .errors import ClaimViolation, InfeasibleError, InputError, UnboundedError
 from .families import (build_example_1_1, build_ilp_tightness, build_prop44,
                        build_prop45, build_prop46)
-from .pipeline import run_pipeline, subdeterminant_bound
+from .pipeline import compute_schedule, run_pipeline, subdeterminant_bound
+from .polyhedra import contains
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -65,7 +66,10 @@ def cmd_proximity(args) -> int:
     xd = _parse_point(args.xd) if args.xd else None
     t0 = time.monotonic()
     report = oracles.full_report(inst)
-    result = run_pipeline(inst, eps, xc=xc, xd=xd, checked=args.checked)
+    result = run_pipeline(inst, eps,
+                          xc=report.cont_opt.point if xc is None else xc,
+                          xd=report.int_opt.point if xd is None else xd,
+                          checked=args.checked)
     vi = oracles.verdict(inst, result.x_star_int, eps, "integer", report)
     vc = oracles.verdict(inst, result.x_star_cont, eps, "continuous", report)
     oracles.claim_cross_checks(inst, result, report)
@@ -165,36 +169,72 @@ def cmd_cone(args) -> int:
     return EXIT_OK
 
 
+def _read_report(path: str) -> dict:
+    """The fields verify-report checks; InputError for a malformed document."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8 or not JSON
+        raise InputError(f"cannot read report {path}: {e}") from e
+    try:
+        fields = {
+            "inst": formats.instance_from_dict(doc["instance"]),
+            "digest": doc["digest"],
+            "eps": formats.str_to_rat(doc["eps"]),
+            "delta": formats.str_to_rat(doc["delta"]),
+            "bound": formats.str_to_rat(doc["schedule"]["theorem_bound"]),
+            "distance_int": formats.str_to_rat(doc["distance_int"]),
+            "distance_cont": formats.str_to_rat(doc["distance_cont"]),
+        }
+        for key in ("x_star_int", "x_star_cont", "xc", "xd"):
+            fields[key] = formats.strs_to_vec(doc[key])
+    except (KeyError, TypeError, ValueError) as e:
+        raise InputError(f"malformed report: {type(e).__name__}: {e}") from e
+    n = fields["inst"].n
+    for key in ("x_star_int", "x_star_cont", "xc", "xd"):
+        if len(fields[key]) != n:
+            raise InputError(f"malformed report: {key} has dimension "
+                             f"{len(fields[key])}, the instance {n}")
+    return fields
+
+
 def cmd_verify_report(args) -> int:
-    with open(args.report) as fh:
-        doc = json.load(fh)
-    inst = formats.instance_from_dict(doc["instance"])
-    if formats.instance_digest(inst) != doc["digest"]:
+    r = _read_report(args.report)
+    inst, eps = r["inst"], r["eps"]
+    if formats.instance_digest(inst) != r["digest"]:
         print("digest mismatch", file=sys.stderr)
         return EXIT_CLAIM
-    eps = formats.str_to_rat(doc["eps"])
-    xs = formats.strs_to_vec(doc["x_star_int"])
-    xq = formats.strs_to_vec(doc["x_star_cont"])
-    xc = formats.strs_to_vec(doc["xc"])
-    xd = formats.strs_to_vec(doc["xd"])
-    bound = formats.str_to_rat(doc["schedule"]["theorem_bound"])
+    delta = subdeterminant_bound(inst)
+    bound = compute_schedule(inst.n, delta, inst.k, eps).theorem_bound
     report = oracles.full_report(inst)
     problems = []
-    if exact.inf_norm(exact.vec_sub(xc, xs)) != formats.str_to_rat(doc["distance_int"]):
-        problems.append("distance_int does not match its points")
-    if exact.inf_norm(exact.vec_sub(xq, xd)) != formats.str_to_rat(doc["distance_cont"]):
-        problems.append("distance_cont does not match its points")
-    if formats.str_to_rat(doc["distance_int"]) > bound:
-        problems.append("distance_int beyond the schedule bound")
-    if not oracles.verdict(inst, xs, eps, "integer", report).is_approx:
-        problems.append("x_star_int fails its verdict")
-    if not oracles.verdict(inst, xq, eps, "continuous", report).is_approx:
-        problems.append("x_star_cont fails its verdict")
+    if r["delta"] != delta:
+        problems.append(f"delta is {r['delta']}, recomputed {delta}")
+    if r["bound"] != bound:
+        problems.append(f"theorem_bound is {r['bound']}, recomputed {bound}")
+    distances = {
+        "distance_int": exact.inf_norm(exact.vec_sub(r["xc"], r["x_star_int"])),
+        "distance_cont": exact.inf_norm(exact.vec_sub(r["x_star_cont"], r["xd"])),
+    }
+    for key, dist in distances.items():
+        if dist != r[key]:
+            problems.append(f"{key} does not match its points")
+        if dist > bound:
+            problems.append(f"{key} beyond the theorem bound")
+    P = inst.polyhedron()
+    for key, mode in (("x_star_int", "integer"), ("x_star_cont", "continuous")):
+        x = r[key]
+        if not contains(P, x):
+            problems.append(f"{key} is infeasible")
+        elif mode == "integer" and not exact.is_integral_vec(x):
+            problems.append(f"{key} is not integer")
+        elif not oracles.verdict(inst, x, eps, mode, report).is_approx:
+            problems.append(f"{key} fails its verdict")
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
         return EXIT_CLAIM
-    _emit({"verified": True, "digest": doc["digest"]})
+    _emit({"verified": True, "digest": r["digest"]})
     return EXIT_OK
 
 

@@ -1,8 +1,8 @@
 """Row-sign cones, integer generator sets, and conic decompositions.
 
 The cone of a matrix A and two points splits the rows of A by the sign of
-u.(xa - xb); ties land on both sides.  Generators are enumerated orthant by
-orthant as primitive integer extreme rays, which keeps every generator's
+u.(xa - xb); ties land on both sides.  Generators are the primitive integer
+extreme rays of the cone cut by each orthant, which keeps every generator's
 infinity norm within the subdeterminant bound of the source matrix.
 """
 
@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations
 
 from . import exact
-from .errors import DimensionError, InputError, RepresentationMismatch
+from .errors import (ClaimViolation, DimensionError, InputError,
+                     RepresentationMismatch)
 from .polyhedra import Polyhedron, contains
 from .simplex import lp_solve
 
@@ -87,36 +88,34 @@ def cone_contains(cone: ProximityCone, x) -> bool:
 def enumerate_generators(cone: ProximityCone, delta: int) -> GeneratorSet:
     """Integer generator set of the cone, infinity norm at most delta.
 
-    For each orthant, extreme rays of the pointed piece are found by setting
-    n-1 linearly independent constraints (cone rows or orthant coordinate
-    planes) to equality; each ray is scaled to the primitive integer vector
-    with the orthant's orientation.
+    The extreme rays of the cone cut by any orthant are the rays in the cone
+    on which n-1 linearly independent hyperplanes (cone rows or coordinate
+    planes) are tight, and every such ray lies in some orthant.  So each
+    (n-1)-subset of hyperplanes whose kernel is a line gives the directions
+    of that line that lie in the cone, scaled to primitive integer vectors.
     """
     if delta < 1:
         raise InputError("delta must be a positive integer")
     n = cone.ambient_dim
-    hyperplanes = [list(r) for r in cone.a1] + [list(r) for r in cone.a2]
-    for i in range(n):
-        e = [ZERO] * n
-        e[i] = ONE
-        hyperplanes.append(e)
+    units = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
+    hyperplanes = {}  # nonzero rows up to sign, first nonzero entry positive
+    for r in chain(cone.a1, cone.a2, units):
+        lead = next((x for x in r if x), ZERO)
+        if lead:
+            hyperplanes[r if lead > 0 else tuple(-x for x in r)] = None
     found = set()
-    for signs in product((1, -1), repeat=n):
-        for S in combinations(range(len(hyperplanes)), n - 1):
-            M = [hyperplanes[i] for i in S]
-            if exact.rank(M) != n - 1:
-                continue
-            ns = exact.null_space(M, n)
-            if len(ns) != 1:
-                continue
-            for r in (ns[0], [-x for x in ns[0]]):
-                if all(s * x >= 0 for s, x in zip(signs, r)) and cone_contains(cone, r):
-                    g = tuple(exact.primitive_integer_vector(r))
-                    if any(g):
-                        if exact.inf_norm(g) > delta:
-                            raise AssertionError(
-                                f"generator {g} exceeds the subdeterminant bound {delta}")
-                        found.add(g)
+    for M in combinations(hyperplanes, n - 1):
+        ns = exact.null_space(M, n)
+        if len(ns) != 1:
+            continue
+        for r in (ns[0], [-x for x in ns[0]]):
+            if cone_contains(cone, r):
+                g = tuple(exact.primitive_integer_vector(r))
+                if exact.inf_norm(g) > delta:
+                    raise ClaimViolation(
+                        "generator-norm",
+                        f"generator {g} exceeds the subdeterminant bound {delta}")
+                found.add(g)
     return GeneratorSet(tuple(sorted(found)))
 
 
@@ -180,7 +179,9 @@ def caratheodory_decompose(target, gens: GeneratorSet) -> ConicDecomposition:
                     step = t
                     hit = j
         support = [(g, a - step * cj) for (g, a), cj in zip(support, c)]
-        assert support[hit][1] == 0
+        if support[hit][1] != 0:
+            raise ClaimViolation("caratheodory-step",
+                                 f"coefficient {hit} did not reach zero")
         support = [(g, a) for g, a in support if a != 0]
     return ConicDecomposition([g for g, _ in support], [a for _, a in support])
 

@@ -2,9 +2,10 @@
 
 Everything is a ``fractions.Fraction``; there is no floating point anywhere in
 this package.  Vectors are lists of fractions, matrices are lists of rows.
-Determinants of integer matrices use fraction-free (Bareiss) elimination to
-keep intermediate values small; rational matrices fall back to plain exact
-Gaussian elimination.
+Determinants, ranks, null spaces and linear solves share one fraction-free
+(Bareiss) elimination on Python ints: each row is scaled to integers by the
+lcm of its denominators on entry, and a ``Fraction`` is built only for the
+entries of the result.
 """
 
 from __future__ import annotations
@@ -15,24 +16,9 @@ from math import gcd, lcm
 
 from .errors import DimensionError, DomainError
 
-Rat = Fraction
-
-
-def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/4', or fractions to Fraction."""
-    return Fraction(x)
-
 
 def vec(xs) -> list[Fraction]:
     return [Fraction(x) for x in xs]
-
-
-def mat(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def zeros(n: int) -> list[Fraction]:
-    return [Fraction(0)] * n
 
 
 def is_integral(x: Fraction) -> bool:
@@ -89,62 +75,79 @@ def _check_square(M):
     return n
 
 
-def _det_bareiss(M: list[list[int]]) -> int:
-    """Fraction-free elimination; M entries must be Python ints."""
-    n = len(M)
-    if n == 0:
-        return 1
-    a = [row[:] for row in M]
+def _integer_rows(M) -> tuple[list[list[int]], int]:
+    """Each row of a rational matrix times the lcm of its denominators.
+
+    Entries must be ints or Fractions.  Also returns the product of the row
+    multipliers, by which the determinant grows.
+    """
+    rows, scale = [], 1
+    for row in M:
+        d = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    return rows, scale
+
+
+def _echelon(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) row echelon form of an integer matrix, in place.
+
+    Pivots are searched in the first ncols columns only; any further column
+    (an augmented right-hand side) is carried along.  Returns the pivot
+    columns and the sign of the row permutation.  Every entry below the
+    pivot rows is a minor of the row-permuted input, so each division is
+    exact, and the last pivot is the minor on the pivot rows and columns.
+    """
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for r in range(i + 1, n):
-                if a[r][i] != 0:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
-        prev = a[i][i]
-    return sign * a[n - 1][n - 1]
+    r = 0
+    for c in range(ncols):
+        if r == len(a):
+            break
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        prow = a[r]
+        piv = prow[c]
+        for i in range(r + 1, len(a)):
+            f = a[i][c]
+            a[i] = [(x * piv - f * y) // prev for x, y in zip(a[i], prow)]
+        prev = piv
+        pivots.append(c)
+        r += 1
+    return pivots, sign
 
 
-def _det_gauss(M) -> Fraction:
-    n = len(M)
-    a = [[Fraction(x) for x in row] for row in M]
-    detval = Fraction(1)
-    for i in range(n):
-        pivot = None
-        for r in range(i, n):
-            if a[r][i] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != i:
-            a[i], a[pivot] = a[pivot], a[i]
-            detval = -detval
-        detval *= a[i][i]
-        inv = a[i][i]
-        for r in range(i + 1, n):
-            if a[r][i] != 0:
-                factor = a[r][i] / inv
-                for c in range(i, n):
-                    a[r][c] -= factor * a[i][c]
-    return detval
+def _back_substitute(a: list[list[int]], pivots: list[int], w: list[int]) -> list[int]:
+    """Fill the pivot entries of w so that every pivot row of a is orthogonal to it.
+
+    The other entries of w must be multiples of the last pivot; by Cramer's
+    rule the pivot entries then are integers too, so each division is exact.
+    """
+    for i in reversed(range(len(pivots))):
+        row, p = a[i], pivots[i]
+        w[p] = -sum(x * y for x, y in zip(row, w)) // row[p]
+    return w
+
+
+def _det_int(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix; a is overwritten."""
+    n = len(a)
+    pivots, sign = _echelon(a, n)
+    if len(pivots) < n:
+        return 0
+    return sign * a[-1][-1] if n else 1
 
 
 def det(M) -> Fraction:
     """Exact determinant of a square matrix."""
     _check_square(M)
-    if is_integral_mat(M):
-        return Fraction(_det_bareiss([[int(Fraction(x)) for x in row] for row in M]))
-    return _det_gauss(M)
+    a, scale = _integer_rows(M)
+    return Fraction(_det_int(a), scale)
 
 
 def max_abs_subdeterminant(M) -> int:
@@ -169,7 +172,7 @@ def max_abs_subdeterminant_witness(M) -> tuple[int, tuple[int, ...], tuple[int, 
         for rows in combinations(range(m), size):
             for cols in combinations(range(n), size):
                 sub = [[a[r][c] for c in cols] for r in rows]
-                d = abs(_det_bareiss(sub))
+                d = abs(_det_int(sub))
                 if d > best:
                     best, best_rows, best_cols = d, rows, cols
     return best, best_rows, best_cols
@@ -180,78 +183,45 @@ def solve_linear(M, rhs) -> list[Fraction] | None:
     n = _check_square(M)
     if len(rhs) != n:
         raise DimensionError(f"solve_linear: rhs length {len(rhs)} vs {n}")
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(M)]
-    for i in range(n):
-        pivot = None
-        for r in range(i, n):
-            if a[r][i] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        if pivot != i:
-            a[i], a[pivot] = a[pivot], a[i]
-        inv = a[i][i]
-        a[i] = [x / inv for x in a[i]]
-        for r in range(n):
-            if r != i and a[r][i] != 0:
-                factor = a[r][i]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[i])]
-    return [a[i][n] for i in range(n)]
-
-
-def _rref(M) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices)."""
-    a = [[Fraction(x) for x in row] for row in M]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        pivot = None
-        for i in range(r, m):
-            if a[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                factor = a[i][c]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    a, _ = _integer_rows([list(row) + [Fraction(b)] for row, b in zip(M, rhs)])
+    pivots, _ = _echelon(a, n)
+    if len(pivots) < n:
+        return None
+    last = a[n - 1][n - 1] if n else 1
+    # [M | rhs] (x, -1) = 0: put -last in the rhs slot, then x = w / last.
+    w = _back_substitute(a, pivots, [0] * n + [-last])
+    return [Fraction(x, last) for x in w[:n]]
 
 
 def rank(M) -> int:
     if not M:
         return 0
-    _, pivots = _rref(M)
+    a, _ = _integer_rows(M)
+    pivots, _ = _echelon(a, len(a[0]))
     return len(pivots)
 
 
 def null_space(M, n: int | None = None) -> list[list[Fraction]]:
-    """Basis of {x : M x = 0}.  For an empty M, the ambient dim n is required."""
+    """Basis of {x : M x = 0}.  For an empty M, the ambient dim n is required.
+
+    The basis is the canonical one of the reduced row echelon form: one
+    vector per free column, with that column 1 and the other free columns 0.
+    """
     if not M:
         if n is None:
             raise DimensionError("null_space of empty matrix needs ambient dimension")
         return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     ncols = len(M[0])
-    a, pivots = _rref(M)
-    free = [c for c in range(ncols) if c not in pivots]
+    a, _ = _integer_rows(M)
+    pivots, _ = _echelon(a, ncols)
+    last = a[len(pivots) - 1][pivots[-1]] if pivots else 1
     basis = []
-    for f in free:
-        v = zeros(ncols)
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -a[r][f]
-        basis.append(v)
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        w = [0] * ncols
+        w[f] = last
+        basis.append([Fraction(x, last) for x in _back_substitute(a, pivots, w)])
     return basis
 
 

@@ -16,14 +16,10 @@ from . import exact
 from .errors import ClaimViolation, InfeasibleError, InputError
 from .pipeline import Instance, PipelineResult, eval_objective
 from .polyhedra import (contains, enumerate_lattice_points, enumerate_vertices,
-                        intersect_with_box, polyhedron)
+                        intersect_with_box)
 from .simplex import feasible_point
 
 ZERO = Fraction(0)
-
-
-def eval_f(inst: Instance, x) -> Fraction:
-    return eval_objective(inst, x)
 
 
 @dataclass(frozen=True)
@@ -50,15 +46,21 @@ class OracleReport:
     fmax_cont_witness: tuple[Fraction, ...]
 
 
-def solve_iqp(inst: Instance) -> OptResult:
-    """Exact lattice minimizer; ties reported, lexicographic representative."""
-    pts = enumerate_lattice_points(inst.polyhedron())
+def _lattice_extremes(inst: Instance, pts) -> tuple[OptResult, Fraction,
+                                                   tuple[Fraction, ...]]:
+    """Minimizer (with ties) and lexicographically first maximizer over pts."""
     if not pts:
         raise InfeasibleError("no integer point in the feasible region")
-    vals = [(eval_f(inst, p), p) for p in pts]
-    best = min(v for v, _ in vals)
-    ties = tuple(sorted(p for v, p in vals if v == best))
-    return OptResult(ties[0], best, ties)
+    vals = [eval_objective(inst, p) for p in pts]
+    best, top = min(vals), max(vals)
+    ties = tuple(sorted(p for p, v in zip(pts, vals) if v == best))
+    wit = min(p for p, v in zip(pts, vals) if v == top)
+    return OptResult(ties[0], best, ties), top, wit
+
+
+def solve_iqp(inst: Instance) -> OptResult:
+    """Exact lattice minimizer; ties reported, lexicographic representative."""
+    return _lattice_extremes(inst, enumerate_lattice_points(inst.polyhedron()))[0]
 
 
 def solve_qp(inst: Instance) -> OptResult:
@@ -66,7 +68,7 @@ def solve_qp(inst: Instance) -> OptResult:
     verts = enumerate_vertices(inst.polyhedron())
     if not verts:
         raise InfeasibleError("feasible region is empty")
-    vals = [(eval_f(inst, v.point), v.point) for v in verts]
+    vals = [(eval_objective(inst, v.point), v.point) for v in verts]
     best = min(v for v, _ in vals)
     ties = tuple(sorted(p for v, p in vals if v == best))
     return OptResult(ties[0], best, ties)
@@ -77,12 +79,7 @@ def fmax_int(inst: Instance) -> Fraction:
 
 
 def fmax_int_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
-    pts = enumerate_lattice_points(inst.polyhedron())
-    if not pts:
-        raise InfeasibleError("no integer point in the feasible region")
-    vals = [eval_f(inst, p) for p in pts]
-    top = max(vals)
-    wit = sorted(p for p, v in zip(pts, vals) if v == top)[0]
+    _, top, wit = _lattice_extremes(inst, enumerate_lattice_points(inst.polyhedron()))
     return top, wit
 
 
@@ -127,7 +124,7 @@ def fmax_cont_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
             pt = feasible_point(rows, rhs)
             if pt is None:
                 continue
-            v = eval_f(inst, pt)
+            v = eval_objective(inst, pt)
             if best is None or v > best:
                 best = v
                 wit = tuple(pt)
@@ -136,12 +133,17 @@ def fmax_cont_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
     return best, wit
 
 
-def full_report(inst: Instance) -> OracleReport:
-    iqp = solve_iqp(inst)
+def _report_and_lattice(inst: Instance) -> tuple[OracleReport, list]:
+    """Every oracle quantity, and the lattice points, enumerated once."""
+    pts = enumerate_lattice_points(inst.polyhedron())
+    iqp, fdi, wdi = _lattice_extremes(inst, pts)
     qp = solve_qp(inst)
-    fdi, wdi = fmax_int_witness(inst)
     fci, wci = fmax_cont_witness(inst)
-    return OracleReport(iqp, qp, fdi, wdi, fci, wci)
+    return OracleReport(iqp, qp, fdi, wdi, fci, wci), pts
+
+
+def full_report(inst: Instance) -> OracleReport:
+    return _report_and_lattice(inst)[0]
 
 
 def verdict(inst: Instance, x, eps, mode: str,
@@ -165,7 +167,7 @@ def verdict(inst: Instance, x, eps, mode: str,
     else:
         opt = (report.cont_opt.value if report else solve_qp(inst).value)
         fmax = (report.fmax_cont if report else fmax_cont(inst))
-    fx = eval_f(inst, xv)
+    fx = eval_objective(inst, xv)
     gap = fmax - opt
     if gap == 0:
         return ApproxVerdict(fx == opt, None, True)
@@ -191,9 +193,8 @@ def delta_star(inst: Instance, eps) -> DeltaStarResult:
     optimal set, so the value is an upper bound and flagged as such.
     """
     eps = Fraction(eps)
-    qp = solve_qp(inst)
-    report = full_report(inst)
-    pts = enumerate_lattice_points(inst.polyhedron())
+    report, pts = _report_and_lattice(inst)
+    qp = report.cont_opt
     approx = [p for p in pts if verdict(inst, p, eps, "integer", report).is_approx]
     if not approx:
         raise InfeasibleError("no eps-approximate lattice point exists")
@@ -208,7 +209,7 @@ def delta_star(inst: Instance, eps) -> DeltaStarResult:
     flag = False
     for a, b in combinations(qp.ties, 2):
         mid = tuple((x + y) / 2 for x, y in zip(a, b))
-        if eval_f(inst, mid) == qp.value:
+        if eval_objective(inst, mid) == qp.value:
             flag = True
             break
     return DeltaStarResult(best, pair[0], pair[1], tuple(approx), flag)
@@ -230,7 +231,7 @@ def certify_no_cont_approx_within(inst: Instance, eps, xd, radius) -> bool:
     verts = enumerate_vertices(box)
     if not verts:
         return True
-    lo = min(eval_f(inst, v.point) for v in verts)
+    lo = min(eval_objective(inst, v.point) for v in verts)
     return lo > tau
 
 
@@ -254,14 +255,14 @@ def claim_cross_checks(inst: Instance, result: PipelineResult,
     ystar = exact.vec_sub(result.x_star_int, result.xd)  # anchor-frame output
     spread = 2 * (sched.psi_at(ell) + nd)
     wsum = sum((inst.q[i] * abs(ystar[i]) for i in nl), ZERO)
-    f_xd = eval_f(inst, result.xd)
-    f_xc = eval_f(inst, result.xc)
-    if eval_f(inst, result.x_star_int) - f_xd > spread * wsum:
+    f_xd = eval_objective(inst, result.xd)
+    f_xc = eval_objective(inst, result.xc)
+    if eval_objective(inst, result.x_star_int) - f_xd > spread * wsum:
         raise ClaimViolation("ratio-1", "integer output gap exceeds its bound")
     lower = sum((inst.q[i] * (ystar[i] ** 2 - nd ** 2) for i in nl), ZERO) / 4
     if report.fmax_int - f_xd < lower:
         raise ClaimViolation("ratio-2", "integer head room below its bound")
-    if eval_f(inst, result.x_star_cont) - f_xc > spread * wsum:
+    if eval_objective(inst, result.x_star_cont) - f_xc > spread * wsum:
         raise ClaimViolation("rub", "continuous output gap exceeds its bound")
     clower = sum((inst.q[i] * ystar[i] ** 2 for i in nl), ZERO) / 4
     if report.fmax_cont - f_xc < clower:
@@ -270,9 +271,9 @@ def claim_cross_checks(inst: Instance, result: PipelineResult,
     if w is not None:
         # Witnesses are anchor-frame points; shift back before evaluating.
         shift = result.xd
-        fl = eval_f(inst, exact.vec_add(w.x_l, shift))
-        fr = eval_f(inst, exact.vec_add(w.x_r, shift))
-        ft = eval_f(inst, exact.vec_add(w.x_tri, shift))
+        fl = eval_objective(inst, exact.vec_add(w.x_l, shift))
+        fr = eval_objective(inst, exact.vec_add(w.x_r, shift))
+        ft = eval_objective(inst, exact.vec_add(w.x_tri, shift))
         slack = nd ** 2 / 4 * sum((inst.q[i] for i in nl), ZERO)
         if max(fl, fr) < ft - slack:
             raise ClaimViolation("midpoint-witness",

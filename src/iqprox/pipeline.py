@@ -12,7 +12,7 @@ claim's name when it fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import exact
@@ -177,67 +177,6 @@ def normalize(inst: Instance, xd) -> tuple[Instance, tuple[Fraction, ...]]:
     h2 = tuple(inst.h[i] - 2 * inst.q[i] * xdv[i] if i < inst.k else inst.h[i]
                for i in range(inst.n))
     return Instance(inst.A, b2, inst.k, inst.q, h2), xdv
-
-
-def apply_unimodular(inst: Instance, M, t, alpha, beta) -> Instance:
-    """Transformed instance under y = M x + t with objective alpha*f + beta.
-
-    Supported maps keep the objective separable quadratic: any unimodular M
-    when k = 0, signed permutations otherwise.  The additive constant
-    (beta and the completion terms) is dropped; it affects neither optima nor
-    approximation quality.
-    """
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise InputError("alpha must be positive")
-    Mm = exact.mat(M)
-    tv = exact.vec(t)
-    n = inst.n
-    if len(Mm) != n or any(len(r) != n for r in Mm) or len(tv) != n:
-        raise InputError("transform shape mismatch")
-    if not (exact.is_integral_mat(Mm) and exact.is_integral_vec(tv)):
-        raise InputError("M and t must be integer")
-    if abs(exact.det(Mm)) != 1:
-        raise InputError("M must be unimodular")
-
-    Minv = [exact.solve_linear(Mm, [ONE if j == i else ZERO for j in range(n)])
-            for i in range(n)]
-    Minv = exact.transpose(Minv)  # columns were solved, transpose to matrix
-    # Constraints: A x <= b with x = Minv (y - t).
-    AMinv = [[exact.dot(row, [Minv[r][c] for r in range(n)]) for c in range(n)]
-             for row in inst.A]
-    b2 = tuple(bi + exact.dot(arow, tv) for arow, bi in zip(AMinv, inst.b))
-    A2 = tuple(tuple(r) for r in AMinv)
-
-    if inst.k == 0:
-        h2 = tuple(alpha * exact.dot([Minv[r][c] for r in range(n)], inst.h)
-                   for c in range(n))
-        return Instance(A2, b2, 0, (), h2)
-
-    # Signed permutation: column c holds a single +-1 in some row.
-    perm = {}
-    sign = {}
-    for c in range(n):
-        nz = [r for r in range(n) if Mm[r][c] != 0]
-        if len(nz) != 1 or abs(Mm[nz[0]][c]) != 1:
-            raise InputError("with quadratic terms, M must be a signed permutation")
-        perm[c] = nz[0]
-        sign[c] = int(Mm[nz[0]][c])
-    if any(perm[c] >= inst.k for c in range(inst.k)):
-        raise InputError("quadratic coordinates must map to quadratic coordinates")
-    # y_{perm[c]} = sign[c] * x_c + t_{perm[c]}
-    q2 = [ZERO] * inst.k
-    h2 = [ZERO] * n
-    for c in range(n):
-        r = perm[c]
-        s = sign[c]
-        if c < inst.k:
-            # -q_c x_c^2 = -q_c (s (y_r - t_r))^2 = -q_c (y_r - t_r)^2
-            q2[r] = alpha * inst.q[c]
-            h2[r] += alpha * (2 * inst.q[c] * tv[r] + s * inst.h[c])
-        else:
-            h2[r] += alpha * s * inst.h[c]
-    return Instance(A2, b2, inst.k, tuple(q2), tuple(h2))
 
 
 def restricted_polyhedron(inst: Instance, zset) -> Polyhedron:

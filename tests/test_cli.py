@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from iqprox import formats
+from iqprox import formats, oracles
 from iqprox.cli import main
 from iqprox.families import build_example_1_1, random_instance
 from iqprox.pipeline import instance
@@ -145,3 +145,85 @@ def test_verify_report_detects_tampering(capsys, ex11_path, tmp_path):
     report = tmp_path / "bad.json"
     report.write_text(json.dumps(doc))
     assert main(["verify-report", str(report)]) == 4
+
+
+@pytest.fixture
+def ex11_report(capsys, ex11_path):
+    assert main(["proximity", ex11_path, "--eps", "1/2"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def verify_edited(capsys, tmp_path, doc, **edits):
+    """Exit code and stderr of verify-report on doc with some fields replaced."""
+    report = tmp_path / "edited.json"
+    report.write_text(json.dumps({**doc, **edits}))
+    code = main(["verify-report", str(report)])
+    return code, capsys.readouterr().err
+
+
+def test_verify_report_not_json(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    report.write_text("{not json")
+    assert main(["verify-report", str(report)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_verify_report_missing_key(capsys, tmp_path, ex11_report):
+    del ex11_report["xc"]
+    code, err = verify_edited(capsys, tmp_path, ex11_report)
+    assert code == 2
+    assert "'xc'" in err and len(err.strip().splitlines()) == 1
+
+
+def test_verify_report_wrong_dimension(capsys, tmp_path, ex11_report):
+    code, err = verify_edited(capsys, tmp_path, ex11_report, xd=["-3", "0"])
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_report_infeasible_point(capsys, tmp_path, ex11_report):
+    code, err = verify_edited(capsys, tmp_path, ex11_report, x_star_int=["100"])
+    assert code == 4
+    assert "x_star_int is infeasible" in err
+
+
+def test_verify_report_fractional_point(capsys, tmp_path, ex11_report):
+    code, err = verify_edited(capsys, tmp_path, ex11_report, x_star_int=["1/2"])
+    assert code == 4
+    assert "x_star_int is not integer" in err
+
+
+@pytest.mark.parametrize("edits", [
+    {"delta": 99},
+    {"schedule": {"theorem_bound": "10000"}},
+    {"delta": 99, "schedule": {"theorem_bound": "10000"}},
+])
+def test_verify_report_recomputes_delta_and_bound(capsys, tmp_path, ex11_report,
+                                                  edits):
+    code, err = verify_edited(capsys, tmp_path, ex11_report, **edits)
+    assert code == 4
+    assert "recomputed" in err
+
+
+def test_verify_report_distance_cont_beyond_bound(capsys, tmp_path):
+    # A constant objective: every point is optimal, and Delta = 1, k = 0 make
+    # the theorem bound 1, so only the distance check can fail.
+    p = tmp_path / "flat.json"
+    formats.save_instance(instance([[1], [-1]], [100, 0], [], [0], k=0), str(p))
+    assert main(["proximity", str(p), "--eps", "1/2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schedule"]["theorem_bound"] == "1"
+    code, err = verify_edited(capsys, tmp_path, doc, x_star_cont=["100"],
+                              distance_cont="100")
+    assert code == 4
+    assert err.strip() == "distance_cont beyond the theorem bound"
+
+
+def test_proximity_without_anchors_enumerates_lattice_once(capsys, ex11_path,
+                                                           monkeypatch):
+    calls = []
+    real = oracles.enumerate_lattice_points
+    monkeypatch.setattr(oracles, "enumerate_lattice_points",
+                        lambda P: calls.append(P) or real(P))
+    assert main(["proximity", ex11_path, "--eps", "1/2"]) == 0
+    assert len(calls) == 1

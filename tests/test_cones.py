@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import pytest
 
 from iqprox import exact
-from iqprox.cones import (ConicDecomposition, build_cone, caratheodory_decompose,
-                          check_two_representations, cone_contains,
-                          conic_multipliers, enumerate_generators,
-                          in_generated_cone)
-from iqprox.errors import (DimensionError, InputError, RepresentationMismatch)
+from iqprox.cones import (ConicDecomposition, GeneratorSet, build_cone,
+                          caratheodory_decompose, check_two_representations,
+                          cone_contains, conic_multipliers,
+                          enumerate_generators, in_generated_cone)
+from iqprox.errors import (ClaimViolation, DimensionError, InputError,
+                           RepresentationMismatch)
+from iqprox.families import random_instance
+from iqprox.pipeline import restricted_polyhedron
 from iqprox.polyhedra import polyhedron
 
 
@@ -67,6 +71,81 @@ def test_generators_need_positive_delta():
     cone = build_cone([[1]], [1], [0])
     with pytest.raises(InputError):
         enumerate_generators(cone, 0)
+
+
+def test_generators_beyond_delta_violate_a_claim():
+    # {x1 + 2 x2 <= 0} has the generator (2, -1), whose norm 2 exceeds 1.
+    cone = build_cone([[1, 2]], [0, 0], [1, 1])
+    with pytest.raises(ClaimViolation) as err:
+        enumerate_generators(cone, 1)
+    assert err.value.claim == "generator-norm"
+
+
+def orthant_generators(cone):
+    """Reference: extreme rays of the cone cut by each orthant in turn.
+
+    Every linearly independent (n-1)-subset of the cone rows and coordinate
+    planes, without deduplicating rows, gives a line; its directions are
+    kept when they lie in the orthant and in the cone.  (The orthant loop is
+    inside the subset loop, so each null space and each cone membership is
+    computed once.)
+    """
+    n = cone.ambient_dim
+    hyperplanes = [list(r) for r in cone.a1] + [list(r) for r in cone.a2]
+    hyperplanes += [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    found = set()
+    for S in combinations(hyperplanes, n - 1):
+        if exact.rank(list(S)) != n - 1:
+            continue
+        r = exact.null_space(list(S), n)[0]
+        rays = [d for d in (r, [-x for x in r]) if cone_contains(cone, d)]
+        for signs in product((1, -1), repeat=n):
+            for d in rays:
+                if all(s * x >= 0 for s, x in zip(signs, d)):
+                    found.add(tuple(exact.primitive_integer_vector(d)))
+    return GeneratorSet(tuple(sorted(found)))
+
+
+def test_generators_match_orthant_enumeration():
+    """The cone distribution of acceptance criterion 9."""
+    rng = random.Random(271828)
+    done = 0
+    while done < 100:
+        n = rng.randint(1, 3)
+        m = rng.randint(1, 6)
+        A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        if all(x == 0 for row in A for x in row):
+            continue
+        xa = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+        xb = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+        delta = max(1, exact.max_abs_subdeterminant(A))
+        cone = build_cone(A, xa, xb)
+        assert enumerate_generators(cone, delta) == orthant_generators(cone)
+        done += 1
+
+
+def test_generators_match_orthant_enumeration_restricted():
+    """Cones of restricted polyhedra: +-e_i rows and rows tied at the point."""
+    rng = random.Random(161803)
+    quota = {2: 12, 3: 8, 4: 3}
+    seen = set()
+    for seed in range(200):
+        inst = random_instance(seed, n_max=4)
+        if not quota.get(inst.n):
+            continue
+        quota[inst.n] -= 1
+        zset = {i for i in range(inst.n) if rng.random() < 0.4}
+        P = restricted_polyhedron(inst, zset)
+        xa = [F(0) if i in zset else F(rng.randint(-2, 2)) for i in range(inst.n)]
+        cone = build_cone(P.A, xa, [F(0)] * inst.n)
+        delta = max(1, exact.max_abs_subdeterminant(P.A))
+        assert enumerate_generators(cone, delta) == orthant_generators(cone)
+        ties = len(cone.a1) + len(cone.a2) - P.m
+        seen.add((inst.n, bool(zset), ties > 2 * len(zset)))
+    assert not any(quota.values())
+    # Some cones have +-e_i rows, and some have further tie rows.
+    assert {z for _, z, _ in seen} == {True, False}
+    assert {t for _, _, t in seen} == {True, False}
 
 
 def test_conic_multipliers_roundtrip():

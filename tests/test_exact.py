@@ -118,6 +118,103 @@ def test_null_space_is_kernel(m, n, data):
         assert all(x == 0 for x in exact.matvec(M, v))
 
 
+def rref_reference(M):
+    """Reduced row echelon form by Gauss-Jordan elimination on Fractions."""
+    a = [[F(x) for x in row] for row in M]
+    pivots = []
+    for c in range(len(a[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def null_space_reference(M):
+    """The canonical kernel basis: one free column 1, the other free ones 0."""
+    a, pivots = rref_reference(M)
+    basis = []
+    for f in range(len(M[0])):
+        if f in pivots:
+            continue
+        v = [F(0)] * len(M[0])
+        v[f] = F(1)
+        for r, p in enumerate(pivots):
+            v[p] = -a[r][f]
+        basis.append(v)
+    return basis
+
+
+def random_matrix(rng, m, n, rational):
+    """Small entries; sometimes a zero first column or a repeated row."""
+    def entry():
+        if rational and rng.random() < 0.5:
+            return F(rng.randint(-5, 5), rng.randint(1, 4))
+        return rng.randint(-3, 3)
+    M = [[entry() for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.3:
+        for row in M:
+            row[0] = 0
+    if m > 1 and rng.random() < 0.3:
+        M[-1] = [F(-3, 2) * x for x in M[0]]
+    return M
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_null_space_is_the_rref_basis(rational):
+    rng = random.Random(4242 + rational)
+    for _ in range(400):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        M = random_matrix(rng, m, n, rational)
+        basis = exact.null_space(M, n)
+        assert basis == null_space_reference(M)
+        assert all(type(x) is F for v in basis for x in v)
+        assert exact.rank(M) == len(rref_reference(M)[1])
+
+
+def test_null_space_skipped_pivot_column():
+    # Column 0 is zero and column 2 depends on column 1.
+    M = [[0, 2, 4, 1], [0, F(1, 3), F(2, 3), F(1, 2)], [0, 1, 2, 0]]
+    assert exact.rank(M) == 2
+    assert exact.null_space(M, 4) == [[F(1), F(0), F(0), F(0)],
+                                      [F(0), F(-2), F(1), F(0)]]
+
+
+def test_rank_and_solve_rational():
+    M = [[F(1, 2), F(1, 3)], [F(-2, 5), F(3, 7)]]
+    rhs = [F(5, 6), F(1, 35)]
+    x = exact.solve_linear(M, rhs)
+    assert x == [F(1), F(1)]
+    assert exact.rank(M) == 2
+    assert exact.rank([[F(1, 2), F(1, 3)], [F(3, 4), F(1, 2)]]) == 1
+    assert exact.solve_linear([[F(1, 2), F(1, 3)], [F(3, 4), F(1, 2)]],
+                              [F(1), F(3, 2)]) is None
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_solve_linear_matches_reference(rational):
+    rng = random.Random(99 + rational)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        M = random_matrix(rng, n, n, rational)
+        rhs = [F(rng.randint(-7, 7), rng.randint(1, 5) if rational else 1)
+               for _ in range(n)]
+        a, pivots = rref_reference([list(row) + [b] for row, b in zip(M, rhs)])
+        x = exact.solve_linear(M, rhs)
+        if pivots[:n] != list(range(n)):
+            assert x is None
+            assert exact.det(M) == 0
+        else:
+            assert x == [a[i][n] for i in range(n)]
+            assert all(type(v) is F for v in x)
+
+
 def test_null_space_empty_matrix():
     basis = exact.null_space([], 3)
     assert len(basis) == 3

@@ -7,10 +7,10 @@ from iqprox import exact, oracles
 from iqprox.errors import InfeasibleError, InputError
 from iqprox.families import (build_example_1_1, build_prop44, build_prop45,
                              build_prop46, random_instance)
-from iqprox.oracles import (certify_no_cont_approx_within, delta_star, eval_f,
+from iqprox.oracles import (certify_no_cont_approx_within, delta_star,
                             fmax_cont, fmax_int, full_report, solve_iqp,
                             solve_qp, verdict)
-from iqprox.pipeline import instance, run_pipeline
+from iqprox.pipeline import eval_objective, instance, run_pipeline
 
 
 def box_instance(q, h, r=3):
@@ -29,8 +29,8 @@ def box_instance(q, h, r=3):
 def test_eval_f_example():
     fam = build_example_1_1(3)
     # dropped constant is -1/16, so the raw value -(x - 1/4)^2 shifts by it
-    assert eval_f(fam.instance, [F(-3)]) == F(-169, 16) - fam.expected["constant"]
-    assert eval_f(fam.instance, [F(1, 4)]) == F(1, 16)
+    assert eval_objective(fam.instance, [F(-3)]) == F(-169, 16) - fam.expected["constant"]
+    assert eval_objective(fam.instance, [F(1, 4)]) == F(1, 16)
 
 
 def test_solve_iqp_example():
@@ -84,13 +84,13 @@ def test_fmax_cont_dominates_vertices_and_lattice():
         inst = random_instance(seed)
         rep = full_report(inst)
         assert rep.fmax_cont >= rep.fmax_int
-        assert rep.fmax_cont >= eval_f(inst, rep.cont_opt.point)
+        assert rep.fmax_cont >= eval_objective(inst, rep.cont_opt.point)
         # random convex combinations of optima stay below the max
         for _ in range(5):
             lam = F(rng.randint(0, 4), 4)
             p = [lam * a + (1 - lam) * b
                  for a, b in zip(rep.int_opt.point, rep.fmax_cont_witness)]
-            assert eval_f(inst, p) <= rep.fmax_cont
+            assert eval_objective(inst, p) <= rep.fmax_cont
 
 
 def test_verdict_example_values():
@@ -189,3 +189,15 @@ def test_claim_cross_checks_c1_vacuous():
     fam = build_example_1_1(3)
     res = run_pipeline(fam.instance, F(1, 2))
     oracles.claim_cross_checks(fam.instance, res)
+
+
+def test_full_report_enumerates_lattice_once(monkeypatch):
+    calls = []
+    real = oracles.enumerate_lattice_points
+    monkeypatch.setattr(oracles, "enumerate_lattice_points",
+                        lambda P: calls.append(P) or real(P))
+    inst = random_instance(3)
+    rep = full_report(inst)
+    assert len(calls) == 1
+    assert rep.int_opt == solve_iqp(inst)
+    assert (rep.fmax_int, rep.fmax_int_witness) == oracles.fmax_int_witness(inst)

@@ -5,8 +5,8 @@ import pytest
 from iqprox import exact
 from iqprox.errors import ClaimViolation, InputError
 from iqprox.families import build_example_1_1, random_instance
-from iqprox.pipeline import (apply_unimodular, compute_schedule, eval_objective,
-                             instance, midpoint_witnesses, normalize, one_step,
+from iqprox.pipeline import (compute_schedule, eval_objective, instance,
+                             midpoint_witnesses, normalize, one_step,
                              restricted_polyhedron, run_pipeline,
                              subdeterminant_bound)
 from iqprox.polyhedra import contains
@@ -98,47 +98,6 @@ def test_restricted_polyhedron():
     P = restricted_polyhedron(inst, {1})
     assert contains(P, [F(1), F(0)])
     assert not contains(P, [F(1), F(1)])
-
-
-def test_apply_unimodular_linear():
-    # k=0: shear is fine
-    inst = instance([[1, 0], [-1, 0], [0, 1], [0, -1]], [2, 2, 2, 2],
-                    [], [1, 1], k=0)
-    out = apply_unimodular(inst, [[1, 1], [0, 1]], [0, 0], 1, 0)
-    # y = Mx, so x = (y1 - y2, y2); objective x1 + x2 becomes y1
-    assert out.h == (F(1), F(0))
-    for x in ([F(1), F(1)], [F(-2), F(0)]):
-        y = exact.matvec([[F(1), F(1)], [F(0), F(1)]], x)
-        assert (eval_objective(inst, x) == eval_objective(out, y))
-        assert contains(inst.polyhedron(), x) == contains(out.polyhedron(), y)
-
-
-def test_apply_unimodular_signed_permutation():
-    inst = instance([[1, 0], [-1, 0], [0, 1], [0, -1]], [3, 3, 3, 3],
-                    [2], [1, -1], k=1)
-    M = [[-1, 0], [0, 1]]
-    out = apply_unimodular(inst, M, [1, 0], 1, 0)
-    f_shift = None
-    for x in ([F(1), F(2)], [F(-1), F(0)], [F(2), F(-3)]):
-        y = exact.vec_add(exact.matvec(exact.mat(M), x), [F(1), F(0)])
-        d = eval_objective(inst, x) - eval_objective(out, y)
-        if f_shift is None:
-            f_shift = d  # constants are dropped, difference must stay fixed
-        assert d == f_shift
-        assert contains(inst.polyhedron(), x) == contains(out.polyhedron(), y)
-
-
-def test_apply_unimodular_rejects_shear_with_quadratics():
-    inst = instance([[1, 0], [-1, 0], [0, 1], [0, -1]], [2, 2, 2, 2],
-                    [1], [0, 0], k=1)
-    with pytest.raises(InputError):
-        apply_unimodular(inst, [[1, 1], [0, 1]], [0, 0], 1, 0)
-
-
-def test_apply_unimodular_rejects_nonunimodular():
-    inst = instance([[1], [-1]], [1, 1], [], [1], k=0)
-    with pytest.raises(InputError):
-        apply_unimodular(inst, [[2]], [0], 1, 0)
 
 
 def test_one_step_zeroes_smallest_coordinate():
