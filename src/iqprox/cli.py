@@ -33,8 +33,11 @@ def _parse_rat(s: str) -> Fraction:
         raise InputError(f"bad rational {s!r}") from e
 
 
-def _parse_point(s: str) -> list[Fraction]:
-    return [_parse_rat(p) for p in s.split(",")]
+def _parse_point(s: str, n: int) -> list[Fraction]:
+    x = [_parse_rat(p) for p in s.split(",")]
+    if len(x) != n:
+        raise InputError(f"point {s!r} has dimension {len(x)}, the instance {n}")
+    return x
 
 
 def _emit(doc):
@@ -62,8 +65,8 @@ def cmd_solve(args) -> int:
 def cmd_proximity(args) -> int:
     inst = formats.load_instance(args.instance)
     eps = _parse_rat(args.eps)
-    xc = _parse_point(args.xc) if args.xc else None
-    xd = _parse_point(args.xd) if args.xd else None
+    xc = _parse_point(args.xc, inst.n) if args.xc else None
+    xd = _parse_point(args.xd, inst.n) if args.xd else None
     t0 = time.monotonic()
     report = oracles.full_report(inst)
     result = run_pipeline(inst, eps,
@@ -159,8 +162,8 @@ def cmd_subdet(args) -> int:
 
 def cmd_cone(args) -> int:
     inst = formats.load_instance(args.instance)
-    xa = _parse_point(args.xa)
-    xb = _parse_point(args.xb)
+    xa = _parse_point(args.xa, inst.n)
+    xb = _parse_point(args.xb, inst.n)
     cone = build_cone(inst.A, xa, xb)
     delta = subdeterminant_bound(inst)
     gens = enumerate_generators(cone, delta)

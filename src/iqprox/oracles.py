@@ -104,9 +104,9 @@ def fmax_cont_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
     for size in range(min(n, P.m) + 1):
         for S in combinations(range(P.m), size):
             rowsS = [list(P.A[i]) for i in S]
-            if size and exact.rank(rowsS) != size:
-                continue
             W = exact.null_space(rowsS, n)
+            if len(W) != n - size:  # the rows of S are dependent
+                continue
             rows = [list(r) for r in P.A]
             rhs = list(P.b)
             for i in S:

@@ -3,17 +3,24 @@
 Two-phase primal simplex with Bland's pivot rule (anti-cycling, so
 termination is guaranteed).  Variables are free; constraints are `A x <= b`.
 Equality constraints are encoded by callers as opposing inequality pairs.
+
+The tableau is fraction-free (Edmonds 1967): Python ints over one positive
+common denominator, updated by exact Bareiss steps, with ratios compared by
+cross-multiplying.  It makes the same Bland pivots as a ``Fraction`` tableau
+of the unscaled problem, ties included, so the results are those of that
+tableau; a ``Fraction`` is built only for the output coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionError
+from .exact import _integer_rows
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass
@@ -27,23 +34,37 @@ class LpResult:
         return self.status == "optimal"
 
 
-def _pivot(tab, obj, basis, row, col):
-    inv = tab[row][col]
-    tab[row] = [x / inv for x in tab[row]]
+def _pivot(tab, obj, basis, row, col, d):
+    """Fraction-free pivot (Edmonds 1967); returns the new common denominator.
+
+    The true tableau is tab / d and the true objective row obj / d, with
+    d > 0.  Every entry is, up to sign, a minor of the initial integer
+    tableau, so each division is exact.  A negative pivot (only the
+    drive-out of artificials makes one) is made positive by negating its
+    row, which keeps d positive and the sign of every entry that of the
+    true tableau.
+    """
     prow = tab[row]
+    piv = prow[col]
+    if piv < 0:
+        prow = tab[row] = [-y for y in prow]
+        piv = -piv
     for i, trow in enumerate(tab):
-        if i != row and trow[col] != 0:
-            f = trow[col]
-            tab[i] = [x - f * y for x, y in zip(trow, prow)]
-    if obj[col] != 0:
-        f = obj[col]
-        for j in range(len(obj)):
-            obj[j] -= f * prow[j]
+        if i == row:
+            continue
+        f = trow[col]
+        if f:
+            tab[i] = [(x * piv - f * y) // d for x, y in zip(trow, prow)]
+        elif piv != d:
+            tab[i] = [x * piv // d for x in trow]
+    f = obj[col]
+    obj[:] = [(x * piv - f * y) // d for x, y in zip(obj, prow)]
     basis[row] = col
+    return piv
 
 
-def _optimize(tab, obj, basis, allowed):
-    """Minimize, Bland's rule.  Returns 'optimal' or 'unbounded'."""
+def _optimize(tab, obj, basis, allowed, d):
+    """Minimize, Bland's rule.  Returns ('optimal' or 'unbounded', d)."""
     ncols = len(obj) - 1
     while True:
         enter = -1
@@ -52,25 +73,29 @@ def _optimize(tab, obj, basis, allowed):
                 enter = j
                 break
         if enter < 0:
-            return "optimal"
+            return "optimal", d
         leave = -1
-        best = None
         for i, trow in enumerate(tab):
             coeff = trow[enter]
             if coeff > 0:
-                ratio = trow[-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                # Ratio test by cross-multiplying: rhs_i/coeff_i vs the best.
+                lhs = trow[-1] * tab[leave][enter]
+                rhs = tab[leave][-1] * coeff
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
-            return "unbounded"
-        _pivot(tab, obj, basis, leave, enter)
+            return "unbounded", d
+        d = _pivot(tab, obj, basis, leave, enter, d)
 
 
 def lp_solve(A, b, c, sense: str = "max") -> LpResult:
     """Exact optimum of c.x subject to A x <= b over free x.
 
-    A zero objective turns this into a pure feasibility check.
+    Entries are ints or Fractions.  A zero objective turns this into a pure
+    feasibility check.
     """
     m = len(A)
     n = len(c)
@@ -78,8 +103,8 @@ def lp_solve(A, b, c, sense: str = "max") -> LpResult:
         raise DimensionError("lp_solve: inconsistent system shape")
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
-    # Minimize internally.
-    cmin = [Fraction(x) if sense == "min" else -Fraction(x) for x in c]
+    # Minimize internally, with the costs scaled to integers.
+    (cmin,), _ = _integer_rows([list(c) if sense == "min" else [-x for x in c]])
 
     if m == 0:
         if all(x == 0 for x in cmin):
@@ -87,69 +112,79 @@ def lp_solve(A, b, c, sense: str = "max") -> LpResult:
         return LpResult("unbounded")
 
     # Standard form: x = xp - xn, slack per row; negate rows with negative rhs
-    # and give those rows an artificial variable.
+    # and give those rows an artificial variable.  Row i of [A | b] is scaled
+    # to integers by the lcm d_i of its denominators, and its slack and
+    # artificial by 1/d_i, so the initial basis is the identity.  Scaling rows
+    # and variables by positive factors leaves every ratio-test order and
+    # every reduced-cost sign as in the unscaled tableau.
+    ab, scales = [], []
+    for row, bi in zip(A, b):
+        (irow,), scale = _integer_rows([[*row, bi]])
+        ab.append(irow)
+        scales.append(scale)
     nstruct = 2 * n + m
-    neg = [Fraction(b[i]) < 0 for i in range(m)]
+    neg = [row[-1] < 0 for row in ab]
     nart = sum(neg)
     ncols = nstruct + nart
     tab = []
     basis = [0] * m
-    art_at = 0
+    art_rows = []
     for i in range(m):
-        sgn = -ONE if neg[i] else ONE
-        row = [sgn * Fraction(x) for x in A[i]]
-        row += [-x for x in row[:n]]
-        row += [ZERO] * m
+        sgn = -1 if neg[i] else 1
+        row = [sgn * x for x in ab[i][:n]]
+        row += [-x for x in row]
+        row += [0] * (m + nart)
         row[2 * n + i] = sgn
-        arts = [ZERO] * nart
         if neg[i]:
-            arts[art_at] = ONE
-            basis[i] = nstruct + art_at
-            art_at += 1
+            basis[i] = nstruct + len(art_rows)
+            row[basis[i]] = 1
+            art_rows.append(i)
         else:
             basis[i] = 2 * n + i
-        tab.append(row + arts + [sgn * Fraction(b[i])])
+        tab.append(row + [sgn * ab[i][-1]])
+    d = 1
 
     allowed = [True] * ncols
     if nart:
-        # Phase 1: minimize the artificial sum.
-        obj = [ZERO] * (ncols + 1)
-        for j in range(nstruct, ncols):
-            obj[j] = ONE
-        for i in range(m):
-            if basis[i] >= nstruct:
-                obj = [o - t for o, t in zip(obj, tab[i])]
-        _optimize(tab, obj, basis, allowed)
-        if -obj[-1] != 0:  # objective value = -obj[-1]
+        # Phase 1: minimize the artificial sum.  The artificial of row i is
+        # scaled by 1/d_i, so it costs L/d_i with L the lcm of those d_i: the
+        # objective is L times the unscaled one.
+        common = lcm(*(scales[i] for i in art_rows))
+        obj = [0] * (ncols + 1)
+        for i in art_rows:
+            w = common // scales[i]
+            obj[basis[i]] = w
+            obj = [o - w * t for o, t in zip(obj, tab[i])]
+        _, d = _optimize(tab, obj, basis, allowed, d)
+        if obj[-1] != 0:
             return LpResult("infeasible")
         # Drive leftover zero-level artificials out of the basis.
         for i in range(m):
             if basis[i] >= nstruct:
                 for j in range(nstruct):
                     if tab[i][j] != 0:
-                        _pivot(tab, obj, basis, i, j)
+                        d = _pivot(tab, obj, basis, i, j, d)
                         break
         # Rows still basic in an artificial are redundant; freeze the column.
         for j in range(nstruct, ncols):
             allowed[j] = False
 
-    # Phase 2.
-    cost = [ZERO] * (ncols + 1)
-    cost[:n] = cmin[:]
+    # Phase 2: the objective row d * (cost - cost_B B^-1 [A | b]).
+    cost = [0] * (ncols + 1)
+    cost[:n] = cmin
     cost[n:2 * n] = [-x for x in cmin]
-    obj = cost[:]
+    obj = [d * x for x in cost]
     for i in range(m):
-        if obj[basis[i]] != 0:
-            f = obj[basis[i]]
+        f = cost[basis[i]]
+        if f != 0:
             obj = [o - f * t for o, t in zip(obj, tab[i])]
-    status = _optimize(tab, obj, basis, allowed)
+    status, d = _optimize(tab, obj, basis, allowed, d)
     if status == "unbounded":
         return LpResult("unbounded")
-    values = [ZERO] * ncols
+    values = [0] * ncols
     for i in range(m):
-        if basis[i] < ncols:
-            values[basis[i]] = tab[i][-1]
-    x = [values[j] - values[n + j] for j in range(n)]
+        values[basis[i]] = tab[i][-1]
+    x = [Fraction(values[j] - values[n + j], d) for j in range(n)]
     objective = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), ZERO)
     return LpResult("optimal", x, objective)
 

@@ -128,6 +128,19 @@ def test_cmd_cone(capsys, ex11_path):
     assert doc["generators"] == [["1"]]
 
 
+def test_cmd_proximity_wrong_dimension(capsys, ex11_path):
+    argv = ["proximity", ex11_path, "--eps", "1/2", "--xc", "1,2", "--xd", "-3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and len(err.strip().splitlines()) == 1
+
+
+def test_cmd_cone_wrong_dimension(capsys, ex11_path):
+    assert main(["cone", ex11_path, "--xa", "1,2", "--xb", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and len(err.strip().splitlines()) == 1
+
+
 def test_verify_report_roundtrip(capsys, ex11_path, tmp_path):
     code = main(["proximity", ex11_path, "--eps", "1/2"])
     assert code == 0

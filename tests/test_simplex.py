@@ -3,8 +3,10 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from iqprox import exact
+from iqprox import exact, simplex
 from iqprox.errors import DimensionError
 from iqprox.simplex import feasible_point, lp_solve
 
@@ -126,3 +128,153 @@ def test_random_against_vertex_oracle():
             assert res.objective == oracle, (trial, A, b, c)
             assert all(exact.dot(row, res.point) <= bi
                        for row, bi in zip(A, b))
+
+
+def reference_pivot(tab, obj, basis, row, col, trail):
+    trail.append((row, col))
+    inv = tab[row][col]
+    tab[row] = [x / inv for x in tab[row]]
+    prow = tab[row]
+    for i, trow in enumerate(tab):
+        if i != row and trow[col] != 0:
+            f = trow[col]
+            tab[i] = [x - f * y for x, y in zip(trow, prow)]
+    if obj[col] != 0:
+        f = obj[col]
+        for j in range(len(obj)):
+            obj[j] -= f * prow[j]
+    basis[row] = col
+
+
+def reference_optimize(tab, obj, basis, allowed, trail):
+    ncols = len(obj) - 1
+    while True:
+        enter = next((j for j in range(ncols) if allowed[j] and obj[j] < 0), -1)
+        if enter < 0:
+            return "optimal"
+        leave = -1
+        best = None
+        for i, trow in enumerate(tab):
+            coeff = trow[enter]
+            if coeff > 0:
+                ratio = trow[-1] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded"
+        reference_pivot(tab, obj, basis, leave, enter, trail)
+
+
+def reference_lp_solve(A, b, c, sense, trail):
+    """Reference: the two-phase Bland simplex on a Fraction tableau.
+
+    Rows with a negative rhs are negated and get an artificial of
+    coefficient 1; phase 1 minimizes the plain artificial sum.  Each pivot
+    (row, column) is appended to trail.
+    """
+    m, n = len(A), len(c)
+    cmin = [F(x) if sense == "min" else -F(x) for x in c]
+    if m == 0:
+        if all(x == 0 for x in cmin):
+            return "optimal", [F(0)] * n, F(0)
+        return "unbounded", None, None
+    nstruct = 2 * n + m
+    neg = [F(b[i]) < 0 for i in range(m)]
+    nart = sum(neg)
+    ncols = nstruct + nart
+    tab, basis, art_at = [], [0] * m, 0
+    for i in range(m):
+        sgn = F(-1) if neg[i] else F(1)
+        row = [sgn * F(x) for x in A[i]]
+        row += [-x for x in row[:n]] + [F(0)] * m
+        row[2 * n + i] = sgn
+        arts = [F(0)] * nart
+        if neg[i]:
+            arts[art_at] = F(1)
+            basis[i] = nstruct + art_at
+            art_at += 1
+        else:
+            basis[i] = 2 * n + i
+        tab.append(row + arts + [sgn * F(b[i])])
+    allowed = [True] * ncols
+    if nart:
+        obj = [F(0)] * nstruct + [F(1)] * nart + [F(0)]
+        for i in range(m):
+            if basis[i] >= nstruct:
+                obj = [o - t for o, t in zip(obj, tab[i])]
+        reference_optimize(tab, obj, basis, allowed, trail)
+        if obj[-1] != 0:
+            return "infeasible", None, None
+        for i in range(m):
+            if basis[i] >= nstruct:
+                j = next((j for j in range(nstruct) if tab[i][j] != 0), None)
+                if j is not None:
+                    reference_pivot(tab, obj, basis, i, j, trail)
+        allowed[nstruct:] = [False] * nart
+    obj = cmin + [-x for x in cmin] + [F(0)] * (ncols - 2 * n + 1)
+    for i in range(m):
+        f = obj[basis[i]]
+        if f != 0:
+            obj = [o - f * t for o, t in zip(obj, tab[i])]
+    if reference_optimize(tab, obj, basis, allowed, trail) == "unbounded":
+        return "unbounded", None, None
+    values = [F(0)] * ncols
+    for i in range(m):
+        values[basis[i]] = tab[i][-1]
+    x = [values[j] - values[n + j] for j in range(n)]
+    return "optimal", x, sum((F(ci) * xi for ci, xi in zip(c, x)), F(0))
+
+
+RATIONALS = st.one_of(st.integers(-3, 3),
+                      st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def small_lps(draw):
+    """Small LPs with rational data and negative rhs (phase 1), opposing
+    equality pairs (degenerate drive-out of artificials, negative pivots),
+    with or without a bounding box, so some are infeasible or unbounded,
+    and zero or rational objectives."""
+    n = draw(st.integers(1, 3))
+    A, b = [], []
+    if draw(st.booleans()):
+        A, b = box(n, draw(st.integers(1, 3)))
+    for _ in range(draw(st.integers(0, 4))):
+        row = [draw(RATIONALS) for _ in range(n)]
+        bi = draw(RATIONALS)
+        A.append(row)
+        b.append(bi)
+        if draw(st.booleans()):
+            A.append([-x for x in row])
+            b.append(-bi)
+    # A zero objective returns the vertex that phase 1 reaches.
+    c = [draw(RATIONALS) for _ in range(n)] if draw(st.booleans()) else [F(0)] * n
+    return A, b, c, draw(st.sampled_from(["max", "min"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_lps())
+@example(([[F(1)], [F(-1)]], [F(-1), F(0)], [F(1)], "max"))  # infeasible
+@example(([[F(-1)]], [F(0)], [F(1)], "max"))  # unbounded
+@example(([[F(1), F(1)], [F(-1), F(-1)], [F(1), F(0)], [F(-1), F(0)]],
+          [F(1), F(-1), F(1, 2), F(-1, 2)], [F(1), F(-2)], "min"))  # drive-out
+@example(([], [], [F(1)], "min"))  # no rows, unbounded
+def test_matches_fraction_tableau(lp):
+    """Same pivots, same status, point and objective as the reference."""
+    A, b, c, sense = lp
+    pivots, expected = [], []
+    pivot = simplex._pivot
+
+    def spy(tab, obj, basis, row, col, d):
+        pivots.append((row, col))
+        return pivot(tab, obj, basis, row, col, d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_pivot", spy)
+        res = lp_solve(A, b, c, sense)
+    assert (res.status, res.point, res.objective) == reference_lp_solve(A, b, c, sense,
+                                                                        expected)
+    assert pivots == expected
+    if res.is_optimal:
+        assert all(type(x) is F for x in res.point + [res.objective])

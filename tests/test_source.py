@@ -6,11 +6,26 @@ import iqprox
 SOURCES = sorted(Path(iqprox.__file__).parent.glob("*.py"))
 
 
+def nodes_where(pred) -> list[str]:
+    """file:line of every AST node under src/iqprox/ that satisfies pred."""
+    assert SOURCES
+    return [f"{path.name}:{node.lineno}"
+            for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if pred(node)]
+
+
 def test_no_assert_statements():
     """Claims raise ClaimViolation; `python -O` would strip an assert."""
-    assert SOURCES
-    found = [f"{path.name}:{node.lineno}"
-             for path in SOURCES
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
-    assert found == []
+    assert nodes_where(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def is_float(node) -> bool:
+    return ((isinstance(node, ast.Constant) and isinstance(node.value, float))
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "float"))
+
+
+def test_no_floats():
+    """Arithmetic is exact: no float literal and no float(...) call."""
+    assert nodes_where(is_float) == []
