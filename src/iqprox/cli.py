@@ -95,6 +95,8 @@ def cmd_proximity(args) -> int:
 
 
 def cmd_tightness(args) -> int:
+    if args.n is None and args.family in ("ilp", "prop45", "prop46"):
+        raise InputError(f"--n is required for the {args.family} family")
     eps = _parse_rat(args.eps) if args.eps else None
     if args.family == "ilp":
         fam = build_ilp_tightness(args.n, args.delta, _parse_rat(args.beta),

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
+from operator import mul
 
 from . import exact
 from .errors import (ClaimViolation, DimensionError, InputError,
@@ -29,6 +31,11 @@ class ProximityCone:
     a1: tuple[tuple[Fraction, ...], ...]
     a2: tuple[tuple[Fraction, ...], ...]
     ambient_dim: int
+
+    @cached_property
+    def int_rows(self) -> tuple[list[list[int]], list[list[int]]]:
+        """a1 and a2 with each row times the lcm of its denominators."""
+        return exact._integer_rows(self.a1)[0], exact._integer_rows(self.a2)[0]
 
 
 @dataclass(frozen=True)
@@ -78,11 +85,12 @@ def build_cone(A, xa, xb) -> ProximityCone:
 
 
 def cone_contains(cone: ProximityCone, x) -> bool:
-    xv = exact.vec(x)
-    if len(xv) != cone.ambient_dim:
+    if len(x) != cone.ambient_dim:
         raise DimensionError("point dimension mismatch")
-    return (all(exact.dot(r, xv) <= 0 for r in cone.a1)
-            and all(exact.dot(r, xv) >= 0 for r in cone.a2))
+    X, _ = exact.integer_vector(x)  # x scaled by a positive d: same signs
+    a1, a2 = cone.int_rows
+    return (all(sum(map(mul, r, X)) <= 0 for r in a1)
+            and all(sum(map(mul, r, X)) >= 0 for r in a2))
 
 
 def enumerate_generators(cone: ProximityCone, delta: int) -> GeneratorSet:

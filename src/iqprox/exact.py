@@ -89,6 +89,16 @@ def _integer_rows(M) -> tuple[list[list[int]], int]:
     return rows, scale
 
 
+def integer_vector(v) -> tuple[list[int], int]:
+    """v times the lcm d of its denominators, and d.
+
+    Entries may be ints, Fractions or anything ``Fraction`` accepts.
+    """
+    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
 def _echelon(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) row echelon form of an integer matrix, in place.
 
@@ -227,10 +237,6 @@ def null_space(M, n: int | None = None) -> list[list[Fraction]]:
 
 def primitive_integer_vector(v) -> list[Fraction]:
     """Scale a nonzero rational vector to the primitive integer vector on its ray."""
-    denoms = [Fraction(x).denominator for x in v]
-    mult = lcm(*denoms) if denoms else 1
-    ints = [int(Fraction(x) * mult) for x in v]
-    g = gcd(*ints) if any(ints) else 1
-    if g == 0:
-        g = 1
+    ints, _ = integer_vector(v)
+    g = gcd(*ints) or 1
     return [Fraction(x // g) for x in ints]

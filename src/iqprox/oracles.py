@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from . import exact
 from .errors import ClaimViolation, InfeasibleError, InputError
@@ -48,14 +49,24 @@ class OracleReport:
 
 def _lattice_extremes(inst: Instance, pts) -> tuple[OptResult, Fraction,
                                                    tuple[Fraction, ...]]:
-    """Minimizer (with ties) and lexicographically first maximizer over pts."""
+    """Minimizer (with ties) and lexicographically first maximizer over pts.
+
+    pts are lattice points.  The objective is evaluated as an int: f times
+    the lcm d of the denominators of q and h; a Fraction is built only for
+    the minimum and the maximum.
+    """
     if not pts:
         raise InfeasibleError("no integer point in the feasible region")
-    vals = [eval_objective(inst, p) for p in pts]
+    qh, d = exact.integer_vector(inst.q + inst.h)
+    q, h = qh[:inst.k], qh[inst.k:]
+    vals = []
+    for p in pts:
+        x = [v.numerator for v in p]
+        vals.append(sum(map(mul, h, x)) - sum(c * xi * xi for c, xi in zip(q, x)))
     best, top = min(vals), max(vals)
     ties = tuple(sorted(p for p, v in zip(pts, vals) if v == best))
     wit = min(p for p, v in zip(pts, vals) if v == top)
-    return OptResult(ties[0], best, ties), top, wit
+    return OptResult(ties[0], Fraction(best, d), ties), Fraction(top, d), wit
 
 
 def solve_iqp(inst: Instance) -> OptResult:

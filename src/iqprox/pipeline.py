@@ -48,7 +48,12 @@ class Instance:
         return len(self.A)
 
     def polyhedron(self) -> Polyhedron:
-        return polyhedron(self.A, self.b, self.n)
+        """{A x <= b}, built on the first call and kept with the instance."""
+        P = self.__dict__.get("_polyhedron")
+        if P is None:
+            P = polyhedron(self.A, self.b, self.n)
+            object.__setattr__(self, "_polyhedron", P)
+        return P
 
 
 def instance(A, b, q, h, k: int | None = None) -> Instance:

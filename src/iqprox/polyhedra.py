@@ -3,6 +3,11 @@
 All enumeration routines assume desk-scale inputs and verify boundedness
 before enumerating, raising UnboundedError otherwise.  Outputs are
 canonically ordered (lexicographic) so results are deterministic.
+
+The rational rows [A_i | b_i] are what callers and the LPs see.  Membership
+and lattice enumeration run on the same rows scaled to Python ints, each by
+the lcm of its denominators: a point x is scaled once to X = D x over its
+common denominator D, and row i holds iff (d_i A_i).X <= D (d_i b_i).
 """
 
 from __future__ import annotations
@@ -10,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from operator import mul
 
 from . import exact
 from .errors import DimensionError, UnboundedError
@@ -31,6 +38,12 @@ class Polyhedron:
     @property
     def m(self) -> int:
         return len(self.A)
+
+    @cached_property
+    def int_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """Each row [A_i | b_i] times the lcm of its denominators, split again."""
+        rows, _ = exact._integer_rows([[*row, bi] for row, bi in zip(self.A, self.b)])
+        return tuple(tuple(r[:-1]) for r in rows), tuple(r[-1] for r in rows)
 
 
 def polyhedron(A, b, n: int | None = None) -> Polyhedron:
@@ -63,16 +76,22 @@ class Face:
     dim: int
 
 
-def contains(P: Polyhedron, x) -> bool:
+def _row_values(P: Polyhedron, x):
+    """(d_i A_i).X and D (d_i b_i) for every row i, with X = D x."""
     if len(x) != P.n:
         raise DimensionError(f"point has dim {len(x)}, polyhedron has {P.n}")
-    xv = [Fraction(v) for v in x]
-    return all(exact.dot(row, xv) <= bi for row, bi in zip(P.A, P.b))
+    rows, rhs = P.int_rows
+    X, d = exact.integer_vector(x)
+    return ((sum(map(mul, row, X)), d * c) for row, c in zip(rows, rhs))
+
+
+def contains(P: Polyhedron, x) -> bool:
+    return all(lhs <= rhs for lhs, rhs in _row_values(P, x))
 
 
 def tight_rows(P: Polyhedron, x) -> frozenset[int]:
-    xv = [Fraction(v) for v in x]
-    return frozenset(i for i in range(P.m) if exact.dot(P.A[i], xv) == P.b[i])
+    return frozenset(i for i, (lhs, rhs) in enumerate(_row_values(P, x))
+                     if lhs == rhs)
 
 
 def coordinate_range(P: Polyhedron, i: int) -> tuple[Fraction, Fraction] | None:
@@ -130,48 +149,48 @@ def enumerate_lattice_points(P: Polyhedron) -> list[tuple[Fraction, ...]]:
     Walks the integer grid of the exact bounding box coordinate by
     coordinate, narrowing the interval of each next coordinate by interval
     propagation over the rows, and keeps exactly the points with A x <= b.
+    The propagation runs on the int rows with the box scaled by the lcm e of
+    its denominators, so each bound is one floor division of ints.
     """
     box = bounding_box(P)
     if box is None:
         return []
+    n = P.n
+    rows, rhs = P.int_rows
     lo = [math.ceil(a) for a, _ in box]
     hi = [math.floor(b) for _, b in box]
+    e = math.lcm(*(v.denominator for pair in box for v in pair))
+    ebox = [(int(e * a), int(e * b)) for a, b in box]  # exact: e clears them
+    # Per coordinate j, the rows with a nonzero entry there: that entry
+    # times e, and e times the least value over the box of the row's part
+    # past j.
+    bounds = [[(i, e * row[j], sum(a * ebox[t][0 if a > 0 else 1]
+                                   for t, a in enumerate(row[j + 1:], j + 1)))
+               for i, row in enumerate(rows) if row[j]] for j in range(n)]
     out = []
     prefix: list[Fraction] = []
 
-    def narrowed(j: int) -> tuple[int, int]:
-        # Bounds for x_j given fixed prefix x_0..x_{j-1} and box tails.
+    def rec(j: int, slack: list[int]):
+        # slack[i] is rhs_i minus row i on the fixed prefix.
         lo_j, hi_j = lo[j], hi[j]
-        for row, bi in zip(P.A, P.b):
-            c = row[j]
-            if c == 0:
-                continue
-            slack = bi - sum(row[t] * prefix[t] for t in range(j))
-            for t in range(j + 1, P.n):
-                a = row[t]
-                if a > 0:
-                    slack -= a * box[t][0]
-                elif a < 0:
-                    slack -= a * box[t][1]
+        for i, c, tail in bounds[j]:
+            s = e * slack[i] - tail
             if c > 0:
-                hi_j = min(hi_j, math.floor(slack / c))
+                hi_j = min(hi_j, s // c)
             else:
-                lo_j = max(lo_j, math.ceil(slack / c))
-        return lo_j, hi_j
-
-    def rec(j: int):
-        if j == P.n:
-            pt = tuple(prefix)
-            if contains(P, pt):
-                out.append(pt)
+                lo_j = max(lo_j, -(-s // c))
+        if j == n - 1:
+            for v in range(lo_j, hi_j + 1):
+                pt = (*prefix, Fraction(v))
+                if contains(P, pt):
+                    out.append(pt)
             return
-        a, b = narrowed(j)
-        for v in range(a, b + 1):
+        for v in range(lo_j, hi_j + 1):
             prefix.append(Fraction(v))
-            rec(j + 1)
+            rec(j + 1, [s - row[j] * v for s, row in zip(slack, rows)])
             prefix.pop()
 
-    rec(0)
+    rec(0, list(rhs))
     return out
 
 

@@ -22,6 +22,12 @@ def run_json(capsys, argv):
     return code, json.loads(out) if out.strip() else None
 
 
+def assert_one_input_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and len(err.strip().splitlines()) == 1
+
+
 def test_roundtrip_serialization():
     for seed in range(20):
         inst = random_instance(seed)
@@ -112,6 +118,18 @@ def test_cmd_tightness_bad_params(capsys):
                  "--eps", "1/4"]) == 2
 
 
+def test_cmd_tightness_prop45_without_n(capsys):
+    assert_one_input_error(capsys, ["tightness", "prop45", "--eps", "1/2"])
+
+
+def test_cmd_tightness_prop46_without_n(capsys):
+    assert_one_input_error(capsys, ["tightness", "prop46", "--eps", "1/4"])
+
+
+def test_cmd_tightness_ilp_without_n(capsys):
+    assert_one_input_error(capsys, ["tightness", "ilp", "--delta", "2"])
+
+
 def test_cmd_subdet(capsys, tmp_path):
     from iqprox.families import build_pbar, build_ilp_tightness
     fam = build_ilp_tightness(2, 3, F(1, 2))
@@ -129,16 +147,12 @@ def test_cmd_cone(capsys, ex11_path):
 
 
 def test_cmd_proximity_wrong_dimension(capsys, ex11_path):
-    argv = ["proximity", ex11_path, "--eps", "1/2", "--xc", "1,2", "--xd", "-3"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error:") and len(err.strip().splitlines()) == 1
+    assert_one_input_error(capsys, ["proximity", ex11_path, "--eps", "1/2",
+                                    "--xc", "1,2", "--xd", "-3"])
 
 
 def test_cmd_cone_wrong_dimension(capsys, ex11_path):
-    assert main(["cone", ex11_path, "--xa", "1,2", "--xb", "0"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error:") and len(err.strip().splitlines()) == 1
+    assert_one_input_error(capsys, ["cone", ex11_path, "--xa", "1,2", "--xb", "0"])
 
 
 def test_verify_report_roundtrip(capsys, ex11_path, tmp_path):

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqprox import exact
 from iqprox.cones import (ConicDecomposition, GeneratorSet, build_cone,
@@ -263,3 +265,41 @@ def test_check_two_representations_rejects_negative_coeff():
     bad = ConicDecomposition([(F(1), F(0))], [F(-1)])
     with pytest.raises(InputError):
         check_two_representations(P, cone, [0, 0], [2, 1], bad, bad)
+
+
+def reference_cone_contains(cone, x):
+    """Cone membership in Fraction arithmetic."""
+    xv = exact.vec(x)
+    return (all(exact.dot(r, xv) <= 0 for r in cone.a1)
+            and all(exact.dot(r, xv) >= 0 for r in cone.a2))
+
+
+RATIONALS = st.one_of(st.integers(-3, 3),
+                      st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def cones_and_points(draw):
+    """A rational row-sign cone and an integer, rational or boundary point."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    A = [[draw(RATIONALS) for _ in range(n)] for _ in range(m)]
+    xa = [draw(RATIONALS) for _ in range(n)]
+    xb = [draw(RATIONALS) for _ in range(n)]
+    kind = draw(st.sampled_from(["integer", "rational", "difference"]))
+    if kind == "integer":
+        x = [draw(st.integers(-4, 4)) for _ in range(n)]
+    elif kind == "rational":
+        x = [draw(st.fractions(-4, 4, max_denominator=6)) for _ in range(n)]
+    else:  # xa - xb, on the boundary of every tie row
+        x = exact.vec_sub(xa, xb)
+    return build_cone(A, xa, xb), x, kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(cones_and_points())
+def test_cone_contains_matches_fraction_reference(case):
+    cone, x, kind = case
+    assert cone_contains(cone, x) == reference_cone_contains(cone, x)
+    if kind == "difference":
+        assert cone_contains(cone, x)

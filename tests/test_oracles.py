@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iqprox import exact, oracles
 from iqprox.errors import InfeasibleError, InputError
@@ -11,6 +13,7 @@ from iqprox.oracles import (certify_no_cont_approx_within, delta_star,
                             fmax_cont, fmax_int, full_report, solve_iqp,
                             solve_qp, verdict)
 from iqprox.pipeline import eval_objective, instance, run_pipeline
+from iqprox.polyhedra import enumerate_lattice_points
 
 
 def box_instance(q, h, r=3):
@@ -111,7 +114,6 @@ def test_verdict_optimal_point():
 def test_verdict_monotone_in_eps():
     inst = random_instance(11)
     rep = full_report(inst)
-    from iqprox.polyhedra import enumerate_lattice_points
     pts = enumerate_lattice_points(inst.polyhedron())[:10]
     for p in pts:
         last = None
@@ -201,3 +203,36 @@ def test_full_report_enumerates_lattice_once(monkeypatch):
     assert len(calls) == 1
     assert rep.int_opt == solve_iqp(inst)
     assert (rep.fmax_int, rep.fmax_int_witness) == oracles.fmax_int_witness(inst)
+
+
+def reference_lattice_extremes(inst, pts):
+    """_lattice_extremes with every value an eval_objective Fraction."""
+    vals = [eval_objective(inst, p) for p in pts]
+    best, top = min(vals), max(vals)
+    ties = tuple(sorted(p for p, v in zip(pts, vals) if v == best))
+    wit = min(p for p, v in zip(pts, vals) if v == top)
+    return oracles.OptResult(ties[0], best, ties), top, wit
+
+
+@st.composite
+def rational_objectives(draw):
+    """A random_instance region with a fresh rational q and h."""
+    base = random_instance(draw(st.integers(0, 10 ** 6)))
+    k = draw(st.integers(0, base.n))
+    q = [draw(st.fractions(F(1, 6), 4, max_denominator=6)) for _ in range(k)]
+    h = [draw(st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=6)))
+         for _ in range(base.n)]
+    return instance(base.A, base.b, q, h, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_objectives())
+@example(box_instance([1], [0], r=2))                 # tied minimizers
+@example(box_instance([F(1, 3), F(1, 2)], [F(1, 6), F(-5, 4)]))
+def test_lattice_extremes_match_eval_objective(inst):
+    pts = enumerate_lattice_points(inst.polyhedron())
+    got = oracles._lattice_extremes(inst, pts)
+    assert got == reference_lattice_extremes(inst, pts)
+    opt, top, wit = got
+    assert type(opt.value) is F and type(top) is F
+    assert all(type(v) is F for p in opt.ties + (wit,) for v in p)

@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iqprox import exact, polyhedra
 from iqprox.errors import DimensionError, UnboundedError
@@ -19,6 +22,129 @@ def square(r=2):
 def triangle():
     # x >= 0, y >= 0, x + y <= 2
     return polyhedron([[-1, 0], [0, -1], [1, 1]], [0, 0, 2])
+
+
+def reference_contains(P, x):
+    """Membership in Fraction arithmetic, which the int rows must reproduce."""
+    xv = [F(v) for v in x]
+    return all(exact.dot(row, xv) <= bi for row, bi in zip(P.A, P.b))
+
+
+def reference_tight_rows(P, x):
+    xv = [F(v) for v in x]
+    return frozenset(i for i in range(P.m) if exact.dot(P.A[i], xv) == P.b[i])
+
+
+def reference_lattice_points(P):
+    """Fraction interval propagation over the box; also the points tested."""
+    box = bounding_box(P)
+    if box is None:
+        return [], []
+    out, visited, prefix = [], [], []
+
+    def rec(j):
+        if j == P.n:
+            visited.append(tuple(prefix))
+            if reference_contains(P, prefix):
+                out.append(tuple(prefix))
+            return
+        lo, hi = math.ceil(box[j][0]), math.floor(box[j][1])
+        for row, bi in zip(P.A, P.b):
+            if row[j] == 0:
+                continue
+            slack = bi - sum(row[t] * prefix[t] for t in range(j))
+            for t in range(j + 1, P.n):
+                slack -= row[t] * box[t][0 if row[t] > 0 else 1]
+            if row[j] > 0:
+                hi = min(hi, math.floor(slack / row[j]))
+            else:
+                lo = max(lo, math.ceil(slack / row[j]))
+        for v in range(lo, hi + 1):
+            prefix.append(F(v))
+            rec(j + 1)
+            prefix.pop()
+
+    rec(0)
+    return out, visited
+
+
+RATIONALS = st.one_of(st.integers(-3, 3),
+                      st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def systems_and_points(draw):
+    """Rational A x <= b and an integer, rational or on-facet point."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    A = [[draw(RATIONALS) for _ in range(n)] for _ in range(m)]
+    b = [draw(RATIONALS) for _ in range(m)]
+    kind = draw(st.sampled_from(["integer", "rational", "facet"]))
+    if kind == "integer":
+        x = [draw(st.integers(-4, 4)) for _ in range(n)]
+    else:
+        x = [draw(st.fractions(-4, 4, max_denominator=6)) for _ in range(n)]
+    facet = None
+    if kind == "facet":
+        # Slide x along a coordinate with a nonzero entry onto row i.
+        i = draw(st.integers(0, m - 1))
+        j = next((j for j, a in enumerate(A[i]) if a), None)
+        if j is not None:
+            x[j] += (F(b[i]) - exact.dot(A[i], x)) / F(A[i][j])
+            facet = i
+    return polyhedron(A, b, n), x, facet
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems_and_points())
+@example((polyhedron([[F(1, 2), F(-1, 3)]], [F(1, 6)]), [F(1), F(1)], 0))
+@example((polyhedron([[F(-2, 3)]], [F(2)]), [-3], 0))
+def test_membership_matches_fraction_reference(case):
+    P, x, facet = case
+    assert contains(P, x) == reference_contains(P, x)
+    assert contains(P, tuple(map(F, x))) == reference_contains(P, x)
+    tight = tight_rows(P, x)
+    assert tight == reference_tight_rows(P, x)
+    if facet is not None:
+        assert facet in tight
+
+
+@st.composite
+def bounded_systems(draw):
+    """A rational box of radius at most 3 cut by up to three rational rows."""
+    n = draw(st.integers(1, 3))
+    rows, rhs = [], []
+    for i in range(n):
+        e = [0] * n
+        e[i] = 1
+        rows += [e, [-x for x in e]]
+        rhs += [draw(st.fractions(0, 3, max_denominator=3)) for _ in range(2)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.append([draw(RATIONALS) for _ in range(n)])
+        rhs.append(draw(RATIONALS))
+    return polyhedron(rows, rhs, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_systems())
+def test_lattice_points_match_fraction_reference(P):
+    """Same points as a box scan, and the same leaves tested as the Fraction walk."""
+    want, want_visited = reference_lattice_points(P)
+    scan = [tuple(map(F, p)) for p in product(range(-3, 4), repeat=P.n)
+            if reference_contains(P, p)]
+    assert want == scan
+    visited = []
+
+    def spy(Q, x):
+        visited.append(x)
+        return contains(Q, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedra, "contains", spy)
+        got = enumerate_lattice_points(P)
+    assert got == scan
+    assert visited == want_visited
+    assert all(type(v) is F for p in got for v in p)
 
 
 def test_builder_validation():
@@ -92,7 +218,7 @@ def test_lattice_points_match_box_scan():
         P = polyhedron(rows, rhs, n)
         got = enumerate_lattice_points(P)
         want = [tuple(map(F, p)) for p in product(range(-3, 4), repeat=n)
-                if contains(P, list(map(F, p)))]
+                if reference_contains(P, p)]
         assert got == sorted(want)
 
 
