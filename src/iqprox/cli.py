@@ -17,7 +17,8 @@ from .cones import build_cone, enumerate_generators
 from .errors import ClaimViolation, InfeasibleError, InputError, UnboundedError
 from .families import (build_example_1_1, build_ilp_tightness, build_prop44,
                        build_prop45, build_prop46)
-from .pipeline import compute_schedule, run_pipeline, subdeterminant_bound
+from .pipeline import (compute_schedule, eval_objective, run_pipeline,
+                       subdeterminant_bound)
 from .polyhedra import contains
 
 EXIT_OK = 0
@@ -203,6 +204,15 @@ def _read_report(path: str) -> dict:
     return fields
 
 
+def _point_problem(P, x, key: str, mode: str) -> str | None:
+    """Why a report point is not a feasible point of its problem, or None."""
+    if not contains(P, x):
+        return f"{key} is infeasible"
+    if mode == "integer" and not exact.is_integral_vec(x):
+        return f"{key} is not integer"
+    return None
+
+
 def cmd_verify_report(args) -> int:
     r = _read_report(args.report)
     inst, eps = r["inst"], r["eps"]
@@ -228,13 +238,19 @@ def cmd_verify_report(args) -> int:
             problems.append(f"{key} beyond the theorem bound")
     P = inst.polyhedron()
     for key, mode in (("x_star_int", "integer"), ("x_star_cont", "continuous")):
-        x = r[key]
-        if not contains(P, x):
-            problems.append(f"{key} is infeasible")
-        elif mode == "integer" and not exact.is_integral_vec(x):
-            problems.append(f"{key} is not integer")
-        elif not oracles.verdict(inst, x, eps, mode, report).is_approx:
-            problems.append(f"{key} fails its verdict")
+        problem = _point_problem(P, r[key], key, mode)
+        if problem is None and not oracles.verdict(inst, r[key], eps, mode,
+                                                   report).is_approx:
+            problem = f"{key} fails its verdict"
+        if problem:
+            problems.append(problem)
+    for key, mode, opt in (("xd", "integer", report.int_opt),
+                           ("xc", "continuous", report.cont_opt)):
+        problem = _point_problem(P, r[key], key, mode)
+        if problem is None and eval_objective(inst, r[key]) != opt.value:
+            problem = f"{key} is not an optimum of the {mode} problem"
+        if problem:
+            problems.append(problem)
     if problems:
         for p in problems:
             print(p, file=sys.stderr)

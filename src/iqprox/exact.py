@@ -188,19 +188,39 @@ def max_abs_subdeterminant_witness(M) -> tuple[int, tuple[int, ...], tuple[int, 
     return best, best_rows, best_cols
 
 
+def particular_solution(M, rhs, n: int | None = None) -> tuple[list[Fraction], int] | None:
+    """One solution of M x = rhs and the rank of M; None when inconsistent.
+
+    The solution has every free (non-pivot) coordinate 0.  For an empty M,
+    the ambient dim n is required.
+    """
+    if len(rhs) != len(M):
+        raise DimensionError(f"particular_solution: rhs length {len(rhs)} vs {len(M)}")
+    if not M:
+        if n is None:
+            raise DimensionError("empty system needs ambient dimension")
+        return [Fraction(0)] * n, 0
+    ncols = len(M[0])
+    a, _ = _integer_rows([list(row) + [Fraction(b)] for row, b in zip(M, rhs)])
+    pivots, _ = _echelon(a, ncols)
+    r = len(pivots)
+    # Rows past the pivot rows are zero in M's columns; a nonzero rhs there
+    # is the equation 0 = c.
+    if any(row[ncols] for row in a[r:]):
+        return None
+    last = a[r - 1][pivots[-1]] if pivots else 1
+    # [M | rhs] (x, -1) = 0: put -last in the rhs slot, then x = w / last.
+    w = _back_substitute(a, pivots, [0] * ncols + [-last])
+    return [Fraction(x, last) for x in w[:ncols]], r
+
+
 def solve_linear(M, rhs) -> list[Fraction] | None:
     """Solve M x = rhs exactly for square M; None when singular."""
     n = _check_square(M)
     if len(rhs) != n:
         raise DimensionError(f"solve_linear: rhs length {len(rhs)} vs {n}")
-    a, _ = _integer_rows([list(row) + [Fraction(b)] for row, b in zip(M, rhs)])
-    pivots, _ = _echelon(a, n)
-    if len(pivots) < n:
-        return None
-    last = a[n - 1][n - 1] if n else 1
-    # [M | rhs] (x, -1) = 0: put -last in the rhs slot, then x = w / last.
-    w = _back_substitute(a, pivots, [0] * n + [-last])
-    return [Fraction(x, last) for x in w[:n]]
+    sol = particular_solution(M, rhs, n)
+    return sol[0] if sol is not None and sol[1] == n else None
 
 
 def rank(M) -> int:

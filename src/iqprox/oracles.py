@@ -47,6 +47,17 @@ class OracleReport:
     fmax_cont_witness: tuple[Fraction, ...]
 
 
+def _integer_objective(inst: Instance) -> tuple[list[int], list[int], int]:
+    """q and h times the lcm d of their denominators, and d."""
+    qh, d = exact.integer_vector(inst.q + inst.h)
+    return qh[:inst.k], qh[inst.k:], d
+
+
+def _objective_numerator(q: list[int], h: list[int], X: list[int], e: int) -> int:
+    """d e^2 f(x) for x = X / e, with q and h from _integer_objective."""
+    return e * sum(map(mul, h, X)) - sum(c * xi * xi for c, xi in zip(q, X))
+
+
 def _lattice_extremes(inst: Instance, pts) -> tuple[OptResult, Fraction,
                                                    tuple[Fraction, ...]]:
     """Minimizer (with ties) and lexicographically first maximizer over pts.
@@ -57,12 +68,8 @@ def _lattice_extremes(inst: Instance, pts) -> tuple[OptResult, Fraction,
     """
     if not pts:
         raise InfeasibleError("no integer point in the feasible region")
-    qh, d = exact.integer_vector(inst.q + inst.h)
-    q, h = qh[:inst.k], qh[inst.k:]
-    vals = []
-    for p in pts:
-        x = [v.numerator for v in p]
-        vals.append(sum(map(mul, h, x)) - sum(c * xi * xi for c, xi in zip(q, x)))
+    q, h, d = _integer_objective(inst)
+    vals = [_objective_numerator(q, h, [v.numerator for v in p], 1) for p in pts]
     best, top = min(vals), max(vals)
     ties = tuple(sorted(p for p, v in zip(pts, vals) if v == best))
     wit = min(p for p, v in zip(pts, vals) if v == top)
@@ -76,7 +83,10 @@ def solve_iqp(inst: Instance) -> OptResult:
 
 def solve_qp(inst: Instance) -> OptResult:
     """Continuous minimizer; a concave objective attains its min at a vertex."""
-    verts = enumerate_vertices(inst.polyhedron())
+    return _vertex_minimum(inst, enumerate_vertices(inst.polyhedron()))
+
+
+def _vertex_minimum(inst: Instance, verts) -> OptResult:
     if not verts:
         raise InfeasibleError("feasible region is empty")
     vals = [(eval_objective(inst, v.point), v.point) for v in verts]
@@ -102,14 +112,28 @@ def fmax_cont_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact max of the concave objective over the feasible region.
 
     The maximizer lies in the relative interior of some face, where the
-    gradient is orthogonal to the face's affine hull.  For every linearly
-    independent subset S of rows, the system {A x <= b, A_S x = b_S,
-    W^T grad f(x) = 0} (W a basis of the kernel of A_S) is an exact LP
-    feasibility problem; the objective is constant on its solution set, so
-    any feasible point yields the candidate value for that face.
+    gradient is orthogonal to the face's affine hull.  Each linearly
+    independent subset S of rows gives the system E_S: A_S x = b_S and
+    W^T grad f(x) = 0, with W a basis of the kernel of A_S, so n equations
+    in n unknowns.  f is concave, so a point of the affine hull of the face
+    is stationary there exactly when it maximizes f there: f is constant on
+    the solutions of E_S, at the value v_S of a particular solution.  A
+    face can only raise the maximum found so far by attaining v_S in P, so,
+    visiting the subsets by size and then lexicographically, a face is
+
+    - skipped when E_S is inconsistent (it has no stationary point);
+    - skipped when v_S <= the best value so far;
+    - decided by membership when E_S has full rank: its one solution is
+      then the only candidate;
+    - otherwise decided by the exact LP feasibility problem
+      {A x <= b, E_S}, whose point must have the value v_S.
+
+    The witness is the candidate of the first face attaining the maximum.
+    v_S is evaluated as an int numerator, as on the lattice.
     """
     P = inst.polyhedron()
     n = inst.n
+    Q, H, d = _integer_objective(inst)
     best = None
     wit = None
     for size in range(min(n, P.m) + 1):
@@ -118,27 +142,44 @@ def fmax_cont_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
             W = exact.null_space(rowsS, n)
             if len(W) != n - size:  # the rows of S are dependent
                 continue
-            rows = [list(r) for r in P.A]
-            rhs = list(P.b)
-            for i in S:
-                rows.append([-c for c in P.A[i]])
-                rhs.append(-P.b[i])
+            grad, gval = [], []
             for w in W:
                 # w . grad f = sum_i w_i h_i - 2 sum_{i<k} w_i q_i x_i = 0
-                coeff = [2 * w[i] * inst.q[i] if i < inst.k else ZERO
-                         for i in range(n)]
-                val = exact.dot(w, inst.h)
-                rows.append(coeff)
-                rhs.append(val)
-                rows.append([-c for c in coeff])
-                rhs.append(-val)
-            pt = feasible_point(rows, rhs)
-            if pt is None:
+                grad.append([2 * w[i] * inst.q[i] if i < inst.k else ZERO
+                             for i in range(n)])
+                gval.append(exact.dot(w, inst.h))
+            sol = exact.particular_solution(rowsS + grad,
+                                            [P.b[i] for i in S] + gval)
+            if sol is None:
                 continue
-            v = eval_objective(inst, pt)
-            if best is None or v > best:
-                best = v
-                wit = tuple(pt)
+            x, r = sol
+            X, e = exact.integer_vector(x)
+            v = Fraction(_objective_numerator(Q, H, X, e), d * e * e)
+            if best is not None and v <= best:
+                continue
+            if r == n:
+                if not contains(P, x):
+                    continue
+                pt = x
+            else:
+                rows = [list(row) for row in P.A]
+                rhs = list(P.b)
+                for i in S:
+                    rows.append([-c for c in P.A[i]])
+                    rhs.append(-P.b[i])
+                for coeff, val in zip(grad, gval):
+                    rows.append(coeff)
+                    rhs.append(val)
+                    rows.append([-c for c in coeff])
+                    rhs.append(-val)
+                pt = feasible_point(rows, rhs)
+                if pt is None:
+                    continue
+                if eval_objective(inst, pt) != v:
+                    raise ClaimViolation("face-constant",
+                                         f"face {S}: f is not constant on E_S")
+            best = v
+            wit = tuple(pt)
     if best is None:
         raise InfeasibleError("feasible region is empty")
     return best, wit
@@ -146,9 +187,12 @@ def fmax_cont_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
 
 def _report_and_lattice(inst: Instance) -> tuple[OracleReport, list]:
     """Every oracle quantity, and the lattice points, enumerated once."""
-    pts = enumerate_lattice_points(inst.polyhedron())
+    P = inst.polyhedron()
+    pts = enumerate_lattice_points(P)
     iqp, fdi, wdi = _lattice_extremes(inst, pts)
-    qp = solve_qp(inst)
+    # pts is nonempty, so the lattice walk's bounding box has shown P
+    # nonempty and bounded.
+    qp = _vertex_minimum(inst, enumerate_vertices(P, _bounded=True))
     fci, wci = fmax_cont_witness(inst)
     return OracleReport(iqp, qp, fdi, wdi, fci, wci), pts
 

@@ -126,9 +126,13 @@ def assert_bounded(P: Polyhedron):
     bounding_box(P)  # raises UnboundedError when any direction escapes
 
 
-def enumerate_vertices(P: Polyhedron) -> list[Vertex]:
-    """All vertices, via nonsingular n-row subsets, deduplicated by point."""
-    if bounding_box(P) is None:
+def enumerate_vertices(P: Polyhedron, *, _bounded: bool = False) -> list[Vertex]:
+    """All vertices, via nonsingular n-row subsets, deduplicated by point.
+
+    A caller that has already shown P nonempty and bounded within the same
+    call passes _bounded=True to skip the 2n LPs of the bounding box.
+    """
+    if not _bounded and bounding_box(P) is None:
         return []
     seen = {}
     for rows in combinations(range(P.m), P.n):

@@ -254,3 +254,43 @@ def test_proximity_without_anchors_enumerates_lattice_once(capsys, ex11_path,
                         lambda P: calls.append(P) or real(P))
     assert main(["proximity", ex11_path, "--eps", "1/2"]) == 0
     assert len(calls) == 1
+
+
+def with_anchors(doc, xc, xd):
+    """doc with new anchors and the two distances recomputed to match them."""
+    xs_int, xs_cont = F(doc["x_star_int"][0]), F(doc["x_star_cont"][0])
+    return {**doc, "xc": [str(xc)], "xd": [str(xd)],
+            "distance_int": str(abs(F(xc) - xs_int)),
+            "distance_cont": str(abs(xs_cont - F(xd)))}
+
+
+def test_verify_report_forged_anchors(capsys, tmp_path):
+    # Moving both anchors to 1 shrinks both distances (19/4 to 3 and 7/4);
+    # 1 is a feasible integer point but neither anchor is optimal any more.
+    p = tmp_path / "ex11.json"
+    formats.save_instance(build_example_1_1(2).instance, str(p))
+    assert main(["proximity", str(p), "--eps", "1/2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["distance_int"], doc["distance_cont"]) == ("19/4", "19/4")
+    forged = with_anchors(doc, 1, 1)
+    assert (forged["distance_int"], forged["distance_cont"]) == ("3", "7/4")
+    code, err = verify_edited(capsys, tmp_path, forged)
+    assert code == 4
+    assert err.strip().splitlines() == [
+        "xd is not an optimum of the integer problem",
+        "xc is not an optimum of the continuous problem"]
+
+
+def test_verify_report_nonoptimal_xd(capsys, tmp_path, ex11_report):
+    # 3 is a feasible integer point of -3 <= x <= 15/4, but f(3) > f(-3).
+    code, err = verify_edited(capsys, tmp_path,
+                              with_anchors(ex11_report, ex11_report["xc"][0], 3))
+    assert code == 4
+    assert err.strip() == "xd is not an optimum of the integer problem"
+
+
+def test_verify_report_infeasible_xc(capsys, tmp_path, ex11_report):
+    code, err = verify_edited(capsys, tmp_path,
+                              with_anchors(ex11_report, 4, ex11_report["xd"][0]))
+    assert code == 4
+    assert err.strip() == "xc is infeasible"

@@ -215,6 +215,63 @@ def test_solve_linear_matches_reference(rational):
             assert all(type(v) is F for v in x)
 
 
+def particular_solution_reference(M, rhs):
+    """Free coordinates 0 and pivot coordinates from the Fraction RREF."""
+    n = len(M[0])
+    a, pivots = rref_reference([list(row) + [b] for row, b in zip(M, rhs)])
+    if n in pivots:  # a pivot in the rhs column is the equation 0 = 1
+        return None
+    x = [F(0)] * n
+    for r, p in enumerate(pivots):
+        x[p] = a[r][n]
+    return x, len(pivots)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_particular_solution_matches_reference(rational):
+    rng = random.Random(517 + rational)
+    seen = set()
+    for _ in range(400):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        M = random_matrix(rng, m, n, rational)
+        if rng.random() < 0.5:  # consistent by construction
+            x0 = [F(rng.randint(-4, 4), rng.randint(1, 3) if rational else 1)
+                  for _ in range(n)]
+            rhs = exact.matvec(M, x0)
+        else:
+            rhs = [F(rng.randint(-7, 7), rng.randint(1, 5) if rational else 1)
+                   for _ in range(m)]
+        got = exact.particular_solution(M, rhs)
+        assert got == particular_solution_reference(M, rhs)
+        if got is not None:
+            x, r = got
+            assert r == exact.rank(M)
+            assert exact.matvec(M, x) == rhs
+            assert all(type(v) is F for v in x)
+            seen.add("full" if r == n else "deficient")
+        else:
+            seen.add("inconsistent")
+    assert seen == {"full", "deficient", "inconsistent"}
+
+
+def test_particular_solution_small_cases():
+    # Dependent rows, consistent: x1 + 2 x2 = 3 twice; x2 is free.
+    assert exact.particular_solution([[1, 2], [2, 4]], [F(3), F(6)]) == ([F(3), F(0)], 1)
+    # The same rows with an inconsistent rhs.
+    assert exact.particular_solution([[1, 2], [2, 4]], [F(3), F(5)]) is None
+    # Rational data, a zero first column, more rows than columns.
+    M = [[0, F(1, 2), F(1, 3)], [0, F(-2, 5), F(3, 7)], [0, 0, 0]]
+    assert exact.particular_solution(M, [F(5, 6), F(1, 35), F(0)]) == (
+        [F(0), F(1), F(1)], 2)
+    assert exact.particular_solution(M, [F(5, 6), F(1, 35), F(1)]) is None
+    # No equations at all: the origin of the ambient space, rank 0.
+    assert exact.particular_solution([], [], 2) == ([F(0), F(0)], 0)
+    with pytest.raises(DimensionError):
+        exact.particular_solution([], [])
+    with pytest.raises(DimensionError):
+        exact.particular_solution([[1, 2]], [F(1), F(2)])
+
+
 def test_null_space_empty_matrix():
     basis = exact.null_space([], 3)
     assert len(basis) == 3

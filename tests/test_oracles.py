@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqprox import exact, oracles
-from iqprox.errors import InfeasibleError, InputError
+from iqprox.errors import ClaimViolation, InfeasibleError, InputError
 from iqprox.families import (build_example_1_1, build_prop44, build_prop45,
                              build_prop46, random_instance)
 from iqprox.oracles import (certify_no_cont_approx_within, delta_star,
@@ -14,6 +15,7 @@ from iqprox.oracles import (certify_no_cont_approx_within, delta_star,
                             solve_qp, verdict)
 from iqprox.pipeline import eval_objective, instance, run_pipeline
 from iqprox.polyhedra import enumerate_lattice_points
+from iqprox.simplex import feasible_point
 
 
 def box_instance(q, h, r=3):
@@ -236,3 +238,92 @@ def test_lattice_extremes_match_eval_objective(inst):
     opt, top, wit = got
     assert type(opt.value) is F and type(top) is F
     assert all(type(v) is F for p in opt.ties + (wit,) for v in p)
+
+
+def reference_fmax_cont_witness(inst):
+    """fmax_cont_witness with one exact LP per independent row subset S.
+
+    The LP {A x <= b, A_S x = b_S, W^T grad f(x) = 0} decides every face;
+    its point is the candidate.
+    """
+    P = inst.polyhedron()
+    n = inst.n
+    best = wit = None
+    for size in range(min(n, P.m) + 1):
+        for S in combinations(range(P.m), size):
+            W = exact.null_space([list(P.A[i]) for i in S], n)
+            if len(W) != n - size:
+                continue
+            rows = [list(r) for r in P.A]
+            rhs = list(P.b)
+            for i in S:
+                rows.append([-c for c in P.A[i]])
+                rhs.append(-P.b[i])
+            for w in W:
+                coeff = [2 * w[i] * inst.q[i] if i < inst.k else F(0)
+                         for i in range(n)]
+                val = exact.dot(w, inst.h)
+                rows += [coeff, [-c for c in coeff]]
+                rhs += [val, -val]
+            pt = feasible_point(rows, rhs)
+            if pt is None:
+                continue
+            v = eval_objective(inst, pt)
+            if best is None or v > best:
+                best, wit = v, tuple(pt)
+    if best is None:
+        raise InfeasibleError("feasible region is empty")
+    return best, wit
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_objectives())
+# k = n: every E_S has full rank, so no face reaches the LP.
+@example(box_instance([1, F(1, 2)], [F(1, 2), -1]))
+# k < n with h_1 = 0 on the linear coordinate: E_S holds 0 = 0.
+@example(box_instance([1], [F(1, 2), 0]))
+# Tied faces: the edge x_0 = 3 and its two vertices all attain 3.
+@example(box_instance([], [1, 0]))
+# Tied faces: the line x_0 = 0 and every face crossing it attain 0.
+@example(box_instance([1], [0, 0]))
+# Parallel rows: S holding two of the last three is dependent.
+@example(instance([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [2, 2], [-1, -1]],
+                  [3, 3, 3, 3, 2, 4, 2], [1], [1, F(1, 2)]))
+# Empty regions, one with every E_S of full rank, one reaching the LP.
+@example(instance([[1], [-1]], [-1, 0], [1], [0]))
+@example(instance([[1, 0], [-1, 0], [0, 1], [0, -1]], [-1, 0, 1, 1], [], [0, 0]))
+def test_fmax_cont_witness_matches_lp_per_face(inst):
+    try:
+        want = reference_fmax_cont_witness(inst)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            oracles.fmax_cont_witness(inst)
+        return
+    got = oracles.fmax_cont_witness(inst)
+    assert got == want
+    assert type(got[0]) is F and all(type(v) is F for v in got[1])
+
+
+@pytest.mark.parametrize("inst, lps", [
+    # k = n: every E_S has full rank.
+    (box_instance([1, F(1, 2)], [F(1, 2), -1]), 0),
+    # h_1 != 0 on the linear coordinate: every rank-deficient E_S holds 0 = 1.
+    (box_instance([1], [F(1, 2), 1]), 0),
+    # h_1 = 0: the face P itself reaches the LP; every later face ties it.
+    (box_instance([1], [F(1, 2), 0]), 1),
+])
+def test_fmax_cont_witness_face_lps(monkeypatch, inst, lps):
+    calls = []
+    monkeypatch.setattr(oracles, "feasible_point",
+                        lambda A, b: calls.append(A) or feasible_point(A, b))
+    assert oracles.fmax_cont_witness(inst) == reference_fmax_cont_witness(inst)
+    assert len(calls) == lps
+
+
+def test_fmax_cont_witness_face_constant_claim(monkeypatch):
+    # The LP of the face P itself returns a point where f is not v_S = 1/16.
+    inst = box_instance([1], [F(1, 2), 0])
+    monkeypatch.setattr(oracles, "feasible_point", lambda A, b: [F(3), F(0)])
+    with pytest.raises(ClaimViolation) as err:
+        oracles.fmax_cont_witness(inst)
+    assert err.value.claim == "face-constant"
