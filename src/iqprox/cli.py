@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from . import exact, formats, oracles
 from .cones import build_cone, enumerate_generators
-from .errors import ClaimViolation, InfeasibleError, InputError, UnboundedError
+from .errors import (ClaimViolation, DimensionError, DomainError, InfeasibleError,
+                     InputError, RepresentationMismatch, UnboundedError)
 from .families import (build_example_1_1, build_ilp_tightness, build_prop44,
                        build_prop45, build_prop46)
 from .pipeline import (compute_schedule, eval_objective, run_pipeline,
@@ -307,14 +308,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as e:
+    except (InputError, DimensionError, DomainError, FileNotFoundError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (InfeasibleError, UnboundedError) as e:
         print(f"{e.__class__.__name__.removesuffix('Error').lower()}: {e}",
               file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ClaimViolation as e:
+    except (ClaimViolation, RepresentationMismatch) as e:
         print(f"violation: {e}", file=sys.stderr)
         return EXIT_CLAIM
 

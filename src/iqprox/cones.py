@@ -64,22 +64,31 @@ class ConicDecomposition:
 
 
 def build_cone(A, xa, xb) -> ProximityCone:
-    """Partition the rows of A by the sign of u.(xa - xb); ties go to both."""
+    """Partition the rows of A by the sign of u.(xa - xb); ties go to both.
+
+    The direction d = xa - xb is scaled once to an integer vector D = L d
+    with L > 0, and each row u to an integer row by the lcm of its
+    denominators, so the sign of u.d is that of an int dot product.  Rows
+    keep their order; a row of Fractions is kept as given.
+    """
     if not A:
         raise DimensionError("cone needs at least one row")
     n = len(A[0])
     if len(xa) != n or len(xb) != n:
         raise DimensionError("point dimension does not match matrix columns")
-    xav = exact.vec(xa)
-    xbv = exact.vec(xb)
+    D, _ = exact.integer_vector(exact.vec_sub(xa, xb))
     a1, a2 = [], []
     for row in A:
-        r = tuple(Fraction(x) for x in row)
-        lhs = exact.dot(r, xav)
-        rhs = exact.dot(r, xbv)
-        if lhs <= rhs:
+        if len(row) != n:
+            raise DimensionError(f"row length {len(row)} vs {n} columns")
+        r = tuple(row)  # row itself when it is a tuple
+        if any(type(x) is not Fraction for x in r):
+            r = tuple(map(Fraction, r))
+        R, _ = exact.integer_vector(r)
+        s = sum(map(mul, R, D))
+        if s <= 0:
             a1.append(r)
-        if lhs >= rhs:
+        if s >= 0:
             a2.append(r)
     return ProximityCone(tuple(a1), tuple(a2), n)
 

@@ -160,23 +160,50 @@ def det(M) -> Fraction:
     return Fraction(_det_int(a), scale)
 
 
+def _integer_matrix(M) -> list[list[int]]:
+    """The entries of M as ints; DomainError unless every entry is an integer."""
+    a = [[x if type(x) is int else Fraction(x) for x in row] for row in M]
+    if any(x.denominator != 1 for row in a for x in row):
+        raise DomainError("subdeterminants are defined here for integer matrices only")
+    return [[x.numerator for x in row] for row in a]
+
+
 def max_abs_subdeterminant(M) -> int:
     """Largest |det| over all square submatrices of an integer matrix.
 
-    Exhaustive over row/column subsets; intended for desk-scale inputs only.
+    The rows are reduced first, without changing the value:
+    - zero rows are dropped: every minor on such a row is 0;
+    - one row of each pair equal up to sign is kept: a minor on both rows
+      is 0, and one on either row is the other's up to sign;
+    - the unit rows +-e_i are set aside: expanding a minor along one gives
+      0 or +- a minor of the other rows, the empty minor (value 1) included.
+    The rows left are scanned exhaustively, and the value is their largest
+    |det|, or 1 if that is smaller and some unit row was set aside.
     Returns 0 exactly when the matrix is all-zero (or empty).
     """
-    value, _, _ = max_abs_subdeterminant_witness(M)
-    return value
+    rest: dict[tuple[int, ...], None] = {}  # rows up to sign, first nonzero entry > 0
+    unit = 0
+    for row in _integer_matrix(M):
+        nonzero = [x for x in row if x]
+        if not nonzero:
+            continue
+        if len(nonzero) == 1 and abs(nonzero[0]) == 1:
+            unit = 1
+        else:
+            rest[tuple(row) if nonzero[0] > 0 else tuple(-x for x in row)] = None
+    value, _, _ = max_abs_subdeterminant_witness(list(rest))
+    return max(value, unit)
 
 
 def max_abs_subdeterminant_witness(M) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Like max_abs_subdeterminant, also returning witness row/col indices."""
-    if not is_integral_mat(M):
-        raise DomainError("subdeterminants are defined here for integer matrices only")
-    m = len(M)
-    n = len(M[0]) if m else 0
-    a = [[int(Fraction(x)) for x in row] for row in M]
+    """Largest |det| over all square submatrices, with witness row/col indices.
+
+    Exhaustive over all row/column subsets in (size, lex) order; the witness
+    is the first subset that attains the value.
+    """
+    a = _integer_matrix(M)
+    m = len(a)
+    n = len(a[0]) if m else 0
     best, best_rows, best_cols = 0, (), ()
     for size in range(1, min(m, n) + 1):
         for rows in combinations(range(m), size):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 
 from . import exact
 from .cones import (ConicDecomposition, build_cone, caratheodory_decompose,
@@ -178,24 +179,27 @@ def normalize(inst: Instance, xd) -> tuple[Instance, tuple[Fraction, ...]]:
     P = inst.polyhedron()
     if not contains(P, xdv):
         raise InputError("anchor point must be feasible")
-    b2 = tuple(bi - exact.dot(row, xdv) for row, bi in zip(inst.A, inst.b))
+    # xd is integral: each A_i.xd is an int dot product over A_i's denominator.
+    X = [x.numerator for x in xdv]
+    b2 = tuple(bi - Fraction(sum(map(mul, R, X)), d)
+               for (R, d), bi in zip(map(exact.integer_vector, inst.A), inst.b))
     h2 = tuple(inst.h[i] - 2 * inst.q[i] * xdv[i] if i < inst.k else inst.h[i]
                for i in range(inst.n))
     return Instance(inst.A, b2, inst.k, inst.q, h2), xdv
 
 
 def restricted_polyhedron(inst: Instance, zset) -> Polyhedron:
-    """The feasible set with x_i = 0 appended (as +-rows) for i in zset."""
-    rows = [list(r) for r in inst.A]
+    """The feasible set with x_i = 0 appended (as +-rows) for i in zset.
+
+    Built directly on the instance's Fraction rows, which need no re-wrapping.
+    """
+    rows = list(inst.A)
     rhs = list(inst.b)
     for i in sorted(zset):
-        e = [ZERO] * inst.n
-        e[i] = ONE
-        rows.append(e)
-        rhs.append(ZERO)
-        rows.append([-x for x in e])
-        rhs.append(ZERO)
-    return polyhedron(rows, rhs, inst.n)
+        e = tuple(ONE if j == i else ZERO for j in range(inst.n))
+        rows += [e, tuple(-x for x in e)]
+        rhs += [ZERO, ZERO]
+    return Polyhedron(tuple(rows), tuple(rhs), inst.n)
 
 
 def _zero_nonzero_sets(x, k) -> tuple[frozenset[int], frozenset[int]]:

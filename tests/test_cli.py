@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from iqprox import formats, oracles
+from iqprox import cli, formats, oracles
 from iqprox.cli import main
+from iqprox.errors import DimensionError, DomainError, RepresentationMismatch
 from iqprox.families import build_example_1_1, random_instance
 from iqprox.pipeline import instance
 
@@ -153,6 +154,26 @@ def test_cmd_proximity_wrong_dimension(capsys, ex11_path):
 
 def test_cmd_cone_wrong_dimension(capsys, ex11_path):
     assert_one_input_error(capsys, ["cone", ex11_path, "--xa", "1,2", "--xb", "0"])
+
+
+def test_cmd_cone_without_rows(capsys, tmp_path):
+    p = tmp_path / "norows.json"
+    p.write_text(json.dumps({"A": [], "b": [], "k": 1, "q": ["1"], "h": ["0", "1"]}))
+    assert_one_input_error(capsys, ["cone", str(p), "--xa", "0,0", "--xb", "0,0"])
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (DimensionError("shapes differ"), 2, "input error:"),
+    (DomainError("not an integer matrix"), 2, "input error:"),
+    (RepresentationMismatch("representations differ"), 4, "violation:"),
+])
+def test_error_exit_codes(capsys, ex11_path, monkeypatch, error, code, prefix):
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli, "build_cone", fail)
+    assert main(["cone", ex11_path, "--xa", "1", "--xb", "0"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and len(err.strip().splitlines()) == 1
 
 
 def test_verify_report_roundtrip(capsys, ex11_path, tmp_path):

@@ -303,3 +303,56 @@ def test_cone_contains_matches_fraction_reference(case):
     assert cone_contains(cone, x) == reference_cone_contains(cone, x)
     if kind == "difference":
         assert cone_contains(cone, x)
+
+
+def reference_build_cone(A, xa, xb):
+    """The row partition in Fraction arithmetic, u.xa against u.xb."""
+    xav, xbv = exact.vec(xa), exact.vec(xb)
+    a1, a2 = [], []
+    for row in A:
+        r = tuple(F(x) for x in row)
+        lhs, rhs = exact.dot(r, xav), exact.dot(r, xbv)
+        if lhs <= rhs:
+            a1.append(r)
+        if lhs >= rhs:
+            a2.append(r)
+    return tuple(a1), tuple(a2)
+
+
+@st.composite
+def partition_cases(draw):
+    """Rational rows and points, rows orthogonal to xa - xb, and xa = xb."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    xa = [draw(RATIONALS) for _ in range(n)]
+    xb = list(xa) if draw(st.booleans()) else [draw(RATIONALS) for _ in range(n)]
+    d = exact.vec_sub(xa, xb)
+    dd = exact.dot(d, d)
+    A = []
+    for _ in range(m):
+        u = [draw(RATIONALS) for _ in range(n)]
+        if dd and draw(st.booleans()):  # project out d: a tie row
+            c = exact.dot(u, d) / dd
+            u = [ui - c * di for ui, di in zip(u, d)]
+        form = draw(st.sampled_from(["list", "fractions", "ints"]))
+        if form == "fractions":
+            u = tuple(F(x) for x in u)
+        elif form == "ints":
+            u = [draw(st.integers(-3, 3)) for _ in range(n)]
+        A.append(u)
+    return A, xa, xb
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_cases())
+def test_build_cone_matches_fraction_reference(case):
+    A, xa, xb = case
+    cone = build_cone(A, xa, xb)
+    assert (cone.a1, cone.a2) == reference_build_cone(A, xa, xb)
+    assert all(type(x) is F for r in cone.a1 + cone.a2 for x in r)
+    assert all(type(r) is tuple for r in cone.a1 + cone.a2)
+
+
+def test_build_cone_short_row():
+    with pytest.raises(DimensionError):
+        build_cone([[1, 0], [1]], [1, 0], [0, 0])

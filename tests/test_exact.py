@@ -68,8 +68,55 @@ def test_subdeterminant_identity():
 
 
 def test_subdeterminant_rejects_rationals():
-    with pytest.raises(DomainError):
-        exact.max_abs_subdeterminant([[F(1, 2)]])
+    for M in ([[F(1, 2)]], [[1, 0], [0, F(1, 2)]], [[1, 0], [F(-1, 3), 0]]):
+        with pytest.raises(DomainError):
+            exact.max_abs_subdeterminant(M)
+
+
+@st.composite
+def matrices_with_special_rows(draw):
+    """Integer m x n matrices, m = 0..8, n = 1..5, entries in -3..3, with
+    duplicate, negated, zero, unit (+-e_i) and scaled unit (+-2e_i, +-3e_i)
+    rows mixed in."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=0, max_value=8))
+    entry = st.integers(min_value=-3, max_value=3)
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(
+            ["random", "random", "duplicate", "negated", "zero", "unit", "scaled unit"]))
+        if kind in ("duplicate", "negated") and rows:
+            r = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+            rows.append(list(r) if kind == "duplicate" else [-x for x in r])
+        elif kind == "zero":
+            rows.append([0] * n)
+        elif kind in ("unit", "scaled unit"):
+            c = draw(st.sampled_from([-1, 1] if kind == "unit" else [-3, -2, 2, 3]))
+            i = draw(st.integers(min_value=0, max_value=n - 1))
+            rows.append([c if j == i else 0 for j in range(n)])
+        else:
+            rows.append([draw(entry) for _ in range(n)])
+    return rows
+
+
+@given(matrices_with_special_rows())
+@settings(max_examples=300, deadline=None)
+def test_reduced_subdeterminant_matches_exhaustive_scan(M):
+    assert exact.max_abs_subdeterminant(M) == exact.max_abs_subdeterminant_witness(M)[0]
+
+
+@pytest.mark.parametrize("M, expected", [
+    ([[1, 0, 0], [0, -1, 0], [-1, 0, 0], [0, 0, 1]], 1),  # only unit rows
+    ([[0, 1]], 1),
+    ([[2, 0]], 2),  # a scaled unit row is not a unit row
+    ([[0, -3], [1, 0]], 3),
+    ([[1, 1], [1, -1], [-1, -1], [0, 1]], 2),
+    ([[0, 0, 0]], 0),
+    ([], 0),
+])
+def test_reduced_subdeterminant_fixed_cases(M, expected):
+    assert exact.max_abs_subdeterminant(M) == expected
+    assert exact.max_abs_subdeterminant_witness(M)[0] == expected
 
 
 @given(st.integers(min_value=1, max_value=4), st.data())

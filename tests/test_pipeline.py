@@ -4,12 +4,12 @@ import pytest
 
 from iqprox import exact
 from iqprox.errors import ClaimViolation, InputError
-from iqprox.families import build_example_1_1, random_instance
-from iqprox.pipeline import (compute_schedule, eval_objective, instance,
+from iqprox.families import build_example_1_1, build_prop44, random_instance
+from iqprox.pipeline import (Instance, compute_schedule, eval_objective, instance,
                              midpoint_witnesses, normalize, one_step,
                              restricted_polyhedron, run_pipeline,
                              subdeterminant_bound)
-from iqprox.polyhedra import contains
+from iqprox.polyhedra import contains, polyhedron
 
 
 def test_instance_validation():
@@ -184,3 +184,52 @@ def test_subdeterminant_bound_floors_at_one():
     inst = instance([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]],
                     [1, 1, 1, 1, 1], [], [1, 1], k=0)
     assert subdeterminant_bound(inst) == 1
+
+
+def reference_normalized_rhs(inst, xd):
+    return tuple(bi - exact.dot(row, exact.vec(xd)) for row, bi in zip(inst.A, inst.b))
+
+
+def reference_restricted_polyhedron(inst, zset):
+    """The +-e_i rows appended and every entry re-wrapped by `polyhedron`."""
+    rows = [list(r) for r in inst.A]
+    rhs = list(inst.b)
+    for i in sorted(zset):
+        e = [F(int(j == i)) for j in range(inst.n)]
+        rows += [e, [-x for x in e]]
+        rhs += [F(0), F(0)]
+    return polyhedron(rows, rhs, inst.n)
+
+
+def test_normalize_and_restriction_match_fraction_reference():
+    from iqprox.oracles import solve_iqp
+    for seed in range(30):
+        inst = random_instance(seed)
+        xd = solve_iqp(inst).point
+        norm, _ = normalize(inst, xd)
+        assert norm.b == reference_normalized_rhs(inst, xd)
+        assert all(type(x) is F for x in norm.b)
+        for zset in ({0}, set(range(inst.n)), set()):
+            P = restricted_polyhedron(norm, zset)
+            assert P == reference_restricted_polyhedron(norm, zset)
+            assert all(type(x) is F for r in P.A for x in r)
+            assert all(type(x) is F for x in P.b)
+    # a rational row, which `instance` rejects, still shifts exactly
+    inst = Instance(((F(1, 2), F(1)), (F(-1), F(0))), (F(3), F(2)), 0, (), (F(0), F(0)))
+    norm, _ = normalize(inst, [F(-1), F(2)])
+    assert norm.b == reference_normalized_rhs(inst, [F(-1), F(2)]) == (F(3, 2), F(1))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_prop44_deep_zeroing_sequence(n):
+    """The only runs that take n - 1 one_steps in a row, zeroing one
+    coordinate each (claims onestep-i/ii/iii, xell-step, zero-growth, xell-b)."""
+    fam = build_prop44(F(1, 4), 3, n)
+    res = run_pipeline(fam.instance, F(1, 4), xc=fam.expected["xc"], xd=fam.expected["xd"])
+    assert res.case == "c1"
+    assert res.trace[-1].j == n - 1
+    assert res.delta == 3
+    assert [len(rec.z_set) for rec in res.trace] == list(range(n))
+    assert all(rec.s is not None for rec in res.trace)
+    assert res.distance_int <= res.schedule.theorem_bound
+    assert res.distance_cont <= res.schedule.theorem_bound
