@@ -71,10 +71,14 @@ def cmd_proximity(args) -> int:
     xd = _parse_point(args.xd, inst.n) if args.xd else None
     t0 = time.monotonic()
     report = oracles.full_report(inst)
+    if args.checked:
+        if xc is not None and eval_objective(inst, xc) != report.cont_opt.value:
+            raise InputError("supplied continuous anchor is not optimal")
+        if xd is not None and eval_objective(inst, xd) != report.int_opt.value:
+            raise InputError("supplied integer anchor is not optimal")
     result = run_pipeline(inst, eps,
                           xc=report.cont_opt.point if xc is None else xc,
-                          xd=report.int_opt.point if xd is None else xd,
-                          checked=args.checked)
+                          xd=report.int_opt.point if xd is None else xd)
     vi = oracles.verdict(inst, result.x_star_int, eps, "integer", report)
     vc = oracles.verdict(inst, result.x_star_cont, eps, "continuous", report)
     oracles.claim_cross_checks(inst, result, report)
@@ -178,11 +182,7 @@ def cmd_cone(args) -> int:
 
 def _read_report(path: str) -> dict:
     """The fields verify-report checks; InputError for a malformed document."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as e:  # ValueError: not UTF-8 or not JSON
-        raise InputError(f"cannot read report {path}: {e}") from e
+    doc = formats.read_json(path, "report")
     try:
         fields = {
             "inst": formats.instance_from_dict(doc["instance"]),

@@ -38,20 +38,13 @@ class ProximityCone:
         return exact._integer_rows(self.a1)[0], exact._integer_rows(self.a2)[0]
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    vectors: tuple[tuple[Fraction, ...], ...]
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def __len__(self):
-        return len(self.vectors)
-
-
 @dataclass
 class ConicDecomposition:
-    """target = sum_i coefficients[i] * generators[i], all coefficients > 0."""
+    """target = sum_i coefficients[i] * generators[i], all coefficients > 0.
+
+    combine sums any coefficient list over the generators, so the floored
+    or split coefficients of a decomposition are combined by it too.
+    """
 
     generators: list[tuple[Fraction, ...]] = field(default_factory=list)
     coefficients: list[Fraction] = field(default_factory=list)
@@ -102,8 +95,9 @@ def cone_contains(cone: ProximityCone, x) -> bool:
             and all(sum(map(mul, r, X)) >= 0 for r in a2))
 
 
-def enumerate_generators(cone: ProximityCone, delta: int) -> GeneratorSet:
-    """Integer generator set of the cone, infinity norm at most delta.
+def enumerate_generators(cone: ProximityCone,
+                         delta: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The cone's primitive integer generators, sorted; infinity norm <= delta.
 
     The extreme rays of the cone cut by any orthant are the rays in the cone
     on which n-1 linearly independent hyperplanes (cone rows or coordinate
@@ -133,12 +127,12 @@ def enumerate_generators(cone: ProximityCone, delta: int) -> GeneratorSet:
                         "generator-norm",
                         f"generator {g} exceeds the subdeterminant bound {delta}")
                 found.add(g)
-    return GeneratorSet(tuple(sorted(found)))
+    return tuple(sorted(found))
 
 
-def conic_multipliers(gens: GeneratorSet, target) -> list[Fraction] | None:
+def conic_multipliers(gens, target) -> list[Fraction] | None:
     """Nonnegative gamma with sum gamma_i v_i = target, or None."""
-    vs = list(gens.vectors)
+    vs = list(gens)
     n = len(target)
     if not vs:
         return [] if all(Fraction(t) == 0 for t in target) else None
@@ -159,11 +153,11 @@ def conic_multipliers(gens: GeneratorSet, target) -> list[Fraction] | None:
     return res.point if res.is_optimal else None
 
 
-def in_generated_cone(gens: GeneratorSet, target) -> bool:
+def in_generated_cone(gens, target) -> bool:
     return conic_multipliers(gens, target) is not None
 
 
-def caratheodory_decompose(target, gens: GeneratorSet) -> ConicDecomposition:
+def caratheodory_decompose(target, gens) -> ConicDecomposition:
     """Positive combination of linearly independent generators hitting target.
 
     Starts from any feasible conic combination and repeatedly shifts along a
@@ -174,8 +168,7 @@ def caratheodory_decompose(target, gens: GeneratorSet) -> ConicDecomposition:
     gamma = conic_multipliers(gens, target)
     if gamma is None:
         raise InputError("target is not in the cone of the generator set")
-    vs = list(gens.vectors)
-    support = [(vs[j], gamma[j]) for j in range(len(vs)) if gamma[j] > 0]
+    support = [(g, c) for g, c in zip(gens, gamma) if c > 0]
     while True:
         cols = [g for g, _ in support]
         if not cols:

@@ -39,10 +39,6 @@ def dot(u, v) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def matvec(M, v) -> list[Fraction]:
-    return [dot(row, v) for row in M]
-
-
 def vec_add(u, v) -> list[Fraction]:
     if len(u) != len(v):
         raise DimensionError(f"vec_add: {len(u)} vs {len(v)}")
@@ -53,11 +49,6 @@ def vec_sub(u, v) -> list[Fraction]:
     if len(u) != len(v):
         raise DimensionError(f"vec_sub: {len(u)} vs {len(v)}")
     return [Fraction(a) - Fraction(b) for a, b in zip(u, v)]
-
-
-def vec_scale(c, v) -> list[Fraction]:
-    c = Fraction(c)
-    return [c * Fraction(x) for x in v]
 
 
 def inf_norm(v) -> Fraction:

@@ -49,18 +49,19 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(d: dict) -> Instance:
+    """The validated instance of a document; InputError when it is malformed."""
     try:
-        A = d["A"]
-        b = strs_to_vec(d["b"])
         q = strs_to_vec(d["q"])
-        h = strs_to_vec(d["h"])
-        k = int(d.get("k", len(q)))
-    except (KeyError, TypeError) as e:
-        raise InputError(f"malformed instance document: {e}") from e
-    inst = instance(A, b, q, h, k)
-    if "n" in d and int(d["n"]) != inst.n:
+        inst = instance(d["A"], strs_to_vec(d["b"]), q, strs_to_vec(d["h"]),
+                        int(d.get("k", len(q))))
+        n, m = int(d.get("n", inst.n)), int(d.get("m", inst.m))
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise InputError(f"malformed instance document: {type(e).__name__}: {e}") from e
+    if n != inst.n:
         raise InputError("declared n does not match the data")
-    if "m" in d and int(d["m"]) != inst.m:
+    if m != inst.m:
         raise InputError("declared m does not match the data")
     return inst
 
@@ -71,12 +72,17 @@ def save_instance(inst: Instance, path: str):
         fh.write("\n")
 
 
-def load_instance(path: str) -> Instance:
+def read_json(path: str, what: str):
+    """The JSON document in a file; InputError when it cannot be read."""
     try:
         with open(path) as fh:
-            d = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise InputError(f"cannot parse {path}: {e}") from e
+            return json.load(fh)
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8 or not JSON
+        raise InputError(f"cannot read {what} {path}: {e}") from e
+
+
+def load_instance(path: str) -> Instance:
+    d = read_json(path, "instance")
     if not isinstance(d, dict):
         raise InputError("instance document must be a JSON object")
     return instance_from_dict(d)

@@ -89,7 +89,7 @@ def solve_qp(inst: Instance) -> OptResult:
 def _vertex_minimum(inst: Instance, verts) -> OptResult:
     if not verts:
         raise InfeasibleError("feasible region is empty")
-    vals = [(eval_objective(inst, v.point), v.point) for v in verts]
+    vals = [(eval_objective(inst, v), v) for v in verts]
     best = min(v for v, _ in vals)
     ties = tuple(sorted(p for v, p in vals if v == best))
     return OptResult(ties[0], best, ties)
@@ -286,7 +286,7 @@ def certify_no_cont_approx_within(inst: Instance, eps, xd, radius) -> bool:
     verts = enumerate_vertices(box)
     if not verts:
         return True
-    lo = min(eval_objective(inst, v.point) for v in verts)
+    lo = min(eval_objective(inst, v) for v in verts)
     return lo > tau
 
 

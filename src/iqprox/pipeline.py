@@ -17,8 +17,9 @@ from fractions import Fraction
 from operator import mul
 
 from . import exact
-from .cones import (ConicDecomposition, build_cone, caratheodory_decompose,
-                    check_two_representations, enumerate_generators)
+from .cones import (ConicDecomposition, ProximityCone, build_cone,
+                    caratheodory_decompose, check_two_representations,
+                    enumerate_generators)
 from .errors import ClaimViolation, InputError
 from .polyhedra import Polyhedron, contains, polyhedron
 
@@ -207,6 +208,19 @@ def _zero_nonzero_sets(x, k) -> tuple[frozenset[int], frozenset[int]]:
     return z, frozenset(range(k)) - z
 
 
+def _conic_step(inst: Instance, zset, x,
+                delta: int) -> tuple[Polyhedron, ProximityCone, ConicDecomposition]:
+    """Restricted polyhedron, cone and conic decomposition of x.
+
+    The polyhedron is the feasible set with x_i = 0 for i in zset, the cone
+    is its row-sign cone at x against the origin, and x is decomposed over
+    the cone's integer generators by Caratheodory.
+    """
+    P = restricted_polyhedron(inst, zset)
+    cone = build_cone(P.A, x, tuple([ZERO] * inst.n))
+    return P, cone, caratheodory_decompose(list(x), enumerate_generators(cone, delta))
+
+
 def one_step(inst: Instance, xa, zset, delta: int) -> tuple[tuple[Fraction, ...], StepRecord]:
     """Produce the next sequence point: zero one more quadratic coordinate.
 
@@ -228,11 +242,7 @@ def one_step(inst: Instance, xa, zset, delta: int) -> tuple[tuple[Fraction, ...]
     if exact.inf_norm(xav) <= delta * abs(xav[s]):
         raise InputError("caller should have terminated: small-norm condition holds")
 
-    origin = tuple([ZERO] * inst.n)
-    Pt = restricted_polyhedron(inst, z)
-    cone = build_cone(Pt.A, xav, origin)
-    gens = enumerate_generators(cone, delta)
-    dec = caratheodory_decompose(list(xav), gens)
+    Pt, cone, dec = _conic_step(inst, z, xav, delta)
 
     sgn = 1 if xav[s] > 0 else -1
     selected = [i for i, g in enumerate(dec.generators)
@@ -249,19 +259,14 @@ def one_step(inst: Instance, xa, zset, delta: int) -> tuple[tuple[Fraction, ...]
     if residual != 0:
         raise ClaimViolation("onestep", "greedy coefficients cannot cover x_s")
 
-    move = [ZERO] * inst.n
-    for i in selected:
-        move = exact.vec_add(move, exact.vec_scale(lam[i], dec.generators[i]))
-    xb = tuple(exact.vec_sub(xav, move))
-
-    # Claim onestep (iii): both conic expressions agree and land in P.
-    pos = ConicDecomposition(list(dec.generators),
-                             [dec.coefficients[i] - lam[i] for i in range(len(lam))])
-    pos.generators = [g for g, c in zip(pos.generators, pos.coefficients) if c != 0]
-    pos.coefficients = [c for c in pos.coefficients if c != 0]
     neg = ConicDecomposition([dec.generators[i] for i in selected if lam[i] != 0],
                              [lam[i] for i in selected if lam[i] != 0])
-    if not check_two_representations(Pt, cone, origin, xav, pos, neg):
+    xb = tuple(exact.vec_sub(xav, neg.combine(inst.n)))
+
+    # Claim onestep (iii): both conic expressions agree and land in P.
+    rest = [(g, c - l) for g, c, l in zip(dec.generators, dec.coefficients, lam) if c != l]
+    pos = ConicDecomposition([g for g, _ in rest], [c for _, c in rest])
+    if not check_two_representations(Pt, cone, [ZERO] * inst.n, xav, pos, neg):
         raise ClaimViolation("onestep-iii", "common point escaped the polyhedron")
 
     if any(xb[i] != 0 for i in z | {s}):
@@ -346,14 +351,9 @@ def construct_outputs(inst: Instance, xc, x_ell, trace, schedule: Schedule,
 
     # Case c-2.
     zl = last.z_set
-    Pbar = restricted_polyhedron(inst, zl)
-    cone = build_cone(Pbar.A, x_ell, origin)
-    gens = enumerate_generators(cone, delta)
-    dec = caratheodory_decompose(list(x_ell), gens)
-    xstar = [ZERO] * n
-    for g, c in zip(dec.generators, dec.coefficients):
-        xstar = exact.vec_add(xstar, exact.vec_scale(Fraction(math.floor(c)), g))
-    xstar = tuple(xstar)
+    Pbar, _, dec = _conic_step(inst, zl, x_ell, delta)
+    floors = [math.floor(c) for c in dec.coefficients]
+    xstar = tuple(ConicDecomposition(dec.generators, floors).combine(n))
     xcont = tuple(exact.vec_sub(xcv, xstar))
 
     if not exact.is_integral_vec(xstar):
@@ -406,17 +406,11 @@ def midpoint_witnesses(inst: Instance, result: PipelineResult) -> MidpointWitnes
     nd = Fraction(n * result.delta)
     dec = result.decomposition
     x_tri = tuple(x / 2 for x in result.x_star_int)
-    xl = [ZERO] * n
-    xr = [ZERO] * n
-    for g, c in zip(dec.generators, dec.coefficients):
-        fl = math.floor(c)
-        if fl % 2:
-            cl, cr = Fraction(fl - 1, 2), Fraction(fl + 1, 2)
-        else:
-            cl = cr = Fraction(fl, 2)
-        xl = exact.vec_add(xl, exact.vec_scale(cl, g))
-        xr = exact.vec_add(xr, exact.vec_scale(cr, g))
-    xl, xr = tuple(xl), tuple(xr)
+    # Every coefficient is > 0, so each floor fl >= 0 splits as fl // 2
+    # plus fl - fl // 2.
+    floors = [math.floor(c) for c in dec.coefficients]
+    xl, xr = (tuple(ConicDecomposition(dec.generators, cs).combine(n))
+              for cs in ([f // 2 for f in floors], [f - f // 2 for f in floors]))
     Pbar = restricted_polyhedron(inst, result.z_ell)
     if not (exact.is_integral_vec(xl) and exact.is_integral_vec(xr)):
         raise ClaimViolation("witness-integrality", "parity split is not integer")
@@ -432,26 +426,13 @@ def midpoint_witnesses(inst: Instance, result: PipelineResult) -> MidpointWitnes
     return MidpointWitnesses(x_tri, xl, xr, x_dia)
 
 
-def run_pipeline(inst: Instance, eps, xc=None, xd=None,
-                 checked: bool = False) -> PipelineResult:
+def run_pipeline(inst: Instance, eps, xc, xd) -> PipelineResult:
     """End-to-end construction in the instance's original coordinates.
 
-    Anchors default to oracle optima; with checked=True, supplied anchors
-    are re-verified against the oracles before anything runs.
+    xc and xd are optimal solutions of the continuous and the discrete
+    problem; the construction checks that both are feasible but takes
+    their optimality as given.
     """
-    from . import oracles  # local import; oracles build on this module
-
-    if xc is None or xd is None or checked:
-        qp = oracles.solve_qp(inst)
-        iqp = oracles.solve_iqp(inst)
-        if xc is None:
-            xc = qp.point
-        elif checked and eval_objective(inst, xc) != qp.value:
-            raise InputError("supplied continuous anchor is not optimal")
-        if xd is None:
-            xd = iqp.point
-        elif checked and eval_objective(inst, xd) != iqp.value:
-            raise InputError("supplied integer anchor is not optimal")
     xcv = tuple(Fraction(v) for v in xc)
     xdv = tuple(Fraction(v) for v in xd)
     P = inst.polyhedron()

@@ -63,12 +63,6 @@ def polyhedron(A, b, n: int | None = None) -> Polyhedron:
 
 
 @dataclass(frozen=True)
-class Vertex:
-    point: tuple[Fraction, ...]
-    tight_rows: frozenset[int]
-
-
-@dataclass(frozen=True)
 class Face:
     """A nonempty face, identified by its maximal equality row set."""
 
@@ -126,15 +120,16 @@ def assert_bounded(P: Polyhedron):
     bounding_box(P)  # raises UnboundedError when any direction escapes
 
 
-def enumerate_vertices(P: Polyhedron, *, _bounded: bool = False) -> list[Vertex]:
-    """All vertices, via nonsingular n-row subsets, deduplicated by point.
+def enumerate_vertices(P: Polyhedron, *,
+                       _bounded: bool = False) -> list[tuple[Fraction, ...]]:
+    """Sorted vertex points, each found by solving an n-row subset.
 
     A caller that has already shown P nonempty and bounded within the same
     call passes _bounded=True to skip the 2n LPs of the bounding box.
     """
     if not _bounded and bounding_box(P) is None:
         return []
-    seen = {}
+    seen = set()
     for rows in combinations(range(P.m), P.n):
         M = [list(P.A[i]) for i in rows]
         rhs = [P.b[i] for i in rows]
@@ -143,8 +138,8 @@ def enumerate_vertices(P: Polyhedron, *, _bounded: bool = False) -> list[Vertex]
             continue
         pt = tuple(x)
         if pt not in seen and contains(P, pt):
-            seen[pt] = Vertex(pt, tight_rows(P, pt))
-    return [seen[p] for p in sorted(seen)]
+            seen.add(pt)
+    return sorted(seen)
 
 
 def enumerate_lattice_points(P: Polyhedron) -> list[tuple[Fraction, ...]]:

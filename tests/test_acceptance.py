@@ -41,7 +41,8 @@ def test_criterion_1_example_reproduction():
         assert gap == F(27, 4)
         v = oracles.verdict(fam.instance, [3], F(1, 2), "integer", rep)
         assert v.ratio == F(2, 7)
-        res = run_pipeline(fam.instance, F(1, 2))
+        res = run_pipeline(fam.instance, F(1, 2), rep.cont_opt.point,
+                           rep.int_opt.point)
         assert exact.is_integral_vec(res.x_star_int)
         assert contains(fam.instance.polyhedron(), res.x_star_int)
         assert res.schedule.theorem_bound == 21
@@ -53,7 +54,9 @@ def test_criterion_2_linear_proximity_bound():
         count = 0
         for seed in range(130):
             inst = random_instance(seed, n_max=3, k_max=0, entry_bound=2)
-            res = run_pipeline(inst, F(1, 2))
+            rep = oracles.full_report(inst)
+            res = run_pipeline(inst, F(1, 2), rep.cont_opt.point,
+                               rep.int_opt.point)
             nd = inst.n * res.delta
             assert res.distance_int <= nd, (seed, res.distance_int, nd)
             count += 1

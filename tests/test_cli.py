@@ -60,6 +60,25 @@ def test_cmd_solve_missing_file(capsys):
     assert main(["solve", "/nonexistent/inst.json"]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    {"A": [["x"]], "b": ["1"], "q": ["1"], "h": ["0"]},
+    {"A": [[1]], "b": ["1"], "k": "z", "q": ["1"], "h": ["0"]},
+    {"A": [[1]], "b": ["1"], "n": "z", "q": ["1"], "h": ["0"]},
+    {"A": 5, "b": ["1"], "q": ["1"], "h": ["0"]},
+    b"\xff\xfe",
+    None,  # a directory
+], ids=["A-entry", "k", "n", "A-scalar", "not-utf8", "directory"])
+def test_cmd_solve_malformed_instance(capsys, tmp_path, content):
+    p = tmp_path / "inst.json"
+    if content is None:
+        p.mkdir()
+    elif isinstance(content, bytes):
+        p.write_bytes(content)
+    else:
+        p.write_text(json.dumps(content))
+    assert_one_input_error(capsys, ["solve", str(p)])
+
+
 def test_cmd_solve_infeasible(capsys, tmp_path):
     p = tmp_path / "bad.json"
     formats.save_instance(instance([[1], [-1]], [-1, 0], [1], [0]), str(p))
@@ -85,8 +104,10 @@ def test_cmd_proximity_bad_eps(capsys, ex11_path):
 
 
 def test_cmd_proximity_checked_anchor(capsys, ex11_path):
-    assert main(["proximity", ex11_path, "--eps", "1/2",
-                 "--xd", "0", "--checked"]) == 2
+    # 0 is a feasible point of -3 <= x <= 15/4 but optimal for neither problem.
+    for anchor in ("--xd", "--xc"):
+        assert_one_input_error(capsys, ["proximity", ex11_path, "--eps", "1/2",
+                                        anchor, "0", "--checked"])
 
 
 def test_cmd_tightness_prop45(capsys):
@@ -267,14 +288,19 @@ def test_verify_report_distance_cont_beyond_bound(capsys, tmp_path):
     assert err.strip() == "distance_cont beyond the theorem bound"
 
 
+@pytest.mark.parametrize("anchors", [
+    [],
+    ["--xc", "15/4", "--xd", "-3", "--checked"],
+], ids=["no-anchors", "checked-anchors"])
 def test_proximity_without_anchors_enumerates_lattice_once(capsys, ex11_path,
-                                                           monkeypatch):
+                                                           monkeypatch, anchors):
     calls = []
-    real = oracles.enumerate_lattice_points
-    monkeypatch.setattr(oracles, "enumerate_lattice_points",
-                        lambda P: calls.append(P) or real(P))
-    assert main(["proximity", ex11_path, "--eps", "1/2"]) == 0
-    assert len(calls) == 1
+    for name in ("enumerate_lattice_points", "enumerate_vertices"):
+        real = getattr(oracles, name)
+        monkeypatch.setattr(oracles, name, lambda *a, real=real, name=name, **kw:
+                            calls.append(name) or real(*a, **kw))
+    assert main(["proximity", ex11_path, "--eps", "1/2", *anchors]) == 0
+    assert sorted(calls) == ["enumerate_lattice_points", "enumerate_vertices"]
 
 
 def with_anchors(doc, xc, xd):

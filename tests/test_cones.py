@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqprox import exact
-from iqprox.cones import (ConicDecomposition, GeneratorSet, build_cone,
-                          caratheodory_decompose, check_two_representations,
-                          cone_contains, conic_multipliers,
-                          enumerate_generators, in_generated_cone)
+from iqprox.cones import (ConicDecomposition, build_cone, caratheodory_decompose,
+                          check_two_representations, cone_contains,
+                          conic_multipliers, enumerate_generators,
+                          in_generated_cone)
 from iqprox.errors import (ClaimViolation, DimensionError, InputError,
                            RepresentationMismatch)
 from iqprox.families import random_instance
@@ -51,7 +51,7 @@ def test_build_cone_empty_matrix():
 def test_generators_halfspace():
     cone = build_cone([[1, -1]], [1, 0], [0, 0])  # {x1 - x2 >= 0}
     gens = enumerate_generators(cone, 1)
-    assert set(gens.vectors) == {
+    assert set(gens) == {
         (F(1), F(1)), (F(1), F(0)), (F(0), F(-1)), (F(-1), F(-1))}
 
 
@@ -59,14 +59,14 @@ def test_generators_orthant():
     A = [[-1, 0], [0, -1]]
     cone = build_cone(A, [1, 1], [0, 0])  # nonnegative orthant
     gens = enumerate_generators(cone, 1)
-    assert set(gens.vectors) == {(F(1), F(0)), (F(0), F(1))}
+    assert set(gens) == {(F(1), F(0)), (F(0), F(1))}
 
 
 def test_generators_zero_cone():
     A = [[1], [-1]]
     cone = build_cone(A, [0], [0])  # x <= 0 and x >= 0 in both halves
     gens = enumerate_generators(cone, 1)
-    assert gens.vectors == ()
+    assert gens == ()
 
 
 def test_generators_need_positive_delta():
@@ -105,7 +105,7 @@ def orthant_generators(cone):
             for d in rays:
                 if all(s * x >= 0 for s, x in zip(signs, d)):
                     found.add(tuple(exact.primitive_integer_vector(d)))
-    return GeneratorSet(tuple(sorted(found)))
+    return tuple(sorted(found))
 
 
 def test_generators_match_orthant_enumeration():
@@ -157,8 +157,8 @@ def test_conic_multipliers_roundtrip():
     gamma = conic_multipliers(gens, target)
     assert gamma is not None
     combined = [F(0), F(0)]
-    for g, c in zip(gens.vectors, gamma):
-        combined = exact.vec_add(combined, exact.vec_scale(c, g))
+    for g, c in zip(gens, gamma):
+        combined = exact.vec_add(combined, [c * x for x in g])
         assert c >= 0
     assert combined == target
 
@@ -231,8 +231,8 @@ def test_caratheodory_random_recombination():
         # build a target inside the cone on purpose
         target = [F(0)] * n
         for g in gens:
-            target = exact.vec_add(target,
-                                   exact.vec_scale(F(rng.randint(0, 3), rng.randint(1, 2)), g))
+            c = F(rng.randint(0, 3), rng.randint(1, 2))
+            target = exact.vec_add(target, [c * x for x in g])
         dec = caratheodory_decompose(target, gens)
         assert dec.combine(n) == list(target)
         assert len(dec.generators) <= n

@@ -191,7 +191,9 @@ def test_claim_cross_checks_on_c2_run():
 
 def test_claim_cross_checks_c1_vacuous():
     fam = build_example_1_1(3)
-    res = run_pipeline(fam.instance, F(1, 2))
+    rep = full_report(fam.instance)
+    res = run_pipeline(fam.instance, F(1, 2), rep.cont_opt.point,
+                       rep.int_opt.point)
     oracles.claim_cross_checks(fam.instance, res)
 
 

@@ -5,6 +5,7 @@ import pytest
 from iqprox import exact
 from iqprox.errors import ClaimViolation, InputError
 from iqprox.families import build_example_1_1, build_prop44, random_instance
+from iqprox.oracles import full_report, solve_iqp
 from iqprox.pipeline import (Instance, compute_schedule, eval_objective, instance,
                              midpoint_witnesses, normalize, one_step,
                              restricted_polyhedron, run_pipeline,
@@ -140,24 +141,11 @@ def test_pipeline_large_t_case_c2():
     assert res.distance_int <= res.schedule.theorem_bound == 11
 
 
-def test_pipeline_checked_mode_rejects_wrong_anchor():
-    fam = build_example_1_1(3)
-    with pytest.raises(InputError):
-        run_pipeline(fam.instance, F(1, 2), xc=[F(15, 4)], xd=[F(0)],
-                     checked=True)
-
-
-def test_pipeline_default_anchors_from_oracles():
-    fam = build_example_1_1(2)
-    res = run_pipeline(fam.instance, F(1, 2))
-    assert res.xd == (F(-2),)
-    assert res.xc == (F(11, 4),)
-
-
 def test_pipeline_k0_reaches_cook_bound():
     for seed in range(25):
         inst = random_instance(seed, k_max=0)
-        res = run_pipeline(inst, F(1, 2))
+        rep = full_report(inst)
+        res = run_pipeline(inst, F(1, 2), rep.cont_opt.point, rep.int_opt.point)
         nd = inst.n * res.delta
         assert res.schedule.theorem_bound == nd
         assert res.distance_int <= nd
@@ -202,7 +190,6 @@ def reference_restricted_polyhedron(inst, zset):
 
 
 def test_normalize_and_restriction_match_fraction_reference():
-    from iqprox.oracles import solve_iqp
     for seed in range(30):
         inst = random_instance(seed)
         xd = solve_iqp(inst).point

@@ -181,14 +181,13 @@ def test_empty():
 
 
 def test_vertices_triangle():
-    verts = enumerate_vertices(triangle())
-    pts = [v.point for v in verts]
+    pts = enumerate_vertices(triangle())
     assert pts == [(F(0), F(0)), (F(0), F(2)), (F(2), F(0))]
 
 
 def test_vertices_rational():
     P = polyhedron([[2, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0])
-    pts = [v.point for v in enumerate_vertices(P)]
+    pts = enumerate_vertices(P)
     assert (F(1, 2), F(0)) in pts
 
 
@@ -255,5 +254,5 @@ def test_intersect_with_box_negative_radius():
 def test_vertex_tight_rows_have_full_rank():
     for P in (triangle(), square(3)):
         for v in enumerate_vertices(P):
-            rows = [list(P.A[i]) for i in v.tight_rows]
+            rows = [list(P.A[i]) for i in tight_rows(P, v)]
             assert exact.rank(rows) == P.n

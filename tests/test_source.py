@@ -29,3 +29,14 @@ def is_float(node) -> bool:
 def test_no_floats():
     """Arithmetic is exact: no float literal and no float(...) call."""
     assert nodes_where(is_float) == []
+
+
+def imports_in_body(node) -> bool:
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(n, (ast.Import, ast.ImportFrom))
+                    for stmt in node.body for n in ast.walk(stmt)))
+
+
+def test_no_function_local_imports():
+    """Every module imports at the top, so each dependency is in plain sight."""
+    assert nodes_where(imports_in_body) == []
