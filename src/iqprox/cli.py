@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import exact, formats, oracles
 from .cones import build_cone, enumerate_generators
@@ -28,15 +27,8 @@ EXIT_INFEASIBLE = 3
 EXIT_CLAIM = 4
 
 
-def _parse_rat(s: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"bad rational {s!r}") from e
-
-
-def _parse_point(s: str, n: int) -> list[Fraction]:
-    x = [_parse_rat(p) for p in s.split(",")]
+def _parse_point(s: str, n: int) -> list:
+    x = formats.strs_to_vec(s.split(","))
     if len(x) != n:
         raise InputError(f"point {s!r} has dimension {len(x)}, the instance {n}")
     return x
@@ -66,16 +58,15 @@ def cmd_solve(args) -> int:
 
 def cmd_proximity(args) -> int:
     inst = formats.load_instance(args.instance)
-    eps = _parse_rat(args.eps)
+    eps = formats.str_to_rat(args.eps)
     xc = _parse_point(args.xc, inst.n) if args.xc else None
     xd = _parse_point(args.xd, inst.n) if args.xd else None
     t0 = time.monotonic()
     report = oracles.full_report(inst)
-    if args.checked:
-        if xc is not None and eval_objective(inst, xc) != report.cont_opt.value:
-            raise InputError("supplied continuous anchor is not optimal")
-        if xd is not None and eval_objective(inst, xd) != report.int_opt.value:
-            raise InputError("supplied integer anchor is not optimal")
+    if xc is not None and eval_objective(inst, xc) != report.cont_opt.value:
+        raise InputError("supplied continuous anchor is not optimal")
+    if xd is not None and eval_objective(inst, xd) != report.int_opt.value:
+        raise InputError("supplied integer anchor is not optimal")
     result = run_pipeline(inst, eps,
                           xc=report.cont_opt.point if xc is None else xc,
                           xd=report.int_opt.point if xd is None else xd)
@@ -90,22 +81,17 @@ def cmd_proximity(args) -> int:
         "int_approx": vi.is_approx,
         "cont_approx": vc.is_approx,
     }
-    doc = formats.run_report(inst, result, report, verdicts,
-                             elapsed=time.monotonic() - t0)
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            json.dump(doc["trace"], fh, indent=2)
-            fh.write("\n")
-    _emit(doc)
+    _emit(formats.run_report(inst, result, report, verdicts,
+                             time.monotonic() - t0))
     return EXIT_OK
 
 
 def cmd_tightness(args) -> int:
     if args.n is None and args.family in ("ilp", "prop45", "prop46"):
         raise InputError(f"--n is required for the {args.family} family")
-    eps = _parse_rat(args.eps) if args.eps else None
+    eps = formats.str_to_rat(args.eps) if args.eps else None
     if args.family == "ilp":
-        fam = build_ilp_tightness(args.n, args.delta, _parse_rat(args.beta),
+        fam = build_ilp_tightness(args.n, args.delta, formats.str_to_rat(args.beta),
                                   t=args.t)
         report = oracles.full_report(fam.instance)
         gap = exact.inf_norm(exact.vec_sub(report.cont_opt.point,
@@ -273,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True)
     p.add_argument("--xc")
     p.add_argument("--xd")
-    p.add_argument("--checked", action="store_true")
-    p.add_argument("--trace")
     p.set_defaults(func=cmd_proximity)
 
     p = sub.add_parser("tightness", help="worst-case family reports")

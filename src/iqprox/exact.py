@@ -42,13 +42,13 @@ def dot(u, v) -> Fraction:
 def vec_add(u, v) -> list[Fraction]:
     if len(u) != len(v):
         raise DimensionError(f"vec_add: {len(u)} vs {len(v)}")
-    return [Fraction(a) + Fraction(b) for a, b in zip(u, v)]
+    return [a + b for a, b in zip(u, v)]
 
 
 def vec_sub(u, v) -> list[Fraction]:
     if len(u) != len(v):
         raise DimensionError(f"vec_sub: {len(u)} vs {len(v)}")
-    return [Fraction(a) - Fraction(b) for a, b in zip(u, v)]
+    return [a - b for a, b in zip(u, v)]
 
 
 def inf_norm(v) -> Fraction:

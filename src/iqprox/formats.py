@@ -1,7 +1,8 @@
 """JSON instance files and machine-readable run reports.
 
-Every number crossing the process boundary is a rational string ("3/4" or
-"5"); floats never appear, so parse(serialize(x)) is exact.
+Every exact number crossing the process boundary is a rational string ("3/4"
+or "5") or a JSON integer, and a float read from outside is rejected, so
+parse(serialize(x)) is exact; only a report's elapsed_seconds is a float.
 """
 
 from __future__ import annotations
@@ -22,9 +23,12 @@ def rat_to_str(x) -> str:
 
 
 def str_to_rat(s) -> Fraction:
+    """The exact rational of a string ("3/4", "0.5") or an int; no float, no bool."""
+    if type(s) not in (str, int):
+        raise InputError(f"bad rational literal {s!r}: not a string or an int")
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError, TypeError) as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad rational literal {s!r}") from e
 
 
@@ -49,19 +53,24 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(d: dict) -> Instance:
-    """The validated instance of a document; InputError when it is malformed."""
+    """The validated instance of a document; InputError when it is malformed.
+
+    Entries of A, b, q and h go through str_to_rat; k, n and m are JSON ints.
+    """
     try:
+        for key in ("k", "n", "m"):
+            if key in d and type(d[key]) is not int:
+                raise InputError(f"{key} must be a JSON integer, got {d[key]!r}")
         q = strs_to_vec(d["q"])
-        inst = instance(d["A"], strs_to_vec(d["b"]), q, strs_to_vec(d["h"]),
-                        int(d.get("k", len(q))))
-        n, m = int(d.get("n", inst.n)), int(d.get("m", inst.m))
+        inst = instance([strs_to_vec(row) for row in d["A"]], strs_to_vec(d["b"]),
+                        q, strs_to_vec(d["h"]), d.get("k", len(q)))
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed instance document: {type(e).__name__}: {e}") from e
-    if n != inst.n:
+    if d.get("n", inst.n) != inst.n:
         raise InputError("declared n does not match the data")
-    if m != inst.m:
+    if d.get("m", inst.m) != inst.m:
         raise InputError("declared m does not match the data")
     return inst
 
@@ -120,9 +129,9 @@ def trace_to_list(trace) -> list[dict]:
     return out
 
 
-def run_report(inst: Instance, result: PipelineResult, report=None,
-               verdicts: dict | None = None, elapsed: float | None = None) -> dict:
-    doc = {
+def run_report(inst: Instance, result: PipelineResult, report, verdicts: dict,
+               elapsed: float) -> dict:
+    return {
         "instance": instance_to_dict(inst),
         "digest": instance_digest(inst),
         "delta": result.delta,
@@ -136,18 +145,14 @@ def run_report(inst: Instance, result: PipelineResult, report=None,
         "distance_int": rat_to_str(result.distance_int),
         "distance_cont": rat_to_str(result.distance_cont),
         "trace": trace_to_list(result.trace),
-    }
-    if report is not None:
-        doc["oracles"] = {
+        "oracles": {
             "xd": vec_to_strs(report.int_opt.point),
             "f_xd": rat_to_str(report.int_opt.value),
             "xc": vec_to_strs(report.cont_opt.point),
             "f_xc": rat_to_str(report.cont_opt.value),
             "fmax_int": rat_to_str(report.fmax_int),
             "fmax_cont": rat_to_str(report.fmax_cont),
-        }
-    if verdicts is not None:
-        doc["verdicts"] = verdicts
-    if elapsed is not None:
-        doc["elapsed_seconds"] = elapsed
-    return doc
+        },
+        "verdicts": verdicts,
+        "elapsed_seconds": elapsed,
+    }

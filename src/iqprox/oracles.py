@@ -201,8 +201,7 @@ def full_report(inst: Instance) -> OracleReport:
     return _report_and_lattice(inst)[0]
 
 
-def verdict(inst: Instance, x, eps, mode: str,
-            report: OracleReport | None = None) -> ApproxVerdict:
+def verdict(inst: Instance, x, eps, mode: str, report: OracleReport) -> ApproxVerdict:
     """Is x an eps-approximate solution of the chosen problem?
 
     ratio is (f(x) - f(opt)) / (f_max - f(opt)); when the gap collapses
@@ -217,11 +216,9 @@ def verdict(inst: Instance, x, eps, mode: str,
     if mode == "integer":
         if not exact.is_integral_vec(xv):
             raise InputError("point is not integer")
-        opt = (report.int_opt.value if report else solve_iqp(inst).value)
-        fmax = (report.fmax_int if report else fmax_int(inst))
+        opt, fmax = report.int_opt.value, report.fmax_int
     else:
-        opt = (report.cont_opt.value if report else solve_qp(inst).value)
-        fmax = (report.fmax_cont if report else fmax_cont(inst))
+        opt, fmax = report.cont_opt.value, report.fmax_cont
     fx = eval_objective(inst, xv)
     gap = fmax - opt
     if gap == 0:
@@ -290,8 +287,7 @@ def certify_no_cont_approx_within(inst: Instance, eps, xd, radius) -> bool:
     return lo > tau
 
 
-def claim_cross_checks(inst: Instance, result: PipelineResult,
-                       report: OracleReport | None = None):
+def claim_cross_checks(inst: Instance, result: PipelineResult, report: OracleReport):
     """Objective-gap inequalities relating a pipeline run to the oracles.
 
     All quantities live in the frame where the integer anchor is the origin;
@@ -301,8 +297,6 @@ def claim_cross_checks(inst: Instance, result: PipelineResult,
     """
     if result.case != "c2":
         return
-    if report is None:
-        report = full_report(inst)
     sched = result.schedule
     nd = Fraction(inst.n * result.delta)
     ell = result.trace[-1].j

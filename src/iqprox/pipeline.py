@@ -21,7 +21,7 @@ from .cones import (ConicDecomposition, ProximityCone, build_cone,
                     caratheodory_decompose, check_two_representations,
                     enumerate_generators)
 from .errors import ClaimViolation, InputError
-from .polyhedra import Polyhedron, contains, polyhedron
+from .polyhedra import Polyhedron, contains
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -53,7 +53,7 @@ class Instance:
         """{A x <= b}, built on the first call and kept with the instance."""
         P = self.__dict__.get("_polyhedron")
         if P is None:
-            P = polyhedron(self.A, self.b, self.n)
+            P = Polyhedron(self.A, self.b, self.n)
             object.__setattr__(self, "_polyhedron", P)
         return P
 
@@ -69,6 +69,8 @@ def instance(A, b, q, h, k: int | None = None) -> Instance:
         k = len(qv)
     if k != len(qv):
         raise InputError(f"k={k} but {len(qv)} quadratic coefficients given")
+    if not hv:
+        raise InputError("an instance needs at least one variable")
     if not 0 <= k <= len(hv):
         raise InputError(f"k={k} out of range for n={len(hv)}")
     if any(x <= 0 for x in qv):

@@ -1,11 +1,11 @@
+import inspect
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from iqprox import cli, formats, oracles
+from iqprox import cli, errors, formats, oracles
 from iqprox.cli import main
-from iqprox.errors import DimensionError, DomainError, RepresentationMismatch
 from iqprox.families import build_example_1_1, random_instance
 from iqprox.pipeline import instance
 
@@ -39,8 +39,13 @@ def test_rational_strings():
     assert formats.rat_to_str(F(3, 4)) == "3/4"
     assert formats.rat_to_str(F(-5)) == "-5"
     assert formats.str_to_rat("3/4") == F(3, 4)
+    assert formats.str_to_rat("0.5") == F(1, 2)
+    assert formats.str_to_rat(-7) == F(-7)
     with pytest.raises(Exception):
         formats.str_to_rat("1.5.2")
+    for bad in (0.5, 1.0, True, False, None, F(1, 2)):
+        with pytest.raises(errors.InputError):
+            formats.str_to_rat(bad)
 
 
 def test_digest_stable():
@@ -67,7 +72,12 @@ def test_cmd_solve_missing_file(capsys):
     {"A": 5, "b": ["1"], "q": ["1"], "h": ["0"]},
     b"\xff\xfe",
     None,  # a directory
-], ids=["A-entry", "k", "n", "A-scalar", "not-utf8", "directory"])
+    {"A": [[1.0], [-1]], "b": [3.5, "3"], "k": 1.9, "q": ["1"], "h": ["0"]},
+    {"A": [[True], [-1]], "b": ["1", "1"], "q": ["1"], "h": ["0"]},
+    {"A": [[1], [-1]], "b": ["1", "1"], "q": ["1"], "h": ["0"], "n": 1.0},
+    {"A": [], "b": [], "q": [], "h": []},
+], ids=["A-entry", "k", "n", "A-scalar", "not-utf8", "directory", "floats",
+        "A-bool", "n-float", "empty"])
 def test_cmd_solve_malformed_instance(capsys, tmp_path, content):
     p = tmp_path / "inst.json"
     if content is None:
@@ -85,17 +95,16 @@ def test_cmd_solve_infeasible(capsys, tmp_path):
     assert main(["solve", str(p)]) == 3
 
 
-def test_cmd_proximity(capsys, ex11_path, tmp_path):
-    trace = tmp_path / "trace.json"
-    code, doc = run_json(capsys, ["proximity", ex11_path, "--eps", "1/2",
-                                  "--trace", str(trace)])
+def test_cmd_proximity(capsys, ex11_path):
+    code, doc = run_json(capsys, ["proximity", ex11_path, "--eps", "1/2"])
     assert code == 0
     assert doc["case"] == "c1"
     assert doc["x_star_int"] == ["-3"]
     assert doc["distance_int"] == "27/4"
     assert doc["schedule"]["theorem_bound"] == "21"
     assert doc["verdicts"]["int_approx"] is True
-    assert json.loads(trace.read_text())
+    assert doc["trace"]
+    assert doc["trace"][-1]["termination"] == "small-norm"
 
 
 def test_cmd_proximity_bad_eps(capsys, ex11_path):
@@ -104,10 +113,19 @@ def test_cmd_proximity_bad_eps(capsys, ex11_path):
 
 
 def test_cmd_proximity_checked_anchor(capsys, ex11_path):
-    # 0 is a feasible point of -3 <= x <= 15/4 but optimal for neither problem.
-    for anchor in ("--xd", "--xc"):
-        assert_one_input_error(capsys, ["proximity", ex11_path, "--eps", "1/2",
-                                        anchor, "0", "--checked"])
+    # 0 is a feasible point of -3 <= x <= 15/4 but optimal for neither problem;
+    # every supplied anchor is checked against the run's oracle report.
+    for eps in ("1/2", "1"):
+        for anchor in ("--xd", "--xc"):
+            assert_one_input_error(capsys, ["proximity", ex11_path, "--eps", eps,
+                                            anchor, "0"])
+
+
+@pytest.mark.parametrize("flag", ["--checked", "--trace=t.json"])
+def test_cmd_proximity_removed_flags(capsys, ex11_path, flag):
+    with pytest.raises(SystemExit) as e:
+        main(["proximity", ex11_path, "--eps", "1/2", flag])
+    assert e.value.code == 2
 
 
 def test_cmd_tightness_prop45(capsys):
@@ -183,14 +201,28 @@ def test_cmd_cone_without_rows(capsys, tmp_path):
     assert_one_input_error(capsys, ["cone", str(p), "--xa", "0,0", "--xb", "0,0"])
 
 
-@pytest.mark.parametrize("error, code, prefix", [
-    (DimensionError("shapes differ"), 2, "input error:"),
-    (DomainError("not an integer matrix"), 2, "input error:"),
-    (RepresentationMismatch("representations differ"), 4, "violation:"),
-])
-def test_error_exit_codes(capsys, ex11_path, monkeypatch, error, code, prefix):
+EXIT_OF_ERROR = {
+    "DimensionError": (2, "input error:"),
+    "DomainError": (2, "input error:"),
+    "InputError": (2, "input error:"),
+    "InfeasibleError": (3, "infeasible:"),
+    "UnboundedError": (3, "unbounded:"),
+    "ClaimViolation": (4, "violation:"),
+    "RepresentationMismatch": (4, "violation:"),
+}
+
+
+@pytest.mark.parametrize("error_class", [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, Exception) and cls.__module__ == errors.__name__
+], ids=lambda cls: cls.__name__)
+def test_error_exit_codes(capsys, ex11_path, monkeypatch, error_class):
+    name = error_class.__name__
+    assert name in EXIT_OF_ERROR, f"no exit code documented for {name}"
+    code, prefix = EXIT_OF_ERROR[name]
+
     def fail(*args, **kwargs):
-        raise error
+        raise error_class("raised by the test")
     monkeypatch.setattr(cli, "build_cone", fail)
     assert main(["cone", ex11_path, "--xa", "1", "--xb", "0"]) == code
     err = capsys.readouterr().err
@@ -290,7 +322,7 @@ def test_verify_report_distance_cont_beyond_bound(capsys, tmp_path):
 
 @pytest.mark.parametrize("anchors", [
     [],
-    ["--xc", "15/4", "--xd", "-3", "--checked"],
+    ["--xc", "15/4", "--xd", "-3"],
 ], ids=["no-anchors", "checked-anchors"])
 def test_proximity_without_anchors_enumerates_lattice_once(capsys, ex11_path,
                                                            monkeypatch, anchors):

@@ -109,7 +109,7 @@ def test_verdict_example_values():
 
 def test_verdict_optimal_point():
     fam = build_example_1_1(3)
-    v = verdict(fam.instance, [-3], F(0), "integer")
+    v = verdict(fam.instance, [-3], F(0), "integer", full_report(fam.instance))
     assert v.is_approx and v.ratio == 0
 
 
@@ -129,17 +129,18 @@ def test_verdict_monotone_in_eps():
 def test_verdict_degenerate():
     # constant objective: gap is zero everywhere
     inst = box_instance([], [0], r=1)
-    v = verdict(inst, [1], F(1, 2), "integer")
+    v = verdict(inst, [1], F(1, 2), "integer", full_report(inst))
     assert v.degenerate and v.is_approx
     assert v.ratio is None
 
 
 def test_verdict_rejects_infeasible_point():
     fam = build_example_1_1(1)
+    rep = full_report(fam.instance)
     with pytest.raises(InputError):
-        verdict(fam.instance, [10], F(1), "integer")
+        verdict(fam.instance, [10], F(1), "integer", rep)
     with pytest.raises(InputError):
-        verdict(fam.instance, [F(1, 2)], F(1), "integer")
+        verdict(fam.instance, [F(1, 2)], F(1), "integer", rep)
 
 
 def test_delta_star_prop45():
@@ -194,7 +195,7 @@ def test_claim_cross_checks_c1_vacuous():
     rep = full_report(fam.instance)
     res = run_pipeline(fam.instance, F(1, 2), rep.cont_opt.point,
                        rep.int_opt.point)
-    oracles.claim_cross_checks(fam.instance, res)
+    oracles.claim_cross_checks(fam.instance, res, rep)
 
 
 def test_full_report_enumerates_lattice_once(monkeypatch):

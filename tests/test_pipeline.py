@@ -1,11 +1,14 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from iqprox import exact
 from iqprox.errors import ClaimViolation, InputError
-from iqprox.families import build_example_1_1, build_prop44, random_instance
-from iqprox.oracles import full_report, solve_iqp
+from iqprox.families import (build_example_1_1, build_pbar, build_prop44,
+                             pbar_params, random_instance)
+from iqprox.oracles import claim_cross_checks, full_report, solve_iqp, verdict
 from iqprox.pipeline import (Instance, compute_schedule, eval_objective, instance,
                              midpoint_witnesses, normalize, one_step,
                              restricted_polyhedron, run_pipeline,
@@ -22,6 +25,8 @@ def test_instance_validation():
         instance([[1]], [1], [1, 1], [0])  # too many quadratic terms
     with pytest.raises(InputError):
         instance([[1]], [1, 2], [1], [0])  # row/rhs mismatch
+    with pytest.raises(InputError):
+        instance([], [], [], [])  # no variable
 
 
 def test_eval_objective():
@@ -220,3 +225,40 @@ def test_prop44_deep_zeroing_sequence(n):
     assert all(rec.s is not None for rec in res.trace)
     assert res.distance_int <= res.schedule.theorem_bound
     assert res.distance_cont <= res.schedule.theorem_bound
+
+
+def strip_instance(rng):
+    """A strip polytope (n 2-4, Delta 1-3, t 0-4, beta in (0, 1)) with k
+    quadratic terms and random rational q and h."""
+    n = rng.randint(2, 4)
+    p = pbar_params(n, rng.randint(1, 3), rng.randint(0, 4), F(rng.randint(1, 9), 10))
+    P = build_pbar(p)
+    k = rng.randint(1, n)
+    q = [F(rng.randint(1, 20), rng.randint(1, 4)) for _ in range(k)]
+    h = [F(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(n)]
+    return instance(P.A, P.b, q, h, k)
+
+
+def test_strip_instances_reach_every_cell():
+    """Cells (case, ell, termination, N_ell nonempty) of the construction on
+    seed-fixed strip instances, anchors from the oracles.  Case c-2 with
+    ell >= 1 or with a nonempty N_ell is not reached by this generator."""
+    rng = random.Random(0)
+    cells = Counter()
+    for _ in range(80):
+        inst = strip_instance(rng)
+        rep = full_report(inst)
+        for eps in (F(1, 10), F(1, 2), F(1)):
+            res = run_pipeline(inst, eps, rep.cont_opt.point, rep.int_opt.point)
+            assert verdict(inst, res.x_star_int, eps, "integer", rep).is_approx
+            assert verdict(inst, res.x_star_cont, eps, "continuous", rep).is_approx
+            claim_cross_checks(inst, res, rep)
+            last = res.trace[-1]
+            cells[res.case, last.j, last.termination_reason, bool(last.n_set)] += 1
+    assert cells == {
+        ("c1", 0, "small-norm", True): 96,
+        ("c1", 1, "small-norm", True): 48,
+        ("c1", 2, "small-norm", True): 39,
+        ("c1", 3, "small-norm", True): 6,
+        ("c2", 0, "all-large", False): 51,
+    }
