@@ -1,13 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input error, 3 infeasible or unbounded instance,
-4 violated internal guarantee or failed verification.
+Exit codes: 0 success, 2 input error or closed standard output, 3 infeasible
+or unbounded instance, 4 violated internal guarantee or failed verification.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -37,6 +38,7 @@ def _parse_point(s: str, n: int) -> list:
 def _emit(doc):
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
+    sys.stdout.flush()  # a closed pipe raises here, inside main
 
 
 def cmd_solve(args) -> int:
@@ -302,6 +304,20 @@ def main(argv=None) -> int:
     except (ClaimViolation, RepresentationMismatch) as e:
         print(f"violation: {e}", file=sys.stderr)
         return EXIT_CLAIM
+    except BrokenPipeError:
+        # The reader closed stdout.  Point the descriptor at devnull, so the
+        # flush at interpreter exit writes the buffered rest there instead
+        # of raising again.
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # a stream without a descriptor
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        print("output error: standard output was closed", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

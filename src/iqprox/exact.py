@@ -5,7 +5,8 @@ this package.  Vectors are lists of fractions, matrices are lists of rows.
 Determinants, ranks, null spaces and linear solves share one fraction-free
 (Bareiss) elimination on Python ints: each row is scaled to integers by the
 lcm of its denominators on entry, and a ``Fraction`` is built only for the
-entries of the result.
+entries of the result.  ``solution_space_int`` is the entry point for rows
+that are already ints: ints in, ints out.
 """
 
 from __future__ import annotations
@@ -135,6 +136,23 @@ def _back_substitute(a: list[list[int]], pivots: list[int], w: list[int]) -> lis
     return w
 
 
+def _kernel(a: list[list[int]], pivots: list[int], last: int, n: int) -> list[list[int]]:
+    """The kernel basis of echelon rows a, times their last pivot.
+
+    One vector per free column f of the first n columns: last at f, 0 at
+    the other free columns, so divided by last it is the canonical basis of
+    the reduced row echelon form.
+    """
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        w = [0] * n
+        w[f] = last
+        basis.append(_back_substitute(a, pivots, w))
+    return basis
+
+
 def _det_int(a: list[list[int]]) -> int:
     """Determinant of a square integer matrix; a is overwritten."""
     n = len(a)
@@ -206,6 +224,26 @@ def max_abs_subdeterminant_witness(M) -> tuple[int, tuple[int, ...], tuple[int, 
     return best, best_rows, best_cols
 
 
+def _particular(a: list[list[int]], ncols: int) -> tuple[list[int], list[int], int] | None:
+    """Echelon of the augmented int rows a = [M | rhs], in place, and one solution.
+
+    Returns the pivot columns, X and L > 0 with x = X[:ncols] / L the solution
+    whose free (non-pivot) coordinates are 0; None when M x = rhs is
+    inconsistent.
+    """
+    pivots, _ = _echelon(a, ncols)
+    r = len(pivots)
+    # Rows past the pivot rows are zero in M's columns; a nonzero rhs there
+    # is the equation 0 = c.
+    if any(row[ncols] for row in a[r:]):
+        return None
+    last = a[r - 1][pivots[-1]] if pivots else 1
+    if last < 0:
+        last = -last
+    # [M | rhs] (x, -1) = 0: put -last in the rhs slot, then x = X / last.
+    return pivots, _back_substitute(a, pivots, [0] * ncols + [-last]), last
+
+
 def particular_solution(M, rhs, n: int | None = None) -> tuple[list[Fraction], int] | None:
     """One solution of M x = rhs and the rank of M; None when inconsistent.
 
@@ -219,17 +257,30 @@ def particular_solution(M, rhs, n: int | None = None) -> tuple[list[Fraction], i
             raise DimensionError("empty system needs ambient dimension")
         return [Fraction(0)] * n, 0
     ncols = len(M[0])
-    a, _ = _integer_rows([list(row) + [Fraction(b)] for row, b in zip(M, rhs)])
-    pivots, _ = _echelon(a, ncols)
-    r = len(pivots)
-    # Rows past the pivot rows are zero in M's columns; a nonzero rhs there
-    # is the equation 0 = c.
-    if any(row[ncols] for row in a[r:]):
+    a, _ = _integer_rows([[*row, b] for row, b in zip(M, rhs)])
+    sol = _particular(a, ncols)
+    if sol is None:
         return None
-    last = a[r - 1][pivots[-1]] if pivots else 1
-    # [M | rhs] (x, -1) = 0: put -last in the rhs slot, then x = w / last.
-    w = _back_substitute(a, pivots, [0] * ncols + [-last])
-    return [Fraction(x, last) for x in w[:ncols]], r
+    pivots, X, last = sol
+    return [Fraction(x, last) for x in X[:ncols]], len(pivots)
+
+
+def solution_space_int(M, rhs, n: int) -> tuple[list[int], list[list[int]], int] | None:
+    """Every solution of the integer system M x = rhs in n unknowns, in ints.
+
+    One Bareiss elimination of [M | rhs] gives X, W and L > 0 with
+    {x : M x = rhs} = {(X + sum_f y_f W_f) / L : y rational}: X / L is the
+    solution whose free coordinates are 0, and the W_f / L, one per free
+    column f, are the canonical kernel basis of null_space.  So M has rank
+    n - len(W).  None when the system is inconsistent.  M and rhs are read,
+    not changed.
+    """
+    a = [[*row, b] for row, b in zip(M, rhs)]
+    sol = _particular(a, n)
+    if sol is None:
+        return None
+    pivots, X, last = sol
+    return X[:n], _kernel(a, pivots, last, n), last
 
 
 def solve_linear(M, rhs) -> list[Fraction] | None:
@@ -263,14 +314,7 @@ def null_space(M, n: int | None = None) -> list[list[Fraction]]:
     a, _ = _integer_rows(M)
     pivots, _ = _echelon(a, ncols)
     last = a[len(pivots) - 1][pivots[-1]] if pivots else 1
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        w = [0] * ncols
-        w[f] = last
-        basis.append([Fraction(x, last) for x in _back_substitute(a, pivots, w)])
-    return basis
+    return [[Fraction(x, last) for x in w] for w in _kernel(a, pivots, last, ncols)]
 
 
 def primitive_integer_vector(v) -> list[Fraction]:

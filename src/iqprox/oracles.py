@@ -16,8 +16,8 @@ from operator import mul
 from . import exact
 from .errors import ClaimViolation, InfeasibleError, InputError
 from .pipeline import Instance, PipelineResult, eval_objective
-from .polyhedra import (contains, enumerate_lattice_points, enumerate_vertices,
-                        intersect_with_box)
+from .polyhedra import (contains, contains_int, enumerate_lattice_points,
+                        enumerate_vertices, intersect_with_box)
 from .simplex import feasible_point
 
 ZERO = Fraction(0)
@@ -117,9 +117,9 @@ def fmax_cont_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
     W^T grad f(x) = 0, with W a basis of the kernel of A_S, so n equations
     in n unknowns.  f is concave, so a point of the affine hull of the face
     is stationary there exactly when it maximizes f there: f is constant on
-    the solutions of E_S, at the value v_S of a particular solution.  A
-    face can only raise the maximum found so far by attaining v_S in P, so,
-    visiting the subsets by size and then lexicographically, a face is
+    the solutions of E_S, at the value v_S of any one of them.  A face can
+    only raise the maximum found so far by attaining v_S in P, so, visiting
+    the subsets by size and then lexicographically, a face is
 
     - skipped when E_S is inconsistent (it has no stationary point);
     - skipped when v_S <= the best value so far;
@@ -129,60 +129,74 @@ def fmax_cont_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
       {A x <= b, E_S}, whose point must have the value v_S.
 
     The witness is the candidate of the first face attaining the maximum.
-    v_S is evaluated as an int numerator, as on the lattice.
+
+    Everything but the LP runs on the int rows of P.  One elimination of
+    [A_S | b_S] (exact.solution_space_int) shows whether S is independent
+    and gives A_S x = b_S as x = (X0 + W y) / L, W the int kernel basis.
+    With q = Q / d and h = H / d, the stationarity condition on these x is
+    the (n - s) x (n - s) int system (W^T 2Q W) y = W^T (L H - 2Q X0); it
+    is consistent exactly when E_S is, and E_S has rank s plus its rank.
+    Any of its solutions gives v_S, as an int numerator over d e^2 for the
+    point X / e, and values are compared by cross-multiplying.  The LP gets
+    the rows of the canonical kernel basis W / L, exact.null_space's basis.
     """
     P = inst.polyhedron()
-    n = inst.n
+    n, k = inst.n, inst.k
+    rows, rhs = P.int_rows
     Q, H, d = _integer_objective(inst)
-    best = None
+    Q2 = [2 * c for c in Q] + [0] * (n - k)
+    best = None  # (numerator, denominator) of the best value so far
     wit = None
     for size in range(min(n, P.m) + 1):
         for S in combinations(range(P.m), size):
-            rowsS = [list(P.A[i]) for i in S]
-            W = exact.null_space(rowsS, n)
-            if len(W) != n - size:  # the rows of S are dependent
+            hull = exact.solution_space_int([rows[i] for i in S],
+                                            [rhs[i] for i in S], n)
+            if hull is None or len(hull[1]) != n - size:  # S is dependent
                 continue
-            grad, gval = [], []
-            for w in W:
-                # w . grad f = sum_i w_i h_i - 2 sum_{i<k} w_i q_i x_i = 0
-                grad.append([2 * w[i] * inst.q[i] if i < inst.k else ZERO
-                             for i in range(n)])
-                gval.append(exact.dot(w, inst.h))
-            sol = exact.particular_solution(rowsS + grad,
-                                            [P.b[i] for i in S] + gval)
-            if sol is None:
+            X0, W, L = hull
+            QW = [list(map(mul, Q2, w)) for w in W]
+            g = [L * c - qx for c, qx in zip(H, map(mul, Q2, X0))]
+            stat = exact.solution_space_int(
+                [[sum(map(mul, u, w)) for w in W] for u in QW],
+                [sum(map(mul, w, g)) for w in W], n - size)
+            if stat is None:
                 continue
-            x, r = sol
-            X, e = exact.integer_vector(x)
-            v = Fraction(_objective_numerator(Q, H, X, e), d * e * e)
-            if best is not None and v <= best:
+            Y, free, e2 = stat
+            X = [x * e2 + sum(w[j] * y for w, y in zip(W, Y))
+                 for j, x in enumerate(X0)]
+            e = L * e2
+            num, den = _objective_numerator(Q, H, X, e), d * e * e
+            if best is not None and num * best[1] <= best[0] * den:
                 continue
-            if r == n:
-                if not contains(P, x):
+            if not free:
+                if not contains_int(P, X, e):
                     continue
-                pt = x
+                pt = [Fraction(x, e) for x in X]
             else:
-                rows = [list(row) for row in P.A]
-                rhs = list(P.b)
+                lp_rows = [list(row) for row in P.A]
+                lp_rhs = list(P.b)
                 for i in S:
-                    rows.append([-c for c in P.A[i]])
-                    rhs.append(-P.b[i])
-                for coeff, val in zip(grad, gval):
-                    rows.append(coeff)
-                    rhs.append(val)
-                    rows.append([-c for c in coeff])
-                    rhs.append(-val)
-                pt = feasible_point(rows, rhs)
+                    lp_rows.append([-c for c in P.A[i]])
+                    lp_rhs.append(-P.b[i])
+                for w in W:
+                    w = [Fraction(x, L) for x in w]
+                    # w . grad f = sum_i w_i h_i - 2 sum_{i<k} w_i q_i x_i = 0
+                    coeff = [2 * w[i] * inst.q[i] if i < k else ZERO
+                             for i in range(n)]
+                    val = exact.dot(w, inst.h)
+                    lp_rows += [coeff, [-c for c in coeff]]
+                    lp_rhs += [val, -val]
+                pt = feasible_point(lp_rows, lp_rhs)
                 if pt is None:
                     continue
-                if eval_objective(inst, pt) != v:
+                if eval_objective(inst, pt) != Fraction(num, den):
                     raise ClaimViolation("face-constant",
                                          f"face {S}: f is not constant on E_S")
-            best = v
+            best = (num, den)
             wit = tuple(pt)
     if best is None:
         raise InfeasibleError("feasible region is empty")
-    return best, wit
+    return Fraction(*best), wit
 
 
 def _report_and_lattice(inst: Instance) -> tuple[OracleReport, list]:

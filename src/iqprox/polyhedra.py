@@ -74,13 +74,21 @@ def _row_values(P: Polyhedron, x):
     """(d_i A_i).X and D (d_i b_i) for every row i, with X = D x."""
     if len(x) != P.n:
         raise DimensionError(f"point has dim {len(x)}, polyhedron has {P.n}")
+    return _int_row_values(P, *exact.integer_vector(x))
+
+
+def _int_row_values(P: Polyhedron, X, D: int):
     rows, rhs = P.int_rows
-    X, d = exact.integer_vector(x)
-    return ((sum(map(mul, row, X)), d * c) for row, c in zip(rows, rhs))
+    return ((sum(map(mul, row, X)), D * c) for row, c in zip(rows, rhs))
 
 
 def contains(P: Polyhedron, x) -> bool:
     return all(lhs <= rhs for lhs, rhs in _row_values(P, x))
+
+
+def contains_int(P: Polyhedron, X, D: int) -> bool:
+    """Whether P holds the point X / D, for an int vector X and an int D > 0."""
+    return all(lhs <= rhs for lhs, rhs in _int_row_values(P, X, D))
 
 
 def tight_rows(P: Polyhedron, x) -> frozenset[int]:
@@ -129,11 +137,10 @@ def enumerate_vertices(P: Polyhedron, *,
     """
     if not _bounded and bounding_box(P) is None:
         return []
+    rows, rhs = P.int_rows
     seen = set()
-    for rows in combinations(range(P.m), P.n):
-        M = [list(P.A[i]) for i in rows]
-        rhs = [P.b[i] for i in rows]
-        x = exact.solve_linear(M, rhs)
+    for S in combinations(range(P.m), P.n):
+        x = exact.solve_linear([rows[i] for i in S], [rhs[i] for i in S])
         if x is None:
             continue
         pt = tuple(x)

@@ -1,6 +1,11 @@
 import inspect
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +232,45 @@ def test_error_exit_codes(capsys, ex11_path, monkeypatch, error_class):
     assert main(["cone", ex11_path, "--xa", "1", "--xb", "0"]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and len(err.strip().splitlines()) == 1
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: every write raises."""
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["proximity", "--eps", "1"]],
+                         ids=["solve", "proximity"])
+def test_closed_stdout_in_process(capsys, monkeypatch, ex11_path, argv):
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main([argv[0], ex11_path, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and len(err.strip().splitlines()) == 1
+
+
+def test_closed_stdout_pipe(ex11_path):
+    """A pipe whose read end is closed: exit 2 and one stderr line.
+
+    stdout is block-buffered, as for a user's shell, so the report is still
+    in the buffer when main returns and the flush at exit must not raise.
+    """
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "iqprox.cli", "proximity", ex11_path, "--eps", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("output error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_report_roundtrip(capsys, ex11_path, tmp_path):

@@ -319,6 +319,33 @@ def test_particular_solution_small_cases():
         exact.particular_solution([[1, 2]], [F(1), F(2)])
 
 
+def test_solution_space_int_matches_references():
+    """X / L is particular_solution's point and W / L null_space's basis, L > 0."""
+    rng = random.Random(2718)
+    seen = set()
+    for _ in range(400):
+        m, n = rng.randint(0, 5), rng.randint(1, 5)
+        M = random_matrix(rng, m, n, False) if m else []
+        M = [[int(x) for x in row] for row in M]
+        x0 = [rng.randint(-4, 4) for _ in range(n)]
+        rhs = ([sum(a * x for a, x in zip(row, x0)) for row in M]
+               if rng.random() < 0.5 else [rng.randint(-7, 7) for _ in M])
+        got = exact.solution_space_int(M, rhs, n)
+        want = (exact.particular_solution(M, [F(b) for b in rhs], n) if M
+                else ([F(0)] * n, 0))
+        if want is None:
+            assert got is None
+            seen.add("inconsistent")
+            continue
+        X, W, L = got
+        assert L > 0 and all(type(x) is int for x in X + sum(W, []))
+        assert [F(x, L) for x in X] == want[0]
+        assert [[F(x, L) for x in w] for w in W] == exact.null_space(M, n)
+        assert len(W) == n - want[1]
+        seen.add("full" if not W else "deficient")
+    assert seen == {"inconsistent", "full", "deficient"}
+
+
 def test_null_space_empty_matrix():
     basis = exact.null_space([], 3)
     assert len(basis) == 3

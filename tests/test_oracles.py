@@ -14,7 +14,7 @@ from iqprox.oracles import (certify_no_cont_approx_within, delta_star,
                             fmax_cont, fmax_int, full_report, solve_iqp,
                             solve_qp, verdict)
 from iqprox.pipeline import eval_objective, instance, run_pipeline
-from iqprox.polyhedra import enumerate_lattice_points
+from iqprox.polyhedra import contains, enumerate_lattice_points
 from iqprox.simplex import feasible_point
 
 
@@ -279,25 +279,64 @@ def reference_fmax_cont_witness(inst):
     return best, wit
 
 
-@settings(max_examples=200, deadline=None)
-@given(rational_objectives())
-# k = n: every E_S has full rank, so no face reaches the LP.
-@example(box_instance([1, F(1, 2)], [F(1, 2), -1]))
-# k < n with h_1 = 0 on the linear coordinate: E_S holds 0 = 0.
-@example(box_instance([1], [F(1, 2), 0]))
-# Tied faces: the edge x_0 = 3 and its two vertices all attain 3.
-@example(box_instance([], [1, 0]))
-# Tied faces: the line x_0 = 0 and every face crossing it attain 0.
-@example(box_instance([1], [0, 0]))
-# Parallel rows: S holding two of the last three is dependent.
-@example(instance([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [2, 2], [-1, -1]],
-                  [3, 3, 3, 3, 2, 4, 2], [1], [1, F(1, 2)]))
-# Empty regions, one with every E_S of full rank, one reaching the LP.
-@example(instance([[1], [-1]], [-1, 0], [1], [0]))
-@example(instance([[1, 0], [-1, 0], [0, 1], [0, -1]], [-1, 0, 1, 1], [], [0, 0]))
-def test_fmax_cont_witness_matches_lp_per_face(inst):
+@st.composite
+def rational_regions(draw):
+    """Integer rows with a rational b, possibly empty, with a random objective.
+
+    A box with integer multiples of e_i and rational bounds, which may
+    cross, cut by up to three rows: random ones (the zero row included) and
+    positive or negative multiples of earlier rows.  P.int_rows scales each
+    row by the denominator of its b, which random_instance never exercises.
+    """
+    n = draw(st.integers(1, 3))
+    rows, rhs = [], []
+    for i in range(n):
+        e = [0] * n
+        e[i] = draw(st.integers(1, 3))
+        rows += [e, [-x for x in e]]
+        rhs += [draw(st.fractions(-1, 4, max_denominator=4)) for _ in range(2)]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            c = draw(st.sampled_from([-2, -1, 2, 3]))
+            rows.append([c * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append([draw(st.integers(-3, 3)) for _ in range(n)])
+        rhs.append(draw(st.fractions(-4, 4, max_denominator=5)))
+    k = draw(st.integers(0, n))
+    q = [draw(st.fractions(F(1, 6), 4, max_denominator=6)) for _ in range(k)]
+    h = [draw(st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=6)))
+         for _ in range(n)]
+    return instance(rows, rhs, q, h, k)
+
+
+FACE_EXAMPLES = [
+    # k = n: every E_S has full rank, so no face reaches the LP.
+    box_instance([1, F(1, 2)], [F(1, 2), -1]),
+    # k < n with h_1 = 0 on the linear coordinate: E_S holds 0 = 0.
+    box_instance([1], [F(1, 2), 0]),
+    # Tied faces: the edge x_0 = 3 and its two vertices all attain 3.
+    box_instance([], [1, 0]),
+    # Tied faces: the line x_0 = 0 and every face crossing it attain 0.
+    box_instance([1], [0, 0]),
+    # Parallel rows: S holding two of the last three is dependent.
+    instance([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [2, 2], [-1, -1]],
+             [3, 3, 3, 3, 2, 4, 2], [1], [1, F(1, 2)]),
+    # Empty regions, one with every E_S of full rank, one reaching the LP.
+    instance([[1], [-1]], [-1, 0], [1], [0]),
+    instance([[1, 0], [-1, 0], [0, 1], [0, -1]], [-1, 0, 1, 1], [], [0, 0]),
+]
+
+
+def face_examples(test):
+    for inst in FACE_EXAMPLES:
+        test = example(inst)(test)
+    return test
+
+
+def assert_same_fmax_cont(inst, reference):
+    """fmax_cont_witness gives reference's (value, witness) or its InfeasibleError."""
     try:
-        want = reference_fmax_cont_witness(inst)
+        want = reference(inst)
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
             oracles.fmax_cont_witness(inst)
@@ -305,6 +344,80 @@ def test_fmax_cont_witness_matches_lp_per_face(inst):
     got = oracles.fmax_cont_witness(inst)
     assert got == want
     assert type(got[0]) is F and all(type(v) is F for v in got[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(rational_objectives(), rational_regions()))
+@face_examples
+def test_fmax_cont_witness_matches_lp_per_face(inst):
+    assert_same_fmax_cont(inst, reference_fmax_cont_witness)
+
+
+def fraction_fmax_cont_witness(inst):
+    """fmax_cont_witness on the Fraction rows of P, one face at a time.
+
+    Per subset S, exact.null_space of A_S and one exact.particular_solution
+    of E_S = [A_S; W^T 2Q] x = [b_S; W^T h], visited in the same order with
+    the same skip rules; the value is an eval_objective Fraction.
+    """
+    P = inst.polyhedron()
+    n = inst.n
+    best = wit = None
+    for size in range(min(n, P.m) + 1):
+        for S in combinations(range(P.m), size):
+            rowsS = [list(P.A[i]) for i in S]
+            W = exact.null_space(rowsS, n)
+            if len(W) != n - size:
+                continue
+            grad = [[2 * w[i] * inst.q[i] if i < inst.k else F(0)
+                     for i in range(n)] for w in W]
+            gval = [exact.dot(w, inst.h) for w in W]
+            sol = exact.particular_solution(rowsS + grad,
+                                            [P.b[i] for i in S] + gval)
+            if sol is None:
+                continue
+            x, r = sol
+            v = eval_objective(inst, x)
+            if best is not None and v <= best:
+                continue
+            if r == n:
+                if not contains(P, x):
+                    continue
+                pt = x
+            else:
+                rows = [list(row) for row in P.A]
+                rhs = list(P.b)
+                for i in S:
+                    rows.append([-c for c in P.A[i]])
+                    rhs.append(-P.b[i])
+                for coeff, val in zip(grad, gval):
+                    rows += [coeff, [-c for c in coeff]]
+                    rhs += [val, -val]
+                pt = feasible_point(rows, rhs)
+                if pt is None:
+                    continue
+            best, wit = v, tuple(pt)
+    if best is None:
+        raise InfeasibleError("feasible region is empty")
+    return best, wit
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rational_objectives(), rational_regions()))
+@face_examples
+def test_fmax_cont_witness_matches_fraction_elimination(inst):
+    assert_same_fmax_cont(inst, fraction_fmax_cont_witness)
+
+
+def test_fmax_cont_witness_calls_no_fraction_kernel(monkeypatch):
+    """The face loop runs on int rows: no null space, no Fraction solve."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fmax_cont_witness left the int rows")
+
+    monkeypatch.setattr(exact, "null_space", forbidden)
+    monkeypatch.setattr(exact, "particular_solution", forbidden)
+    inst = box_instance([1, F(1, 2)], [F(1, 2), -1])
+    assert oracles.fmax_cont_witness(inst) == (F(9, 16), (F(1, 4), F(-1)))
 
 
 @pytest.mark.parametrize("inst, lps", [

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -103,6 +103,9 @@ def test_membership_matches_fraction_reference(case):
     P, x, facet = case
     assert contains(P, x) == reference_contains(P, x)
     assert contains(P, tuple(map(F, x))) == reference_contains(P, x)
+    X, D = exact.integer_vector(x)
+    assert (polyhedra.contains_int(P, [3 * v for v in X], 3 * D)
+            == reference_contains(P, x))
     tight = tight_rows(P, x)
     assert tight == reference_tight_rows(P, x)
     if facet is not None:
@@ -145,6 +148,42 @@ def test_lattice_points_match_fraction_reference(P):
     assert got == scan
     assert visited == want_visited
     assert all(type(v) is F for p in got for v in p)
+
+
+def reference_vertices(P):
+    """enumerate_vertices on the Fraction rows: one solve per n-row subset."""
+    if bounding_box(P) is None:
+        return []
+    seen = set()
+    for S in combinations(range(P.m), P.n):
+        x = exact.solve_linear([list(P.A[i]) for i in S], [P.b[i] for i in S])
+        if x is not None and reference_contains(P, x):
+            seen.add(tuple(x))
+    return sorted(seen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_systems())
+@example(polyhedron([[2, 0], [-1, 0], [0, 3], [0, -1]],
+                    [F(1, 3), F(1, 2), F(5, 4), 0]))           # rational b
+@example(polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-2, -2]],
+                    [1, 1, 1, 1, F(1, 2), 1]))                 # parallel rows
+@example(polyhedron([[1], [-1]], [F(-1, 2), 0]))               # empty
+def test_vertices_match_fraction_reference(P):
+    """Same vertices as the Fraction rows, with one solve per n-row subset."""
+    calls, real = [], exact.solve_linear
+
+    def spy(M, rhs):
+        calls.append(M)
+        return real(M, rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "solve_linear", spy)
+        got = enumerate_vertices(P)
+    assert got == reference_vertices(P)
+    assert all(type(v) is F for p in got for v in p)
+    if bounding_box(P) is not None:
+        assert len(calls) == math.comb(P.m, P.n)
 
 
 def test_builder_validation():
