@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
+from math import gcd
 from operator import mul
 
 from . import exact
@@ -101,33 +102,38 @@ def enumerate_generators(cone: ProximityCone,
 
     The extreme rays of the cone cut by any orthant are the rays in the cone
     on which n-1 linearly independent hyperplanes (cone rows or coordinate
-    planes) are tight, and every such ray lies in some orthant.  So each
-    (n-1)-subset of hyperplanes whose kernel is a line gives the directions
-    of that line that lie in the cone, scaled to primitive integer vectors.
+    planes) are tight, and every such ray lies in some orthant.  The
+    hyperplanes are the int rows of the cone, each made primitive with its
+    first nonzero entry positive (so parallel rows merge), and the unit
+    rows.  Each (n-1)-subset whose int kernel is a line gives the directions
+    of that line that lie in the cone, divided by their gcd.
     """
     if delta < 1:
         raise InputError("delta must be a positive integer")
     n = cone.ambient_dim
-    units = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
-    hyperplanes = {}  # nonzero rows up to sign, first nonzero entry positive
-    for r in chain(cone.a1, cone.a2, units):
-        lead = next((x for x in r if x), ZERO)
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    hyperplanes = {}  # primitive nonzero rows up to sign, first nonzero entry > 0
+    for r in chain(*cone.int_rows, units):
+        lead = next((x for x in r if x), 0)
         if lead:
-            hyperplanes[r if lead > 0 else tuple(-x for x in r)] = None
+            g = gcd(*r) if lead > 0 else -gcd(*r)
+            hyperplanes[tuple(x // g for x in r)] = None
+    zeros = [0] * (n - 1)
     found = set()
     for M in combinations(hyperplanes, n - 1):
-        ns = exact.null_space(M, n)
-        if len(ns) != 1:
+        _, W, _ = exact.solution_space_int(M, zeros, n)
+        if len(W) != 1:
             continue
-        for r in (ns[0], [-x for x in ns[0]]):
+        g = gcd(*W[0])
+        line = [x // g for x in W[0]]
+        for r in (line, [-x for x in line]):
             if cone_contains(cone, r):
-                g = tuple(exact.primitive_integer_vector(r))
-                if exact.inf_norm(g) > delta:
+                if max(map(abs, r)) > delta:
                     raise ClaimViolation(
                         "generator-norm",
-                        f"generator {g} exceeds the subdeterminant bound {delta}")
-                found.add(g)
-    return tuple(sorted(found))
+                        f"generator {tuple(r)} exceeds the subdeterminant bound {delta}")
+                found.add(tuple(r))
+    return tuple(tuple(map(Fraction, g)) for g in sorted(found))
 
 
 def conic_multipliers(gens, target) -> list[Fraction] | None:
@@ -160,39 +166,20 @@ def in_generated_cone(gens, target) -> bool:
 def caratheodory_decompose(target, gens) -> ConicDecomposition:
     """Positive combination of linearly independent generators hitting target.
 
-    Starts from any feasible conic combination and repeatedly shifts along a
-    null-space direction of the support until some coefficient reaches zero
-    (ties broken by smallest index), leaving at most n independent
-    generators.
+    conic_multipliers returns a basic solution of the simplex, and the
+    generators on the support of a basic solution of {gamma >= 0,
+    sum gamma_i g_i = target} are linearly independent: a kernel vector of
+    theirs would move the point both ways inside the feasible set.  So the
+    support is the decomposition, at most n generators; one rank check
+    confirms the independence.
     """
     gamma = conic_multipliers(gens, target)
     if gamma is None:
         raise InputError("target is not in the cone of the generator set")
     support = [(g, c) for g, c in zip(gens, gamma) if c > 0]
-    while True:
-        cols = [g for g, _ in support]
-        if not cols:
-            break
-        M = exact.transpose(cols)  # n x m, columns are generators
-        ns = exact.null_space(M, len(cols))
-        if not ns:
-            break
-        c = ns[0]
-        if all(ci <= 0 for ci in c):
-            c = [-ci for ci in c]
-        step = None
-        hit = -1
-        for j, cj in enumerate(c):
-            if cj > 0:
-                t = support[j][1] / cj
-                if step is None or t < step:
-                    step = t
-                    hit = j
-        support = [(g, a - step * cj) for (g, a), cj in zip(support, c)]
-        if support[hit][1] != 0:
-            raise ClaimViolation("caratheodory-step",
-                                 f"coefficient {hit} did not reach zero")
-        support = [(g, a) for g, a in support if a != 0]
+    if exact.rank([g for g, _ in support]) != len(support):
+        raise ClaimViolation("caratheodory-support",
+                             f"the {len(support)} generators of the support are dependent")
     return ConicDecomposition([g for g, _ in support], [a for _, a in support])
 
 

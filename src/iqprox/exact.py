@@ -1,19 +1,19 @@
 """Exact rational linear algebra.
 
-Everything is a ``fractions.Fraction``; there is no floating point anywhere in
-this package.  Vectors are lists of fractions, matrices are lists of rows.
-Determinants, ranks, null spaces and linear solves share one fraction-free
-(Bareiss) elimination on Python ints: each row is scaled to integers by the
-lcm of its denominators on entry, and a ``Fraction`` is built only for the
-entries of the result.  ``solution_space_int`` is the entry point for rows
-that are already ints: ints in, ints out.
+There is no floating point anywhere in this package.  Entries are ints or
+``fractions.Fraction``s; vectors are sequences of them and matrices are
+sequences of rows.  Determinants, ranks, null spaces and linear solves share
+one fraction-free (Bareiss) elimination on Python ints: each row is scaled to
+integers by the lcm of its denominators on entry, and a ``Fraction`` is built
+only for the entries of the result.  ``solution_space_int`` is the entry
+point for rows that are already ints: ints in, ints out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm, prod
 
 from .errors import DimensionError, DomainError
 
@@ -56,10 +56,6 @@ def inf_norm(v) -> Fraction:
     return max((abs(Fraction(x)) for x in v), default=Fraction(0))
 
 
-def transpose(M) -> list[list[Fraction]]:
-    return [list(col) for col in zip(*M)] if M else []
-
-
 def _check_square(M):
     n = len(M)
     if any(len(row) != n for row in M):
@@ -67,18 +63,18 @@ def _check_square(M):
     return n
 
 
-def _integer_rows(M) -> tuple[list[list[int]], int]:
+def _integer_rows(M) -> tuple[list[list[int]], list[int]]:
     """Each row of a rational matrix times the lcm of its denominators.
 
-    Entries must be ints or Fractions.  Also returns the product of the row
-    multipliers, by which the determinant grows.
+    Entries must be ints or Fractions.  Also returns the row multipliers;
+    their product is the factor by which the determinant grows.
     """
-    rows, scale = [], 1
+    rows, scales = [], []
     for row in M:
         d = lcm(*(x.denominator for x in row))
         rows.append([x.numerator * (d // x.denominator) for x in row])
-        scale *= d
-    return rows, scale
+        scales.append(d)
+    return rows, scales
 
 
 def integer_vector(v) -> tuple[list[int], int]:
@@ -165,8 +161,8 @@ def _det_int(a: list[list[int]]) -> int:
 def det(M) -> Fraction:
     """Exact determinant of a square matrix."""
     _check_square(M)
-    a, scale = _integer_rows(M)
-    return Fraction(_det_int(a), scale)
+    a, scales = _integer_rows(M)
+    return Fraction(_det_int(a), prod(scales))
 
 
 def _integer_matrix(M) -> list[list[int]]:
@@ -315,10 +311,3 @@ def null_space(M, n: int | None = None) -> list[list[Fraction]]:
     pivots, _ = _echelon(a, ncols)
     last = a[len(pivots) - 1][pivots[-1]] if pivots else 1
     return [[Fraction(x, last) for x in w] for w in _kernel(a, pivots, last, ncols)]
-
-
-def primitive_integer_vector(v) -> list[Fraction]:
-    """Scale a nonzero rational vector to the primitive integer vector on its ray."""
-    ints, _ = integer_vector(v)
-    g = gcd(*ints) or 1
-    return [Fraction(x // g) for x in ints]

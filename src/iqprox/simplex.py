@@ -117,11 +117,7 @@ def lp_solve(A, b, c, sense: str = "max") -> LpResult:
     # artificial by 1/d_i, so the initial basis is the identity.  Scaling rows
     # and variables by positive factors leaves every ratio-test order and
     # every reduced-cost sign as in the unscaled tableau.
-    ab, scales = [], []
-    for row, bi in zip(A, b):
-        (irow,), scale = _integer_rows([[*row, bi]])
-        ab.append(irow)
-        scales.append(scale)
+    ab, scales = _integer_rows([[*row, bi] for row, bi in zip(A, b)])
     nstruct = 2 * n + m
     neg = [row[-1] < 0 for row in ab]
     nart = sum(neg)

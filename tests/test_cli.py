@@ -175,6 +175,27 @@ def test_cmd_tightness_ilp_without_n(capsys):
     assert_one_input_error(capsys, ["tightness", "ilp", "--delta", "2"])
 
 
+def test_cmd_tightness_example11(capsys):
+    code, doc = run_json(capsys, ["tightness", "example11", "--t", "1",
+                                  "--eps", "1/2"])
+    assert code == 0
+    assert doc["delta_star"] == "11/4"
+    assert doc["upper_bound_only"] is False
+
+
+def test_cmd_tightness_prop44(capsys):
+    code, doc = run_json(capsys, ["tightness", "prop44", "--eps", "1/4"])
+    assert code == 0
+    assert (doc["n"], doc["delta_star"], doc["bound"]) == (5, "8", "5")
+    assert doc["status"] == "TIGHT"
+
+
+def test_cmd_tightness_prop45_without_eps(capsys):
+    assert main(["tightness", "prop45", "--n", "2"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "input error: --eps is required for this family")
+
+
 def test_cmd_subdet(capsys, tmp_path):
     from iqprox.families import build_pbar, build_ilp_tightness
     fam = build_ilp_tightness(2, 3, F(1, 2))
@@ -417,3 +438,24 @@ def test_verify_report_infeasible_xc(capsys, tmp_path, ex11_report):
                               with_anchors(ex11_report, 4, ex11_report["xd"][0]))
     assert code == 4
     assert err.strip() == "xc is infeasible"
+
+
+def test_verify_report_forged_digest(capsys, tmp_path, ex11_report):
+    code, err = verify_edited(capsys, tmp_path, ex11_report,
+                              digest="0" * len(ex11_report["digest"]))
+    assert code == 4
+    assert err.strip() == "digest mismatch"
+
+
+def test_verify_report_x_star_cont_fails_verdict(capsys, tmp_path):
+    # 1/4 is feasible and 9/4 from xd = -2, within the theorem bound 21, but
+    # f(1/4) is not within eps = 1/2 of the continuous optimum.
+    p = tmp_path / "ex11.json"
+    formats.save_instance(build_example_1_1(2).instance, str(p))
+    assert main(["proximity", str(p), "--eps", "1/2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["xd"] == ["-2"] and doc["schedule"]["theorem_bound"] == "21"
+    code, err = verify_edited(capsys, tmp_path, doc, x_star_cont=["1/4"],
+                              distance_cont="9/4")
+    assert code == 4
+    assert err.strip().splitlines() == ["x_star_cont fails its verdict"]

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqprox import exact
+from iqprox import cones, exact
 from iqprox.cones import (ConicDecomposition, build_cone, caratheodory_decompose,
                           check_two_representations, cone_contains,
                           conic_multipliers, enumerate_generators,
@@ -90,7 +91,8 @@ def orthant_generators(cone):
     planes, without deduplicating rows, gives a line; its directions are
     kept when they lie in the orthant and in the cone.  (The orthant loop is
     inside the subset loop, so each null space and each cone membership is
-    computed once.)
+    computed once.)  Each kept direction is scaled to integers and divided
+    by its gcd.
     """
     n = cone.ambient_dim
     hyperplanes = [list(r) for r in cone.a1] + [list(r) for r in cone.a2]
@@ -104,12 +106,23 @@ def orthant_generators(cone):
         for signs in product((1, -1), repeat=n):
             for d in rays:
                 if all(s * x >= 0 for s, x in zip(signs, d)):
-                    found.add(tuple(exact.primitive_integer_vector(d)))
+                    D, _ = exact.integer_vector(d)
+                    g = gcd(*D)
+                    found.add(tuple(F(x // g) for x in D))
     return tuple(sorted(found))
 
 
+def assert_generators_match_orthants(A, xa, xb):
+    """Both enumerations agree; Delta is taken on A's rows scaled to ints."""
+    delta = max(1, exact.max_abs_subdeterminant(
+        [exact.integer_vector(row)[0] for row in A]))
+    cone = build_cone(A, xa, xb)
+    assert enumerate_generators(cone, delta) == orthant_generators(cone)
+
+
 def test_generators_match_orthant_enumeration():
-    """The cone distribution of acceptance criterion 9."""
+    """The cone distribution of acceptance criterion 9, then rational rows
+    with a positive multiple of one of them (parallel rows merge)."""
     rng = random.Random(271828)
     done = 0
     while done < 100:
@@ -120,10 +133,26 @@ def test_generators_match_orthant_enumeration():
             continue
         xa = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
         xb = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
-        delta = max(1, exact.max_abs_subdeterminant(A))
-        cone = build_cone(A, xa, xb)
-        assert enumerate_generators(cone, delta) == orthant_generators(cone)
+        assert_generators_match_orthants(A, xa, xb)
         done += 1
+    rng = random.Random(314159)
+    done = 0
+    while done < 60:
+        n = rng.randint(1, 3)
+        m = rng.randint(1, 5)
+        A = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(m)]
+        if all(x == 0 for row in A for x in row):
+            continue
+        c = F(rng.randint(1, 4), rng.randint(1, 3))
+        A.insert(rng.randint(0, m), [c * x for x in rng.choice(A)])
+        xa = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+        xb = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+        assert_generators_match_orthants(A, xa, xb)
+        done += 1
+    # Positive multiples of an integer row: on one side, and tied (both sides).
+    assert_generators_match_orthants([[1, -1], [2, -2], [0, 1]], [1, 0], [0, 0])
+    assert_generators_match_orthants([[1, 2], [3, 6]], [0, 0], [0, 0])
 
 
 def test_generators_match_orthant_enumeration_restricted():
@@ -191,6 +220,89 @@ def test_caratheodory_zero_target():
     gens = enumerate_generators(cone, 1)
     dec = caratheodory_decompose([F(0), F(0)], gens)
     assert dec.generators == []
+
+
+def reference_caratheodory_decompose(target, gens):
+    """The null-space reduction loop that caratheodory_decompose replaced.
+
+    Starts from conic_multipliers' solution and repeatedly shifts along a
+    null-space direction of the support until some coefficient reaches zero
+    (ties broken by smallest index).
+    """
+    gamma = conic_multipliers(gens, target)
+    if gamma is None:
+        raise InputError("target is not in the cone of the generator set")
+    support = [(g, c) for g, c in zip(gens, gamma) if c > 0]
+    while support:
+        cols = [g for g, _ in support]
+        M = [list(col) for col in zip(*cols)]  # n x m, columns are generators
+        ns = exact.null_space(M, len(cols))
+        if not ns:
+            break
+        c = ns[0]
+        if all(ci <= 0 for ci in c):
+            c = [-ci for ci in c]
+        step, hit = None, -1
+        for j, cj in enumerate(c):
+            if cj > 0 and (step is None or support[j][1] / cj < step):
+                step, hit = support[j][1] / cj, j
+        support = [(g, a - step * cj) for (g, a), cj in zip(support, c)]
+        assert support[hit][1] == 0
+        support = [(g, a) for g, a in support if a != 0]
+    return ConicDecomposition([g for g, _ in support], [a for _, a in support])
+
+
+@st.composite
+def generator_sets(draw):
+    """Integer generators with duplicates, multiples and sums among them,
+    and a zero target, a target in their cone, or any rational target."""
+    n = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    gens = [tuple(map(F, v)) for v in draw(st.lists(vector, max_size=6))]
+    if gens:
+        for _ in range(draw(st.integers(0, 2))):
+            g = draw(st.sampled_from(gens))
+            gens.append(tuple(draw(st.integers(1, 3)) * x for x in g))
+        if draw(st.booleans()):
+            g, h = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            gens.insert(draw(st.integers(0, len(gens))),
+                        tuple(x + y for x, y in zip(g, h)))
+    kind = draw(st.sampled_from(["zero", "combination", "any"]))
+    if kind == "zero":
+        target = [F(0)] * n
+    elif kind == "combination":
+        target = [F(0)] * n
+        for g in gens:
+            c = draw(st.fractions(0, 3, max_denominator=3))
+            target = [t + c * x for t, x in zip(target, g)]
+    else:
+        target = [draw(RATIONALS) for _ in range(n)]
+    return gens, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_sets())
+def test_caratheodory_matches_reduction_reference(case):
+    gens, target = case
+    try:
+        want = reference_caratheodory_decompose(target, gens)
+    except InputError:
+        with pytest.raises(InputError):
+            caratheodory_decompose(target, gens)
+        return
+    got = caratheodory_decompose(target, gens)
+    assert got.generators == want.generators
+    assert got.coefficients == want.coefficients
+
+
+def test_caratheodory_rejects_dependent_support(monkeypatch):
+    """A non-basic gamma on dependent generators fails the rank check."""
+    gens = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
+    monkeypatch.setattr(cones, "conic_multipliers",
+                        lambda gens, target: [F(1, 2)] * 3)
+    with pytest.raises(ClaimViolation) as err:
+        caratheodory_decompose([F(1), F(1)], gens)
+    assert err.value.claim == "caratheodory-support"
 
 
 def random_cone(rng):

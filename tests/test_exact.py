@@ -350,23 +350,3 @@ def test_null_space_empty_matrix():
     basis = exact.null_space([], 3)
     assert len(basis) == 3
 
-
-def test_primitive_vector():
-    assert exact.primitive_integer_vector([F(1, 2), F(3, 4)]) == [F(2), F(3)]
-    assert exact.primitive_integer_vector([F(-4), F(6)]) == [F(-2), F(3)]
-
-
-def test_primitive_vector_keeps_direction():
-    rng = random.Random(7)
-    for _ in range(50):
-        v = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
-        if all(x == 0 for x in v):
-            continue
-        p = exact.primitive_integer_vector(v)
-        # p must be a positive multiple of v
-        ratios = {x / y for x, y in zip(p, v) if y != 0}
-        assert len(ratios) == 1
-        assert ratios.pop() > 0
-        nums = [int(x) for x in p]
-        from math import gcd
-        assert gcd(*nums) == 1 if len(nums) > 1 else abs(nums[0]) == 1

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import iqprox
@@ -40,3 +42,19 @@ def imports_in_body(node) -> bool:
 def test_no_function_local_imports():
     """Every module imports at the top, so each dependency is in plain sight."""
     assert nodes_where(imports_in_body) == []
+
+
+def test_tracer_entry_points_exist():
+    """perfbench/tracer.py rebinds each ENTRY_POINTS name by getattr, so a
+    renamed or deleted function breaks the traced benchmark run."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{layer}.{name}"
+               for layer, names in tracer.ENTRY_POINTS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(
+                   f"{tracer.PACKAGE}.{layer}"), name, None))]
+    assert tracer.ENTRY_POINTS
+    assert missing == []
