@@ -58,21 +58,25 @@ def _objective_numerator(q: list[int], h: list[int], X: list[int], e: int) -> in
     return e * sum(map(mul, h, X)) - sum(c * xi * xi for c, xi in zip(q, X))
 
 
+def _fraction_point(p) -> tuple[Fraction, ...]:
+    return tuple(map(Fraction, p))
+
+
 def _lattice_extremes(inst: Instance, pts) -> tuple[OptResult, Fraction,
                                                    tuple[Fraction, ...]]:
     """Minimizer (with ties) and lexicographically first maximizer over pts.
 
-    pts are lattice points.  The objective is evaluated as an int: f times
-    the lcm d of the denominators of q and h; a Fraction is built only for
-    the minimum and the maximum.
+    pts are lattice points as int tuples.  The objective is evaluated as an
+    int: f times the lcm d of the denominators of q and h; Fractions are
+    built only for the minimum, the maximum, the ties and the witness.
     """
     if not pts:
         raise InfeasibleError("no integer point in the feasible region")
     q, h, d = _integer_objective(inst)
-    vals = [_objective_numerator(q, h, [v.numerator for v in p], 1) for p in pts]
+    vals = [_objective_numerator(q, h, p, 1) for p in pts]
     best, top = min(vals), max(vals)
-    ties = tuple(sorted(p for p, v in zip(pts, vals) if v == best))
-    wit = min(p for p, v in zip(pts, vals) if v == top)
+    ties = tuple(sorted(_fraction_point(p) for p, v in zip(pts, vals) if v == best))
+    wit = _fraction_point(min(p for p, v in zip(pts, vals) if v == top))
     return OptResult(ties[0], Fraction(best, d), ties), Fraction(top, d), wit
 
 
@@ -83,16 +87,27 @@ def solve_iqp(inst: Instance) -> OptResult:
 
 def solve_qp(inst: Instance) -> OptResult:
     """Continuous minimizer; a concave objective attains its min at a vertex."""
-    return _vertex_minimum(inst, enumerate_vertices(inst.polyhedron()))
+    Q, H, d = _integer_objective(inst)
+    verts = []
+    for p in enumerate_vertices(inst.polyhedron()):
+        X, e = exact.integer_vector(p)
+        verts.append((X, e, _objective_numerator(Q, H, X, e), d * e * e))
+    return _vertex_minimum(verts)
 
 
-def _vertex_minimum(inst: Instance, verts) -> OptResult:
+def _vertex_minimum(verts) -> OptResult:
+    """The least value over vertices (X, e, num, den), at X / e with value
+    num / den and den > 0, and every vertex attaining it; values are
+    compared by cross-multiplying."""
     if not verts:
         raise InfeasibleError("feasible region is empty")
-    vals = [(eval_objective(inst, v), v) for v in verts]
-    best = min(v for v, _ in vals)
-    ties = tuple(sorted(p for v, p in vals if v == best))
-    return OptResult(ties[0], best, ties)
+    _, _, bn, bd = verts[0]
+    for _, _, num, den in verts:
+        if num * bd < bn * den:
+            bn, bd = num, den
+    ties = tuple(sorted({tuple(Fraction(x, e) for x in X)
+                         for X, e, num, den in verts if num * bd == bn * den}))
+    return OptResult(ties[0], Fraction(bn, bd), ties)
 
 
 def fmax_int(inst: Instance) -> Fraction:
@@ -108,8 +123,10 @@ def fmax_cont(inst: Instance) -> Fraction:
     return fmax_cont_witness(inst)[0]
 
 
-def fmax_cont_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact max of the concave objective over the feasible region.
+def fmax_cont_witness(inst: Instance, vertices: list | None = None
+                      ) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact max of the concave objective over the feasible region, and the
+    first face's point attaining it.
 
     The maximizer lies in the relative interior of some face, where the
     gradient is orthogonal to the face's affine hull.  Each linearly
@@ -130,6 +147,20 @@ def fmax_cont_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
 
     The witness is the candidate of the first face attaining the maximum.
 
+    When a list is passed as vertices, the same walk also collects the
+    vertices of P, if P is a polytope.  An independent S of size n is E_S
+    itself, and its point is a vertex exactly when it lies in P; every
+    vertex arises so, and is appended as (X, e, num, den): the point X / e
+    of value num / den, once per n-subset that gives it.  Before that, each
+    independent S of size n - 1 has its kernel line w tested: if A_i w <= 0
+    for every row i, or >= 0 for every row i, then w or -w lies in the
+    recession cone C = {y : A y <= 0}, P is not a polytope, and no vertex
+    is collected.  When some vertex exists, A has rank n, so C is pointed
+    and, unless it is {0}, has an extreme ray; that ray is tight on n - 1
+    independent rows, so it spans the kernel line of such an S.  So the
+    list ends nonempty exactly when P is a nonempty polytope, and then
+    holds every vertex of P, whose convex hull P is.
+
     Everything but the LP runs on the int rows of P.  One elimination of
     [A_S | b_S] (exact.solution_space_int) shows whether S is independent
     and gives A_S x = b_S as x = (X0 + W y) / L, W the int kernel basis.
@@ -147,6 +178,7 @@ def fmax_cont_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
     Q2 = [2 * c for c in Q] + [0] * (n - k)
     best = None  # (numerator, denominator) of the best value so far
     wit = None
+    collect = vertices is not None
     for size in range(min(n, P.m) + 1):
         for S in combinations(range(P.m), size):
             hull = exact.solution_space_int([rows[i] for i in S],
@@ -154,6 +186,9 @@ def fmax_cont_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
             if hull is None or len(hull[1]) != n - size:  # S is dependent
                 continue
             X0, W, L = hull
+            if collect and size == n - 1:
+                dots = [sum(map(mul, row, W[0])) for row in rows]
+                collect = not (all(t <= 0 for t in dots) or all(t >= 0 for t in dots))
             QW = [list(map(mul, Q2, w)) for w in W]
             g = [L * c - qx for c, qx in zip(H, map(mul, Q2, X0))]
             stat = exact.solution_space_int(
@@ -166,10 +201,15 @@ def fmax_cont_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
                  for j, x in enumerate(X0)]
             e = L * e2
             num, den = _objective_numerator(Q, H, X, e), d * e * e
+            vertex = collect and size == n
+            if vertex:
+                if not contains_int(P, X, e):
+                    continue
+                vertices.append((X, e, num, den))
             if best is not None and num * best[1] <= best[0] * den:
                 continue
             if not free:
-                if not contains_int(P, X, e):
+                if not vertex and not contains_int(P, X, e):
                     continue
                 pt = [Fraction(x, e) for x in X]
             else:
@@ -200,14 +240,31 @@ def fmax_cont_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
 
 
 def _report_and_lattice(inst: Instance) -> tuple[OracleReport, list]:
-    """Every oracle quantity, and the lattice points, enumerated once."""
+    """Every oracle quantity from one face walk and one lattice walk, and
+    the lattice points as int tuples.
+
+    When the face walk collects vertices, P is a polytope and the
+    coordinate-wise extremes of its vertices are its exact bounding box.
+    Otherwise (P empty, unbounded, or of rank < n) the lattice walk finds
+    the box by LP, which returns no points or raises UnboundedError.
+    """
     P = inst.polyhedron()
-    pts = enumerate_lattice_points(P)
+    verts = []
+    try:
+        fci, wci = fmax_cont_witness(inst, verts)
+    except InfeasibleError:
+        # No face attains a maximum in P: P is empty or unbounded, verts is
+        # empty, and the lattice walk finds no point or raises.
+        fci = wci = None
+    box = None
+    if verts:
+        corners = [[Fraction(x, e) for x in X] for X, e, _, _ in verts]
+        box = [(min(c), max(c)) for c in zip(*corners)]
+    pts = enumerate_lattice_points(P, box)
     iqp, fdi, wdi = _lattice_extremes(inst, pts)
-    # pts is nonempty, so the lattice walk's bounding box has shown P
-    # nonempty and bounded.
-    qp = _vertex_minimum(inst, enumerate_vertices(P, _bounded=True))
-    fci, wci = fmax_cont_witness(inst)
+    # pts is nonempty, so P is a nonempty polytope: verts holds every
+    # vertex and the walk found the maximum.
+    qp = _vertex_minimum(verts)
     return OracleReport(iqp, qp, fdi, wdi, fci, wci), pts
 
 
@@ -261,7 +318,8 @@ def delta_star(inst: Instance, eps) -> DeltaStarResult:
     eps = Fraction(eps)
     report, pts = _report_and_lattice(inst)
     qp = report.cont_opt
-    approx = [p for p in pts if verdict(inst, p, eps, "integer", report).is_approx]
+    approx = [_fraction_point(p) for p in pts
+              if verdict(inst, p, eps, "integer", report).is_approx]
     if not approx:
         raise InfeasibleError("no eps-approximate lattice point exists")
     best = None

@@ -1,8 +1,10 @@
 """H-representation polyhedra: membership, vertices, faces, lattice points.
 
 All enumeration routines assume desk-scale inputs and verify boundedness
-before enumerating, raising UnboundedError otherwise.  Outputs are
-canonically ordered (lexicographic) so results are deterministic.
+before enumerating, raising UnboundedError otherwise; the lattice walk
+instead takes the bounding box from a caller that has shown P bounded.
+Outputs are canonically ordered (lexicographic) so results are
+deterministic.
 
 The rational rows [A_i | b_i] are what callers and the LPs see.  Membership
 and lattice enumeration run on the same rows scaled to Python ints, each by
@@ -128,14 +130,9 @@ def assert_bounded(P: Polyhedron):
     bounding_box(P)  # raises UnboundedError when any direction escapes
 
 
-def enumerate_vertices(P: Polyhedron, *,
-                       _bounded: bool = False) -> list[tuple[Fraction, ...]]:
-    """Sorted vertex points, each found by solving an n-row subset.
-
-    A caller that has already shown P nonempty and bounded within the same
-    call passes _bounded=True to skip the 2n LPs of the bounding box.
-    """
-    if not _bounded and bounding_box(P) is None:
+def enumerate_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
+    """Sorted vertex points, each found by solving an n-row subset."""
+    if bounding_box(P) is None:
         return []
     rows, rhs = P.int_rows
     seen = set()
@@ -149,18 +146,28 @@ def enumerate_vertices(P: Polyhedron, *,
     return sorted(seen)
 
 
-def enumerate_lattice_points(P: Polyhedron) -> list[tuple[Fraction, ...]]:
-    """All integer points of a bounded P, in lexicographic order.
+def enumerate_lattice_points(P: Polyhedron, box=None) -> list[tuple[int, ...]]:
+    """All integer points of a bounded P, in lexicographic order, as int tuples.
 
-    Walks the integer grid of the exact bounding box coordinate by
-    coordinate, narrowing the interval of each next coordinate by interval
-    propagation over the rows, and keeps exactly the points with A x <= b.
-    The propagation runs on the int rows with the box scaled by the lcm e of
-    its denominators, so each bound is one floor division of ints.
+    Walks the integer grid of the bounding box coordinate by coordinate,
+    narrowing the interval of each next coordinate by interval propagation
+    over the rows, and keeps exactly the points with A x <= b.  The
+    propagation runs on the int rows with the box scaled by the lcm e of its
+    denominators, so each bound is one floor division of ints.  Each row's
+    bound is exact at that row's last nonzero coordinate, so every leaf the
+    walk reaches lies in P and no leaf is tested again.  An all-zero row is
+    never bounded; it holds on a nonempty P.
+
+    box is a list of (lo, hi) rational pairs, one per coordinate, containing
+    P.  A caller that knows P is nonempty and bounded passes its exact
+    bounding box (the coordinate-wise extremes of its vertices); without one
+    the box is found by 2n LPs, which also show P empty (no points) or
+    unbounded (UnboundedError).
     """
-    box = bounding_box(P)
     if box is None:
-        return []
+        box = bounding_box(P)
+        if box is None:
+            return []
     n = P.n
     rows, rhs = P.int_rows
     lo = [math.ceil(a) for a, _ in box]
@@ -174,7 +181,7 @@ def enumerate_lattice_points(P: Polyhedron) -> list[tuple[Fraction, ...]]:
                                    for t, a in enumerate(row[j + 1:], j + 1)))
                for i, row in enumerate(rows) if row[j]] for j in range(n)]
     out = []
-    prefix: list[Fraction] = []
+    prefix: list[int] = []
 
     def rec(j: int, slack: list[int]):
         # slack[i] is rhs_i minus row i on the fixed prefix.
@@ -186,13 +193,10 @@ def enumerate_lattice_points(P: Polyhedron) -> list[tuple[Fraction, ...]]:
             else:
                 lo_j = max(lo_j, -(-s // c))
         if j == n - 1:
-            for v in range(lo_j, hi_j + 1):
-                pt = (*prefix, Fraction(v))
-                if contains(P, pt):
-                    out.append(pt)
+            out.extend((*prefix, v) for v in range(lo_j, hi_j + 1))
             return
         for v in range(lo_j, hi_j + 1):
-            prefix.append(Fraction(v))
+            prefix.append(v)
             rec(j + 1, [s - row[j] * v for s, row in zip(slack, rows)])
             prefix.pop()
 

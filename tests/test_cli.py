@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from iqprox import cli, errors, formats, oracles
+from iqprox import cli, errors, formats, oracles, polyhedra
 from iqprox.cli import main
 from iqprox.families import build_example_1_1, random_instance
 from iqprox.pipeline import instance
@@ -392,12 +392,14 @@ def test_verify_report_distance_cont_beyond_bound(capsys, tmp_path):
 def test_proximity_without_anchors_enumerates_lattice_once(capsys, ex11_path,
                                                            monkeypatch, anchors):
     calls = []
-    for name in ("enumerate_lattice_points", "enumerate_vertices"):
-        real = getattr(oracles, name)
-        monkeypatch.setattr(oracles, name, lambda *a, real=real, name=name, **kw:
+    for mod, name in ((oracles, "enumerate_lattice_points"),
+                      (oracles, "enumerate_vertices"), (oracles, "fmax_cont_witness"),
+                      (polyhedra, "coordinate_range")):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, real=real, name=name, **kw:
                             calls.append(name) or real(*a, **kw))
     assert main(["proximity", ex11_path, "--eps", "1/2", *anchors]) == 0
-    assert sorted(calls) == ["enumerate_lattice_points", "enumerate_vertices"]
+    assert sorted(calls) == ["enumerate_lattice_points", "fmax_cont_witness"]
 
 
 def with_anchors(doc, xc, xd):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -7,14 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqprox import exact, oracles
-from iqprox.errors import ClaimViolation, InfeasibleError, InputError
+from iqprox.errors import (ClaimViolation, InfeasibleError, InputError,
+                           UnboundedError)
 from iqprox.families import (build_example_1_1, build_prop44, build_prop45,
                              build_prop46, random_instance)
 from iqprox.oracles import (certify_no_cont_approx_within, delta_star,
                             fmax_cont, fmax_int, full_report, solve_iqp,
                             solve_qp, verdict)
 from iqprox.pipeline import eval_objective, instance, run_pipeline
-from iqprox.polyhedra import contains, enumerate_lattice_points
+from iqprox.polyhedra import contains, enumerate_lattice_points, enumerate_vertices
 from iqprox.simplex import feasible_point
 
 
@@ -202,12 +204,82 @@ def test_full_report_enumerates_lattice_once(monkeypatch):
     calls = []
     real = oracles.enumerate_lattice_points
     monkeypatch.setattr(oracles, "enumerate_lattice_points",
-                        lambda P: calls.append(P) or real(P))
+                        lambda *a: calls.append(a) or real(*a))
     inst = random_instance(3)
     rep = full_report(inst)
     assert len(calls) == 1
+    assert calls[0][1] is not None  # the box came from the vertices
     assert rep.int_opt == solve_iqp(inst)
     assert (rep.fmax_int, rep.fmax_int_witness) == oracles.fmax_int_witness(inst)
+
+
+def assert_fraction_points(*points):
+    assert all(type(p) is tuple and all(type(v) is F for v in p) for p in points)
+
+
+@pytest.mark.parametrize("fam", [build_example_1_1(3),
+                                 build_prop45(2, 2, F(1, 2))],
+                         ids=["example-1-1", "prop45"])
+def test_points_leaving_oracles_are_fractions(fam):
+    """The lattice walk yields int tuples; every point oracles returns is
+    still a tuple of Fractions."""
+    inst = fam.instance
+    rep = full_report(inst)
+    for opt in (rep.int_opt, rep.cont_opt, solve_iqp(inst), solve_qp(inst)):
+        assert_fraction_points(opt.point, *opt.ties)
+    assert_fraction_points(rep.fmax_int_witness, rep.fmax_cont_witness,
+                           oracles.fmax_int_witness(inst)[1],
+                           oracles.fmax_cont_witness(inst)[1])
+    ds = delta_star(inst, F(1, 2))
+    assert ds.approx_points
+    assert_fraction_points(ds.witness_opt, ds.witness_point, *ds.approx_points)
+
+
+# sha256 of repr(full_report(inst)) as computed with the LP bounding box and
+# one linear solve per n-row subset for the vertices.  No benchmark instance
+# reaches n >= 5, so these are the large-instance bit-identity guard.
+LARGE_REPORTS = {
+    "random19": (lambda: random_instance(19, n_max=6),
+                 "d237bcc1fa2f0456945547c555186daa14eac72bd3ceff5baae9bcdcbd46dd81"),
+    "random20": (lambda: random_instance(20, n_max=6),
+                 "6619a312850c54ed6892a15b10fad3ad56363d290d867e7c78378a878ec58d80"),
+    "random24": (lambda: random_instance(24, n_max=6),
+                 "603e8c7ae7679599cab684f69c6ed5f1a085dc50796e1502b6ec6e04911ec6f1"),
+    "prop44-n6": (lambda: build_prop44(F(1, 4), 3, n=6).instance,
+                  "388683d994992566ad41b1499c460cfff06b197fde2d5d233c5e1cfc5df7af4b"),
+    "prop44-n7": (lambda: build_prop44(F(1, 4), 3, n=7).instance,
+                  "79a76e6470e73af176763bd05321349bf46cbe1216147d460a13e508861d306a"),
+}
+
+
+@pytest.mark.parametrize("name", list(LARGE_REPORTS))
+def test_large_full_report_digest(name):
+    make, digest = LARGE_REPORTS[name]
+    rep = full_report(make())
+    assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest
+
+
+def reference_vertex_minimum(inst, verts):
+    """The continuous optimum over Fraction vertices, f by eval_objective."""
+    if not verts:
+        raise InfeasibleError("feasible region is empty")
+    vals = [(eval_objective(inst, v), v) for v in verts]
+    best = min(v for v, _ in vals)
+    ties = tuple(sorted(p for v, p in vals if v == best))
+    return oracles.OptResult(ties[0], best, ties)
+
+
+def reference_full_report(inst):
+    """full_report with the LP bounding box for the lattice walk and the
+    vertices from one linear solve per n-row subset."""
+    P = inst.polyhedron()
+    pts = [tuple(map(F, p)) for p in enumerate_lattice_points(P)]
+    if not pts:
+        raise InfeasibleError("no integer point in the feasible region")
+    iqp, fdi, wdi = reference_lattice_extremes(inst, pts)
+    qp = reference_vertex_minimum(inst, enumerate_vertices(P))
+    fci, wci = oracles.fmax_cont_witness(inst)
+    return oracles.OracleReport(iqp, qp, fdi, wdi, fci, wci)
 
 
 def reference_lattice_extremes(inst, pts):
@@ -443,3 +515,87 @@ def test_fmax_cont_witness_face_constant_claim(monkeypatch):
     with pytest.raises(ClaimViolation) as err:
         oracles.fmax_cont_witness(inst)
     assert err.value.claim == "face-constant"
+
+
+@st.composite
+def report_regions(draw):
+    """A random_instance or rational_regions instance, often made unbounded,
+    empty or rank-deficient.
+
+    Dropping or negating a row can open a bounded region; a row pair
+    a x <= c, -a x <= -c - 1 empties it; keeping fewer than n rows, or
+    zeroing one coordinate in every row (all rows then lie in one
+    hyperplane), leaves A of rank < n.
+    """
+    if draw(st.booleans()):
+        base = random_instance(draw(st.integers(0, 10 ** 6)))
+    else:
+        base = draw(rational_regions())
+    n = base.n
+    rows, rhs = [list(r) for r in base.A], list(base.b)
+    kind = draw(st.sampled_from(["as-is", "drop", "negate", "contradict",
+                                 "few-rows", "one-plane"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "drop" and len(rows) > 1:
+        del rows[i], rhs[i]
+    elif kind == "negate":
+        rows[i] = [-c for c in rows[i]]
+    elif kind == "contradict":
+        rows += [rows[i], [-c for c in rows[i]]]
+        rhs += [rhs[i], -rhs[i] - 1]
+    elif kind == "few-rows":
+        keep = draw(st.integers(1, max(1, n - 1)))
+        rows, rhs = rows[:keep], rhs[:keep]
+    elif kind == "one-plane":
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = 0
+    return instance(rows, rhs, base.q, base.h, base.k)
+
+
+@settings(max_examples=250, deadline=None)
+@given(report_regions())
+@example(instance([[1, 0], [-1, 0], [0, 1], [0, -1]], [2, 2, 2, 2], [1], [0, 1]))
+@example(instance([[1, 0], [-1, 0], [0, 1]], [2, 2, 2], [1], [0, 1]))   # open below
+@example(instance([[1, 1], [-1, -1]], [2, 2], [1], [0, 1]))             # rank 1
+@example(instance([[1], [-1]], [F(1, 3), F(-1, 4)], [1], [0]))          # no lattice point
+@example(instance([[0], [1], [-1]], [-1, 2, 2], [1], [0]))              # 0 x <= -1
+def test_full_report_matches_lp_box_reference(inst):
+    """The same report as the LP box and per-subset vertex solves, or the
+    same exception class and message."""
+    try:
+        want = reference_full_report(inst)
+    except (InfeasibleError, UnboundedError) as err:
+        with pytest.raises(type(err)) as got:
+            full_report(inst)
+        assert str(got.value) == str(err)
+        return
+    got = full_report(inst)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(report_regions())
+@example(instance([[1, 0], [-1, 0], [0, 1]], [2, 2, 2], [1], [0, 1]))   # open below
+@example(instance([[1], [-1]], [F(1, 3), F(-1, 4)], [1], [0]))          # a vertex, no lattice point
+def test_fmax_cont_witness_collects_vertices_of_polytopes(inst):
+    """The list passed in ends with enumerate_vertices' points and their
+    values on a polytope, and empty otherwise; (value, witness) is the same
+    as without it."""
+    try:
+        want = enumerate_vertices(inst.polyhedron())
+    except UnboundedError:
+        want = []
+    verts = []
+    try:
+        got = oracles.fmax_cont_witness(inst, verts)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            oracles.fmax_cont_witness(inst)
+    else:
+        assert got == oracles.fmax_cont_witness(inst)
+    points = [tuple(F(x, e) for x in X) for X, e, _, _ in verts]
+    assert sorted(set(points)) == want
+    for p, (_, _, num, den) in zip(points, verts):
+        assert eval_objective(inst, p) == F(num, den)

@@ -131,23 +131,21 @@ def bounded_systems(draw):
 @settings(max_examples=150, deadline=None)
 @given(bounded_systems())
 def test_lattice_points_match_fraction_reference(P):
-    """Same points as a box scan, and the same leaves tested as the Fraction walk."""
+    """Same points as a box scan and the Fraction walk, as int tuples; every
+    leaf the walk reaches lies in P, with the LP box or a box passed in."""
     want, want_visited = reference_lattice_points(P)
     scan = [tuple(map(F, p)) for p in product(range(-3, 4), repeat=P.n)
             if reference_contains(P, p)]
     assert want == scan
-    visited = []
-
-    def spy(Q, x):
-        visited.append(x)
-        return contains(Q, x)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polyhedra, "contains", spy)
-        got = enumerate_lattice_points(P)
+    assert want_visited == want
+    got = enumerate_lattice_points(P)
     assert got == scan
-    assert visited == want_visited
-    assert all(type(v) is F for p in got for v in p)
+    assert all(type(v) is int for p in got for v in p)
+    box = bounding_box(P)
+    if box is not None:
+        assert enumerate_lattice_points(P, box) == got
+        wide = [(lo - F(1, 2), hi + 1) for lo, hi in box]
+        assert enumerate_lattice_points(P, wide) == got
 
 
 def reference_vertices(P):
