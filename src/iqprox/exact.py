@@ -120,9 +120,33 @@ def _echelon(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
     return pivots, sign
 
 
+def _extend_echelon(a: list[list[int]], pivots: list[int], row: list[int],
+                    ncols: int) -> tuple[list[int], int] | None:
+    """One more row for the echelon rows a with their pivot columns.
+
+    row is reduced by one Bareiss step per row of a, as _echelon reduces the
+    rows below its pivot rows, so each entry is a minor of [a's input rows;
+    row] and each division is exact.  Returns the reduced row and its pivot,
+    its first nonzero entry in the first ncols columns; None when there is
+    none, that is, when row is dependent on a's input rows.  The reduced
+    row is zero in every earlier pivot column, so the extended rows suit
+    _back_substitute and _kernel, whose pivots need not increase.  Their
+    pivot set is that of a fresh _echelon of the input rows: both are the
+    columns where some vector of the row space has its first nonzero entry.
+    """
+    prev = 1
+    for prow, c in zip(a, pivots):
+        piv, f = prow[c], row[c]
+        row = [(x * piv - f * y) // prev for x, y in zip(row, prow)]
+        prev = piv
+    p = next((c for c in range(ncols) if row[c]), None)
+    return None if p is None else (row, p)
+
+
 def _back_substitute(a: list[list[int]], pivots: list[int], w: list[int]) -> list[int]:
     """Fill the pivot entries of w so that every pivot row of a is orthogonal to it.
 
+    Each pivot row must be zero in the pivot columns of the rows before it.
     The other entries of w must be multiples of the last pivot; by Cramer's
     rule the pivot entries then are integers too, so each division is exact.
     """
@@ -220,24 +244,32 @@ def max_abs_subdeterminant_witness(M) -> tuple[int, tuple[int, ...], tuple[int, 
     return best, best_rows, best_cols
 
 
-def _particular(a: list[list[int]], ncols: int) -> tuple[list[int], list[int], int] | None:
-    """Echelon of the augmented int rows a = [M | rhs], in place, and one solution.
+def _consistent_echelon(a: list[list[int]], ncols: int) -> list[int] | None:
+    """Echelon of the augmented int rows a = [M | rhs], in place.
 
-    Returns the pivot columns, X and L > 0 with x = X[:ncols] / L the solution
-    whose free (non-pivot) coordinates are 0; None when M x = rhs is
-    inconsistent.
+    Returns the pivot columns; None when M x = rhs is inconsistent.
     """
     pivots, _ = _echelon(a, ncols)
-    r = len(pivots)
     # Rows past the pivot rows are zero in M's columns; a nonzero rhs there
     # is the equation 0 = c.
-    if any(row[ncols] for row in a[r:]):
+    if any(row[ncols] for row in a[len(pivots):]):
         return None
-    last = a[r - 1][pivots[-1]] if pivots else 1
-    if last < 0:
-        last = -last
+    return pivots
+
+
+def _solution(a: list[list[int]], pivots: list[int], ncols: int) -> tuple[list[int], int]:
+    """X and L > 0 with X[:ncols] / L the solution of the consistent echelon
+    rows a = [M | rhs] whose free (non-pivot) coordinates are 0."""
+    last = abs(a[len(pivots) - 1][pivots[-1]]) if pivots else 1
     # [M | rhs] (x, -1) = 0: put -last in the rhs slot, then x = X / last.
-    return pivots, _back_substitute(a, pivots, [0] * ncols + [-last]), last
+    return _back_substitute(a, pivots, [0] * ncols + [-last]), last
+
+
+def _solution_space(a: list[list[int]], pivots: list[int], n: int
+                    ) -> tuple[list[int], list[list[int]], int]:
+    """X, W and L of solution_space_int from its consistent echelon rows a."""
+    X, last = _solution(a, pivots, n)
+    return X[:n], _kernel(a, pivots, last, n), last
 
 
 def particular_solution(M, rhs, n: int | None = None) -> tuple[list[Fraction], int] | None:
@@ -254,10 +286,10 @@ def particular_solution(M, rhs, n: int | None = None) -> tuple[list[Fraction], i
         return [Fraction(0)] * n, 0
     ncols = len(M[0])
     a, _ = _integer_rows([[*row, b] for row, b in zip(M, rhs)])
-    sol = _particular(a, ncols)
-    if sol is None:
+    pivots = _consistent_echelon(a, ncols)
+    if pivots is None:
         return None
-    pivots, X, last = sol
+    X, last = _solution(a, pivots, ncols)
     return [Fraction(x, last) for x in X[:ncols]], len(pivots)
 
 
@@ -272,11 +304,8 @@ def solution_space_int(M, rhs, n: int) -> tuple[list[int], list[list[int]], int]
     not changed.
     """
     a = [[*row, b] for row, b in zip(M, rhs)]
-    sol = _particular(a, n)
-    if sol is None:
-        return None
-    pivots, X, last = sol
-    return X[:n], _kernel(a, pivots, last, n), last
+    pivots = _consistent_echelon(a, n)
+    return None if pivots is None else _solution_space(a, pivots, n)
 
 
 def solve_linear(M, rhs) -> list[Fraction] | None:

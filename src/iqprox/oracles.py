@@ -63,12 +63,14 @@ def _fraction_point(p) -> tuple[Fraction, ...]:
 
 
 def _lattice_extremes(inst: Instance, pts) -> tuple[OptResult, Fraction,
-                                                   tuple[Fraction, ...]]:
-    """Minimizer (with ties) and lexicographically first maximizer over pts.
+                                                   tuple[Fraction, ...], list[int]]:
+    """Minimizer (with ties) and lexicographically first maximizer over pts,
+    and the values.
 
     pts are lattice points as int tuples.  The objective is evaluated as an
-    int: f times the lcm d of the denominators of q and h; Fractions are
-    built only for the minimum, the maximum, the ties and the witness.
+    int: f times the lcm d of the denominators of q and h, one per point in
+    the returned list; Fractions are built only for the minimum, the
+    maximum, the ties and the witness.
     """
     if not pts:
         raise InfeasibleError("no integer point in the feasible region")
@@ -77,7 +79,7 @@ def _lattice_extremes(inst: Instance, pts) -> tuple[OptResult, Fraction,
     best, top = min(vals), max(vals)
     ties = tuple(sorted(_fraction_point(p) for p, v in zip(pts, vals) if v == best))
     wit = _fraction_point(min(p for p, v in zip(pts, vals) if v == top))
-    return OptResult(ties[0], Fraction(best, d), ties), Fraction(top, d), wit
+    return OptResult(ties[0], Fraction(best, d), ties), Fraction(top, d), wit, vals
 
 
 def solve_iqp(inst: Instance) -> OptResult:
@@ -115,7 +117,7 @@ def fmax_int(inst: Instance) -> Fraction:
 
 
 def fmax_int_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
-    _, top, wit = _lattice_extremes(inst, enumerate_lattice_points(inst.polyhedron()))
+    _, top, wit, _ = _lattice_extremes(inst, enumerate_lattice_points(inst.polyhedron()))
     return top, wit
 
 
@@ -147,6 +149,16 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
 
     The witness is the candidate of the first face attaining the maximum.
 
+    The subsets are visited level by level: level s + 1 holds S + (j,) for
+    each independent S of level s, in order, and each row j > max S, in
+    order.  Its subsets are increasing tuples, so this is lexicographic
+    order, and every independent subset is reached: it is its own first
+    s rows plus its last, and a subset of an independent set is
+    independent.  A superset of a dependent set is dependent, so a row j
+    that makes S dependent ends the subtree of S + (j,) unvisited.  The
+    walk holds one level at a time, each face with its echelon, so its
+    memory grows with the largest level, up to C(m, n/2) faces.
+
     When a list is passed as vertices, the same walk also collects the
     vertices of P, if P is a polytope.  An independent S of size n is E_S
     itself, and its point is a vertex exactly when it lies in P; every
@@ -161,12 +173,15 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
     list ends nonempty exactly when P is a nonempty polytope, and then
     holds every vertex of P, whose convex hull P is.
 
-    Everything but the LP runs on the int rows of P.  One elimination of
-    [A_S | b_S] (exact.solution_space_int) shows whether S is independent
-    and gives A_S x = b_S as x = (X0 + W y) / L, W the int kernel basis.
-    With q = Q / d and h = H / d, the stationarity condition on these x is
-    the (n - s) x (n - s) int system (W^T 2Q W) y = W^T (L H - 2Q X0); it
-    is consistent exactly when E_S is, and E_S has rank s plus its rank.
+    Everything but the LP runs on the int rows of P.  Each face keeps the
+    Bareiss echelon of [A_S | b_S], its parent's echelon plus one row
+    reduced against it (exact._extend_echelon); the row reduces to zero
+    exactly when S is dependent.  The echelon gives A_S x = b_S as
+    x = (X0 + W y) / L, W the int kernel basis, with the same ints as
+    exact.solution_space_int.  With q = Q / d and h = H / d, the
+    stationarity condition on these x is the (n - s) x (n - s) int system
+    (W^T 2Q W) y = W^T (L H - 2Q X0), solved only for s < n; it is
+    consistent exactly when E_S is, and E_S has rank s plus its rank.
     Any of its solutions gives v_S, as an int numerator over d e^2 for the
     point X / e, and values are compared by cross-multiplying.  The LP gets
     the rows of the canonical kernel basis W / L, exact.null_space's basis.
@@ -174,32 +189,33 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
     P = inst.polyhedron()
     n, k = inst.n, inst.k
     rows, rhs = P.int_rows
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
     Q, H, d = _integer_objective(inst)
     Q2 = [2 * c for c in Q] + [0] * (n - k)
     best = None  # (numerator, denominator) of the best value so far
     wit = None
     collect = vertices is not None
+    level = [((), [], [])]  # (S, echelon rows and pivot columns of [A_S | b_S])
     for size in range(min(n, P.m) + 1):
-        for S in combinations(range(P.m), size):
-            hull = exact.solution_space_int([rows[i] for i in S],
-                                            [rhs[i] for i in S], n)
-            if hull is None or len(hull[1]) != n - size:  # S is dependent
-                continue
-            X0, W, L = hull
+        for S, a, pivots in level:
+            X0, W, L = exact._solution_space(a, pivots, n)
             if collect and size == n - 1:
                 dots = [sum(map(mul, row, W[0])) for row in rows]
                 collect = not (all(t <= 0 for t in dots) or all(t >= 0 for t in dots))
-            QW = [list(map(mul, Q2, w)) for w in W]
-            g = [L * c - qx for c, qx in zip(H, map(mul, Q2, X0))]
-            stat = exact.solution_space_int(
-                [[sum(map(mul, u, w)) for w in W] for u in QW],
-                [sum(map(mul, w, g)) for w in W], n - size)
-            if stat is None:
-                continue
-            Y, free, e2 = stat
-            X = [x * e2 + sum(w[j] * y for w, y in zip(W, Y))
-                 for j, x in enumerate(X0)]
-            e = L * e2
+            if size < n:
+                QW = [list(map(mul, Q2, w)) for w in W]
+                g = [L * c - qx for c, qx in zip(H, map(mul, Q2, X0))]
+                stat = exact.solution_space_int(
+                    [[sum(map(mul, u, w)) for w in W] for u in QW],
+                    [sum(map(mul, w, g)) for w in W], n - size)
+                if stat is None:
+                    continue
+                Y, free, e2 = stat
+                X = [x * e2 + sum(w[j] * y for w, y in zip(W, Y))
+                     for j, x in enumerate(X0)]
+                e = L * e2
+            else:  # E_S is A_S x = b_S, with no kernel
+                X, free, e = X0, W, L
             num, den = _objective_numerator(Q, H, X, e), d * e * e
             vertex = collect and size == n
             if vertex:
@@ -234,14 +250,22 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
                                          f"face {S}: f is not constant on E_S")
             best = (num, den)
             wit = tuple(pt)
+        if size < n:
+            parents, level = level, []
+            for S, a, pivots in parents:
+                for j in range(S[-1] + 1 if S else 0, P.m):
+                    ext = exact._extend_echelon(a, pivots, aug[j], n)
+                    if ext is not None:  # else S + (j,) and every set above it are dependent
+                        level.append((S + (j,), a + [ext[0]], pivots + [ext[1]]))
     if best is None:
         raise InfeasibleError("feasible region is empty")
     return Fraction(*best), wit
 
 
-def _report_and_lattice(inst: Instance) -> tuple[OracleReport, list]:
-    """Every oracle quantity from one face walk and one lattice walk, and
-    the lattice points as int tuples.
+def _report_and_lattice(inst: Instance) -> tuple[OracleReport, list, list[int]]:
+    """Every oracle quantity from one face walk and one lattice walk, the
+    lattice points as int tuples, and their values as _lattice_extremes
+    gives them.
 
     When the face walk collects vertices, P is a polytope and the
     coordinate-wise extremes of its vertices are its exact bounding box.
@@ -261,11 +285,11 @@ def _report_and_lattice(inst: Instance) -> tuple[OracleReport, list]:
         corners = [[Fraction(x, e) for x in X] for X, e, _, _ in verts]
         box = [(min(c), max(c)) for c in zip(*corners)]
     pts = enumerate_lattice_points(P, box)
-    iqp, fdi, wdi = _lattice_extremes(inst, pts)
+    iqp, fdi, wdi, vals = _lattice_extremes(inst, pts)
     # pts is nonempty, so P is a nonempty polytope: verts holds every
     # vertex and the walk found the maximum.
     qp = _vertex_minimum(verts)
-    return OracleReport(iqp, qp, fdi, wdi, fci, wci), pts
+    return OracleReport(iqp, qp, fdi, wdi, fci, wci), pts, vals
 
 
 def full_report(inst: Instance) -> OracleReport:
@@ -314,12 +338,18 @@ def delta_star(inst: Instance, eps) -> DeltaStarResult:
     points.  When tied optimal vertices span an optimal edge or face (the
     midpoint of some tied pair is also optimal), vertices undersample the
     optimal set, so the value is an upper bound and flagged as such.
+
+    A lattice point of int value v passes verdict's integer test exactly
+    when v - lo <= eps (hi - lo), lo and hi the least and largest values:
+    every value shares the denominator d > 0.  With hi = lo this says
+    v = lo, the degenerate verdict.
     """
     eps = Fraction(eps)
-    report, pts = _report_and_lattice(inst)
+    report, pts, vals = _report_and_lattice(inst)
     qp = report.cont_opt
-    approx = [_fraction_point(p) for p in pts
-              if verdict(inst, p, eps, "integer", report).is_approx]
+    lo, hi = min(vals), max(vals)
+    approx = [_fraction_point(p) for p, v in zip(pts, vals)
+              if (v - lo) * eps.denominator <= eps.numerator * (hi - lo)]
     if not approx:
         raise InfeasibleError("no eps-approximate lattice point exists")
     best = None
@@ -348,14 +378,23 @@ def certify_no_cont_approx_within(inst: Instance, eps, xd, radius) -> bool:
     the box fails the verdict.
     """
     eps = Fraction(eps)
-    qp = solve_qp(inst)
-    fmax = fmax_cont(inst)
+    verts = []
+    try:
+        fmax = fmax_cont_witness(inst, verts)[0]
+    except InfeasibleError:
+        # P is empty, or unbounded with f unbounded above: solve_qp's error
+        # (UnboundedError on an unbounded P) comes first.
+        solve_qp(inst)
+        raise
+    # A polytope's vertices hold the continuous minimum; solve_qp decides
+    # otherwise, with its own errors.
+    qp = _vertex_minimum(verts) if verts else solve_qp(inst)
     tau = qp.value + eps * (fmax - qp.value)
     box = intersect_with_box(inst.polyhedron(), exact.vec(xd), radius)
-    verts = enumerate_vertices(box)
-    if not verts:
+    corners = enumerate_vertices(box)
+    if not corners:
         return True
-    lo = min(eval_objective(inst, v) for v in verts)
+    lo = min(eval_objective(inst, v) for v in corners)
     return lo > tau
 
 

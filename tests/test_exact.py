@@ -346,6 +346,41 @@ def test_solution_space_int_matches_references():
     assert seen == {"inconsistent", "full", "deficient"}
 
 
+def test_extend_echelon_matches_solution_space_int():
+    """Rows added one at a time give solution_space_int's X, W and L on the
+    rows kept, also when a later pivot column precedes an earlier one, and
+    a row is refused exactly when it depends on them."""
+    rng = random.Random(1729)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        M, rhs = [], []
+        for _ in range(rng.randint(1, 7)):
+            if M and rng.random() < 0.3:
+                c1, c2 = rng.randint(-2, 2), rng.randint(-2, 2)
+                i, j = rng.randrange(len(M)), rng.randrange(len(M))
+                M.append([c1 * x + c2 * y for x, y in zip(M[i], M[j])])
+            else:
+                M.append([rng.randint(-3, 3) for _ in range(n)])
+            rhs.append(rng.randint(-7, 7))
+        a, pivots, kept = [], [], []
+        for i, (row, b) in enumerate(zip(M, rhs)):
+            ext = exact._extend_echelon(a, pivots, [*row, b], n)
+            rows = [M[j] for j in kept] + [row]
+            if ext is None:
+                assert exact.rank(rows) == len(kept)
+                seen.add("dependent")
+                continue
+            assert exact.rank(rows) == len(kept) + 1
+            a.append(ext[0])
+            pivots.append(ext[1])
+            kept.append(i)
+            assert exact._solution_space(a, pivots, n) == exact.solution_space_int(
+                rows, [rhs[j] for j in kept], n)
+            seen.add("independent" if pivots == sorted(pivots) else "pivots out of order")
+    assert seen == {"dependent", "independent", "pivots out of order"}
+
+
 def test_null_space_empty_matrix():
     basis = exact.null_space([], 3)
     assert len(basis) == 3

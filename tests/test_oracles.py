@@ -1,7 +1,10 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
+from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +19,8 @@ from iqprox.oracles import (certify_no_cont_approx_within, delta_star,
                             fmax_cont, fmax_int, full_report, solve_iqp,
                             solve_qp, verdict)
 from iqprox.pipeline import eval_objective, instance, run_pipeline
-from iqprox.polyhedra import contains, enumerate_lattice_points, enumerate_vertices
+from iqprox.polyhedra import (contains, contains_int, enumerate_lattice_points,
+                              enumerate_vertices, intersect_with_box)
 from iqprox.simplex import feasible_point
 
 
@@ -236,8 +240,10 @@ def test_points_leaving_oracles_are_fractions(fam):
 
 
 # sha256 of repr(full_report(inst)) as computed with the LP bounding box and
-# one linear solve per n-row subset for the vertices.  No benchmark instance
-# reaches n >= 5, so these are the large-instance bit-identity guard.
+# one linear solve per n-row subset for the vertices; the prop44 n = 8 and 9
+# ones with one fresh elimination per row subset in the face walk.  No
+# benchmark instance reaches n >= 5, so these are the large-instance
+# bit-identity guard.
 LARGE_REPORTS = {
     "random19": (lambda: random_instance(19, n_max=6),
                  "d237bcc1fa2f0456945547c555186daa14eac72bd3ceff5baae9bcdcbd46dd81"),
@@ -249,6 +255,10 @@ LARGE_REPORTS = {
                   "388683d994992566ad41b1499c460cfff06b197fde2d5d233c5e1cfc5df7af4b"),
     "prop44-n7": (lambda: build_prop44(F(1, 4), 3, n=7).instance,
                   "79a76e6470e73af176763bd05321349bf46cbe1216147d460a13e508861d306a"),
+    "prop44-n8": (lambda: build_prop44(F(1, 4), 3, n=8).instance,
+                  "470011cd2665a6578851e8b63b841b38b2ac30e55fa5f58f688f8615e4d27308"),
+    "prop44-n9": (lambda: build_prop44(F(1, 4), 3, n=9).instance,
+                  "5ea41f32fb270ad1a3285e97949bd3e3aca6e76d2fcdeffdf3259ee42ddd25d8"),
 }
 
 
@@ -308,9 +318,10 @@ def rational_objectives(draw):
 @example(box_instance([F(1, 3), F(1, 2)], [F(1, 6), F(-5, 4)]))
 def test_lattice_extremes_match_eval_objective(inst):
     pts = enumerate_lattice_points(inst.polyhedron())
-    got = oracles._lattice_extremes(inst, pts)
-    assert got == reference_lattice_extremes(inst, pts)
-    opt, top, wit = got
+    opt, top, wit, vals = oracles._lattice_extremes(inst, pts)
+    assert (opt, top, wit) == reference_lattice_extremes(inst, pts)
+    d = oracles._integer_objective(inst)[2]
+    assert [F(v, d) for v in vals] == [eval_objective(inst, p) for p in pts]
     assert type(opt.value) is F and type(top) is F
     assert all(type(v) is F for p in opt.ties + (wit,) for v in p)
 
@@ -599,3 +610,216 @@ def test_fmax_cont_witness_collects_vertices_of_polytopes(inst):
     assert sorted(set(points)) == want
     for p, (_, _, num, den) in zip(points, verts):
         assert eval_objective(inst, p) == F(num, den)
+
+
+def combinations_fmax_cont_witness(inst, vertices=None):
+    """fmax_cont_witness with one fresh elimination per row subset.
+
+    Every subset S of at most n rows, in itertools.combinations' (size,
+    lex) order, gets its own exact.solution_space_int of [A_S | b_S], and
+    every independent one its stationarity solve, size n included; the
+    skip rules, the vertex collection and the face LPs are the same.
+    """
+    P = inst.polyhedron()
+    n, k = inst.n, inst.k
+    rows, rhs = P.int_rows
+    Q, H, d = oracles._integer_objective(inst)
+    Q2 = [2 * c for c in Q] + [0] * (n - k)
+    best = wit = None
+    collect = vertices is not None
+    for size in range(min(n, P.m) + 1):
+        for S in combinations(range(P.m), size):
+            hull = exact.solution_space_int([rows[i] for i in S],
+                                            [rhs[i] for i in S], n)
+            if hull is None or len(hull[1]) != n - size:  # S is dependent
+                continue
+            X0, W, L = hull
+            if collect and size == n - 1:
+                dots = [sum(map(mul, row, W[0])) for row in rows]
+                collect = not (all(t <= 0 for t in dots) or all(t >= 0 for t in dots))
+            QW = [list(map(mul, Q2, w)) for w in W]
+            g = [L * c - qx for c, qx in zip(H, map(mul, Q2, X0))]
+            stat = exact.solution_space_int(
+                [[sum(map(mul, u, w)) for w in W] for u in QW],
+                [sum(map(mul, w, g)) for w in W], n - size)
+            if stat is None:
+                continue
+            Y, free, e2 = stat
+            X = [x * e2 + sum(w[j] * y for w, y in zip(W, Y))
+                 for j, x in enumerate(X0)]
+            e = L * e2
+            num, den = oracles._objective_numerator(Q, H, X, e), d * e * e
+            vertex = collect and size == n
+            if vertex:
+                if not contains_int(P, X, e):
+                    continue
+                vertices.append((X, e, num, den))
+            if best is not None and num * best[1] <= best[0] * den:
+                continue
+            if not free:
+                if not vertex and not contains_int(P, X, e):
+                    continue
+                pt = [F(x, e) for x in X]
+            else:
+                lp_rows = [list(row) for row in P.A]
+                lp_rhs = list(P.b)
+                for i in S:
+                    lp_rows.append([-c for c in P.A[i]])
+                    lp_rhs.append(-P.b[i])
+                for w in W:
+                    w = [F(x, L) for x in w]
+                    coeff = [2 * w[i] * inst.q[i] if i < k else F(0)
+                             for i in range(n)]
+                    val = exact.dot(w, inst.h)
+                    lp_rows += [coeff, [-c for c in coeff]]
+                    lp_rhs += [val, -val]
+                pt = oracles.feasible_point(lp_rows, lp_rhs)
+                if pt is None:
+                    continue
+                if eval_objective(inst, pt) != F(num, den):
+                    raise ClaimViolation("face-constant",
+                                         f"face {S}: f is not constant on E_S")
+            best = (num, den)
+            wit = tuple(pt)
+    if best is None:
+        raise InfeasibleError("feasible region is empty")
+    return F(*best), wit
+
+
+def face_walk_run(walk, inst, collect):
+    """walk's (value, witness) or InfeasibleError message, its vertices as a
+    multiset of (point, value), and its number of face LPs."""
+    verts = [] if collect else None
+    with mock.patch.object(oracles, "feasible_point", wraps=feasible_point) as lp:
+        try:
+            got = walk(inst, verts)
+        except InfeasibleError as err:
+            got = ("InfeasibleError", str(err))
+    return got, Counter((tuple(F(x, e) for x in X), F(num, den))
+                        for X, e, num, den in verts or []), lp.call_count
+
+
+@pytest.mark.parametrize("collect", [False, True], ids=["value", "vertices"])
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(rational_objectives(), rational_regions(), report_regions()))
+@face_examples
+@example(build_prop44(F(1, 4), 3, n=5).instance)
+def test_level_walk_matches_combinations_walk(collect, inst):
+    """The level walk gives the combinations walk's (value, witness) or its
+    InfeasibleError, its vertices and its number of face LPs."""
+    assert (face_walk_run(oracles.fmax_cont_witness, inst, collect)
+            == face_walk_run(combinations_fmax_cont_witness, inst, collect))
+
+
+def face_walk_counts(monkeypatch, walk):
+    """Stationarity solves, rows tried on an echelon and faces reached by walk()."""
+    counts = Counter()
+    solve, extend = exact.solution_space_int, exact._extend_echelon
+
+    def counted_solve(*args):
+        counts["solves"] += 1
+        return solve(*args)
+
+    def counted_extend(*args):
+        ext = extend(*args)
+        counts["tried"] += 1
+        counts["faces"] += ext is not None
+        return ext
+
+    monkeypatch.setattr(exact, "solution_space_int", counted_solve)
+    monkeypatch.setattr(exact, "_extend_echelon", counted_extend)
+    walk()
+    return dict(counts)
+
+
+def test_face_walk_counts_on_prop44(monkeypatch):
+    """prop44 n = 8 has 16 rows in 8 opposite pairs, so an independent row
+    set takes at most one row of each pair: 3^8 sets.  The walk tries 9,712
+    rows to reach the 3^8 - 1 nonempty ones (a fresh walk tries every one
+    of the 39,202 nonempty sets of at most 8 rows), and each of the
+    3^8 - 2^8 sets of fewer than 8 rows, the empty one included, takes one
+    stationarity solve."""
+    inst = build_prop44(F(1, 4), 3, n=8).instance
+    assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
+        "solves": 6305, "tried": 9712, "faces": 6560}
+
+
+def verdict_loop_delta_star(inst, eps):
+    """delta_star with one verdict call per lattice point."""
+    eps = F(eps)
+    report, pts, _ = oracles._report_and_lattice(inst)
+    qp = report.cont_opt
+    approx = [tuple(map(F, p)) for p in pts
+              if verdict(inst, p, eps, "integer", report).is_approx]
+    if not approx:
+        raise InfeasibleError("no eps-approximate lattice point exists")
+    best = pair = None
+    for xc in qp.ties:
+        for p in approx:
+            d = exact.inf_norm(exact.vec_sub(xc, p))
+            if best is None or d < best:
+                best, pair = d, (xc, p)
+    flag = any(eval_objective(inst, tuple((x + y) / 2 for x, y in zip(a, b))) == qp.value
+               for a, b in combinations(qp.ties, 2))
+    return oracles.DeltaStarResult(best, pair[0], pair[1], tuple(approx), flag)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(rational_objectives(), report_regions()),
+       st.fractions(-1, 2, max_denominator=6))
+@example(box_instance([], [0], r=1), F(1, 2))        # f constant: degenerate
+@example(box_instance([], [0], r=1), F(-1))
+@example(build_example_1_1(3).instance, F(2, 7))     # ratio exactly eps
+@example(box_instance([1], [0], r=2), F(-1, 3))      # no approximate point
+def test_delta_star_matches_verdict_loop(inst, eps):
+    try:
+        want = verdict_loop_delta_star(inst, eps)
+    except (InfeasibleError, UnboundedError) as err:
+        with pytest.raises(type(err)) as got:
+            delta_star(inst, eps)
+        assert str(got.value) == str(err)
+        return
+    got = delta_star(inst, eps)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def two_call_certify(inst, eps, xd, radius):
+    """certify_no_cont_approx_within from separate solve_qp and fmax_cont calls."""
+    eps = F(eps)
+    qp = solve_qp(inst)
+    fmax = fmax_cont(inst)
+    tau = qp.value + eps * (fmax - qp.value)
+    verts = enumerate_vertices(intersect_with_box(inst.polyhedron(), exact.vec(xd), radius))
+    if not verts:
+        return True
+    return min(eval_objective(inst, v) for v in verts) > tau
+
+
+def assert_same_certificate(inst, eps, xd, radius):
+    try:
+        want = two_call_certify(inst, eps, xd, radius)
+    except (InfeasibleError, UnboundedError) as err:
+        with pytest.raises(type(err)) as got:
+            certify_no_cont_approx_within(inst, eps, xd, radius)
+        assert str(got.value) == str(err)
+        return
+    assert certify_no_cont_approx_within(inst, eps, xd, radius) is want
+
+
+@pytest.mark.parametrize("n, delta, eps", [(2, 2, F(1, 4)), (2, 3, F(1, 3)),
+                                           (3, 2, F(1, 4)), (2, 2, F(1, 10))])
+def test_certificate_matches_two_call_form_on_prop46(n, delta, eps):
+    fam = build_prop46(n, delta, eps)
+    xc = solve_qp(fam.instance).point
+    for xd, radius in [(fam.expected["xd"], 4), (fam.expected["xd"], 1),
+                       (xc, 1), (xc, 0), ([100] * n, F(1, 2))]:
+        assert_same_certificate(fam.instance, eps, xd, radius)
+
+
+@settings(max_examples=150, deadline=None)
+@given(report_regions(), st.fractions(0, 1, max_denominator=4),
+       st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+       st.fractions(0, 3, max_denominator=2))
+def test_certificate_matches_two_call_form(inst, eps, xd, radius):
+    assert_same_certificate(inst, eps, xd[:inst.n], radius)
