@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from math import gcd
 from operator import mul
 
@@ -105,8 +105,9 @@ def enumerate_generators(cone: ProximityCone,
     planes) are tight, and every such ray lies in some orthant.  The
     hyperplanes are the int rows of the cone, each made primitive with its
     first nonzero entry positive (so parallel rows merge), and the unit
-    rows.  Each (n-1)-subset whose int kernel is a line gives the directions
-    of that line that lie in the cone, divided by their gcd.
+    rows.  Each independent (n-1)-subset (exact.independent_row_sets) has a
+    kernel line; its direction with a positive free entry, then the other,
+    is kept, divided by its gcd, when it lies in the cone.
     """
     if delta < 1:
         raise InputError("delta must be a positive integer")
@@ -118,14 +119,11 @@ def enumerate_generators(cone: ProximityCone,
         if lead:
             g = gcd(*r) if lead > 0 else -gcd(*r)
             hyperplanes[tuple(x // g for x in r)] = None
-    zeros = [0] * (n - 1)
     found = set()
-    for M in combinations(hyperplanes, n - 1):
-        _, W, _ = exact.solution_space_int(M, zeros, n)
-        if len(W) != 1:
-            continue
-        g = gcd(*W[0])
-        line = [x // g for x in W[0]]
+    for _, a, pivots in exact.independent_row_sets(list(hyperplanes), n, n - 1, n - 1):
+        w = exact._kernel(a, pivots, abs(a[-1][pivots[-1]]) if a else 1, n)[0]
+        g = gcd(*w)
+        line = [x // g for x in w]
         for r in (line, [-x for x in line]):
             if cone_contains(cone, r):
                 if max(map(abs, r)) > delta:

@@ -6,7 +6,10 @@ sequences of rows.  Determinants, ranks, null spaces and linear solves share
 one fraction-free (Bareiss) elimination on Python ints: each row is scaled to
 integers by the lcm of its denominators on entry, and a ``Fraction`` is built
 only for the entries of the result.  ``solution_space_int`` is the entry
-point for rows that are already ints: ints in, ints out.
+point for rows that are already ints: ints in, ints out.  The elimination
+has two steps: ``_echelon`` reduces a whole matrix column by column, and
+``_extend_echelon`` adds one row to an echelon.  ``independent_row_sets``
+walks the independent row sets of an int matrix, one added row per set.
 """
 
 from __future__ import annotations
@@ -141,6 +144,34 @@ def _extend_echelon(a: list[list[int]], pivots: list[int], row: list[int],
         prev = piv
     p = next((c for c in range(ncols) if row[c]), None)
     return None if p is None else (row, p)
+
+
+def independent_row_sets(rows: list[list[int]], ncols: int, least: int, top: int):
+    """(S, a, pivots) for every set S of the int rows that is linearly
+    independent in the first ncols columns, with least <= |S| <= top: S an
+    increasing tuple of row indices, a and pivots the echelon of its rows.
+
+    Level s + 1 holds S + (j,) for each independent S of level s, in order,
+    and each row j > max S, in order, its echelon that of S plus row j
+    reduced by _extend_echelon.  So the sets come by size and then
+    lexicographically, and every independent set is reached, for a subset
+    of an independent set is independent.  A row that reduces to zero ends
+    the subtree of S + (j,), all of it dependent, and a row j with fewer
+    than least - |S| - 1 rows after it is not tried.  One level is held at
+    a time, each set with its echelon: up to C(len(rows), top / 2) sets.
+    """
+    level = [((), [], [])]
+    for size in range(top + 1):
+        if size >= least:
+            yield from level
+        if size < top:
+            end = len(rows) - max(least - size - 1, 0)
+            parents, level = level, []
+            for S, a, pivots in parents:
+                for j in range(S[-1] + 1 if S else 0, end):
+                    ext = _extend_echelon(a, pivots, rows[j], ncols)
+                    if ext is not None:
+                        level.append((S + (j,), a + [ext[0]], pivots + [ext[1]]))
 
 
 def _back_substitute(a: list[list[int]], pivots: list[int], w: list[int]) -> list[int]:

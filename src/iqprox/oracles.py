@@ -148,16 +148,7 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
       {A x <= b, E_S}, whose point must have the value v_S.
 
     The witness is the candidate of the first face attaining the maximum.
-
-    The subsets are visited level by level: level s + 1 holds S + (j,) for
-    each independent S of level s, in order, and each row j > max S, in
-    order.  Its subsets are increasing tuples, so this is lexicographic
-    order, and every independent subset is reached: it is its own first
-    s rows plus its last, and a subset of an independent set is
-    independent.  A superset of a dependent set is dependent, so a row j
-    that makes S dependent ends the subtree of S + (j,) unvisited.  The
-    walk holds one level at a time, each face with its echelon, so its
-    memory grows with the largest level, up to C(m, n/2) faces.
+    The subsets come from exact.independent_row_sets, in that order.
 
     When a list is passed as vertices, the same walk also collects the
     vertices of P, if P is a polytope.  An independent S of size n is E_S
@@ -173,10 +164,8 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
     list ends nonempty exactly when P is a nonempty polytope, and then
     holds every vertex of P, whose convex hull P is.
 
-    Everything but the LP runs on the int rows of P.  Each face keeps the
-    Bareiss echelon of [A_S | b_S], its parent's echelon plus one row
-    reduced against it (exact._extend_echelon); the row reduces to zero
-    exactly when S is dependent.  The echelon gives A_S x = b_S as
+    Everything but the LP runs on the int rows of P.  The walk gives each
+    face the Bareiss echelon of [A_S | b_S], which gives A_S x = b_S as
     x = (X0 + W y) / L, W the int kernel basis, with the same ints as
     exact.solution_space_int.  With q = Q / d and h = H / d, the
     stationarity condition on these x is the (n - s) x (n - s) int system
@@ -195,68 +184,60 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
     best = None  # (numerator, denominator) of the best value so far
     wit = None
     collect = vertices is not None
-    level = [((), [], [])]  # (S, echelon rows and pivot columns of [A_S | b_S])
-    for size in range(min(n, P.m) + 1):
-        for S, a, pivots in level:
-            X0, W, L = exact._solution_space(a, pivots, n)
-            if collect and size == n - 1:
-                dots = [sum(map(mul, row, W[0])) for row in rows]
-                collect = not (all(t <= 0 for t in dots) or all(t >= 0 for t in dots))
-            if size < n:
-                QW = [list(map(mul, Q2, w)) for w in W]
-                g = [L * c - qx for c, qx in zip(H, map(mul, Q2, X0))]
-                stat = exact.solution_space_int(
-                    [[sum(map(mul, u, w)) for w in W] for u in QW],
-                    [sum(map(mul, w, g)) for w in W], n - size)
-                if stat is None:
-                    continue
-                Y, free, e2 = stat
-                X = [x * e2 + sum(w[j] * y for w, y in zip(W, Y))
-                     for j, x in enumerate(X0)]
-                e = L * e2
-            else:  # E_S is A_S x = b_S, with no kernel
-                X, free, e = X0, W, L
-            num, den = _objective_numerator(Q, H, X, e), d * e * e
-            vertex = collect and size == n
-            if vertex:
-                if not contains_int(P, X, e):
-                    continue
-                vertices.append((X, e, num, den))
-            if best is not None and num * best[1] <= best[0] * den:
-                continue
-            if not free:
-                if not vertex and not contains_int(P, X, e):
-                    continue
-                pt = [Fraction(x, e) for x in X]
-            else:
-                lp_rows = [list(row) for row in P.A]
-                lp_rhs = list(P.b)
-                for i in S:
-                    lp_rows.append([-c for c in P.A[i]])
-                    lp_rhs.append(-P.b[i])
-                for w in W:
-                    w = [Fraction(x, L) for x in w]
-                    # w . grad f = sum_i w_i h_i - 2 sum_{i<k} w_i q_i x_i = 0
-                    coeff = [2 * w[i] * inst.q[i] if i < k else ZERO
-                             for i in range(n)]
-                    val = exact.dot(w, inst.h)
-                    lp_rows += [coeff, [-c for c in coeff]]
-                    lp_rhs += [val, -val]
-                pt = feasible_point(lp_rows, lp_rhs)
-                if pt is None:
-                    continue
-                if eval_objective(inst, pt) != Fraction(num, den):
-                    raise ClaimViolation("face-constant",
-                                         f"face {S}: f is not constant on E_S")
-            best = (num, den)
-            wit = tuple(pt)
+    for S, a, pivots in exact.independent_row_sets(aug, n, 0, n):
+        size = len(S)
+        X0, W, L = exact._solution_space(a, pivots, n)
+        if collect and size == n - 1:
+            dots = [sum(map(mul, row, W[0])) for row in rows]
+            collect = not (all(t <= 0 for t in dots) or all(t >= 0 for t in dots))
         if size < n:
-            parents, level = level, []
-            for S, a, pivots in parents:
-                for j in range(S[-1] + 1 if S else 0, P.m):
-                    ext = exact._extend_echelon(a, pivots, aug[j], n)
-                    if ext is not None:  # else S + (j,) and every set above it are dependent
-                        level.append((S + (j,), a + [ext[0]], pivots + [ext[1]]))
+            QW = [list(map(mul, Q2, w)) for w in W]
+            g = [L * c - qx for c, qx in zip(H, map(mul, Q2, X0))]
+            stat = exact.solution_space_int(
+                [[sum(map(mul, u, w)) for w in W] for u in QW],
+                [sum(map(mul, w, g)) for w in W], n - size)
+            if stat is None:
+                continue
+            Y, free, e2 = stat
+            X = [x * e2 + sum(w[j] * y for w, y in zip(W, Y))
+                 for j, x in enumerate(X0)]
+            e = L * e2
+        else:  # E_S is A_S x = b_S, with no kernel
+            X, free, e = X0, W, L
+        num, den = _objective_numerator(Q, H, X, e), d * e * e
+        vertex = collect and size == n
+        if vertex:
+            if not contains_int(P, X, e):
+                continue
+            vertices.append((X, e, num, den))
+        if best is not None and num * best[1] <= best[0] * den:
+            continue
+        if not free:
+            if not vertex and not contains_int(P, X, e):
+                continue
+            pt = [Fraction(x, e) for x in X]
+        else:
+            lp_rows = [list(row) for row in P.A]
+            lp_rhs = list(P.b)
+            for i in S:
+                lp_rows.append([-c for c in P.A[i]])
+                lp_rhs.append(-P.b[i])
+            for w in W:
+                w = [Fraction(x, L) for x in w]
+                # w . grad f = sum_i w_i h_i - 2 sum_{i<k} w_i q_i x_i = 0
+                coeff = [2 * w[i] * inst.q[i] if i < k else ZERO
+                         for i in range(n)]
+                val = exact.dot(w, inst.h)
+                lp_rows += [coeff, [-c for c in coeff]]
+                lp_rhs += [val, -val]
+            pt = feasible_point(lp_rows, lp_rhs)
+            if pt is None:
+                continue
+            if eval_objective(inst, pt) != Fraction(num, den):
+                raise ClaimViolation("face-constant",
+                                     f"face {S}: f is not constant on E_S")
+        best = (num, den)
+        wit = tuple(pt)
     if best is None:
         raise InfeasibleError("feasible region is empty")
     return Fraction(*best), wit

@@ -131,18 +131,17 @@ def assert_bounded(P: Polyhedron):
 
 
 def enumerate_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
-    """Sorted vertex points, each found by solving an n-row subset."""
+    """Sorted vertex points: the points of the independent n-row sets of the
+    int rows [A_i | b_i] (exact.independent_row_sets) that lie in P."""
     if bounding_box(P) is None:
         return []
     rows, rhs = P.int_rows
     seen = set()
-    for S in combinations(range(P.m), P.n):
-        x = exact.solve_linear([rows[i] for i in S], [rhs[i] for i in S])
-        if x is None:
-            continue
-        pt = tuple(x)
-        if pt not in seen and contains(P, pt):
-            seen.add(pt)
+    for _, a, pivots in exact.independent_row_sets(
+            [[*row, b] for row, b in zip(rows, rhs)], P.n, P.n, P.n):
+        X, e = exact._solution(a, pivots, P.n)
+        if contains_int(P, X[:P.n], e):
+            seen.add(tuple(Fraction(x, e) for x in X[:P.n]))
     return sorted(seen)
 
 

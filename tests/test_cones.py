@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd
 
 import pytest
@@ -177,6 +177,94 @@ def test_generators_match_orthant_enumeration_restricted():
     # Some cones have +-e_i rows, and some have further tie rows.
     assert {z for _, z, _ in seen} == {True, False}
     assert {t for _, _, t in seen} == {True, False}
+
+
+def combinations_enumerate_generators(cone, delta):
+    """enumerate_generators with one solution_space_int per (n-1)-subset of
+    the hyperplanes, in combinations order: the loop the walk replaced."""
+    if delta < 1:
+        raise InputError("delta must be a positive integer")
+    n = cone.ambient_dim
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    hyperplanes = {}
+    for r in chain(*cone.int_rows, units):
+        lead = next((x for x in r if x), 0)
+        if lead:
+            g = gcd(*r) if lead > 0 else -gcd(*r)
+            hyperplanes[tuple(x // g for x in r)] = None
+    zeros = [0] * (n - 1)
+    found = set()
+    for M in combinations(hyperplanes, n - 1):
+        _, W, _ = exact.solution_space_int(M, zeros, n)
+        if len(W) != 1:
+            continue
+        g = gcd(*W[0])
+        line = [x // g for x in W[0]]
+        for r in (line, [-x for x in line]):
+            if cone_contains(cone, r):
+                if max(map(abs, r)) > delta:
+                    raise ClaimViolation(
+                        "generator-norm",
+                        f"generator {tuple(r)} exceeds the subdeterminant bound {delta}")
+                found.add(tuple(r))
+    return tuple(tuple(map(F, g)) for g in sorted(found))
+
+
+@st.composite
+def generator_cones(draw):
+    """A row-sign cone with repeated and parallel rows at n = 1..5, or a
+    sparse one (1-3 rows) at n = 8..10, and a Delta: a small one, under
+    which the generator-norm claim may fail, or the rows' own."""
+    if draw(st.integers(0, 4)):
+        n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    else:
+        n, m = draw(st.integers(8, 10)), draw(st.integers(1, 3))
+    A = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(st.sampled_from([1, -1, 2, -2, F(1, 2)]))
+        A.insert(draw(st.integers(0, len(A))), [c * x for x in draw(st.sampled_from(A))])
+    xa = [draw(RATIONALS) for _ in range(n)]
+    xb = [draw(RATIONALS) for _ in range(n)]
+    delta = draw(st.one_of(st.integers(1, 3), st.none()))
+    if delta is None:
+        delta = max(1, exact.max_abs_subdeterminant(
+            [exact.integer_vector(row)[0] for row in A]))
+    return build_cone(A, xa, xb), delta
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_cones())
+def test_generators_match_combinations_reference(case):
+    """The same sorted generators as the combinations loop, or the same
+    generator-norm violation naming the same generator."""
+    cone, delta = case
+    try:
+        want = combinations_enumerate_generators(cone, delta)
+    except ClaimViolation as err:
+        with pytest.raises(ClaimViolation) as got:
+            enumerate_generators(cone, delta)
+        assert (got.value.claim, str(got.value)) == (err.claim, str(err))
+        return
+    assert enumerate_generators(cone, delta) == want
+
+
+def test_generator_walk_prunes_by_count(monkeypatch):
+    """On a sparse cone, n = 10 with one row, the walk tries 219 rows on an
+    echelon to reach the independent sets of 9 of its 11 hyperplanes, for
+    68 generators.  It tries no row with fewer than 9 - |S| - 1 rows after
+    it (that walk would try 2,035), and makes no solution_space_int call."""
+    tried, calls = [], []
+    extend = exact._extend_echelon
+
+    def counted_extend(*args):
+        tried.append(args)
+        return extend(*args)
+
+    monkeypatch.setattr(exact, "_extend_echelon", counted_extend)
+    monkeypatch.setattr(exact, "solution_space_int", lambda *args: calls.append(args))
+    cone = build_cone([[1, -1, 2, 0, 1, -2, 1, 0, 1, 1]], [0] * 10, [1] + [0] * 9)
+    assert len(enumerate_generators(cone, 2)) == 68
+    assert (len(tried), calls) == (219, [])
 
 
 def test_conic_multipliers_roundtrip():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -379,6 +379,35 @@ def test_extend_echelon_matches_solution_space_int():
                 rows, [rhs[j] for j in kept], n)
             seen.add("independent" if pivots == sorted(pivots) else "pivots out of order")
     assert seen == {"dependent", "independent", "pivots out of order"}
+
+
+@given(matrices_with_special_rows(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_independent_row_sets_match_combinations(M, data):
+    """For every least <= top, top up to one past the row count, the walk
+    yields the independent sets of combinations order, filtered by rank;
+    each set's echelon gives solution_space_int's X, W and L on its rows."""
+    m, n = len(M), len(M[0]) if M else 1
+    rhs = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
+    aug = [[*row, b] for row, b in zip(M, rhs)]
+    independent = [S for size in range(m + 1) for S in combinations(range(m), size)
+                   if exact.rank([M[i] for i in S]) == size]
+    for top in range(m + 2):
+        for least in range(top + 1):
+            got = [S for S, _, _ in exact.independent_row_sets(aug, n, least, top)]
+            assert got == [S for S in independent if least <= len(S) <= top]
+    for S, a, pivots in exact.independent_row_sets(aug, n, 0, m):
+        assert exact._solution_space(a, pivots, n) == exact.solution_space_int(
+            [M[i] for i in S], [rhs[i] for i in S], n)
+
+
+def test_independent_row_sets_small_cases():
+    rows = [[1, 0], [0, 0], [2, 0], [-1, 0], [0, 3]]
+    assert list(exact.independent_row_sets(rows, 2, 0, 0)) == [((), [], [])]
+    assert list(exact.independent_row_sets([], 2, 0, 3)) == [((), [], [])]
+    sets = [S for S, _, _ in exact.independent_row_sets(rows, 2, 1, 9)]
+    assert sets == [(0,), (2,), (3,), (4,), (0, 4), (2, 4), (3, 4)]
+    assert [S for S, _, _ in exact.independent_row_sets(rows, 2, 2, 2)] == sets[4:]
 
 
 def test_null_space_empty_matrix():

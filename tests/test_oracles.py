@@ -19,8 +19,9 @@ from iqprox.oracles import (certify_no_cont_approx_within, delta_star,
                             fmax_cont, fmax_int, full_report, solve_iqp,
                             solve_qp, verdict)
 from iqprox.pipeline import eval_objective, instance, run_pipeline
-from iqprox.polyhedra import (contains, contains_int, enumerate_lattice_points,
-                              enumerate_vertices, intersect_with_box)
+from iqprox.polyhedra import (bounding_box, contains, contains_int,
+                              enumerate_lattice_points, enumerate_vertices,
+                              intersect_with_box)
 from iqprox.simplex import feasible_point
 
 
@@ -279,6 +280,19 @@ def reference_vertex_minimum(inst, verts):
     return oracles.OptResult(ties[0], best, ties)
 
 
+def subset_solve_vertices(P):
+    """The vertices from one linear solve per n-row subset of the Fraction
+    rows, once the LP bounding box shows P nonempty and bounded."""
+    if bounding_box(P) is None:
+        return []
+    pts = set()
+    for S in combinations(range(P.m), P.n):
+        x = exact.solve_linear([P.A[i] for i in S], [P.b[i] for i in S])
+        if x is not None and contains(P, x):
+            pts.add(tuple(x))
+    return sorted(pts)
+
+
 def reference_full_report(inst):
     """full_report with the LP bounding box for the lattice walk and the
     vertices from one linear solve per n-row subset."""
@@ -287,7 +301,7 @@ def reference_full_report(inst):
     if not pts:
         raise InfeasibleError("no integer point in the feasible region")
     iqp, fdi, wdi = reference_lattice_extremes(inst, pts)
-    qp = reference_vertex_minimum(inst, enumerate_vertices(P))
+    qp = reference_vertex_minimum(inst, subset_solve_vertices(P))
     fci, wci = oracles.fmax_cont_witness(inst)
     return oracles.OracleReport(iqp, qp, fdi, wdi, fci, wci)
 

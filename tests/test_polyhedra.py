@@ -168,7 +168,8 @@ def reference_vertices(P):
                     [1, 1, 1, 1, F(1, 2), 1]))                 # parallel rows
 @example(polyhedron([[1], [-1]], [F(-1, 2), 0]))               # empty
 def test_vertices_match_fraction_reference(P):
-    """Same vertices as the Fraction rows, with one solve per n-row subset."""
+    """Same vertices as one solve per n-row subset of the Fraction rows, with
+    no solve_linear call: the points come from the independent row set walk."""
     calls, real = [], exact.solve_linear
 
     def spy(M, rhs):
@@ -180,8 +181,7 @@ def test_vertices_match_fraction_reference(P):
         got = enumerate_vertices(P)
     assert got == reference_vertices(P)
     assert all(type(v) is F for p in got for v in p)
-    if bounding_box(P) is not None:
-        assert len(calls) == math.comb(P.m, P.n)
+    assert calls == []
 
 
 def test_builder_validation():

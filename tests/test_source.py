@@ -58,3 +58,31 @@ def test_tracer_entry_points_exist():
                    f"{tracer.PACKAGE}.{layer}"), name, None))]
     assert tracer.ENTRY_POINTS
     assert missing == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports but neither reads nor lists in __all__."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in used | exported]
+
+
+def test_no_unused_imports():
+    """Every imported name is used or exported, so a replaced loop leaves no
+    stale import behind."""
+    assert SOURCES
+    assert [entry for path in SOURCES for entry in unused_imports(path)] == []
