@@ -7,6 +7,7 @@ or unbounded instance, 4 violated internal guarantee or failed verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -248,20 +249,21 @@ def cmd_verify_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process.  It holds no handler: main looks up
+    cmd_<command> in this module when it runs, so a rebound handler runs."""
     ap = argparse.ArgumentParser(prog="iqprox")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="exact optima and objective maxima")
     p.add_argument("instance")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("proximity", help="run the rounding pipeline")
     p.add_argument("instance")
     p.add_argument("--eps", required=True)
     p.add_argument("--xc")
     p.add_argument("--xd")
-    p.set_defaults(func=cmd_proximity)
 
     p = sub.add_parser("tightness", help="worst-case family reports")
     p.add_argument("family",
@@ -271,29 +273,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", default="1/2")
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--eps")
-    p.set_defaults(func=cmd_tightness)
 
     p = sub.add_parser("subdet", help="largest absolute subdeterminant")
     p.add_argument("instance")
-    p.set_defaults(func=cmd_subdet)
 
     p = sub.add_parser("cone", help="generators of the row-sign cone")
     p.add_argument("instance")
     p.add_argument("--xa", required=True)
     p.add_argument("--xb", required=True)
-    p.set_defaults(func=cmd_cone)
 
     p = sub.add_parser("verify-report", help="re-check a saved run report")
     p.add_argument("report")
-    p.set_defaults(func=cmd_verify_report)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (InputError, DimensionError, DomainError, FileNotFoundError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT

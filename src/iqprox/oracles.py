@@ -150,6 +150,16 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
     The witness is the candidate of the first face attaining the maximum.
     The subsets come from exact.independent_row_sets, in that order.
 
+    Each face of fewer than n rows carries an upper bound on f over its
+    affine hull: v_S when its E_S was solved and is consistent, its
+    parent's bound when its solve was skipped, and none when E_S is
+    inconsistent (f then has no maximum there).  The hull of S + (j,) lies
+    in that of S, so v_{S+j} <= v_S: a face whose parent's bound is <= the
+    best value so far would be skipped by the rule above, and skips its
+    solve instead, passing that bound on.  The value, the witness, the
+    vertices and the face LPs are the same as without the skip.  Only the
+    previous level's bounds are kept.
+
     When a list is passed as vertices, the same walk also collects the
     vertices of P, if P is a polytope.  An independent S of size n is E_S
     itself, and its point is a vertex exactly when it lies in P; every
@@ -184,12 +194,24 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
     best = None  # (numerator, denominator) of the best value so far
     wit = None
     collect = vertices is not None
+    level, above, bounds = 0, {}, {}  # the faces' bounds, one level up and this one
     for S, a, pivots in exact.independent_row_sets(aug, n, 0, n):
         size = len(S)
+        if size > level:
+            level, above, bounds = size, bounds, {}
+        up = above.get(S[:-1])
+        dominated = (size < n and up is not None and best is not None
+                     and up[0] * best[1] <= best[0] * up[1])
+        if dominated:
+            bounds[S] = up
+            if not (collect and size == n - 1):  # else the recession test needs W
+                continue
         X0, W, L = exact._solution_space(a, pivots, n)
         if collect and size == n - 1:
             dots = [sum(map(mul, row, W[0])) for row in rows]
             collect = not (all(t <= 0 for t in dots) or all(t >= 0 for t in dots))
+        if dominated:
+            continue
         if size < n:
             QW = [list(map(mul, Q2, w)) for w in W]
             g = [L * c - qx for c, qx in zip(H, map(mul, Q2, X0))]
@@ -205,6 +227,8 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
         else:  # E_S is A_S x = b_S, with no kernel
             X, free, e = X0, W, L
         num, den = _objective_numerator(Q, H, X, e), d * e * e
+        if size < n:
+            bounds[S] = (num, den)
         vertex = collect and size == n
         if vertex:
             if not contains_int(P, X, e):

@@ -22,7 +22,7 @@ from itertools import combinations
 from operator import mul
 
 from . import exact
-from .errors import DimensionError, UnboundedError
+from .errors import DimensionError, InputError, UnboundedError
 from .simplex import lp_solve
 
 ZERO = Fraction(0)
@@ -258,7 +258,7 @@ def intersect_with_box(P: Polyhedron, center, radius) -> Polyhedron:
     """
     r = Fraction(radius)
     if r < 0:
-        raise ValueError("radius must be nonnegative")
+        raise InputError("radius must be nonnegative")
     rows = [list(row) for row in P.A]
     rhs = list(P.b)
     for i in range(P.n):

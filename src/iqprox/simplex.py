@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import DimensionError
+from .errors import DimensionError, InputError
 from .exact import _integer_rows
 
 ZERO = Fraction(0)
@@ -102,7 +102,7 @@ def lp_solve(A, b, c, sense: str = "max") -> LpResult:
     if len(b) != m or any(len(row) != n for row in A):
         raise DimensionError("lp_solve: inconsistent system shape")
     if sense not in ("max", "min"):
-        raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
+        raise InputError(f"sense must be 'max' or 'min', got {sense!r}")
     # Minimize internally, with the costs scaled to integers.
     (cmin,), _ = _integer_rows([list(c) if sense == "min" else [-x for x in c]])
 

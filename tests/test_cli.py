@@ -100,6 +100,45 @@ def test_cmd_solve_infeasible(capsys, tmp_path):
     assert main(["solve", str(p)]) == 3
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def solve_run(capsys, path):
+    code = main(["solve", path])
+    return code, capsys.readouterr().out
+
+
+def test_main_after_errors_matches_a_first_call(capsys, ex11_path, tmp_path):
+    """The cached parser keeps no state from a usage error or a failed run."""
+    bad = tmp_path / "bad.json"
+    formats.save_instance(instance([[1], [-1]], [-1, 0], [1], [0]), str(bad))
+    cli.build_parser.cache_clear()
+    first = solve_run(capsys, ex11_path)
+    assert first[0] == 0 and json.loads(first[1])["fmax_cont"]
+    with pytest.raises(SystemExit) as e:
+        main(["solve", ex11_path, "--eps", "1/2"])
+    assert e.value.code == 2
+    capsys.readouterr()
+    assert solve_run(capsys, ex11_path) == first
+    assert main(["solve", str(bad)]) == 3
+    capsys.readouterr()
+    assert solve_run(capsys, ex11_path) == first
+
+
+def test_main_runs_a_handler_rebound_after_the_first_call(capsys, ex11_path,
+                                                          monkeypatch):
+    """main looks its handler up by name on every call, as a tracer that
+    rebinds cmd_* needs, so the cached parser holds no stale handler."""
+    assert main(["subdet", ex11_path]) == 0
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_subdet", lambda args: seen.append(args.instance) or 0)
+    assert main(["subdet", ex11_path]) == 0
+    assert seen == [ex11_path]
+    assert capsys.readouterr().out == ""
+
+
 def test_cmd_proximity(capsys, ex11_path):
     code, doc = run_json(capsys, ["proximity", ex11_path, "--eps", "1/2"])
     assert code == 0

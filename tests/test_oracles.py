@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from iqprox import exact, oracles
 from iqprox.errors import (ClaimViolation, InfeasibleError, InputError,
                            UnboundedError)
-from iqprox.families import (build_example_1_1, build_prop44, build_prop45,
+from iqprox.families import (build_example_1_1, build_ilp_tightness,
+                             build_pr_tight, build_prop44, build_prop45,
                              build_prop46, random_instance)
 from iqprox.oracles import (certify_no_cont_approx_within, delta_star,
                             fmax_cont, fmax_int, full_report, solve_iqp,
@@ -718,9 +719,15 @@ def face_walk_run(walk, inst, collect):
 @given(st.one_of(rational_objectives(), rational_regions(), report_regions()))
 @face_examples
 @example(build_prop44(F(1, 4), 3, n=5).instance)
+@example(build_prop45(3, 1, F(1, 2)).instance)
+@example(build_pr_tight(3, 1, 1, F(1, 2), F(2, 3)).instance)
+@example(build_prop46(2, 2, F(1, 4)).instance)
 def test_level_walk_matches_combinations_walk(collect, inst):
     """The level walk gives the combinations walk's (value, witness) or its
-    InfeasibleError, its vertices and its number of face LPs."""
+    InfeasibleError, its vertices and its number of face LPs.  The
+    combinations walk solves every face, so the level walk's dominance skip
+    is checked against it; the worst-case builders are where the skip fires
+    on every face below the root."""
     assert (face_walk_run(oracles.fmax_cont_witness, inst, collect)
             == face_walk_run(combinations_fmax_cont_witness, inst, collect))
 
@@ -750,12 +757,33 @@ def test_face_walk_counts_on_prop44(monkeypatch):
     """prop44 n = 8 has 16 rows in 8 opposite pairs, so an independent row
     set takes at most one row of each pair: 3^8 sets.  The walk tries 9,712
     rows to reach the 3^8 - 1 nonempty ones (a fresh walk tries every one
-    of the 39,202 nonempty sets of at most 8 rows), and each of the
-    3^8 - 2^8 sets of fewer than 8 rows, the empty one included, takes one
-    stationarity solve."""
+    of the 39,202 nonempty sets of at most 8 rows).  It makes one
+    stationarity solve, the empty set's: that gives the unconstrained
+    maximum of f, which the origin, a point of P, attains.  Every other
+    face then lies under a bound no larger than the best value, so none of
+    the 3^8 - 2^8 - 1 other sets of fewer than 8 rows is solved."""
     inst = build_prop44(F(1, 4), 3, n=8).instance
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
-        "solves": 6305, "tried": 9712, "faces": 6560}
+        "solves": 1, "tried": 9712, "faces": 6560}
+
+
+def test_face_walk_counts_on_pr_tight(monkeypatch):
+    """pr-tight n = 3, like prop44, attains the unconstrained maximum in P,
+    so the empty set's solve is the only one of its 19 sets of fewer than
+    3 rows."""
+    inst = build_pr_tight(3, 1, 1, F(1, 2), F(2, 3)).instance
+    assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
+        "solves": 1, "tried": 35, "faces": 26}
+
+
+def test_face_walk_counts_on_ilp_tightness(monkeypatch):
+    """The ilp family maximizes x_1 (k = 0), and e_1 lies in the span of
+    no set of fewer than 3 of its rows.  So every such set has an
+    inconsistent stationarity system, no face gets a bound to pass on, and
+    each of the 19 is solved."""
+    inst = build_ilp_tightness(3, 2, F(1, 2)).instance
+    assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
+        "solves": 19, "tried": 35, "faces": 26}
 
 
 def verdict_loop_delta_star(inst, eps):

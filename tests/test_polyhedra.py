@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqprox import exact, polyhedra
-from iqprox.errors import DimensionError, UnboundedError
+from iqprox.errors import DimensionError, InputError, UnboundedError
 from iqprox.polyhedra import (bounding_box, contains, coordinate_range,
                               enumerate_faces, enumerate_lattice_points,
                               enumerate_vertices, intersect_with_box, is_empty,
@@ -284,7 +284,7 @@ def test_intersect_with_box():
 
 
 def test_intersect_with_box_negative_radius():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         intersect_with_box(square(), [F(0), F(0)], F(-1))
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqprox import exact, simplex
-from iqprox.errors import DimensionError
+from iqprox.errors import DimensionError, InputError
 from iqprox.simplex import feasible_point, lp_solve
 
 
@@ -76,7 +76,7 @@ def test_no_constraints_zero_objective():
 
 
 def test_bad_sense():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         lp_solve([[F(1)]], [F(1)], [F(1)], "maximize")
 
 

@@ -1,9 +1,11 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import iqprox
+from iqprox import errors
 
 SOURCES = sorted(Path(iqprox.__file__).parent.glob("*.py"))
 
@@ -31,6 +33,26 @@ def is_float(node) -> bool:
 def test_no_floats():
     """Arithmetic is exact: no float literal and no float(...) call."""
     assert nodes_where(is_float) == []
+
+
+ERROR_CLASSES = {name for name, cls in inspect.getmembers(errors, inspect.isclass)
+                 if cls.__module__ == errors.__name__}
+
+
+def raises_foreign_error(node) -> bool:
+    """A raise X(...) whose X, by name or as module.X, is no iqprox.errors class."""
+    if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+        return False
+    func = node.exc.func
+    name = (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+    return name not in ERROR_CLASSES
+
+
+def test_errors_come_from_iqprox_errors():
+    """Every raised error is an iqprox.errors class, each of which the CLI
+    maps to an exit code."""
+    assert nodes_where(raises_foreign_error) == []
 
 
 def imports_in_body(node) -> bool:
