@@ -107,6 +107,8 @@ def cmd_tightness(args) -> int:
     if eps is None:
         raise InputError("--eps is required for this family")
     if args.family == "example11":
+        if not 0 < eps <= 1:
+            raise InputError(f"eps must be in (0, 1], got {eps}")
         fam = build_example_1_1(args.t)
         ds = oracles.delta_star(fam.instance, eps)
         _emit({"family": "example11",

@@ -121,7 +121,7 @@ def enumerate_generators(cone: ProximityCone,
             hyperplanes[tuple(x // g for x in r)] = None
     found = set()
     for _, a, pivots in exact.independent_row_sets(list(hyperplanes), n, n - 1, n - 1):
-        w = exact._kernel(a, pivots, abs(a[-1][pivots[-1]]) if a else 1, n)[0]
+        w = exact._kernel(a, pivots, n)[0]
         g = gcd(*w)
         line = [x // g for x in w]
         for r in (line, [-x for x in line]):

@@ -7,9 +7,11 @@ one fraction-free (Bareiss) elimination on Python ints: each row is scaled to
 integers by the lcm of its denominators on entry, and a ``Fraction`` is built
 only for the entries of the result.  ``solution_space_int`` is the entry
 point for rows that are already ints: ints in, ints out.  The elimination
-has two steps: ``_echelon`` reduces a whole matrix column by column, and
-``_extend_echelon`` adds one row to an echelon.  ``independent_row_sets``
-walks the independent row sets of an int matrix, one added row per set.
+has one step, ``_extend_echelon``, which adds one row to an echelon:
+``_eliminate`` adds a matrix's rows one at a time, and
+``independent_row_sets`` walks the independent row sets of an int matrix,
+one added row per set.  The last pivot of an echelon is the minor on its
+rows and pivot columns, so determinants and Cramer's rule are read off it.
 """
 
 from __future__ import annotations
@@ -90,60 +92,58 @@ def integer_vector(v) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
-def _echelon(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
-    """Fraction-free (Bareiss) row echelon form of an integer matrix, in place.
-
-    Pivots are searched in the first ncols columns only; any further column
-    (an augmented right-hand side) is carried along.  Returns the pivot
-    columns and the sign of the row permutation.  Every entry below the
-    pivot rows is a minor of the row-permuted input, so each division is
-    exact, and the last pivot is the minor on the pivot rows and columns.
-    """
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == len(a):
-            break
-        p = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-            sign = -sign
-        prow = a[r]
-        piv = prow[c]
-        for i in range(r + 1, len(a)):
-            f = a[i][c]
-            a[i] = [(x * piv - f * y) // prev for x, y in zip(a[i], prow)]
-        prev = piv
-        pivots.append(c)
-        r += 1
-    return pivots, sign
-
-
 def _extend_echelon(a: list[list[int]], pivots: list[int], row: list[int],
                     ncols: int) -> tuple[list[int], int] | None:
     """One more row for the echelon rows a with their pivot columns.
 
-    row is reduced by one Bareiss step per row of a, as _echelon reduces the
-    rows below its pivot rows, so each entry is a minor of [a's input rows;
-    row] and each division is exact.  Returns the reduced row and its pivot,
-    its first nonzero entry in the first ncols columns; None when there is
-    none, that is, when row is dependent on a's input rows.  The reduced
-    row is zero in every earlier pivot column, so the extended rows suit
-    _back_substitute and _kernel, whose pivots need not increase.  Their
-    pivot set is that of a fresh _echelon of the input rows: both are the
-    columns where some vector of the row space has its first nonzero entry.
+    row is reduced by one Bareiss step per row of a, so its entry in column
+    c is the minor of [a's input rows; row] on a's pivot columns, in pivot
+    order, then c, and each division is exact.  Returns the reduced row and
+    its pivot, its first nonzero entry in the first ncols columns; None when
+    there is none, that is, when row is dependent on a's input rows.  The
+    reduced row is zero in every earlier pivot column, so the extended rows
+    suit _back_substitute and _kernel, whose pivots need not increase.
+    Their pivot set is that of the reduced row echelon form of the input
+    rows: both are the columns where some vector of the row space has its
+    first nonzero entry.
     """
     prev = 1
     for prow, c in zip(a, pivots):
         piv, f = prow[c], row[c]
         row = [(x * piv - f * y) // prev for x, y in zip(row, prow)]
         prev = piv
-    p = next((c for c in range(ncols) if row[c]), None)
-    return None if p is None else (row, p)
+    for c in range(ncols):
+        if row[c]:
+            return row, c
+    return None
+
+
+def _eliminate(rows: list[list[int]], ncols: int
+               ) -> tuple[list[list[int]], list[int]] | None:
+    """The echelon rows and pivot columns of the int rows, added one at a time.
+
+    Each row goes through _extend_echelon, and one that reduces to zero is
+    dropped, so the rows kept are those independent of the rows before
+    them.  Columns from ncols on are an augmented right-hand side: a row
+    whose pivot lands there is the equation 0 = c, and the result is None.
+    The rows are read, not changed.
+    """
+    a: list[list[int]] = []
+    pivots: list[int] = []
+    for row in rows:
+        ext = _extend_echelon(a, pivots, row, len(row))
+        if ext is not None:
+            if ext[1] >= ncols:
+                return None
+            a.append(ext[0])
+            pivots.append(ext[1])
+    return a, pivots
+
+
+def _last_pivot(a: list[list[int]], pivots: list[int]) -> int:
+    """The minor of echelon rows a on their input rows and pivot columns, in
+    pivot order: the last pivot, or 1 for no rows."""
+    return a[-1][pivots[-1]] if a else 1
 
 
 def independent_row_sets(rows: list[list[int]], ncols: int, least: int, top: int):
@@ -187,13 +187,15 @@ def _back_substitute(a: list[list[int]], pivots: list[int], w: list[int]) -> lis
     return w
 
 
-def _kernel(a: list[list[int]], pivots: list[int], last: int, n: int) -> list[list[int]]:
-    """The kernel basis of echelon rows a, times their last pivot.
+def _kernel(a: list[list[int]], pivots: list[int], n: int) -> list[list[int]]:
+    """The kernel basis of echelon rows a, times L = |their last pivot|.
 
-    One vector per free column f of the first n columns: last at f, 0 at
-    the other free columns, so divided by last it is the canonical basis of
-    the reduced row echelon form.
+    One vector per free column f of the first n columns: L at f, 0 at the
+    other free columns, so divided by L it is the canonical basis of the
+    reduced row echelon form.  Its pivot entries are minors, by Cramer's
+    rule.
     """
+    last = abs(_last_pivot(a, pivots))
     basis = []
     for f in range(n):
         if f in pivots:
@@ -205,12 +207,24 @@ def _kernel(a: list[list[int]], pivots: list[int], last: int, n: int) -> list[li
 
 
 def _det_int(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix; a is overwritten."""
+    """Determinant of a square integer matrix, which is read, not changed.
+
+    Its rows are added one at a time, as _eliminate adds them, but the first
+    that reduces to zero makes it 0 at once.  Otherwise the last pivot is
+    the determinant with the columns in pivot order, and putting them back
+    in order multiplies it by -1 per inversion of the pivot list.
+    """
     n = len(a)
-    pivots, sign = _echelon(a, n)
-    if len(pivots) < n:
-        return 0
-    return sign * a[-1][-1] if n else 1
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    for row in a:
+        ext = _extend_echelon(rows, pivots, row, n)
+        if ext is None:
+            return 0
+        rows.append(ext[0])
+        pivots.append(ext[1])
+    inversions = sum(p > q for i, p in enumerate(pivots) for q in pivots[i + 1:])
+    return (-1) ** inversions * _last_pivot(rows, pivots)
 
 
 def det(M) -> Fraction:
@@ -275,68 +289,30 @@ def max_abs_subdeterminant_witness(M) -> tuple[int, tuple[int, ...], tuple[int, 
     return best, best_rows, best_cols
 
 
-def _consistent_echelon(a: list[list[int]], ncols: int) -> list[int] | None:
-    """Echelon of the augmented int rows a = [M | rhs], in place.
-
-    Returns the pivot columns; None when M x = rhs is inconsistent.
-    """
-    pivots, _ = _echelon(a, ncols)
-    # Rows past the pivot rows are zero in M's columns; a nonzero rhs there
-    # is the equation 0 = c.
-    if any(row[ncols] for row in a[len(pivots):]):
-        return None
-    return pivots
-
-
-def _solution(a: list[list[int]], pivots: list[int], ncols: int) -> tuple[list[int], int]:
-    """X and L > 0 with X[:ncols] / L the solution of the consistent echelon
-    rows a = [M | rhs] whose free (non-pivot) coordinates are 0."""
-    last = abs(a[len(pivots) - 1][pivots[-1]]) if pivots else 1
-    # [M | rhs] (x, -1) = 0: put -last in the rhs slot, then x = X / last.
-    return _back_substitute(a, pivots, [0] * ncols + [-last]), last
-
-
 def _solution_space(a: list[list[int]], pivots: list[int], n: int
                     ) -> tuple[list[int], list[list[int]], int]:
-    """X, W and L of solution_space_int from its consistent echelon rows a."""
-    X, last = _solution(a, pivots, n)
-    return X[:n], _kernel(a, pivots, last, n), last
-
-
-def particular_solution(M, rhs, n: int | None = None) -> tuple[list[Fraction], int] | None:
-    """One solution of M x = rhs and the rank of M; None when inconsistent.
-
-    The solution has every free (non-pivot) coordinate 0.  For an empty M,
-    the ambient dim n is required.
-    """
-    if len(rhs) != len(M):
-        raise DimensionError(f"particular_solution: rhs length {len(rhs)} vs {len(M)}")
-    if not M:
-        if n is None:
-            raise DimensionError("empty system needs ambient dimension")
-        return [Fraction(0)] * n, 0
-    ncols = len(M[0])
-    a, _ = _integer_rows([[*row, b] for row, b in zip(M, rhs)])
-    pivots = _consistent_echelon(a, ncols)
-    if pivots is None:
-        return None
-    X, last = _solution(a, pivots, ncols)
-    return [Fraction(x, last) for x in X[:ncols]], len(pivots)
+    """X, W and L of solution_space_int from the echelon rows a of a
+    consistent [M | rhs]: L = |last pivot| > 0, X / L the solution whose free
+    coordinates are 0, and W = _kernel(a, pivots, n)."""
+    L = abs(_last_pivot(a, pivots))
+    # [M | rhs] (x, -1) = 0: put -L in the rhs slot, then x = X / L.
+    X = _back_substitute(a, pivots, [0] * n + [-L])
+    return X[:n], _kernel(a, pivots, n), L
 
 
 def solution_space_int(M, rhs, n: int) -> tuple[list[int], list[list[int]], int] | None:
     """Every solution of the integer system M x = rhs in n unknowns, in ints.
 
-    One Bareiss elimination of [M | rhs] gives X, W and L > 0 with
+    The rows of [M | rhs], added one at a time (_eliminate), give X, W and
+    L > 0 with
     {x : M x = rhs} = {(X + sum_f y_f W_f) / L : y rational}: X / L is the
     solution whose free coordinates are 0, and the W_f / L, one per free
     column f, are the canonical kernel basis of null_space.  So M has rank
     n - len(W).  None when the system is inconsistent.  M and rhs are read,
     not changed.
     """
-    a = [[*row, b] for row, b in zip(M, rhs)]
-    pivots = _consistent_echelon(a, n)
-    return None if pivots is None else _solution_space(a, pivots, n)
+    echelon = _eliminate([[*row, b] for row, b in zip(M, rhs)], n)
+    return None if echelon is None else _solution_space(*echelon, n)
 
 
 def solve_linear(M, rhs) -> list[Fraction] | None:
@@ -344,16 +320,19 @@ def solve_linear(M, rhs) -> list[Fraction] | None:
     n = _check_square(M)
     if len(rhs) != n:
         raise DimensionError(f"solve_linear: rhs length {len(rhs)} vs {n}")
-    sol = particular_solution(M, rhs, n)
-    return sol[0] if sol is not None and sol[1] == n else None
+    a, _ = _integer_rows([[*row, b] for row, b in zip(M, rhs)])
+    sol = solution_space_int([row[:n] for row in a], [row[n] for row in a], n)
+    if sol is None or sol[1]:
+        return None
+    X, _, L = sol
+    return [Fraction(x, L) for x in X]
 
 
 def rank(M) -> int:
     if not M:
         return 0
     a, _ = _integer_rows(M)
-    pivots, _ = _echelon(a, len(a[0]))
-    return len(pivots)
+    return len(_eliminate(a, len(a[0]))[1])
 
 
 def null_space(M, n: int | None = None) -> list[list[Fraction]]:
@@ -367,7 +346,6 @@ def null_space(M, n: int | None = None) -> list[list[Fraction]]:
             raise DimensionError("null_space of empty matrix needs ambient dimension")
         return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     ncols = len(M[0])
-    a, _ = _integer_rows(M)
-    pivots, _ = _echelon(a, ncols)
-    last = a[len(pivots) - 1][pivots[-1]] if pivots else 1
-    return [[Fraction(x, last) for x in w] for w in _kernel(a, pivots, last, ncols)]
+    a, pivots = _eliminate(_integer_rows(M)[0], ncols)
+    last = abs(_last_pivot(a, pivots))
+    return [[Fraction(x, last) for x in w] for w in _kernel(a, pivots, ncols)]

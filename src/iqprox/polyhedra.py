@@ -139,9 +139,9 @@ def enumerate_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
     seen = set()
     for _, a, pivots in exact.independent_row_sets(
             [[*row, b] for row, b in zip(rows, rhs)], P.n, P.n, P.n):
-        X, e = exact._solution(a, pivots, P.n)
-        if contains_int(P, X[:P.n], e):
-            seen.add(tuple(Fraction(x, e) for x in X[:P.n]))
+        X, _, e = exact._solution_space(a, pivots, P.n)
+        if contains_int(P, X, e):
+            seen.add(tuple(Fraction(x, e) for x in X))
     return sorted(seen)
 
 

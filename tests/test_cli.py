@@ -222,6 +222,11 @@ def test_cmd_tightness_example11(capsys):
     assert doc["upper_bound_only"] is False
 
 
+@pytest.mark.parametrize("eps", ["-1", "0", "5"])
+def test_cmd_tightness_example11_eps_out_of_range(capsys, eps):
+    assert_one_input_error(capsys, ["tightness", "example11", "--t", "2", "--eps", eps])
+
+
 def test_cmd_tightness_prop44(capsys):
     code, doc = run_json(capsys, ["tightness", "prop44", "--eps", "1/4"])
     assert code == 0

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqprox import exact
@@ -31,10 +31,27 @@ def det_by_expansion(M):
 small_int = st.integers(min_value=-6, max_value=6)
 
 
-@given(st.integers(min_value=1, max_value=4), st.data())
+def int_matrices(m, n):
+    """m x n matrices of small_int entries."""
+    return st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=m, max_size=m)
+
+
+# Its rows take their pivots in the order 1, 0, 2: det = -30.
+PIVOTS_OUT_OF_ORDER = [[0, 2, 1], [3, 0, 0], [0, 0, 5]]
+
+
+def sign_examples(test):
+    """Every 3 x 3 permutation matrix, and PIVOTS_OUT_OF_ORDER: a dropped
+    or wrong sign of the pivot columns' permutation fails one of them."""
+    for perm in permutations(range(3)):
+        test = example([[int(j == p) for j in range(3)] for p in perm])(test)
+    return example(PIVOTS_OUT_OF_ORDER)(test)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: int_matrices(n, n)))
 @settings(max_examples=60, deadline=None)
-def test_det_matches_leibniz(n, data):
-    M = [[data.draw(small_int) for _ in range(n)] for _ in range(n)]
+@sign_examples
+def test_det_matches_leibniz(M):
     assert exact.det(M) == det_by_expansion(M)
 
 
@@ -154,11 +171,13 @@ def test_solve_linear_roundtrip(n, data):
         assert [exact.dot(row, x) for row in M] == rhs
 
 
-@given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4),
-       st.data())
+@given(st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4))
+       .flatmap(lambda mn: int_matrices(*mn)))
 @settings(max_examples=40, deadline=None)
-def test_null_space_is_kernel(m, n, data):
-    M = [[data.draw(small_int) for _ in range(n)] for _ in range(m)]
+@example(PIVOTS_OUT_OF_ORDER)
+@example([[0, 2, 1, 1], [3, 0, 0, 1], [0, 0, 5, 1]])
+def test_null_space_is_kernel(M):
+    n = len(M[0])
     basis = exact.null_space(M, n)
     assert len(basis) == n - exact.rank(M)
     for v in basis:
@@ -274,6 +293,18 @@ def particular_solution_reference(M, rhs):
     return x, len(pivots)
 
 
+def particular_solution(M, rhs, n):
+    """The solution of M x = rhs whose free coordinates are 0, and the rank
+    of M: (X / L, n - len(W)) from exact.solution_space_int, each equation
+    scaled to ints by exact.integer_vector; None when inconsistent."""
+    rows = [exact.integer_vector([*row, b])[0] for row, b in zip(M, rhs)]
+    got = exact.solution_space_int([r[:n] for r in rows], [r[n] for r in rows], n)
+    if got is None:
+        return None
+    X, W, L = got
+    return [F(x, L) for x in X], n - len(W)
+
+
 @pytest.mark.parametrize("rational", [False, True])
 def test_particular_solution_matches_reference(rational):
     rng = random.Random(517 + rational)
@@ -288,8 +319,10 @@ def test_particular_solution_matches_reference(rational):
         else:
             rhs = [F(rng.randint(-7, 7), rng.randint(1, 5) if rational else 1)
                    for _ in range(m)]
-        got = exact.particular_solution(M, rhs)
+        got = particular_solution(M, rhs, n)
         assert got == particular_solution_reference(M, rhs)
+        if m == n:
+            assert exact.solve_linear(M, rhs) == (got[0] if got and got[1] == n else None)
         if got is not None:
             x, r = got
             assert r == exact.rank(M)
@@ -303,24 +336,25 @@ def test_particular_solution_matches_reference(rational):
 
 def test_particular_solution_small_cases():
     # Dependent rows, consistent: x1 + 2 x2 = 3 twice; x2 is free.
-    assert exact.particular_solution([[1, 2], [2, 4]], [F(3), F(6)]) == ([F(3), F(0)], 1)
+    assert particular_solution([[1, 2], [2, 4]], [F(3), F(6)], 2) == ([F(3), F(0)], 1)
+    assert exact.solve_linear([[1, 2], [2, 4]], [F(3), F(6)]) is None
     # The same rows with an inconsistent rhs.
-    assert exact.particular_solution([[1, 2], [2, 4]], [F(3), F(5)]) is None
-    # Rational data, a zero first column, more rows than columns.
+    assert particular_solution([[1, 2], [2, 4]], [F(3), F(5)], 2) is None
+    # Rational data, a zero first column, as many rows as columns.
     M = [[0, F(1, 2), F(1, 3)], [0, F(-2, 5), F(3, 7)], [0, 0, 0]]
-    assert exact.particular_solution(M, [F(5, 6), F(1, 35), F(0)]) == (
-        [F(0), F(1), F(1)], 2)
-    assert exact.particular_solution(M, [F(5, 6), F(1, 35), F(1)]) is None
+    assert particular_solution(M, [F(5, 6), F(1, 35), F(0)], 3) == ([F(0), F(1), F(1)], 2)
+    assert exact.solve_linear(M, [F(5, 6), F(1, 35), F(0)]) is None
+    assert particular_solution(M, [F(5, 6), F(1, 35), F(1)], 3) is None
     # No equations at all: the origin of the ambient space, rank 0.
-    assert exact.particular_solution([], [], 2) == ([F(0), F(0)], 0)
+    assert particular_solution([], [], 2) == ([F(0), F(0)], 0)
+    assert exact.solution_space_int([], [], 2) == ([0, 0], [[1, 0], [0, 1]], 1)
+    assert exact.solve_linear([], []) == []
     with pytest.raises(DimensionError):
-        exact.particular_solution([], [])
-    with pytest.raises(DimensionError):
-        exact.particular_solution([[1, 2]], [F(1), F(2)])
+        exact.solve_linear([[1, 2], [2, 4]], [F(1)])
 
 
 def test_solution_space_int_matches_references():
-    """X / L is particular_solution's point and W / L null_space's basis, L > 0."""
+    """X / L is the Fraction RREF's point and W / L null_space's basis, L > 0."""
     rng = random.Random(2718)
     seen = set()
     for _ in range(400):
@@ -331,8 +365,7 @@ def test_solution_space_int_matches_references():
         rhs = ([sum(a * x for a, x in zip(row, x0)) for row in M]
                if rng.random() < 0.5 else [rng.randint(-7, 7) for _ in M])
         got = exact.solution_space_int(M, rhs, n)
-        want = (exact.particular_solution(M, [F(b) for b in rhs], n) if M
-                else ([F(0)] * n, 0))
+        want = particular_solution_reference(M, rhs) if M else ([F(0)] * n, 0)
         if want is None:
             assert got is None
             seen.add("inconsistent")

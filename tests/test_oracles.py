@@ -451,10 +451,35 @@ def test_fmax_cont_witness_matches_lp_per_face(inst):
     assert_same_fmax_cont(inst, reference_fmax_cont_witness)
 
 
+def rref_particular_solution(M, rhs):
+    """One solution of M x = rhs, its free coordinates 0, and the rank of M,
+    by Gauss-Jordan elimination on Fractions; None when inconsistent."""
+    n = len(M[0])
+    a = [[F(x) for x in row] + [F(b)] for row, b in zip(M, rhs)]
+    pivots = []
+    for c in range(n + 1):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        if c == n:  # a pivot in the rhs column is the equation 0 = 1
+            return None
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    x = [F(0)] * n
+    for r, p in enumerate(pivots):
+        x[p] = a[r][n]
+    return x, len(pivots)
+
+
 def fraction_fmax_cont_witness(inst):
     """fmax_cont_witness on the Fraction rows of P, one face at a time.
 
-    Per subset S, exact.null_space of A_S and one exact.particular_solution
+    Per subset S, exact.null_space of A_S and one rref_particular_solution
     of E_S = [A_S; W^T 2Q] x = [b_S; W^T h], visited in the same order with
     the same skip rules; the value is an eval_objective Fraction.
     """
@@ -470,8 +495,7 @@ def fraction_fmax_cont_witness(inst):
             grad = [[2 * w[i] * inst.q[i] if i < inst.k else F(0)
                      for i in range(n)] for w in W]
             gval = [exact.dot(w, inst.h) for w in W]
-            sol = exact.particular_solution(rowsS + grad,
-                                            [P.b[i] for i in S] + gval)
+            sol = rref_particular_solution(rowsS + grad, [P.b[i] for i in S] + gval)
             if sol is None:
                 continue
             x, r = sol
@@ -513,7 +537,7 @@ def test_fmax_cont_witness_calls_no_fraction_kernel(monkeypatch):
         raise AssertionError("fmax_cont_witness left the int rows")
 
     monkeypatch.setattr(exact, "null_space", forbidden)
-    monkeypatch.setattr(exact, "particular_solution", forbidden)
+    monkeypatch.setattr(exact, "solve_linear", forbidden)
     inst = box_instance([1, F(1, 2)], [F(1, 2), -1])
     assert oracles.fmax_cont_witness(inst) == (F(9, 16), (F(1, 4), F(-1)))
 
@@ -733,18 +757,26 @@ def test_level_walk_matches_combinations_walk(collect, inst):
 
 
 def face_walk_counts(monkeypatch, walk):
-    """Stationarity solves, rows tried on an echelon and faces reached by walk()."""
+    """Stationarity solves, rows tried on an echelon and faces reached by
+    walk(); the rows a stationarity solve adds to its own echelon are not
+    counted."""
     counts = Counter()
+    solving = []
     solve, extend = exact.solution_space_int, exact._extend_echelon
 
     def counted_solve(*args):
         counts["solves"] += 1
-        return solve(*args)
+        solving.append(args)
+        try:
+            return solve(*args)
+        finally:
+            solving.pop()
 
     def counted_extend(*args):
         ext = extend(*args)
-        counts["tried"] += 1
-        counts["faces"] += ext is not None
+        if not solving:
+            counts["tried"] += 1
+            counts["faces"] += ext is not None
         return ext
 
     monkeypatch.setattr(exact, "solution_space_int", counted_solve)
