@@ -35,7 +35,8 @@ class ProximityCone:
 
     @cached_property
     def int_rows(self) -> tuple[list[list[int]], list[list[int]]]:
-        """a1 and a2 with each row times the lcm of its denominators."""
+        """a1 and a2 with each row times the lcm of its denominators;
+        build_cone gives its cone the ones of its sign test."""
         return exact._integer_rows(self.a1)[0], exact._integer_rows(self.a2)[0]
 
 
@@ -71,7 +72,7 @@ def build_cone(A, xa, xb) -> ProximityCone:
     if len(xa) != n or len(xb) != n:
         raise DimensionError("point dimension does not match matrix columns")
     D, _ = exact.integer_vector(exact.vec_sub(xa, xb))
-    a1, a2 = [], []
+    a1, a2, i1, i2 = [], [], [], []
     for row in A:
         if len(row) != n:
             raise DimensionError(f"row length {len(row)} vs {n} columns")
@@ -82,9 +83,13 @@ def build_cone(A, xa, xb) -> ProximityCone:
         s = sum(map(mul, R, D))
         if s <= 0:
             a1.append(r)
+            i1.append(R)
         if s >= 0:
             a2.append(r)
-    return ProximityCone(tuple(a1), tuple(a2), n)
+            i2.append(R)
+    cone = ProximityCone(tuple(a1), tuple(a2), n)
+    cone.__dict__["int_rows"] = i1, i2  # what the cached int_rows would compute
+    return cone
 
 
 def cone_contains(cone: ProximityCone, x) -> bool:
@@ -105,22 +110,53 @@ def enumerate_generators(cone: ProximityCone,
     planes) are tight, and every such ray lies in some orthant.  The
     hyperplanes are the int rows of the cone, each made primitive with its
     first nonzero entry positive (so parallel rows merge), and the unit
-    rows.  Each independent (n-1)-subset (exact.independent_row_sets) has a
-    kernel line; its direction with a positive free entry, then the other,
-    is kept, divided by its gcd, when it lies in the cone.
+    rows.
+
+    A row on both sides of the cone (in a1 and in a2) is one of its
+    equalities, tight on the whole cone.  The hyperplanes tight on an
+    extreme ray include these rows, so n-1 independent ones among them can
+    be chosen to include a basis of these rows.  So the equality rows are
+    put into an echelon first, stopping at rank n (the cone is then {0} and
+    has no generator), and only the sets of n-1-r hyperplanes independent
+    on top of that rank-r echelon are walked (exact.independent_row_sets).
+    A hyperplane that depends on the equalities reduces to zero there and
+    ends its own subtree.  Each set has a kernel line; its direction with a
+    positive free entry, then the other, is kept, divided by its gcd, when
+    it lies in the cone.
+
+    The lines come in the order of the walk over all (n-1)-sets.  A line
+    comes first at the lexicographically first set of hyperplanes that
+    spans its orthogonal complement (on top of the equalities), and where
+    those sets of two lines first differ, the row that one of them takes is
+    not orthogonal to the other line, in either walk.  So a generator beyond
+    delta raises the generator-norm claim at the same generator.
     """
     if delta < 1:
         raise InputError("delta must be a positive integer")
     n = cone.ambient_dim
+    a1, a2 = cone.int_rows
+    both = set(map(tuple, a2))
+    eq: list[list[int]] = []  # echelon of the equality rows
+    eq_pivots: list[int] = []
+    for row in a1:
+        if tuple(row) in both:
+            ext = exact._extend_echelon(eq, eq_pivots, row, n)
+            if ext is not None:
+                eq.append(ext[0])
+                eq_pivots.append(ext[1])
+                if len(eq) == n:
+                    return ()
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     hyperplanes = {}  # primitive nonzero rows up to sign, first nonzero entry > 0
-    for r in chain(*cone.int_rows, units):
+    for r in chain(a1, a2, units):
         lead = next((x for x in r if x), 0)
         if lead:
             g = gcd(*r) if lead > 0 else -gcd(*r)
             hyperplanes[tuple(x // g for x in r)] = None
+    size = n - 1 - len(eq)
     found = set()
-    for _, a, pivots in exact.independent_row_sets(list(hyperplanes), n, n - 1, n - 1):
+    for _, a, pivots in exact.independent_row_sets(
+            list(hyperplanes), n, size, size, (eq, eq_pivots)):
         w = exact._kernel(a, pivots, n)[0]
         g = gcd(*w)
         line = [x // g for x in w]

@@ -28,7 +28,7 @@ def vec(xs) -> list[Fraction]:
 
 
 def is_integral(x: Fraction) -> bool:
-    return Fraction(x).denominator == 1
+    return (x if isinstance(x, (int, Fraction)) else Fraction(x)).denominator == 1
 
 
 def is_integral_vec(v) -> bool:
@@ -146,10 +146,16 @@ def _last_pivot(a: list[list[int]], pivots: list[int]) -> int:
     return a[-1][pivots[-1]] if a else 1
 
 
-def independent_row_sets(rows: list[list[int]], ncols: int, least: int, top: int):
+def independent_row_sets(rows: list[list[int]], ncols: int, least: int, top: int,
+                         echelon=((), ())):
     """(S, a, pivots) for every set S of the int rows that is linearly
     independent in the first ncols columns, with least <= |S| <= top: S an
     increasing tuple of row indices, a and pivots the echelon of its rows.
+
+    echelon is a start (rows, pivots) built by _extend_echelon, empty by
+    default.  Every echelon of the walk extends it, so each S is independent
+    on top of the start's input rows: with them, its rows have rank |S|
+    plus theirs.
 
     Level s + 1 holds S + (j,) for each independent S of level s, in order,
     and each row j > max S, in order, its echelon that of S plus row j
@@ -160,7 +166,7 @@ def independent_row_sets(rows: list[list[int]], ncols: int, least: int, top: int
     than least - |S| - 1 rows after it is not tried.  One level is held at
     a time, each set with its echelon: up to C(len(rows), top / 2) sets.
     """
-    level = [((), [], [])]
+    level = [((), list(echelon[0]), list(echelon[1]))]
     for size in range(top + 1):
         if size >= least:
             yield from level
@@ -236,7 +242,7 @@ def det(M) -> Fraction:
 
 def _integer_matrix(M) -> list[list[int]]:
     """The entries of M as ints; DomainError unless every entry is an integer."""
-    a = [[x if type(x) is int else Fraction(x) for x in row] for row in M]
+    a = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in M]
     if any(x.denominator != 1 for row in a for x in row):
         raise DomainError("subdeterminants are defined here for integer matrices only")
     return [[x.numerator for x in row] for row in a]
@@ -265,7 +271,7 @@ def max_abs_subdeterminant(M) -> int:
             unit = 1
         else:
             rest[tuple(row) if nonzero[0] > 0 else tuple(-x for x in row)] = None
-    value, _, _ = max_abs_subdeterminant_witness(list(rest))
+    value, _, _ = _max_abs_subdeterminant_int(list(rest))
     return max(value, unit)
 
 
@@ -275,7 +281,11 @@ def max_abs_subdeterminant_witness(M) -> tuple[int, tuple[int, ...], tuple[int, 
     Exhaustive over all row/column subsets in (size, lex) order; the witness
     is the first subset that attains the value.
     """
-    a = _integer_matrix(M)
+    return _max_abs_subdeterminant_int(_integer_matrix(M))
+
+
+def _max_abs_subdeterminant_int(a) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """max_abs_subdeterminant_witness of a matrix whose entries are ints."""
     m = len(a)
     n = len(a[0]) if m else 0
     best, best_rows, best_cols = 0, (), ()

@@ -14,17 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import mul
 
 from . import exact
 from .cones import (ConicDecomposition, ProximityCone, build_cone,
                     caratheodory_decompose, check_two_representations,
                     enumerate_generators)
 from .errors import ClaimViolation, InputError
-from .polyhedra import Polyhedron, contains
+from .polyhedra import Polyhedron, contains, fix_zero, translate
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,8 @@ class Instance:
         return len(self.A)
 
     def polyhedron(self) -> Polyhedron:
-        """{A x <= b}, built on the first call and kept with the instance."""
+        """{A x <= b}, built on the first call (normalize gives its shifted
+        instance one) and kept with the instance."""
         P = self.__dict__.get("_polyhedron")
         if P is None:
             P = Polyhedron(self.A, self.b, self.n)
@@ -174,7 +173,9 @@ def normalize(inst: Instance, xd) -> tuple[Instance, tuple[Fraction, ...]]:
     """Translate so the given integer feasible point becomes the origin.
 
     Returns the shifted instance and the translation (the original point);
-    the shifted objective vanishes at the origin by construction.
+    the shifted objective vanishes at the origin by construction.  The
+    shifted instance's polyhedron is the instance's translated by the point,
+    with its int rows.
     """
     xdv = tuple(Fraction(x) for x in xd)
     if not exact.is_integral_vec(xdv):
@@ -182,27 +183,20 @@ def normalize(inst: Instance, xd) -> tuple[Instance, tuple[Fraction, ...]]:
     P = inst.polyhedron()
     if not contains(P, xdv):
         raise InputError("anchor point must be feasible")
-    # xd is integral: each A_i.xd is an int dot product over A_i's denominator.
-    X = [x.numerator for x in xdv]
-    b2 = tuple(bi - Fraction(sum(map(mul, R, X)), d)
-               for (R, d), bi in zip(map(exact.integer_vector, inst.A), inst.b))
+    P2 = translate(P, [x.numerator for x in xdv])
     h2 = tuple(inst.h[i] - 2 * inst.q[i] * xdv[i] if i < inst.k else inst.h[i]
                for i in range(inst.n))
-    return Instance(inst.A, b2, inst.k, inst.q, h2), xdv
+    norm = Instance(inst.A, P2.b, inst.k, inst.q, h2)
+    object.__setattr__(norm, "_polyhedron", P2)
+    return norm, xdv
 
 
 def restricted_polyhedron(inst: Instance, zset) -> Polyhedron:
     """The feasible set with x_i = 0 appended (as +-rows) for i in zset.
 
-    Built directly on the instance's Fraction rows, which need no re-wrapping.
+    Built on the instance's polyhedron, whose rows and int rows it keeps.
     """
-    rows = list(inst.A)
-    rhs = list(inst.b)
-    for i in sorted(zset):
-        e = tuple(ONE if j == i else ZERO for j in range(inst.n))
-        rows += [e, tuple(-x for x in e)]
-        rhs += [ZERO, ZERO]
-    return Polyhedron(tuple(rows), tuple(rhs), inst.n)
+    return fix_zero(inst.polyhedron(), zset)
 
 
 def _zero_nonzero_sets(x, k) -> tuple[frozenset[int], frozenset[int]]:

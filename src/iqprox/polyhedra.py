@@ -10,6 +10,8 @@ The rational rows [A_i | b_i] are what callers and the LPs see.  Membership
 and lattice enumeration run on the same rows scaled to Python ints, each by
 the lcm of its denominators: a point x is scaled once to X = D x over its
 common denominator D, and row i holds iff (d_i A_i).X <= D (d_i b_i).
+A polyhedron derived from another by ``translate`` or ``fix_zero`` is
+given its int rows from its parent's, not scaled again.
 """
 
 from __future__ import annotations
@@ -41,11 +43,57 @@ class Polyhedron:
     def m(self) -> int:
         return len(self.A)
 
-    @cached_property
+    @property
     def int_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Each row [A_i | b_i] times the lcm of its denominators, split again."""
-        rows, _ = exact._integer_rows([[*row, bi] for row, bi in zip(self.A, self.b)])
-        return tuple(tuple(r[:-1]) for r in rows), tuple(r[-1] for r in rows)
+        return self._scaled_rows[:2]
+
+    @cached_property
+    def _scaled_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...],
+                                    tuple[int, ...]]:
+        """int_rows and the scale of each row, the lcm of its denominators."""
+        rows, scales = exact._integer_rows([[*row, bi] for row, bi in zip(self.A, self.b)])
+        return (tuple(tuple(r[:-1]) for r in rows), tuple(r[-1] for r in rows),
+                tuple(scales))
+
+
+def _derived(A, b, n: int, scaled) -> Polyhedron:
+    """A Polyhedron given its _scaled_rows, which are not computed again."""
+    P = Polyhedron(A, b, n)
+    P.__dict__["_scaled_rows"] = scaled
+    return P
+
+
+def translate(P: Polyhedron, X) -> Polyhedron:
+    """P - X = {y : A y <= b - A X} for an integer vector X.
+
+    The rows are P's own.  Row i keeps its scale d_i, for A_i.X has a
+    denominator dividing that of A_i, so the lcm of the denominators of A_i
+    and of b_i - A_i.X is that of A_i and b_i.  Its int right-hand side is
+    d_i b_i - (d_i A_i).X, and b_i - A_i.X is that over d_i.
+    """
+    rows, rhs, scales = P._scaled_rows
+    shifted = tuple(c - sum(map(mul, row, X)) for row, c in zip(rows, rhs))
+    b = tuple(Fraction(c, d) for c, d in zip(shifted, scales))
+    return _derived(P.A, b, P.n, (rows, shifted, scales))
+
+
+def fix_zero(P: Polyhedron, coords) -> Polyhedron:
+    """P with x_i = 0 for each i in coords: the rows e_i.x <= 0 and
+    -e_i.x <= 0 appended per coordinate, in increasing order.
+
+    The int rows of P are kept, and the appended ones are (+-e_i, 0) with
+    scale 1.
+    """
+    units = []
+    for i in sorted(coords):
+        e = tuple(int(j == i) for j in range(P.n))
+        units += [e, tuple(-x for x in e)]
+    k = len(units)
+    rows, rhs, scales = P._scaled_rows
+    return _derived(tuple(P.A) + tuple(tuple(map(Fraction, u)) for u in units),
+                    tuple(P.b) + (ZERO,) * k, P.n,
+                    (rows + tuple(units), rhs + (0,) * k, scales + (1,) * k))
 
 
 def polyhedron(A, b, n: int | None = None) -> Polyhedron:

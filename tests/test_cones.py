@@ -4,7 +4,7 @@ from itertools import chain, combinations, product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqprox import cones, exact
@@ -14,8 +14,8 @@ from iqprox.cones import (ConicDecomposition, build_cone, caratheodory_decompose
                           in_generated_cone)
 from iqprox.errors import (ClaimViolation, DimensionError, InputError,
                            RepresentationMismatch)
-from iqprox.families import random_instance
-from iqprox.pipeline import restricted_polyhedron
+from iqprox.families import build_prop44, random_instance
+from iqprox.pipeline import restricted_polyhedron, run_pipeline
 from iqprox.polyhedra import polyhedron
 
 
@@ -214,7 +214,9 @@ def combinations_enumerate_generators(cone, delta):
 def generator_cones(draw):
     """A row-sign cone with repeated and parallel rows at n = 1..5, or a
     sparse one (1-3 rows) at n = 8..10, and a Delta: a small one, under
-    which the generator-norm claim may fail, or the rows' own."""
+    which the generator-norm claim may fail, or the rows' own.  The cone may
+    be tied: at xa = xb every row is on both sides, or some drawn rows are
+    made orthogonal to xa - xb, and those are."""
     if draw(st.integers(0, 4)):
         n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     else:
@@ -224,7 +226,15 @@ def generator_cones(draw):
         c = draw(st.sampled_from([1, -1, 2, -2, F(1, 2)]))
         A.insert(draw(st.integers(0, len(A))), [c * x for x in draw(st.sampled_from(A))])
     xa = [draw(RATIONALS) for _ in range(n)]
-    xb = [draw(RATIONALS) for _ in range(n)]
+    ties = draw(st.sampled_from(["none", "all", "some"]))
+    xb = list(xa) if ties == "all" else [draw(RATIONALS) for _ in range(n)]
+    d = exact.vec_sub(xa, xb)
+    dd = exact.dot(d, d)
+    if ties == "some" and dd:
+        for i, u in enumerate(A):
+            if draw(st.booleans()):  # project out d: a tie row
+                c = exact.dot(u, d) / dd
+                A[i] = [ui - c * di for ui, di in zip(u, d)]
     delta = draw(st.one_of(st.integers(1, 3), st.none()))
     if delta is None:
         delta = max(1, exact.max_abs_subdeterminant(
@@ -234,6 +244,17 @@ def generator_cones(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(generator_cones())
+# ties of rank n: the cone is {0}
+@example((build_cone([[1, 0], [0, 1], [1, 1]], [0, 0], [0, 0]), 1))
+@example((build_cone([[2], [-1]], [1], [1]), 1))
+# ties of rank n - 1 and of rank 1 at n = 3
+@example((build_cone([[1, -1, 0], [2, -2, 0], [0, 0, 1], [1, 1, 1]],
+                     [1, 1, 0], [0, 0, 0]), 1))
+@example((build_cone([[1, -1, 0], [1, 0, 2], [0, 1, -1]], [1, 1, 0], [0, 0, 0]), 2))
+# ties of rank 2 at n = 3 whose line (2, -1, 1) is beyond Delta = 1
+@example((build_cone([[1, 2, 0], [0, 1, 1], [1, 0, 0]], [2, -1, 1], [0, 0, 0]), 1))
+# n = 1 without a tie
+@example((build_cone([[F(1, 2)]], [0], [1]), 1))
 def test_generators_match_combinations_reference(case):
     """The same sorted generators as the combinations loop, or the same
     generator-norm violation naming the same generator."""
@@ -248,23 +269,56 @@ def test_generators_match_combinations_reference(case):
     assert enumerate_generators(cone, delta) == want
 
 
+def counted_extend(monkeypatch):
+    """The rows that exact._extend_echelon is asked to add, from now on."""
+    tried = []
+    extend = exact._extend_echelon
+
+    def counted(*args):
+        tried.append(args)
+        return extend(*args)
+
+    monkeypatch.setattr(exact, "_extend_echelon", counted)
+    return tried
+
+
 def test_generator_walk_prunes_by_count(monkeypatch):
     """On a sparse cone, n = 10 with one row, the walk tries 219 rows on an
     echelon to reach the independent sets of 9 of its 11 hyperplanes, for
     68 generators.  It tries no row with fewer than 9 - |S| - 1 rows after
     it (that walk would try 2,035), and makes no solution_space_int call."""
-    tried, calls = [], []
-    extend = exact._extend_echelon
-
-    def counted_extend(*args):
-        tried.append(args)
-        return extend(*args)
-
-    monkeypatch.setattr(exact, "_extend_echelon", counted_extend)
+    calls = []
+    tried = counted_extend(monkeypatch)
     monkeypatch.setattr(exact, "solution_space_int", lambda *args: calls.append(args))
     cone = build_cone([[1, -1, 2, 0, 1, -2, 1, 0, 1, 1]], [0] * 10, [1] + [0] * 9)
     assert len(enumerate_generators(cone, 2)) == 68
     assert (len(tried), calls) == (219, [])
+
+
+def test_generators_of_a_full_rank_tied_cone_try_no_hyperplane(monkeypatch):
+    """At xa = xb every row is on both sides of the cone.  They are added
+    until their rank is n, rows 0-3 here (row 2 is dependent), and then the
+    cone is {0}: row 4 is not added and no hyperplane is tried."""
+    tried = counted_extend(monkeypatch)
+    monkeypatch.setattr(exact, "independent_row_sets",
+                        lambda *args: pytest.fail("a hyperplane set was walked"))
+    A = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]]
+    cone = build_cone(A, [F(1, 2)] * 3, [F(1, 2)] * 3)
+    assert enumerate_generators(cone, 1) == ()
+    assert [args[2] for args in tried] == A[:4]
+
+
+def test_prop44_construction_tries_fewer_rows(monkeypatch):
+    """prop44 (eps 1/4, Delta 3) at n = 10 with its own anchors takes nine
+    one_steps; the cone of step j has the +-e_i rows of its j zeroed
+    coordinates on both sides.  Walking on top of their echelon, the
+    construction tries 977 rows, where the walk over all (n-1)-sets of
+    hyperplanes tried 2,035."""
+    fam = build_prop44(F(1, 4), 3, 10)
+    tried = counted_extend(monkeypatch)
+    res = run_pipeline(fam.instance, F(1, 4), xc=fam.expected["xc"], xd=fam.expected["xd"])
+    assert res.trace[-1].j == 9
+    assert len(tried) == 977
 
 
 def test_conic_multipliers_roundtrip():

@@ -88,6 +88,28 @@ def test_subdeterminant_rejects_rationals():
     for M in ([[F(1, 2)]], [[1, 0], [0, F(1, 2)]], [[1, 0], [F(-1, 3), 0]]):
         with pytest.raises(DomainError):
             exact.max_abs_subdeterminant(M)
+        with pytest.raises(DomainError):
+            exact.max_abs_subdeterminant_witness(M)
+
+
+def test_subdeterminant_converts_the_matrix_once(monkeypatch):
+    """max_abs_subdeterminant turns its matrix into ints once; the reduced
+    int rows go to the scan as they are."""
+    calls = []
+    convert = exact._integer_matrix
+    monkeypatch.setattr(exact, "_integer_matrix", lambda M: calls.append(M) or convert(M))
+    M = [[F(2), F(-1)], [F(1), F(1)], [F(0), F(1)], [F(-2), F(1)]]
+    assert exact.max_abs_subdeterminant(M) == 3
+    assert len(calls) == 1
+    assert exact.max_abs_subdeterminant_witness(M) == (3, (0, 1), (0, 1))
+    assert len(calls) == 2
+
+
+def test_is_integral_on_each_kind():
+    assert exact.is_integral(3) and exact.is_integral(True) and exact.is_integral(F(4, 2))
+    assert not exact.is_integral(F(1, 2))
+    assert exact.is_integral("6/3") and not exact.is_integral("1/3")
+    assert exact.is_integral(2.0) and not exact.is_integral(0.5)
 
 
 @st.composite
@@ -419,7 +441,8 @@ def test_extend_echelon_matches_solution_space_int():
 def test_independent_row_sets_match_combinations(M, data):
     """For every least <= top, top up to one past the row count, the walk
     yields the independent sets of combinations order, filtered by rank;
-    each set's echelon gives solution_space_int's X, W and L on its rows."""
+    each set's echelon gives solution_space_int's X, W and L on its rows.
+    So does a walk from a start echelon, filtered by rank on top of it."""
     m, n = len(M), len(M[0]) if M else 1
     rhs = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
     aug = [[*row, b] for row, b in zip(M, rhs)]
@@ -432,6 +455,20 @@ def test_independent_row_sets_match_combinations(M, data):
     for S, a, pivots in exact.independent_row_sets(aug, n, 0, m):
         assert exact._solution_space(a, pivots, n) == exact.solution_space_int(
             [M[i] for i in S], [rhs[i] for i in S], n)
+    # From the echelon of the first p rows: the sets of the other rows that
+    # are independent on top of them, each echelon extending the start.
+    p = data.draw(st.integers(0, m))
+    start = exact._eliminate([list(row) for row in M[:p]], n)
+    rest = M[p:]
+    on_top = [S for size in range(len(rest) + 1)
+              for S in combinations(range(len(rest)), size)
+              if exact.rank(M[:p] + [rest[i] for i in S]) == len(start[1]) + size]
+    for top in range(len(rest) + 2):
+        for least in range(top + 1):
+            got = list(exact.independent_row_sets(rest, n, least, top, start))
+            assert [S for S, _, _ in got] == [S for S in on_top if least <= len(S) <= top]
+            assert all((a[:len(start[0])], pivots[:len(start[1])]) == start
+                       for _, a, pivots in got)
 
 
 def test_independent_row_sets_small_cases():

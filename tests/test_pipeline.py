@@ -13,7 +13,8 @@ from iqprox.pipeline import (Instance, compute_schedule, eval_objective, instanc
                              midpoint_witnesses, normalize, one_step,
                              restricted_polyhedron, run_pipeline,
                              subdeterminant_bound)
-from iqprox.polyhedra import contains, polyhedron
+from iqprox.cones import build_cone
+from iqprox.polyhedra import Polyhedron, contains, polyhedron
 
 
 def test_instance_validation():
@@ -194,22 +195,67 @@ def reference_restricted_polyhedron(inst, zset):
     return polyhedron(rows, rhs, inst.n)
 
 
+def assert_fresh_int_rows(P, x):
+    """P's int rows, passed down from a parent, are the ones P would
+    compute itself, and so are those of the cone at x against the origin,
+    kept by build_cone from its sign test."""
+    assert P.int_rows == Polyhedron(P.A, P.b, P.n).int_rows
+    cone = build_cone(P.A, x, [F(0)] * P.n)
+    assert cone.int_rows == (exact._integer_rows(cone.a1)[0],
+                             exact._integer_rows(cone.a2)[0])
+
+
 def test_normalize_and_restriction_match_fraction_reference():
+    rng = random.Random(4)
     for seed in range(30):
         inst = random_instance(seed)
         xd = solve_iqp(inst).point
         norm, _ = normalize(inst, xd)
         assert norm.b == reference_normalized_rhs(inst, xd)
         assert all(type(x) is F for x in norm.b)
+        assert_fresh_int_rows(norm.polyhedron(), [F(rng.randint(-3, 3), 2)] * inst.n)
         for zset in ({0}, set(range(inst.n)), set()):
             P = restricted_polyhedron(norm, zset)
             assert P == reference_restricted_polyhedron(norm, zset)
             assert all(type(x) is F for r in P.A for x in r)
             assert all(type(x) is F for x in P.b)
-    # a rational row, which `instance` rejects, still shifts exactly
+            x = [F(0) if i in zset else F(rng.randint(-3, 3), rng.randint(1, 3))
+                 for i in range(inst.n)]
+            assert_fresh_int_rows(P, x)
+    # a rational row, which `instance` rejects, still shifts exactly, and
+    # keeps its scale: lcm(2, den 3/2) = lcm(2, den 3) = 2
     inst = Instance(((F(1, 2), F(1)), (F(-1), F(0))), (F(3), F(2)), 0, (), (F(0), F(0)))
     norm, _ = normalize(inst, [F(-1), F(2)])
     assert norm.b == reference_normalized_rhs(inst, [F(-1), F(2)]) == (F(3, 2), F(1))
+    assert norm.polyhedron().int_rows == (((1, 2), (-1, 0)), (3, 1))
+    assert_fresh_int_rows(norm.polyhedron(), [F(1, 3), F(-2)])
+    for zset in ({0}, {1}, {0, 1}):
+        assert_fresh_int_rows(restricted_polyhedron(norm, zset), [F(0), F(1, 2)])
+
+
+@pytest.mark.parametrize("t", [100, 300])
+def test_box_product_reaches_c2_after_a_step(t):
+    """The box [0, 3/4] x [-t, t + 3/4] with q = (1, 1), h = (1/2, 1/2),
+    that is f = -(x_1 - 1/4)^2 - (x_2 - 1/4)^2 up to a constant.  One step
+    zeroes the short coordinate; at eps = 1 the long one is past chi_1 and
+    the run ends in case c-2 at ell = 1 with N_1 = {1}, on a restricted
+    polyhedron whose +-e_0 rows are tied at x_1, so every generator has
+    g_0 = 0.  At eps = 1/2, chi_2 = 612 > 2t and the run stops in c-1."""
+    inst = instance([[1, 0], [-1, 0], [0, 1], [0, -1]], [F(3, 4), 0, t + F(3, 4), t],
+                    [1, 1], [F(1, 2), F(1, 2)], 2)
+    rep = full_report(inst)
+    for eps, case, reason in ((F(1), "c2", "all-large"), (F(1, 2), "c1", "small-norm")):
+        res = run_pipeline(inst, eps, rep.cont_opt.point, rep.int_opt.point)
+        last = res.trace[-1]
+        assert (res.case, last.j, last.n_set, last.termination_reason) == (
+            case, 1, frozenset({1}), reason)
+        assert verdict(inst, res.x_star_int, eps, "integer", rep).is_approx
+        assert verdict(inst, res.x_star_cont, eps, "continuous", rep).is_approx
+        claim_cross_checks(inst, res, rep)
+    assert res.trace[0].s == 0
+    c2 = run_pipeline(inst, F(1), rep.cont_opt.point, rep.int_opt.point)
+    assert c2.normalized.z_ell == frozenset({0})
+    assert all(g[0] == 0 for g in c2.decomposition.generators)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])

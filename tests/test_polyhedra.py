@@ -184,6 +184,29 @@ def test_vertices_match_fraction_reference(P):
     assert calls == []
 
 
+@settings(max_examples=200, deadline=None)
+@given(systems_and_points(), st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+       st.sets(st.integers(0, 2)))
+@example((polyhedron([[F(1, 2), F(1)], [F(-1), F(0)]], [F(3), F(2)]), [1, 1], None),
+         [-1, 2, 0], {0, 1})
+def test_derived_polyhedra_match_fresh_ones(case, shift, zeros):
+    """translate and fix_zero give the rows a fresh polyhedron has, and the
+    int rows it would compute; translating by -X undoes it."""
+    P, _, _ = case
+    X = shift[:P.n]
+    T = polyhedra.translate(P, X)
+    assert T == polyhedron(P.A, [bi - exact.dot(row, X) for row, bi in zip(P.A, P.b)], P.n)
+    assert T.int_rows == polyhedra.Polyhedron(T.A, T.b, T.n).int_rows
+    assert all(type(x) is F for x in T.b)
+    assert polyhedra.translate(T, [-x for x in X]) == P
+    coords = {i for i in zeros if i < P.n}
+    Z = polyhedra.fix_zero(T, coords)
+    units = [[F(s * (j == i)) for j in range(P.n)] for i in sorted(coords) for s in (1, -1)]
+    assert Z == polyhedron([*T.A, *units], [*T.b] + [F(0)] * len(units), P.n)
+    assert Z.int_rows == polyhedra.Polyhedron(Z.A, Z.b, Z.n).int_rows
+    assert all(type(x) is F for r in Z.A for x in r)
+
+
 def test_builder_validation():
     with pytest.raises(DimensionError):
         polyhedron([[1, 2]], [1, 2])
