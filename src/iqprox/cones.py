@@ -36,7 +36,9 @@ class ProximityCone:
     @cached_property
     def int_rows(self) -> tuple[list[list[int]], list[list[int]]]:
         """a1 and a2 with each row times the lcm of its denominators;
-        build_cone gives its cone the ones of its sign test."""
+        build_cone gives its cone the int rows of its sign test, which may
+        be positive multiples of these.  Each serves the signs of
+        cone_contains and the hyperplanes of enumerate_generators."""
         return exact._integer_rows(self.a1)[0], exact._integer_rows(self.a2)[0]
 
 
@@ -58,28 +60,31 @@ class ConicDecomposition:
         return out
 
 
-def build_cone(A, xa, xb) -> ProximityCone:
+def build_cone(A, xa, xb, int_rows=None) -> ProximityCone:
     """Partition the rows of A by the sign of u.(xa - xb); ties go to both.
 
     The direction d = xa - xb is scaled once to an integer vector D = L d
-    with L > 0, and each row u to an integer row by the lcm of its
-    denominators, so the sign of u.d is that of an int dot product.  Rows
-    keep their order; a row of Fractions is kept as given.
+    with L > 0, and each row u to an integer row, so the sign of u.d is that
+    of an int dot product.  The int rows are int_rows when given, each row
+    of A times some positive int (a polyhedron's int rows serve); otherwise
+    each row times the lcm of its denominators.  The cone keeps them as its
+    int_rows.  Rows keep their order; a row of Fractions is kept as given.
     """
     if not A:
         raise DimensionError("cone needs at least one row")
     n = len(A[0])
     if len(xa) != n or len(xb) != n:
         raise DimensionError("point dimension does not match matrix columns")
-    D, _ = exact.integer_vector(exact.vec_sub(xa, xb))
-    a1, a2, i1, i2 = [], [], [], []
     for row in A:
         if len(row) != n:
             raise DimensionError(f"row length {len(row)} vs {n} columns")
-        r = tuple(row)  # row itself when it is a tuple
-        if any(type(x) is not Fraction for x in r):
-            r = tuple(map(Fraction, r))
-        R, _ = exact.integer_vector(r)
+    rows = [r if all(type(x) is Fraction for x in r) else tuple(map(Fraction, r))
+            for r in map(tuple, A)]  # each row itself when it is a tuple of Fractions
+    if int_rows is None:
+        int_rows = exact._integer_rows(rows)[0]
+    D, _ = exact.integer_vector(exact.vec_sub(xa, xb))
+    a1, a2, i1, i2 = [], [], [], []
+    for r, R in zip(rows, int_rows):
         s = sum(map(mul, R, D))
         if s <= 0:
             a1.append(r)
@@ -88,7 +93,7 @@ def build_cone(A, xa, xb) -> ProximityCone:
             a2.append(r)
             i2.append(R)
     cone = ProximityCone(tuple(a1), tuple(a2), n)
-    cone.__dict__["int_rows"] = i1, i2  # what the cached int_rows would compute
+    cone.__dict__["int_rows"] = i1, i2
     return cone
 
 

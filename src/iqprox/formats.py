@@ -37,6 +37,10 @@ def vec_to_strs(v) -> list[str]:
 
 
 def strs_to_vec(xs) -> list[Fraction]:
+    """The rationals of a JSON array; InputError for anything else, such as
+    a string, whose characters would otherwise read as entries."""
+    if type(xs) is not list:
+        raise InputError(f"expected a JSON array of rationals, got {xs!r}")
     return [str_to_rat(x) for x in xs]
 
 
@@ -55,12 +59,15 @@ def instance_to_dict(inst: Instance) -> dict:
 def instance_from_dict(d: dict) -> Instance:
     """The validated instance of a document; InputError when it is malformed.
 
-    Entries of A, b, q and h go through str_to_rat; k, n and m are JSON ints.
+    A is a JSON array of rows; each row and b, q and h are JSON arrays
+    whose entries go through str_to_rat; k, n and m are JSON ints.
     """
     try:
         for key in ("k", "n", "m"):
             if key in d and type(d[key]) is not int:
                 raise InputError(f"{key} must be a JSON integer, got {d[key]!r}")
+        if type(d["A"]) is not list:
+            raise InputError(f"A must be a JSON array of rows, got {d['A']!r}")
         q = strs_to_vec(d["q"])
         inst = instance([strs_to_vec(row) for row in d["A"]], strs_to_vec(d["b"]),
                         q, strs_to_vec(d["h"]), d.get("k", len(q)))

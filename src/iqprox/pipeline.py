@@ -19,8 +19,8 @@ from . import exact
 from .cones import (ConicDecomposition, ProximityCone, build_cone,
                     caratheodory_decompose, check_two_representations,
                     enumerate_generators)
-from .errors import ClaimViolation, InputError
-from .polyhedra import Polyhedron, contains, fix_zero, translate
+from .errors import ClaimViolation, DimensionError, InputError
+from .polyhedra import Polyhedron, contains, contains_int, fix_zero, translate
 
 ZERO = Fraction(0)
 
@@ -204,16 +204,17 @@ def _zero_nonzero_sets(x, k) -> tuple[frozenset[int], frozenset[int]]:
     return z, frozenset(range(k)) - z
 
 
-def _conic_step(inst: Instance, zset, x,
+def _conic_step(inst: Instance, zset, x, X,
                 delta: int) -> tuple[Polyhedron, ProximityCone, ConicDecomposition]:
     """Restricted polyhedron, cone and conic decomposition of x.
 
     The polyhedron is the feasible set with x_i = 0 for i in zset, the cone
     is its row-sign cone at x against the origin, and x is decomposed over
-    the cone's integer generators by Caratheodory.
+    the cone's integer generators by Caratheodory.  X is x times a positive
+    int: the sign test takes it and the polyhedron's int rows.
     """
     P = restricted_polyhedron(inst, zset)
-    cone = build_cone(P.A, x, tuple([ZERO] * inst.n))
+    cone = build_cone(P.A, X, [0] * inst.n, P.int_rows[0])
     return P, cone, caratheodory_decompose(list(x), enumerate_generators(cone, delta))
 
 
@@ -227,7 +228,10 @@ def one_step(inst: Instance, xa, zset, delta: int) -> tuple[tuple[Fraction, ...]
     """
     xav = tuple(Fraction(v) for v in xa)
     P = inst.polyhedron()
-    if not contains(P, xav):
+    if len(xav) != inst.n:
+        raise DimensionError(f"point has dim {len(xav)}, polyhedron has {inst.n}")
+    X, d = exact.integer_vector(xav)
+    if not contains_int(P, X, d):
         raise InputError("step input must be feasible")
     z, nset = _zero_nonzero_sets(xav, inst.k)
     if z != frozenset(zset):
@@ -238,7 +242,7 @@ def one_step(inst: Instance, xa, zset, delta: int) -> tuple[tuple[Fraction, ...]
     if exact.inf_norm(xav) <= delta * abs(xav[s]):
         raise InputError("caller should have terminated: small-norm condition holds")
 
-    Pt, cone, dec = _conic_step(inst, z, xav, delta)
+    Pt, cone, dec = _conic_step(inst, z, xav, X, delta)
 
     sgn = 1 if xav[s] > 0 else -1
     selected = [i for i, g in enumerate(dec.generators)
@@ -290,7 +294,8 @@ def build_sequence(inst: Instance, xc, schedule: Schedule,
     j = 0
     while True:
         z, nset = _zero_nonzero_sets(x, inst.k)
-        if not contains(P, tuple(exact.vec_sub(xcv, x))):
+        drift = exact.vec_sub(xcv, x)
+        if not contains(P, drift):
             raise ClaimViolation("xell-a", f"x^c - x^{j} left the polyhedron")
         if all(abs(x[i]) > schedule.chi[j] for i in nset):
             trace.append(StepRecord(j, x, z, nset, termination_reason="all-large"))
@@ -314,9 +319,24 @@ def build_sequence(inst: Instance, xc, schedule: Schedule,
     ell = trace[-1].j
     if ell > inst.k:
         raise ClaimViolation("sequence-length", f"ell={ell} > k={inst.k}")
-    if exact.inf_norm(exact.vec_sub(xcv, x)) > schedule.psi_at(ell):
+    if exact.inf_norm(drift) > schedule.psi_at(ell):
         raise ClaimViolation("xell-b", "endpoint drifted beyond psi_ell")
     return x, trace
+
+
+def _scaled_fractions(X, d: int) -> tuple[Fraction, ...]:
+    """The point X / d as Fractions."""
+    return tuple(Fraction(x, d) for x in X) if d != 1 else tuple(map(Fraction, X))
+
+
+def _combine_int(generators, coefficients, n: int) -> list[int]:
+    """sum_i coefficients[i] * generators[i] for integral generators and
+    int coefficients, in ints."""
+    out = [0] * n
+    for g, c in zip(generators, coefficients):
+        if c:
+            out = [o + c * x.numerator for o, x in zip(out, g)]
+    return out
 
 
 def construct_outputs(inst: Instance, xc, x_ell, trace, schedule: Schedule,
@@ -327,56 +347,71 @@ def construct_outputs(inst: Instance, xc, x_ell, trace, schedule: Schedule,
     endpoint's conic decomposition is floored into an integer point.
     """
     xcv = tuple(Fraction(v) for v in xc)
+    x_ell = tuple(x_ell)
+    return _outputs(inst, xcv, exact.integer_vector(xcv), x_ell,
+                    exact.integer_vector(x_ell), trace, schedule, delta)[0]
+
+
+def _outputs(inst: Instance, xcv, xc_int, x_ell, x_ell_int, trace, schedule: Schedule,
+             delta: int) -> tuple[PipelineResult, Polyhedron | None]:
+    """construct_outputs, given xc and x_ell also as (X, d) with X = d x.
+
+    Every point of the construction is checked as ints over one positive
+    denominator: the rounded point x* = sum_i floor(c_i) g_i over the
+    integral generators g_i, over 1; x_c - x* over the denominator of x_c.
+    Fractions are built only for the result.  The case c-2 restricted
+    polyhedron is returned beside the result, for the witnesses.
+    """
+    XC, d = xc_int
     n = inst.n
-    nd = Fraction(n * delta)
+    nd = n * delta
     last = trace[-1]
     ell = last.j
-    origin = tuple([ZERO] * n)
-    P = inst.polyhedron()
 
     if last.termination_reason == "small-norm":
         # Case c-1: the anchors are already close.
-        if exact.inf_norm(xcv) > schedule.psi_at(ell + 1):
+        dist = Fraction(max(map(abs, XC)), d)
+        if dist > schedule.psi_at(ell + 1):
             raise ClaimViolation("c1-distance", "anchors further apart than psi_{ell+1}")
-        dist = exact.inf_norm(xcv)
+        origin = (ZERO,) * n
         return PipelineResult(
-            case="c1", x_ell=tuple(x_ell), x_star_int=origin, x_star_cont=xcv,
+            case="c1", x_ell=x_ell, x_star_int=origin, x_star_cont=xcv,
             trace=trace, distance_int=dist, distance_cont=dist,
             schedule=schedule, delta=delta, xc=xcv, xd=origin,
-            z_ell=last.z_set)
+            z_ell=last.z_set), None
 
     # Case c-2.
     zl = last.z_set
-    Pbar, _, dec = _conic_step(inst, zl, x_ell, delta)
-    floors = [math.floor(c) for c in dec.coefficients]
-    xstar = tuple(ConicDecomposition(dec.generators, floors).combine(n))
-    xcont = tuple(exact.vec_sub(xcv, xstar))
-
-    if not exact.is_integral_vec(xstar):
-        raise ClaimViolation("xstar-integrality", "rounded point is not integer")
-    if exact.inf_norm(exact.vec_sub(x_ell, xstar)) > nd:
+    XL, dl = x_ell_int
+    Pbar, _, dec = _conic_step(inst, zl, x_ell, XL, delta)
+    if not exact.is_integral_mat(dec.generators):
+        raise ClaimViolation("xstar-integrality", "a generator is not integer")
+    XS = _combine_int(dec.generators, [math.floor(c) for c in dec.coefficients], n)
+    if max(abs(a - dl * b) for a, b in zip(XL, XS)) > nd * dl:
         raise ClaimViolation("floor-residual", "||x_ell - x_star|| > n*delta")
-    if not contains(Pbar, xstar):
+    if not contains_int(Pbar, XS, 1):
         raise ClaimViolation("xstar-membership", "x_star left the restricted polyhedron")
     nl = last.n_set
     if nl and ell < inst.k:
         thresh = schedule.chi[ell] - nd
-        if any(abs(xstar[i]) < thresh for i in nl):
+        if any(abs(XS[i]) < thresh for i in nl):
             raise ClaimViolation("xstar-d", "a surviving coordinate is too small")
-    zstar = frozenset(i for i in range(inst.k) if xstar[i] == 0)
+    zstar = frozenset(i for i in range(inst.k) if XS[i] == 0)
     if zstar != zl:
         raise ClaimViolation("xstar-e", f"zero sets differ: {sorted(zstar)} vs {sorted(zl)}")
-    dist = exact.inf_norm(exact.vec_sub(xcv, xstar))
+    XK = [a - d * b for a, b in zip(XC, XS)]  # x_c - x_star, times d
+    dist = Fraction(max(map(abs, XK)), d)
     if dist > schedule.psi_at(ell) + nd:
         raise ClaimViolation("xstar-f", "||x_c - x_star|| > psi_ell + n*delta")
-    if not contains(P, xcont):
+    if not contains_int(inst.polyhedron(), XK, d):
         raise ClaimViolation("xstar-g", "x_c - x_star left the polyhedron")
 
     return PipelineResult(
-        case="c2", x_ell=tuple(x_ell), x_star_int=xstar, x_star_cont=xcont,
+        case="c2", x_ell=x_ell, x_star_int=tuple(map(Fraction, XS)),
+        x_star_cont=_scaled_fractions(XK, d),
         trace=trace, distance_int=dist, distance_cont=dist,
-        schedule=schedule, delta=delta, xc=xcv, xd=origin,
-        z_ell=zl, decomposition=dec)
+        schedule=schedule, delta=delta, xc=xcv, xd=(ZERO,) * n,
+        z_ell=zl, decomposition=dec), Pbar
 
 
 @dataclass
@@ -398,28 +433,37 @@ def midpoint_witnesses(inst: Instance, result: PipelineResult) -> MidpointWitnes
     """
     if result.case != "c2" or result.decomposition is None:
         raise InputError("midpoint witnesses need a case c-2 result")
+    dia = [(a + b) / 2 for a, b in zip(result.xc, result.x_star_cont)]
+    return _witnesses(inst, result, exact.integer_vector(result.x_star_int),
+                      restricted_polyhedron(inst, result.z_ell), exact.integer_vector(dia))
+
+
+def _witnesses(inst: Instance, result: PipelineResult, xstar_int, Pbar: Polyhedron,
+               dia_int) -> MidpointWitnesses:
+    """midpoint_witnesses, given x_star and the continuous midpoint as
+    (X, d) with X = d x, and the restricted polyhedron of the result."""
     n = inst.n
-    nd = Fraction(n * result.delta)
+    nd = n * result.delta
     dec = result.decomposition
-    x_tri = tuple(x / 2 for x in result.x_star_int)
+    XS, ds = xstar_int
     # Every coefficient is > 0, so each floor fl >= 0 splits as fl // 2
     # plus fl - fl // 2.
     floors = [math.floor(c) for c in dec.coefficients]
-    xl, xr = (tuple(ConicDecomposition(dec.generators, cs).combine(n))
-              for cs in ([f // 2 for f in floors], [f - f // 2 for f in floors]))
-    Pbar = restricted_polyhedron(inst, result.z_ell)
-    if not (exact.is_integral_vec(xl) and exact.is_integral_vec(xr)):
-        raise ClaimViolation("witness-integrality", "parity split is not integer")
-    if tuple((a + b) / 2 for a, b in zip(xl, xr)) != x_tri:
+    if not exact.is_integral_mat(dec.generators):
+        raise ClaimViolation("witness-integrality", "a generator is not integer")
+    XLw, XRw = (_combine_int(dec.generators, cs, n)
+                for cs in ([f // 2 for f in floors], [f - f // 2 for f in floors]))
+    if any(ds * (a + b) != c for a, b, c in zip(XLw, XRw, XS)):
         raise ClaimViolation("witness-midpoint", "parity split misses the midpoint")
-    if not (contains(Pbar, xl) and contains(Pbar, xr)):
+    if not (contains_int(Pbar, XLw, 1) and contains_int(Pbar, XRw, 1)):
         raise ClaimViolation("witness-membership", "a witness left the restricted polyhedron")
-    if exact.inf_norm(exact.vec_sub(xr, xl)) > nd:
+    if max(abs(a - b) for a, b in zip(XRw, XLw)) > nd:
         raise ClaimViolation("witness-span", "||x_r - x_l|| > n*delta")
-    x_dia = tuple((a + b) / 2 for a, b in zip(result.xc, result.x_star_cont))
-    if not contains(inst.polyhedron(), x_dia):
+    XD, dd = dia_int
+    if not contains_int(inst.polyhedron(), XD, dd):
         raise ClaimViolation("witness-diamond", "continuous midpoint left the polyhedron")
-    return MidpointWitnesses(x_tri, xl, xr, x_dia)
+    return MidpointWitnesses(_scaled_fractions(XS, 2 * ds), tuple(map(Fraction, XLw)),
+                             tuple(map(Fraction, XRw)), _scaled_fractions(XD, dd))
 
 
 def run_pipeline(inst: Instance, eps, xc, xd) -> PipelineResult:
@@ -427,39 +471,52 @@ def run_pipeline(inst: Instance, eps, xc, xd) -> PipelineResult:
 
     xc and xd are optimal solutions of the continuous and the discrete
     problem; the construction checks that both are feasible but takes
-    their optimality as given.
+    their optimality as given.  The continuous anchor is scaled to ints
+    once, X_c = d x_c; the integer shift keeps d the denominator of every
+    continuous point after it, and the integer points are over 1.
     """
     xcv = tuple(Fraction(v) for v in xc)
     xdv = tuple(Fraction(v) for v in xd)
+    if len(xcv) != inst.n:
+        raise DimensionError(f"point has dim {len(xcv)}, polyhedron has {inst.n}")
     P = inst.polyhedron()
-    if not contains(P, xcv):
+    XC, d = exact.integer_vector(xcv)
+    if not contains_int(P, XC, d):
         raise InputError("continuous anchor is infeasible")
 
     delta = subdeterminant_bound(inst)
     norm_inst, shift = normalize(inst, xdv)
     sched = compute_schedule(inst.n, delta, inst.k, eps)
-    yc = tuple(exact.vec_sub(xcv, shift))
+    S = [x.numerator for x in shift]
+    YC = [a - d * s for a, s in zip(XC, S)]  # y_c = x_c - shift, times d
+    yc = _scaled_fractions(YC, d)
     y_ell, trace = build_sequence(norm_inst, yc, sched, delta)
-    norm_result = construct_outputs(norm_inst, yc, y_ell, trace, sched, delta)
+    # at ell = 0 the endpoint is y_c itself
+    YL, dl = (YC, d) if y_ell == yc else exact.integer_vector(y_ell)
+    norm_result, Pbar = _outputs(norm_inst, yc, (YC, d), y_ell, (YL, dl),
+                                 trace, sched, delta)
+    XS = [x.numerator for x in norm_result.x_star_int]
     if norm_result.case == "c2":
-        norm_result.witnesses = midpoint_witnesses(norm_inst, norm_result)
+        # the diamond midpoint (y_c + (y_c - x_star)) / 2, times 2d
+        norm_result.witnesses = _witnesses(
+            norm_inst, norm_result, (XS, 1), Pbar,
+            ([2 * a - d * b for a, b in zip(YC, XS)], 2 * d))
 
-    back = lambda v: tuple(exact.vec_add(v, shift))
+    XI = [a + s for a, s in zip(XS, S)]  # the integer output
+    XO = [a - d * b for a, b in zip(XC, XS)]  # the continuous output, times d
     result = replace(
         norm_result,
-        x_ell=back(norm_result.x_ell),
-        x_star_int=back(norm_result.x_star_int),
-        x_star_cont=back(norm_result.x_star_cont),
+        x_ell=_scaled_fractions([a + dl * s for a, s in zip(YL, S)], dl),
+        x_star_int=tuple(map(Fraction, XI)),
+        x_star_cont=_scaled_fractions(XO, d),
         xc=xcv, xd=xdv,
         normalized=norm_result)
     if result.distance_int > sched.theorem_bound:
         raise ClaimViolation("theorem-bound", "integer output beyond the proven distance")
     if result.distance_cont > sched.theorem_bound:
         raise ClaimViolation("theorem-bound", "continuous output beyond the proven distance")
-    if not exact.is_integral_vec(result.x_star_int):
-        raise ClaimViolation("xstar-integrality", "integer output is not integral")
-    if not contains(P, result.x_star_int):
+    if not contains_int(P, XI, 1):
         raise ClaimViolation("xstar-feasible", "integer output is infeasible")
-    if not contains(P, result.x_star_cont):
+    if not contains_int(P, XO, d):
         raise ClaimViolation("xstarc-feasible", "continuous output is infeasible")
     return result

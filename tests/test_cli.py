@@ -81,8 +81,16 @@ def test_cmd_solve_missing_file(capsys):
     {"A": [[True], [-1]], "b": ["1", "1"], "q": ["1"], "h": ["0"]},
     {"A": [[1], [-1]], "b": ["1", "1"], "q": ["1"], "h": ["0"], "n": 1.0},
     {"A": [], "b": [], "q": [], "h": []},
+    # a JSON string is no vector: "1100" would read as b = (1, 1, 0, 0)
+    {"A": [[1], [-1], [1], [-1]], "b": "1100", "q": ["1"], "h": ["0"]},
+    {"A": [[1], "1"], "b": ["1", "1"], "q": ["1"], "h": ["0"]},
+    {"A": "11", "b": ["1", "1"], "q": ["1"], "h": ["0"]},
+    {"A": [[1], [-1]], "b": ["1", "1"], "q": "1", "h": ["0"]},
+    {"A": [[1], [-1]], "b": ["1", "1"], "q": ["1"], "h": "0"},
+    {"A": {"1": 0}, "b": ["1"], "q": ["1"], "h": ["0"]},
 ], ids=["A-entry", "k", "n", "A-scalar", "not-utf8", "directory", "floats",
-        "A-bool", "n-float", "empty"])
+        "A-bool", "n-float", "empty", "b-string", "A-row-string", "A-string",
+        "q-string", "h-string", "A-object"])
 def test_cmd_solve_malformed_instance(capsys, tmp_path, content):
     p = tmp_path / "inst.json"
     if content is None:
@@ -389,6 +397,21 @@ def test_verify_report_wrong_dimension(capsys, tmp_path, ex11_report):
     code, err = verify_edited(capsys, tmp_path, ex11_report, xd=["-3", "0"])
     assert code == 2
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("key", ["x_star_int", "x_star_cont", "xc", "xd"])
+def test_verify_report_string_vector(capsys, tmp_path, ex11_report, key):
+    """A point must be a JSON array: the string "3" is not the point (3)."""
+    code, err = verify_edited(capsys, tmp_path, ex11_report, **{key: "3"})
+    assert code == 2
+    assert "JSON array" in err and len(err.strip().splitlines()) == 1
+
+
+def test_verify_report_string_instance_vector(capsys, tmp_path, ex11_report):
+    instance_doc = {**ex11_report["instance"], "b": "13"}
+    code, err = verify_edited(capsys, tmp_path, ex11_report, instance=instance_doc)
+    assert code == 2
+    assert "JSON array" in err and len(err.strip().splitlines()) == 1
 
 
 def test_verify_report_infeasible_point(capsys, tmp_path, ex11_report):

@@ -1,19 +1,26 @@
+import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from iqprox import exact
+from iqprox import cones, exact, pipeline, polyhedra
+from iqprox.cones import (ConicDecomposition, build_cone, caratheodory_decompose,
+                          enumerate_generators)
 from iqprox.errors import ClaimViolation, InputError
 from iqprox.families import (build_example_1_1, build_pbar, build_prop44,
-                             pbar_params, random_instance)
-from iqprox.oracles import claim_cross_checks, full_report, solve_iqp, verdict
-from iqprox.pipeline import (Instance, compute_schedule, eval_objective, instance,
-                             midpoint_witnesses, normalize, one_step,
-                             restricted_polyhedron, run_pipeline,
+                             build_prop45, pbar_params, random_instance)
+from iqprox.oracles import (claim_cross_checks, full_report, solve_iqp, solve_qp,
+                            verdict)
+from iqprox.pipeline import (Instance, MidpointWitnesses, PipelineResult, StepRecord,
+                             build_sequence, compute_schedule, construct_outputs,
+                             eval_objective, instance, midpoint_witnesses, normalize,
+                             one_step, restricted_polyhedron, run_pipeline,
                              subdeterminant_bound)
-from iqprox.cones import build_cone
 from iqprox.polyhedra import Polyhedron, contains, polyhedron
 
 
@@ -233,6 +240,11 @@ def test_normalize_and_restriction_match_fraction_reference():
         assert_fresh_int_rows(restricted_polyhedron(norm, zset), [F(0), F(1, 2)])
 
 
+def box_product(t):
+    return instance([[1, 0], [-1, 0], [0, 1], [0, -1]], [F(3, 4), 0, t + F(3, 4), t],
+                    [1, 1], [F(1, 2), F(1, 2)], 2)
+
+
 @pytest.mark.parametrize("t", [100, 300])
 def test_box_product_reaches_c2_after_a_step(t):
     """The box [0, 3/4] x [-t, t + 3/4] with q = (1, 1), h = (1/2, 1/2),
@@ -241,8 +253,7 @@ def test_box_product_reaches_c2_after_a_step(t):
     the run ends in case c-2 at ell = 1 with N_1 = {1}, on a restricted
     polyhedron whose +-e_0 rows are tied at x_1, so every generator has
     g_0 = 0.  At eps = 1/2, chi_2 = 612 > 2t and the run stops in c-1."""
-    inst = instance([[1, 0], [-1, 0], [0, 1], [0, -1]], [F(3, 4), 0, t + F(3, 4), t],
-                    [1, 1], [F(1, 2), F(1, 2)], 2)
+    inst = box_product(t)
     rep = full_report(inst)
     for eps, case, reason in ((F(1), "c2", "all-large"), (F(1, 2), "c1", "small-norm")):
         res = run_pipeline(inst, eps, rep.cont_opt.point, rep.int_opt.point)
@@ -308,3 +319,311 @@ def test_strip_instances_reach_every_cell():
         ("c1", 3, "small-norm", True): 6,
         ("c2", 0, "all-large", False): 51,
     }
+
+
+# -- the Fraction construction, kept as the reference ----------------------
+
+def reference_conic_step(inst, zset, x, delta):
+    P = restricted_polyhedron(inst, zset)
+    cone = build_cone(P.A, x, tuple([F(0)] * inst.n))
+    return P, cone, caratheodory_decompose(list(x), enumerate_generators(cone, delta))
+
+
+def reference_construct_outputs(inst, xc, x_ell, trace, schedule, delta):
+    """construct_outputs with every point in Fractions and every membership
+    claim a Fraction `contains`."""
+    xcv = tuple(F(v) for v in xc)
+    n = inst.n
+    nd = F(n * delta)
+    last = trace[-1]
+    ell = last.j
+    origin = tuple([F(0)] * n)
+    P = inst.polyhedron()
+
+    if last.termination_reason == "small-norm":
+        if exact.inf_norm(xcv) > schedule.psi_at(ell + 1):
+            raise ClaimViolation("c1-distance", "anchors further apart than psi_{ell+1}")
+        dist = exact.inf_norm(xcv)
+        return PipelineResult(
+            case="c1", x_ell=tuple(x_ell), x_star_int=origin, x_star_cont=xcv,
+            trace=trace, distance_int=dist, distance_cont=dist,
+            schedule=schedule, delta=delta, xc=xcv, xd=origin,
+            z_ell=last.z_set)
+
+    zl = last.z_set
+    Pbar, _, dec = reference_conic_step(inst, zl, x_ell, delta)
+    floors = [math.floor(c) for c in dec.coefficients]
+    xstar = tuple(ConicDecomposition(dec.generators, floors).combine(n))
+    xcont = tuple(exact.vec_sub(xcv, xstar))
+
+    if not exact.is_integral_vec(xstar):
+        raise ClaimViolation("xstar-integrality", "rounded point is not integer")
+    if exact.inf_norm(exact.vec_sub(x_ell, xstar)) > nd:
+        raise ClaimViolation("floor-residual", "||x_ell - x_star|| > n*delta")
+    if not contains(Pbar, xstar):
+        raise ClaimViolation("xstar-membership", "x_star left the restricted polyhedron")
+    nl = last.n_set
+    if nl and ell < inst.k:
+        thresh = schedule.chi[ell] - nd
+        if any(abs(xstar[i]) < thresh for i in nl):
+            raise ClaimViolation("xstar-d", "a surviving coordinate is too small")
+    zstar = frozenset(i for i in range(inst.k) if xstar[i] == 0)
+    if zstar != zl:
+        raise ClaimViolation("xstar-e", f"zero sets differ: {sorted(zstar)} vs {sorted(zl)}")
+    dist = exact.inf_norm(exact.vec_sub(xcv, xstar))
+    if dist > schedule.psi_at(ell) + nd:
+        raise ClaimViolation("xstar-f", "||x_c - x_star|| > psi_ell + n*delta")
+    if not contains(P, xcont):
+        raise ClaimViolation("xstar-g", "x_c - x_star left the polyhedron")
+
+    return PipelineResult(
+        case="c2", x_ell=tuple(x_ell), x_star_int=xstar, x_star_cont=xcont,
+        trace=trace, distance_int=dist, distance_cont=dist,
+        schedule=schedule, delta=delta, xc=xcv, xd=origin,
+        z_ell=zl, decomposition=dec)
+
+
+def reference_midpoint_witnesses(inst, result):
+    n = inst.n
+    nd = F(n * result.delta)
+    dec = result.decomposition
+    x_tri = tuple(x / 2 for x in result.x_star_int)
+    floors = [math.floor(c) for c in dec.coefficients]
+    xl, xr = (tuple(ConicDecomposition(dec.generators, cs).combine(n))
+              for cs in ([f // 2 for f in floors], [f - f // 2 for f in floors]))
+    Pbar = restricted_polyhedron(inst, result.z_ell)
+    if not (exact.is_integral_vec(xl) and exact.is_integral_vec(xr)):
+        raise ClaimViolation("witness-integrality", "parity split is not integer")
+    if tuple((a + b) / 2 for a, b in zip(xl, xr)) != x_tri:
+        raise ClaimViolation("witness-midpoint", "parity split misses the midpoint")
+    if not (contains(Pbar, xl) and contains(Pbar, xr)):
+        raise ClaimViolation("witness-membership", "a witness left the restricted polyhedron")
+    if exact.inf_norm(exact.vec_sub(xr, xl)) > nd:
+        raise ClaimViolation("witness-span", "||x_r - x_l|| > n*delta")
+    x_dia = tuple((a + b) / 2 for a, b in zip(result.xc, result.x_star_cont))
+    if not contains(inst.polyhedron(), x_dia):
+        raise ClaimViolation("witness-diamond", "continuous midpoint left the polyhedron")
+    return MidpointWitnesses(x_tri, xl, xr, x_dia)
+
+
+def reference_run_pipeline(inst, eps, xc, xd):
+    """run_pipeline on the reference construction, with its Fraction tail."""
+    xcv = tuple(F(v) for v in xc)
+    xdv = tuple(F(v) for v in xd)
+    P = inst.polyhedron()
+    if not contains(P, xcv):
+        raise InputError("continuous anchor is infeasible")
+    delta = subdeterminant_bound(inst)
+    norm_inst, shift = normalize(inst, xdv)
+    sched = compute_schedule(inst.n, delta, inst.k, eps)
+    yc = tuple(exact.vec_sub(xcv, shift))
+    y_ell, trace = build_sequence(norm_inst, yc, sched, delta)
+    norm_result = reference_construct_outputs(norm_inst, yc, y_ell, trace, sched, delta)
+    if norm_result.case == "c2":
+        norm_result.witnesses = reference_midpoint_witnesses(norm_inst, norm_result)
+
+    back = lambda v: tuple(exact.vec_add(v, shift))
+    result = replace(
+        norm_result,
+        x_ell=back(norm_result.x_ell),
+        x_star_int=back(norm_result.x_star_int),
+        x_star_cont=back(norm_result.x_star_cont),
+        xc=xcv, xd=xdv,
+        normalized=norm_result)
+    if result.distance_int > sched.theorem_bound:
+        raise ClaimViolation("theorem-bound", "integer output beyond the proven distance")
+    if result.distance_cont > sched.theorem_bound:
+        raise ClaimViolation("theorem-bound", "continuous output beyond the proven distance")
+    if not exact.is_integral_vec(result.x_star_int):
+        raise ClaimViolation("xstar-integrality", "integer output is not integral")
+    if not contains(P, result.x_star_int):
+        raise ClaimViolation("xstar-feasible", "integer output is infeasible")
+    if not contains(P, result.x_star_cont):
+        raise ClaimViolation("xstarc-feasible", "continuous output is infeasible")
+    return result
+
+
+def anchored(inst, eps, xc=None, xd=None):
+    """(inst, eps, xc, xd), the anchors from the oracles unless given."""
+    if xc is None:
+        xc, xd = solve_qp(inst).point, solve_iqp(inst).point
+    return inst, F(eps), xc, xd
+
+
+@st.composite
+def random_runs(draw):
+    inst = random_instance(draw(st.integers(0, 2**30)), n_max=4)
+    return anchored(inst, draw(st.sampled_from([F(1, 10), F(1, 2), F(1)])))
+
+
+def point_fields(result):
+    return [result.x_ell, result.x_star_int, result.x_star_cont, result.xc, result.xd,
+            *(getattr(result.witnesses, f) for f in ("x_tri", "x_l", "x_r", "x_dia")
+              if result.witnesses is not None)]
+
+
+EX3 = build_example_1_1(3)
+EX11 = build_example_1_1(30)
+PROP44 = build_prop44(F(1, 4), 3, 5)
+PROP45 = build_prop45(3, 1, F(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_runs())
+# case c-2 at ell = 0 with one generator, and case c-1 at ell = 0
+@example(anchored(EX11.instance, 1, [F(123, 4)], [F(-30)]))
+@example(anchored(EX3.instance, F(1, 2), [F(15, 4)], [F(-3)]))
+# case c-2 at ell = 1 (eps = 1) and case c-1 at ell = 1 (eps = 1/2)
+@example(anchored(box_product(100), 1))
+@example(anchored(box_product(300), 1))
+@example(anchored(box_product(100), F(1, 2)))
+# case c-1 at ell = 2 and at ell = 4
+@example(anchored(PROP45.instance, F(1, 2), PROP45.expected["xc"], PROP45.expected["xd"]))
+@example(anchored(PROP44.instance, F(1, 4), PROP44.expected["xc"], PROP44.expected["xd"]))
+def test_run_pipeline_matches_fraction_reference(case):
+    """Every field of the result, of its normalized result and of the
+    witnesses equals the Fraction construction's, every point entry is a
+    Fraction, or both raise the same claim."""
+    try:
+        want = reference_run_pipeline(*case)
+    except ClaimViolation as err:
+        with pytest.raises(ClaimViolation) as got:
+            run_pipeline(*case)
+        assert got.value.claim == err.claim
+        return
+    got = run_pipeline(*case)
+    assert got == want
+    assert got.normalized == want.normalized
+    assert got.normalized.witnesses == want.normalized.witnesses
+    for res in (got, got.normalized):
+        assert all(type(x) is F for v in point_fields(res) for x in v)
+        assert all(type(x) is F for x in (res.distance_int, res.distance_cont))
+
+
+def test_reference_examples_reach_every_case():
+    """The examples above reach case c-2 at ell = 0 and 1 and case c-1 at
+    ell = 0, 1, 2 and 4."""
+    cells = set()
+    for case in (anchored(EX11.instance, 1, [F(123, 4)], [F(-30)]),
+                 anchored(EX3.instance, F(1, 2), [F(15, 4)], [F(-3)]),
+                 anchored(box_product(100), 1), anchored(box_product(100), F(1, 2)),
+                 anchored(PROP45.instance, F(1, 2), PROP45.expected["xc"],
+                          PROP45.expected["xd"]),
+                 anchored(PROP44.instance, F(1, 4), PROP44.expected["xc"],
+                          PROP44.expected["xd"])):
+        res = run_pipeline(*case)
+        cells.add((res.case, res.trace[-1].j))
+    assert cells == {("c2", 0), ("c2", 1), ("c1", 0), ("c1", 1), ("c1", 2), ("c1", 4)}
+
+
+# -- each claim of the rounding step and the witnesses, on one bad input ---
+
+def ex11_run():
+    """Example 1.1 at t = 30, eps = 1: case c-2 at ell = 0.  Normalized,
+    P = [0, 243/4], x_ell = x_c = 243/4, n*delta = 1 and chi_0 = 10; the
+    decomposition is 243/4 times the generator (1)."""
+    return run_pipeline(EX11.instance, F(1), [F(123, 4)], [F(-30)])
+
+
+@pytest.mark.parametrize("generators, coefficients, claim", [
+    ([(F(1, 2),)], [F(243, 2)], "xstar-integrality"),
+    ([(F(1),)], [F(251, 4)], "floor-residual"),      # x* = 62, 5/4 from x_ell
+    ([(F(1),)], [F(245, 4)], "xstar-membership"),    # x* = 61 > 243/4
+])
+def test_run_pipeline_claims_on_a_corrupted_decomposition(monkeypatch, generators,
+                                                          coefficients, claim):
+    monkeypatch.setattr(pipeline, "caratheodory_decompose",
+                        lambda target, gens: ConicDecomposition(generators, coefficients))
+    with pytest.raises(ClaimViolation) as err:
+        ex11_run()
+    assert err.value.claim == claim
+
+
+def test_run_pipeline_theorem_bound_on_a_corrupted_schedule(monkeypatch):
+    schedule = compute_schedule
+    monkeypatch.setattr(pipeline, "compute_schedule",
+                        lambda *args: replace(schedule(*args), theorem_bound=F(1, 2)))
+    with pytest.raises(ClaimViolation) as err:
+        ex11_run()  # distance 3/4
+    assert err.value.claim == "theorem-bound"
+
+
+def ex11_record(j, x, zset, reason):
+    return StepRecord(j, (F(x),), frozenset(zset), frozenset({0}) - frozenset(zset),
+                      termination_reason=reason)
+
+
+@pytest.mark.parametrize("xc, x_ell, record, claim", [
+    # the anchors 61 apart, but the trace says small-norm at ell = 0
+    (61, 61, ex11_record(0, 61, (), "small-norm"), "c1-distance"),
+    # x* = 5 on N_0 = {0}, below chi_0 - n*delta = 9
+    (5, 5, ex11_record(0, 5, (), "all-large"), "xstar-d"),
+    # ell = k = 1 skips xstar-d; x* = floor(1/2) = 0 while Z_ell is empty
+    (F(1, 2), F(1, 2), ex11_record(1, F(1, 2), (), "all-large"), "xstar-e"),
+    # x* = 60, 2 from x_c against psi_0 + n*delta = 1
+    (58, F(243, 4), ex11_record(0, F(243, 4), (), "all-large"), "xstar-f"),
+    # x_c - x* = -1/2 is outside P
+    (F(119, 2), F(243, 4), ex11_record(0, F(243, 4), (), "all-large"), "xstar-g"),
+])
+def test_construct_outputs_claims_on_inconsistent_inputs(xc, x_ell, record, claim):
+    norm, _ = normalize(EX11.instance, [F(-30)])
+    sched = compute_schedule(1, 1, 1, F(1))
+    with pytest.raises(ClaimViolation) as err:
+        construct_outputs(norm, [F(xc)], (F(x_ell),), [record], sched, 1)
+    assert err.value.claim == claim
+
+
+@pytest.mark.parametrize("edits, claim", [
+    ({"decomposition": ConicDecomposition([(F(1, 2),)], [F(243, 2)])},
+     "witness-integrality"),
+    ({"x_star_int": (F(61),)}, "witness-midpoint"),
+    # x_l = x_r = 61 > 243/4
+    ({"x_star_int": (F(122),), "decomposition": ConicDecomposition([(F(1),)], [F(122)])},
+     "witness-membership"),
+    # x_l = 0, x_r = 2
+    ({"x_star_int": (F(2),),
+      "decomposition": ConicDecomposition([(F(1),), (F(1),)], [F(1), F(1)])},
+     "witness-span"),
+    # (243/4 - 100) / 2 < 0
+    ({"x_star_cont": (F(-100),)}, "witness-diamond"),
+])
+def test_midpoint_witnesses_claims_on_a_corrupted_result(edits, claim):
+    norm, _ = normalize(EX11.instance, [F(-30)])
+    result = replace(ex11_run().normalized, **edits)
+    with pytest.raises(ClaimViolation) as err:
+        midpoint_witnesses(norm, result)
+    assert err.value.claim == claim
+
+
+# -- how often a c-2 run scales a point to ints or tests one in Fractions --
+
+def counted_calls(monkeypatch, module, name):
+    """Calls of module.name from now on, through every module that binds it."""
+    calls = []
+    orig = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return orig(*args)
+
+    for mod in (exact, polyhedra, cones, pipeline):
+        if getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("case, counts", [
+    ("example-1-1", (6, 2)),   # 15 and 10 with Fraction points
+    ("box-100", (18, 5)),      # 34 and 14 with Fraction points
+])
+def test_c2_run_scales_each_point_once(monkeypatch, case, counts):
+    """exact.integer_vector and polyhedra.contains calls in one case c-2
+    run: example 1.1 at t = 30 (ell = 0) and the box product at t = 100
+    (ell = 1), both at eps = 1.  A point check that goes back to Fractions
+    raises these counts."""
+    args = (anchored(EX11.instance, 1, [F(123, 4)], [F(-30)]) if case == "example-1-1"
+            else anchored(box_product(100), 1))
+    scaled = counted_calls(monkeypatch, exact, "integer_vector")
+    tested = counted_calls(monkeypatch, polyhedra, "contains")
+    assert run_pipeline(*args).case == "c2"
+    assert (len(scaled), len(tested)) == counts
