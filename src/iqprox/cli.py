@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input error or closed standard output, 3 infeasible
-or unbounded instance, 4 violated internal guarantee or failed verification.
+Exit codes: 0 success, 2 input error or unwritable stdout, 3 infeasible or
+unbounded instance, 4 violated internal guarantee or failed verification.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def _parse_point(s: str, n: int) -> list:
 def _emit(doc):
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
-    sys.stdout.flush()  # a closed pipe raises here, inside main
+    sys.stdout.flush()  # a closed pipe or a full device raises by here, inside main
 
 
 def cmd_solve(args) -> int:
@@ -163,7 +163,7 @@ def cmd_cone(args) -> int:
     inst = formats.load_instance(args.instance)
     xa = _parse_point(args.xa, inst.n)
     xb = _parse_point(args.xb, inst.n)
-    cone = build_cone(inst.A, xa, xb)
+    cone = build_cone(inst.polyhedron().int_rows[0], xa, xb)
     delta = subdeterminant_bound(inst)
     gens = enumerate_generators(cone, delta)
     _emit({"delta": delta,
@@ -292,6 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = globals()["cmd_" + args.command.replace("-", "_")]
+    if sys.stdout is None:  # started with descriptor 1 closed
+        print("output error: standard output is closed", file=sys.stderr)
+        return EXIT_INPUT
     try:
         return handler(args)
     except (InputError, DimensionError, DomainError, FileNotFoundError) as e:
@@ -304,10 +307,11 @@ def main(argv=None) -> int:
     except (ClaimViolation, RepresentationMismatch) as e:
         print(f"violation: {e}", file=sys.stderr)
         return EXIT_CLAIM
-    except BrokenPipeError:
-        # The reader closed stdout.  Point the descriptor at devnull, so the
-        # flush at interpreter exit writes the buffered rest there instead
-        # of raising again.
+    except OSError as e:
+        # Reading a file raises InputError, so this is writing stdout: its
+        # reader closed it (EPIPE) or its device is full (ENOSPC).  Point the
+        # descriptor at devnull, so the flush at interpreter exit writes the
+        # buffered rest there instead of raising again.
         try:
             fd = sys.stdout.fileno()
         except (OSError, ValueError):  # a stream without a descriptor
@@ -316,7 +320,8 @@ def main(argv=None) -> int:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, fd)
             os.close(devnull)
-        print("output error: standard output was closed", file=sys.stderr)
+        print(f"output error: cannot write standard output: {e.strerror or e}",
+              file=sys.stderr)
         return EXIT_INPUT
 
 

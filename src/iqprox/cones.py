@@ -1,16 +1,16 @@
 """Row-sign cones, integer generator sets, and conic decompositions.
 
-The cone of a matrix A and two points splits the rows of A by the sign of
-u.(xa - xb); ties land on both sides.  Generators are the primitive integer
-extreme rays of the cone cut by each orthant, which keeps every generator's
-infinity norm within the subdeterminant bound of the source matrix.
+The cone of two points puts each int row u (a row of a matrix times a
+positive int) on a side by the sign of u.(xa - xb); ties land on both
+sides.  Generators are the primitive integer extreme rays of the cone cut
+by each orthant, which keeps every generator's infinity norm within the
+subdeterminant bound of the source matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from math import gcd
 from operator import mul
@@ -27,19 +27,11 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class ProximityCone:
-    """{x : A1 x <= 0, A2 x >= 0} from the row partition of a matrix."""
+    """{x : A1 x <= 0, A2 x >= 0} on int rows, each a matrix row times a positive int."""
 
-    a1: tuple[tuple[Fraction, ...], ...]
-    a2: tuple[tuple[Fraction, ...], ...]
+    a1: tuple[tuple[int, ...], ...]
+    a2: tuple[tuple[int, ...], ...]
     ambient_dim: int
-
-    @cached_property
-    def int_rows(self) -> tuple[list[list[int]], list[list[int]]]:
-        """a1 and a2 with each row times the lcm of its denominators;
-        build_cone gives its cone the int rows of its sign test, which may
-        be positive multiples of these.  Each serves the signs of
-        cone_contains and the hyperplanes of enumerate_generators."""
-        return exact._integer_rows(self.a1)[0], exact._integer_rows(self.a2)[0]
 
 
 @dataclass
@@ -60,50 +52,39 @@ class ConicDecomposition:
         return out
 
 
-def build_cone(A, xa, xb, int_rows=None) -> ProximityCone:
-    """Partition the rows of A by the sign of u.(xa - xb); ties go to both.
+def build_cone(rows, xa, xb) -> ProximityCone:
+    """Partition int rows by the sign of u.(xa - xb); ties go to both sides.
 
-    The direction d = xa - xb is scaled once to an integer vector D = L d
-    with L > 0, and each row u to an integer row, so the sign of u.d is that
-    of an int dot product.  The int rows are int_rows when given, each row
-    of A times some positive int (a polyhedron's int rows serve); otherwise
-    each row times the lcm of its denominators.  The cone keeps them as its
-    int_rows.  Rows keep their order; a row of Fractions is kept as given.
+    Each row is a row of a matrix times a positive int, as a polyhedron's
+    int_rows[0] are, so its sign is that of the matrix row.  The direction
+    d = xa - xb is scaled once to an integer vector D = L d with L > 0, so
+    each sign is that of an int dot product.  The rows are kept as given,
+    in order, each as a tuple.
     """
-    if not A:
+    if not rows:
         raise DimensionError("cone needs at least one row")
-    n = len(A[0])
+    n = len(rows[0])
     if len(xa) != n or len(xb) != n:
         raise DimensionError("point dimension does not match matrix columns")
-    for row in A:
-        if len(row) != n:
-            raise DimensionError(f"row length {len(row)} vs {n} columns")
-    rows = [r if all(type(x) is Fraction for x in r) else tuple(map(Fraction, r))
-            for r in map(tuple, A)]  # each row itself when it is a tuple of Fractions
-    if int_rows is None:
-        int_rows = exact._integer_rows(rows)[0]
     D, _ = exact.integer_vector(exact.vec_sub(xa, xb))
-    a1, a2, i1, i2 = [], [], [], []
-    for r, R in zip(rows, int_rows):
-        s = sum(map(mul, R, D))
+    a1, a2 = [], []
+    for r in map(tuple, rows):  # a tuple is itself
+        if len(r) != n:
+            raise DimensionError(f"row length {len(r)} vs {n} columns")
+        s = sum(map(mul, r, D))
         if s <= 0:
             a1.append(r)
-            i1.append(R)
         if s >= 0:
             a2.append(r)
-            i2.append(R)
-    cone = ProximityCone(tuple(a1), tuple(a2), n)
-    cone.__dict__["int_rows"] = i1, i2
-    return cone
+    return ProximityCone(tuple(a1), tuple(a2), n)
 
 
 def cone_contains(cone: ProximityCone, x) -> bool:
     if len(x) != cone.ambient_dim:
         raise DimensionError("point dimension mismatch")
     X, _ = exact.integer_vector(x)  # x scaled by a positive d: same signs
-    a1, a2 = cone.int_rows
-    return (all(sum(map(mul, r, X)) <= 0 for r in a1)
-            and all(sum(map(mul, r, X)) >= 0 for r in a2))
+    return (all(sum(map(mul, r, X)) <= 0 for r in cone.a1)
+            and all(sum(map(mul, r, X)) >= 0 for r in cone.a2))
 
 
 def enumerate_generators(cone: ProximityCone,
@@ -139,12 +120,11 @@ def enumerate_generators(cone: ProximityCone,
     if delta < 1:
         raise InputError("delta must be a positive integer")
     n = cone.ambient_dim
-    a1, a2 = cone.int_rows
-    both = set(map(tuple, a2))
+    both = set(cone.a2)
     eq: list[list[int]] = []  # echelon of the equality rows
     eq_pivots: list[int] = []
-    for row in a1:
-        if tuple(row) in both:
+    for row in cone.a1:
+        if row in both:
             ext = exact._extend_echelon(eq, eq_pivots, row, n)
             if ext is not None:
                 eq.append(ext[0])
@@ -153,7 +133,7 @@ def enumerate_generators(cone: ProximityCone,
                     return ()
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     hyperplanes = {}  # primitive nonzero rows up to sign, first nonzero entry > 0
-    for r in chain(a1, a2, units):
+    for r in chain(cone.a1, cone.a2, units):
         lead = next((x for x in r if x), 0)
         if lead:
             g = gcd(*r) if lead > 0 else -gcd(*r)

@@ -211,10 +211,10 @@ def _conic_step(inst: Instance, zset, x, X,
     The polyhedron is the feasible set with x_i = 0 for i in zset, the cone
     is its row-sign cone at x against the origin, and x is decomposed over
     the cone's integer generators by Caratheodory.  X is x times a positive
-    int: the sign test takes it and the polyhedron's int rows.
+    int: the cone's sign test takes it and the polyhedron's int rows.
     """
     P = restricted_polyhedron(inst, zset)
-    cone = build_cone(P.A, X, [0] * inst.n, P.int_rows[0])
+    cone = build_cone(P.int_rows[0], X, [0] * inst.n)
     return P, cone, caratheodory_decompose(list(x), enumerate_generators(cone, delta))
 
 
@@ -343,26 +343,17 @@ def construct_outputs(inst: Instance, xc, x_ell, trace, schedule: Schedule,
                       delta: int) -> PipelineResult:
     """Build the integer output and its continuous counterpart (normalized).
 
-    Small-norm termination keeps the anchors themselves; otherwise the
-    endpoint's conic decomposition is floored into an integer point.
+    xc and x_ell are the continuous anchor and the sequence's endpoint
+    trace[-1].x_j, each as (X, d) with X = d x and d > 0.  Small-norm
+    termination keeps the anchors themselves (case c-1).  Otherwise (case
+    c-2) the endpoint's conic decomposition is floored into the integer
+    point x* = sum_i floor(c_i) g_i over the integral generators g_i, and
+    the result carries its midpoint witnesses.  Every point is checked as
+    ints over one positive denominator: x* over 1, x_c - x* over that of
+    x_c.  Fractions are built only for the result.
     """
-    xcv = tuple(Fraction(v) for v in xc)
-    x_ell = tuple(x_ell)
-    return _outputs(inst, xcv, exact.integer_vector(xcv), x_ell,
-                    exact.integer_vector(x_ell), trace, schedule, delta)[0]
-
-
-def _outputs(inst: Instance, xcv, xc_int, x_ell, x_ell_int, trace, schedule: Schedule,
-             delta: int) -> tuple[PipelineResult, Polyhedron | None]:
-    """construct_outputs, given xc and x_ell also as (X, d) with X = d x.
-
-    Every point of the construction is checked as ints over one positive
-    denominator: the rounded point x* = sum_i floor(c_i) g_i over the
-    integral generators g_i, over 1; x_c - x* over the denominator of x_c.
-    Fractions are built only for the result.  The case c-2 restricted
-    polyhedron is returned beside the result, for the witnesses.
-    """
-    XC, d = xc_int
+    XC, d = xc
+    xcv = _scaled_fractions(XC, d)
     n = inst.n
     nd = n * delta
     last = trace[-1]
@@ -375,15 +366,15 @@ def _outputs(inst: Instance, xcv, xc_int, x_ell, x_ell_int, trace, schedule: Sch
             raise ClaimViolation("c1-distance", "anchors further apart than psi_{ell+1}")
         origin = (ZERO,) * n
         return PipelineResult(
-            case="c1", x_ell=x_ell, x_star_int=origin, x_star_cont=xcv,
+            case="c1", x_ell=last.x_j, x_star_int=origin, x_star_cont=xcv,
             trace=trace, distance_int=dist, distance_cont=dist,
             schedule=schedule, delta=delta, xc=xcv, xd=origin,
-            z_ell=last.z_set), None
+            z_ell=last.z_set)
 
     # Case c-2.
     zl = last.z_set
-    XL, dl = x_ell_int
-    Pbar, _, dec = _conic_step(inst, zl, x_ell, XL, delta)
+    XL, dl = x_ell
+    Pbar, _, dec = _conic_step(inst, zl, last.x_j, XL, delta)
     if not exact.is_integral_mat(dec.generators):
         raise ClaimViolation("xstar-integrality", "a generator is not integer")
     XS = _combine_int(dec.generators, [math.floor(c) for c in dec.coefficients], n)
@@ -407,11 +398,12 @@ def _outputs(inst: Instance, xcv, xc_int, x_ell, x_ell_int, trace, schedule: Sch
         raise ClaimViolation("xstar-g", "x_c - x_star left the polyhedron")
 
     return PipelineResult(
-        case="c2", x_ell=x_ell, x_star_int=tuple(map(Fraction, XS)),
+        case="c2", x_ell=last.x_j, x_star_int=tuple(map(Fraction, XS)),
         x_star_cont=_scaled_fractions(XK, d),
         trace=trace, distance_int=dist, distance_cont=dist,
         schedule=schedule, delta=delta, xc=xcv, xd=(ZERO,) * n,
-        z_ell=zl, decomposition=dec), Pbar
+        z_ell=zl, decomposition=dec,
+        witnesses=midpoint_witnesses(inst, dec, delta, xc, XS, Pbar))
 
 
 @dataclass
@@ -422,30 +414,19 @@ class MidpointWitnesses:
     x_dia: tuple[Fraction, ...]
 
 
-def midpoint_witnesses(inst: Instance, result: PipelineResult) -> MidpointWitnesses:
+def midpoint_witnesses(inst: Instance, dec: ConicDecomposition, delta: int, xc,
+                       XS, Pbar: Polyhedron) -> MidpointWitnesses:
     """Integer points flanking the half-way point of the rounded output.
 
-    Operates on the normalized problem (discrete anchor at the origin) and
-    needs the case c-2 decomposition.  The parity split of the floored
-    coefficients gives two lattice points of the restricted polyhedron whose
-    midpoint is x_star/2; the fourth witness is the feasible midpoint of the
-    continuous anchor and output.
+    Operates on the normalized problem (discrete anchor at the origin) in
+    case c-2: dec is the decomposition of the endpoint over the generators
+    of the restricted polyhedron Pbar, XS the rounded point x* as ints, and
+    xc the continuous anchor as (X, d) with X = d x_c.  The parity split of
+    the floored coefficients gives two lattice points of Pbar whose
+    midpoint is x*/2; the fourth witness is the midpoint of x_c and
+    x_c - x*, which must be feasible.
     """
-    if result.case != "c2" or result.decomposition is None:
-        raise InputError("midpoint witnesses need a case c-2 result")
-    dia = [(a + b) / 2 for a, b in zip(result.xc, result.x_star_cont)]
-    return _witnesses(inst, result, exact.integer_vector(result.x_star_int),
-                      restricted_polyhedron(inst, result.z_ell), exact.integer_vector(dia))
-
-
-def _witnesses(inst: Instance, result: PipelineResult, xstar_int, Pbar: Polyhedron,
-               dia_int) -> MidpointWitnesses:
-    """midpoint_witnesses, given x_star and the continuous midpoint as
-    (X, d) with X = d x, and the restricted polyhedron of the result."""
     n = inst.n
-    nd = n * result.delta
-    dec = result.decomposition
-    XS, ds = xstar_int
     # Every coefficient is > 0, so each floor fl >= 0 splits as fl // 2
     # plus fl - fl // 2.
     floors = [math.floor(c) for c in dec.coefficients]
@@ -453,17 +434,18 @@ def _witnesses(inst: Instance, result: PipelineResult, xstar_int, Pbar: Polyhedr
         raise ClaimViolation("witness-integrality", "a generator is not integer")
     XLw, XRw = (_combine_int(dec.generators, cs, n)
                 for cs in ([f // 2 for f in floors], [f - f // 2 for f in floors]))
-    if any(ds * (a + b) != c for a, b, c in zip(XLw, XRw, XS)):
+    if any(a + b != c for a, b, c in zip(XLw, XRw, XS)):
         raise ClaimViolation("witness-midpoint", "parity split misses the midpoint")
     if not (contains_int(Pbar, XLw, 1) and contains_int(Pbar, XRw, 1)):
         raise ClaimViolation("witness-membership", "a witness left the restricted polyhedron")
-    if max(abs(a - b) for a, b in zip(XRw, XLw)) > nd:
+    if max(abs(a - b) for a, b in zip(XRw, XLw)) > n * delta:
         raise ClaimViolation("witness-span", "||x_r - x_l|| > n*delta")
-    XD, dd = dia_int
-    if not contains_int(inst.polyhedron(), XD, dd):
+    XC, d = xc
+    XD = [2 * a - d * b for a, b in zip(XC, XS)]  # (x_c + (x_c - x_star)) / 2, times 2d
+    if not contains_int(inst.polyhedron(), XD, 2 * d):
         raise ClaimViolation("witness-diamond", "continuous midpoint left the polyhedron")
-    return MidpointWitnesses(_scaled_fractions(XS, 2 * ds), tuple(map(Fraction, XLw)),
-                             tuple(map(Fraction, XRw)), _scaled_fractions(XD, dd))
+    return MidpointWitnesses(_scaled_fractions(XS, 2), tuple(map(Fraction, XLw)),
+                             tuple(map(Fraction, XRw)), _scaled_fractions(XD, 2 * d))
 
 
 def run_pipeline(inst: Instance, eps, xc, xd) -> PipelineResult:
@@ -493,14 +475,8 @@ def run_pipeline(inst: Instance, eps, xc, xd) -> PipelineResult:
     y_ell, trace = build_sequence(norm_inst, yc, sched, delta)
     # at ell = 0 the endpoint is y_c itself
     YL, dl = (YC, d) if y_ell == yc else exact.integer_vector(y_ell)
-    norm_result, Pbar = _outputs(norm_inst, yc, (YC, d), y_ell, (YL, dl),
-                                 trace, sched, delta)
+    norm_result = construct_outputs(norm_inst, (YC, d), (YL, dl), trace, sched, delta)
     XS = [x.numerator for x in norm_result.x_star_int]
-    if norm_result.case == "c2":
-        # the diamond midpoint (y_c + (y_c - x_star)) / 2, times 2d
-        norm_result.witnesses = _witnesses(
-            norm_inst, norm_result, (XS, 1), Pbar,
-            ([2 * a - d * b for a, b in zip(YC, XS)], 2 * d))
 
     XI = [a + s for a, s in zip(XS, S)]  # the integer output
     XO = [a - d * b for a, b in zip(XC, XS)]  # the continuous output, times d

@@ -331,19 +331,45 @@ def test_closed_stdout_pipe(ex11_path):
     """
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "iqprox.cli", "proximity", ex11_path, "--eps", "1"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+            stdout=write_end, stderr=subprocess.PIPE, env=cli_env(), text=True, timeout=120)
     finally:
         os.close(write_end)
+    assert_one_output_error(proc)
+
+
+def cli_env() -> dict:
+    """The environment for `python -m iqprox.cli`: this checkout's package,
+    and stdout block-buffered when it is not a terminal."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def assert_one_output_error(proc):
     assert proc.returncode == 2
     assert proc.stderr.startswith("output error:")
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("redirect", [
+    pytest.param("> /dev/full", id="full", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full device")),
+    pytest.param(">&-", id="closed"),
+])
+def test_unwritable_stdout(ex11_path, redirect):
+    """A report written to a full device (ENOSPC), or a process started
+    with descriptor 1 closed (sys.stdout is None): exit 2 and one stderr
+    line, as for a closed pipe."""
+    proc = subprocess.run(
+        ["/bin/sh", "-c", f'exec "$0" -m iqprox.cli solve "$1" {redirect}',
+         sys.executable, ex11_path],
+        stderr=subprocess.PIPE, env=cli_env(), text=True, timeout=120)
+    assert_one_output_error(proc)
 
 
 def test_verify_report_roundtrip(capsys, ex11_path, tmp_path):

@@ -23,8 +23,8 @@ def test_build_cone_partitions_by_sign():
     A = [[1, 0], [0, 1], [1, 1]]
     cone = build_cone(A, [2, -1], [0, 0])
     # row 0: 2 > 0 -> a2;  row 1: -1 < 0 -> a1;  row 2: 1 > 0 -> a2
-    assert cone.a1 == ((F(0), F(1)),)
-    assert cone.a2 == ((F(1), F(0)), (F(1), F(1)))
+    assert cone.a1 == ((0, 1),)
+    assert cone.a2 == ((1, 0), (1, 1))
 
 
 def test_build_cone_tie_goes_both_ways():
@@ -113,10 +113,11 @@ def orthant_generators(cone):
 
 
 def assert_generators_match_orthants(A, xa, xb):
-    """Both enumerations agree; Delta is taken on A's rows scaled to ints."""
-    delta = max(1, exact.max_abs_subdeterminant(
-        [exact.integer_vector(row)[0] for row in A]))
-    cone = build_cone(A, xa, xb)
+    """Both enumerations agree on the cone of A's rows scaled to ints, and
+    Delta is taken on those rows."""
+    rows = exact._integer_rows(A)[0]
+    delta = max(1, exact.max_abs_subdeterminant(rows))
+    cone = build_cone(rows, xa, xb)
     assert enumerate_generators(cone, delta) == orthant_generators(cone)
 
 
@@ -168,7 +169,7 @@ def test_generators_match_orthant_enumeration_restricted():
         zset = {i for i in range(inst.n) if rng.random() < 0.4}
         P = restricted_polyhedron(inst, zset)
         xa = [F(0) if i in zset else F(rng.randint(-2, 2)) for i in range(inst.n)]
-        cone = build_cone(P.A, xa, [F(0)] * inst.n)
+        cone = build_cone(P.int_rows[0], xa, [F(0)] * inst.n)
         delta = max(1, exact.max_abs_subdeterminant(P.A))
         assert enumerate_generators(cone, delta) == orthant_generators(cone)
         ties = len(cone.a1) + len(cone.a2) - P.m
@@ -187,7 +188,7 @@ def combinations_enumerate_generators(cone, delta):
     n = cone.ambient_dim
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     hyperplanes = {}
-    for r in chain(*cone.int_rows, units):
+    for r in chain(cone.a1, cone.a2, units):
         lead = next((x for x in r if x), 0)
         if lead:
             g = gcd(*r) if lead > 0 else -gcd(*r)
@@ -235,11 +236,11 @@ def generator_cones(draw):
             if draw(st.booleans()):  # project out d: a tie row
                 c = exact.dot(u, d) / dd
                 A[i] = [ui - c * di for ui, di in zip(u, d)]
+    rows = exact._integer_rows(A)[0]
     delta = draw(st.one_of(st.integers(1, 3), st.none()))
     if delta is None:
-        delta = max(1, exact.max_abs_subdeterminant(
-            [exact.integer_vector(row)[0] for row in A]))
-    return build_cone(A, xa, xb), delta
+        delta = max(1, exact.max_abs_subdeterminant(rows))
+    return build_cone(rows, xa, xb), delta
 
 
 @settings(max_examples=200, deadline=None)
@@ -254,7 +255,7 @@ def generator_cones(draw):
 # ties of rank 2 at n = 3 whose line (2, -1, 1) is beyond Delta = 1
 @example((build_cone([[1, 2, 0], [0, 1, 1], [1, 0, 0]], [2, -1, 1], [0, 0, 0]), 1))
 # n = 1 without a tie
-@example((build_cone([[F(1, 2)]], [0], [1]), 1))
+@example((build_cone([[1]], [0], [1]), 1))
 def test_generators_match_combinations_reference(case):
     """The same sorted generators as the combinations loop, or the same
     generator-norm violation naming the same generator."""
@@ -305,7 +306,7 @@ def test_generators_of_a_full_rank_tied_cone_try_no_hyperplane(monkeypatch):
     A = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]]
     cone = build_cone(A, [F(1, 2)] * 3, [F(1, 2)] * 3)
     assert enumerate_generators(cone, 1) == ()
-    assert [args[2] for args in tried] == A[:4]
+    assert [list(args[2]) for args in tried] == A[:4]
 
 
 def test_prop44_construction_tries_fewer_rows(monkeypatch):
@@ -496,7 +497,7 @@ def test_caratheodory_random_recombination():
 
 def test_check_two_representations():
     P = polyhedron([[-1, 0], [0, -1]], [0, 0])  # nonnegative quadrant
-    cone = build_cone(P.A, [2, 1], [0, 0])
+    cone = build_cone(P.int_rows[0], [2, 1], [0, 0])
     v = (F(1), F(0))
     w = (F(0), F(1))
     pos = ConicDecomposition([v, w], [F(2), F(1)])
@@ -506,7 +507,7 @@ def test_check_two_representations():
 
 def test_check_two_representations_mismatch():
     P = polyhedron([[-1, 0], [0, -1]], [0, 0])
-    cone = build_cone(P.A, [2, 1], [0, 0])
+    cone = build_cone(P.int_rows[0], [2, 1], [0, 0])
     pos = ConicDecomposition([(F(1), F(0))], [F(1)])
     neg = ConicDecomposition([], [])
     with pytest.raises(RepresentationMismatch):
@@ -515,7 +516,7 @@ def test_check_two_representations_mismatch():
 
 def test_check_two_representations_rejects_negative_coeff():
     P = polyhedron([[-1, 0], [0, -1]], [0, 0])
-    cone = build_cone(P.A, [2, 1], [0, 0])
+    cone = build_cone(P.int_rows[0], [2, 1], [0, 0])
     bad = ConicDecomposition([(F(1), F(0))], [F(-1)])
     with pytest.raises(InputError):
         check_two_representations(P, cone, [0, 0], [2, 1], bad, bad)
@@ -547,7 +548,7 @@ def cones_and_points(draw):
         x = [draw(st.fractions(-4, 4, max_denominator=6)) for _ in range(n)]
     else:  # xa - xb, on the boundary of every tie row
         x = exact.vec_sub(xa, xb)
-    return build_cone(A, xa, xb), x, kind
+    return build_cone(exact._integer_rows(A)[0], xa, xb), x, kind
 
 
 @settings(max_examples=200, deadline=None)
@@ -600,10 +601,15 @@ def partition_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(partition_cases())
 def test_build_cone_matches_fraction_reference(case):
+    """The cone of A's rows scaled to ints holds the scaled rows of the
+    reference partition of A, as int tuples."""
     A, xa, xb = case
-    cone = build_cone(A, xa, xb)
-    assert (cone.a1, cone.a2) == reference_build_cone(A, xa, xb)
-    assert all(type(x) is F for r in cone.a1 + cone.a2 for x in r)
+    rows = exact._integer_rows(A)[0]
+    scaled = {tuple(map(F, u)): tuple(r) for u, r in zip(A, rows)}
+    cone = build_cone(rows, xa, xb)
+    want = reference_build_cone(A, xa, xb)
+    assert (cone.a1, cone.a2) == tuple(tuple(scaled[u] for u in side) for side in want)
+    assert all(type(x) is int for r in cone.a1 + cone.a2 for x in r)
     assert all(type(r) is tuple for r in cone.a1 + cone.a2)
 
 

@@ -140,6 +140,7 @@ def test_pipeline_example_small_eps_case_c1():
     assert res.distance_int == F(27, 4)
     assert res.schedule.theorem_bound == 21
     assert res.trace[-1].termination_reason == "small-norm"
+    assert res.witnesses is None and res.normalized.witnesses is None
 
 
 def test_pipeline_large_t_case_c2():
@@ -174,13 +175,6 @@ def test_midpoint_witnesses_on_c2_run():
     assert w.x_tri == (F(30),)
 
 
-def test_midpoint_witnesses_need_c2():
-    fam = build_example_1_1(3)
-    res = run_pipeline(fam.instance, F(1, 2), xc=[F(15, 4)], xd=[F(-3)])
-    with pytest.raises(InputError):
-        midpoint_witnesses(fam.instance, res)
-
-
 def test_subdeterminant_bound_floors_at_one():
     inst = instance([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]],
                     [1, 1, 1, 1, 1], [], [1, 1], k=0)
@@ -202,14 +196,17 @@ def reference_restricted_polyhedron(inst, zset):
     return polyhedron(rows, rhs, inst.n)
 
 
+def rows_kept(cone, P) -> bool:
+    """Every row of the cone is a row of P's int rows itself, not a copy."""
+    ids = set(map(id, P.int_rows[0]))
+    return all(id(r) in ids for r in cone.a1 + cone.a2)
+
+
 def assert_fresh_int_rows(P, x):
     """P's int rows, passed down from a parent, are the ones P would
-    compute itself, and so are those of the cone at x against the origin,
-    kept by build_cone from its sign test."""
+    compute itself, and the cone at x against the origin keeps them."""
     assert P.int_rows == Polyhedron(P.A, P.b, P.n).int_rows
-    cone = build_cone(P.A, x, [F(0)] * P.n)
-    assert cone.int_rows == (exact._integer_rows(cone.a1)[0],
-                             exact._integer_rows(cone.a2)[0])
+    assert rows_kept(build_cone(P.int_rows[0], x, [F(0)] * P.n), P)
 
 
 def test_normalize_and_restriction_match_fraction_reference():
@@ -240,9 +237,22 @@ def test_normalize_and_restriction_match_fraction_reference():
         assert_fresh_int_rows(restricted_polyhedron(norm, zset), [F(0), F(1, 2)])
 
 
+def block_product(widths, k):
+    """Example 1.1 blocks x_i in [-t_i, t_i + 3/4], one per width t_i, with
+    the objective -(x_i - 1/4)^2 (up to a constant) on the first k blocks
+    and none on the rest.  Each block's own anchors, x_c = t_i + 3/4 and
+    x_d = -t_i, are optimal for the product."""
+    n = len(widths)
+    A, b = [], []
+    for i, t in enumerate(widths):
+        e = [int(j == i) for j in range(n)]
+        A += [e, [-x for x in e]]
+        b += [t + F(3, 4), t]
+    return instance(A, b, [1] * k, [F(1, 2)] * k + [0] * (n - k), k)
+
+
 def box_product(t):
-    return instance([[1, 0], [-1, 0], [0, 1], [0, -1]], [F(3, 4), 0, t + F(3, 4), t],
-                    [1, 1], [F(1, 2), F(1, 2)], 2)
+    return block_product((0, t), 2)
 
 
 @pytest.mark.parametrize("t", [100, 300])
@@ -267,6 +277,38 @@ def test_box_product_reaches_c2_after_a_step(t):
     c2 = run_pipeline(inst, F(1), rep.cont_opt.point, rep.int_opt.point)
     assert c2.normalized.z_ell == frozenset({0})
     assert all(g[0] == 0 for g in c2.decomposition.generators)
+
+
+def test_block_products_reach_every_cell():
+    """Cells (case, ell, termination, N_ell nonempty) on seed-fixed products
+    of 1-3 example 1.1 blocks with their own anchors: widths drawn from 0
+    to 3000 and sorted, k from 1 to n.  A block past chi_ell ends the run
+    in case c-2 at ell >= 1 with N_ell its coordinate.  A block without
+    objective keeps the norm large while every quadratic coordinate is
+    zeroed, and the run ends in case c-2 with N_ell empty."""
+    rng = random.Random(0)
+    cells = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        k = rng.randint(1, n)
+        widths = sorted(rng.choice((0, 1, 3, 10, 30, 100, 300, 1000, 3000))
+                        for _ in range(n))
+        inst = block_product(widths, k)
+        xc, xd = [t + F(3, 4) for t in widths], [F(-t) for t in widths]
+        for eps in (F(1, 10), F(1, 2), F(1)):
+            res = run_pipeline(inst, eps, xc, xd)
+            last = res.trace[-1]
+            cells[res.case, last.j, last.termination_reason, bool(last.n_set)] += 1
+    assert cells == {
+        ("c1", 0, "small-norm", True): 62,
+        ("c1", 1, "small-norm", True): 34,
+        ("c1", 2, "small-norm", True): 46,
+        ("c2", 0, "all-large", True): 151,
+        ("c2", 1, "all-large", False): 107,
+        ("c2", 1, "all-large", True): 21,
+        ("c2", 2, "all-large", False): 26,
+        ("c2", 2, "all-large", True): 3,
+    }
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -325,7 +367,7 @@ def test_strip_instances_reach_every_cell():
 
 def reference_conic_step(inst, zset, x, delta):
     P = restricted_polyhedron(inst, zset)
-    cone = build_cone(P.A, x, tuple([F(0)] * inst.n))
+    cone = build_cone(P.int_rows[0], x, tuple([F(0)] * inst.n))
     return P, cone, caratheodory_decompose(list(x), enumerate_generators(cone, delta))
 
 
@@ -548,6 +590,35 @@ def test_run_pipeline_theorem_bound_on_a_corrupted_schedule(monkeypatch):
     assert err.value.claim == "theorem-bound"
 
 
+@pytest.mark.parametrize("moved, claim", [
+    (21, "xell-step"),      # x_1 21 further from x_0, beyond delta * chi_0 = 20
+    (None, "zero-growth"),  # x_1 = x_0
+])
+def test_build_sequence_claims_on_a_corrupted_step(monkeypatch, moved, claim):
+    """The box product run (c2_run), normalized x_c = (3/4, 803/4), whose
+    one step zeroes the first coordinate, with that step corrupted."""
+    step = one_step
+
+    def corrupted(inst, x, zset, delta):
+        nxt, rec = step(inst, x, zset, delta)
+        return (x if moved is None else (nxt[0], nxt[1] - moved)), rec
+
+    monkeypatch.setattr(pipeline, "one_step", corrupted)
+    with pytest.raises(ClaimViolation) as err:
+        run_pipeline(*c2_run("box-100"))
+    assert err.value.claim == claim
+
+
+def test_build_sequence_xell_b_on_a_corrupted_schedule(monkeypatch):
+    """The box product run ends at ell = 1, 3/4 from x_c, past psi_1 = 0."""
+    schedule = compute_schedule
+    monkeypatch.setattr(pipeline, "compute_schedule",
+                        lambda *args: replace(schedule(*args), psi=(F(0), F(0))))
+    with pytest.raises(ClaimViolation) as err:
+        run_pipeline(*c2_run("box-100"))
+    assert err.value.claim == "xell-b"
+
+
 def ex11_record(j, x, zset, reason):
     return StepRecord(j, (F(x),), frozenset(zset), frozenset({0}) - frozenset(zset),
                       termination_reason=reason)
@@ -569,47 +640,58 @@ def test_construct_outputs_claims_on_inconsistent_inputs(xc, x_ell, record, clai
     norm, _ = normalize(EX11.instance, [F(-30)])
     sched = compute_schedule(1, 1, 1, F(1))
     with pytest.raises(ClaimViolation) as err:
-        construct_outputs(norm, [F(xc)], (F(x_ell),), [record], sched, 1)
+        construct_outputs(norm, exact.integer_vector([xc]), exact.integer_vector([x_ell]),
+                          [record], sched, 1)
     assert err.value.claim == claim
 
 
 @pytest.mark.parametrize("edits, claim", [
-    ({"decomposition": ConicDecomposition([(F(1, 2),)], [F(243, 2)])},
-     "witness-integrality"),
-    ({"x_star_int": (F(61),)}, "witness-midpoint"),
+    ({"dec": ConicDecomposition([(F(1, 2),)], [F(243, 2)])}, "witness-integrality"),
+    ({"XS": [61]}, "witness-midpoint"),
     # x_l = x_r = 61 > 243/4
-    ({"x_star_int": (F(122),), "decomposition": ConicDecomposition([(F(1),)], [F(122)])},
-     "witness-membership"),
+    ({"XS": [122], "dec": ConicDecomposition([(F(1),)], [F(122)])}, "witness-membership"),
     # x_l = 0, x_r = 2
-    ({"x_star_int": (F(2),),
-      "decomposition": ConicDecomposition([(F(1),), (F(1),)], [F(1), F(1)])},
+    ({"XS": [2], "dec": ConicDecomposition([(F(1),), (F(1),)], [F(1), F(1)])},
      "witness-span"),
-    # (243/4 - 100) / 2 < 0
-    ({"x_star_cont": (F(-100),)}, "witness-diamond"),
+    # x_c - x_star / 2 = 200 - 30 > 243/4
+    ({"xc": ([200], 1)}, "witness-diamond"),
 ])
 def test_midpoint_witnesses_claims_on_a_corrupted_result(edits, claim):
+    """The witnesses of the example 1.1 run, with some inputs replaced."""
     norm, _ = normalize(EX11.instance, [F(-30)])
-    result = replace(ex11_run().normalized, **edits)
+    res = ex11_run().normalized
+    args = {"dec": res.decomposition, "xc": exact.integer_vector(res.xc),
+            "XS": [x.numerator for x in res.x_star_int], **edits}
     with pytest.raises(ClaimViolation) as err:
-        midpoint_witnesses(norm, result)
+        midpoint_witnesses(norm, args["dec"], res.delta, args["xc"], args["XS"],
+                           restricted_polyhedron(norm, res.z_ell))
     assert err.value.claim == claim
 
 
 # -- how often a c-2 run scales a point to ints or tests one in Fractions --
 
 def counted_calls(monkeypatch, module, name):
-    """Calls of module.name from now on, through every module that binds it."""
+    """(args, result) of each call of module.name from now on, through
+    every module that binds it."""
     calls = []
     orig = getattr(module, name)
 
     def spy(*args):
-        calls.append(args)
-        return orig(*args)
+        result = orig(*args)
+        calls.append((args, result))
+        return result
 
     for mod in (exact, polyhedra, cones, pipeline):
         if getattr(mod, name, None) is orig:
             monkeypatch.setattr(mod, name, spy)
     return calls
+
+
+def c2_run(case):
+    """The arguments of a case c-2 run: example 1.1 at t = 30 (ell = 0) or
+    the box product at t = 100 (ell = 1), both at eps = 1."""
+    return (anchored(EX11.instance, 1, [F(123, 4)], [F(-30)]) if case == "example-1-1"
+            else anchored(box_product(100), 1))
 
 
 @pytest.mark.parametrize("case, counts", [
@@ -618,12 +700,28 @@ def counted_calls(monkeypatch, module, name):
 ])
 def test_c2_run_scales_each_point_once(monkeypatch, case, counts):
     """exact.integer_vector and polyhedra.contains calls in one case c-2
-    run: example 1.1 at t = 30 (ell = 0) and the box product at t = 100
-    (ell = 1), both at eps = 1.  A point check that goes back to Fractions
-    raises these counts."""
-    args = (anchored(EX11.instance, 1, [F(123, 4)], [F(-30)]) if case == "example-1-1"
-            else anchored(box_product(100), 1))
+    run (c2_run).  A point check that goes back to Fractions raises these
+    counts."""
+    args = c2_run(case)
     scaled = counted_calls(monkeypatch, exact, "integer_vector")
     tested = counted_calls(monkeypatch, polyhedra, "contains")
     assert run_pipeline(*args).case == "c2"
     assert (len(scaled), len(tested)) == counts
+
+
+@pytest.mark.parametrize("case", ["example-1-1", "box-100"])
+def test_c2_run_calls_each_stage_once(monkeypatch, case):
+    """A case c-2 run (c2_run) calls construct_outputs and
+    midpoint_witnesses once each, through the pipeline module's names, which
+    the benchmark's tracer rebinds.  Each cone it builds (one per conic
+    step: ell + 1) keeps the int rows of its restricted polyhedron
+    themselves, so no row is scaled twice."""
+    outputs = counted_calls(monkeypatch, pipeline, "construct_outputs")
+    witnesses = counted_calls(monkeypatch, pipeline, "midpoint_witnesses")
+    polys = counted_calls(monkeypatch, pipeline, "restricted_polyhedron")
+    cones_built = counted_calls(monkeypatch, cones, "build_cone")
+    res = run_pipeline(*c2_run(case))
+    assert res.case == "c2"
+    assert (len(outputs), len(witnesses)) == (1, 1)
+    assert len(cones_built) == len(polys) == res.trace[-1].j + 1
+    assert all(rows_kept(cone, P) for (_, cone), (_, P) in zip(cones_built, polys))

@@ -66,13 +66,21 @@ def test_no_function_local_imports():
     assert nodes_where(imports_in_body) == []
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_tracer_entry_points_exist():
     """perfbench/tracer.py rebinds each ENTRY_POINTS name by getattr, so a
     renamed or deleted function breaks the traced benchmark run."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_tracer()
     missing = [f"{layer}.{name}"
                for layer, names in tracer.ENTRY_POINTS.items()
                for name in names
@@ -80,6 +88,36 @@ def test_tracer_entry_points_exist():
                    f"{tracer.PACKAGE}.{layer}"), name, None))]
     assert tracer.ENTRY_POINTS
     assert missing == []
+
+
+def selfcheck_rebound() -> tuple[str, ...]:
+    """REBOUND of perfbench/selfcheck.py, read without running the file."""
+    tree = ast.parse((PERFBENCH / "selfcheck.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "REBOUND" for t in node.targets))
+
+
+def test_selfcheck_rebound_names_are_imported():
+    """Each name perfbench/selfcheck.py requires rebound ("pkg.module.name")
+    is still bound in its module to the function its defining module
+    exports, and is a tracer entry point of that module, so its time is
+    charged to the defining layer.  A dropped import fails here, not only
+    in the benchmark's self-check."""
+    tracer = load_tracer()
+    rebound = selfcheck_rebound()
+    wrong = []
+    for dotted in rebound:
+        module, name = dotted.rsplit(".", 1)
+        fn = getattr(importlib.import_module(module), name, None)
+        home = getattr(fn, "__module__", "")
+        layer = home.removeprefix(f"{tracer.PACKAGE}.")
+        if not (callable(fn) and home != module
+                and getattr(importlib.import_module(home), name, None) is fn
+                and name in tracer.ENTRY_POINTS.get(layer, ())):
+            wrong.append(dotted)
+    assert rebound
+    assert wrong == []
 
 
 def unused_imports(path: Path) -> list[str]:
