@@ -241,11 +241,19 @@ def det(M) -> Fraction:
 
 
 def _integer_matrix(M) -> list[list[int]]:
-    """The entries of M as ints; DomainError unless every entry is an integer."""
-    a = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in M]
-    if any(x.denominator != 1 for row in a for x in row):
-        raise DomainError("subdeterminants are defined here for integer matrices only")
-    return [[x.numerator for x in row] for row in a]
+    """The entries of M as ints, in one pass; DomainError unless every entry
+    is an integer."""
+    out = []
+    for row in M:
+        ints = []
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                x = Fraction(x)
+            if x.denominator != 1:
+                raise DomainError("subdeterminants are defined here for integer matrices only")
+            ints.append(x.numerator)
+        out.append(ints)
+    return out
 
 
 def max_abs_subdeterminant(M) -> int:
@@ -285,11 +293,20 @@ def max_abs_subdeterminant_witness(M) -> tuple[int, tuple[int, ...], tuple[int, 
 
 
 def _max_abs_subdeterminant_int(a) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """max_abs_subdeterminant_witness of a matrix whose entries are ints."""
+    """max_abs_subdeterminant_witness of a matrix whose entries are ints.
+
+    The 1x1 minors are the entries, so that size is read as the largest
+    |a_ij|, its witness the first such entry in (row, col) order; the larger
+    sizes are scanned by determinant.
+    """
     m = len(a)
     n = len(a[0]) if m else 0
     best, best_rows, best_cols = 0, (), ()
-    for size in range(1, min(m, n) + 1):
+    for r, row in enumerate(a):
+        for c, x in enumerate(row):
+            if abs(x) > best:
+                best, best_rows, best_cols = abs(x), (r,), (c,)
+    for size in range(2, min(m, n) + 1):
         for rows in combinations(range(m), size):
             for cols in combinations(range(n), size):
                 sub = [[a[r][c] for c in cols] for r in rows]

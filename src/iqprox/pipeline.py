@@ -104,28 +104,40 @@ class Schedule:
 
 
 def compute_schedule(n: int, delta: int, k: int, eps) -> Schedule:
+    """The thresholds for eps = p/q, an int or a Fraction in (0, 1], and
+    int n, delta >= 1 and k >= 0.
+
+    chi_1 = 8 n delta / eps + 2 n delta and, with psi_j the sum of
+    delta * chi_i over i <= j, chi_{j+1} = 2 n delta + 8 / eps (psi_j +
+    n delta); that is the first rule too, with psi_0 = 0.  So chi_j and
+    psi_j are ints over p^j, and the bound n delta (10 delta / eps + 1)^k
+    is n delta (10 delta q + p)^k over p^k: the recurrence and the
+    schedule-bound claim run on those ints, and each field is made a
+    Fraction once.
+    """
+    if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
+        raise InputError(f"eps must be an int or a Fraction, got {eps!r}")
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise InputError(f"eps must be in (0, 1], got {eps}")
-    if n < 1 or delta < 1 or k < 0:
+    if any(type(v) is not int for v in (n, delta, k)) or n < 1 or delta < 1 or k < 0:
         raise InputError(f"bad schedule parameters n={n}, delta={delta}, k={k}")
-    nd = Fraction(n * delta)
+    p, q = eps.numerator, eps.denominator
+    nd = n * delta
     chi: list[Fraction] = []
     psi: list[Fraction] = []
-    acc = ZERO  # running sum of delta * chi_i
+    acc, den = 0, 1  # psi_j = acc / den, den = p^j
     for _ in range(k):
-        if not chi:
-            c = 8 * nd / eps + 2 * nd
-        else:
-            c = 2 * nd + Fraction(8) / eps * (acc + nd)
-        chi.append(c)
-        acc += delta * c
-        psi.append(acc)
-    bound = nd * (10 * delta / eps + 1) ** k
-    sched = Schedule(eps, n, delta, k, tuple(chi), tuple(psi), bound)
-    if k and psi[-1] + nd > bound:
+        c = 2 * nd * den * p + 8 * q * (acc + nd * den)  # chi_{j+1}, over p^{j+1}
+        acc = acc * p + delta * c
+        den *= p
+        chi.append(Fraction(c, den))
+        psi.append(Fraction(acc, den))
+    top = nd * (10 * delta * q + p) ** k  # the bound, over den = p^k
+    bound = Fraction(top, den)
+    if k and acc + nd * den > top:
         raise ClaimViolation("schedule-bound", f"psi_k + n*delta = {psi[-1] + nd} > {bound}")
-    return sched
+    return Schedule(eps, n, delta, k, tuple(chi), tuple(psi), bound)
 
 
 @dataclass
@@ -169,26 +181,29 @@ def eval_objective(inst: Instance, x) -> Fraction:
     return quad + exact.dot(inst.h, xv)
 
 
-def normalize(inst: Instance, xd) -> tuple[Instance, tuple[Fraction, ...]]:
+def normalize(inst: Instance, xd) -> tuple[Instance, tuple[int, ...]]:
     """Translate so the given integer feasible point becomes the origin.
 
-    Returns the shifted instance and the translation (the original point);
-    the shifted objective vanishes at the origin by construction.  The
+    Returns the shifted instance and the translation (the original point)
+    as ints; the shifted objective vanishes at the origin by construction.
+    The point is scaled once: it is integer when its denominator is 1.  The
     shifted instance's polyhedron is the instance's translated by the point,
     with its int rows.
     """
-    xdv = tuple(Fraction(x) for x in xd)
-    if not exact.is_integral_vec(xdv):
+    X, d = exact.integer_vector(xd)
+    if d != 1:
         raise InputError("anchor point must be integer")
     P = inst.polyhedron()
-    if not contains(P, xdv):
+    if len(X) != inst.n:
+        raise DimensionError(f"point has dim {len(X)}, polyhedron has {inst.n}")
+    if not contains_int(P, X, 1):
         raise InputError("anchor point must be feasible")
-    P2 = translate(P, [x.numerator for x in xdv])
-    h2 = tuple(inst.h[i] - 2 * inst.q[i] * xdv[i] if i < inst.k else inst.h[i]
+    P2 = translate(P, X)
+    h2 = tuple(inst.h[i] - 2 * X[i] * inst.q[i] if i < inst.k else inst.h[i]
                for i in range(inst.n))
     norm = Instance(inst.A, P2.b, inst.k, inst.q, h2)
     object.__setattr__(norm, "_polyhedron", P2)
-    return norm, xdv
+    return norm, tuple(X)
 
 
 def restricted_polyhedron(inst: Instance, zset) -> Polyhedron:
@@ -281,27 +296,35 @@ def one_step(inst: Instance, xa, zset, delta: int) -> tuple[tuple[Fraction, ...]
 
 
 def build_sequence(inst: Instance, xc, schedule: Schedule,
-                   delta: int) -> tuple[tuple[Fraction, ...], list[StepRecord]]:
+                   delta: int) -> tuple[tuple[list[int], int], list[StepRecord]]:
     """Run the zeroing sequence from the continuous anchor.
 
-    The trace has one record per sequence point; the last record carries the
-    termination reason ("all-large" or "small-norm").
+    xc is the anchor as (X, d) with X = d x_c and d > 0, and the endpoint is
+    returned the same way.  Every point is tested as ints over its own
+    denominator, x_c - x_j over the lcm of the two, and each threshold
+    through its numerator and denominator; a point is made Fractions only
+    for its trace record and for one_step.  The trace has one record per
+    sequence point; the last record carries the termination reason
+    ("all-large" or "small-norm").
     """
     P = inst.polyhedron()
-    x = tuple(Fraction(v) for v in xc)
-    xcv = x
+    XC, dc = xc
+    X, d = xc
+    x = _scaled_fractions(X, d)
     trace: list[StepRecord] = []
     j = 0
     while True:
-        z, nset = _zero_nonzero_sets(x, inst.k)
-        drift = exact.vec_sub(xcv, x)
-        if not contains(P, drift):
+        z, nset = _zero_nonzero_sets(X, inst.k)
+        L = math.lcm(dc, d)
+        DR = [a * (L // dc) - b * (L // d) for a, b in zip(XC, X)]  # x_c - x_j, times L
+        if not contains_int(P, DR, L):
             raise ClaimViolation("xell-a", f"x^c - x^{j} left the polyhedron")
-        if all(abs(x[i]) > schedule.chi[j] for i in nset):
+        c = schedule.chi[j] if nset else None  # chi_{j+1}; none is read once N_j is empty
+        if all(abs(X[i]) * c.denominator > c.numerator * d for i in nset):
             trace.append(StepRecord(j, x, z, nset, termination_reason="all-large"))
             break
-        s = min(nset, key=lambda i: (abs(x[i]), i))
-        if exact.inf_norm(x) <= delta * abs(x[s]):
+        s = min(nset, key=lambda i: (abs(X[i]), i))
+        if max(map(abs, X)) <= delta * abs(X[s]):
             trace.append(StepRecord(j, x, z, nset, s=s, termination_reason="small-norm"))
             break
         if j >= inst.k:
@@ -309,19 +332,23 @@ def build_sequence(inst: Instance, xc, schedule: Schedule,
         nxt, rec = one_step(inst, x, z, delta)
         rec.j = j
         trace.append(rec)
-        if exact.inf_norm(exact.vec_sub(x, nxt)) > delta * schedule.chi[j]:
+        NX, dn = exact.integer_vector(nxt)
+        Ln = math.lcm(d, dn)
+        if (max(abs(a * (Ln // d) - b * (Ln // dn)) for a, b in zip(X, NX)) * c.denominator
+                > delta * c.numerator * Ln):
             raise ClaimViolation("xell-step", f"step {j} exceeded delta*chi_{j + 1}")
-        z2, _ = _zero_nonzero_sets(nxt, inst.k)
+        z2, _ = _zero_nonzero_sets(NX, inst.k)
         if len(z2) <= len(z):
             raise ClaimViolation("zero-growth", "zero set did not grow")
-        x = nxt
+        x, X, d = nxt, NX, dn
         j += 1
     ell = trace[-1].j
     if ell > inst.k:
         raise ClaimViolation("sequence-length", f"ell={ell} > k={inst.k}")
-    if exact.inf_norm(drift) > schedule.psi_at(ell):
+    psi = schedule.psi_at(ell)
+    if max(map(abs, DR)) * psi.denominator > psi.numerator * L:
         raise ClaimViolation("xell-b", "endpoint drifted beyond psi_ell")
-    return x, trace
+    return (X, d), trace
 
 
 def _scaled_fractions(X, d: int) -> tuple[Fraction, ...]:
@@ -454,27 +481,23 @@ def run_pipeline(inst: Instance, eps, xc, xd) -> PipelineResult:
     xc and xd are optimal solutions of the continuous and the discrete
     problem; the construction checks that both are feasible but takes
     their optimality as given.  The continuous anchor is scaled to ints
-    once, X_c = d x_c; the integer shift keeps d the denominator of every
-    continuous point after it, and the integer points are over 1.
+    once, X_c = d x_c, and the discrete anchor is the integer shift; the
+    shift keeps d the denominator of every continuous point after it, and
+    the integer points are over 1.  Fractions are built only for the
+    result.
     """
-    xcv = tuple(Fraction(v) for v in xc)
-    xdv = tuple(Fraction(v) for v in xd)
-    if len(xcv) != inst.n:
-        raise DimensionError(f"point has dim {len(xcv)}, polyhedron has {inst.n}")
+    XC, d = exact.integer_vector(xc)
+    if len(XC) != inst.n:
+        raise DimensionError(f"point has dim {len(XC)}, polyhedron has {inst.n}")
     P = inst.polyhedron()
-    XC, d = exact.integer_vector(xcv)
     if not contains_int(P, XC, d):
         raise InputError("continuous anchor is infeasible")
 
     delta = subdeterminant_bound(inst)
-    norm_inst, shift = normalize(inst, xdv)
+    norm_inst, S = normalize(inst, xd)
     sched = compute_schedule(inst.n, delta, inst.k, eps)
-    S = [x.numerator for x in shift]
     YC = [a - d * s for a, s in zip(XC, S)]  # y_c = x_c - shift, times d
-    yc = _scaled_fractions(YC, d)
-    y_ell, trace = build_sequence(norm_inst, yc, sched, delta)
-    # at ell = 0 the endpoint is y_c itself
-    YL, dl = (YC, d) if y_ell == yc else exact.integer_vector(y_ell)
+    (YL, dl), trace = build_sequence(norm_inst, (YC, d), sched, delta)
     norm_result = construct_outputs(norm_inst, (YC, d), (YL, dl), trace, sched, delta)
     XS = [x.numerator for x in norm_result.x_star_int]
 
@@ -485,7 +508,7 @@ def run_pipeline(inst: Instance, eps, xc, xd) -> PipelineResult:
         x_ell=_scaled_fractions([a + dl * s for a, s in zip(YL, S)], dl),
         x_star_int=tuple(map(Fraction, XI)),
         x_star_cont=_scaled_fractions(XO, d),
-        xc=xcv, xd=xdv,
+        xc=_scaled_fractions(XC, d), xd=tuple(map(Fraction, S)),
         normalized=norm_result)
     if result.distance_int > sched.theorem_bound:
         raise ClaimViolation("theorem-bound", "integer output beyond the proven distance")

@@ -70,11 +70,12 @@ def translate(P: Polyhedron, X) -> Polyhedron:
     The rows are P's own.  Row i keeps its scale d_i, for A_i.X has a
     denominator dividing that of A_i, so the lcm of the denominators of A_i
     and of b_i - A_i.X is that of A_i and b_i.  Its int right-hand side is
-    d_i b_i - (d_i A_i).X, and b_i - A_i.X is that over d_i.
+    d_i b_i - (d_i A_i).X, and b_i - A_i.X is that over d_i (the int itself
+    when d_i = 1, which needs no gcd).
     """
     rows, rhs, scales = P._scaled_rows
     shifted = tuple(c - sum(map(mul, row, X)) for row, c in zip(rows, rhs))
-    b = tuple(Fraction(c, d) for c, d in zip(shifted, scales))
+    b = tuple(Fraction(c) if d == 1 else Fraction(c, d) for c, d in zip(shifted, scales))
     return _derived(P.A, b, P.n, (rows, shifted, scales))
 
 

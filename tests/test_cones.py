@@ -313,13 +313,14 @@ def test_prop44_construction_tries_fewer_rows(monkeypatch):
     """prop44 (eps 1/4, Delta 3) at n = 10 with its own anchors takes nine
     one_steps; the cone of step j has the +-e_i rows of its j zeroed
     coordinates on both sides.  Walking on top of their echelon, the
-    construction tries 977 rows, where the walk over all (n-1)-sets of
-    hyperplanes tried 2,035."""
+    construction tries 967 rows, where the walk over all (n-1)-sets of
+    hyperplanes tried 2,035.  (It tried 977 while the subdeterminant scan
+    took the 1x1 minors as determinants, one row each.)"""
     fam = build_prop44(F(1, 4), 3, 10)
     tried = counted_extend(monkeypatch)
     res = run_pipeline(fam.instance, F(1, 4), xc=fam.expected["xc"], xd=fam.expected["xd"])
     assert res.trace[-1].j == 9
-    assert len(tried) == 977
+    assert len(tried) == 967
 
 
 def test_conic_multipliers_roundtrip():

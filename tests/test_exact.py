@@ -105,6 +105,44 @@ def test_subdeterminant_converts_the_matrix_once(monkeypatch):
     assert len(calls) == 2
 
 
+def reference_max_abs_subdeterminant_witness(a):
+    """The scan over every square submatrix of an int matrix by its
+    determinant, 1x1 ones included, in (size, lex) order: the witness is the
+    first submatrix that attains the value."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    best, best_rows, best_cols = 0, (), ()
+    for size in range(1, min(m, n) + 1):
+        for rows in combinations(range(m), size):
+            for cols in combinations(range(n), size):
+                sub = [[a[r][c] for c in cols] for r in rows]
+                d = abs(exact._det_int(sub))
+                if d > best:
+                    best, best_rows, best_cols = d, rows, cols
+    return best, best_rows, best_cols
+
+
+@st.composite
+def witness_matrices(draw):
+    """Int m x n matrices, m 0-5 and n 1-4, entries in -4..4; some all-zero."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+    entry = st.just(0) if draw(st.integers(0, 9)) == 0 else st.integers(-4, 4)
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+
+
+@given(witness_matrices())
+@settings(max_examples=300, deadline=None)
+@example([])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[0, -4, 4, 2]])
+@example([[3], [-3], [0], [4], [-4]])
+@example([[2, 0], [0, -2], [1, 1]])
+def test_subdeterminant_witness_matches_reference_scan(M):
+    """Value, rows and cols of the witness equal the scan's, where ties
+    among the 1x1 minors (entries of equal |a_ij|) are common."""
+    assert exact.max_abs_subdeterminant_witness(M) == reference_max_abs_subdeterminant_witness(M)
+
+
 def test_is_integral_on_each_kind():
     assert exact.is_integral(3) and exact.is_integral(True) and exact.is_integral(F(4, 2))
     assert not exact.is_integral(F(1, 2))

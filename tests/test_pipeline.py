@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from iqprox import cones, exact, pipeline, polyhedra
 from iqprox.cones import (ConicDecomposition, build_cone, caratheodory_decompose,
                           enumerate_generators)
-from iqprox.errors import ClaimViolation, InputError
+from iqprox.errors import ClaimViolation, DimensionError, InputError
 from iqprox.families import (build_example_1_1, build_pbar, build_prop44,
                              build_prop45, pbar_params, random_instance)
 from iqprox.oracles import (claim_cross_checks, full_report, solve_iqp, solve_qp,
@@ -78,6 +78,46 @@ def test_schedule_eps_range():
         compute_schedule(1, 1, 1, F(3, 2))
 
 
+@pytest.mark.parametrize("eps", [0.1, "abc", True, None, "1/2"])
+def test_schedule_takes_only_an_int_or_a_fraction(eps):
+    """A float would be read as its binary value (0.1 as
+    3602879701896397/36028797018963968) and a string parsed or failed with
+    a bare ValueError; each is an InputError."""
+    with pytest.raises(InputError):
+        compute_schedule(1, 1, 1, eps)
+
+
+def test_schedule_bad_parameters():
+    """Out of range, or not an int (a float n or delta would make the
+    bound a non-integral number or a float)."""
+    for n, delta, k in ((0, 1, 1), (1, 0, 1), (1, 1, -1),
+                        (1.5, 1, 1), (2, 1.5, 1), (2, 1, 1.0), (True, 1, 1)):
+        with pytest.raises(InputError):
+            compute_schedule(n, delta, k, F(1, 2))
+
+
+@st.composite
+def schedule_parameters(draw):
+    """(n, delta, k, eps): n 1-8, delta 1-6, k 0-n and eps = p/q with
+    1 <= p <= q <= 10^6."""
+    n = draw(st.integers(1, 8))
+    q = draw(st.integers(1, 10**6))
+    return n, draw(st.integers(1, 6)), draw(st.integers(0, n)), F(draw(st.integers(1, q)), q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedule_parameters())
+@example((1, 1, 1, F(1)))
+@example((3, 2, 3, F(1, 10)))
+@example((8, 6, 8, F(999999, 1000000)))
+def test_schedule_matches_fraction_reference(params):
+    """Every field of the int schedule equals the Fraction recurrence's,
+    and every field that is a number is a Fraction."""
+    got = compute_schedule(*params)
+    assert got == reference_compute_schedule(*params)
+    assert all(type(x) is F for x in (got.eps, got.theorem_bound, *got.chi, *got.psi))
+
+
 def test_schedule_k_zero():
     s = compute_schedule(3, 2, 0, F(1, 2))
     assert s.chi == ()
@@ -87,7 +127,7 @@ def test_schedule_k_zero():
 def test_normalize_moves_anchor_to_origin():
     fam = build_example_1_1(3)
     norm, shift = normalize(fam.instance, [F(-3)])
-    assert shift == (F(-3),)
+    assert shift == (-3,) and type(shift[0]) is int
     assert norm.b == (F(27, 4), F(0))
     assert norm.h == (F(13, 2),)
     assert eval_objective(norm, [F(0)]) == 0
@@ -104,6 +144,8 @@ def test_normalize_rejects_bad_anchor():
         normalize(fam.instance, [F(1, 2)])
     with pytest.raises(InputError):
         normalize(fam.instance, [F(-10)])
+    with pytest.raises(DimensionError):
+        normalize(fam.instance, [F(-3), F(0)])
 
 
 def test_restricted_polyhedron():
@@ -365,6 +407,82 @@ def test_strip_instances_reach_every_cell():
 
 # -- the Fraction construction, kept as the reference ----------------------
 
+def reference_compute_schedule(n, delta, k, eps):
+    """compute_schedule in Fraction arithmetic, chi_1 by its own rule."""
+    eps = F(eps)
+    nd = F(n * delta)
+    chi, psi = [], []
+    acc = F(0)  # running sum of delta * chi_i
+    for _ in range(k):
+        if not chi:
+            c = 8 * nd / eps + 2 * nd
+        else:
+            c = 2 * nd + F(8) / eps * (acc + nd)
+        chi.append(c)
+        acc += delta * c
+        psi.append(acc)
+    bound = nd * (10 * delta / eps + 1) ** k
+    if k and psi[-1] + nd > bound:
+        raise ClaimViolation("schedule-bound", f"psi_k + n*delta = {psi[-1] + nd} > {bound}")
+    return pipeline.Schedule(eps, n, delta, k, tuple(chi), tuple(psi), bound)
+
+
+def reference_normalize(inst, xd):
+    """normalize with the anchor in Fractions and a Fraction `contains`."""
+    xdv = tuple(F(x) for x in xd)
+    if not exact.is_integral_vec(xdv):
+        raise InputError("anchor point must be integer")
+    P = inst.polyhedron()
+    if not contains(P, xdv):
+        raise InputError("anchor point must be feasible")
+    P2 = polyhedra.translate(P, [x.numerator for x in xdv])
+    h2 = tuple(inst.h[i] - 2 * inst.q[i] * xdv[i] if i < inst.k else inst.h[i]
+               for i in range(inst.n))
+    norm = Instance(inst.A, P2.b, inst.k, inst.q, h2)
+    object.__setattr__(norm, "_polyhedron", P2)
+    return norm, xdv
+
+
+def reference_build_sequence(inst, xc, schedule, delta):
+    """build_sequence with every point in Fractions, x_c - x_j through
+    `vec_sub` and a Fraction `contains`, and every norm an `inf_norm`."""
+    P = inst.polyhedron()
+    x = tuple(F(v) for v in xc)
+    xcv = x
+    trace = []
+    j = 0
+    while True:
+        z = frozenset(i for i in range(inst.k) if x[i] == 0)
+        nset = frozenset(range(inst.k)) - z
+        drift = exact.vec_sub(xcv, x)
+        if not contains(P, drift):
+            raise ClaimViolation("xell-a", f"x^c - x^{j} left the polyhedron")
+        if all(abs(x[i]) > schedule.chi[j] for i in nset):
+            trace.append(StepRecord(j, x, z, nset, termination_reason="all-large"))
+            break
+        s = min(nset, key=lambda i: (abs(x[i]), i))
+        if exact.inf_norm(x) <= delta * abs(x[s]):
+            trace.append(StepRecord(j, x, z, nset, s=s, termination_reason="small-norm"))
+            break
+        if j >= inst.k:
+            raise ClaimViolation("sequence-length", "more than k steps taken")
+        nxt, rec = one_step(inst, x, z, delta)
+        rec.j = j
+        trace.append(rec)
+        if exact.inf_norm(exact.vec_sub(x, nxt)) > delta * schedule.chi[j]:
+            raise ClaimViolation("xell-step", f"step {j} exceeded delta*chi_{j + 1}")
+        if sum(nxt[i] == 0 for i in range(inst.k)) <= len(z):
+            raise ClaimViolation("zero-growth", "zero set did not grow")
+        x = nxt
+        j += 1
+    ell = trace[-1].j
+    if ell > inst.k:
+        raise ClaimViolation("sequence-length", f"ell={ell} > k={inst.k}")
+    if exact.inf_norm(drift) > schedule.psi_at(ell):
+        raise ClaimViolation("xell-b", "endpoint drifted beyond psi_ell")
+    return x, trace
+
+
 def reference_conic_step(inst, zset, x, delta):
     P = restricted_polyhedron(inst, zset)
     cone = build_cone(P.int_rows[0], x, tuple([F(0)] * inst.n))
@@ -449,17 +567,18 @@ def reference_midpoint_witnesses(inst, result):
 
 
 def reference_run_pipeline(inst, eps, xc, xd):
-    """run_pipeline on the reference construction, with its Fraction tail."""
+    """run_pipeline on the reference construction: the Fraction
+    normalize, schedule, sequence, rounding step and tail."""
     xcv = tuple(F(v) for v in xc)
     xdv = tuple(F(v) for v in xd)
     P = inst.polyhedron()
     if not contains(P, xcv):
         raise InputError("continuous anchor is infeasible")
     delta = subdeterminant_bound(inst)
-    norm_inst, shift = normalize(inst, xdv)
-    sched = compute_schedule(inst.n, delta, inst.k, eps)
+    norm_inst, shift = reference_normalize(inst, xdv)
+    sched = reference_compute_schedule(inst.n, delta, inst.k, eps)
     yc = tuple(exact.vec_sub(xcv, shift))
-    y_ell, trace = build_sequence(norm_inst, yc, sched, delta)
+    y_ell, trace = reference_build_sequence(norm_inst, yc, sched, delta)
     norm_result = reference_construct_outputs(norm_inst, yc, y_ell, trace, sched, delta)
     if norm_result.case == "c2":
         norm_result.witnesses = reference_midpoint_witnesses(norm_inst, norm_result)
@@ -515,6 +634,8 @@ PROP45 = build_prop45(3, 1, F(1, 2))
 # case c-2 at ell = 0 with one generator, and case c-1 at ell = 0
 @example(anchored(EX11.instance, 1, [F(123, 4)], [F(-30)]))
 @example(anchored(EX3.instance, F(1, 2), [F(15, 4)], [F(-3)]))
+# normalized x_c = 243/4 = chi_1 = 8/eps + 2: both stop tests at their boundary
+@example(anchored(EX11.instance, F(32, 235), [F(123, 4)], [F(-30)]))
 # case c-2 at ell = 1 (eps = 1) and case c-1 at ell = 1 (eps = 1/2)
 @example(anchored(box_product(100), 1))
 @example(anchored(box_product(300), 1))
@@ -695,18 +816,27 @@ def c2_run(case):
 
 
 @pytest.mark.parametrize("case, counts", [
-    ("example-1-1", (6, 2)),   # 15 and 10 with Fraction points
-    ("box-100", (18, 5)),      # 34 and 14 with Fraction points
+    ("example-1-1", (5, 0)),   # 6 and 2 with a Fraction sequence, 15 and 10 with Fraction points
+    ("box-100", (16, 2)),      # 18 and 5 with a Fraction sequence, 34 and 14 with Fraction points
 ])
 def test_c2_run_scales_each_point_once(monkeypatch, case, counts):
     """exact.integer_vector and polyhedra.contains calls in one case c-2
     run (c2_run).  A point check that goes back to Fractions raises these
-    counts."""
+    counts.  The `contains` calls left are one_step's (two per step)."""
     args = c2_run(case)
     scaled = counted_calls(monkeypatch, exact, "integer_vector")
     tested = counted_calls(monkeypatch, polyhedra, "contains")
     assert run_pipeline(*args).case == "c2"
     assert (len(scaled), len(tested)) == counts
+
+
+def test_c1_run_at_ell_0_tests_no_point_in_fractions(monkeypatch):
+    """Example 1.1 at t = 3, eps = 1/2 stops in case c-1 at ell = 0, so it
+    takes no one_step: every point it checks is tested as ints."""
+    tested = counted_calls(monkeypatch, polyhedra, "contains")
+    res = run_pipeline(*anchored(EX3.instance, F(1, 2), [F(15, 4)], [F(-3)]))
+    assert (res.case, res.trace[-1].j) == ("c1", 0)
+    assert tested == []
 
 
 @pytest.mark.parametrize("case", ["example-1-1", "box-100"])
