@@ -15,7 +15,7 @@ from operator import mul
 
 from . import exact
 from .errors import ClaimViolation, InfeasibleError, InputError
-from .pipeline import Instance, PipelineResult, eval_objective
+from .pipeline import Instance, PipelineResult, checked_eps, eval_objective
 from .polyhedra import (contains, contains_int, enumerate_lattice_points,
                         enumerate_vertices, intersect_with_box)
 from .simplex import feasible_point
@@ -307,7 +307,7 @@ def verdict(inst: Instance, x, eps, mode: str, report: OracleReport) -> ApproxVe
     ratio is (f(x) - f(opt)) / (f_max - f(opt)); when the gap collapses
     (f_max = f(opt)) the verdict is degenerate and only optimal points pass.
     """
-    eps = Fraction(eps)
+    eps = checked_eps(eps)
     if mode not in ("integer", "continuous"):
         raise InputError(f"mode must be 'integer' or 'continuous', got {mode!r}")
     xv = tuple(Fraction(v) for v in x)
@@ -349,7 +349,7 @@ def delta_star(inst: Instance, eps) -> DeltaStarResult:
     every value shares the denominator d > 0.  With hi = lo this says
     v = lo, the degenerate verdict.
     """
-    eps = Fraction(eps)
+    eps = checked_eps(eps)
     report, pts, vals = _report_and_lattice(inst)
     qp = report.cont_opt
     lo, hi = min(vals), max(vals)
@@ -382,7 +382,7 @@ def certify_no_cont_approx_within(inst: Instance, eps, xd, radius) -> bool:
     approximation threshold f(x^c) + eps (f_max - f(x^c)), so every point of
     the box fails the verdict.
     """
-    eps = Fraction(eps)
+    eps = checked_eps(eps)
     verts = []
     try:
         fmax = fmax_cont_witness(inst, verts)[0]

@@ -19,7 +19,7 @@ from . import exact
 from .cones import (ConicDecomposition, ProximityCone, build_cone,
                     caratheodory_decompose, check_two_representations,
                     enumerate_generators)
-from .errors import ClaimViolation, DimensionError, InputError
+from .errors import ClaimViolation, DimensionError, DomainError, InputError
 from .polyhedra import Polyhedron, contains, contains_int, fix_zero, translate
 
 ZERO = Fraction(0)
@@ -29,12 +29,11 @@ ZERO = Fraction(0)
 class Instance:
     """Data of the discrete problem and its continuous relaxation.
 
-    Objective: sum_{i<k} -q_i x_i^2 + h.x, minimized over {A x <= b}
+    Objective: sum_{i<k} -q_i x_i^2 + h.x, minimized over P = {A x <= b}
     (intersected with the integer lattice on the discrete side).
     """
 
-    A: tuple[tuple[Fraction, ...], ...]
-    b: tuple[Fraction, ...]
+    P: Polyhedron
     k: int
     q: tuple[Fraction, ...]
     h: tuple[Fraction, ...]
@@ -45,23 +44,26 @@ class Instance:
 
     @property
     def m(self) -> int:
-        return len(self.A)
+        return self.P.m
+
+    @property
+    def A(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self.P.A
+
+    @property
+    def b(self) -> tuple[Fraction, ...]:
+        return self.P.b
 
     def polyhedron(self) -> Polyhedron:
-        """{A x <= b}, built on the first call (normalize gives its shifted
-        instance one) and kept with the instance."""
-        P = self.__dict__.get("_polyhedron")
-        if P is None:
-            P = Polyhedron(self.A, self.b, self.n)
-            object.__setattr__(self, "_polyhedron", P)
-        return P
+        return self.P
 
 
 def instance(A, b, q, h, k: int | None = None) -> Instance:
     """Validated Instance: integer A, positive q, 0 <= k <= n."""
-    rows = tuple(tuple(Fraction(x) for x in row) for row in A)
-    if not exact.is_integral_mat(rows):
-        raise InputError("constraint matrix must be integer")
+    try:
+        rows = exact._integer_matrix(A)
+    except DomainError:
+        raise InputError("constraint matrix must be integer") from None
     qv = tuple(Fraction(x) for x in q)
     hv = tuple(Fraction(x) for x in h)
     if k is None:
@@ -79,7 +81,11 @@ def instance(A, b, q, h, k: int | None = None) -> Instance:
         raise InputError("row/rhs count mismatch")
     if any(len(r) != len(hv) for r in rows):
         raise InputError("matrix width does not match h")
-    return Instance(rows, bv, k, qv, hv)
+    # A is integer, so row i's scale is the denominator of b_i.
+    scales = tuple(c.denominator for c in bv)
+    P = Polyhedron((tuple(tuple(a * d for a in row) for row, d in zip(rows, scales)),
+                    tuple(c.numerator for c in bv)), scales, len(hv))
+    return Instance(P, k, qv, hv)
 
 
 def subdeterminant_bound(inst: Instance) -> int:
@@ -103,6 +109,13 @@ class Schedule:
         return self.psi[j - 1] if j >= 1 else ZERO
 
 
+def checked_eps(eps) -> Fraction:
+    """eps as a Fraction; InputError unless an int or a Fraction, not a bool."""
+    if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
+        raise InputError(f"eps must be an int or a Fraction, got {eps!r}")
+    return Fraction(eps)
+
+
 def compute_schedule(n: int, delta: int, k: int, eps) -> Schedule:
     """The thresholds for eps = p/q, an int or a Fraction in (0, 1], and
     int n, delta >= 1 and k >= 0.
@@ -115,9 +128,7 @@ def compute_schedule(n: int, delta: int, k: int, eps) -> Schedule:
     schedule-bound claim run on those ints, and each field is made a
     Fraction once.
     """
-    if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
-        raise InputError(f"eps must be an int or a Fraction, got {eps!r}")
-    eps = Fraction(eps)
+    eps = checked_eps(eps)
     if not 0 < eps <= 1:
         raise InputError(f"eps must be in (0, 1], got {eps}")
     if any(type(v) is not int for v in (n, delta, k)) or n < 1 or delta < 1 or k < 0:
@@ -187,8 +198,7 @@ def normalize(inst: Instance, xd) -> tuple[Instance, tuple[int, ...]]:
     Returns the shifted instance and the translation (the original point)
     as ints; the shifted objective vanishes at the origin by construction.
     The point is scaled once: it is integer when its denominator is 1.  The
-    shifted instance's polyhedron is the instance's translated by the point,
-    with its int rows.
+    shifted instance holds the instance's polyhedron translated by it.
     """
     X, d = exact.integer_vector(xd)
     if d != 1:
@@ -198,12 +208,9 @@ def normalize(inst: Instance, xd) -> tuple[Instance, tuple[int, ...]]:
         raise DimensionError(f"point has dim {len(X)}, polyhedron has {inst.n}")
     if not contains_int(P, X, 1):
         raise InputError("anchor point must be feasible")
-    P2 = translate(P, X)
     h2 = tuple(inst.h[i] - 2 * X[i] * inst.q[i] if i < inst.k else inst.h[i]
                for i in range(inst.n))
-    norm = Instance(inst.A, P2.b, inst.k, inst.q, h2)
-    object.__setattr__(norm, "_polyhedron", P2)
-    return norm, tuple(X)
+    return Instance(translate(P, X), inst.k, inst.q, h2), tuple(X)
 
 
 def restricted_polyhedron(inst: Instance, zset) -> Polyhedron:

@@ -6,12 +6,13 @@ instead takes the bounding box from a caller that has shown P bounded.
 Outputs are canonically ordered (lexicographic) so results are
 deterministic.
 
-The rational rows [A_i | b_i] are what callers and the LPs see.  Membership
-and lattice enumeration run on the same rows scaled to Python ints, each by
-the lcm of its denominators: a point x is scaled once to X = D x over its
-common denominator D, and row i holds iff (d_i A_i).X <= D (d_i b_i).
-A polyhedron derived from another by ``translate`` or ``fix_zero`` is
-given its int rows from its parent's, not scaled again.
+A polyhedron is its rows [A_i | b_i] scaled to Python ints, each by the
+lcm d_i of its denominators.  Membership and lattice enumeration run on
+them: a point x is scaled once to X = D x over its common denominator D,
+and row i holds iff (d_i A_i).X <= D (d_i b_i).  ``polyhedron`` scales
+rational rows once; ``translate``, ``fix_zero`` and ``intersect_with_box``
+build their int rows from their parent's.  The rational A and b are views
+for the LPs.
 """
 
 from __future__ import annotations
@@ -33,35 +34,26 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """{x in R^n : A x <= b} with exact rational data."""
+    """{x in R^n : A x <= b} as its int rows: row i is [A_i | b_i] times
+    scales[i], split at the bar.  A and b are views, built on first use."""
 
-    A: tuple[tuple[Fraction, ...], ...]
-    b: tuple[Fraction, ...]
+    int_rows: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
+    scales: tuple[int, ...]
     n: int
 
     @property
     def m(self) -> int:
-        return len(self.A)
-
-    @property
-    def int_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """Each row [A_i | b_i] times the lcm of its denominators, split again."""
-        return self._scaled_rows[:2]
+        return len(self.scales)
 
     @cached_property
-    def _scaled_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...],
-                                    tuple[int, ...]]:
-        """int_rows and the scale of each row, the lcm of its denominators."""
-        rows, scales = exact._integer_rows([[*row, bi] for row, bi in zip(self.A, self.b)])
-        return (tuple(tuple(r[:-1]) for r in rows), tuple(r[-1] for r in rows),
-                tuple(scales))
+    def A(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(c) if d == 1 else Fraction(c, d) for c in row)
+                     for row, d in zip(self.int_rows[0], self.scales))
 
-
-def _derived(A, b, n: int, scaled) -> Polyhedron:
-    """A Polyhedron given its _scaled_rows, which are not computed again."""
-    P = Polyhedron(A, b, n)
-    P.__dict__["_scaled_rows"] = scaled
-    return P
+    @cached_property
+    def b(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c) if d == 1 else Fraction(c, d)
+                     for c, d in zip(self.int_rows[1], self.scales))
 
 
 def translate(P: Polyhedron, X) -> Polyhedron:
@@ -70,31 +62,27 @@ def translate(P: Polyhedron, X) -> Polyhedron:
     The rows are P's own.  Row i keeps its scale d_i, for A_i.X has a
     denominator dividing that of A_i, so the lcm of the denominators of A_i
     and of b_i - A_i.X is that of A_i and b_i.  Its int right-hand side is
-    d_i b_i - (d_i A_i).X, and b_i - A_i.X is that over d_i (the int itself
-    when d_i = 1, which needs no gcd).
+    d_i b_i - (d_i A_i).X.
     """
-    rows, rhs, scales = P._scaled_rows
-    shifted = tuple(c - sum(map(mul, row, X)) for row, c in zip(rows, rhs))
-    b = tuple(Fraction(c) if d == 1 else Fraction(c, d) for c, d in zip(shifted, scales))
-    return _derived(P.A, b, P.n, (rows, shifted, scales))
+    rows, rhs = P.int_rows
+    return Polyhedron((rows, tuple(c - sum(map(mul, row, X)) for row, c in zip(rows, rhs))),
+                      P.scales, P.n)
+
+
+def _with_unit_rows(P: Polyhedron, bounds) -> Polyhedron:
+    """P with the row s e_i.x <= c / d appended for each (i, s, c, d) in
+    bounds, s = +-1 and c / d in lowest terms: its int row is (s d e_i, c),
+    of scale d."""
+    rows, rhs = P.int_rows
+    units = tuple(tuple(s * d * (j == i) for j in range(P.n)) for i, s, _, d in bounds)
+    return Polyhedron((rows + units, rhs + tuple(c for _, _, c, _ in bounds)),
+                      P.scales + tuple(d for _, _, _, d in bounds), P.n)
 
 
 def fix_zero(P: Polyhedron, coords) -> Polyhedron:
     """P with x_i = 0 for each i in coords: the rows e_i.x <= 0 and
-    -e_i.x <= 0 appended per coordinate, in increasing order.
-
-    The int rows of P are kept, and the appended ones are (+-e_i, 0) with
-    scale 1.
-    """
-    units = []
-    for i in sorted(coords):
-        e = tuple(int(j == i) for j in range(P.n))
-        units += [e, tuple(-x for x in e)]
-    k = len(units)
-    rows, rhs, scales = P._scaled_rows
-    return _derived(tuple(P.A) + tuple(tuple(map(Fraction, u)) for u in units),
-                    tuple(P.b) + (ZERO,) * k, P.n,
-                    (rows + tuple(units), rhs + (0,) * k, scales + (1,) * k))
+    -e_i.x <= 0 appended per coordinate, in increasing order."""
+    return _with_unit_rows(P, [(i, s, 0, 1) for i in sorted(coords) for s in (1, -1)])
 
 
 def polyhedron(A, b, n: int | None = None) -> Polyhedron:
@@ -110,7 +98,9 @@ def polyhedron(A, b, n: int | None = None) -> Polyhedron:
         raise DimensionError("inconsistent row lengths")
     if n < 1:
         raise DimensionError("ambient dimension must be >= 1")
-    return Polyhedron(rows, rhs, n)
+    ints, scales = exact._integer_rows([[*row, c] for row, c in zip(rows, rhs)])
+    return Polyhedron((tuple(tuple(r[:-1]) for r in ints), tuple(r[-1] for r in ints)),
+                      tuple(scales), n)
 
 
 @dataclass(frozen=True)
@@ -303,18 +293,18 @@ def intersect_with_box(P: Polyhedron, center, radius) -> Polyhedron:
     """P intersected with {x : |x_i - center_i| <= radius for all i}.
 
     Appended rows are +-identity, so the subdeterminant bound of the
-    constraint matrix is preserved.
+    constraint matrix is preserved.  With center and radius over one
+    denominator D, the bound of the row s e_i (s = +-1) is s c_i + r =
+    (s C_i + R) / D.
     """
-    r = Fraction(radius)
-    if r < 0:
+    V, D = exact.integer_vector([*center, radius])
+    R = V.pop()
+    if R < 0:
         raise InputError("radius must be nonnegative")
-    rows = [list(row) for row in P.A]
-    rhs = list(P.b)
+    bounds = []
     for i in range(P.n):
-        e = [ZERO] * P.n
-        e[i] = ONE
-        rows.append(e)
-        rhs.append(Fraction(center[i]) + r)
-        rows.append([-x for x in e])
-        rhs.append(-(Fraction(center[i]) - r))
-    return polyhedron(rows, rhs, P.n)
+        for s in (1, -1):
+            c = s * V[i] + R
+            g = math.gcd(c, D)
+            bounds.append((i, s, c // g, D // g))
+    return _with_unit_rows(P, bounds)

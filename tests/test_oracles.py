@@ -151,6 +151,20 @@ def test_verdict_rejects_infeasible_point():
         verdict(fam.instance, [F(1, 2)], F(1), "integer", rep)
 
 
+@pytest.mark.parametrize("eps", [0.1, "abc", True, None])
+@pytest.mark.parametrize("oracle", ["verdict", "delta_star", "certify"])
+def test_oracles_take_only_an_int_or_a_fraction_eps(oracle, eps):
+    """A float would be read as its binary value (0.1 as
+    3602879701896397/36028797018963968), True as 1, and a string or None
+    would fail with a builtin error; each is an InputError."""
+    inst = build_example_1_1(3).instance
+    call = {"verdict": lambda: verdict(inst, [3], eps, "integer", full_report(inst)),
+            "delta_star": lambda: delta_star(inst, eps),
+            "certify": lambda: certify_no_cont_approx_within(inst, eps, [-3], 1)}[oracle]
+    with pytest.raises(InputError, match="eps must be an int or a Fraction"):
+        call()
+
+
 def test_delta_star_prop45():
     fam = build_prop45(2, 1, F(1, 2))
     ds = delta_star(fam.instance, F(1, 2))

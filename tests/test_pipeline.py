@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iqprox import cones, exact, pipeline, polyhedra
+from iqprox import cones, exact, formats, pipeline, polyhedra
 from iqprox.cones import (ConicDecomposition, build_cone, caratheodory_decompose,
                           enumerate_generators)
 from iqprox.errors import ClaimViolation, DimensionError, InputError
 from iqprox.families import (build_example_1_1, build_pbar, build_prop44,
-                             build_prop45, pbar_params, random_instance)
+                             build_prop45, build_prop46, pbar_params, random_instance)
 from iqprox.oracles import (claim_cross_checks, full_report, solve_iqp, solve_qp,
                             verdict)
 from iqprox.pipeline import (Instance, MidpointWitnesses, PipelineResult, StepRecord,
@@ -21,7 +21,7 @@ from iqprox.pipeline import (Instance, MidpointWitnesses, PipelineResult, StepRe
                              eval_objective, instance, midpoint_witnesses, normalize,
                              one_step, restricted_polyhedron, run_pipeline,
                              subdeterminant_bound)
-from iqprox.polyhedra import Polyhedron, contains, polyhedron
+from iqprox.polyhedra import contains, polyhedron
 
 
 def test_instance_validation():
@@ -35,6 +35,22 @@ def test_instance_validation():
         instance([[1]], [1, 2], [1], [0])  # row/rhs mismatch
     with pytest.raises(InputError):
         instance([], [], [], [])  # no variable
+
+
+def test_instance_views_are_its_inputs():
+    """An instance holds its polyhedron as int rows A_i den(b_i) <= num(b_i);
+    A and b read back are the inputs, as Fractions, and a saved instance
+    keeps the digest it had when A and b were stored."""
+    A = [[1, -2], [0, 0], [-3, 1]]
+    b = [F(7, 2), 0, F(-5, 6)]
+    inst = instance(A, b, [F(1, 3)], [0, 1])
+    assert inst.polyhedron().int_rows == (((2, -4), (0, 0), (-18, 6)), (7, 0, -5))
+    assert [list(row) for row in inst.A] == A and list(inst.b) == b
+    assert all(type(x) is F for x in (*inst.b, *(x for row in inst.A for x in row)))
+    assert inst.m == 3
+    fam = build_prop46(3, 2, F(1, 5)).instance
+    assert (formats.instance_digest(fam)
+            == "d989da63736ccdda25668fba23941c462963304bbfaab88376363a828c70d7ee")
 
 
 def test_eval_objective():
@@ -247,7 +263,7 @@ def rows_kept(cone, P) -> bool:
 def assert_fresh_int_rows(P, x):
     """P's int rows, passed down from a parent, are the ones P would
     compute itself, and the cone at x against the origin keeps them."""
-    assert P.int_rows == Polyhedron(P.A, P.b, P.n).int_rows
+    assert P.int_rows == polyhedron(P.A, P.b, P.n).int_rows
     assert rows_kept(build_cone(P.int_rows[0], x, [F(0)] * P.n), P)
 
 
@@ -270,7 +286,7 @@ def test_normalize_and_restriction_match_fraction_reference():
             assert_fresh_int_rows(P, x)
     # a rational row, which `instance` rejects, still shifts exactly, and
     # keeps its scale: lcm(2, den 3/2) = lcm(2, den 3) = 2
-    inst = Instance(((F(1, 2), F(1)), (F(-1), F(0))), (F(3), F(2)), 0, (), (F(0), F(0)))
+    inst = Instance(polyhedron([[F(1, 2), 1], [-1, 0]], [3, 2]), 0, (), (F(0), F(0)))
     norm, _ = normalize(inst, [F(-1), F(2)])
     assert norm.b == reference_normalized_rhs(inst, [F(-1), F(2)]) == (F(3, 2), F(1))
     assert norm.polyhedron().int_rows == (((1, 2), (-1, 0)), (3, 1))
@@ -438,9 +454,7 @@ def reference_normalize(inst, xd):
     P2 = polyhedra.translate(P, [x.numerator for x in xdv])
     h2 = tuple(inst.h[i] - 2 * inst.q[i] * xdv[i] if i < inst.k else inst.h[i]
                for i in range(inst.n))
-    norm = Instance(inst.A, P2.b, inst.k, inst.q, h2)
-    object.__setattr__(norm, "_polyhedron", P2)
-    return norm, xdv
+    return Instance(P2, inst.k, inst.q, h2), xdv
 
 
 def reference_build_sequence(inst, xc, schedule, delta):
@@ -837,6 +851,26 @@ def test_c1_run_at_ell_0_tests_no_point_in_fractions(monkeypatch):
     res = run_pipeline(*anchored(EX3.instance, F(1, 2), [F(15, 4)], [F(-3)]))
     assert (res.case, res.trace[-1].j) == ("c1", 0)
     assert tested == []
+
+
+@pytest.mark.parametrize("case", ["example-1-1", "box-100"])
+def test_c2_run_reads_no_derived_rational_rows(monkeypatch, case):
+    """A case c-2 run (c2_run) reads the A or b view of no polyhedron but
+    the instance's own (the subdeterminant bound reads its A): the
+    translated and restricted polyhedra are used through their int rows
+    alone, so no Fraction rows are built for them."""
+    args = c2_run(case)
+    read = []
+    for name in ("A", "b"):
+        view = polyhedra.Polyhedron.__dict__[name].func
+
+        def spy(P, view=view):
+            read.append(P)
+            return view(P)
+
+        monkeypatch.setattr(polyhedra.Polyhedron, name, property(spy))
+    assert run_pipeline(*args).case == "c2"
+    assert read and all(P is args[0].polyhedron() for P in read)
 
 
 @pytest.mark.parametrize("case", ["example-1-1", "box-100"])

@@ -73,12 +73,20 @@ RATIONALS = st.one_of(st.integers(-3, 3),
 
 
 @st.composite
-def systems_and_points(draw):
-    """Rational A x <= b and an integer, rational or on-facet point."""
+def rational_systems(draw):
+    """Rational A and b of A x <= b, and n."""
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 5))
     A = [[draw(RATIONALS) for _ in range(n)] for _ in range(m)]
     b = [draw(RATIONALS) for _ in range(m)]
+    return A, b, n
+
+
+@st.composite
+def systems_and_points(draw):
+    """Rational A x <= b and an integer, rational or on-facet point."""
+    A, b, n = draw(rational_systems())
+    m = len(A)
     kind = draw(st.sampled_from(["integer", "rational", "facet"]))
     if kind == "integer":
         x = [draw(st.integers(-4, 4)) for _ in range(n)]
@@ -184,27 +192,48 @@ def test_vertices_match_fraction_reference(P):
     assert calls == []
 
 
+def reference_intersect_with_box(P, center, radius):
+    """The box rows +-e_i <= +-c_i + r appended to P's rational rows, and
+    the whole system scaled again by `polyhedron`."""
+    r = F(radius)
+    rows, rhs = [list(row) for row in P.A], list(P.b)
+    for i in range(P.n):
+        e = [F(int(j == i)) for j in range(P.n)]
+        rows += [e, [-x for x in e]]
+        rhs += [F(center[i]) + r, -(F(center[i]) - r)]
+    return polyhedron(rows, rhs, P.n)
+
+
 @settings(max_examples=200, deadline=None)
-@given(systems_and_points(), st.lists(st.integers(-3, 3), min_size=3, max_size=3),
-       st.sets(st.integers(0, 2)))
-@example((polyhedron([[F(1, 2), F(1)], [F(-1), F(0)]], [F(3), F(2)]), [1, 1], None),
-         [-1, 2, 0], {0, 1})
-def test_derived_polyhedra_match_fresh_ones(case, shift, zeros):
-    """translate and fix_zero give the rows a fresh polyhedron has, and the
-    int rows it would compute; translating by -X undoes it."""
-    P, _, _ = case
+@given(rational_systems(), st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+       st.sets(st.integers(0, 2)), st.lists(RATIONALS, min_size=3, max_size=3),
+       st.fractions(0, 3, max_denominator=6))
+@example(([[F(1, 2), F(1)], [F(-1), F(0)]], [F(3), F(2)], 2), [-1, 2, 0], {0, 1},
+         [F(1, 2), F(-1, 3), 0], F(1, 2))
+def test_derived_polyhedra_match_fresh_ones(system, shift, zeros, center, radius):
+    """polyhedron's A and b views are its input rows, exactly and as
+    Fractions; translate, fix_zero and intersect_with_box give the
+    polyhedron a fresh build from Fraction rows has, int rows and scales
+    included; translating by -X undoes it."""
+    A, b, n = system
+    P = polyhedron(A, b, n)
+    assert [list(row) for row in P.A] == A and list(P.b) == b
+    assert all(type(x) is F for x in (*P.b, *(x for row in P.A for x in row)))
     X = shift[:P.n]
     T = polyhedra.translate(P, X)
     assert T == polyhedron(P.A, [bi - exact.dot(row, X) for row, bi in zip(P.A, P.b)], P.n)
-    assert T.int_rows == polyhedra.Polyhedron(T.A, T.b, T.n).int_rows
+    assert T.int_rows == polyhedron(T.A, T.b, T.n).int_rows
     assert all(type(x) is F for x in T.b)
     assert polyhedra.translate(T, [-x for x in X]) == P
     coords = {i for i in zeros if i < P.n}
     Z = polyhedra.fix_zero(T, coords)
     units = [[F(s * (j == i)) for j in range(P.n)] for i in sorted(coords) for s in (1, -1)]
     assert Z == polyhedron([*T.A, *units], [*T.b] + [F(0)] * len(units), P.n)
-    assert Z.int_rows == polyhedra.Polyhedron(Z.A, Z.b, Z.n).int_rows
+    assert Z.int_rows == polyhedron(Z.A, Z.b, Z.n).int_rows
     assert all(type(x) is F for r in Z.A for x in r)
+    B = intersect_with_box(Z, center[:P.n], radius)
+    assert B == reference_intersect_with_box(Z, center[:P.n], radius)
+    assert all(type(x) is F for x in (*B.b, *(x for row in B.A for x in row)))
 
 
 def test_builder_validation():

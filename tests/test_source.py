@@ -66,6 +66,25 @@ def test_no_function_local_imports():
     assert nodes_where(imports_in_body) == []
 
 
+def writes_private_state(node) -> bool:
+    """An object.__setattr__(...) call, or an assignment into x.__dict__[...]."""
+    if isinstance(node, ast.Call):
+        f = node.func
+        return (isinstance(f, ast.Attribute) and f.attr == "__setattr__"
+                and isinstance(f.value, ast.Name) and f.value.id == "object")
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+               else [])
+    return any(isinstance(t, ast.Subscript) and isinstance(t.value, ast.Attribute)
+               and t.value.attr == "__dict__" for t in targets)
+
+
+def test_no_private_state_writes():
+    """A frozen dataclass holds its data in its fields, built by its
+    constructor: no module seeds a cache behind it."""
+    assert nodes_where(writes_private_state) == []
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
