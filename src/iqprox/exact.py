@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
+from operator import mul
 
 from .errors import DimensionError, DomainError
 
@@ -110,7 +111,8 @@ def _extend_echelon(a: list[list[int]], pivots: list[int], row: list[int],
     prev = 1
     for prow, c in zip(a, pivots):
         piv, f = prow[c], row[c]
-        row = [(x * piv - f * y) // prev for x, y in zip(row, prow)]
+        if f or piv != prev:  # else the step gives x * piv // prev = x
+            row = [(x * piv - f * y) // prev for x, y in zip(row, prow)]
         prev = piv
     for c in range(ncols):
         if row[c]:
@@ -189,7 +191,7 @@ def _back_substitute(a: list[list[int]], pivots: list[int], w: list[int]) -> lis
     """
     for i in reversed(range(len(pivots))):
         row, p = a[i], pivots[i]
-        w[p] = -sum(x * y for x, y in zip(row, w)) // row[p]
+        w[p] = -sum(map(mul, row, w)) // row[p]
     return w
 
 

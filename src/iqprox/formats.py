@@ -49,7 +49,7 @@ def instance_to_dict(inst: Instance) -> dict:
         "n": inst.n,
         "m": inst.m,
         "k": inst.k,
-        "A": [[int(x) for x in row] for row in inst.A],
+        "A": inst.int_A,
         "b": vec_to_strs(inst.b),
         "q": vec_to_strs(inst.q),
         "h": vec_to_strs(inst.h),

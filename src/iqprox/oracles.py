@@ -17,7 +17,7 @@ from . import exact
 from .errors import ClaimViolation, InfeasibleError, InputError
 from .pipeline import Instance, PipelineResult, checked_eps, eval_objective
 from .polyhedra import (contains, contains_int, enumerate_lattice_points,
-                        enumerate_vertices, intersect_with_box)
+                        enumerate_vertices, intersect_with_box, lattice_runs)
 from .simplex import feasible_point
 
 ZERO = Fraction(0)
@@ -62,29 +62,71 @@ def _fraction_point(p) -> tuple[Fraction, ...]:
     return tuple(map(Fraction, p))
 
 
-def _lattice_extremes(inst: Instance, pts) -> tuple[OptResult, Fraction,
-                                                   tuple[Fraction, ...], list[int]]:
-    """Minimizer (with ties) and lexicographically first maximizer over pts,
-    and the values.
+def _lattice_extremes(inst: Instance, runs) -> tuple[OptResult, Fraction,
+                                                    tuple[Fraction, ...]]:
+    """Minimizer (with ties) and lexicographically first maximizer over the
+    lattice points of runs, and their values.
 
-    pts are lattice points as int tuples.  The objective is evaluated as an
-    int: f times the lcm d of the denominators of q and h, one per point in
-    the returned list; Fractions are built only for the minimum, the
+    runs are (prefix, lo, hi) as lattice_runs gives them, in lexicographic
+    order.  The objective is an int: f times the lcm d of the denominators
+    of q and h.  Along a run only the last coordinate j = n - 1 moves, so
+    the value is the prefix's part plus g(v) = H_j v - Q_j v^2 (Q_j = 0 for
+    j >= k), and g is concave:
+
+    - g's least value on [lo, hi] is at lo or hi, or at both when their
+      values are equal; when g is constant (j >= k and H_j = 0) every v
+      attains it.
+    - g's greatest value is at the clipped floor or ceil of H_j / (2 Q_j),
+      the smaller on a tie; when g is linear, at hi if H_j > 0, else lo.
+
+    Across runs only a strictly larger maximum replaces the witness, so it
+    is the lexicographically first maximizer; the ties come in walk order,
+    which is sorted.  Fractions are built only for the minimum, the
     maximum, the ties and the witness.
     """
-    if not pts:
+    if not runs:
         raise InfeasibleError("no integer point in the feasible region")
     q, h, d = _integer_objective(inst)
-    vals = [_objective_numerator(q, h, p, 1) for p in pts]
-    best, top = min(vals), max(vals)
-    ties = tuple(sorted(_fraction_point(p) for p, v in zip(pts, vals) if v == best))
-    wit = _fraction_point(min(p for p, v in zip(pts, vals) if v == top))
-    return OptResult(ties[0], Fraction(best, d), ties), Fraction(top, d), wit, vals
+    j = inst.n - 1
+    hj, qj = h[j], (q[j] if j < inst.k else 0)
+
+    def g(v: int) -> int:
+        return (hj - qj * v) * v
+
+    best = top = None
+    ties: list[tuple[int, ...]] = []
+    wit = None
+    for prefix, lo, hi in runs:
+        base = _objective_numerator(q, h, prefix, 1)
+        if qj:
+            c = hj // (2 * qj)
+            a, b = min(max(c, lo), hi), min(max(c + 1, lo), hi)  # a <= b
+            vmax = b if g(b) > g(a) else a
+        else:
+            vmax = hi if hj > 0 else lo
+        if top is None or base + g(vmax) > top:
+            top, wit = base + g(vmax), (*prefix, vmax)
+        glo, ghi = g(lo), g(hi)
+        gmin = min(glo, ghi)
+        if best is None or base + gmin < best:
+            best, ties = base + gmin, []
+        elif base + gmin > best:
+            continue
+        if not qj and not hj:
+            ties.extend((*prefix, v) for v in range(lo, hi + 1))
+        else:
+            if glo == gmin:
+                ties.append((*prefix, lo))
+            if ghi == gmin and hi != lo:
+                ties.append((*prefix, hi))
+    fties = tuple(map(_fraction_point, ties))
+    return (OptResult(fties[0], Fraction(best, d), fties), Fraction(top, d),
+            _fraction_point(wit))
 
 
 def solve_iqp(inst: Instance) -> OptResult:
     """Exact lattice minimizer; ties reported, lexicographic representative."""
-    return _lattice_extremes(inst, enumerate_lattice_points(inst.polyhedron()))[0]
+    return _lattice_extremes(inst, lattice_runs(inst.polyhedron()))[0]
 
 
 def solve_qp(inst: Instance) -> OptResult:
@@ -117,7 +159,7 @@ def fmax_int(inst: Instance) -> Fraction:
 
 
 def fmax_int_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
-    _, top, wit, _ = _lattice_extremes(inst, enumerate_lattice_points(inst.polyhedron()))
+    _, top, wit = _lattice_extremes(inst, lattice_runs(inst.polyhedron()))
     return top, wit
 
 
@@ -226,13 +268,13 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
             e = L * e2
         else:  # E_S is A_S x = b_S, with no kernel
             X, free, e = X0, W, L
+            if collect and not contains_int(P, X, e):
+                continue
         num, den = _objective_numerator(Q, H, X, e), d * e * e
         if size < n:
             bounds[S] = (num, den)
         vertex = collect and size == n
         if vertex:
-            if not contains_int(P, X, e):
-                continue
             vertices.append((X, e, num, den))
         if best is not None and num * best[1] <= best[0] * den:
             continue
@@ -267,38 +309,41 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
     return Fraction(*best), wit
 
 
-def _report_and_lattice(inst: Instance) -> tuple[OracleReport, list, list[int]]:
-    """Every oracle quantity from one face walk and one lattice walk, the
-    lattice points as int tuples, and their values as _lattice_extremes
-    gives them.
+def _face_walk(inst: Instance):
+    """fmax_cont_witness's value and witness, the vertices it collects, and
+    the box for the lattice walk.
 
     When the face walk collects vertices, P is a polytope and the
     coordinate-wise extremes of its vertices are its exact bounding box.
-    Otherwise (P empty, unbounded, or of rank < n) the lattice walk finds
-    the box by LP, which returns no points or raises UnboundedError.
+    Otherwise (P empty, unbounded, or of rank < n) the box is None, and the
+    lattice walk finds it by LP, which gives no points or raises
+    UnboundedError.  The value and witness are None when no face attains a
+    maximum in P: P is then empty or unbounded, and no vertex is collected.
     """
-    P = inst.polyhedron()
     verts = []
     try:
         fci, wci = fmax_cont_witness(inst, verts)
     except InfeasibleError:
-        # No face attains a maximum in P: P is empty or unbounded, verts is
-        # empty, and the lattice walk finds no point or raises.
         fci = wci = None
     box = None
     if verts:
         corners = [[Fraction(x, e) for x in X] for X, e, _, _ in verts]
         box = [(min(c), max(c)) for c in zip(*corners)]
-    pts = enumerate_lattice_points(P, box)
-    iqp, fdi, wdi, vals = _lattice_extremes(inst, pts)
-    # pts is nonempty, so P is a nonempty polytope: verts holds every
-    # vertex and the walk found the maximum.
-    qp = _vertex_minimum(verts)
-    return OracleReport(iqp, qp, fdi, wdi, fci, wci), pts, vals
+    return fci, wci, verts, box
 
 
 def full_report(inst: Instance) -> OracleReport:
-    return _report_and_lattice(inst)[0]
+    """Every oracle quantity from one face walk and one lattice walk.
+
+    The face walk gives the continuous maximum, the vertices and the box;
+    the lattice walk's runs give the integer extremes, and the vertices the
+    continuous minimum.
+    """
+    fci, wci, verts, box = _face_walk(inst)
+    iqp, fdi, wdi = _lattice_extremes(inst, lattice_runs(inst.polyhedron(), box))
+    # Some lattice point exists, so P is a nonempty polytope: verts holds
+    # every vertex and the walk found the maximum.
+    return OracleReport(iqp, _vertex_minimum(verts), fdi, wdi, fci, wci)
 
 
 def verdict(inst: Instance, x, eps, mode: str, report: OracleReport) -> ApproxVerdict:
@@ -350,8 +395,13 @@ def delta_star(inst: Instance, eps) -> DeltaStarResult:
     v = lo, the degenerate verdict.
     """
     eps = checked_eps(eps)
-    report, pts, vals = _report_and_lattice(inst)
-    qp = report.cont_opt
+    _, _, verts, box = _face_walk(inst)
+    pts = enumerate_lattice_points(inst.polyhedron(), box)
+    if not pts:
+        raise InfeasibleError("no integer point in the feasible region")
+    qp = _vertex_minimum(verts)
+    q, h, _ = _integer_objective(inst)
+    vals = [_objective_numerator(q, h, p, 1) for p in pts]
     lo, hi = min(vals), max(vals)
     approx = [_fraction_point(p) for p, v in zip(pts, vals)
               if (v - lo) * eps.denominator <= eps.numerator * (hi - lo)]

@@ -54,6 +54,12 @@ class Instance:
     def b(self) -> tuple[Fraction, ...]:
         return self.P.b
 
+    @property
+    def int_A(self) -> list[list[int]]:
+        """A as ints, read off the int rows: A is integer, so row i's int
+        row is A_i times its scale, and each division is exact."""
+        return [[a // d for a in row] for row, d in zip(self.P.int_rows[0], self.P.scales)]
+
     def polyhedron(self) -> Polyhedron:
         return self.P
 
@@ -90,7 +96,7 @@ def instance(A, b, q, h, k: int | None = None) -> Instance:
 
 def subdeterminant_bound(inst: Instance) -> int:
     """Delta of the constraint matrix, floored at 1 for the cone machinery."""
-    return max(1, exact.max_abs_subdeterminant(inst.A))
+    return max(1, exact.max_abs_subdeterminant(inst.int_A))
 
 
 @dataclass(frozen=True)
@@ -519,10 +525,16 @@ def run_pipeline(inst: Instance, eps, xc, xd) -> PipelineResult:
         normalized=norm_result)
     if result.distance_int > sched.theorem_bound:
         raise ClaimViolation("theorem-bound", "integer output beyond the proven distance")
+    # construct_outputs gives distance_cont = distance_int, so the check
+    # above fires first.
     if result.distance_cont > sched.theorem_bound:
         raise ClaimViolation("theorem-bound", "continuous output beyond the proven distance")
+    # XI is the discrete anchor, checked by normalize, in case c-1, and the
+    # shift of x* in the restricted polyhedron (xstar-membership) in c-2.
     if not contains_int(P, XI, 1):
         raise ClaimViolation("xstar-feasible", "integer output is infeasible")
+    # XO / d is the continuous anchor, checked above, in case c-1, and the
+    # shift of x_c - x* (xstar-g) in c-2.
     if not contains_int(P, XO, d):
         raise ClaimViolation("xstarc-feasible", "continuous output is infeasible")
     return result

@@ -2,7 +2,8 @@
 
 All enumeration routines assume desk-scale inputs and verify boundedness
 before enumerating, raising UnboundedError otherwise; the lattice walk
-instead takes the bounding box from a caller that has shown P bounded.
+instead takes the bounding box from a caller that has shown P bounded, and
+yields its points as runs along the last coordinate.
 Outputs are canonically ordered (lexicographic) so results are
 deterministic.
 
@@ -111,30 +112,33 @@ class Face:
     dim: int
 
 
-def _row_values(P: Polyhedron, x):
-    """(d_i A_i).X and D (d_i b_i) for every row i, with X = D x."""
+def _scaled_point(P: Polyhedron, x) -> tuple[list[int], int]:
+    """X and D with X = D x, D the common denominator of the point x."""
     if len(x) != P.n:
         raise DimensionError(f"point has dim {len(x)}, polyhedron has {P.n}")
-    return _int_row_values(P, *exact.integer_vector(x))
-
-
-def _int_row_values(P: Polyhedron, X, D: int):
-    rows, rhs = P.int_rows
-    return ((sum(map(mul, row, X)), D * c) for row, c in zip(rows, rhs))
+    return exact.integer_vector(x)
 
 
 def contains(P: Polyhedron, x) -> bool:
-    return all(lhs <= rhs for lhs, rhs in _row_values(P, x))
+    return contains_int(P, *_scaled_point(P, x))
 
 
 def contains_int(P: Polyhedron, X, D: int) -> bool:
-    """Whether P holds the point X / D, for an int vector X and an int D > 0."""
-    return all(lhs <= rhs for lhs, rhs in _int_row_values(P, X, D))
+    """Whether P holds the point X / D, for an int vector X and an int D > 0:
+    (d_i A_i).X <= D (d_i b_i) for every row i, stopping at the first that
+    fails."""
+    rows, rhs = P.int_rows
+    for row, c in zip(rows, rhs):
+        if sum(map(mul, row, X)) > D * c:
+            return False
+    return True
 
 
 def tight_rows(P: Polyhedron, x) -> frozenset[int]:
-    return frozenset(i for i, (lhs, rhs) in enumerate(_row_values(P, x))
-                     if lhs == rhs)
+    X, D = _scaled_point(P, x)
+    rows, rhs = P.int_rows
+    return frozenset(i for i, (row, c) in enumerate(zip(rows, rhs))
+                     if sum(map(mul, row, X)) == D * c)
 
 
 def coordinate_range(P: Polyhedron, i: int) -> tuple[Fraction, Fraction] | None:
@@ -184,22 +188,24 @@ def enumerate_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
     return sorted(seen)
 
 
-def enumerate_lattice_points(P: Polyhedron, box=None) -> list[tuple[int, ...]]:
-    """All integer points of a bounded P, in lexicographic order, as int tuples.
+def lattice_runs(P: Polyhedron, box=None) -> list[tuple[tuple[int, ...], int, int]]:
+    """The integer points of a bounded P as runs (prefix, lo, hi), in
+    lexicographic order: the points (*prefix, v) for lo <= v <= hi, every
+    point of P with those first n - 1 coordinates.  Each run is nonempty.
 
     Walks the integer grid of the bounding box coordinate by coordinate,
     narrowing the interval of each next coordinate by interval propagation
-    over the rows, and keeps exactly the points with A x <= b.  The
-    propagation runs on the int rows with the box scaled by the lcm e of its
-    denominators, so each bound is one floor division of ints.  Each row's
-    bound is exact at that row's last nonzero coordinate, so every leaf the
-    walk reaches lies in P and no leaf is tested again.  An all-zero row is
-    never bounded; it holds on a nonempty P.
+    over the rows, and stops at the last coordinate, whose interval is the
+    run.  The propagation runs on the int rows with the box scaled by the
+    lcm e of its denominators, so each bound is one floor division of ints.
+    Each row's bound is exact at that row's last nonzero coordinate, so
+    every point of a run lies in P and none is tested again.  An all-zero
+    row is never bounded; it holds on a nonempty P.
 
     box is a list of (lo, hi) rational pairs, one per coordinate, containing
     P.  A caller that knows P is nonempty and bounded passes its exact
     bounding box (the coordinate-wise extremes of its vertices); without one
-    the box is found by 2n LPs, which also show P empty (no points) or
+    the box is found by 2n LPs, which also show P empty (no runs) or
     unbounded (UnboundedError).
     """
     if box is None:
@@ -231,7 +237,8 @@ def enumerate_lattice_points(P: Polyhedron, box=None) -> list[tuple[int, ...]]:
             else:
                 lo_j = max(lo_j, -(-s // c))
         if j == n - 1:
-            out.extend((*prefix, v) for v in range(lo_j, hi_j + 1))
+            if lo_j <= hi_j:
+                out.append((tuple(prefix), lo_j, hi_j))
             return
         for v in range(lo_j, hi_j + 1):
             prefix.append(v)
@@ -240,6 +247,13 @@ def enumerate_lattice_points(P: Polyhedron, box=None) -> list[tuple[int, ...]]:
 
     rec(0, list(rhs))
     return out
+
+
+def enumerate_lattice_points(P: Polyhedron, box=None) -> list[tuple[int, ...]]:
+    """All integer points of a bounded P, in lexicographic order, as int
+    tuples: the runs of lattice_runs(P, box), expanded in order."""
+    return [(*prefix, v) for prefix, lo, hi in lattice_runs(P, box)
+            for v in range(lo, hi + 1)]
 
 
 def enumerate_faces(P: Polyhedron) -> list[Face]:

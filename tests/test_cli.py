@@ -485,14 +485,14 @@ def test_verify_report_distance_cont_beyond_bound(capsys, tmp_path):
 def test_proximity_without_anchors_enumerates_lattice_once(capsys, ex11_path,
                                                            monkeypatch, anchors):
     calls = []
-    for mod, name in ((oracles, "enumerate_lattice_points"),
+    for mod, name in ((oracles, "lattice_runs"), (oracles, "enumerate_lattice_points"),
                       (oracles, "enumerate_vertices"), (oracles, "fmax_cont_witness"),
                       (polyhedra, "coordinate_range")):
         real = getattr(mod, name)
         monkeypatch.setattr(mod, name, lambda *a, real=real, name=name, **kw:
                             calls.append(name) or real(*a, **kw))
     assert main(["proximity", ex11_path, "--eps", "1/2", *anchors]) == 0
-    assert sorted(calls) == ["enumerate_lattice_points", "fmax_cont_witness"]
+    assert sorted(calls) == ["fmax_cont_witness", "lattice_runs"]
 
 
 def with_anchors(doc, xc, xd):

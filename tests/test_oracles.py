@@ -22,7 +22,7 @@ from iqprox.oracles import (certify_no_cont_approx_within, delta_star,
 from iqprox.pipeline import eval_objective, instance, run_pipeline
 from iqprox.polyhedra import (bounding_box, contains, contains_int,
                               enumerate_lattice_points, enumerate_vertices,
-                              intersect_with_box)
+                              intersect_with_box, lattice_runs)
 from iqprox.simplex import feasible_point
 
 
@@ -222,8 +222,8 @@ def test_claim_cross_checks_c1_vacuous():
 
 def test_full_report_enumerates_lattice_once(monkeypatch):
     calls = []
-    real = oracles.enumerate_lattice_points
-    monkeypatch.setattr(oracles, "enumerate_lattice_points",
+    real = oracles.lattice_runs
+    monkeypatch.setattr(oracles, "lattice_runs",
                         lambda *a: calls.append(a) or real(*a))
     inst = random_instance(3)
     rep = full_report(inst)
@@ -341,16 +341,47 @@ def rational_objectives(draw):
     return instance(base.A, base.b, q, h, k)
 
 
+def point_list_lattice_extremes(inst, pts):
+    """_lattice_extremes over a list of lattice points: one int value per
+    point, and the extremes read off the list."""
+    q, h, d = oracles._integer_objective(inst)
+    vals = [oracles._objective_numerator(q, h, p, 1) for p in pts]
+    best, top = min(vals), max(vals)
+    ties = tuple(sorted(tuple(map(F, p)) for p, v in zip(pts, vals) if v == best))
+    wit = tuple(map(F, min(p for p, v in zip(pts, vals) if v == top)))
+    return oracles.OptResult(ties[0], F(best, d), ties), F(top, d), wit
+
+
+def diagonal_instance(q, h):
+    """x_0 = x_1 on a box of radius 2: every lattice run is one point."""
+    return instance([[1, -1], [-1, 1], [1, 0], [-1, 0]], [0, 0, 2, 2], q, h, len(q))
+
+
 @settings(max_examples=150, deadline=None)
 @given(rational_objectives())
 @example(box_instance([1], [0], r=2))                 # tied minimizers
 @example(box_instance([F(1, 3), F(1, 2)], [F(1, 6), F(-5, 4)]))
+@example(box_instance([F(1, 3)], [F(1, 2)], r=3))     # n = 1: empty prefix
+@example(diagonal_instance([1], [F(1, 2), 1]))        # single-point runs
+@example(diagonal_instance([], [0, 0]))
+@example(box_instance([1], [F(1, 2), 0], r=2))        # k < n, h_{n-1} = 0: a run ties
+@example(box_instance([1, 1], [0, 1], r=2))           # vertex at v = 1/2: floor wins
+@example(box_instance([F(1, 2)], [F(1, 2)], r=3))     # vertex at 1/2 again, n = 1
 def test_lattice_extremes_match_eval_objective(inst):
-    pts = enumerate_lattice_points(inst.polyhedron())
-    opt, top, wit, vals = oracles._lattice_extremes(inst, pts)
-    assert (opt, top, wit) == reference_lattice_extremes(inst, pts)
-    d = oracles._integer_objective(inst)[2]
-    assert [F(v, d) for v in vals] == [eval_objective(inst, p) for p in pts]
+    P = inst.polyhedron()
+    runs = lattice_runs(P)
+    pts = enumerate_lattice_points(P)
+    assert pts == [(*p, v) for p, lo, hi in runs for v in range(lo, hi + 1)]
+    # Each run is nonempty, maximal along the last coordinate, and the
+    # prefixes increase.
+    for p, lo, hi in runs:
+        assert lo <= hi
+        assert not contains_int(P, [*p, lo - 1], 1) and not contains_int(P, [*p, hi + 1], 1)
+    assert all(a[0] < b[0] for a, b in zip(runs, runs[1:]))
+    got = oracles._lattice_extremes(inst, runs)
+    assert got == reference_lattice_extremes(inst, pts)
+    assert got == point_list_lattice_extremes(inst, pts)
+    opt, top, wit = got
     assert type(opt.value) is F and type(top) is F
     assert all(type(v) is F for p in opt.ties + (wit,) for v in p)
 
@@ -835,7 +866,8 @@ def test_face_walk_counts_on_ilp_tightness(monkeypatch):
 def verdict_loop_delta_star(inst, eps):
     """delta_star with one verdict call per lattice point."""
     eps = F(eps)
-    report, pts, _ = oracles._report_and_lattice(inst)
+    report = full_report(inst)
+    pts = enumerate_lattice_points(inst.polyhedron())
     qp = report.cont_opt
     approx = [tuple(map(F, p)) for p in pts
               if verdict(inst, p, eps, "integer", report).is_approx]

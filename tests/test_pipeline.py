@@ -725,6 +725,41 @@ def test_run_pipeline_theorem_bound_on_a_corrupted_schedule(monkeypatch):
     assert err.value.claim == "theorem-bound"
 
 
+def test_run_pipeline_continuous_theorem_bound(monkeypatch):
+    """construct_outputs gives distance_cont = distance_int, so only a
+    corrupted result reaches the continuous bound check."""
+    outputs = pipeline.construct_outputs
+    monkeypatch.setattr(pipeline, "construct_outputs",
+                        lambda *args: replace(outputs(*args), distance_cont=F(12)))
+    with pytest.raises(ClaimViolation) as err:
+        ex11_run()  # distance_int 3/4, bound 11
+    assert err.value.claim == "theorem-bound"
+    assert str(err.value).endswith("continuous output beyond the proven distance")
+
+
+@pytest.mark.parametrize("rejected, claim", [
+    (1, "xstar-feasible"),    # the integer output, over 1
+    (4, "xstarc-feasible"),   # the continuous output, over the 4 of x_c = 123/4
+])
+def test_run_pipeline_output_feasibility_claims(monkeypatch, rejected, claim):
+    """The example 1.1 run with every membership test over the denominator
+    `rejected` failing once construct_outputs has returned."""
+    outputs, member = pipeline.construct_outputs, pipeline.contains_int
+    done = []
+
+    def construct(*args):
+        res = outputs(*args)
+        done.append(True)
+        return res
+
+    monkeypatch.setattr(pipeline, "construct_outputs", construct)
+    monkeypatch.setattr(pipeline, "contains_int",
+                        lambda P, X, D: not (done and D == rejected) and member(P, X, D))
+    with pytest.raises(ClaimViolation) as err:
+        ex11_run()
+    assert err.value.claim == claim
+
+
 @pytest.mark.parametrize("moved, claim", [
     (21, "xell-step"),      # x_1 21 further from x_0, beyond delta * chi_0 = 20
     (None, "zero-growth"),  # x_1 = x_0
@@ -855,10 +890,10 @@ def test_c1_run_at_ell_0_tests_no_point_in_fractions(monkeypatch):
 
 @pytest.mark.parametrize("case", ["example-1-1", "box-100"])
 def test_c2_run_reads_no_derived_rational_rows(monkeypatch, case):
-    """A case c-2 run (c2_run) reads the A or b view of no polyhedron but
-    the instance's own (the subdeterminant bound reads its A): the
+    """A case c-2 run (c2_run) reads the A or b view of no polyhedron: the
+    subdeterminant bound reads the instance's A off its int rows, and the
     translated and restricted polyhedra are used through their int rows
-    alone, so no Fraction rows are built for them."""
+    alone, so no Fraction rows are built."""
     args = c2_run(case)
     read = []
     for name in ("A", "b"):
@@ -870,7 +905,7 @@ def test_c2_run_reads_no_derived_rational_rows(monkeypatch, case):
 
         monkeypatch.setattr(polyhedra.Polyhedron, name, property(spy))
     assert run_pipeline(*args).case == "c2"
-    assert read and all(P is args[0].polyhedron() for P in read)
+    assert read == []
 
 
 @pytest.mark.parametrize("case", ["example-1-1", "box-100"])
