@@ -8,6 +8,7 @@ size; everything here is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -17,8 +18,18 @@ from . import exact
 from .errors import ClaimViolation, InfeasibleError, InputError
 from .pipeline import Instance, PipelineResult, checked_eps, eval_objective
 from .polyhedra import (contains, contains_int, enumerate_lattice_points,
-                        enumerate_vertices, intersect_with_box, lattice_runs)
+                        enumerate_vertices, intersect_with_box, lattice_runs,
+                        line_through)
 from .simplex import feasible_point
+
+# No oracle lists lattice points any more, but the benchmark's self-check
+# (perfbench/selfcheck.py) rebinds enumerate_lattice_points by this
+# module's name, so the name stays bound here.
+__all__ = ["OptResult", "ApproxVerdict", "OracleReport", "DeltaStarResult",
+           "solve_iqp", "solve_qp", "fmax_int", "fmax_int_witness", "fmax_cont",
+           "fmax_cont_witness", "full_report", "verdict", "delta_star",
+           "certify_no_cont_approx_within", "claim_cross_checks",
+           "enumerate_lattice_points"]
 
 ZERO = Fraction(0)
 
@@ -55,7 +66,7 @@ def _integer_objective(inst: Instance) -> tuple[list[int], list[int], int]:
 
 def _objective_numerator(q: list[int], h: list[int], X: list[int], e: int) -> int:
     """d e^2 f(x) for x = X / e, with q and h from _integer_objective."""
-    return e * sum(map(mul, h, X)) - sum(c * xi * xi for c, xi in zip(q, X))
+    return e * sum(map(mul, h, X)) - sum(map(mul, map(mul, q, X), X))
 
 
 def _fraction_point(p) -> tuple[Fraction, ...]:
@@ -190,7 +201,8 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
       {A x <= b, E_S}, whose point must have the value v_S.
 
     The witness is the candidate of the first face attaining the maximum.
-    The subsets come from exact.independent_row_sets, in that order.
+    The subsets of up to n - 1 rows come from exact.independent_row_sets,
+    in that order; those of n rows from the lines below.
 
     Each face of fewer than n rows carries an upper bound on f over its
     affine hull: v_S when its E_S was solved and is consistent, its
@@ -202,30 +214,46 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
     vertices and the face LPs are the same as without the skip.  Only the
     previous level's bounds are kept.
 
+    The last two levels run on lines.  An independent S of n - 1 rows has
+    the kernel line x = (X0 + t w) / L, and polyhedra.line_through meets it
+    with every row in one pass: the products A_i.w, the slacks and the
+    interval of t on which the line lies in P.  Its E_S is one equation in
+    t, a t = b with a = sum_i 2 Q_i w_i^2 and b = w.(L H - 2 Q X0), solved
+    in closed form, and its point, at t = b / a, lies in P exactly when t
+    lies in the interval.  The n-sets are S + (j,) for the rows j > max S,
+    independent exactly when A_j.w != 0; their E_S is A_S x = b_S alone,
+    whose point is a vertex of P exactly when row j wins the ratio test on
+    the line (Line.vertices).  These leaves wait until the whole of level
+    n - 1 is done: in (size, lex) order every (n - 1)-set comes before
+    every n-set, so the best value each leaf is compared with, and the
+    witness it may become, are those of that order, and the recession test
+    below has seen every line before a vertex is collected.  A leaf's value
+    is at most its line's bound, so without a vertex list the leaves of a
+    line whose bound is <= the best value are not visited, and a dominated
+    line is not even met with P.
+
     When a list is passed as vertices, the same walk also collects the
-    vertices of P, if P is a polytope.  An independent S of size n is E_S
-    itself, and its point is a vertex exactly when it lies in P; every
-    vertex arises so, and is appended as (X, e, num, den): the point X / e
-    of value num / den, once per n-subset that gives it.  Before that, each
-    independent S of size n - 1 has its kernel line w tested: if A_i w <= 0
-    for every row i, or >= 0 for every row i, then w or -w lies in the
-    recession cone C = {y : A y <= 0}, P is not a polytope, and no vertex
-    is collected.  When some vertex exists, A has rank n, so C is pointed
-    and, unless it is {0}, has an extreme ray; that ray is tight on n - 1
-    independent rows, so it spans the kernel line of such an S.  So the
-    list ends nonempty exactly when P is a nonempty polytope, and then
-    holds every vertex of P, whose convex hull P is.
+    vertices of P, if P is a polytope.  Each leaf in P is a vertex, and is
+    appended as (X, e, num, den): the point X / e of value num / den, once
+    per n-subset that gives it.  Before that, each line has its direction
+    w tested (Line.recedes): if A_i w <= 0 for every row i, or >= 0 for every row i, then
+    w or -w lies in the recession cone C = {y : A y <= 0}, P is not a
+    polytope, and no vertex is collected.  When some vertex exists, A has
+    rank n, so C is pointed and, unless it is {0}, has an extreme ray; that
+    ray is tight on n - 1 independent rows, so it spans the kernel line of
+    such an S.  So the list ends nonempty exactly when P is a nonempty
+    polytope, and then holds every vertex of P, whose convex hull P is.
 
     Everything but the LP runs on the int rows of P.  The walk gives each
     face the Bareiss echelon of [A_S | b_S], which gives A_S x = b_S as
     x = (X0 + W y) / L, W the int kernel basis, with the same ints as
     exact.solution_space_int.  With q = Q / d and h = H / d, the
     stationarity condition on these x is the (n - s) x (n - s) int system
-    (W^T 2Q W) y = W^T (L H - 2Q X0), solved only for s < n; it is
-    consistent exactly when E_S is, and E_S has rank s plus its rank.
-    Any of its solutions gives v_S, as an int numerator over d e^2 for the
-    point X / e, and values are compared by cross-multiplying.  The LP gets
-    the rows of the canonical kernel basis W / L, exact.null_space's basis.
+    (W^T 2Q W) y = W^T (L H - 2Q X0); it is consistent exactly when E_S
+    is, and E_S has rank s plus its rank.  Any of its solutions gives v_S,
+    as an int numerator over d e^2 for the point X / e, and values are
+    compared by cross-multiplying.  The LP gets the rows of the canonical
+    kernel basis W / L, exact.null_space's basis.
     """
     P = inst.polyhedron()
     n, k = inst.n, inst.k
@@ -236,50 +264,58 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
     best = None  # (numerator, denominator) of the best value so far
     wit = None
     collect = vertices is not None
+
+    def below_best(bound) -> bool:
+        return (bound is not None and best is not None
+                and bound[0] * best[1] <= best[0] * bound[1])
+
     level, above, bounds = 0, {}, {}  # the faces' bounds, one level up and this one
-    for S, a, pivots in exact.independent_row_sets(aug, n, 0, n):
+    lines = []  # (S, line) per independent (n - 1)-set, for its leaves
+    for S, ech, pivots in exact.independent_row_sets(aug, n, 0, n - 1):
         size = len(S)
         if size > level:
             level, above, bounds = size, bounds, {}
+        on_line = size == n - 1
         up = above.get(S[:-1])
-        dominated = (size < n and up is not None and best is not None
-                     and up[0] * best[1] <= best[0] * up[1])
+        dominated = below_best(up)
         if dominated:
             bounds[S] = up
-            if not (collect and size == n - 1):  # else the recession test needs W
+            if not (collect and on_line):  # else the recession test needs the line
                 continue
-        X0, W, L = exact._solution_space(a, pivots, n)
-        if collect and size == n - 1:
-            dots = [sum(map(mul, row, W[0])) for row in rows]
-            collect = not (all(t <= 0 for t in dots) or all(t >= 0 for t in dots))
+        X0, W, L = exact._solution_space(ech, pivots, n)
+        if on_line:
+            line = line_through(P, X0, W[0], L)
+            lines.append((S, line))
+            if collect:
+                collect = not line.recedes
         if dominated:
             continue
-        if size < n:
+        if on_line:  # a t = b, solved as exact.solution_space_int would solve it
+            (w,) = W
+            Qw = list(map(mul, Q2, w))
+            a = sum(map(mul, Qw, w))
+            b = L * sum(map(mul, w, H)) - sum(map(mul, Qw, X0))
+            stat = ([b], [], a) if a else None if b else ([0], [[1]], 1)
+        else:
             QW = [list(map(mul, Q2, w)) for w in W]
             g = [L * c - qx for c, qx in zip(H, map(mul, Q2, X0))]
             stat = exact.solution_space_int(
                 [[sum(map(mul, u, w)) for w in W] for u in QW],
                 [sum(map(mul, w, g)) for w in W], n - size)
-            if stat is None:
-                continue
-            Y, free, e2 = stat
-            X = [x * e2 + sum(w[j] * y for w, y in zip(W, Y))
-                 for j, x in enumerate(X0)]
-            e = L * e2
-        else:  # E_S is A_S x = b_S, with no kernel
-            X, free, e = X0, W, L
-            if collect and not contains_int(P, X, e):
-                continue
+        if stat is None:
+            continue
+        Y, free, e2 = stat
+        X = [x * e2 for x in X0]
+        for w, y in zip(W, Y):
+            if y:
+                X = [x + y * c for x, c in zip(X, w)]
+        e = L * e2
         num, den = _objective_numerator(Q, H, X, e), d * e * e
-        if size < n:
-            bounds[S] = (num, den)
-        vertex = collect and size == n
-        if vertex:
-            vertices.append((X, e, num, den))
+        bounds[S] = (num, den)
         if best is not None and num * best[1] <= best[0] * den:
             continue
         if not free:
-            if not vertex and not contains_int(P, X, e):
+            if not (line.holds(Y[0], e2) if on_line else contains_int(P, X, e)):
                 continue
             pt = [Fraction(x, e) for x in X]
         else:
@@ -304,6 +340,16 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
                                      f"face {S}: f is not constant on E_S")
         best = (num, den)
         wit = tuple(pt)
+    for S, line in lines:  # the leaves S + (j,), in (S, j) order
+        if not collect and below_best(bounds.get(S)):
+            continue
+        for X, e in line.vertices(S[-1] + 1 if S else 0):
+            num, den = _objective_numerator(Q, H, X, e), d * e * e
+            if collect:
+                vertices.append((X, e, num, den))
+            if best is None or num * best[1] > best[0] * den:
+                best = (num, den)
+                wit = tuple(Fraction(x, e) for x in X)
     if best is None:
         raise InfeasibleError("feasible region is empty")
     return Fraction(*best), wit
@@ -314,11 +360,12 @@ def _face_walk(inst: Instance):
     the box for the lattice walk.
 
     When the face walk collects vertices, P is a polytope and the
-    coordinate-wise extremes of its vertices are its exact bounding box.
-    Otherwise (P empty, unbounded, or of rank < n) the box is None, and the
-    lattice walk finds it by LP, which gives no points or raises
-    UnboundedError.  The value and witness are None when no face attains a
-    maximum in P: P is then empty or unbounded, and no vertex is collected.
+    coordinate-wise extremes of its vertices are its exact bounding box,
+    found on the vertices' ints over their common denominator.  Otherwise
+    (P empty, unbounded, or of rank < n) the box is None, and the lattice
+    walk finds it by LP, which gives no points or raises UnboundedError.
+    The value and witness are None when no face attains a maximum in P: P
+    is then empty or unbounded, and no vertex is collected.
     """
     verts = []
     try:
@@ -327,8 +374,9 @@ def _face_walk(inst: Instance):
         fci = wci = None
     box = None
     if verts:
-        corners = [[Fraction(x, e) for x in X] for X, e, _, _ in verts]
-        box = [(min(c), max(c)) for c in zip(*corners)]
+        D = math.lcm(*(e for _, e, _, _ in verts))
+        cols = zip(*([x * (D // e) for x in X] for X, e, _, _ in verts))
+        box = [(Fraction(min(c), D), Fraction(max(c), D)) for c in cols]
     return fci, wci, verts, box
 
 
@@ -392,19 +440,26 @@ def delta_star(inst: Instance, eps) -> DeltaStarResult:
     A lattice point of int value v passes verdict's integer test exactly
     when v - lo <= eps (hi - lo), lo and hi the least and largest values:
     every value shares the denominator d > 0.  With hi = lo this says
-    v = lo, the degenerate verdict.
+    v = lo, the degenerate verdict.  The points come as the lattice runs of
+    the face walk's box, lo and hi from their extremes (_lattice_extremes),
+    and each run is filtered with its prefix's part of v computed once.
     """
     eps = checked_eps(eps)
     _, _, verts, box = _face_walk(inst)
-    pts = enumerate_lattice_points(inst.polyhedron(), box)
-    if not pts:
-        raise InfeasibleError("no integer point in the feasible region")
+    runs = lattice_runs(inst.polyhedron(), box)
+    iqp, top, _ = _lattice_extremes(inst, runs)
     qp = _vertex_minimum(verts)
-    q, h, _ = _integer_objective(inst)
-    vals = [_objective_numerator(q, h, p, 1) for p in pts]
-    lo, hi = min(vals), max(vals)
-    approx = [_fraction_point(p) for p, v in zip(pts, vals)
-              if (v - lo) * eps.denominator <= eps.numerator * (hi - lo)]
+    q, h, d = _integer_objective(inst)
+    lo, hi = (iqp.value * d).numerator, (top * d).numerator
+    cut = lo * eps.denominator + eps.numerator * (hi - lo)  # v passes iff v * den <= cut
+    j = inst.n - 1
+    hj, qj = h[j], (q[j] if j < inst.k else 0)
+    approx = []
+    for prefix, a, b in runs:
+        base = _objective_numerator(q, h, prefix, 1)
+        fprefix = _fraction_point(prefix)
+        approx += [(*fprefix, Fraction(v)) for v in range(a, b + 1)
+                   if (base + (hj - qj * v) * v) * eps.denominator <= cut]
     if not approx:
         raise InfeasibleError("no eps-approximate lattice point exists")
     best = None

@@ -1,7 +1,9 @@
 """H-representation polyhedra: membership, vertices, faces, lattice points.
 
-All enumeration routines assume desk-scale inputs and verify boundedness
-before enumerating, raising UnboundedError otherwise; the lattice walk
+All enumeration routines assume desk-scale inputs and verify boundedness,
+raising UnboundedError otherwise: by LP before enumerating, or, for the
+vertices, from the edge lines the enumeration walks (``Line``), with an LP
+only when they do not show P a nonempty polytope.  The lattice walk
 instead takes the bounding box from a caller that has shown P bounded, and
 yields its points as runs along the last coordinate.
 Outputs are canonically ordered (lexicographic) so results are
@@ -24,6 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from operator import mul
+from typing import NamedTuple
 
 from . import exact
 from .errors import DimensionError, InputError, UnboundedError
@@ -173,18 +176,122 @@ def assert_bounded(P: Polyhedron):
     bounding_box(P)  # raises UnboundedError when any direction escapes
 
 
-def enumerate_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
-    """Sorted vertex points: the points of the independent n-row sets of the
-    int rows [A_i | b_i] (exact.independent_row_sets) that lie in P."""
-    if bounding_box(P) is None:
-        return []
+class Line(NamedTuple):
+    """The line x = (X0 + t w) / L, t rational, for int vectors X0 and
+    w != 0 and an int L > 0, against the int rows of a polyhedron P.
+
+    Row i holds at t exactly when t dots[i] <= slacks[i], with dots[i] =
+    A_i.w and slacks[i] = L b_i - A_i.X0 on the int row [A_i | b_i].  lo
+    is the greatest lower bound slacks[i] / dots[i] over the rows with
+    dots[i] < 0 and hi the least upper bound over those with dots[i] > 0,
+    each an int pair (num, den) with den > 0, or None when no row bounds t
+    on that side.  meets says whether some point of the line lies in P:
+    every row with dots[i] = 0 holds, and lo <= hi.
+    """
+
+    X0: list[int]
+    w: list[int]
+    L: int
+    dots: list[int]
+    slacks: list[int]
+    lo: tuple[int, int] | None
+    hi: tuple[int, int] | None
+    meets: bool
+
+    @property
+    def recedes(self) -> bool:
+        """Whether w or -w lies in the recession cone {y : A y <= 0}: no
+        row bounds t on one side, and P is no polytope."""
+        return self.lo is None or self.hi is None
+
+    def holds(self, num: int, den: int) -> bool:
+        """Whether the point at t = num / den, den > 0, lies in P."""
+        lo, hi = self.lo, self.hi
+        return (self.meets and (lo is None or lo[0] * den <= num * lo[1])
+                and (hi is None or num * hi[1] <= hi[0] * den))
+
+    def vertices(self, start: int):
+        """(X, e) for each row j >= start, in order, that meets the line in
+        one point of P: X / e with e > 0, the same ints as
+        exact._solution_space gives for the line's rows and row j.
+
+        Row j meets the line in one point exactly when dots[j] != 0, at t_j
+        = slacks[j] / dots[j].  When dots[j] > 0, hi is the least such ratio
+        (the simplex ratio test), so t_j >= hi and t_j lies in [lo, hi]
+        exactly when t_j = hi; when dots[j] < 0, exactly when t_j = lo.  The
+        point is X / e with e = |dots[j]| and X = (e X0 +- slacks[j] w) / L:
+        with X0 / L on rows S of rank n - 1 and w their cofactor vector up
+        to sign (exact._kernel), dots[j] is +- the determinant of S and row
+        j, so e x is integral by Cramer's rule and the division exact.
+        """
+        if not self.meets:
+            return
+        X0, w, L = self.X0, self.w, self.L
+        for j in range(start, len(self.dots)):
+            dot, s = self.dots[j], self.slacks[j]
+            if not dot:
+                continue
+            end = self.hi if dot > 0 else self.lo
+            if s * end[1] != end[0] * dot:
+                continue
+            e = abs(dot)
+            if dot < 0:
+                s = -s
+            yield [(e * x + s * y) // L for x, y in zip(X0, w)], e
+
+
+def line_through(P: Polyhedron, X0: list[int], w: list[int], L: int) -> Line:
+    """The Line (X0 + t w) / L against P's int rows, in one pass over them.
+
+    Each row with A_i.w > 0 bounds t above by its ratio slack_i / A_i.w,
+    each with A_i.w < 0 below; a row with A_i.w = 0 holds on the whole line
+    or on none of it, as slack_i >= 0 or not.
+    """
     rows, rhs = P.int_rows
+    dots = [sum(map(mul, row, w)) for row in rows]
+    slacks = [L * c - sum(map(mul, row, X0)) for row, c in zip(rows, rhs)]
+    lo = hi = None
+    meets = True
+    for dot, s in zip(dots, slacks):
+        if dot > 0:
+            if hi is None or s * hi[1] < hi[0] * dot:
+                hi = (s, dot)
+        elif dot < 0:
+            if lo is None or lo[0] * -dot < -s * lo[1]:
+                lo = (-s, -dot)
+        elif s < 0:
+            meets = False
+    if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
+        meets = False
+    return Line(X0, w, L, dots, slacks, lo, hi, meets)
+
+
+def enumerate_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
+    """Sorted vertex points, or UnboundedError for an unbounded P.
+
+    Each independent set S of n - 1 int rows [A_i | b_i]
+    (exact.independent_row_sets) spans a line, and each later row j that
+    meets it at a point of P (Line.vertices) gives the vertex of the
+    independent n-set S + (j,); every vertex arises so.  P is a nonempty
+    polytope exactly when some vertex is found and no line recedes: a
+    vertex gives A rank n, so the recession cone is pointed, and unless it
+    is {0} an extreme ray of it is tight on n - 1 independent rows and
+    spans the line of such an S.  Otherwise P is empty or unbounded, and
+    bounding_box's LPs tell which.
+    """
+    rows, rhs = P.int_rows
+    n = P.n
     seen = set()
-    for _, a, pivots in exact.independent_row_sets(
-            [[*row, b] for row, b in zip(rows, rhs)], P.n, P.n, P.n):
-        X, _, e = exact._solution_space(a, pivots, P.n)
-        if contains_int(P, X, e):
+    recedes = False
+    for S, a, pivots in exact.independent_row_sets(
+            [[*row, b] for row, b in zip(rows, rhs)], n, n - 1, n - 1):
+        X0, (w,), L = exact._solution_space(a, pivots, n)
+        line = line_through(P, X0, w, L)
+        recedes = recedes or line.recedes
+        for X, e in line.vertices(S[-1] + 1 if S else 0):
             seen.add(tuple(Fraction(x, e) for x in X))
+    if (recedes or not seen) and bounding_box(P) is None:
+        return []
     return sorted(seen)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 from operator import mul
@@ -218,6 +219,47 @@ def test_claim_cross_checks_c1_vacuous():
     res = run_pipeline(fam.instance, F(1, 2), rep.cont_opt.point,
                        rep.int_opt.point)
     oracles.claim_cross_checks(fam.instance, res, rep)
+
+
+@pytest.fixture(scope="module")
+def c2_run():
+    """example-1-1 (t = 30) at eps = 1: a case c-2 run with witnesses, its
+    instance and its oracle report."""
+    inst = build_example_1_1(30).instance
+    rep = full_report(inst)
+    res = run_pipeline(inst, F(1), xc=rep.cont_opt.point, xd=rep.int_opt.point)
+    assert res.case == "c2" and res.witnesses is not None
+    return inst, res, rep
+
+
+def far(p):
+    """A point 10^4 away from p in every coordinate, where f is very low."""
+    return tuple(x - 10 ** 4 for x in p)
+
+
+@pytest.mark.parametrize("claim, message, corrupt", [
+    # A negative delta makes the spread 2 (psi_ell + n delta) negative.
+    ("ratio-1", "integer output gap exceeds its bound",
+     lambda res, rep: (replace(res, delta=-10 ** 4), rep)),
+    ("ratio-2", "integer head room below its bound",
+     lambda res, rep: (res, replace(rep, fmax_int=F(-100)))),
+    ("rub", "continuous output gap exceeds its bound",
+     lambda res, rep: (replace(res, xc=far(res.xc)), rep)),
+    ("rlb", "continuous head room below its bound",
+     lambda res, rep: (res, replace(rep, fmax_cont=F(-100)))),
+    ("midpoint-witness", "parity witnesses fall below the midpoint bound",
+     lambda res, rep: (replace(res, witnesses=replace(
+         res.witnesses, x_l=far(res.witnesses.x_l), x_r=far(res.witnesses.x_r))), rep)),
+])
+def test_claim_cross_checks_catch_a_corrupted_input(c2_run, claim, message, corrupt):
+    """Each claim of claim_cross_checks, alone, on one corrupted field of
+    the run or of the report; the run as it is passes."""
+    inst, res, rep = c2_run
+    oracles.claim_cross_checks(inst, res, rep)
+    with pytest.raises(ClaimViolation) as err:
+        oracles.claim_cross_checks(inst, *corrupt(res, rep))
+    assert err.value.claim == claim
+    assert str(err.value) == f"claim {claim} violated: {message}"
 
 
 def test_full_report_enumerates_lattice_once(monkeypatch):
@@ -801,6 +843,145 @@ def test_level_walk_matches_combinations_walk(collect, inst):
             == face_walk_run(combinations_fmax_cont_witness, inst, collect))
 
 
+def level_fmax_cont_witness(inst, vertices=None):
+    """fmax_cont_witness walking every level of independent row sets, n rows
+    included.
+
+    Each leaf S + (j,) of n rows gets its own echelon (exact._extend_echelon
+    in the walk), back-substitution and contains_int test; each face of
+    n - 1 rows its stationarity solve by exact.solution_space_int.  The
+    skip rules, the vertex collection and the face LPs are the same.
+    """
+    P = inst.polyhedron()
+    n, k = inst.n, inst.k
+    rows, rhs = P.int_rows
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    Q, H, d = oracles._integer_objective(inst)
+    Q2 = [2 * c for c in Q] + [0] * (n - k)
+    best = None  # (numerator, denominator) of the best value so far
+    wit = None
+    collect = vertices is not None
+    level, above, bounds = 0, {}, {}  # the faces' bounds, one level up and this one
+    for S, a, pivots in exact.independent_row_sets(aug, n, 0, n):
+        size = len(S)
+        if size > level:
+            level, above, bounds = size, bounds, {}
+        up = above.get(S[:-1])
+        dominated = (size < n and up is not None and best is not None
+                     and up[0] * best[1] <= best[0] * up[1])
+        if dominated:
+            bounds[S] = up
+            if not (collect and size == n - 1):  # else the recession test needs W
+                continue
+        X0, W, L = exact._solution_space(a, pivots, n)
+        if collect and size == n - 1:
+            dots = [sum(map(mul, row, W[0])) for row in rows]
+            collect = not (all(t <= 0 for t in dots) or all(t >= 0 for t in dots))
+        if dominated:
+            continue
+        if size < n:
+            QW = [list(map(mul, Q2, w)) for w in W]
+            g = [L * c - qx for c, qx in zip(H, map(mul, Q2, X0))]
+            stat = exact.solution_space_int(
+                [[sum(map(mul, u, w)) for w in W] for u in QW],
+                [sum(map(mul, w, g)) for w in W], n - size)
+            if stat is None:
+                continue
+            Y, free, e2 = stat
+            X = [x * e2 + sum(w[j] * y for w, y in zip(W, Y))
+                 for j, x in enumerate(X0)]
+            e = L * e2
+        else:  # E_S is A_S x = b_S, with no kernel
+            X, free, e = X0, W, L
+            if collect and not contains_int(P, X, e):
+                continue
+        num, den = oracles._objective_numerator(Q, H, X, e), d * e * e
+        if size < n:
+            bounds[S] = (num, den)
+        vertex = collect and size == n
+        if vertex:
+            vertices.append((X, e, num, den))
+        if best is not None and num * best[1] <= best[0] * den:
+            continue
+        if not free:
+            if not vertex and not contains_int(P, X, e):
+                continue
+            pt = [F(x, e) for x in X]
+        else:
+            lp_rows = [list(row) for row in P.A]
+            lp_rhs = list(P.b)
+            for i in S:
+                lp_rows.append([-c for c in P.A[i]])
+                lp_rhs.append(-P.b[i])
+            for w in W:
+                w = [F(x, L) for x in w]
+                # w . grad f = sum_i w_i h_i - 2 sum_{i<k} w_i q_i x_i = 0
+                coeff = [2 * w[i] * inst.q[i] if i < k else F(0)
+                         for i in range(n)]
+                val = exact.dot(w, inst.h)
+                lp_rows += [coeff, [-c for c in coeff]]
+                lp_rhs += [val, -val]
+            pt = oracles.feasible_point(lp_rows, lp_rhs)
+            if pt is None:
+                continue
+            if eval_objective(inst, pt) != F(num, den):
+                raise ClaimViolation("face-constant",
+                                     f"face {S}: f is not constant on E_S")
+        best = (num, den)
+        wit = tuple(pt)
+    if best is None:
+        raise InfeasibleError("feasible region is empty")
+    return F(*best), wit
+
+
+def level_face_walk(inst):
+    """oracles._face_walk over level_fmax_cont_witness, with the box taken
+    as the extremes of the vertices' Fraction coordinates."""
+    verts = []
+    try:
+        fci, wci = level_fmax_cont_witness(inst, verts)
+    except InfeasibleError:
+        fci = wci = None
+    box = None
+    if verts:
+        corners = [[F(x, e) for x in X] for X, e, _, _ in verts]
+        box = [(min(c), max(c)) for c in zip(*corners)]
+    return fci, wci, verts, box
+
+
+@pytest.mark.parametrize("collect", [False, True], ids=["value", "vertices"])
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(rational_objectives(), rational_regions(), report_regions()))
+@face_examples
+@example(box_instance([F(1, 2)], [F(1, 3)], r=2))                         # n = 1
+@example(instance([[1, 0], [-1, 0], [0, 1], [0, -1], [2, 0]],
+                  [1, 1, 1, 1, 1], [1], [0, 1]))     # the line x_0 = 1 misses 2 x_0 <= 1
+@example(instance([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]],
+                  [1, 1, 1, 1, 2], [1], [1, 1]))     # (1, 1) is tight on 3 rows
+@example(instance([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 2]],
+                  [F(3, 2), F(1, 2), F(5, 3), 1, F(7, 4)], [F(1, 2)],
+                  [1, F(-1, 3)]))                    # rational b: scales != 1
+@example(instance([[1, 0], [-1, 0], [0, 1]], [2, 2, 2], [1], [0, 1]))     # open below
+@example(build_prop44(F(1, 4), 3, n=5).instance)
+def test_line_walk_matches_level_walk(collect, inst):
+    """The walk on lines gives the level walk's (value, witness) or its
+    InfeasibleError, its number of face LPs, and its vertex list: the same
+    ints (X, e, num, den) in the same order.  With the vertices, _face_walk
+    gives the level walk's box, as Fractions."""
+    lists = []
+
+    def keeping(walk):
+        return lambda inst, verts: lists.append(verts) or walk(inst, verts)
+
+    assert (face_walk_run(keeping(oracles.fmax_cont_witness), inst, collect)
+            == face_walk_run(keeping(level_fmax_cont_witness), inst, collect))
+    assert lists[0] == lists[1]
+    if collect:
+        box = oracles._face_walk(inst)[3]
+        assert box == level_face_walk(inst)[3]
+        assert all(type(v) is F for pair in box or [] for v in pair)
+
+
 def face_walk_counts(monkeypatch, walk):
     """Stationarity solves, rows tried on an echelon and faces reached by
     walk(); the rows a stationarity solve adds to its own echelon are not
@@ -832,35 +1013,54 @@ def face_walk_counts(monkeypatch, walk):
 
 def test_face_walk_counts_on_prop44(monkeypatch):
     """prop44 n = 8 has 16 rows in 8 opposite pairs, so an independent row
-    set takes at most one row of each pair: 3^8 sets.  The walk tries 9,712
-    rows to reach the 3^8 - 1 nonempty ones (a fresh walk tries every one
-    of the 39,202 nonempty sets of at most 8 rows).  It makes one
-    stationarity solve, the empty set's: that gives the unconstrained
-    maximum of f, which the origin, a point of P, attains.  Every other
-    face then lies under a bound no larger than the best value, so none of
-    the 3^8 - 2^8 - 1 other sets of fewer than 8 rows is solved."""
+    set takes at most one row of each pair: 3^8 sets.  The walk stops at 7
+    rows: it tries 8,944 rows to reach the 3^8 - 2^8 - 1 nonempty sets of
+    at most 7 rows (a fresh walk tries every one of the 39,202 nonempty
+    sets of at most 8 rows).  The 2^8 sets of 8 rows, the vertices, are
+    leaves of the 7-row lines, found by a ratio test with no echelon.  It
+    makes one stationarity solve, the empty set's: that gives the
+    unconstrained maximum of f, which the origin, a point of P, attains.
+    Every other face then lies under a bound no larger than the best value,
+    so none of the 3^8 - 2^8 - 1 other sets of fewer than 8 rows is
+    solved."""
     inst = build_prop44(F(1, 4), 3, n=8).instance
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
-        "solves": 1, "tried": 9712, "faces": 6560}
+        "solves": 1, "tried": 8944, "faces": 6304}
 
 
 def test_face_walk_counts_on_pr_tight(monkeypatch):
     """pr-tight n = 3, like prop44, attains the unconstrained maximum in P,
     so the empty set's solve is the only one of its 19 sets of fewer than
-    3 rows."""
+    3 rows.  Its 21 rows tried reach those 18 nonempty sets; the sets of 3
+    rows are the leaves of the 2-row lines."""
     inst = build_pr_tight(3, 1, 1, F(1, 2), F(2, 3)).instance
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
-        "solves": 1, "tried": 35, "faces": 26}
+        "solves": 1, "tried": 21, "faces": 18}
 
 
 def test_face_walk_counts_on_ilp_tightness(monkeypatch):
     """The ilp family maximizes x_1 (k = 0), and e_1 lies in the span of
     no set of fewer than 3 of its rows.  So every such set has an
     inconsistent stationarity system, no face gets a bound to pass on, and
-    each of the 19 is solved."""
+    each of the 19 is solved: the 7 of fewer than 2 rows by
+    exact.solution_space_int, the 12 lines in closed form."""
     inst = build_ilp_tightness(3, 2, F(1, 2)).instance
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
-        "solves": 19, "tried": 35, "faces": 26}
+        "solves": 7, "tried": 21, "faces": 18}
+
+
+def test_face_walk_counts_on_solve_mix(monkeypatch):
+    """random_instance(56589932, n_max=4) is an n = 3, m = 9, k = 2
+    instance of the benchmark's seed-0 solve pass.  Its walk tries the 9
+    single rows and the 36 pairs, reaching 42 faces; the 9 + 1 faces of
+    fewer than 2 rows are each solved by exact.solution_space_int.  The 84
+    sets of 3 rows are the leaves of the pair lines: no echelon and no
+    solve each (walking them row by row took 114 rows tried, 103 faces and
+    35 solves)."""
+    inst = random_instance(56589932, n_max=4)
+    assert (inst.n, inst.m, inst.k) == (3, 9, 2)
+    assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
+        "solves": 10, "tried": 45, "faces": 42}
 
 
 def verdict_loop_delta_star(inst, eps):

@@ -168,28 +168,111 @@ def reference_vertices(P):
     return sorted(seen)
 
 
-@settings(max_examples=150, deadline=None)
-@given(bounded_systems())
+@st.composite
+def opened_systems(draw):
+    """A bounded_systems region, opened (a row dropped or negated), emptied
+    by a contradicting row pair, or cut down to fewer than n rows."""
+    P = draw(bounded_systems())
+    rows, rhs = [list(r) for r in P.A], list(P.b)
+    kind = draw(st.sampled_from(["drop", "negate", "contradict", "few-rows"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "drop":
+        del rows[i], rhs[i]
+    elif kind == "negate":
+        rows[i] = [-c for c in rows[i]]
+    elif kind == "contradict":
+        rows += [rows[i], [-c for c in rows[i]]]
+        rhs += [rhs[i], -rhs[i] - 1]
+    else:
+        keep = draw(st.integers(0, P.n - 1))
+        rows, rhs = rows[:keep], rhs[:keep]
+    return polyhedron(rows, rhs, P.n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(bounded_systems(), opened_systems()))
 @example(polyhedron([[2, 0], [-1, 0], [0, 3], [0, -1]],
                     [F(1, 3), F(1, 2), F(5, 4), 0]))           # rational b
 @example(polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-2, -2]],
                     [1, 1, 1, 1, F(1, 2), 1]))                 # parallel rows
 @example(polyhedron([[1], [-1]], [F(-1, 2), 0]))               # empty
+@example(polyhedron([[-1]], [0]))                              # a ray, n = 1
+@example(polyhedron([[1, 1], [-1, -1]], [2, 2]))               # a strip: rank 1
+@example(polyhedron([[1, 0], [-1, 0], [0, 1]], [2, 2, 2]))     # two vertices, open below
 def test_vertices_match_fraction_reference(P):
-    """Same vertices as one solve per n-row subset of the Fraction rows, with
-    no solve_linear call: the points come from the independent row set walk."""
+    """Same vertices as one solve per n-row subset of the Fraction rows, or
+    the same UnboundedError, with no solve_linear call: the points come
+    from the lines of the independent row set walk."""
     calls, real = [], exact.solve_linear
 
     def spy(M, rhs):
         calls.append(M)
         return real(M, rhs)
 
+    try:
+        want = reference_vertices(P)
+    except UnboundedError as err:
+        with pytest.raises(UnboundedError) as got:
+            enumerate_vertices(P)
+        assert str(got.value) == str(err)
+        return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "solve_linear", spy)
         got = enumerate_vertices(P)
-    assert got == reference_vertices(P)
+    assert got == want
     assert all(type(v) is F for p in got for v in p)
     assert calls == []
+
+
+def test_vertices_of_a_polytope_take_no_lp(monkeypatch):
+    """A nonempty polytope's vertices need no bounding-box LP: no line of
+    the walk recedes."""
+    monkeypatch.setattr(polyhedra, "lp_solve", None)
+    assert enumerate_vertices(triangle()) == [(F(0), F(0)), (F(0), F(2)), (F(2), F(0))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_systems())
+@example(polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]],
+                    [1, 1, 1, 1, 2]))                          # (1, 1) tight on 3 rows
+@example(polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1], [2, 0]],
+                    [1, 1, 1, 1, 1]))                          # x_0 = 1 misses 2 x_0 <= 1
+@example(polyhedron([[1], [-1]], [F(-1, 2), 0]))               # empty, n = 1
+def test_line_vertices_match_leaf_echelons(P):
+    """Per independent set S of n - 1 rows, Line.vertices gives what one
+    echelon per leaf gives: in row order, the ints exact._solution_space
+    finds for each independent S + (j,), j > max S, whose point lies in P.
+    holds agrees with contains_int at the ends of the line's interval, at
+    their midpoint and one step past them, and recedes with the signs of
+    the products A_i.w."""
+    n = P.n
+    rows, rhs = P.int_rows
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    for S, a, pivots in exact.independent_row_sets(aug, n, n - 1, n - 1):
+        X0, (w,), L = exact._solution_space(a, pivots, n)
+        line = polyhedra.line_through(P, X0, w, L)
+        start = S[-1] + 1 if S else 0
+        want = []
+        for j in range(start, P.m):
+            ext = exact._extend_echelon(a, pivots, aug[j], n)
+            if ext is not None:
+                X, _, e = exact._solution_space(a + [ext[0]], pivots + [ext[1]], n)
+                if polyhedra.contains_int(P, X, e):
+                    want.append((X, e))
+        assert list(line.vertices(start)) == want
+        assert line.recedes == (all(t <= 0 for t in line.dots)
+                                or all(t >= 0 for t in line.dots))
+        ts = [(0, 1)]
+        for end in (line.lo, line.hi):
+            if end is not None:
+                num, den = end
+                ts += [(num - den, den), (num, den), (num + den, den)]
+        if line.lo is not None and line.hi is not None:
+            (a0, a1), (b0, b1) = line.lo, line.hi
+            ts.append((a0 * b1 + b0 * a1, 2 * a1 * b1))
+        for num, den in ts:
+            X = [den * x + num * y for x, y in zip(X0, w)]
+            assert line.holds(num, den) == polyhedra.contains_int(P, X, L * den)
 
 
 def reference_intersect_with_box(P, center, radius):
