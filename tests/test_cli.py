@@ -53,6 +53,55 @@ def test_rational_strings():
             formats.str_to_rat(bad)
 
 
+@pytest.mark.parametrize("literal", [
+    "3", "-3", "+3", "007", "-0", " 3", "3 ", " -3 ", "1_0", "\u0663", "\u00b2",
+    "0.5", "1e3", "-1/2", " 3/4 ", "", "+", "-", "+-3", "3/0", "1.5.2",
+    True, False, 2.0, 0.5, None, 12, -12, F(1, 2),
+])
+def test_str_to_rat_matches_fraction(literal):
+    """str_to_rat reads a sign and ASCII digits with int and every other
+    string with Fraction: the value is Fraction(literal)'s, and an InputError
+    stands where Fraction raises, and for every literal that is neither a
+    string nor an int ("\u0663" is the Arabic-Indic digit 3, "\u00b2" a
+    superscript 2)."""
+    if type(literal) not in (str, int):
+        with pytest.raises(errors.InputError):
+            formats.str_to_rat(literal)
+        return
+    try:
+        want = F(literal)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(errors.InputError):
+            formats.str_to_rat(literal)
+        return
+    got = formats.str_to_rat(literal)
+    assert got == want
+    assert type(got) is F
+
+
+@pytest.mark.parametrize("value, text", [
+    (3, "3"), (-3, "-3"), (F(6, 4), "3/2"), (F(-4, 2), "-2"), (True, "1"), ("5/10", "1/2"),
+])
+def test_rat_to_str(value, text):
+    assert formats.rat_to_str(value) == text
+
+
+def test_run_report_digest_is_its_instance_document_digest(capsys, ex11_path):
+    assert main(["proximity", ex11_path, "--eps", "1/2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    inst = formats.instance_from_dict(doc["instance"])
+    assert doc["digest"] == formats.instance_digest(inst)
+    assert doc["instance"] == formats.instance_to_dict(inst)
+
+
+def test_emit_writes_the_bytes_of_json_dump(capsys):
+    doc = {"a": [1, "2/3", None, True], "b": {"c": []}, "d": "x"}
+    cli._emit(doc)
+    buf = io.StringIO()
+    json.dump(doc, buf, indent=2)
+    assert capsys.readouterr().out == buf.getvalue() + "\n"
+
+
 def test_digest_stable():
     inst = random_instance(7)
     assert formats.instance_digest(inst) == formats.instance_digest(inst)

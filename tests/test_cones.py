@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iqprox import cones, exact
+from iqprox import cones, exact, pipeline
 from iqprox.cones import (ConicDecomposition, build_cone, caratheodory_decompose,
                           check_two_representations, cone_contains,
                           conic_multipliers, enumerate_generators,
@@ -313,14 +313,40 @@ def test_prop44_construction_tries_fewer_rows(monkeypatch):
     """prop44 (eps 1/4, Delta 3) at n = 10 with its own anchors takes nine
     one_steps; the cone of step j has the +-e_i rows of its j zeroed
     coordinates on both sides.  Walking on top of their echelon, the
-    construction tries 967 rows, where the walk over all (n-1)-sets of
-    hyperplanes tried 2,035.  (It tried 977 while the subdeterminant scan
-    took the 1x1 minors as determinants, one row each.)"""
+    construction tries 1,003 rows: 913 in the generator walks and 90 in the
+    Caratheodory eliminations, one row of [G | x] per coordinate at each of
+    the nine conic steps.  The walk over all (n-1)-sets of hyperplanes tried
+    2,035 rows with the walk alone.  (Before the elimination the count was
+    967: the 913 and 54 of the rank checks on the LP's supports, of 10, 9,
+    ..., 2 generators; 977 while the subdeterminant scan took the 1x1
+    minors as determinants, one row each.)"""
     fam = build_prop44(F(1, 4), 3, 10)
     tried = counted_extend(monkeypatch)
+    systems = []
+    solve = exact.solution_space_int
+    monkeypatch.setattr(exact, "solution_space_int",
+                        lambda M, rhs, n: systems.append(M) or solve(M, rhs, n))
     res = run_pipeline(fam.instance, F(1, 4), xc=fam.expected["xc"], xd=fam.expected["xd"])
     assert res.trace[-1].j == 9
-    assert len(tried) == 967
+    assert len(tried) == 1003
+    assert [len(M) for M in systems] == [10] * 9  # the rows of [G | x]
+
+
+def test_prop44_construction_runs_no_conic_lp(monkeypatch):
+    """Every cone of the prop44 construction at n = 10 is simplicial, so each
+    of its nine Caratheodory decompositions is the unique solution of one
+    elimination, with no conic LP."""
+    fam = build_prop44(F(1, 4), 3, 10)
+    lps = []
+    solve = cones.lp_solve
+    monkeypatch.setattr(cones, "lp_solve", lambda *args: lps.append(args) or solve(*args))
+    decompositions = []
+    decompose = cones.caratheodory_decompose
+    monkeypatch.setattr(pipeline, "caratheodory_decompose",
+                        lambda *args: decompositions.append(args) or decompose(*args))
+    res = run_pipeline(fam.instance, F(1, 4), xc=fam.expected["xc"], xd=fam.expected["xd"])
+    assert res.trace[-1].j == 9
+    assert (len(decompositions), lps) == (9, [])
 
 
 def test_conic_multipliers_roundtrip():
@@ -437,6 +463,75 @@ def test_caratheodory_matches_reduction_reference(case):
     got = caratheodory_decompose(target, gens)
     assert got.generators == want.generators
     assert got.coefficients == want.coefficients
+
+
+def lp_caratheodory_decompose(target, gens):
+    """caratheodory_decompose by the conic LP alone, as it was before the
+    elimination: the support of conic_multipliers' basic solution, checked
+    independent by one rank call."""
+    gamma = conic_multipliers(gens, target)
+    if gamma is None:
+        raise InputError("target is not in the cone of the generator set")
+    support = [(g, c) for g, c in zip(gens, gamma) if c > 0]
+    if exact.rank([g for g, _ in support]) != len(support):
+        raise ClaimViolation("caratheodory-support",
+                             f"the {len(support)} generators of the support are dependent")
+    return ConicDecomposition([g for g, _ in support], [a for _, a in support])
+
+
+@st.composite
+def independent_generator_sets(draw):
+    """Up to n linearly independent integer generators, and a zero target,
+    a nonnegative or mixed-sign combination of them, or any rational target
+    (often outside their span)."""
+    n = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    gens = []
+    for v in draw(st.lists(vector, max_size=n)):
+        g = tuple(map(F, v))
+        if exact.rank([*gens, g]) == len(gens) + 1:
+            gens.append(g)
+    kind = draw(st.sampled_from(["zero", "combination", "signed", "any"]))
+    target = [F(0)] * n
+    if kind == "any":
+        target = [draw(RATIONALS) for _ in range(n)]
+    elif kind != "zero":
+        low = 0 if kind == "combination" else -2
+        for g in gens:
+            c = draw(st.fractions(low, 3, max_denominator=4))
+            target = [t + c * x for t, x in zip(target, g)]
+    return gens, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(independent_generator_sets(), generator_sets()))
+@example(([], [F(0), F(0)]))
+@example(([], [F(1), F(0)]))
+@example(([(F(1), F(0)), (F(0), F(1))], [F(-1), F(2)]))           # unique, one gamma < 0
+@example(([(F(1), F(1), F(0))], [F(1), F(2), F(0)]))              # outside the span
+@example(([(F(1), F(0)), (F(0), F(1)), (F(1), F(1))], [F(1), F(1)]))  # dependent
+def test_caratheodory_elimination_matches_conic_lp(case):
+    """The elimination path gives the conic LP's decomposition, generators
+    and coefficients alike, or the same InputError message; a dependent set
+    runs the LP, an independent one does not."""
+    gens, target = case
+    independent = exact.rank(list(gens)) == len(gens)
+    try:
+        want = lp_caratheodory_decompose(target, gens)
+    except InputError as err:
+        with pytest.raises(InputError) as got:
+            caratheodory_decompose(target, gens)
+        assert str(got.value) == str(err)
+        return
+    lps = []
+    solve = cones.lp_solve
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "lp_solve", lambda *args: lps.append(args) or solve(*args))
+        got = caratheodory_decompose(target, gens)
+    assert got.generators == want.generators
+    assert got.coefficients == want.coefficients
+    assert all(type(c) is F for c in got.coefficients)
+    assert len(lps) == (0 if independent else 1)
 
 
 def test_caratheodory_rejects_dependent_support(monkeypatch):

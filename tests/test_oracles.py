@@ -420,7 +420,7 @@ def test_lattice_extremes_match_eval_objective(inst):
         assert lo <= hi
         assert not contains_int(P, [*p, lo - 1], 1) and not contains_int(P, [*p, hi + 1], 1)
     assert all(a[0] < b[0] for a, b in zip(runs, runs[1:]))
-    got = oracles._lattice_extremes(inst, runs)
+    got = oracles._lattice_extremes(inst, runs, oracles._integer_objective(inst))
     assert got == reference_lattice_extremes(inst, pts)
     assert got == point_list_lattice_extremes(inst, pts)
     opt, top, wit = got
@@ -636,6 +636,11 @@ def test_fmax_cont_witness_calls_no_fraction_kernel(monkeypatch):
     (box_instance([1], [F(1, 2), 1]), 0),
     # h_1 = 0: the face P itself reaches the LP; every later face ties it.
     (box_instance([1], [F(1, 2), 0]), 1),
+    # f = -(x_0 - 5)^2 on x_0 in [-1, 1/2]: the LPs of P and of the lines
+    # x_0 = -1 and x_0 = 1/2; the line x_0 = 1 misses 2 x_0 <= 1 and takes
+    # none (4 with its LP).
+    (instance([[1, 0], [-1, 0], [0, 1], [0, -1], [2, 0]], [1, 1, 1, 1, 1],
+              [1], [10, 0], 1), 3),
 ])
 def test_fmax_cont_witness_face_lps(monkeypatch, inst, lps):
     calls = []
@@ -814,15 +819,36 @@ def combinations_fmax_cont_witness(inst, vertices=None):
 
 def face_walk_run(walk, inst, collect):
     """walk's (value, witness) or InfeasibleError message, its vertices as a
-    multiset of (point, value), and its number of face LPs."""
+    multiset of (point, value), its number of face LPs, and how many of
+    those are the infeasible LPs of lines that miss P.
+
+    The LP of a face S has m + 2n - |S| rows, so a line's (|S| = n - 1) has
+    m + n + 1; it reaches the LP only when its E_S is the line itself, and
+    is then infeasible exactly when the line misses P."""
     verts = [] if collect else None
-    with mock.patch.object(oracles, "feasible_point", wraps=feasible_point) as lp:
+    missed = []
+
+    def lp(A, b):
+        pt = feasible_point(A, b)
+        if pt is None and len(A) == inst.m + inst.n + 1:
+            missed.append(A)
+        return pt
+
+    with mock.patch.object(oracles, "feasible_point", wraps=lp) as calls:
         try:
             got = walk(inst, verts)
         except InfeasibleError as err:
             got = ("InfeasibleError", str(err))
-    return got, Counter((tuple(F(x, e) for x in X), F(num, den))
-                        for X, e, num, den in verts or []), lp.call_count
+    return (got, Counter((tuple(F(x, e) for x in X), F(num, den))
+                         for X, e, num, den in verts or []), calls.call_count, len(missed))
+
+
+def assert_same_walk(run, reference):
+    """run, a face_walk_run of fmax_cont_witness, has the reference walk's
+    result and vertices; its face LPs are the reference's less those of the
+    lines that miss P, which it skips."""
+    assert run[:2] == reference[:2]
+    assert run[2:] == (reference[2] - reference[3], 0)
 
 
 @pytest.mark.parametrize("collect", [False, True], ids=["value", "vertices"])
@@ -835,12 +861,13 @@ def face_walk_run(walk, inst, collect):
 @example(build_prop46(2, 2, F(1, 4)).instance)
 def test_level_walk_matches_combinations_walk(collect, inst):
     """The level walk gives the combinations walk's (value, witness) or its
-    InfeasibleError, its vertices and its number of face LPs.  The
+    InfeasibleError, its vertices and its number of face LPs, less those of
+    the lines that miss P.  The
     combinations walk solves every face, so the level walk's dominance skip
     is checked against it; the worst-case builders are where the skip fires
     on every face below the root."""
-    assert (face_walk_run(oracles.fmax_cont_witness, inst, collect)
-            == face_walk_run(combinations_fmax_cont_witness, inst, collect))
+    assert_same_walk(face_walk_run(oracles.fmax_cont_witness, inst, collect),
+                     face_walk_run(combinations_fmax_cont_witness, inst, collect))
 
 
 def level_fmax_cont_witness(inst, vertices=None):
@@ -965,7 +992,8 @@ def level_face_walk(inst):
 @example(build_prop44(F(1, 4), 3, n=5).instance)
 def test_line_walk_matches_level_walk(collect, inst):
     """The walk on lines gives the level walk's (value, witness) or its
-    InfeasibleError, its number of face LPs, and its vertex list: the same
+    InfeasibleError, its number of face LPs less those of the lines that
+    miss P, and its vertex list: the same
     ints (X, e, num, den) in the same order.  With the vertices, _face_walk
     gives the level walk's box, as Fractions."""
     lists = []
@@ -973,8 +1001,8 @@ def test_line_walk_matches_level_walk(collect, inst):
     def keeping(walk):
         return lambda inst, verts: lists.append(verts) or walk(inst, verts)
 
-    assert (face_walk_run(keeping(oracles.fmax_cont_witness), inst, collect)
-            == face_walk_run(keeping(level_fmax_cont_witness), inst, collect))
+    assert_same_walk(face_walk_run(keeping(oracles.fmax_cont_witness), inst, collect),
+                     face_walk_run(keeping(level_fmax_cont_witness), inst, collect))
     assert lists[0] == lists[1]
     if collect:
         box = oracles._face_walk(inst)[3]

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from iqprox import cones, exact, formats, pipeline, polyhedra
 from iqprox.cones import (ConicDecomposition, build_cone, caratheodory_decompose,
                           enumerate_generators)
-from iqprox.errors import ClaimViolation, DimensionError, InputError
+from iqprox.errors import (ClaimViolation, DimensionError, InputError,
+                           RepresentationMismatch)
 from iqprox.families import (build_example_1_1, build_pbar, build_prop44,
                              build_prop45, build_prop46, pbar_params, random_instance)
 from iqprox.oracles import (claim_cross_checks, full_report, solve_iqp, solve_qp,
@@ -175,10 +176,12 @@ def test_restricted_polyhedron():
 def test_one_step_zeroes_smallest_coordinate():
     inst = instance([[1, 0], [-1, 0], [0, 1], [0, -1]], [8, 0, 3, 0],
                     [1, 1], [0, 0], k=2)
-    xb, rec = one_step(inst, [F(5), F(2)], frozenset(), 1)
+    (XB, dB), rec = one_step(inst, ([5, 2], 1), frozenset(), 1)
+    xb = [F(x, dB) for x in XB]
     assert rec.s == 1
+    assert rec.x_j == (F(5), F(2))
     assert xb[1] == 0
-    assert exact.inf_norm(exact.vec_sub([F(5), F(2)], list(xb))) <= 2
+    assert exact.inf_norm(exact.vec_sub([F(5), F(2)], xb)) <= 2
     assert contains(inst.polyhedron(), xb)
 
 
@@ -186,7 +189,7 @@ def test_one_step_requires_progress_room():
     inst = instance([[1], [-1]], [3, 3], [1], [0], k=1)
     with pytest.raises(InputError):
         # small-norm holds, caller should have stopped
-        one_step(inst, [F(2)], frozenset(), 1)
+        one_step(inst, ([2], 1), frozenset(), 1)
 
 
 def test_pipeline_example_small_eps_case_c1():
@@ -480,7 +483,7 @@ def reference_build_sequence(inst, xc, schedule, delta):
             break
         if j >= inst.k:
             raise ClaimViolation("sequence-length", "more than k steps taken")
-        nxt, rec = one_step(inst, x, z, delta)
+        nxt, rec = reference_one_step(inst, x, z, delta)
         rec.j = j
         trace.append(rec)
         if exact.inf_norm(exact.vec_sub(x, nxt)) > delta * schedule.chi[j]:
@@ -495,6 +498,73 @@ def reference_build_sequence(inst, xc, schedule, delta):
     if exact.inf_norm(drift) > schedule.psi_at(ell):
         raise ClaimViolation("xell-b", "endpoint drifted beyond psi_ell")
     return x, trace
+
+
+def reference_one_step(inst, xa, zset, delta):
+    """one_step with every point in Fractions: the greedy coefficients, the
+    next point through `vec_sub`, the two representations compared as
+    Fraction vectors, and each membership a Fraction `contains`."""
+    xav = tuple(F(v) for v in xa)
+    P = inst.polyhedron()
+    if len(xav) != inst.n:
+        raise DimensionError(f"point has dim {len(xav)}, polyhedron has {inst.n}")
+    if not contains(P, xav):
+        raise InputError("step input must be feasible")
+    z = frozenset(i for i in range(inst.k) if xav[i] == 0)
+    nset = frozenset(range(inst.k)) - z
+    if z != frozenset(zset):
+        raise InputError("supplied zero set does not match the point")
+    if not nset:
+        raise InputError("all quadratic coordinates are already zero")
+    s = min(nset, key=lambda i: (abs(xav[i]), i))
+    if exact.inf_norm(xav) <= delta * abs(xav[s]):
+        raise InputError("caller should have terminated: small-norm condition holds")
+
+    Pt, cone, dec = reference_conic_step(inst, z, xav, delta)
+
+    sgn = 1 if xav[s] > 0 else -1
+    selected = [i for i, g in enumerate(dec.generators)
+                if g[s] != 0 and (g[s] > 0) == (sgn > 0)]
+    residual = abs(xav[s])
+    lam = [F(0)] * len(dec.generators)
+    for i in selected:
+        if residual == 0:
+            break
+        g = dec.generators[i]
+        take = min(dec.coefficients[i], residual / abs(g[s]))
+        lam[i] = take
+        residual -= take * abs(g[s])
+    if residual != 0:
+        raise ClaimViolation("onestep", "greedy coefficients cannot cover x_s")
+
+    neg = ConicDecomposition([dec.generators[i] for i in selected if lam[i] != 0],
+                             [lam[i] for i in selected if lam[i] != 0])
+    xb = tuple(exact.vec_sub(xav, neg.combine(inst.n)))
+
+    rest = [(g, c - l) for g, c, l in zip(dec.generators, dec.coefficients, lam) if c != l]
+    pos = ConicDecomposition([g for g, _ in rest], [c for _, c in rest])
+    for combo in (pos, neg):
+        for g, c in zip(combo.generators, combo.coefficients):
+            if c < 0:
+                raise InputError("combination coefficients must be nonnegative")
+            if not cones.cone_contains(cone, g):
+                raise InputError(f"generator {g} is not in the cone")
+    p1 = pos.combine(inst.n)
+    p2 = exact.vec_sub(xav, neg.combine(inst.n))
+    if p1 != p2:
+        raise RepresentationMismatch(f"representations differ: {p1} vs {p2}")
+    if not contains(Pt, p1):
+        raise ClaimViolation("onestep-iii", "common point escaped the polyhedron")
+
+    if any(xb[i] != 0 for i in z | {s}):
+        raise ClaimViolation("onestep-i", f"coordinate not zeroed at {sorted(z | {s})}")
+    if exact.inf_norm(exact.vec_sub(xav, xb)) > delta * abs(xav[s]):
+        raise ClaimViolation("onestep-ii", "step moved too far")
+    if not contains(P, xb):
+        raise ClaimViolation("onestep", "step output left the polyhedron")
+
+    rec = StepRecord(j=-1, x_j=xav, z_set=z, n_set=nset, s=s, lam=lam, decomposition=dec)
+    return xb, rec
 
 
 def reference_conic_step(inst, zset, x, delta):
@@ -769,9 +839,9 @@ def test_build_sequence_claims_on_a_corrupted_step(monkeypatch, moved, claim):
     one step zeroes the first coordinate, with that step corrupted."""
     step = one_step
 
-    def corrupted(inst, x, zset, delta):
-        nxt, rec = step(inst, x, zset, delta)
-        return (x if moved is None else (nxt[0], nxt[1] - moved)), rec
+    def corrupted(inst, xa, zset, delta):
+        (X, d), rec = step(inst, xa, zset, delta)
+        return (xa if moved is None else ([X[0], X[1] - moved * d], d)), rec
 
     monkeypatch.setattr(pipeline, "one_step", corrupted)
     with pytest.raises(ClaimViolation) as err:
@@ -866,12 +936,17 @@ def c2_run(case):
 
 @pytest.mark.parametrize("case, counts", [
     ("example-1-1", (5, 0)),   # 6 and 2 with a Fraction sequence, 15 and 10 with Fraction points
-    ("box-100", (16, 2)),      # 18 and 5 with a Fraction sequence, 34 and 14 with Fraction points
+    # 16 and 2 with a Fraction one_step, 18 and 5 with a Fraction sequence,
+    # 34 and 14 with Fraction points
+    ("box-100", (17, 0)),
 ])
 def test_c2_run_scales_each_point_once(monkeypatch, case, counts):
     """exact.integer_vector and polyhedra.contains calls in one case c-2
     run (c2_run).  A point check that goes back to Fractions raises these
-    counts.  The `contains` calls left are one_step's (two per step)."""
+    counts.  one_step tests its points as ints, so no `contains` call is
+    left.  Its step scales the two points of the representation check and
+    each generator term it combines, for the next point and for each
+    representation."""
     args = c2_run(case)
     scaled = counted_calls(monkeypatch, exact, "integer_vector")
     tested = counted_calls(monkeypatch, polyhedra, "contains")
@@ -924,3 +999,149 @@ def test_c2_run_calls_each_stage_once(monkeypatch, case):
     assert (len(outputs), len(witnesses)) == (1, 1)
     assert len(cones_built) == len(polys) == res.trace[-1].j + 1
     assert all(rows_kept(cone, P) for (_, cone), (_, P) in zip(cones_built, polys))
+
+
+# -- one_step on ints against the Fraction reference -----------------------
+
+def step_inputs(inst, eps, xc, xd):
+    """The normalized instance, delta, and (x_j, Z_j) of every one_step that
+    the run (inst, eps, xc, xd) takes."""
+    res = run_pipeline(inst, eps, xc, xd)
+    norm, _ = normalize(inst, xd)
+    return norm, res.delta, [(rec.x_j, rec.z_set) for rec in res.trace if rec.lam is not None]
+
+
+def assert_one_step_matches_reference(norm, delta, steps):
+    for x, z in steps:
+        X, d = exact.integer_vector(x)
+        (XB, dB), rec = one_step(norm, (X, d), z, delta)
+        xb, want = reference_one_step(norm, x, z, delta)
+        assert tuple(F(v, dB) for v in XB) == xb
+        assert dB > 0 and math.gcd(dB, *XB) == 1  # in lowest terms
+        assert rec == want
+        assert all(type(v) is F for v in (*rec.x_j, *rec.lam, *rec.decomposition.coefficients))
+
+
+@st.composite
+def block_runs(draw):
+    """A product of 1-3 example 1.1 blocks with its own anchors, as in
+    test_block_products_reach_every_cell."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, n))
+    widths = sorted(draw(st.lists(st.sampled_from((0, 1, 3, 10, 30, 100, 300, 1000, 3000)),
+                                  min_size=n, max_size=n)))
+    eps = draw(st.sampled_from([F(1, 10), F(1, 2), F(1)]))
+    return (block_product(widths, k), eps, [t + F(3, 4) for t in widths],
+            [F(-t) for t in widths])
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_runs())
+@example((box_product(100), F(1), [F(3, 4), F(403, 4)], [F(0), F(-100)]))
+@example((block_product((1, 30, 3000), 3), F(1, 10), [F(7, 4), F(123, 4), F(12003, 4)],
+          [F(-1), F(-30), F(-3000)]))
+def test_one_step_matches_fraction_reference_on_block_products(case):
+    """The int one_step gives the Fraction one_step's next point, in lowest
+    terms, and the same record (x_j, the sets, s, lambda, decomposition) at
+    every step of the run."""
+    assert_one_step_matches_reference(*step_inputs(*case))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+def test_one_step_matches_fraction_reference_on_prop44(n):
+    """prop44 takes n - 1 one_steps in a row, each on a cone of n - j
+    generators."""
+    fam = build_prop44(F(1, 4), 3, n)
+    norm, delta, steps = step_inputs(fam.instance, F(1, 4), fam.expected["xc"],
+                                     fam.expected["xd"])
+    assert len(steps) == n - 1
+    assert_one_step_matches_reference(norm, delta, steps)
+
+
+# -- each claim of one_step, on one corrupted conic step -------------------
+
+def box(n, r, k):
+    A = [row for i in range(n) for row in ([int(j == i) for j in range(n)],
+                                           [-int(j == i) for j in range(n)])]
+    return instance(A, [r] * (2 * n), [1] * k, [0] * n, k)
+
+
+@pytest.mark.parametrize("r, x, zset, delta, generators, coefficients, restricted, claim, message", [
+    # no generator covers x_s = 1
+    (10, [1, 5], (), 1, [], [], 10, "onestep", "greedy coefficients cannot cover x_s"),
+    # x_b = (0, 2) is outside the "restricted" box of radius 1
+    (10, [1, 5], (), 1, [(1, 3), (0, 2)], [1, 1], 1,
+     "onestep-iii", "common point escaped the polyhedron"),
+    # a generator off the zeroed coordinate 0 moves x_b to (-1, 0, 5)
+    (10, [0, 1, 5], (0,), 1, [(1, 1, 0), (-1, 0, 5)], [1, 1], 10,
+     "onestep-i", "coordinate not zeroed at [0, 1]"),
+    # the generator (1, 3) has norm 3 > delta: the step moves 3 > delta |x_s| = 1
+    (10, [1, 5], (), 1, [(1, 3), (0, 2)], [1, 1], 10, "onestep-ii", "step moved too far"),
+    # x_b = (0, 7) lies in the restricted box of radius 10, not in P (radius 5)
+    (5, [1, 5], (), 2, [(1, -2), (0, 7)], [1, 1], 10,
+     "onestep", "step output left the polyhedron"),
+])
+def test_one_step_claims_on_a_corrupted_conic_step(monkeypatch, r, x, zset, delta, generators,
+                                                   coefficients, restricted, claim, message):
+    """Each one_step claim after the conic step is implied by an earlier
+    check on a true conic step, so each is reached here through a conic
+    step (pipeline._conic_step) that returns a given decomposition, a cone
+    with no rows, and a box of the given radius as the restricted
+    polyhedron."""
+    n = len(x)
+    inst = box(n, r, n)
+    dec = ConicDecomposition([tuple(map(F, g)) for g in generators], list(map(F, coefficients)))
+    step = (box(n, restricted, n).polyhedron(), cones.ProximityCone((), (), n), dec)
+    monkeypatch.setattr(pipeline, "_conic_step", lambda *args: step)
+    with pytest.raises(ClaimViolation) as err:
+        one_step(inst, (x, 1), frozenset(zset), delta)
+    assert err.value.claim == claim
+    assert str(err.value) == f"claim {claim} violated: {message}"
+    # The Fraction reference raises the same on the same conic step.
+    monkeypatch.setitem(globals(), "reference_conic_step", lambda *args: step)
+    with pytest.raises(ClaimViolation) as ref:
+        reference_one_step(inst, list(map(F, x)), frozenset(zset), delta)
+    assert str(ref.value) == str(err.value)
+
+
+# -- eval_objective on ints against Fractions -------------------------------
+
+def reference_eval_objective(inst, x):
+    """f(x) in Fraction arithmetic, through exact.vec and exact.dot."""
+    xv = exact.vec(x)
+    if len(xv) != inst.n:
+        raise DimensionError(f"point has dim {len(xv)}, instance has {inst.n}")
+    quad = sum((-inst.q[i] * xv[i] * xv[i] for i in range(inst.k)), F(0))
+    return quad + exact.dot(inst.h, xv)
+
+
+RATIONAL = st.one_of(st.integers(-50, 50), st.fractions(-50, 50, max_denominator=12))
+
+
+@st.composite
+def objectives_and_points(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    inst = instance([[1] * n], [1], [draw(st.fractions(F(1, 8), 5, max_denominator=8))
+                                     for _ in range(k)],
+                    [draw(RATIONAL) for _ in range(n)], k)
+    size = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+    return inst, [draw(RATIONAL) for _ in range(size)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(objectives_and_points())
+@example((instance([[1]], [1], [F(1, 3)], [F(1, 2)]), [F(7, 6)]))
+@example((instance([[1, 1]], [1], [], [0, F(-3, 4)], 0), [3, F(-1, 5)]))
+def test_eval_objective_matches_fraction_reference(case):
+    inst, x = case
+    try:
+        want = reference_eval_objective(inst, x)
+    except DimensionError as err:
+        with pytest.raises(DimensionError) as got:
+            eval_objective(inst, x)
+        assert str(got.value) == str(err)
+        return
+    got = eval_objective(inst, x)
+    assert got == want
+    assert type(got) is F
