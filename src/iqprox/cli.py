@@ -75,6 +75,8 @@ def cmd_proximity(args) -> int:
     vi = oracles.verdict(inst, result.x_star_int, eps, "integer", report)
     vc = oracles.verdict(inst, result.x_star_cont, eps, "continuous", report)
     oracles.claim_cross_checks(inst, result, report)
+    # The theorem, whose steps the run and claim_cross_checks check, implies
+    # this; only a wrong verdict reaches it.
     if not (vi.is_approx and vc.is_approx):
         raise ClaimViolation("approximation", "pipeline output failed its verdict")
     verdicts = {

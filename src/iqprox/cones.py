@@ -83,6 +83,11 @@ def cone_contains(cone: ProximityCone, x) -> bool:
     if len(x) != cone.ambient_dim:
         raise DimensionError("point dimension mismatch")
     X, _ = exact.integer_vector(x)  # x scaled by a positive d: same signs
+    return _cone_holds(cone, X)
+
+
+def _cone_holds(cone: ProximityCone, X) -> bool:
+    """Whether the cone holds the int vector X."""
     return (all(sum(map(mul, r, X)) <= 0 for r in cone.a1)
             and all(sum(map(mul, r, X)) >= 0 for r in cone.a2))
 
@@ -226,24 +231,21 @@ def caratheodory_decompose(target, gens) -> ConicDecomposition:
     return ConicDecomposition([g for g, _ in support], [a for _, a in support])
 
 
-def combination_int(X, d: int, combo: ConicDecomposition, sign: int) -> tuple[list[int], int]:
+def combination_int(X, d: int, terms, sign: int) -> tuple[list[int], int]:
     """The point X / d + sign * sum_i c_i g_i as ints V over D > 0, in lowest
     terms, for an int vector X, an int d > 0 and sign = +-1.
 
-    Each generator is scaled once, g = G / s, so the term c g is p G over
-    q s for c = p / q; D is the lcm of d and those denominators.
+    terms are (c, G, s), each a coefficient c and its generator scaled
+    once, g = G / s, so the term c g is p G over q s for c = p / q; D is the
+    lcm of d and those denominators.
     """
-    terms = []
-    for g, c in zip(combo.generators, combo.coefficients):
-        G, s = exact.integer_vector(g)
+    D = lcm(d, *(c.denominator * s for c, _, s in terms))
+    V = [x * (D // d) for x in X]
+    for c, G, s in terms:
         if len(G) != len(X):
             raise DimensionError(f"generator dimension {len(G)} vs {len(X)}")
-        terms.append((sign * c.numerator, c.denominator * s, G))
-    D = lcm(d, *(q for _, q, _ in terms))
-    V = [x * (D // d) for x in X]
-    for p, q, G in terms:
-        if p:
-            f = p * (D // q)
+        if c:
+            f = sign * c.numerator * (D // (c.denominator * s))
             V = [v + f * y for v, y in zip(V, G)]
     g = gcd(D, *V)
     return [v // g for v in V], D // g
@@ -252,27 +254,39 @@ def combination_int(X, d: int, combo: ConicDecomposition, sign: int) -> tuple[li
 def check_two_representations(P: Polyhedron, cone: ProximityCone,
                               x1, x2,
                               pos_combo: ConicDecomposition,
-                              neg_combo: ConicDecomposition) -> bool:
+                              neg_combo: ConicDecomposition) -> tuple[list[int], int] | None:
     """Certificate check: x1 + sum(alpha v) == x2 - sum(beta v), in P.
 
-    A disagreement between the two expressions raises RepresentationMismatch;
-    membership failure of the common point returns False.
+    A disagreement between the two expressions raises RepresentationMismatch.
+    Returns the common point as ints (V, D), V / D in lowest terms, or None
+    when P does not hold it.  Each generator is scaled once, for its cone
+    test and for both sums (combination_int), even when it is in both.
     """
+    scaled = {}
     for combo in (pos_combo, neg_combo):
         for g, c in zip(combo.generators, combo.coefficients):
             if c < 0:
                 raise InputError("combination coefficients must be nonnegative")
-            if not cone_contains(cone, g):
+            if len(g) != cone.ambient_dim:
+                raise DimensionError("point dimension mismatch")
+            key = tuple(g)
+            if key not in scaled:
+                scaled[key] = exact.integer_vector(g)
+            if not _cone_holds(cone, scaled[key][0]):
                 raise InputError(f"generator {g} is not in the cone")
     n = P.n
     X1, d1 = exact.integer_vector(x1)
     X2, d2 = exact.integer_vector(x2)
     if len(X1) != n or len(X2) != n:
         raise DimensionError(f"point dimensions {len(X1)}, {len(X2)} vs {n}")
-    p1 = combination_int(X1, d1, pos_combo, 1)
-    p2 = combination_int(X2, d2, neg_combo, -1)
+
+    def terms(combo):
+        return [(c, *scaled[tuple(g)]) for g, c in zip(combo.generators, combo.coefficients)]
+
+    p1 = combination_int(X1, d1, terms(pos_combo), 1)
+    p2 = combination_int(X2, d2, terms(neg_combo), -1)
     if p1 != p2:  # both in lowest terms
         raise RepresentationMismatch("representations differ: "
                                      f"{[Fraction(v, p1[1]) for v in p1[0]]} vs "
                                      f"{[Fraction(v, p2[1]) for v in p2[0]]}")
-    return contains_int(P, *p1)
+    return p1 if contains_int(P, *p1) else None

@@ -64,73 +64,148 @@ def _fraction_point(p) -> tuple[Fraction, ...]:
     return tuple(map(Fraction, p))
 
 
-def _lattice_extremes(inst: Instance, runs, objective) -> tuple[OptResult, Fraction,
-                                                               tuple[Fraction, ...]]:
-    """Minimizer (with ties) and lexicographically first maximizer over the
-    lattice points of runs, and their values.
+class _Values:
+    """The objective on the lattice walk (polyhedra.lattice_runs): the
+    values it carries down are int numerators, f times the lcm d of the
+    denominators of q and h (objective is _integer_objective(inst)).
 
-    runs are (prefix, lo, hi) as lattice_runs gives them, in lexicographic
-    order, and objective is _integer_objective(inst): the objective is an
-    int, f times the lcm d of the denominators of q and h.  Along a run
-    only the last coordinate j = n - 1 moves, so the value is the prefix's
-    part plus g(v) = H_j v - Q_j v^2 (Q_j = 0 for j >= k), and g is
-    concave:
+    f is separable: f(x) = sum_t f_t(x_t), with d f_t(v) = (H_t - Q_t v) v
+    (Q_t = 0 for t >= k), so a prefix's value plus f_j(v) is the value of
+    the prefix extended by x_j = v.  Each f_t is concave, so on the box's
+    [lo_t, hi_t] its least value is at an end, and its greatest at the
+    clipped floor or ceil of H_t / (2 Q_t) (at an end when f_t is linear).
+    low[j] and high[j] sum these over the coordinates t >= j: every point
+    under a prefix of j coordinates has a value within [its value + low[j],
+    its value + high[j]].
+    """
+
+    def __init__(self, inst: Instance, objective):
+        q, self.h, self.d = objective
+        self.q = q + [0] * (inst.n - inst.k)
+
+    def start(self, lo, hi) -> int:
+        low, high = [0], [0]
+        for t in reversed(range(len(lo))):
+            ends = (self.value(t, lo[t]), self.value(t, hi[t]))
+            low.append(low[-1] + min(ends))
+            high.append(high[-1] + self.value(t, self.peak(t, lo[t], hi[t])))
+        self.low, self.high = low[::-1], high[::-1]
+        return 0
+
+    def value(self, t: int, v: int) -> int:
+        """d f_t(v)."""
+        return (self.h[t] - self.q[t] * v) * v
+
+    def peak(self, t: int, lo: int, hi: int) -> int:
+        """The least v in [lo, hi] where f_t is greatest: the clipped floor
+        or ceil of H_t / (2 Q_t), the smaller on a tie; when f_t is linear,
+        hi if H_t > 0, else lo."""
+        ht, qt = self.h[t], self.q[t]
+        if not qt:
+            return hi if ht > 0 else lo
+        c = ht // (2 * qt)
+        a, b = min(max(c, lo), hi), min(max(c + 1, lo), hi)  # a <= b
+        return b if (ht - qt * b) * b > (ht - qt * a) * a else a
+
+
+class _Extremes(_Values):
+    """The search of full_report, solve_iqp and fmax_int_witness: the
+    minimizers (with ties) and the lexicographically first maximizer over
+    the lattice points of the walk, and their values.
+
+    Along a run only the last coordinate j = n - 1 moves, so the value is
+    the prefix's plus g(v) = H_j v - Q_j v^2, and g is concave:
 
     - g's least value on [lo, hi] is at lo or hi, or at both when their
       values are equal; when g is constant (j >= k and H_j = 0) every v
       attains it.
-    - g's greatest value is at the clipped floor or ceil of H_j / (2 Q_j),
-      the smaller on a tie; when g is linear, at hi if H_j > 0, else lo.
+    - g's greatest value is at peak(j, lo, hi), the least v attaining it.
 
     Across runs only a strictly larger maximum replaces the witness, so it
     is the lexicographically first maximizer; the ties come in walk order,
-    which is sorted.  Fractions are built only for the minimum, the
-    maximum, the ties and the witness.
+    which is sorted.  A prefix is skipped when every point under it is
+    worse than the best minimum so far (value + low > best) and none beats
+    the best maximum so far (value + high <= top): it holds no minimizer,
+    no tie and no earlier maximizer.  Fractions are built only for the
+    minimum, the maximum, the ties and the witness.
     """
-    if not runs:
-        raise InfeasibleError("no integer point in the feasible region")
-    q, h, d = objective
-    j = inst.n - 1
-    hj, qj = h[j], (q[j] if j < inst.k else 0)
 
-    def g(v: int) -> int:
-        return (hj - qj * v) * v
+    def __init__(self, inst: Instance, objective):
+        super().__init__(inst, objective)
+        self.best = self.top = self.wit = None
+        self.ties: list[tuple[int, ...]] = []
 
-    best = top = None
-    ties: list[tuple[int, ...]] = []
-    wit = None
-    for prefix, lo, hi in runs:
-        base = _objective_numerator(q, h, prefix, 1)
-        if qj:
-            c = hj // (2 * qj)
-            a, b = min(max(c, lo), hi), min(max(c + 1, lo), hi)  # a <= b
-            vmax = b if g(b) > g(a) else a
-        else:
-            vmax = hi if hj > 0 else lo
-        if top is None or base + g(vmax) > top:
-            top, wit = base + g(vmax), (*prefix, vmax)
-        glo, ghi = g(lo), g(hi)
-        gmin = min(glo, ghi)
-        if best is None or base + gmin < best:
-            best, ties = base + gmin, []
-        elif base + gmin > best:
-            continue
+    def child(self, j: int, value: int, v: int) -> int | None:
+        value += (self.h[j] - self.q[j] * v) * v
+        best = self.best
+        if (best is not None and value + self.low[j + 1] > best
+                and value + self.high[j + 1] <= self.top):
+            return None
+        return value
+
+    def run(self, prefix, lo: int, hi: int, base: int):
+        j = len(prefix)
+        hj, qj = self.h[j], self.q[j]
+        vmax = self.peak(j, lo, hi)
+        top = base + (hj - qj * vmax) * vmax
+        if self.top is None or top > self.top:
+            self.top, self.wit = top, (*prefix, vmax)
+        glo, ghi = (hj - qj * lo) * lo, (hj - qj * hi) * hi
+        least = base + min(glo, ghi)
+        if self.best is None or least < self.best:
+            self.best, self.ties = least, []
+        elif least > self.best:
+            return
         if not qj and not hj:
-            ties.extend((*prefix, v) for v in range(lo, hi + 1))
+            self.ties.extend((*prefix, v) for v in range(lo, hi + 1))
         else:
-            if glo == gmin:
-                ties.append((*prefix, lo))
-            if ghi == gmin and hi != lo:
-                ties.append((*prefix, hi))
-    fties = tuple(map(_fraction_point, ties))
-    return (OptResult(fties[0], Fraction(best, d), fties), Fraction(top, d),
-            _fraction_point(wit))
+            if base + glo == least:
+                self.ties.append((*prefix, lo))
+            if base + ghi == least and hi != lo:
+                self.ties.append((*prefix, hi))
+
+    def result(self) -> tuple[OptResult, Fraction, tuple[Fraction, ...]]:
+        if self.best is None:
+            raise InfeasibleError("no integer point in the feasible region")
+        fties = tuple(map(_fraction_point, self.ties))
+        return (OptResult(fties[0], Fraction(self.best, self.d), fties),
+                Fraction(self.top, self.d), _fraction_point(self.wit))
+
+
+class _Within(_Values):
+    """The search of delta_star: the lattice points of value v with
+    v * den <= cut, in walk order.  A prefix is skipped when even its least
+    possible value (value + low) fails."""
+
+    def __init__(self, inst: Instance, objective, cut: int, den: int):
+        super().__init__(inst, objective)
+        self.cut, self.den = cut, den
+        self.points: list[tuple[int, ...]] = []
+
+    def child(self, j: int, value: int, v: int) -> int | None:
+        value += (self.h[j] - self.q[j] * v) * v
+        return None if (value + self.low[j + 1]) * self.den > self.cut else value
+
+    def run(self, prefix, lo: int, hi: int, base: int):
+        j = len(prefix)
+        hj, qj, cut, den = self.h[j], self.q[j], self.cut, self.den
+        self.points += [(*prefix, v) for v in range(lo, hi + 1)
+                        if (base + (hj - qj * v) * v) * den <= cut]
+
+
+def _lattice_extremes(inst: Instance, box, objective) -> tuple[OptResult, Fraction,
+                                                              tuple[Fraction, ...]]:
+    """The minimizer (with ties), the maximum and its lexicographically
+    first maximizer over the lattice points of P, by one pruned lattice
+    walk (_Extremes) of the box, found by LP when None."""
+    search = _Extremes(inst, objective)
+    lattice_runs(inst.polyhedron(), box, search)
+    return search.result()
 
 
 def solve_iqp(inst: Instance) -> OptResult:
     """Exact lattice minimizer; ties reported, lexicographic representative."""
-    return _lattice_extremes(inst, lattice_runs(inst.polyhedron()),
-                             _integer_objective(inst))[0]
+    return _lattice_extremes(inst, None, _integer_objective(inst))[0]
 
 
 def solve_qp(inst: Instance) -> OptResult:
@@ -163,8 +238,7 @@ def fmax_int(inst: Instance) -> Fraction:
 
 
 def fmax_int_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
-    _, top, wit = _lattice_extremes(inst, lattice_runs(inst.polyhedron()),
-                                    _integer_objective(inst))
+    _, top, wit = _lattice_extremes(inst, None, _integer_objective(inst))
     return top, wit
 
 
@@ -191,12 +265,19 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None, objective=No
     - skipped when v_S <= the best value so far;
     - decided by membership when E_S has full rank: its one solution is
       then the only candidate;
-    - otherwise decided by the exact LP feasibility problem
-      {A x <= b, E_S}, whose point must have the value v_S; on a line (n - 1
-      rows) E_S is then the line itself, so a line that misses P is
-      skipped with no LP.
+    - decided by meeting a line with P (polyhedra.line_through) when E_S
+      is a line, one free direction: the face attains v_S in P exactly when
+      the line meets P.  f must have the value v_S at one point of the
+      line in P.  On a line of P (n - 1 rows) E_S is then that line itself;
+    - otherwise, with two or more free directions, decided by the exact LP
+      feasibility problem {A x <= b, E_S}, whose point must have the value
+      v_S.
 
     The witness is the candidate of the first face attaining the maximum.
+    A face whose E_S is a line has no candidate point until the end: only
+    if it is still the witness then does its LP run, on the rows it would
+    have had at once, so it gives the same point.  That LP must find one
+    (the line meets P).
     The subsets of up to n - 1 rows come from exact.independent_row_sets,
     in that order; those of n rows from the lines below.
 
@@ -251,8 +332,9 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None, objective=No
     (W^T 2Q W) y = W^T (L H - 2Q X0); it is consistent exactly when E_S
     is, and E_S has rank s plus its rank.  Any of its solutions gives v_S,
     as an int numerator over d e^2 for the point X / e, and values are
-    compared by cross-multiplying.  The LP gets the rows of the canonical
-    kernel basis W / L, exact.null_space's basis.
+    compared by cross-multiplying.  The line of an E_S with one free
+    direction F (in y) is (X + t W^T F) / e.  The LP gets the rows of the
+    canonical kernel basis W / L, exact.null_space's basis (_face_point).
     """
     P = inst.polyhedron()
     n, k = inst.n, inst.k
@@ -261,7 +343,7 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None, objective=No
     Q, H, d = _integer_objective(inst) if objective is None else objective
     Q2 = [2 * c for c in Q] + [0] * (n - k)
     best = None  # (numerator, denominator) of the best value so far
-    wit = None
+    wit = pending = None  # the witness, or the face whose LP gives it
     collect = vertices is not None
 
     def below_best(bound) -> bool:
@@ -317,30 +399,26 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None, objective=No
             if not (line.holds(Y[0], e2) if on_line else contains_int(P, X, e)):
                 continue
             pt = [Fraction(x, e) for x in X]
-        elif on_line and not line.meets:  # E_S is the line itself: the LP is infeasible
+        elif len(free) == 1:  # E_S is a line, in P exactly where it meets P
+            if on_line:
+                eline = line
+            else:
+                (f,) = free
+                eline = line_through(P, X, [sum(map(mul, f, col)) for col in zip(*W)], e)
+            if not eline.meets:
+                continue
+            tn, td = eline.lo or eline.hi or (0, 1)  # one point of the line in P
+            Xt = [x * td + tn * c for x, c in zip(eline.X0, eline.w)]
+            et = eline.L * td
+            if _objective_numerator(Q, H, Xt, et) * den != num * d * et * et:
+                raise ClaimViolation("face-constant", f"face {S}: f is not constant on E_S")
+            best, wit, pending = (num, den), None, (S, W, L)
             continue
         else:
-            lp_rows = [list(row) for row in P.A]
-            lp_rhs = list(P.b)
-            for i in S:
-                lp_rows.append([-c for c in P.A[i]])
-                lp_rhs.append(-P.b[i])
-            for w in W:
-                w = [Fraction(x, L) for x in w]
-                # w . grad f = sum_i w_i h_i - 2 sum_{i<k} w_i q_i x_i = 0
-                coeff = [2 * w[i] * inst.q[i] if i < k else ZERO
-                         for i in range(n)]
-                val = exact.dot(w, inst.h)
-                lp_rows += [coeff, [-c for c in coeff]]
-                lp_rhs += [val, -val]
-            pt = feasible_point(lp_rows, lp_rhs)
+            pt = _face_point(inst, S, W, L, Fraction(num, den))
             if pt is None:
                 continue
-            if eval_objective(inst, pt) != Fraction(num, den):
-                raise ClaimViolation("face-constant",
-                                     f"face {S}: f is not constant on E_S")
-        best = (num, den)
-        wit = tuple(pt)
+        best, wit, pending = (num, den), tuple(pt), None
     for S, line in lines:  # the leaves S + (j,), in (S, j) order
         if not collect and below_best(bounds.get(S)):
             continue
@@ -349,11 +427,40 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None, objective=No
             if collect:
                 vertices.append((X, e, num, den))
             if best is None or num * best[1] > best[0] * den:
-                best = (num, den)
-                wit = tuple(Fraction(x, e) for x in X)
+                best, wit, pending = (num, den), tuple(Fraction(x, e) for x in X), None
     if best is None:
         raise InfeasibleError("feasible region is empty")
+    if pending is not None:
+        S, W, L = pending
+        pt = _face_point(inst, S, W, L, Fraction(*best))
+        if pt is None:
+            raise ClaimViolation("face-lp", f"face {S}: the LP finds no point of E_S in P")
+        wit = tuple(pt)
     return Fraction(*best), wit
+
+
+def _face_point(inst: Instance, S, W, L: int, value: Fraction) -> list[Fraction] | None:
+    """The exact LP feasibility problem {A x <= b, E_S} of the face S, with
+    the kernel basis W / L of A_S: its point, or None when it has none.  f
+    must have the face's value there."""
+    P = inst.polyhedron()
+    n, k = inst.n, inst.k
+    lp_rows = [list(row) for row in P.A]
+    lp_rhs = list(P.b)
+    for i in S:
+        lp_rows.append([-c for c in P.A[i]])
+        lp_rhs.append(-P.b[i])
+    for w in W:
+        w = [Fraction(x, L) for x in w]
+        # w . grad f = sum_i w_i h_i - 2 sum_{i<k} w_i q_i x_i = 0
+        coeff = [2 * w[i] * inst.q[i] if i < k else ZERO for i in range(n)]
+        val = exact.dot(w, inst.h)
+        lp_rows += [coeff, [-c for c in coeff]]
+        lp_rhs += [val, -val]
+    pt = feasible_point(lp_rows, lp_rhs)
+    if pt is not None and eval_objective(inst, pt) != value:
+        raise ClaimViolation("face-constant", f"face {S}: f is not constant on E_S")
+    return pt
 
 
 def _face_walk(inst: Instance):
@@ -362,9 +469,10 @@ def _face_walk(inst: Instance):
 
     When the face walk collects vertices, P is a polytope and the
     coordinate-wise extremes of its vertices are its exact bounding box,
-    found on the vertices' ints over their common denominator.  Otherwise
-    (P empty, unbounded, or of rank < n) the box is None, and the lattice
-    walk finds it by LP, which gives no points or raises UnboundedError.
+    given as ints over their common denominator D, the form
+    polyhedra.lattice_runs takes.  Otherwise (P empty, unbounded, or of
+    rank < n) the box is None, and the lattice walk finds it by LP, which
+    gives no points or raises UnboundedError.
     The value and witness are None when no face attains a maximum in P: P
     is then empty or unbounded, and no vertex is collected.  The objective
     is _integer_objective(inst), computed once here.
@@ -378,8 +486,8 @@ def _face_walk(inst: Instance):
     box = None
     if verts:
         D = math.lcm(*(e for _, e, _, _ in verts))
-        cols = zip(*([x * (D // e) for x in X] for X, e, _, _ in verts))
-        box = [(Fraction(min(c), D), Fraction(max(c), D)) for c in cols]
+        cols = list(zip(*([x * (D // e) for x in X] for X, e, _, _ in verts)))
+        box = [min(c) for c in cols], [max(c) for c in cols], D
     return fci, wci, verts, box, objective
 
 
@@ -387,11 +495,11 @@ def full_report(inst: Instance) -> OracleReport:
     """Every oracle quantity from one face walk and one lattice walk.
 
     The face walk gives the continuous maximum, the vertices and the box;
-    the lattice walk's runs give the integer extremes, and the vertices the
+    the pruned lattice walk gives the integer extremes, and the vertices the
     continuous minimum.
     """
     fci, wci, verts, box, objective = _face_walk(inst)
-    iqp, fdi, wdi = _lattice_extremes(inst, lattice_runs(inst.polyhedron(), box), objective)
+    iqp, fdi, wdi = _lattice_extremes(inst, box, objective)
     # Some lattice point exists, so P is a nonempty polytope: verts holds
     # every vertex and the walk found the maximum.
     return OracleReport(iqp, _vertex_minimum(verts), fdi, wdi, fci, wci)
@@ -448,43 +556,40 @@ def delta_star(inst: Instance, eps) -> DeltaStarResult:
     A lattice point of int value v passes verdict's integer test exactly
     when v - lo <= eps (hi - lo), lo and hi the least and largest values:
     every value shares the denominator d > 0.  With hi = lo this says
-    v = lo, the degenerate verdict.  The points come as the lattice runs of
-    the face walk's box, lo and hi from their extremes (_lattice_extremes),
-    and each run is filtered with its prefix's part of v computed once.
+    v = lo, the degenerate verdict.  lo and hi come from the pruned walk of
+    the face walk's box (_lattice_extremes), and the passing points from a
+    second walk of that box pruned against the cut (_Within).  Each tied
+    optimum is scaled once, to X / e, and its distance to a lattice point
+    p is max_i |X_i - e p_i| / e, compared as ints; Fractions are built
+    only for the result.
     """
     eps = checked_eps(eps)
     _, _, verts, box, objective = _face_walk(inst)
-    runs = lattice_runs(inst.polyhedron(), box)
-    iqp, top, _ = _lattice_extremes(inst, runs, objective)
+    iqp, top, _ = _lattice_extremes(inst, box, objective)
     qp = _vertex_minimum(verts)
-    q, h, d = objective
+    d = objective[2]
     lo, hi = (iqp.value * d).numerator, (top * d).numerator
     cut = lo * eps.denominator + eps.numerator * (hi - lo)  # v passes iff v * den <= cut
-    j = inst.n - 1
-    hj, qj = h[j], (q[j] if j < inst.k else 0)
-    approx = []
-    for prefix, a, b in runs:
-        base = _objective_numerator(q, h, prefix, 1)
-        fprefix = _fraction_point(prefix)
-        approx += [(*fprefix, Fraction(v)) for v in range(a, b + 1)
-                   if (base + (hj - qj * v) * v) * eps.denominator <= cut]
+    within = _Within(inst, objective, cut, eps.denominator)
+    lattice_runs(inst.polyhedron(), box, within)
+    approx = within.points
     if not approx:
         raise InfeasibleError("no eps-approximate lattice point exists")
-    best = None
-    pair = None
+    best = pair = None  # best is the distance num / den of the pair
     for xc in qp.ties:
+        X, e = exact.integer_vector(xc)
         for p in approx:
-            d = exact.inf_norm(exact.vec_sub(xc, p))
-            if best is None or d < best:
-                best = d
-                pair = (xc, p)
+            dist = max([abs(x - e * v) for x, v in zip(X, p)])
+            if best is None or dist * best[1] < best[0] * e:
+                best, pair = (dist, e), (xc, p)
     flag = False
     for a, b in combinations(qp.ties, 2):
         mid = tuple((x + y) / 2 for x, y in zip(a, b))
         if eval_objective(inst, mid) == qp.value:
             flag = True
             break
-    return DeltaStarResult(best, pair[0], pair[1], tuple(approx), flag)
+    return DeltaStarResult(Fraction(*best), pair[0], _fraction_point(pair[1]),
+                           tuple(map(_fraction_point, approx)), flag)
 
 
 def certify_no_cont_approx_within(inst: Instance, eps, xd, radius) -> bool:

@@ -19,7 +19,7 @@ from operator import mul
 from . import exact
 from .cones import (ConicDecomposition, ProximityCone, build_cone,
                     caratheodory_decompose, check_two_representations,
-                    combination_int, enumerate_generators)
+                    enumerate_generators)
 from .errors import ClaimViolation, DimensionError, DomainError, InputError
 from .polyhedra import Polyhedron, contains, contains_int, fix_zero, translate
 
@@ -167,6 +167,10 @@ def compute_schedule(n: int, delta: int, k: int, eps) -> Schedule:
         psi.append(Fraction(acc, den))
     top = nd * (10 * delta * q + p) ** k  # the bound, over den = p^k
     bound = Fraction(top, den)
+    # The range check eps <= 1 implies this: delta chi_{j+1} = 2 n delta^2 +
+    # 8 delta / eps (psi_j + n delta), and 2 n delta^2 <= 2 delta / eps
+    # (psi_j + n delta), so psi_{j+1} + n delta <= (10 delta / eps + 1)
+    # (psi_j + n delta).
     if k and acc + nd * den > top:
         raise ClaimViolation("schedule-bound", f"psi_k + n*delta = {psi[-1] + nd} > {bound}")
     return Schedule(eps, n, delta, k, tuple(chi), tuple(psi), bound)
@@ -291,7 +295,8 @@ def one_step(inst: Instance, xa, zset,
     returned the same way, in lowest terms.  Every test runs on these ints;
     the greedy coefficients lambda are Fractions, as the record reports them,
     and the next point is X / d minus their combination over one
-    denominator (cones.combination_int).
+    denominator: the common point of the representation check
+    (cones.check_two_representations), which scales each generator once.
     """
     X, d = xa
     P = inst.polyhedron()
@@ -328,13 +333,15 @@ def one_step(inst: Instance, xa, zset,
 
     neg = ConicDecomposition([dec.generators[i] for i in selected if lam[i] != 0],
                              [lam[i] for i in selected if lam[i] != 0])
-    XB, dB = combination_int(X, d, neg, -1)
 
-    # Claim onestep (iii): both conic expressions agree and land in P.
+    # Claim onestep (iii): both conic expressions agree and land in P.  The
+    # second is x_a minus the greedy combination: their common point is x_b.
     rest = [(g, c - l) for g, c, l in zip(dec.generators, dec.coefficients, lam) if c != l]
     pos = ConicDecomposition([g for g, _ in rest], [c for _, c in rest])
-    if not check_two_representations(Pt, cone, [0] * inst.n, xav, pos, neg):
+    common = check_two_representations(Pt, cone, [0] * inst.n, xav, pos, neg)
+    if common is None:
         raise ClaimViolation("onestep-iii", "common point escaped the polyhedron")
+    XB, dB = common
 
     # The checks below are implied by earlier ones, so only a corrupted
     # conic step reaches them.  onestep (iii) puts x_b in the restricted
@@ -391,6 +398,9 @@ def build_sequence(inst: Instance, xc, schedule: Schedule,
             trace.append(StepRecord(j, _scaled_fractions(X, d), z, nset, s=s,
                                     termination_reason="small-norm"))
             break
+        # zero-growth implies this: each step adds a coordinate of range(k)
+        # to Z_j, so at j = k N_j is empty and the all-large test has ended
+        # the loop.
         if j >= inst.k:
             raise ClaimViolation("sequence-length", "more than k steps taken")
         (NX, dn), rec = one_step(inst, (X, d), z, delta)
@@ -406,7 +416,7 @@ def build_sequence(inst: Instance, xc, schedule: Schedule,
         X, d = NX, dn
         j += 1
     ell = trace[-1].j
-    if ell > inst.k:
+    if ell > inst.k:  # the loop's sequence-length check implies this one
         raise ClaimViolation("sequence-length", f"ell={ell} > k={inst.k}")
     psi = schedule.psi_at(ell)
     if max(map(abs, DR)) * psi.denominator > psi.numerator * L:

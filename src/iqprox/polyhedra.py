@@ -5,7 +5,8 @@ raising UnboundedError otherwise: by LP before enumerating, or, for the
 vertices, from the edge lines the enumeration walks (``Line``), with an LP
 only when they do not show P a nonempty polytope.  The lattice walk
 instead takes the bounding box from a caller that has shown P bounded, and
-yields its points as runs along the last coordinate.
+yields its points as runs along the last coordinate, pruned by the
+caller's search when it passes one.
 Outputs are canonically ordered (lexicographic) so results are
 deterministic.
 
@@ -248,11 +249,14 @@ def line_through(P: Polyhedron, X0: list[int], w: list[int], L: int) -> Line:
     or on none of it, as slack_i >= 0 or not.
     """
     rows, rhs = P.int_rows
-    dots = [sum(map(mul, row, w)) for row in rows]
-    slacks = [L * c - sum(map(mul, row, X0)) for row, c in zip(rows, rhs)]
+    dots, slacks = [], []
     lo = hi = None
     meets = True
-    for dot, s in zip(dots, slacks):
+    for row, c in zip(rows, rhs):
+        dot = sum(map(mul, row, w))
+        s = L * c - sum(map(mul, row, X0))
+        dots.append(dot)
+        slacks.append(s)
         if dot > 0:
             if hi is None or s * hi[1] < hi[0] * dot:
                 hi = (s, dot)
@@ -295,7 +299,27 @@ def enumerate_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
     return sorted(seen)
 
 
-def lattice_runs(P: Polyhedron, box=None) -> list[tuple[tuple[int, ...], int, int]]:
+class _Unpruned:
+    """The search of the unpruned walk: every prefix kept."""
+
+    def start(self, lo, hi) -> int:
+        return 0
+
+    def child(self, j: int, value: int, v: int) -> int:
+        return value
+
+    def run(self, prefix, lo: int, hi: int, value: int):
+        pass
+
+
+def integer_box(box) -> tuple[list[int], list[int], int]:
+    """A box of (lo, hi) rational pairs as ints over one denominator: lows,
+    highs and D > 0 with lo_i = lows[i] / D and hi_i = highs[i] / D."""
+    X, D = exact.integer_vector([v for pair in box for v in pair])
+    return X[0::2], X[1::2], D
+
+
+def lattice_runs(P: Polyhedron, box=None, search=None) -> list[tuple[tuple[int, ...], int, int]]:
     """The integer points of a bounded P as runs (prefix, lo, hi), in
     lexicographic order: the points (*prefix, v) for lo <= v <= hi, every
     point of P with those first n - 1 coordinates.  Each run is nonempty.
@@ -303,38 +327,50 @@ def lattice_runs(P: Polyhedron, box=None) -> list[tuple[tuple[int, ...], int, in
     Walks the integer grid of the bounding box coordinate by coordinate,
     narrowing the interval of each next coordinate by interval propagation
     over the rows, and stops at the last coordinate, whose interval is the
-    run.  The propagation runs on the int rows with the box scaled by the
-    lcm e of its denominators, so each bound is one floor division of ints.
-    Each row's bound is exact at that row's last nonzero coordinate, so
-    every point of a run lies in P and none is tested again.  An all-zero
-    row is never bounded; it holds on a nonempty P.
+    run.  The propagation runs on the int rows with the box scaled by its
+    denominator e, so each bound is one floor division of ints.  Each row's
+    bound is exact at that row's last nonzero coordinate, so every point of
+    a run lies in P and none is tested again.  An all-zero row is never
+    bounded; it holds on a nonempty P.
 
-    box is a list of (lo, hi) rational pairs, one per coordinate, containing
-    P.  A caller that knows P is nonempty and bounded passes its exact
-    bounding box (the coordinate-wise extremes of its vertices); without one
-    the box is found by 2n LPs, which also show P empty (no runs) or
-    unbounded (UnboundedError).
+    box is (lows, highs, D), ints with D > 0: the box of the x with
+    lows[i] <= D x_i <= highs[i], containing P (integer_box makes one from
+    rational pairs).  A caller that knows P is nonempty and bounded passes
+    its exact bounding box (the coordinate-wise extremes of its vertices);
+    without one the box is found by 2n LPs, which also show P empty (no
+    runs) or unbounded (UnboundedError).
+
+    search, when given, prunes the walk and takes its runs as they are
+    reached, and the runs returned are those reached.  The walk carries a
+    value down from the root: search.start(lo, hi) gets the integer box,
+    lo[i] <= x_i <= hi[i], and returns the root's value; search.child(j,
+    value, v) returns the value of the prefix extended by x_j = v, or None
+    to skip every point under it; search.run(prefix, lo, hi, value) takes
+    each run reached, in order, with its prefix's value.
     """
     if box is None:
         box = bounding_box(P)
         if box is None:
             return []
+        box = integer_box(box)
+    if search is None:
+        search = _Unpruned()
     n = P.n
     rows, rhs = P.int_rows
-    lo = [math.ceil(a) for a, _ in box]
-    hi = [math.floor(b) for _, b in box]
-    e = math.lcm(*(v.denominator for pair in box for v in pair))
-    ebox = [(int(e * a), int(e * b)) for a, b in box]  # exact: e clears them
+    lows, highs, e = box
+    lo = [-(-a // e) for a in lows]
+    hi = [b // e for b in highs]
     # Per coordinate j, the rows with a nonzero entry there: that entry
     # times e, and e times the least value over the box of the row's part
     # past j.
-    bounds = [[(i, e * row[j], sum(a * ebox[t][0 if a > 0 else 1]
+    bounds = [[(i, e * row[j], sum(a * (lows[t] if a > 0 else highs[t])
                                    for t, a in enumerate(row[j + 1:], j + 1)))
                for i, row in enumerate(rows) if row[j]] for j in range(n)]
+    child, take = search.child, search.run
     out = []
     prefix: list[int] = []
 
-    def rec(j: int, slack: list[int]):
+    def rec(j: int, slack: list[int], value):
         # slack[i] is rhs_i minus row i on the fixed prefix.
         lo_j, hi_j = lo[j], hi[j]
         for i, c, tail in bounds[j]:
@@ -346,19 +382,24 @@ def lattice_runs(P: Polyhedron, box=None) -> list[tuple[tuple[int, ...], int, in
         if j == n - 1:
             if lo_j <= hi_j:
                 out.append((tuple(prefix), lo_j, hi_j))
+                take(*out[-1], value)
             return
         for v in range(lo_j, hi_j + 1):
+            below = child(j, value, v)
+            if below is None:
+                continue
             prefix.append(v)
-            rec(j + 1, [s - row[j] * v for s, row in zip(slack, rows)])
+            rec(j + 1, [s - row[j] * v for s, row in zip(slack, rows)], below)
             prefix.pop()
 
-    rec(0, list(rhs))
+    rec(0, list(rhs), search.start(lo, hi))
     return out
 
 
 def enumerate_lattice_points(P: Polyhedron, box=None) -> list[tuple[int, ...]]:
     """All integer points of a bounded P, in lexicographic order, as int
-    tuples: the runs of lattice_runs(P, box), expanded in order."""
+    tuples: the runs of the unpruned lattice_runs(P, box), expanded in
+    order."""
     return [(*prefix, v) for prefix, lo, hi in lattice_runs(P, box)
             for v in range(lo, hi + 1)]
 

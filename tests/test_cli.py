@@ -208,6 +208,17 @@ def test_cmd_proximity(capsys, ex11_path):
     assert doc["trace"][-1]["termination"] == "small-norm"
 
 
+def test_cmd_proximity_approximation_claim(capsys, ex11_path, monkeypatch):
+    """The outputs' verdicts, which the theorem makes approximations, are
+    read after the run's own claims; a verdict that rejects them (verdict
+    patched) exits 4 with the approximation claim."""
+    monkeypatch.setattr(oracles, "verdict",
+                        lambda *args: oracles.ApproxVerdict(False, F(2), False))
+    assert main(["proximity", ex11_path, "--eps", "1/2"]) == 4
+    assert capsys.readouterr().err == (
+        "violation: claim approximation violated: pipeline output failed its verdict\n")
+
+
 def test_cmd_proximity_bad_eps(capsys, ex11_path):
     assert main(["proximity", ex11_path, "--eps", "0"]) == 2
     assert main(["proximity", ex11_path, "--eps", "x"]) == 2

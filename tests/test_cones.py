@@ -598,7 +598,16 @@ def test_check_two_representations():
     w = (F(0), F(1))
     pos = ConicDecomposition([v, w], [F(2), F(1)])
     neg = ConicDecomposition([], [])
-    assert check_two_representations(P, cone, [0, 0], [2, 1], pos, neg)
+    assert check_two_representations(P, cone, [0, 0], [2, 1], pos, neg) == ([2, 1], 1)
+    # w in both sums: 2 v + w/2 = (2, 1) - w/2 = (2, 1/2), still in P.
+    half = ConicDecomposition([w], [F(1, 2)])
+    assert check_two_representations(P, cone, [0, 0], [2, 1],
+                                     ConicDecomposition([v, w], [F(2), F(1, 2)]),
+                                     half) == ([4, 1], 2)
+    # Outside P: x2 = (2, 1) - 2 w = (2, -1) on both sides.
+    assert check_two_representations(P, cone, [F(2), F(-2)], [2, 1],
+                                     ConicDecomposition([w], [F(1)]),
+                                     ConicDecomposition([w], [F(2)])) is None
 
 
 def test_check_two_representations_mismatch():
@@ -616,6 +625,20 @@ def test_check_two_representations_rejects_negative_coeff():
     bad = ConicDecomposition([(F(1), F(0))], [F(-1)])
     with pytest.raises(InputError):
         check_two_representations(P, cone, [0, 0], [2, 1], bad, bad)
+
+
+def test_check_two_representations_rejects_a_generator_outside_the_cone():
+    """The quadrant cone at (2, 1) holds no direction with a negative
+    coordinate, so (1, -1) is no generator of it, even when both sums
+    agree."""
+    P = polyhedron([[-1, 0], [0, -1]], [0, 0])
+    cone = build_cone(P.int_rows[0], [2, 1], [0, 0])
+    g = (F(1), F(-1))
+    with pytest.raises(InputError, match=r"generator \(Fraction\(1, 1\), Fraction\(-1, 1\)\) "
+                                         "is not in the cone"):
+        check_two_representations(P, cone, [0, 0], [2, 1],
+                                  ConicDecomposition([g, (F(1), F(2))], [F(1), F(1)]),
+                                  ConicDecomposition([], []))
 
 
 def reference_cone_contains(cone, x):

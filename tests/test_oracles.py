@@ -263,14 +263,23 @@ def test_claim_cross_checks_catch_a_corrupted_input(c2_run, claim, message, corr
 
 
 def test_full_report_enumerates_lattice_once(monkeypatch):
+    """One lattice walk, of the face walk's box, pruned: random_instance(6)
+    (n = 3, m = 6, k = 0) has 49 runs, and the walk reaches 13 of them;
+    under every other prefix each point is worse than the least value found
+    so far and none beats the greatest (the unpruned walk reached all 49)."""
     calls = []
     real = oracles.lattice_runs
     monkeypatch.setattr(oracles, "lattice_runs",
-                        lambda *a: calls.append(a) or real(*a))
-    inst = random_instance(3)
+                        lambda *a: calls.append((a, real(*a))) or calls[-1][1])
+    inst = random_instance(6)
+    assert (inst.n, inst.m, inst.k) == (3, 6, 0)
     rep = full_report(inst)
     assert len(calls) == 1
-    assert calls[0][1] is not None  # the box came from the vertices
+    (P, box, _), reached = calls[0]
+    assert box is not None  # the box came from the vertices
+    assert len(reached) == 13
+    assert len(lattice_runs(P, box)) == 49
+    monkeypatch.undo()
     assert rep.int_opt == solve_iqp(inst)
     assert (rep.fmax_int, rep.fmax_int_witness) == oracles.fmax_int_witness(inst)
 
@@ -399,6 +408,48 @@ def diagonal_instance(q, h):
     return instance([[1, -1], [-1, 1], [1, 0], [-1, 0]], [0, 0, 2, 2], q, h, len(q))
 
 
+def unpruned_lattice_extremes(inst, runs, objective):
+    """The extremes over every run of the unpruned walk, each run's prefix
+    value computed afresh: the minimizer (with ties), the maximum and its
+    lexicographically first maximizer, as _Extremes finds them."""
+    if not runs:
+        raise InfeasibleError("no integer point in the feasible region")
+    q, h, d = objective
+    j = inst.n - 1
+    hj, qj = h[j], (q[j] if j < inst.k else 0)
+
+    def g(v):
+        return (hj - qj * v) * v
+
+    best = top = wit = None
+    ties = []
+    for prefix, lo, hi in runs:
+        base = oracles._objective_numerator(q, h, prefix, 1)
+        if qj:
+            c = hj // (2 * qj)
+            a, b = min(max(c, lo), hi), min(max(c + 1, lo), hi)
+            vmax = b if g(b) > g(a) else a
+        else:
+            vmax = hi if hj > 0 else lo
+        if top is None or base + g(vmax) > top:
+            top, wit = base + g(vmax), (*prefix, vmax)
+        glo, ghi = g(lo), g(hi)
+        gmin = min(glo, ghi)
+        if best is None or base + gmin < best:
+            best, ties = base + gmin, []
+        elif base + gmin > best:
+            continue
+        if not qj and not hj:
+            ties.extend((*prefix, v) for v in range(lo, hi + 1))
+        else:
+            if glo == gmin:
+                ties.append((*prefix, lo))
+            if ghi == gmin and hi != lo:
+                ties.append((*prefix, hi))
+    fties = tuple(tuple(map(F, p)) for p in ties)
+    return oracles.OptResult(fties[0], F(best, d), fties), F(top, d), tuple(map(F, wit))
+
+
 @settings(max_examples=150, deadline=None)
 @given(rational_objectives())
 @example(box_instance([1], [0], r=2))                 # tied minimizers
@@ -420,7 +471,9 @@ def test_lattice_extremes_match_eval_objective(inst):
         assert lo <= hi
         assert not contains_int(P, [*p, lo - 1], 1) and not contains_int(P, [*p, hi + 1], 1)
     assert all(a[0] < b[0] for a, b in zip(runs, runs[1:]))
-    got = oracles._lattice_extremes(inst, runs, oracles._integer_objective(inst))
+    objective = oracles._integer_objective(inst)
+    got = oracles._lattice_extremes(inst, None, objective)
+    assert got == unpruned_lattice_extremes(inst, runs, objective)
     assert got == reference_lattice_extremes(inst, pts)
     assert got == point_list_lattice_extremes(inst, pts)
     opt, top, wit = got
@@ -634,15 +687,26 @@ def test_fmax_cont_witness_calls_no_fraction_kernel(monkeypatch):
     (box_instance([1, F(1, 2)], [F(1, 2), -1]), 0),
     # h_1 != 0 on the linear coordinate: every rank-deficient E_S holds 0 = 1.
     (box_instance([1], [F(1, 2), 1]), 0),
-    # h_1 = 0: the face P itself reaches the LP; every later face ties it.
+    # h_1 = 0: the E_S of the face P itself is the line x_0 = 1/4, which
+    # meets P; every later face ties it, so P stays the witness and its LP
+    # runs once, at the end.
     (box_instance([1], [F(1, 2), 0]), 1),
-    # f = -(x_0 - 5)^2 on x_0 in [-1, 1/2]: the LPs of P and of the lines
-    # x_0 = -1 and x_0 = 1/2; the line x_0 = 1 misses 2 x_0 <= 1 and takes
-    # none (4 with its LP).
+    # f = -(x_0 - 5)^2 on x_0 in [-1, 1/2]: the E_S of P, the line x_0 = 5,
+    # misses P, and so does the line x_0 = 1 (2 x_0 <= 1); the lines
+    # x_0 = -1 and x_0 = 1/2 meet it, and the second stays the witness, so
+    # its LP is the only one (an LP per face that meets P made 3, and one
+    # per line 4).
     (instance([[1, 0], [-1, 0], [0, 1], [0, -1], [2, 0]], [1, 1, 1, 1, 1],
-              [1], [10, 0], 1), 3),
+              [1], [10, 0], 1), 1),
+    # k = 0, h = 0 in n = 3: every E_S is the face's own hull.  P's has
+    # three free directions and takes an LP at once; it attains 0, which no
+    # later face beats, so no other face reaches the LP.
+    (box_instance([], [0, 0, 0], r=1), 1),
 ])
 def test_fmax_cont_witness_face_lps(monkeypatch, inst, lps):
+    """A face whose E_S is a line is decided by meeting that line with P,
+    and takes its LP only if it is still the witness at the end; a face
+    with two or more free directions takes its LP at once."""
     calls = []
     monkeypatch.setattr(oracles, "feasible_point",
                         lambda A, b: calls.append(A) or feasible_point(A, b))
@@ -651,12 +715,46 @@ def test_fmax_cont_witness_face_lps(monkeypatch, inst, lps):
 
 
 def test_fmax_cont_witness_face_constant_claim(monkeypatch):
-    # The LP of the face P itself returns a point where f is not v_S = 1/16.
+    """At the final witness: the LP of the face P itself, whose E_S is the
+    line x_0 = 1/4, returns a point where f is not v_S = 1/16."""
     inst = box_instance([1], [F(1, 2), 0])
     monkeypatch.setattr(oracles, "feasible_point", lambda A, b: [F(3), F(0)])
     with pytest.raises(ClaimViolation) as err:
         oracles.fmax_cont_witness(inst)
     assert err.value.claim == "face-constant"
+    assert str(err.value) == "claim face-constant violated: face (): f is not constant on E_S"
+
+
+def test_fmax_cont_witness_face_constant_claim_at_a_superseded_face(monkeypatch):
+    """At a face that a later one supersedes, before any LP: every line
+    comes out of line_through moved by e_0, off its E_S.  On x_0 in
+    [-1, 1/2] with f = -(x_0 - 5)^2, the E_S of the face x_0 = -1 is that
+    line; it still meets P, but its point at the end of its interval now
+    has x_0 = 0, where f is not v_S = -36.  Uncorrupted, the face x_0 = 1/2
+    supersedes it."""
+    inst = instance([[1, 0], [-1, 0], [0, 1], [0, -1], [2, 0]], [1, 1, 1, 1, 1],
+                    [1], [10, 0], 1)
+    assert oracles.fmax_cont_witness(inst)[1] == (F(1, 2), F(0))
+    real = oracles.line_through
+    monkeypatch.setattr(oracles, "line_through", lambda P, X0, w, L: real(
+        P, [X0[0] + L, *X0[1:]], w, L))
+    monkeypatch.setattr(oracles, "feasible_point", None)  # no LP is reached
+    with pytest.raises(ClaimViolation) as err:
+        oracles.fmax_cont_witness(inst)
+    assert err.value.claim == "face-constant"
+    assert str(err.value) == "claim face-constant violated: face (1,): f is not constant on E_S"
+
+
+def test_fmax_cont_witness_face_lp_claim(monkeypatch):
+    """The final witness's line meets P, so its LP must find a point; an LP
+    that finds none is a face-lp violation."""
+    inst = box_instance([1], [F(1, 2), 0])
+    monkeypatch.setattr(oracles, "feasible_point", lambda A, b: None)
+    with pytest.raises(ClaimViolation) as err:
+        oracles.fmax_cont_witness(inst)
+    assert err.value.claim == "face-lp"
+    assert str(err.value) == ("claim face-lp violated: face (): "
+                              "the LP finds no point of E_S in P")
 
 
 @st.composite
@@ -715,6 +813,43 @@ def test_full_report_matches_lp_box_reference(inst):
     got = full_report(inst)
     assert got == want
     assert repr(got) == repr(want)
+
+
+FAMILY_INSTANCES = [build_example_1_1(3).instance, build_prop44(F(1, 4), 3, n=5).instance,
+                    build_prop45(3, 1, F(1, 2)).instance,
+                    build_pr_tight(3, 1, 1, F(1, 2), F(2, 3)).instance,
+                    build_prop46(2, 2, F(1, 4)).instance,
+                    build_ilp_tightness(3, 2, F(1, 2)).instance]
+
+
+def family_examples(test):
+    for inst in FAMILY_INSTANCES:
+        test = example(inst)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(rational_objectives(), rational_regions(), report_regions()))
+@family_examples
+@example(box_instance([1], [0], r=2))                 # tied minimizers at both ends
+@example(diagonal_instance([], [0, 0]))               # f constant: every point ties
+def test_pruned_walk_matches_unpruned_walk(inst):
+    """The pruned walk (_Extremes) gives the extremes of every run of the
+    unpruned walk, with the same ties and witness, or the same error, on
+    the LP box and on the face walk's box."""
+    objective = oracles._integer_objective(inst)
+    for box in (None, oracles._face_walk(inst)[3]):
+        try:
+            want = unpruned_lattice_extremes(inst, lattice_runs(inst.polyhedron(), box),
+                                             objective)
+        except (InfeasibleError, UnboundedError) as err:
+            with pytest.raises(type(err)) as got:
+                oracles._lattice_extremes(inst, box, objective)
+            assert str(got.value) == str(err)
+            continue
+        got = oracles._lattice_extremes(inst, box, objective)
+        assert got == want
+        assert repr(got) == repr(want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -819,36 +954,40 @@ def combinations_fmax_cont_witness(inst, vertices=None):
 
 def face_walk_run(walk, inst, collect):
     """walk's (value, witness) or InfeasibleError message, its vertices as a
-    multiset of (point, value), its number of face LPs, and how many of
-    those are the infeasible LPs of lines that miss P.
-
-    The LP of a face S has m + 2n - |S| rows, so a line's (|S| = n - 1) has
-    m + n + 1; it reaches the LP only when its E_S is the line itself, and
-    is then infeasible exactly when the line misses P."""
+    multiset of (point, value), and its face LPs in order: each as the
+    number of free directions of its E_S (n less the rank of the LP's
+    equality rows, those past P's m) and its point or None."""
     verts = [] if collect else None
-    missed = []
+    lps = []
 
     def lp(A, b):
         pt = feasible_point(A, b)
-        if pt is None and len(A) == inst.m + inst.n + 1:
-            missed.append(A)
+        lps.append((inst.n - exact.rank(A[inst.m:]), pt and tuple(pt)))
         return pt
 
-    with mock.patch.object(oracles, "feasible_point", wraps=lp) as calls:
+    with mock.patch.object(oracles, "feasible_point", wraps=lp):
         try:
             got = walk(inst, verts)
         except InfeasibleError as err:
             got = ("InfeasibleError", str(err))
     return (got, Counter((tuple(F(x, e) for x in X), F(num, den))
-                         for X, e, num, den in verts or []), calls.call_count, len(missed))
+                         for X, e, num, den in verts or []), lps)
 
 
 def assert_same_walk(run, reference):
-    """run, a face_walk_run of fmax_cont_witness, has the reference walk's
-    result and vertices; its face LPs are the reference's less those of the
-    lines that miss P, which it skips."""
+    """run, a face_walk_run of fmax_cont_witness, has the result and the
+    vertices of reference, a walk that runs each face's LP at once.  Its
+    face LPs are exactly the reference's on faces with two or more free
+    directions, in order, and then, when the reference's witness is the
+    point of an LP on a face whose E_S is a line, that LP once more: the
+    last LP with a point, since each such LP sets the best value, and a
+    later face replaces it only with a larger value at another point."""
     assert run[:2] == reference[:2]
-    assert run[2:] == (reference[2] - reference[3], 0)
+    want = [lp for lp in reference[2] if lp[0] >= 2]
+    found = [lp for lp in reference[2] if lp[1] is not None]
+    if found and found[-1][0] == 1 and found[-1][1] == reference[0][1]:
+        want.append(found[-1])
+    assert run[2] == want
 
 
 @pytest.mark.parametrize("collect", [False, True], ids=["value", "vertices"])
@@ -860,12 +999,11 @@ def assert_same_walk(run, reference):
 @example(build_pr_tight(3, 1, 1, F(1, 2), F(2, 3)).instance)
 @example(build_prop46(2, 2, F(1, 4)).instance)
 def test_level_walk_matches_combinations_walk(collect, inst):
-    """The level walk gives the combinations walk's (value, witness) or its
-    InfeasibleError, its vertices and its number of face LPs, less those of
-    the lines that miss P.  The
-    combinations walk solves every face, so the level walk's dominance skip
-    is checked against it; the worst-case builders are where the skip fires
-    on every face below the root."""
+    """The walk gives the combinations walk's (value, witness) or its
+    InfeasibleError and its vertices, and the face LPs assert_same_walk
+    derives from its LPs.  The combinations walk solves every face, so the
+    walk's dominance skip is checked against it; the worst-case builders
+    are where the skip fires on every face below the root."""
     assert_same_walk(face_walk_run(oracles.fmax_cont_witness, inst, collect),
                      face_walk_run(combinations_fmax_cont_witness, inst, collect))
 
@@ -992,10 +1130,11 @@ def level_face_walk(inst):
 @example(build_prop44(F(1, 4), 3, n=5).instance)
 def test_line_walk_matches_level_walk(collect, inst):
     """The walk on lines gives the level walk's (value, witness) or its
-    InfeasibleError, its number of face LPs less those of the lines that
-    miss P, and its vertex list: the same
-    ints (X, e, num, den) in the same order.  With the vertices, _face_walk
-    gives the level walk's box, as Fractions."""
+    InfeasibleError and its vertex list: the same ints (X, e, num, den) in
+    the same order.  Its face LPs are those assert_same_walk derives from
+    the level walk's, which runs each face's LP at once.  With the
+    vertices, _face_walk gives the level walk's box, as ints over one
+    denominator."""
     lists = []
 
     def keeping(walk):
@@ -1006,8 +1145,13 @@ def test_line_walk_matches_level_walk(collect, inst):
     assert lists[0] == lists[1]
     if collect:
         box = oracles._face_walk(inst)[3]
-        assert box == level_face_walk(inst)[3]
-        assert all(type(v) is F for pair in box or [] for v in pair)
+        want = level_face_walk(inst)[3]
+        if want is None:
+            assert box is None
+        else:
+            lows, highs, D = box
+            assert all(type(v) is int for v in [*lows, *highs, D]) and D > 0
+            assert [(F(a, D), F(b, D)) for a, b in zip(lows, highs)] == want
 
 
 def face_walk_counts(monkeypatch, walk):
@@ -1112,8 +1256,9 @@ def verdict_loop_delta_star(inst, eps):
     return oracles.DeltaStarResult(best, pair[0], pair[1], tuple(approx), flag)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(rational_objectives(), report_regions()),
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(rational_objectives(), rational_regions(), report_regions(),
+                 st.sampled_from(FAMILY_INSTANCES)),
        st.fractions(-1, 2, max_denominator=6))
 @example(box_instance([], [0], r=1), F(1, 2))        # f constant: degenerate
 @example(box_instance([], [0], r=1), F(-1))

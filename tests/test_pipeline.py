@@ -830,11 +830,16 @@ def test_run_pipeline_output_feasibility_claims(monkeypatch, rejected, claim):
     assert err.value.claim == claim
 
 
-@pytest.mark.parametrize("moved, claim", [
-    (21, "xell-step"),      # x_1 21 further from x_0, beyond delta * chi_0 = 20
-    (None, "zero-growth"),  # x_1 = x_0
+@pytest.mark.parametrize("moved, claim, message", [
+    # x_1 21 further from x_0, beyond delta * chi_0 = 20
+    pytest.param(21, "xell-step", "step 0 exceeded delta*chi_1", id="21-xell-step"),
+    pytest.param(None, "zero-growth", "zero set did not grow",  # x_1 = x_0
+                 id="None-zero-growth"),
+    # x_1 one further along e_1, so x_c - x_1 = (3/4, -1) is below the
+    # normalized box, whose e_1 range starts at 0
+    pytest.param(-1, "xell-a", "x^c - x^1 left the polyhedron", id="-1-xell-a"),
 ])
-def test_build_sequence_claims_on_a_corrupted_step(monkeypatch, moved, claim):
+def test_build_sequence_claims_on_a_corrupted_step(monkeypatch, moved, claim, message):
     """The box product run (c2_run), normalized x_c = (3/4, 803/4), whose
     one step zeroes the first coordinate, with that step corrupted."""
     step = one_step
@@ -847,6 +852,67 @@ def test_build_sequence_claims_on_a_corrupted_step(monkeypatch, moved, claim):
     with pytest.raises(ClaimViolation) as err:
         run_pipeline(*c2_run("box-100"))
     assert err.value.claim == claim
+    assert str(err.value) == f"claim {claim} violated: {message}"
+
+
+class UncheckedEps(F):
+    """A Fraction that passes the range check eps <= 1 whatever its value."""
+
+    def __le__(self, other):
+        return True
+
+
+def test_compute_schedule_bound_claim(monkeypatch):
+    """schedule-bound on eps = 100, past the range check it relies on
+    (checked_eps patched to hand compute_schedule an UncheckedEps): with
+    n = delta = k = 1, psi_1 + n delta = 52/25 + 1 exceeds
+    n delta (10 delta / eps + 1) = 11/10."""
+    monkeypatch.setattr(pipeline, "checked_eps", UncheckedEps)
+    with pytest.raises(ClaimViolation) as err:
+        compute_schedule(1, 1, 1, 100)
+    assert err.value.claim == "schedule-bound"
+    assert str(err.value) == ("claim schedule-bound violated: "
+                              "psi_k + n*delta = 77/25 > 11/10")
+
+
+def test_build_sequence_length_claim_in_the_loop(monkeypatch):
+    """sequence-length before a step: on the box |x_i| <= 10 with k = 1,
+    x_0 = (1, 5) takes one step, to (0, 5).  Honest zero sets then end the
+    loop (N_1 is empty: all-large), so the run reaches the claim only when
+    the zero-set test never reports N_j empty (patched) and the schedule
+    has a threshold chi_2 to read (computed for k = 2)."""
+    real = pipeline._zero_nonzero_sets
+
+    def never_empty(x, k):
+        z, nset = real(x, k)
+        return z, nset or frozenset({0})
+
+    monkeypatch.setattr(pipeline, "_zero_nonzero_sets", never_empty)
+    inst = instance([[1, 0], [-1, 0], [0, 1], [0, -1]], [10] * 4, [1], [0, 0], k=1)
+    with pytest.raises(ClaimViolation) as err:
+        build_sequence(inst, ([1, 5], 1), compute_schedule(2, 1, 2, F(1)), 1)
+    assert err.value.claim == "sequence-length"
+    assert str(err.value) == "claim sequence-length violated: more than k steps taken"
+
+
+def test_build_sequence_length_claim_at_the_end(monkeypatch):
+    """sequence-length on ell: the box product run (c2_run) ends at
+    ell = 1 <= k = 2, and with every StepRecord built 10 indices on (the
+    record class patched) its last record says ell = 11."""
+    real = pipeline.StepRecord
+
+    def shifted(*args, **kwargs):
+        if "j" in kwargs:
+            kwargs["j"] += 10
+        else:
+            args = (args[0] + 10, *args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "StepRecord", shifted)
+    with pytest.raises(ClaimViolation) as err:
+        run_pipeline(*c2_run("box-100"))
+    assert err.value.claim == "sequence-length"
+    assert str(err.value) == "claim sequence-length violated: ell=11 > k=2"
 
 
 def test_build_sequence_xell_b_on_a_corrupted_schedule(monkeypatch):
@@ -936,17 +1002,23 @@ def c2_run(case):
 
 @pytest.mark.parametrize("case, counts", [
     ("example-1-1", (5, 0)),   # 6 and 2 with a Fraction sequence, 15 and 10 with Fraction points
-    # 16 and 2 with a Fraction one_step, 18 and 5 with a Fraction sequence,
-    # 34 and 14 with Fraction points
-    ("box-100", (17, 0)),
+    # 17 and 0 when each generator was scaled for every use, 16 and 2 with a
+    # Fraction one_step, 18 and 5 with a Fraction sequence, 34 and 14 with
+    # Fraction points
+    ("box-100", (14, 0)),
 ])
 def test_c2_run_scales_each_point_once(monkeypatch, case, counts):
     """exact.integer_vector and polyhedra.contains calls in one case c-2
     run (c2_run).  A point check that goes back to Fractions raises these
     counts.  one_step tests its points as ints, so no `contains` call is
-    left.  Its step scales the two points of the representation check and
-    each generator term it combines, for the next point and for each
-    representation."""
+    left.  The box-100 run's 14 are: the anchor in run_pipeline and in
+    normalize (2); the cone's direction in build_cone, for one_step and for
+    the rounding step (2); the 6 candidate rays of enumerate_generators
+    (cone_contains); the
+    two points of the representation check (2); and its 2 generators,
+    once each, for the cone test and both sums, the next point being the
+    common point (before, 5: one generator was also in the greedy sum that
+    made the next point)."""
     args = c2_run(case)
     scaled = counted_calls(monkeypatch, exact, "integer_vector")
     tested = counted_calls(monkeypatch, polyhedra, "contains")

@@ -11,7 +11,7 @@ from iqprox import exact, polyhedra
 from iqprox.errors import DimensionError, InputError, UnboundedError
 from iqprox.polyhedra import (bounding_box, contains, coordinate_range,
                               enumerate_faces, enumerate_lattice_points,
-                              enumerate_vertices, intersect_with_box, is_empty,
+                              enumerate_vertices, integer_box, intersect_with_box, is_empty,
                               polyhedron, tight_rows)
 
 
@@ -151,9 +151,9 @@ def test_lattice_points_match_fraction_reference(P):
     assert all(type(v) is int for p in got for v in p)
     box = bounding_box(P)
     if box is not None:
-        assert enumerate_lattice_points(P, box) == got
+        assert enumerate_lattice_points(P, integer_box(box)) == got
         wide = [(lo - F(1, 2), hi + 1) for lo, hi in box]
-        assert enumerate_lattice_points(P, wide) == got
+        assert enumerate_lattice_points(P, integer_box(wide)) == got
 
 
 def reference_vertices(P):

@@ -165,3 +165,51 @@ def test_no_unused_imports():
     stale import behind."""
     assert SOURCES
     assert [entry for path in SOURCES for entry in unused_imports(path)] == []
+
+
+TESTS = sorted(Path(__file__).resolve().parent.glob("test_*.py"))
+
+
+def claim_sites() -> dict[str, list[str]]:
+    """file:line of each ClaimViolation(...) under src/iqprox/, by the claim
+    name, its first argument; a name that is no string literal is kept as
+    its source text, which no test asserts."""
+    sites: dict[str, list[str]] = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "ClaimViolation"):
+                arg = node.args[0] if node.args else node
+                name = (arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                        else ast.unparse(arg))
+                sites.setdefault(name, []).append(f"{path.name}:{node.lineno}")
+    return sites
+
+
+def asserted_strings() -> set[str]:
+    """The string literals in the assert statements and the decorators (the
+    parametrize tables) of the test_ functions under tests/.  The
+    test-local reference copies raise their claims and assert none, so a
+    name counts only where a test checks it."""
+    found = set()
+    for path in TESTS:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+                for part in [*node.decorator_list,
+                             *(n for n in ast.walk(node) if isinstance(n, ast.Assert))]:
+                    found |= {c.value for c in ast.walk(part)
+                              if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return found
+
+
+def test_every_claim_is_asserted_by_a_test():
+    """Each claim name raised under src/iqprox/ is asserted by some test:
+    as the name (err.value.claim == name, or a parametrize entry) or in its
+    message, "claim <name> violated: ...", as the CLI prints it."""
+    sites = claim_sites()
+    asserted = asserted_strings()
+    unasserted = {name: where for name, where in sites.items()
+                  if name not in asserted
+                  and not any(f"claim {name} violated" in s for s in asserted)}
+    assert len(sites) >= 30
+    assert unasserted == {}
