@@ -154,7 +154,7 @@ def cmd_tightness(args) -> int:
 
 def cmd_subdet(args) -> int:
     inst = formats.load_instance(args.instance)
-    value, rows, cols = exact.max_abs_subdeterminant_witness(inst.int_A)
+    value, rows, cols = exact._max_abs_subdeterminant_int(inst.int_A)  # A's rows are ints
     _emit({"max_abs_subdeterminant": value,
            "witness_rows": list(rows), "witness_cols": list(cols)})
     return EXIT_OK

@@ -4,7 +4,7 @@ The cone of two points puts each int row u (a row of a matrix times a
 positive int) on a side by the sign of u.(xa - xb); ties land on both
 sides.  Generators are the primitive integer extreme rays of the cone cut
 by each orthant, which keeps every generator's infinity norm within the
-subdeterminant bound of the source matrix.
+subdeterminant bound of the source matrix; each is a tuple of ints.
 """
 
 from __future__ import annotations
@@ -38,11 +38,12 @@ class ProximityCone:
 class ConicDecomposition:
     """target = sum_i coefficients[i] * generators[i], all coefficients > 0.
 
-    combine sums any coefficient list over the generators, so the floored
-    or split coefficients of a decomposition are combined by it too.
+    The generators of enumerate_generators are int tuples.  combine sums any
+    coefficient list over the generators, so the floored or split
+    coefficients of a decomposition are combined by it too.
     """
 
-    generators: list[tuple[Fraction, ...]] = field(default_factory=list)
+    generators: list[tuple[int | Fraction, ...]] = field(default_factory=list)
     coefficients: list[Fraction] = field(default_factory=list)
 
     def combine(self, n: int) -> list[Fraction]:
@@ -93,8 +94,9 @@ def _cone_holds(cone: ProximityCone, X) -> bool:
 
 
 def enumerate_generators(cone: ProximityCone,
-                         delta: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The cone's primitive integer generators, sorted; infinity norm <= delta.
+                         delta: int) -> tuple[tuple[int, ...], ...]:
+    """The cone's primitive integer generators as int tuples, sorted;
+    infinity norm <= delta.
 
     The extreme rays of the cone cut by any orthant are the rays in the cone
     on which n-1 linearly independent hyperplanes (cone rows or coordinate
@@ -112,8 +114,8 @@ def enumerate_generators(cone: ProximityCone,
     on top of that rank-r echelon are walked (exact.independent_row_sets).
     A hyperplane that depends on the equalities reduces to zero there and
     ends its own subtree.  Each set has a kernel line; its direction with a
-    positive free entry, then the other, is kept, divided by its gcd, when
-    it lies in the cone.
+    positive free entry, then the other, is divided by its gcd, tested on
+    the cone rows as the ints it is, and kept when it lies in the cone.
 
     The lines come in the order of the walk over all (n-1)-sets.  A line
     comes first at the lexicographically first set of hyperplanes that
@@ -151,13 +153,13 @@ def enumerate_generators(cone: ProximityCone,
         g = gcd(*w)
         line = [x // g for x in w]
         for r in (line, [-x for x in line]):
-            if cone_contains(cone, r):
+            if _cone_holds(cone, r):
                 if max(map(abs, r)) > delta:
                     raise ClaimViolation(
                         "generator-norm",
                         f"generator {tuple(r)} exceeds the subdeterminant bound {delta}")
                 found.add(tuple(r))
-    return tuple(tuple(map(Fraction, g)) for g in sorted(found))
+    return tuple(sorted(found))
 
 
 def conic_multipliers(gens, target) -> list[Fraction] | None:
@@ -259,8 +261,10 @@ def check_two_representations(P: Polyhedron, cone: ProximityCone,
 
     A disagreement between the two expressions raises RepresentationMismatch.
     Returns the common point as ints (V, D), V / D in lowest terms, or None
-    when P does not hold it.  Each generator is scaled once, for its cone
-    test and for both sums (combination_int), even when it is in both.
+    when P does not hold it.  A generator of ints, as enumerate_generators
+    gives, is taken as it is, over 1; any other is scaled once.  Either
+    serves its cone test and both sums (combination_int), even when it is
+    in both.
     """
     scaled = {}
     for combo in (pos_combo, neg_combo):
@@ -271,7 +275,8 @@ def check_two_representations(P: Polyhedron, cone: ProximityCone,
                 raise DimensionError("point dimension mismatch")
             key = tuple(g)
             if key not in scaled:
-                scaled[key] = exact.integer_vector(g)
+                scaled[key] = ((key, 1) if all(type(x) is int for x in key)
+                               else exact.integer_vector(key))
             if not _cone_holds(cone, scaled[key][0]):
                 raise InputError(f"generator {g} is not in the cone")
     n = P.n

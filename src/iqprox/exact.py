@@ -12,6 +12,8 @@ has one step, ``_extend_echelon``, which adds one row to an echelon:
 ``independent_row_sets`` walks the independent row sets of an int matrix,
 one added row per set.  The last pivot of an echelon is the minor on its
 rows and pivot columns, so determinants and Cramer's rule are read off it.
+The subdeterminant scan reads its 1x1 and 2x2 minors in closed form, and
+the larger ones by determinant.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
-from operator import mul
+from operator import mul, neg
 
 from .errors import DimensionError, DomainError
 
@@ -34,10 +36,6 @@ def is_integral(x: Fraction) -> bool:
 
 def is_integral_vec(v) -> bool:
     return all(is_integral(x) for x in v)
-
-
-def is_integral_mat(M) -> bool:
-    return all(is_integral(x) for row in M for x in row)
 
 
 def dot(u, v) -> Fraction:
@@ -261,6 +259,16 @@ def _integer_matrix(M) -> list[list[int]]:
 def max_abs_subdeterminant(M) -> int:
     """Largest |det| over all square submatrices of an integer matrix.
 
+    The entries are turned into ints once (_integer_matrix), and the rows
+    go to _max_abs_subdeterminant_rows.  Returns 0 exactly when the matrix
+    is all-zero (or empty).
+    """
+    return _max_abs_subdeterminant_rows(_integer_matrix(M))
+
+
+def _max_abs_subdeterminant_rows(rows) -> int:
+    """max_abs_subdeterminant of int rows, taken as they are.
+
     The rows are reduced first, without changing the value:
     - zero rows are dropped: every minor on such a row is 0;
     - one row of each pair equal up to sign is kept: a minor on both rows
@@ -269,18 +277,19 @@ def max_abs_subdeterminant(M) -> int:
       0 or +- a minor of the other rows, the empty minor (value 1) included.
     The rows left are scanned exhaustively, and the value is their largest
     |det|, or 1 if that is smaller and some unit row was set aside.
-    Returns 0 exactly when the matrix is all-zero (or empty).
     """
     rest: dict[tuple[int, ...], None] = {}  # rows up to sign, first nonzero entry > 0
     unit = 0
-    for row in _integer_matrix(M):
-        nonzero = [x for x in row if x]
-        if not nonzero:
+    for row in rows:
+        size = sum(map(abs, row))  # 0 on a zero row, 1 on a unit row alone
+        if size <= 1:
+            unit |= size
             continue
-        if len(nonzero) == 1 and abs(nonzero[0]) == 1:
-            unit = 1
-        else:
-            rest[tuple(row) if nonzero[0] > 0 else tuple(-x for x in row)] = None
+        row = tuple(row)
+        for lead in row:
+            if lead:
+                break
+        rest[row if lead > 0 else tuple(map(neg, row))] = None
     value, _, _ = _max_abs_subdeterminant_int(list(rest))
     return max(value, unit)
 
@@ -298,8 +307,10 @@ def _max_abs_subdeterminant_int(a) -> tuple[int, tuple[int, ...], tuple[int, ...
     """max_abs_subdeterminant_witness of a matrix whose entries are ints.
 
     The 1x1 minors are the entries, so that size is read as the largest
-    |a_ij|, its witness the first such entry in (row, col) order; the larger
-    sizes are scanned by determinant.
+    |a_ij|, its witness the first such entry in (row, col) order.  The 2x2
+    minor on rows (r, s) and columns (c, e) is read in closed form, as
+    a_rc a_se - a_re a_sc, in the same (rows, cols) order; the larger sizes
+    are scanned by determinant.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -308,7 +319,15 @@ def _max_abs_subdeterminant_int(a) -> tuple[int, tuple[int, ...], tuple[int, ...
         for c, x in enumerate(row):
             if abs(x) > best:
                 best, best_rows, best_cols = abs(x), (r,), (c,)
-    for size in range(2, min(m, n) + 1):
+    col_pairs = list(combinations(range(n), 2))
+    for rows in combinations(range(m), 2):
+        u, v = a[rows[0]], a[rows[1]]
+        for cols in col_pairs:
+            c, e = cols
+            d = abs(u[c] * v[e] - u[e] * v[c])
+            if d > best:
+                best, best_rows, best_cols = d, rows, cols
+    for size in range(3, min(m, n) + 1):
         for rows in combinations(range(m), size):
             for cols in combinations(range(n), size):
                 sub = [[a[r][c] for c in cols] for r in rows]

@@ -30,15 +30,20 @@ def rat_to_str(x) -> str:
 def str_to_rat(s) -> Fraction:
     """The exact rational of a string ("3/4", "0.5") or an int; no float, no bool.
 
-    A sign and ASCII digits alone are read by int; every other string by
-    Fraction, which reads those the same way.
+    An ASCII p or p/q, p a sign and digits and q digits other than zero,
+    is read by int; every other string by Fraction, which reads those the
+    same way.
     """
     if type(s) not in (str, int):
         raise InputError(f"bad rational literal {s!r}: not a string or an int")
-    if type(s) is str:
-        digits = s[1:] if s[:1] in ("+", "-") else s
-        if digits.isdigit() and digits.isascii():
-            return Fraction(int(s))
+    if type(s) is str and s.isascii():
+        num, slash, den = s.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if digits.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isdigit() and den.strip("0"):
+                return Fraction(int(num), int(den))
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
@@ -57,6 +62,13 @@ def strs_to_vec(xs) -> list[Fraction]:
     return [str_to_rat(x) for x in xs]
 
 
+def _matrix_row(xs) -> list:
+    """A row of A: strs_to_vec, with each JSON int kept as the int it is."""
+    if type(xs) is not list:
+        raise InputError(f"expected a JSON array of rationals, got {xs!r}")
+    return [x if type(x) is int else str_to_rat(x) for x in xs]
+
+
 def instance_to_dict(inst: Instance) -> dict:
     return {
         "n": inst.n,
@@ -73,7 +85,8 @@ def instance_from_dict(d: dict) -> Instance:
     """The validated instance of a document; InputError when it is malformed.
 
     A is a JSON array of rows; each row and b, q and h are JSON arrays
-    whose entries go through str_to_rat; k, n and m are JSON ints.
+    whose entries go through str_to_rat, except that a JSON int of A is
+    passed on as it is; k, n and m are JSON ints.
     """
     try:
         for key in ("k", "n", "m"):
@@ -82,7 +95,7 @@ def instance_from_dict(d: dict) -> Instance:
         if type(d["A"]) is not list:
             raise InputError(f"A must be a JSON array of rows, got {d['A']!r}")
         q = strs_to_vec(d["q"])
-        inst = instance([strs_to_vec(row) for row in d["A"]], strs_to_vec(d["b"]),
+        inst = instance([_matrix_row(row) for row in d["A"]], strs_to_vec(d["b"]),
                         q, strs_to_vec(d["h"]), d.get("k", len(q)))
     except InputError:
         raise

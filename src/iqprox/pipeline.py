@@ -12,7 +12,7 @@ claim's name when it fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -68,7 +68,8 @@ class Instance:
     def int_A(self) -> list[list[int]]:
         """A as ints, read off the int rows: A is integer, so row i's int
         row is A_i times its scale, and each division is exact."""
-        return [[a // d for a in row] for row, d in zip(self.P.int_rows[0], self.P.scales)]
+        return [list(row) if d == 1 else [a // d for a in row]
+                for row, d in zip(self.P.int_rows[0], self.P.scales)]
 
     def polyhedron(self) -> Polyhedron:
         return self.P
@@ -110,8 +111,12 @@ def _fractions(xs) -> tuple[Fraction, ...]:
 
 
 def subdeterminant_bound(inst: Instance) -> int:
-    """Delta of the constraint matrix, floored at 1 for the cone machinery."""
-    return max(1, exact.max_abs_subdeterminant(inst.int_A))
+    """Delta of the constraint matrix, floored at 1 for the cone machinery.
+
+    The instance's A is read off its int rows as ints, which go to the
+    scan as they are.
+    """
+    return max(1, exact._max_abs_subdeterminant_rows(inst.int_A))
 
 
 @dataclass(frozen=True)
@@ -386,6 +391,8 @@ def build_sequence(inst: Instance, xc, schedule: Schedule,
         z, nset = _zero_nonzero_sets(X, inst.k)
         L = math.lcm(dc, d)
         DR = [a * (L // dc) - b * (L // d) for a, b in zip(XC, X)]  # x_c - x_j, times L
+        # At j = 0 this restates normalize's anchor check: x_c - x_0 = 0 lies
+        # in the normalized polyhedron P - x_d exactly when x_d lies in P.
         if not contains_int(P, DR, L):
             raise ClaimViolation("xell-a", f"x^c - x^{j} left the polyhedron")
         c = schedule.chi[j] if nset else None  # chi_{j+1}; none is read once N_j is empty
@@ -431,12 +438,17 @@ def _scaled_fractions(X, d: int) -> tuple[Fraction, ...]:
 
 def _combine_int(generators, coefficients, n: int) -> list[int]:
     """sum_i coefficients[i] * generators[i] for integral generators and
-    int coefficients, in ints."""
+    int coefficients: ints for the int generators of enumerate_generators."""
     out = [0] * n
     for g, c in zip(generators, coefficients):
         if c:
-            out = [o + c * x.numerator for o, x in zip(out, g)]
+            out = [o + c * x for o, x in zip(out, g)]
     return out
+
+
+def _integral_generators(generators) -> bool:
+    """Whether every generator entry is an integer."""
+    return all(type(x) is int or exact.is_integral(x) for g in generators for x in g)
 
 
 def construct_outputs(inst: Instance, xc, x_ell, trace, schedule: Schedule,
@@ -475,7 +487,9 @@ def construct_outputs(inst: Instance, xc, x_ell, trace, schedule: Schedule,
     zl = last.z_set
     XL, dl = x_ell
     Pbar, _, dec = _conic_step(inst, zl, last.x_j, XL, delta)
-    if not exact.is_integral_mat(dec.generators):
+    # enumerate_generators gives int generators, so only a corrupted
+    # decomposition reaches this claim.
+    if not _integral_generators(dec.generators):
         raise ClaimViolation("xstar-integrality", "a generator is not integer")
     XS = _combine_int(dec.generators, [math.floor(c) for c in dec.coefficients], n)
     if max(abs(a - dl * b) for a, b in zip(XL, XS)) > nd * dl:
@@ -484,16 +498,19 @@ def construct_outputs(inst: Instance, xc, x_ell, trace, schedule: Schedule,
         raise ClaimViolation("xstar-membership", "x_star left the restricted polyhedron")
     nl = last.n_set
     if nl and ell < inst.k:
-        thresh = schedule.chi[ell] - nd
-        if any(abs(XS[i]) < thresh for i in nl):
+        # |x*_i| < chi_{ell+1} - n delta, over the denominator of chi_{ell+1}
+        c = schedule.chi[ell]
+        if any((abs(XS[i]) + nd) * c.denominator < c.numerator for i in nl):
             raise ClaimViolation("xstar-d", "a surviving coordinate is too small")
     zstar = frozenset(i for i in range(inst.k) if XS[i] == 0)
     if zstar != zl:
         raise ClaimViolation("xstar-e", f"zero sets differ: {sorted(zstar)} vs {sorted(zl)}")
     XK = [a - d * b for a, b in zip(XC, XS)]  # x_c - x_star, times d
-    dist = Fraction(max(map(abs, XK)), d)
-    if dist > schedule.psi_at(ell) + nd:
+    top = max(map(abs, XK))
+    psi = schedule.psi_at(ell)  # ||x_c - x_star|| = top / d against psi_ell + n delta
+    if top * psi.denominator > (psi.numerator + nd * psi.denominator) * d:
         raise ClaimViolation("xstar-f", "||x_c - x_star|| > psi_ell + n*delta")
+    dist = Fraction(top, d)
     if not contains_int(inst.polyhedron(), XK, d):
         raise ClaimViolation("xstar-g", "x_c - x_star left the polyhedron")
 
@@ -530,7 +547,8 @@ def midpoint_witnesses(inst: Instance, dec: ConicDecomposition, delta: int, xc,
     # Every coefficient is > 0, so each floor fl >= 0 splits as fl // 2
     # plus fl - fl // 2.
     floors = [math.floor(c) for c in dec.coefficients]
-    if not exact.is_integral_mat(dec.generators):
+    # As for xstar-integrality, only a corrupted decomposition reaches this.
+    if not _integral_generators(dec.generators):
         raise ClaimViolation("witness-integrality", "a generator is not integer")
     XLw, XRw = (_combine_int(dec.generators, cs, n)
                 for cs in ([f // 2 for f in floors], [f - f // 2 for f in floors]))
@@ -576,18 +594,23 @@ def run_pipeline(inst: Instance, eps, xc, xd) -> PipelineResult:
 
     XI = [a + s for a, s in zip(XS, S)]  # the integer output
     XO = [a - d * b for a, b in zip(XC, XS)]  # the continuous output, times d
-    result = replace(
-        norm_result,
-        x_ell=_scaled_fractions([a + dl * s for a, s in zip(YL, S)], dl),
-        x_star_int=tuple(map(Fraction, XI)),
-        x_star_cont=_scaled_fractions(XO, d),
-        xc=_scaled_fractions(XC, d), xd=tuple(map(Fraction, S)),
-        normalized=norm_result)
-    if result.distance_int > sched.theorem_bound:
+    r = norm_result
+    result = PipelineResult(
+        case=r.case, x_ell=_scaled_fractions([a + dl * s for a, s in zip(YL, S)], dl),
+        x_star_int=tuple(map(Fraction, XI)), x_star_cont=_scaled_fractions(XO, d),
+        trace=r.trace, distance_int=r.distance_int, distance_cont=r.distance_cont,
+        schedule=r.schedule, delta=r.delta, xc=_scaled_fractions(XC, d),
+        xd=tuple(map(Fraction, S)), z_ell=r.z_ell, decomposition=r.decomposition,
+        normalized=r, witnesses=r.witnesses)
+    # Each distance p / q against the bound top / den, cross-multiplied.
+    top, den = sched.theorem_bound.numerator, sched.theorem_bound.denominator
+    dist = r.distance_int
+    if dist.numerator * den > top * dist.denominator:
         raise ClaimViolation("theorem-bound", "integer output beyond the proven distance")
     # construct_outputs gives distance_cont = distance_int, so the check
     # above fires first.
-    if result.distance_cont > sched.theorem_bound:
+    dist = r.distance_cont
+    if dist.numerator * den > top * dist.denominator:
         raise ClaimViolation("theorem-bound", "continuous output beyond the proven distance")
     # XI is the discrete anchor, checked by normalize, in case c-1, and the
     # shift of x* in the restricted polyhedron (xstar-membership) in c-2.

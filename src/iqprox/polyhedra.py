@@ -86,7 +86,10 @@ def _with_unit_rows(P: Polyhedron, bounds) -> Polyhedron:
 
 def fix_zero(P: Polyhedron, coords) -> Polyhedron:
     """P with x_i = 0 for each i in coords: the rows e_i.x <= 0 and
-    -e_i.x <= 0 appended per coordinate, in increasing order."""
+    -e_i.x <= 0 appended per coordinate, in increasing order.  With no
+    coordinate that is P itself."""
+    if not coords:
+        return P
     return _with_unit_rows(P, [(i, s, 0, 1) for i in sorted(coords) for s in (1, -1)])
 
 

@@ -40,6 +40,20 @@ def test_roundtrip_serialization():
         assert formats.instance_from_dict(formats.instance_to_dict(inst)) == inst
 
 
+def test_instance_from_dict_keeps_the_int_entries_of_a(monkeypatch):
+    """A JSON int of A reaches instance() as the int it is, and a string
+    entry of A goes through str_to_rat; the instance is the same either
+    way."""
+    seen = []
+    build = formats.instance
+    monkeypatch.setattr(formats, "instance", lambda A, *rest: seen.append(A) or build(A, *rest))
+    doc = {"A": [[1, -2], ["3", "4/2"]], "b": ["1", "2"], "q": ["1"], "h": ["0", "1"]}
+    inst = formats.instance_from_dict(doc)
+    assert seen == [[[1, -2], [F(3), F(2)]]]
+    assert [type(x) for row in seen[0] for x in row] == [int, int, F, F]
+    assert inst == instance([[1, -2], [3, 2]], [1, 2], [1], [0, 1])
+
+
 def test_rational_strings():
     assert formats.rat_to_str(F(3, 4)) == "3/4"
     assert formats.rat_to_str(F(-5)) == "-5"
@@ -57,13 +71,17 @@ def test_rational_strings():
     "3", "-3", "+3", "007", "-0", " 3", "3 ", " -3 ", "1_0", "\u0663", "\u00b2",
     "0.5", "1e3", "-1/2", " 3/4 ", "", "+", "-", "+-3", "3/0", "1.5.2",
     True, False, 2.0, 0.5, None, 12, -12, F(1, 2),
+    # p/q: signs, spaces, zero denominators, underscores, leading zeros
+    "7/3", "-14/6", "+14/6", "-0/5", "007/021", "7/-3", "7/+3", "-+7/3", "- 7/3",
+    "7 /3", "7/ 3", " -7/3", "7/3 ", "7/0", "-7/00", "0/0", "1_0/3", "10/3_0",
+    "1__0/3", "10/_3", "7/", "/3", "-/3", "7/3/2", "\u0663/4", "3/\u0663",
 ])
 def test_str_to_rat_matches_fraction(literal):
-    """str_to_rat reads a sign and ASCII digits with int and every other
-    string with Fraction: the value is Fraction(literal)'s, and an InputError
-    stands where Fraction raises, and for every literal that is neither a
-    string nor an int ("\u0663" is the Arabic-Indic digit 3, "\u00b2" a
-    superscript 2)."""
+    """str_to_rat reads an ASCII p or p/q, p a sign and digits and q
+    digits, with int and every other string with Fraction: the value is
+    Fraction(literal)'s, in lowest terms, and an InputError stands where
+    Fraction raises, and for every literal that is neither a string nor an
+    int ("\u0663" is the Arabic-Indic digit 3, "\u00b2" a superscript 2)."""
     if type(literal) not in (str, int):
         with pytest.raises(errors.InputError):
             formats.str_to_rat(literal)

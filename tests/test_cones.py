@@ -118,7 +118,14 @@ def assert_generators_match_orthants(A, xa, xb):
     rows = exact._integer_rows(A)[0]
     delta = max(1, exact.max_abs_subdeterminant(rows))
     cone = build_cone(rows, xa, xb)
-    assert enumerate_generators(cone, delta) == orthant_generators(cone)
+    assert int_generators(enumerate_generators(cone, delta)) == orthant_generators(cone)
+
+
+def int_generators(gens):
+    """The generators, once each entry is checked to be an int; the
+    references build theirs as Fractions, equal by value."""
+    assert all(type(x) is int for g in gens for x in g)
+    return gens
 
 
 def test_generators_match_orthant_enumeration():
@@ -171,7 +178,7 @@ def test_generators_match_orthant_enumeration_restricted():
         xa = [F(0) if i in zset else F(rng.randint(-2, 2)) for i in range(inst.n)]
         cone = build_cone(P.int_rows[0], xa, [F(0)] * inst.n)
         delta = max(1, exact.max_abs_subdeterminant(P.A))
-        assert enumerate_generators(cone, delta) == orthant_generators(cone)
+        assert int_generators(enumerate_generators(cone, delta)) == orthant_generators(cone)
         ties = len(cone.a1) + len(cone.a2) - P.m
         seen.add((inst.n, bool(zset), ties > 2 * len(zset)))
     assert not any(quota.values())
@@ -182,7 +189,10 @@ def test_generators_match_orthant_enumeration_restricted():
 
 def combinations_enumerate_generators(cone, delta):
     """enumerate_generators with one solution_space_int per (n-1)-subset of
-    the hyperplanes, in combinations order: the loop the walk replaced."""
+    the hyperplanes, in combinations order: the loop the walk replaced.  It
+    keeps the walk's former Fraction path too: each candidate ray is tested
+    by cone_contains, which scales it again, and each generator is a tuple
+    of Fractions."""
     if delta < 1:
         raise InputError("delta must be a positive integer")
     n = cone.ambient_dim
@@ -257,8 +267,8 @@ def generator_cones(draw):
 # n = 1 without a tie
 @example((build_cone([[1]], [0], [1]), 1))
 def test_generators_match_combinations_reference(case):
-    """The same sorted generators as the combinations loop, or the same
-    generator-norm violation naming the same generator."""
+    """The same sorted generators as the combinations loop, as int tuples,
+    or the same generator-norm violation naming the same generator."""
     cone, delta = case
     try:
         want = combinations_enumerate_generators(cone, delta)
@@ -267,7 +277,7 @@ def test_generators_match_combinations_reference(case):
             enumerate_generators(cone, delta)
         assert (got.value.claim, str(got.value)) == (err.claim, str(err))
         return
-    assert enumerate_generators(cone, delta) == want
+    assert int_generators(enumerate_generators(cone, delta)) == want
 
 
 def counted_extend(monkeypatch):

@@ -137,9 +137,21 @@ def witness_matrices(draw):
 @example([[0, -4, 4, 2]])
 @example([[3], [-3], [0], [4], [-4]])
 @example([[2, 0], [0, -2], [1, 1]])
+# 2x2 minors of |det| 2 tied on the row pairs (0, 1) and (0, 2), and on the
+# column pairs (0, 1) and (1, 2): the first pair wins
+@example([[1, 1], [1, -1], [-1, 1]])
+@example([[1, 1, -1], [-1, 1, 1]])
+# a 2x2 minor equal to the largest entry does not displace the 1x1 witness
+@example([[2, 1], [0, 1]])
+# m = 1 and n = 1: no 2x2 minor
+@example([[-6]])
+@example([[0]])
+@example([[1, -3, 3]])
+@example([[1], [-3], [3]])
 def test_subdeterminant_witness_matches_reference_scan(M):
     """Value, rows and cols of the witness equal the scan's, where ties
-    among the 1x1 minors (entries of equal |a_ij|) are common."""
+    among the 1x1 minors (entries of equal |a_ij|) are common.  The scan
+    reads the 2x2 minors in closed form and the reference by determinant."""
     assert exact.max_abs_subdeterminant_witness(M) == reference_max_abs_subdeterminant_witness(M)
 
 
@@ -180,6 +192,14 @@ def matrices_with_special_rows(draw):
 @settings(max_examples=300, deadline=None)
 def test_reduced_subdeterminant_matches_exhaustive_scan(M):
     assert exact.max_abs_subdeterminant(M) == exact.max_abs_subdeterminant_witness(M)[0]
+
+
+@given(matrices_with_special_rows())
+@settings(max_examples=300, deadline=None)
+def test_int_row_subdeterminant_matches_reference_scan(M):
+    """The int-row entry, which takes the rows as they are, gives the value
+    of the determinant scan over every square submatrix."""
+    assert exact._max_abs_subdeterminant_rows(M) == reference_max_abs_subdeterminant_witness(M)[0]
 
 
 @pytest.mark.parametrize("M, expected", [

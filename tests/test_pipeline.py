@@ -793,6 +793,22 @@ def test_run_pipeline_theorem_bound_on_a_corrupted_schedule(monkeypatch):
     with pytest.raises(ClaimViolation) as err:
         ex11_run()  # distance 3/4
     assert err.value.claim == "theorem-bound"
+    assert str(err.value).endswith("integer output beyond the proven distance")
+
+
+@pytest.mark.parametrize("bound", [F(37, 50), F(3, 4)])
+def test_run_pipeline_theorem_bound_at_the_distance(monkeypatch, bound):
+    """The integer bound check, compared in ints, fires on a bound just
+    below the distance 3/4 and holds on one equal to it."""
+    schedule = compute_schedule
+    monkeypatch.setattr(pipeline, "compute_schedule",
+                        lambda *args: replace(schedule(*args), theorem_bound=bound))
+    if bound == F(3, 4):
+        assert ex11_run().distance_int == bound
+        return
+    with pytest.raises(ClaimViolation) as err:
+        ex11_run()
+    assert str(err.value).endswith("integer output beyond the proven distance")
 
 
 def test_run_pipeline_continuous_theorem_bound(monkeypatch):
@@ -804,6 +820,21 @@ def test_run_pipeline_continuous_theorem_bound(monkeypatch):
     with pytest.raises(ClaimViolation) as err:
         ex11_run()  # distance_int 3/4, bound 11
     assert err.value.claim == "theorem-bound"
+    assert str(err.value).endswith("continuous output beyond the proven distance")
+
+
+@pytest.mark.parametrize("distance", [F(1101, 100), F(11)])
+def test_run_pipeline_continuous_theorem_bound_at_the_bound(monkeypatch, distance):
+    """The continuous bound check, compared in ints, fires on a distance
+    just beyond the bound 11 and holds on one equal to it."""
+    outputs = pipeline.construct_outputs
+    monkeypatch.setattr(pipeline, "construct_outputs",
+                        lambda *args: replace(outputs(*args), distance_cont=distance))
+    if distance == 11:
+        assert ex11_run().distance_cont == 11
+        return
+    with pytest.raises(ClaimViolation) as err:
+        ex11_run()
     assert str(err.value).endswith("continuous output beyond the proven distance")
 
 
@@ -941,6 +972,7 @@ def ex11_record(j, x, zset, reason):
     (58, F(243, 4), ex11_record(0, F(243, 4), (), "all-large"), "xstar-f"),
     # x_c - x* = -1/2 is outside P
     (F(119, 2), F(243, 4), ex11_record(0, F(243, 4), (), "all-large"), "xstar-g"),
+    (8, 8, ex11_record(0, 8, (), "all-large"), "xstar-d"),  # the largest x* below 9
 ])
 def test_construct_outputs_claims_on_inconsistent_inputs(xc, x_ell, record, claim):
     norm, _ = normalize(EX11.instance, [F(-30)])
@@ -949,6 +981,19 @@ def test_construct_outputs_claims_on_inconsistent_inputs(xc, x_ell, record, clai
         construct_outputs(norm, exact.integer_vector([xc]), exact.integer_vector([x_ell]),
                           [record], sched, 1)
     assert err.value.claim == claim
+
+
+@pytest.mark.parametrize("xc, x_ell", [(9, 9), (F(37, 4), F(37, 4)), (10, 9)])
+def test_construct_outputs_at_the_xstar_thresholds(xc, x_ell):
+    """x* = floor(x_ell) = 9, on chi_0 - n*delta = 9, and x_c within
+    psi_0 + n*delta = 1 of it, 1 included: neither xstar-d nor xstar-f
+    fires at its edge."""
+    norm, _ = normalize(EX11.instance, [F(-30)])
+    sched = compute_schedule(1, 1, 1, F(1))
+    res = construct_outputs(norm, exact.integer_vector([xc]), exact.integer_vector([x_ell]),
+                            [ex11_record(0, x_ell, (), "all-large")], sched, 1)
+    assert res.x_star_int == (9,)
+    assert res.distance_int == xc - 9
 
 
 @pytest.mark.parametrize("edits, claim", [
@@ -1001,24 +1046,27 @@ def c2_run(case):
 
 
 @pytest.mark.parametrize("case, counts", [
-    ("example-1-1", (5, 0)),   # 6 and 2 with a Fraction sequence, 15 and 10 with Fraction points
-    # 17 and 0 when each generator was scaled for every use, 16 and 2 with a
-    # Fraction one_step, 18 and 5 with a Fraction sequence, 34 and 14 with
-    # Fraction points
-    ("box-100", (14, 0)),
+    # 5 and 0 with Fraction generators, 6 and 2 with a Fraction sequence,
+    # 15 and 10 with Fraction points
+    ("example-1-1", (3, 0)),
+    # 14 and 0 with Fraction generators, 17 and 0 when each generator was
+    # scaled for every use, 16 and 2 with a Fraction one_step, 18 and 5
+    # with a Fraction sequence, 34 and 14 with Fraction points
+    ("box-100", (6, 0)),
 ])
 def test_c2_run_scales_each_point_once(monkeypatch, case, counts):
     """exact.integer_vector and polyhedra.contains calls in one case c-2
     run (c2_run).  A point check that goes back to Fractions raises these
     counts.  one_step tests its points as ints, so no `contains` call is
-    left.  The box-100 run's 14 are: the anchor in run_pipeline and in
+    left.  The box-100 run's 6 are: the anchor in run_pipeline and in
     normalize (2); the cone's direction in build_cone, for one_step and for
-    the rounding step (2); the 6 candidate rays of enumerate_generators
-    (cone_contains); the
-    two points of the representation check (2); and its 2 generators,
-    once each, for the cone test and both sums, the next point being the
-    common point (before, 5: one generator was also in the greedy sum that
-    made the next point)."""
+    the rounding step (2); and the two points of the representation check
+    (2), the next point being their common point.  The generators are int
+    tuples, so neither the candidate rays of enumerate_generators (6, each
+    once through cone_contains) nor the 2 generators of the representation
+    check (once each, for the cone test and both sums) are scaled.  The
+    example 1.1 run's 3 are the two anchor scalings and build_cone's
+    direction; its 2 candidate rays are not scaled either."""
     args = c2_run(case)
     scaled = counted_calls(monkeypatch, exact, "integer_vector")
     tested = counted_calls(monkeypatch, polyhedra, "contains")
@@ -1071,6 +1119,31 @@ def test_c2_run_calls_each_stage_once(monkeypatch, case):
     assert (len(outputs), len(witnesses)) == (1, 1)
     assert len(cones_built) == len(polys) == res.trace[-1].j + 1
     assert all(rows_kept(cone, P) for (_, cone), (_, P) in zip(cones_built, polys))
+
+
+@pytest.mark.parametrize("case", ["example-1-1", "box-100"])
+def test_c2_run_records_int_generators(case):
+    """Every generator a case c-2 run (c2_run) records, in the rounding
+    step's decomposition and in each one_step record, is a tuple of ints."""
+    res = run_pipeline(*c2_run(case))
+    assert res.case == "c2"
+    decs = [res.decomposition, res.normalized.decomposition,
+            *(rec.decomposition for rec in res.trace if rec.decomposition is not None)]
+    assert len(decs) == res.trace[-1].j + 2
+    assert all(type(g) is tuple and all(type(x) is int for x in g)
+               for dec in decs for g in dec.generators)
+
+
+def test_subdeterminant_bound_reads_the_int_rows(monkeypatch):
+    """subdeterminant_bound hands the instance's A, read off its int rows,
+    to the scan as ints: no entry is validated again (_integer_matrix ran
+    once, when the instance was built)."""
+    insts = [box_product(100), *(random_instance(s, n_max=4) for s in range(20))]
+    want = [max(1, exact.max_abs_subdeterminant(inst.A)) for inst in insts]
+    assert max(want) > 1
+    converted = counted_calls(monkeypatch, exact, "_integer_matrix")
+    assert [subdeterminant_bound(inst) for inst in insts] == want
+    assert converted == []
 
 
 # -- one_step on ints against the Fraction reference -----------------------

@@ -297,7 +297,8 @@ def test_derived_polyhedra_match_fresh_ones(system, shift, zeros, center, radius
     """polyhedron's A and b views are its input rows, exactly and as
     Fractions; translate, fix_zero and intersect_with_box give the
     polyhedron a fresh build from Fraction rows has, int rows and scales
-    included; translating by -X undoes it."""
+    included (fix_zero with no coordinate gives its input itself);
+    translating by -X undoes it."""
     A, b, n = system
     P = polyhedron(A, b, n)
     assert [list(row) for row in P.A] == A and list(P.b) == b
@@ -314,6 +315,7 @@ def test_derived_polyhedra_match_fresh_ones(system, shift, zeros, center, radius
     assert Z == polyhedron([*T.A, *units], [*T.b] + [F(0)] * len(units), P.n)
     assert Z.int_rows == polyhedron(Z.A, Z.b, Z.n).int_rows
     assert all(type(x) is F for r in Z.A for x in r)
+    assert (Z is T) == (not coords)  # no coordinate to fix: T itself
     B = intersect_with_box(Z, center[:P.n], radius)
     assert B == reference_intersect_with_box(Z, center[:P.n], radius)
     assert all(type(x) is F for x in (*B.b, *(x for row in B.A for x in row)))
