@@ -292,6 +292,6 @@ def check_two_representations(P: Polyhedron, cone: ProximityCone,
     p2 = combination_int(X2, d2, terms(neg_combo), -1)
     if p1 != p2:  # both in lowest terms
         raise RepresentationMismatch("representations differ: "
-                                     f"{[Fraction(v, p1[1]) for v in p1[0]]} vs "
-                                     f"{[Fraction(v, p2[1]) for v in p2[0]]}")
+                                     f"{list(exact.rational_vector(*p1))} vs "
+                                     f"{list(exact.rational_vector(*p2))}")
     return p1 if contains_int(P, *p1) else None

@@ -91,6 +91,12 @@ def integer_vector(v) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
+def rational_vector(X, d: int) -> tuple[Fraction, ...]:
+    """The point X / d as Fractions, for ints X and an int d > 0: the
+    inverse of integer_vector."""
+    return tuple(Fraction(x, d) for x in X) if d != 1 else tuple(map(Fraction, X))
+
+
 def _extend_echelon(a: list[list[int]], pivots: list[int], row: list[int],
                     ncols: int) -> tuple[list[int], int] | None:
     """One more row for the echelon rows a with their pivot columns.
@@ -373,7 +379,7 @@ def solve_linear(M, rhs) -> list[Fraction] | None:
     if sol is None or sol[1]:
         return None
     X, _, L = sol
-    return [Fraction(x, L) for x in X]
+    return list(rational_vector(X, L))
 
 
 def rank(M) -> int:

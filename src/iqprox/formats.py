@@ -32,19 +32,20 @@ def str_to_rat(s) -> Fraction:
 
     An ASCII p or p/q, p a sign and digits and q digits other than zero,
     is read by int; every other string by Fraction, which reads those the
-    same way.
+    same way.  Both raise ValueError on a literal past the interpreter's
+    limit on int digits, which is then an InputError too.
     """
     if type(s) not in (str, int):
         raise InputError(f"bad rational literal {s!r}: not a string or an int")
-    if type(s) is str and s.isascii():
-        num, slash, den = s.partition("/")
-        digits = num[1:] if num[:1] in ("+", "-") else num
-        if digits.isdigit():
-            if not slash:
-                return Fraction(int(num))
-            if den.isdigit() and den.strip("0"):
-                return Fraction(int(num), int(den))
     try:
+        if type(s) is str and s.isascii():
+            num, slash, den = s.partition("/")
+            digits = num[1:] if num[:1] in ("+", "-") else num
+            if digits.isdigit():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isdigit() and den.strip("0"):
+                    return Fraction(int(num), int(den))
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad rational literal {s!r}") from e
@@ -119,7 +120,7 @@ def read_json(path: str, what: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as e:  # ValueError: not UTF-8 or not JSON
+    except (OSError, ValueError, RecursionError) as e:  # not UTF-8, not JSON, too deep
         raise InputError(f"cannot read {what} {path}: {e}") from e
 
 

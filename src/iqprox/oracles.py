@@ -16,8 +16,8 @@ from operator import mul
 
 from . import exact
 from .errors import ClaimViolation, DimensionError, InfeasibleError, InputError
-from .pipeline import (Instance, PipelineResult, _integer_objective, _objective_at,
-                       _objective_numerator, checked_eps, eval_objective)
+from .pipeline import (Instance, PipelineResult, _objective_at, _objective_numerator,
+                       checked_eps, eval_objective)
 from .polyhedra import (contains, contains_int, enumerate_lattice_points,
                         enumerate_vertices, intersect_with_box, lattice_runs,
                         line_through)
@@ -60,14 +60,10 @@ class OracleReport:
     fmax_cont_witness: tuple[Fraction, ...]
 
 
-def _fraction_point(p) -> tuple[Fraction, ...]:
-    return tuple(map(Fraction, p))
-
-
 class _Values:
     """The objective on the lattice walk (polyhedra.lattice_runs): the
     values it carries down are int numerators, f times the lcm d of the
-    denominators of q and h (objective is _integer_objective(inst)).
+    denominators of q and h (Instance.int_objective).
 
     f is separable: f(x) = sum_t f_t(x_t), with d f_t(v) = (H_t - Q_t v) v
     (Q_t = 0 for t >= k), so a prefix's value plus f_j(v) is the value of
@@ -79,8 +75,8 @@ class _Values:
     its value + high[j]].
     """
 
-    def __init__(self, inst: Instance, objective):
-        q, self.h, self.d = objective
+    def __init__(self, inst: Instance):
+        q, self.h, self.d = inst.int_objective
         self.q = q + [0] * (inst.n - inst.k)
 
     def start(self, lo, hi) -> int:
@@ -130,8 +126,8 @@ class _Extremes(_Values):
     minimum, the maximum, the ties and the witness.
     """
 
-    def __init__(self, inst: Instance, objective):
-        super().__init__(inst, objective)
+    def __init__(self, inst: Instance):
+        super().__init__(inst)
         self.best = self.top = self.wit = None
         self.ties: list[tuple[int, ...]] = []
 
@@ -167,9 +163,9 @@ class _Extremes(_Values):
     def result(self) -> tuple[OptResult, Fraction, tuple[Fraction, ...]]:
         if self.best is None:
             raise InfeasibleError("no integer point in the feasible region")
-        fties = tuple(map(_fraction_point, self.ties))
+        fties = tuple(exact.rational_vector(p, 1) for p in self.ties)
         return (OptResult(fties[0], Fraction(self.best, self.d), fties),
-                Fraction(self.top, self.d), _fraction_point(self.wit))
+                Fraction(self.top, self.d), exact.rational_vector(self.wit, 1))
 
 
 class _Within(_Values):
@@ -177,8 +173,8 @@ class _Within(_Values):
     v * den <= cut, in walk order.  A prefix is skipped when even its least
     possible value (value + low) fails."""
 
-    def __init__(self, inst: Instance, objective, cut: int, den: int):
-        super().__init__(inst, objective)
+    def __init__(self, inst: Instance, cut: int, den: int):
+        super().__init__(inst)
         self.cut, self.den = cut, den
         self.points: list[tuple[int, ...]] = []
 
@@ -193,24 +189,24 @@ class _Within(_Values):
                         if (base + (hj - qj * v) * v) * den <= cut]
 
 
-def _lattice_extremes(inst: Instance, box, objective) -> tuple[OptResult, Fraction,
-                                                              tuple[Fraction, ...]]:
+def _lattice_extremes(inst: Instance, box) -> tuple[OptResult, Fraction,
+                                                   tuple[Fraction, ...]]:
     """The minimizer (with ties), the maximum and its lexicographically
     first maximizer over the lattice points of P, by one pruned lattice
     walk (_Extremes) of the box, found by LP when None."""
-    search = _Extremes(inst, objective)
+    search = _Extremes(inst)
     lattice_runs(inst.polyhedron(), box, search)
     return search.result()
 
 
 def solve_iqp(inst: Instance) -> OptResult:
     """Exact lattice minimizer; ties reported, lexicographic representative."""
-    return _lattice_extremes(inst, None, _integer_objective(inst))[0]
+    return _lattice_extremes(inst, None)[0]
 
 
 def solve_qp(inst: Instance) -> OptResult:
     """Continuous minimizer; a concave objective attains its min at a vertex."""
-    Q, H, d = _integer_objective(inst)
+    Q, H, d = inst.int_objective
     verts = []
     for p in enumerate_vertices(inst.polyhedron()):
         X, e = exact.integer_vector(p)
@@ -228,7 +224,7 @@ def _vertex_minimum(verts) -> OptResult:
     for _, _, num, den in verts:
         if num * bd < bn * den:
             bn, bd = num, den
-    ties = tuple(sorted({tuple(Fraction(x, e) for x in X)
+    ties = tuple(sorted({exact.rational_vector(X, e)
                          for X, e, num, den in verts if num * bd == bn * den}))
     return OptResult(ties[0], Fraction(bn, bd), ties)
 
@@ -238,7 +234,7 @@ def fmax_int(inst: Instance) -> Fraction:
 
 
 def fmax_int_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
-    _, top, wit = _lattice_extremes(inst, None, _integer_objective(inst))
+    _, top, wit = _lattice_extremes(inst, None)
     return top, wit
 
 
@@ -246,7 +242,7 @@ def fmax_cont(inst: Instance) -> Fraction:
     return fmax_cont_witness(inst)[0]
 
 
-def fmax_cont_witness(inst: Instance, vertices: list | None = None, objective=None
+def fmax_cont_witness(inst: Instance, vertices: list | None = None
                       ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact max of the concave objective over the feasible region, and the
     first face's point attaining it.
@@ -321,9 +317,6 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None, objective=No
     such an S.  So the list ends nonempty exactly when P is a nonempty
     polytope, and then holds every vertex of P, whose convex hull P is.
 
-    objective is _integer_objective(inst), computed here unless the caller
-    already holds it (_face_walk passes the one it hands to the lattice walk).
-
     Everything but the LP runs on the int rows of P.  The walk gives each
     face the Bareiss echelon of [A_S | b_S], which gives A_S x = b_S as
     x = (X0 + W y) / L, W the int kernel basis, with the same ints as
@@ -340,7 +333,7 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None, objective=No
     n, k = inst.n, inst.k
     rows, rhs = P.int_rows
     aug = [[*row, b] for row, b in zip(rows, rhs)]
-    Q, H, d = _integer_objective(inst) if objective is None else objective
+    Q, H, d = inst.int_objective
     Q2 = [2 * c for c in Q] + [0] * (n - k)
     best = None  # (numerator, denominator) of the best value so far
     wit = pending = None  # the witness, or the face whose LP gives it
@@ -398,7 +391,7 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None, objective=No
         if not free:
             if not (line.holds(Y[0], e2) if on_line else contains_int(P, X, e)):
                 continue
-            pt = [Fraction(x, e) for x in X]
+            pt = exact.rational_vector(X, e)
         elif len(free) == 1:  # E_S is a line, in P exactly where it meets P
             if on_line:
                 eline = line
@@ -427,7 +420,7 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None, objective=No
             if collect:
                 vertices.append((X, e, num, den))
             if best is None or num * best[1] > best[0] * den:
-                best, wit, pending = (num, den), tuple(Fraction(x, e) for x in X), None
+                best, wit, pending = (num, den), exact.rational_vector(X, e), None
     if best is None:
         raise InfeasibleError("feasible region is empty")
     if pending is not None:
@@ -442,19 +435,20 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None, objective=No
 def _face_point(inst: Instance, S, W, L: int, value: Fraction) -> list[Fraction] | None:
     """The exact LP feasibility problem {A x <= b, E_S} of the face S, with
     the kernel basis W / L of A_S: its point, or None when it has none.  f
-    must have the face's value there."""
+    must have the face's value there.  The gradient rows are read off the
+    int objective, over L d."""
     P = inst.polyhedron()
-    n, k = inst.n, inst.k
+    Q, H, d = inst.int_objective
+    pad = [ZERO] * (inst.n - inst.k)
     lp_rows = [list(row) for row in P.A]
     lp_rhs = list(P.b)
     for i in S:
         lp_rows.append([-c for c in P.A[i]])
         lp_rhs.append(-P.b[i])
     for w in W:
-        w = [Fraction(x, L) for x in w]
-        # w . grad f = sum_i w_i h_i - 2 sum_{i<k} w_i q_i x_i = 0
-        coeff = [2 * w[i] * inst.q[i] if i < k else ZERO for i in range(n)]
-        val = exact.dot(w, inst.h)
+        # (w / L) . grad f = (sum_i w_i H_i - 2 sum_{i<k} w_i Q_i x_i) / (L d) = 0
+        coeff = [Fraction(2 * x * c, L * d) for x, c in zip(w, Q)] + pad
+        val = Fraction(sum(map(mul, w, H)), L * d)
         lp_rows += [coeff, [-c for c in coeff]]
         lp_rhs += [val, -val]
     pt = feasible_point(lp_rows, lp_rhs)
@@ -464,8 +458,8 @@ def _face_point(inst: Instance, S, W, L: int, value: Fraction) -> list[Fraction]
 
 
 def _face_walk(inst: Instance):
-    """fmax_cont_witness's value and witness, the vertices it collects, the
-    box for the lattice walk, and the int objective both walks use.
+    """fmax_cont_witness's value and witness, the vertices it collects, and
+    the box for the lattice walk.
 
     When the face walk collects vertices, P is a polytope and the
     coordinate-wise extremes of its vertices are its exact bounding box,
@@ -474,13 +468,11 @@ def _face_walk(inst: Instance):
     rank < n) the box is None, and the lattice walk finds it by LP, which
     gives no points or raises UnboundedError.
     The value and witness are None when no face attains a maximum in P: P
-    is then empty or unbounded, and no vertex is collected.  The objective
-    is _integer_objective(inst), computed once here.
+    is then empty or unbounded, and no vertex is collected.
     """
-    objective = _integer_objective(inst)
     verts = []
     try:
-        fci, wci = fmax_cont_witness(inst, verts, objective)
+        fci, wci = fmax_cont_witness(inst, verts)
     except InfeasibleError:
         fci = wci = None
     box = None
@@ -488,7 +480,7 @@ def _face_walk(inst: Instance):
         D = math.lcm(*(e for _, e, _, _ in verts))
         cols = list(zip(*([x * (D // e) for x in X] for X, e, _, _ in verts)))
         box = [min(c) for c in cols], [max(c) for c in cols], D
-    return fci, wci, verts, box, objective
+    return fci, wci, verts, box
 
 
 def full_report(inst: Instance) -> OracleReport:
@@ -498,8 +490,8 @@ def full_report(inst: Instance) -> OracleReport:
     the pruned lattice walk gives the integer extremes, and the vertices the
     continuous minimum.
     """
-    fci, wci, verts, box, objective = _face_walk(inst)
-    iqp, fdi, wdi = _lattice_extremes(inst, box, objective)
+    fci, wci, verts, box = _face_walk(inst)
+    iqp, fdi, wdi = _lattice_extremes(inst, box)
     # Some lattice point exists, so P is a nonempty polytope: verts holds
     # every vertex and the walk found the maximum.
     return OracleReport(iqp, _vertex_minimum(verts), fdi, wdi, fci, wci)
@@ -564,13 +556,13 @@ def delta_star(inst: Instance, eps) -> DeltaStarResult:
     only for the result.
     """
     eps = checked_eps(eps)
-    _, _, verts, box, objective = _face_walk(inst)
-    iqp, top, _ = _lattice_extremes(inst, box, objective)
+    _, _, verts, box = _face_walk(inst)
+    iqp, top, _ = _lattice_extremes(inst, box)
     qp = _vertex_minimum(verts)
-    d = objective[2]
+    d = inst.int_objective[2]
     lo, hi = (iqp.value * d).numerator, (top * d).numerator
     cut = lo * eps.denominator + eps.numerator * (hi - lo)  # v passes iff v * den <= cut
-    within = _Within(inst, objective, cut, eps.denominator)
+    within = _Within(inst, cut, eps.denominator)
     lattice_runs(inst.polyhedron(), box, within)
     approx = within.points
     if not approx:
@@ -588,8 +580,8 @@ def delta_star(inst: Instance, eps) -> DeltaStarResult:
         if eval_objective(inst, mid) == qp.value:
             flag = True
             break
-    return DeltaStarResult(Fraction(*best), pair[0], _fraction_point(pair[1]),
-                           tuple(map(_fraction_point, approx)), flag)
+    return DeltaStarResult(Fraction(*best), pair[0], exact.rational_vector(pair[1], 1),
+                           tuple(exact.rational_vector(p, 1) for p in approx), flag)
 
 
 def certify_no_cont_approx_within(inst: Instance, eps, xd, radius) -> bool:
@@ -613,7 +605,7 @@ def certify_no_cont_approx_within(inst: Instance, eps, xd, radius) -> bool:
     # otherwise, with its own errors.
     qp = _vertex_minimum(verts) if verts else solve_qp(inst)
     tau = qp.value + eps * (fmax - qp.value)
-    box = intersect_with_box(inst.polyhedron(), exact.vec(xd), radius)
+    box = intersect_with_box(inst.polyhedron(), xd, radius)
     corners = enumerate_vertices(box)
     if not corners:
         return True

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from . import exact
@@ -70,6 +71,14 @@ class Instance:
         row is A_i times its scale, and each division is exact."""
         return [list(row) if d == 1 else [a // d for a in row]
                 for row, d in zip(self.P.int_rows[0], self.P.scales)]
+
+    @cached_property
+    def int_objective(self) -> tuple[list[int], list[int], int]:
+        """q and h times the lcm d of their denominators, and d: the int
+        form every objective value is computed from, built on first use.
+        Every reader gets the same lists, and none changes them."""
+        qh, d = exact.integer_vector(self.q + self.h)
+        return qh[:self.k], qh[self.k:], d
 
     def polyhedron(self) -> Polyhedron:
         return self.P
@@ -214,20 +223,14 @@ class PipelineResult:
     witnesses: "MidpointWitnesses | None" = None
 
 
-def _integer_objective(inst: Instance) -> tuple[list[int], list[int], int]:
-    """q and h times the lcm d of their denominators, and d."""
-    qh, d = exact.integer_vector(inst.q + inst.h)
-    return qh[:inst.k], qh[inst.k:], d
-
-
 def _objective_numerator(q: list[int], h: list[int], X: list[int], e: int) -> int:
-    """d e^2 f(x) for x = X / e, with q and h from _integer_objective."""
+    """d e^2 f(x) for x = X / e, with q and h from Instance.int_objective."""
     return e * sum(map(mul, h, X)) - sum(map(mul, map(mul, q, X), X))
 
 
 def _objective_at(inst: Instance, X: list[int], e: int) -> Fraction:
     """f(X / e) for an int vector X and an int e > 0."""
-    q, h, d = _integer_objective(inst)
+    q, h, d = inst.int_objective
     return Fraction(_objective_numerator(q, h, X, e), d * e * e)
 
 
@@ -318,7 +321,7 @@ def one_step(inst: Instance, xa, zset,
     if max(map(abs, X)) <= delta * abs(X[s]):
         raise InputError("caller should have terminated: small-norm condition holds")
 
-    xav = _scaled_fractions(X, d)
+    xav = exact.rational_vector(X, d)
     Pt, cone, dec = _conic_step(inst, z, xav, X, delta)
 
     sgn = 1 if X[s] > 0 else -1
@@ -397,12 +400,12 @@ def build_sequence(inst: Instance, xc, schedule: Schedule,
             raise ClaimViolation("xell-a", f"x^c - x^{j} left the polyhedron")
         c = schedule.chi[j] if nset else None  # chi_{j+1}; none is read once N_j is empty
         if all(abs(X[i]) * c.denominator > c.numerator * d for i in nset):
-            trace.append(StepRecord(j, _scaled_fractions(X, d), z, nset,
+            trace.append(StepRecord(j, exact.rational_vector(X, d), z, nset,
                                     termination_reason="all-large"))
             break
         s = min(nset, key=lambda i: (abs(X[i]), i))
         if max(map(abs, X)) <= delta * abs(X[s]):
-            trace.append(StepRecord(j, _scaled_fractions(X, d), z, nset, s=s,
+            trace.append(StepRecord(j, exact.rational_vector(X, d), z, nset, s=s,
                                     termination_reason="small-norm"))
             break
         # zero-growth implies this: each step adds a coordinate of range(k)
@@ -429,11 +432,6 @@ def build_sequence(inst: Instance, xc, schedule: Schedule,
     if max(map(abs, DR)) * psi.denominator > psi.numerator * L:
         raise ClaimViolation("xell-b", "endpoint drifted beyond psi_ell")
     return (X, d), trace
-
-
-def _scaled_fractions(X, d: int) -> tuple[Fraction, ...]:
-    """The point X / d as Fractions."""
-    return tuple(Fraction(x, d) for x in X) if d != 1 else tuple(map(Fraction, X))
 
 
 def _combine_int(generators, coefficients, n: int) -> list[int]:
@@ -465,7 +463,7 @@ def construct_outputs(inst: Instance, xc, x_ell, trace, schedule: Schedule,
     x_c.  Fractions are built only for the result.
     """
     XC, d = xc
-    xcv = _scaled_fractions(XC, d)
+    xcv = exact.rational_vector(XC, d)
     n = inst.n
     nd = n * delta
     last = trace[-1]
@@ -515,8 +513,8 @@ def construct_outputs(inst: Instance, xc, x_ell, trace, schedule: Schedule,
         raise ClaimViolation("xstar-g", "x_c - x_star left the polyhedron")
 
     return PipelineResult(
-        case="c2", x_ell=last.x_j, x_star_int=tuple(map(Fraction, XS)),
-        x_star_cont=_scaled_fractions(XK, d),
+        case="c2", x_ell=last.x_j, x_star_int=exact.rational_vector(XS, 1),
+        x_star_cont=exact.rational_vector(XK, d),
         trace=trace, distance_int=dist, distance_cont=dist,
         schedule=schedule, delta=delta, xc=xcv, xd=(ZERO,) * n,
         z_ell=zl, decomposition=dec,
@@ -562,8 +560,8 @@ def midpoint_witnesses(inst: Instance, dec: ConicDecomposition, delta: int, xc,
     XD = [2 * a - d * b for a, b in zip(XC, XS)]  # (x_c + (x_c - x_star)) / 2, times 2d
     if not contains_int(inst.polyhedron(), XD, 2 * d):
         raise ClaimViolation("witness-diamond", "continuous midpoint left the polyhedron")
-    return MidpointWitnesses(_scaled_fractions(XS, 2), tuple(map(Fraction, XLw)),
-                             tuple(map(Fraction, XRw)), _scaled_fractions(XD, 2 * d))
+    return MidpointWitnesses(exact.rational_vector(XS, 2), exact.rational_vector(XLw, 1),
+                             exact.rational_vector(XRw, 1), exact.rational_vector(XD, 2 * d))
 
 
 def run_pipeline(inst: Instance, eps, xc, xd) -> PipelineResult:
@@ -596,11 +594,11 @@ def run_pipeline(inst: Instance, eps, xc, xd) -> PipelineResult:
     XO = [a - d * b for a, b in zip(XC, XS)]  # the continuous output, times d
     r = norm_result
     result = PipelineResult(
-        case=r.case, x_ell=_scaled_fractions([a + dl * s for a, s in zip(YL, S)], dl),
-        x_star_int=tuple(map(Fraction, XI)), x_star_cont=_scaled_fractions(XO, d),
+        case=r.case, x_ell=exact.rational_vector([a + dl * s for a, s in zip(YL, S)], dl),
+        x_star_int=exact.rational_vector(XI, 1), x_star_cont=exact.rational_vector(XO, d),
         trace=r.trace, distance_int=r.distance_int, distance_cont=r.distance_cont,
-        schedule=r.schedule, delta=r.delta, xc=_scaled_fractions(XC, d),
-        xd=tuple(map(Fraction, S)), z_ell=r.z_ell, decomposition=r.decomposition,
+        schedule=r.schedule, delta=r.delta, xc=exact.rational_vector(XC, d),
+        xd=exact.rational_vector(S, 1), z_ell=r.z_ell, decomposition=r.decomposition,
         normalized=r, witnesses=r.witnesses)
     # Each distance p / q against the bound top / den, cross-multiplied.
     top, den = sched.theorem_bound.numerator, sched.theorem_bound.denominator

@@ -52,7 +52,7 @@ class Polyhedron:
 
     @cached_property
     def A(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(c) if d == 1 else Fraction(c, d) for c in row)
+        return tuple(exact.rational_vector(row, d)
                      for row, d in zip(self.int_rows[0], self.scales))
 
     @cached_property
@@ -296,7 +296,7 @@ def enumerate_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
         line = line_through(P, X0, w, L)
         recedes = recedes or line.recedes
         for X, e in line.vertices(S[-1] + 1 if S else 0):
-            seen.add(tuple(Fraction(x, e) for x in X))
+            seen.add(exact.rational_vector(X, e))
     if (recedes or not seen) and bounding_box(P) is None:
         return []
     return sorted(seen)

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from iqprox import cli, errors, formats, oracles, polyhedra
+from iqprox import cli, errors, exact, formats, oracles, polyhedra
 from iqprox.cli import main
-from iqprox.families import build_example_1_1, random_instance
+from iqprox.families import (build_example_1_1, build_pr_tight, build_prop45,
+                             random_instance)
 from iqprox.pipeline import instance
 
 
@@ -75,6 +76,9 @@ def test_rational_strings():
     "7/3", "-14/6", "+14/6", "-0/5", "007/021", "7/-3", "7/+3", "-+7/3", "- 7/3",
     "7 /3", "7/ 3", " -7/3", "7/3 ", "7/0", "-7/00", "0/0", "1_0/3", "10/3_0",
     "1__0/3", "10/_3", "7/", "/3", "-/3", "7/3/2", "\u0663/4", "3/\u0663",
+    # past the interpreter's 4,300-digit limit on str to int
+    pytest.param("1" * 4301, id="long-p"), pytest.param("-1/" + "1" * 4301, id="long-q"),
+    pytest.param("1" * 4301 + "/3", id="long-p/q"),
 ])
 def test_str_to_rat_matches_fraction(literal):
     """str_to_rat reads an ASCII p or p/q, p a sign and digits and q
@@ -155,9 +159,10 @@ def test_cmd_solve_missing_file(capsys):
     {"A": [[1], [-1]], "b": ["1", "1"], "q": "1", "h": ["0"]},
     {"A": [[1], [-1]], "b": ["1", "1"], "q": ["1"], "h": "0"},
     {"A": {"1": 0}, "b": ["1"], "q": ["1"], "h": ["0"]},
+    b"[" * 100_000,  # json.load raises RecursionError
 ], ids=["A-entry", "k", "n", "A-scalar", "not-utf8", "directory", "floats",
         "A-bool", "n-float", "empty", "b-string", "A-row-string", "A-string",
-        "q-string", "h-string", "A-object"])
+        "q-string", "h-string", "A-object", "deep"])
 def test_cmd_solve_malformed_instance(capsys, tmp_path, content):
     p = tmp_path / "inst.json"
     if content is None:
@@ -240,6 +245,15 @@ def test_cmd_proximity_approximation_claim(capsys, ex11_path, monkeypatch):
 def test_cmd_proximity_bad_eps(capsys, ex11_path):
     assert main(["proximity", ex11_path, "--eps", "0"]) == 2
     assert main(["proximity", ex11_path, "--eps", "x"]) == 2
+
+
+LONG_LITERAL = "1/" + "1" * 5000  # past the interpreter's limit on int digits
+
+
+@pytest.mark.parametrize("args", [["--eps", LONG_LITERAL],
+                                  ["--eps", "1/2", "--xc", LONG_LITERAL]], ids=["eps", "xc"])
+def test_cmd_proximity_overlong_literal(capsys, ex11_path, args):
+    assert_one_input_error(capsys, ["proximity", ex11_path, *args])
 
 
 def test_cmd_proximity_checked_anchor(capsys, ex11_path):
@@ -490,6 +504,12 @@ def test_verify_report_not_json(capsys, tmp_path):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+def test_verify_report_nested_too_deeply(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    report.write_bytes(b"[" * 100_000)
+    assert_one_input_error(capsys, ["verify-report", str(report)])
+
+
 def test_verify_report_missing_key(capsys, tmp_path, ex11_report):
     del ex11_report["xc"]
     code, err = verify_edited(capsys, tmp_path, ex11_report)
@@ -571,6 +591,22 @@ def test_proximity_without_anchors_enumerates_lattice_once(capsys, ex11_path,
                             calls.append(name) or real(*a, **kw))
     assert main(["proximity", ex11_path, "--eps", "1/2", *anchors]) == 0
     assert sorted(calls) == ["fmax_cont_witness", "lattice_runs"]
+
+
+@pytest.mark.parametrize("fi", [build_prop45(3, 1, "1/2"),
+                                build_pr_tight(3, 1, 1, "1/3", "2/3")],
+                         ids=["prop45-n3", "pr-tight-n3"])
+def test_proximity_scales_the_objective_once(capsys, tmp_path, monkeypatch, fi):
+    """One proximity op scales q + h to ints once (Instance.int_objective),
+    for the oracle report, the verdicts and the checks alike."""
+    path = tmp_path / "inst.json"
+    formats.save_instance(fi.instance, str(path))
+    qh = fi.instance.q + fi.instance.h
+    calls = []
+    real = exact.integer_vector
+    monkeypatch.setattr(exact, "integer_vector", lambda v: calls.append(v) or real(v))
+    assert main(["proximity", str(path), "--eps", "1/2"]) == 0
+    assert [v for v in calls if v == qh] == [qh]
 
 
 def with_anchors(doc, xc, xd):

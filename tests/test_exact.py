@@ -542,3 +542,18 @@ def test_null_space_empty_matrix():
     basis = exact.null_space([], 3)
     assert len(basis) == 3
 
+
+
+@given(st.lists(st.one_of(st.integers(-50, 50), st.fractions(-50, 50, max_denominator=12)),
+                max_size=6))
+@settings(max_examples=200, deadline=None)
+@example([3, F(-2), 0])             # d = 1
+@example([F(1, 2), F(-2, 3), 4])    # d = 6
+def test_rational_vector_inverts_integer_vector(v):
+    """rational_vector(X, d) is the point X / d that integer_vector scaled,
+    every entry a Fraction, and integer_vector gives (X, d) back from it."""
+    X, d = exact.integer_vector(v)
+    got = exact.rational_vector(X, d)
+    assert got == tuple(v)
+    assert all(type(x) is F for x in got)
+    assert exact.integer_vector(got) == (X, d)

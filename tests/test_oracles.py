@@ -395,7 +395,7 @@ def rational_objectives(draw):
 def point_list_lattice_extremes(inst, pts):
     """_lattice_extremes over a list of lattice points: one int value per
     point, and the extremes read off the list."""
-    q, h, d = oracles._integer_objective(inst)
+    q, h, d = inst.int_objective
     vals = [oracles._objective_numerator(q, h, p, 1) for p in pts]
     best, top = min(vals), max(vals)
     ties = tuple(sorted(tuple(map(F, p)) for p, v in zip(pts, vals) if v == best))
@@ -471,8 +471,8 @@ def test_lattice_extremes_match_eval_objective(inst):
         assert lo <= hi
         assert not contains_int(P, [*p, lo - 1], 1) and not contains_int(P, [*p, hi + 1], 1)
     assert all(a[0] < b[0] for a, b in zip(runs, runs[1:]))
-    objective = oracles._integer_objective(inst)
-    got = oracles._lattice_extremes(inst, None, objective)
+    objective = inst.int_objective
+    got = oracles._lattice_extremes(inst, None)
     assert got == unpruned_lattice_extremes(inst, runs, objective)
     assert got == reference_lattice_extremes(inst, pts)
     assert got == point_list_lattice_extremes(inst, pts)
@@ -837,17 +837,17 @@ def test_pruned_walk_matches_unpruned_walk(inst):
     """The pruned walk (_Extremes) gives the extremes of every run of the
     unpruned walk, with the same ties and witness, or the same error, on
     the LP box and on the face walk's box."""
-    objective = oracles._integer_objective(inst)
+    objective = inst.int_objective
     for box in (None, oracles._face_walk(inst)[3]):
         try:
             want = unpruned_lattice_extremes(inst, lattice_runs(inst.polyhedron(), box),
                                              objective)
         except (InfeasibleError, UnboundedError) as err:
             with pytest.raises(type(err)) as got:
-                oracles._lattice_extremes(inst, box, objective)
+                oracles._lattice_extremes(inst, box)
             assert str(got.value) == str(err)
             continue
-        got = oracles._lattice_extremes(inst, box, objective)
+        got = oracles._lattice_extremes(inst, box)
         assert got == want
         assert repr(got) == repr(want)
 
@@ -889,7 +889,7 @@ def combinations_fmax_cont_witness(inst, vertices=None):
     P = inst.polyhedron()
     n, k = inst.n, inst.k
     rows, rhs = P.int_rows
-    Q, H, d = oracles._integer_objective(inst)
+    Q, H, d = inst.int_objective
     Q2 = [2 * c for c in Q] + [0] * (n - k)
     best = wit = None
     collect = vertices is not None
@@ -1021,7 +1021,7 @@ def level_fmax_cont_witness(inst, vertices=None):
     n, k = inst.n, inst.k
     rows, rhs = P.int_rows
     aug = [[*row, b] for row, b in zip(rows, rhs)]
-    Q, H, d = oracles._integer_objective(inst)
+    Q, H, d = inst.int_objective
     Q2 = [2 * c for c in Q] + [0] * (n - k)
     best = None  # (numerator, denominator) of the best value so far
     wit = None

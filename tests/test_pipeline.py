@@ -1290,3 +1290,37 @@ def test_eval_objective_matches_fraction_reference(case):
     got = eval_objective(inst, x)
     assert got == want
     assert type(got) is F
+
+
+def box_of_radius_2(q, h, k):
+    """The instance with objective (q, h) on the box |x_i| <= 2."""
+    n = len(h)
+    rows = [[s * (i == j) for j in range(n)] for i in range(n) for s in (1, -1)]
+    return instance(rows, [2] * (2 * n), q, h, k)
+
+
+@st.composite
+def objectives_and_anchors(draw):
+    """An instance on the box |x_i| <= 2, h all-zero in about half the
+    draws, and an integer point of the box."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    q = [draw(st.fractions(F(1, 8), 5, max_denominator=8)) for _ in range(k)]
+    h = draw(st.one_of(st.just([0] * n), st.lists(RATIONAL, min_size=n, max_size=n)))
+    return box_of_radius_2(q, h, k), [draw(st.integers(-2, 2)) for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(objectives_and_anchors())
+@example((box_of_radius_2([], [F(1, 2), 3], 0), [1, -2]))                   # k = 0
+@example((box_of_radius_2([F(1, 3), 2], [F(-3, 4), F(5, 6)], 2), [2, 0]))   # k = n
+@example((box_of_radius_2([F(3, 2)], [0, 0], 1), [-1, 1]))                  # h = 0
+def test_int_objective_is_q_and_h_scaled_once(case):
+    """Instance.int_objective is q + h over the lcm d of their
+    denominators, split at k, and d: on an instance and on the shifted
+    instance normalize returns.  It is built once per instance."""
+    inst, xd = case
+    for it in (inst, normalize(inst, xd)[0]):
+        qh, d = exact.integer_vector(it.q + it.h)
+        assert it.int_objective == (qh[:it.k], qh[it.k:], d)
+        assert it.int_objective is it.int_objective

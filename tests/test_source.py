@@ -35,6 +35,36 @@ def test_no_floats():
     assert nodes_where(is_float) == []
 
 
+def names_in(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def scales_back_by_hand(node) -> bool:
+    """A map(Fraction, ...) call, or a comprehension over x whose element
+    (or a branch of it, for an if-else) is Fraction(x, y) with y not bound
+    by that comprehension: a point of ints over one common denominator."""
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and node.func.id == "map"
+                and bool(node.args) and isinstance(node.args[0], ast.Name)
+                and node.args[0].id == "Fraction")
+    if not isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+        return False
+    bound = set().union(*(names_in(g.target) for g in node.generators))
+    elt = node.elt
+    return any(isinstance(e, ast.Call) and isinstance(e.func, ast.Name)
+               and e.func.id == "Fraction" and len(e.args) == 2
+               and isinstance(e.args[0], ast.Name) and e.args[0].id in bound
+               and not names_in(e.args[1]) & bound
+               for e in ([elt.body, elt.orelse] if isinstance(elt, ast.IfExp) else [elt]))
+
+
+def test_points_become_fractions_through_rational_vector():
+    """Outside exact.py, a point held as ints X over one denominator d is
+    made Fractions only by exact.rational_vector(X, d)."""
+    assert [site for site in nodes_where(scales_back_by_hand)
+            if not site.startswith("exact.py:")] == []
+
+
 ERROR_CLASSES = {name for name, cls in inspect.getmembers(errors, inspect.isclass)
                  if cls.__module__ == errors.__name__}
 
@@ -170,11 +200,21 @@ def test_no_unused_imports():
 TESTS = sorted(Path(__file__).resolve().parent.glob("test_*.py"))
 
 
-def claim_sites() -> dict[str, list[str]]:
-    """file:line of each ClaimViolation(...) under src/iqprox/, by the claim
-    name, its first argument; a name that is no string literal is kept as
-    its source text, which no test asserts."""
-    sites: dict[str, list[str]] = {}
+def literal_parts(node) -> list[str]:
+    """The text of a string literal, the constant parts of an f-string, or
+    else the source text, which no test asserts."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.JoinedStr):
+        return [v.value for v in node.values if isinstance(v, ast.Constant)]
+    return [ast.unparse(node)]
+
+
+def claim_calls() -> list[tuple[str, str, list[str]]]:
+    """(name, file:line, message parts) of each ClaimViolation(name, message)
+    under src/iqprox/; a name that is no string literal is kept as its
+    source text, which no test asserts."""
+    calls = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -182,7 +222,17 @@ def claim_sites() -> dict[str, list[str]]:
                 arg = node.args[0] if node.args else node
                 name = (arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
                         else ast.unparse(arg))
-                sites.setdefault(name, []).append(f"{path.name}:{node.lineno}")
+                message = literal_parts(node.args[1]) if len(node.args) > 1 else [""]
+                calls.append((name, f"{path.name}:{node.lineno}", message))
+    return calls
+
+
+def claim_sites() -> dict[str, list[str]]:
+    """file:line of each ClaimViolation(...) under src/iqprox/, by the claim
+    name, its first argument."""
+    sites: dict[str, list[str]] = {}
+    for name, site, _ in claim_calls():
+        sites.setdefault(name, []).append(site)
     return sites
 
 
@@ -213,3 +263,19 @@ def test_every_claim_is_asserted_by_a_test():
                   and not any(f"claim {name} violated" in s for s in asserted)}
     assert len(sites) >= 30
     assert unasserted == {}
+
+
+def test_every_site_of_a_shared_claim_is_asserted_by_a_test():
+    """A claim name raised at two or more sites is asserted at each of them:
+    some test asserts a string holding every constant part of the site's
+    message.  The two face-constant sites share one message, so this cannot
+    tell them apart; test_fmax_cont_witness_face_constant_claim and
+    test_fmax_cont_witness_face_constant_claim_at_a_superseded_face drive
+    one each."""
+    sites = claim_sites()
+    asserted = asserted_strings()
+    shared = [(site, parts) for name, site, parts in claim_calls() if len(sites[name]) > 1]
+    unasserted = [site for site, parts in shared
+                  if not any(all(part in s for part in parts) for s in asserted)]
+    assert len(shared) >= 8
+    assert unasserted == []
