@@ -32,7 +32,8 @@ EXIT_CLAIM = 4
 def _parse_point(s: str, n: int) -> list:
     x = formats.strs_to_vec(s.split(","))
     if len(x) != n:
-        raise InputError(f"point {s!r} has dimension {len(x)}, the instance {n}")
+        raise InputError(f"point {formats.echo(s)} has dimension {len(x)}, "
+                         f"the instance {n}")
     return x
 
 

@@ -27,6 +27,24 @@ def rat_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+ECHO_CHARS = 80  # the most of a rejected literal an error message repeats
+
+
+def echo(x) -> str:
+    """repr(x) for an error message, cut when long: a string of more than
+    ECHO_CHARS characters as the repr of its first ECHO_CHARS and its
+    length, and any other value whose repr is longer as that repr's first
+    ECHO_CHARS characters and its length."""
+    if type(x) is str:
+        if len(x) <= ECHO_CHARS:
+            return repr(x)
+        return f"{x[:ECHO_CHARS]!r}... ({len(x)} characters)"
+    text = repr(x)
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
+
+
 def str_to_rat(s) -> Fraction:
     """The exact rational of a string ("3/4", "0.5") or an int; no float, no bool.
 
@@ -36,7 +54,7 @@ def str_to_rat(s) -> Fraction:
     limit on int digits, which is then an InputError too.
     """
     if type(s) not in (str, int):
-        raise InputError(f"bad rational literal {s!r}: not a string or an int")
+        raise InputError(f"bad rational literal {echo(s)}: not a string or an int")
     try:
         if type(s) is str and s.isascii():
             num, slash, den = s.partition("/")
@@ -48,7 +66,7 @@ def str_to_rat(s) -> Fraction:
                     return Fraction(int(num), int(den))
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"bad rational literal {s!r}") from e
+        raise InputError(f"bad rational literal {echo(s)}") from e
 
 
 def vec_to_strs(v) -> list[str]:

@@ -15,7 +15,8 @@ from itertools import combinations
 from operator import mul
 
 from . import exact
-from .errors import ClaimViolation, DimensionError, InfeasibleError, InputError
+from .errors import (ClaimViolation, DimensionError, InfeasibleError, InputError,
+                     UnboundedError)
 from .pipeline import (Instance, PipelineResult, _objective_at, _objective_numerator,
                        checked_eps, eval_objective)
 from .polyhedra import (contains, contains_int, enumerate_lattice_points,
@@ -242,10 +243,42 @@ def fmax_cont(inst: Instance) -> Fraction:
     return fmax_cont_witness(inst)[0]
 
 
-def fmax_cont_witness(inst: Instance, vertices: list | None = None
-                      ) -> tuple[Fraction, tuple[Fraction, ...]]:
+def fmax_cont_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact max of the concave objective over the feasible region, and the
-    first face's point attaining it.
+    first face's point attaining it (_face_walk).
+
+    Raises InfeasibleError when P is empty and UnboundedError when f is
+    unbounded above on P.  -f is a convex quadratic, so on a nonempty P it
+    is unbounded below exactly along some r with A r <= 0, r_i = 0 for
+    i < k and h.r > 0; one LP looks for such an r when the walk finds P is
+    no polytope.  Without a face attaining a maximum, a nonempty P has one.
+    """
+    fci, wci, _, box = _face_walk(inst)
+    P = inst.polyhedron()
+    if box is None and (fci is not None or feasible_point(P.A, P.b) is not None):
+        rows, _ = P.int_rows
+        k, H = inst.k, inst.int_objective[1]
+        # r in the coordinates i >= k: A r <= 0 and h.r >= 1, scaled by d > 0
+        if feasible_point([row[k:] for row in rows] + [[-c for c in H[k:]]],
+                          [0] * len(rows) + [-1]) is not None:
+            raise UnboundedError("the objective is unbounded above on the feasible region")
+    if fci is None:
+        raise InfeasibleError("feasible region is empty")
+    return fci, wci
+
+
+def _face_walk(inst: Instance):
+    """The exact max fci of the concave objective over the feasible
+    region, the first face's point wci attaining it, the vertices of P and
+    the box for the lattice walk.
+
+    fci and wci are None when no face attains a maximum in P; when f is
+    unbounded above on P, fci may be a face's value (fmax_cont_witness
+    tells the cases apart).  On a nonempty polytope, verts holds every
+    vertex and box their coordinate-wise extremes, P's exact bounding box,
+    as ints over one denominator D, the form polyhedra.lattice_runs takes.
+    Otherwise verts is empty and box None, and the lattice walk finds the
+    box by LP, which gives no points or raises UnboundedError.
 
     The maximizer lies in the relative interior of some face, where the
     gradient is orthogonal to the face's affine hull.  Each linearly
@@ -299,23 +332,20 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
     the line (Line.vertices).  These leaves wait until the whole of level
     n - 1 is done: in (size, lex) order every (n - 1)-set comes before
     every n-set, so the best value each leaf is compared with, and the
-    witness it may become, are those of that order, and the recession test
-    below has seen every line before a vertex is collected.  A leaf's value
-    is at most its line's bound, so without a vertex list the leaves of a
-    line whose bound is <= the best value are not visited, and a dominated
-    line is not even met with P.
+    witness it may become, are those of that order.
 
-    When a list is passed as vertices, the same walk also collects the
-    vertices of P, if P is a polytope.  Each leaf in P is a vertex, and is
-    appended as (X, e, num, den): the point X / e of value num / den, once
-    per n-subset that gives it.  Before that, each line has its direction
-    w tested (Line.recedes): if A_i w <= 0 for every row i, or >= 0 for every row i, then
-    w or -w lies in the recession cone C = {y : A y <= 0}, P is not a
-    polytope, and no vertex is collected.  When some vertex exists, A has
-    rank n, so C is pointed and, unless it is {0}, has an extreme ray; that
-    ray is tight on n - 1 independent rows, so it spans the kernel line of
-    such an S.  So the list ends nonempty exactly when P is a nonempty
-    polytope, and then holds every vertex of P, whose convex hull P is.
+    Every line is met with P, dominated or not, and every leaf is visited,
+    so the same walk also collects the vertices of P.  Each leaf in P is a
+    vertex, kept as (X, e, num, den): the point X / e of value num / den,
+    once per n-subset that gives it.  Each line has its direction w tested
+    (Line.recedes): if A_i w <= 0 for every row i, or >= 0 for every row
+    i, then w or -w lies in the recession cone C = {y : A y <= 0}, P is not
+    a polytope, and the vertices are dropped at the end.  When some vertex
+    exists, A has rank n, so C is pointed and, unless it is {0}, has an
+    extreme ray; that ray is tight on n - 1 independent rows, so it spans
+    the kernel line of such an S.  So the list ends nonempty exactly when P
+    is a nonempty polytope, and then holds every vertex of P, whose convex
+    hull P is.
 
     Everything but the LP runs on the int rows of P.  The walk gives each
     face the Bareiss echelon of [A_S | b_S], which gives A_S x = b_S as
@@ -337,12 +367,7 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
     Q2 = [2 * c for c in Q] + [0] * (n - k)
     best = None  # (numerator, denominator) of the best value so far
     wit = pending = None  # the witness, or the face whose LP gives it
-    collect = vertices is not None
-
-    def below_best(bound) -> bool:
-        return (bound is not None and best is not None
-                and bound[0] * best[1] <= best[0] * bound[1])
-
+    recedes = False  # some line's direction lies in P's recession cone
     level, above, bounds = 0, {}, {}  # the faces' bounds, one level up and this one
     lines = []  # (S, line) per independent (n - 1)-set, for its leaves
     for S, ech, pivots in exact.independent_row_sets(aug, n, 0, n - 1):
@@ -351,17 +376,17 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
             level, above, bounds = size, bounds, {}
         on_line = size == n - 1
         up = above.get(S[:-1])
-        dominated = below_best(up)
+        dominated = (up is not None and best is not None
+                     and up[0] * best[1] <= best[0] * up[1])
         if dominated:
             bounds[S] = up
-            if not (collect and on_line):  # else the recession test needs the line
+            if not on_line:  # a line is met anyway: its leaves, and the recession test
                 continue
         X0, W, L = exact._solution_space(ech, pivots, n)
         if on_line:
             line = line_through(P, X0, W[0], L)
             lines.append((S, line))
-            if collect:
-                collect = not line.recedes
+            recedes = recedes or line.recedes
         if dominated:
             continue
         if on_line:  # a t = b, solved as exact.solution_space_int would solve it
@@ -412,24 +437,29 @@ def fmax_cont_witness(inst: Instance, vertices: list | None = None
             if pt is None:
                 continue
         best, wit, pending = (num, den), tuple(pt), None
+    verts = []
     for S, line in lines:  # the leaves S + (j,), in (S, j) order
-        if not collect and below_best(bounds.get(S)):
-            continue
         for X, e in line.vertices(S[-1] + 1 if S else 0):
             num, den = _objective_numerator(Q, H, X, e), d * e * e
-            if collect:
-                vertices.append((X, e, num, den))
+            verts.append((X, e, num, den))
             if best is None or num * best[1] > best[0] * den:
                 best, wit, pending = (num, den), exact.rational_vector(X, e), None
     if best is None:
-        raise InfeasibleError("feasible region is empty")
+        return None, None, [], None
     if pending is not None:
         S, W, L = pending
         pt = _face_point(inst, S, W, L, Fraction(*best))
         if pt is None:
             raise ClaimViolation("face-lp", f"face {S}: the LP finds no point of E_S in P")
         wit = tuple(pt)
-    return Fraction(*best), wit
+    if recedes:
+        verts = []
+    box = None
+    if verts:
+        D = math.lcm(*(e for _, e, _, _ in verts))
+        cols = list(zip(*([x * (D // e) for x in X] for X, e, _, _ in verts)))
+        box = [min(c) for c in cols], [max(c) for c in cols], D
+    return Fraction(*best), wit, verts, box
 
 
 def _face_point(inst: Instance, S, W, L: int, value: Fraction) -> list[Fraction] | None:
@@ -455,32 +485,6 @@ def _face_point(inst: Instance, S, W, L: int, value: Fraction) -> list[Fraction]
     if pt is not None and eval_objective(inst, pt) != value:
         raise ClaimViolation("face-constant", f"face {S}: f is not constant on E_S")
     return pt
-
-
-def _face_walk(inst: Instance):
-    """fmax_cont_witness's value and witness, the vertices it collects, and
-    the box for the lattice walk.
-
-    When the face walk collects vertices, P is a polytope and the
-    coordinate-wise extremes of its vertices are its exact bounding box,
-    given as ints over their common denominator D, the form
-    polyhedra.lattice_runs takes.  Otherwise (P empty, unbounded, or of
-    rank < n) the box is None, and the lattice walk finds it by LP, which
-    gives no points or raises UnboundedError.
-    The value and witness are None when no face attains a maximum in P: P
-    is then empty or unbounded, and no vertex is collected.
-    """
-    verts = []
-    try:
-        fci, wci = fmax_cont_witness(inst, verts)
-    except InfeasibleError:
-        fci = wci = None
-    box = None
-    if verts:
-        D = math.lcm(*(e for _, e, _, _ in verts))
-        cols = list(zip(*([x * (D // e) for x in X] for X, e, _, _ in verts)))
-        box = [min(c) for c in cols], [max(c) for c in cols], D
-    return fci, wci, verts, box
 
 
 def full_report(inst: Instance) -> OracleReport:
@@ -593,16 +597,10 @@ def certify_no_cont_approx_within(inst: Instance, eps, xd, radius) -> bool:
     the box fails the verdict.
     """
     eps = checked_eps(eps)
-    verts = []
-    try:
-        fmax = fmax_cont_witness(inst, verts)[0]
-    except InfeasibleError:
-        # P is empty, or unbounded with f unbounded above: solve_qp's error
-        # (UnboundedError on an unbounded P) comes first.
-        solve_qp(inst)
-        raise
-    # A polytope's vertices hold the continuous minimum; solve_qp decides
-    # otherwise, with its own errors.
+    fmax, _, verts, _ = _face_walk(inst)
+    # A polytope's vertices hold the continuous minimum.  Without vertices
+    # P is empty or not a polytope, and solve_qp raises InfeasibleError or
+    # UnboundedError.
     qp = _vertex_minimum(verts) if verts else solve_qp(inst)
     tau = qp.value + eps * (fmax - qp.value)
     box = intersect_with_box(inst.polyhedron(), xd, radius)

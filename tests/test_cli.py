@@ -33,6 +33,7 @@ def assert_one_input_error(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and len(err.strip().splitlines()) == 1
+    return err
 
 
 def test_roundtrip_serialization():
@@ -248,12 +249,37 @@ def test_cmd_proximity_bad_eps(capsys, ex11_path):
 
 
 LONG_LITERAL = "1/" + "1" * 5000  # past the interpreter's limit on int digits
+LONG_ECHO = f"{LONG_LITERAL[:80]!r}... (5002 characters)"
+LONG_POINT = ",".join(["1"] * 3000)
 
 
-@pytest.mark.parametrize("args", [["--eps", LONG_LITERAL],
-                                  ["--eps", "1/2", "--xc", LONG_LITERAL]], ids=["eps", "xc"])
-def test_cmd_proximity_overlong_literal(capsys, ex11_path, args):
-    assert_one_input_error(capsys, ["proximity", ex11_path, *args])
+@pytest.mark.parametrize("args, echo", [
+    (["--eps", LONG_LITERAL], f"bad rational literal {LONG_ECHO}"),
+    (["--eps", "1/2", "--xc", LONG_LITERAL], f"bad rational literal {LONG_ECHO}"),
+    (["--eps", "1/2", "--xc", LONG_POINT],
+     f"point {LONG_POINT[:80]!r}... (5999 characters) has dimension 3000, the instance 1"),
+    (["--eps", "1/2/3"], "bad rational literal '1/2/3'"),
+    (["--eps", "1/2", "--xc", "1,2"], "point '1,2' has dimension 2, the instance 1"),
+], ids=["eps", "xc", "xc-dimension", "eps-short", "xc-dimension-short"])
+def test_cmd_proximity_overlong_literal(capsys, ex11_path, args, echo):
+    """A rejected literal is echoed whole up to 80 characters, and past
+    that as its first 80 and its length, so the error stays one short
+    line."""
+    err = assert_one_input_error(capsys, ["proximity", ex11_path, *args])
+    assert err == f"input error: {echo}\n" and len(err) < 200
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1/2/3", "bad rational literal '1/2/3'"),
+    ("x" * 81, f"bad rational literal {'x' * 80!r}... (81 characters)"),
+    ([1, 2], "bad rational literal [1, 2]: not a string or an int"),
+    ([1] * 3000, f"bad rational literal {repr([1] * 3000)[:80]}... (9000 characters): "
+                 "not a string or an int"),
+], ids=["short", "long", "list", "long-list"])
+def test_str_to_rat_echoes_a_long_value_cut(value, message):
+    with pytest.raises(errors.InputError) as got:
+        formats.str_to_rat(value)
+    assert str(got.value) == message
 
 
 def test_cmd_proximity_checked_anchor(capsys, ex11_path):
@@ -584,13 +610,13 @@ def test_proximity_without_anchors_enumerates_lattice_once(capsys, ex11_path,
                                                            monkeypatch, anchors):
     calls = []
     for mod, name in ((oracles, "lattice_runs"), (oracles, "enumerate_lattice_points"),
-                      (oracles, "enumerate_vertices"), (oracles, "fmax_cont_witness"),
+                      (oracles, "enumerate_vertices"), (oracles, "_face_walk"),
                       (polyhedra, "coordinate_range")):
         real = getattr(mod, name)
         monkeypatch.setattr(mod, name, lambda *a, real=real, name=name, **kw:
                             calls.append(name) or real(*a, **kw))
     assert main(["proximity", ex11_path, "--eps", "1/2", *anchors]) == 0
-    assert sorted(calls) == ["fmax_cont_witness", "lattice_runs"]
+    assert sorted(calls) == ["_face_walk", "lattice_runs"]
 
 
 @pytest.mark.parametrize("fi", [build_prop45(3, 1, "1/2"),

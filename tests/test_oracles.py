@@ -92,6 +92,45 @@ def test_fmax_cont_linear_reduces_to_lp():
     assert fmax_cont(inst) == 9
 
 
+OPEN_BELOW = instance([[1, 0], [-1, 0], [0, 1]], [2, 2, 2], [1], [0, 1])
+
+
+@pytest.mark.parametrize("inst, want", [
+    (instance([[-1]], [0], [], [1]), None),               # x >= 0, f = x
+    (instance([[0, -1]], [0], [1], [0, 1]), None),        # x_1 >= 0, f = -x_0^2 + x_1
+    (instance([], [], [1], [0, 1]), None),                # R^2, the same f
+    (OPEN_BELOW, (F(2), (F(0), F(2)))),                   # f falls along -e_1
+], ids=["ray", "half-plane", "plane", "open-below"])
+def test_fmax_cont_unbounded_above(inst, want):
+    """f rises without bound along a ray r of P's recession cone with
+    r_i = 0 for i < k and h.r > 0: both oracles raise UnboundedError.  On
+    a P that recedes only where f falls, they give the maximum."""
+    if want is None:
+        for oracle in (oracles.fmax_cont_witness, fmax_cont):
+            with pytest.raises(UnboundedError, match="^the objective is unbounded above"):
+                oracle(inst)
+    else:
+        assert oracles.fmax_cont_witness(inst) == want
+        assert fmax_cont(inst) == want[0]
+
+
+@pytest.mark.parametrize("inst, walk, error", [
+    (instance([[1], [-1]], [-1, 0], [1], [0]), (None, None, [], None),
+     InfeasibleError("feasible region is empty")),
+    (OPEN_BELOW, (F(2), (F(0), F(2)), [], None), UnboundedError("coordinate 1 is unbounded")),
+    (instance([[-1]], [0], [], [1]), (F(0), (F(0),), [], None),
+     UnboundedError("coordinate 0 is unbounded")),
+], ids=["empty", "open-below", "ray"])
+def test_face_walk_off_polytopes(inst, walk, error):
+    """Off a polytope the walk keeps no vertex and gives no box, and
+    certify_no_cont_approx_within raises solve_qp's error, message and
+    all."""
+    assert oracles._face_walk(inst) == walk
+    with pytest.raises(type(error)) as got:
+        certify_no_cont_approx_within(inst, F(1, 2), [0] * inst.n, 1)
+    assert str(got.value) == str(error)
+
+
 def test_fmax_cont_dominates_vertices_and_lattice():
     rng = random.Random(4)
     for seed in range(20):
@@ -856,26 +895,38 @@ def test_pruned_walk_matches_unpruned_walk(inst):
 @given(report_regions())
 @example(instance([[1, 0], [-1, 0], [0, 1]], [2, 2, 2], [1], [0, 1]))   # open below
 @example(instance([[1], [-1]], [F(1, 3), F(-1, 4)], [1], [0]))          # a vertex, no lattice point
-def test_fmax_cont_witness_collects_vertices_of_polytopes(inst):
-    """The list passed in ends with enumerate_vertices' points and their
-    values on a polytope, and empty otherwise; (value, witness) is the same
-    as without it."""
+def test_face_walk_collects_vertices_of_polytopes(inst):
+    """The walk's vertices are enumerate_vertices' points and their values
+    on a polytope, and none otherwise; its (value, witness) is the
+    combinations walk's without a vertex list."""
     try:
         want = enumerate_vertices(inst.polyhedron())
     except UnboundedError:
         want = []
     verts = []
     try:
-        got = oracles.fmax_cont_witness(inst, verts)
+        got = face_walk_witness(inst, verts)
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
-            oracles.fmax_cont_witness(inst)
+            combinations_fmax_cont_witness(inst)
     else:
-        assert got == oracles.fmax_cont_witness(inst)
+        assert got == combinations_fmax_cont_witness(inst)
     points = [tuple(F(x, e) for x in X) for X, e, _, _ in verts]
     assert sorted(set(points)) == want
     for p, (_, _, num, den) in zip(points, verts):
         assert eval_objective(inst, p) == F(num, den)
+
+
+def face_walk_witness(inst, vertices=None):
+    """oracles._face_walk in the form of the reference walks below: its
+    (value, witness), or InfeasibleError when no face attains a maximum,
+    with its vertices appended to the list passed as vertices."""
+    fci, wci, verts, _ = oracles._face_walk(inst)
+    if vertices is not None:
+        vertices.extend(verts)
+    if fci is None:
+        raise InfeasibleError("feasible region is empty")
+    return fci, wci
 
 
 def combinations_fmax_cont_witness(inst, vertices=None):
@@ -975,7 +1026,7 @@ def face_walk_run(walk, inst, collect):
 
 
 def assert_same_walk(run, reference):
-    """run, a face_walk_run of fmax_cont_witness, has the result and the
+    """run, a face_walk_run of the face walk, has the result and the
     vertices of reference, a walk that runs each face's LP at once.  Its
     face LPs are exactly the reference's on faces with two or more free
     directions, in order, and then, when the reference's witness is the
@@ -1004,7 +1055,7 @@ def test_level_walk_matches_combinations_walk(collect, inst):
     derives from its LPs.  The combinations walk solves every face, so the
     walk's dominance skip is checked against it; the worst-case builders
     are where the skip fires on every face below the root."""
-    assert_same_walk(face_walk_run(oracles.fmax_cont_witness, inst, collect),
+    assert_same_walk(face_walk_run(face_walk_witness, inst, collect),
                      face_walk_run(combinations_fmax_cont_witness, inst, collect))
 
 
@@ -1140,7 +1191,7 @@ def test_line_walk_matches_level_walk(collect, inst):
     def keeping(walk):
         return lambda inst, verts: lists.append(verts) or walk(inst, verts)
 
-    assert_same_walk(face_walk_run(keeping(oracles.fmax_cont_witness), inst, collect),
+    assert_same_walk(face_walk_run(keeping(face_walk_witness), inst, collect),
                      face_walk_run(keeping(level_fmax_cont_witness), inst, collect))
     assert lists[0] == lists[1]
     if collect:
@@ -1155,12 +1206,12 @@ def test_line_walk_matches_level_walk(collect, inst):
 
 
 def face_walk_counts(monkeypatch, walk):
-    """Stationarity solves, rows tried on an echelon and faces reached by
-    walk(); the rows a stationarity solve adds to its own echelon are not
-    counted."""
+    """Stationarity solves, rows tried on an echelon, faces reached and
+    lines met with P (polyhedra.line_through) by walk(); the rows a
+    stationarity solve adds to its own echelon are not counted."""
     counts = Counter()
     solving = []
-    solve, extend = exact.solution_space_int, exact._extend_echelon
+    solve, extend, meet = exact.solution_space_int, exact._extend_echelon, oracles.line_through
 
     def counted_solve(*args):
         counts["solves"] += 1
@@ -1177,8 +1228,13 @@ def face_walk_counts(monkeypatch, walk):
             counts["faces"] += ext is not None
         return ext
 
+    def counted_meet(*args):
+        counts["lines"] += 1
+        return meet(*args)
+
     monkeypatch.setattr(exact, "solution_space_int", counted_solve)
     monkeypatch.setattr(exact, "_extend_echelon", counted_extend)
+    monkeypatch.setattr(oracles, "line_through", counted_meet)
     walk()
     return dict(counts)
 
@@ -1194,20 +1250,21 @@ def test_face_walk_counts_on_prop44(monkeypatch):
     unconstrained maximum of f, which the origin, a point of P, attains.
     Every other face then lies under a bound no larger than the best value,
     so none of the 3^8 - 2^8 - 1 other sets of fewer than 8 rows is
-    solved."""
+    solved.  Each of the 8 * 2^7 = 1,024 sets of 7 rows is still met with
+    P as a line, for its leaves and the recession test."""
     inst = build_prop44(F(1, 4), 3, n=8).instance
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
-        "solves": 1, "tried": 8944, "faces": 6304}
+        "solves": 1, "tried": 8944, "faces": 6304, "lines": 1024}
 
 
 def test_face_walk_counts_on_pr_tight(monkeypatch):
     """pr-tight n = 3, like prop44, attains the unconstrained maximum in P,
     so the empty set's solve is the only one of its 19 sets of fewer than
     3 rows.  Its 21 rows tried reach those 18 nonempty sets; the sets of 3
-    rows are the leaves of the 2-row lines."""
+    rows are the leaves of the 12 2-row lines, each met with P."""
     inst = build_pr_tight(3, 1, 1, F(1, 2), F(2, 3)).instance
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
-        "solves": 1, "tried": 21, "faces": 18}
+        "solves": 1, "tried": 21, "faces": 18, "lines": 12}
 
 
 def test_face_walk_counts_on_ilp_tightness(monkeypatch):
@@ -1215,24 +1272,25 @@ def test_face_walk_counts_on_ilp_tightness(monkeypatch):
     no set of fewer than 3 of its rows.  So every such set has an
     inconsistent stationarity system, no face gets a bound to pass on, and
     each of the 19 is solved: the 7 of fewer than 2 rows by
-    exact.solution_space_int, the 12 lines in closed form."""
+    exact.solution_space_int, the 12 lines in closed form, each met with
+    P."""
     inst = build_ilp_tightness(3, 2, F(1, 2)).instance
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
-        "solves": 7, "tried": 21, "faces": 18}
+        "solves": 7, "tried": 21, "faces": 18, "lines": 12}
 
 
 def test_face_walk_counts_on_solve_mix(monkeypatch):
     """random_instance(56589932, n_max=4) is an n = 3, m = 9, k = 2
     instance of the benchmark's seed-0 solve pass.  Its walk tries the 9
-    single rows and the 36 pairs, reaching 42 faces; the 9 + 1 faces of
-    fewer than 2 rows are each solved by exact.solution_space_int.  The 84
+    single rows and the 36 pairs, reaching 42 faces, 33 of them pair lines
+    met with P; the 9 + 1 faces of fewer than 2 rows are each solved by exact.solution_space_int.  The 84
     sets of 3 rows are the leaves of the pair lines: no echelon and no
     solve each (walking them row by row took 114 rows tried, 103 faces and
     35 solves)."""
     inst = random_instance(56589932, n_max=4)
     assert (inst.n, inst.m, inst.k) == (3, 9, 2)
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
-        "solves": 10, "tried": 45, "faces": 42}
+        "solves": 10, "tried": 45, "faces": 42, "lines": 33}
 
 
 def verdict_loop_delta_star(inst, eps):
@@ -1314,5 +1372,8 @@ def test_certificate_matches_two_call_form_on_prop46(n, delta, eps):
 @given(report_regions(), st.fractions(0, 1, max_denominator=4),
        st.lists(st.integers(-4, 4), min_size=3, max_size=3),
        st.fractions(0, 3, max_denominator=2))
+@example(instance([[1], [-1]], [-1, 0], [1], [0]), F(1, 2), [0, 0, 0], 1)   # empty
+@example(OPEN_BELOW, F(1, 2), [0, 0, 0], 1)
+@example(instance([[-1]], [0], [], [1]), F(1, 2), [0, 0, 0], 1)           # f = x on x >= 0
 def test_certificate_matches_two_call_form(inst, eps, xd, radius):
     assert_same_certificate(inst, eps, xd[:inst.n], radius)

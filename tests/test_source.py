@@ -85,6 +85,27 @@ def test_errors_come_from_iqprox_errors():
     assert nodes_where(raises_foreign_error) == []
 
 
+RESULT_ERRORS = {"InfeasibleError", "UnboundedError", "ClaimViolation",
+                 "RepresentationMismatch"}
+
+
+def catches_a_result_error(node) -> bool:
+    """An except clause that names one of RESULT_ERRORS, bare or as an
+    attribute."""
+    return (isinstance(node, ast.ExceptHandler) and node.type is not None
+            and any(isinstance(n, ast.Name) and n.id in RESULT_ERRORS
+                    or isinstance(n, ast.Attribute) and n.attr in RESULT_ERRORS
+                    for n in ast.walk(node.type)))
+
+
+def test_only_the_cli_catches_result_errors():
+    """An empty or unbounded region and a failed claim reach the CLI, which
+    maps each to its exit code: no other module catches them, to decide a
+    result from a raised error."""
+    assert [site for site in nodes_where(catches_a_result_error)
+            if not site.startswith("cli.py:")] == []
+
+
 def imports_in_body(node) -> bool:
     return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and any(isinstance(n, (ast.Import, ast.ImportFrom))
