@@ -77,14 +77,14 @@ def strs_to_vec(xs) -> list[Fraction]:
     """The rationals of a JSON array; InputError for anything else, such as
     a string, whose characters would otherwise read as entries."""
     if type(xs) is not list:
-        raise InputError(f"expected a JSON array of rationals, got {xs!r}")
+        raise InputError(f"expected a JSON array of rationals, got {echo(xs)}")
     return [str_to_rat(x) for x in xs]
 
 
 def _matrix_row(xs) -> list:
     """A row of A: strs_to_vec, with each JSON int kept as the int it is."""
     if type(xs) is not list:
-        raise InputError(f"expected a JSON array of rationals, got {xs!r}")
+        raise InputError(f"expected a JSON array of rationals, got {echo(xs)}")
     return [x if type(x) is int else str_to_rat(x) for x in xs]
 
 
@@ -110,9 +110,9 @@ def instance_from_dict(d: dict) -> Instance:
     try:
         for key in ("k", "n", "m"):
             if key in d and type(d[key]) is not int:
-                raise InputError(f"{key} must be a JSON integer, got {d[key]!r}")
+                raise InputError(f"{key} must be a JSON integer, got {echo(d[key])}")
         if type(d["A"]) is not list:
-            raise InputError(f"A must be a JSON array of rows, got {d['A']!r}")
+            raise InputError(f"A must be a JSON array of rows, got {echo(d['A'])}")
         q = strs_to_vec(d["q"])
         inst = instance([_matrix_row(row) for row in d["A"]], strs_to_vec(d["b"]),
                         q, strs_to_vec(d["h"]), d.get("k", len(q)))

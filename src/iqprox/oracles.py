@@ -21,7 +21,7 @@ from .pipeline import (Instance, PipelineResult, _objective_at, _objective_numer
                        checked_eps, eval_objective)
 from .polyhedra import (contains, contains_int, enumerate_lattice_points,
                         enumerate_vertices, intersect_with_box, lattice_runs,
-                        line_through)
+                        line_through, plane_lines)
 from .simplex import feasible_point
 
 # No oracle lists lattice points or tests a point through contains any
@@ -307,8 +307,9 @@ def _face_walk(inst: Instance):
     if it is still the witness then does its LP run, on the rows it would
     have had at once, so it gives the same point.  That LP must find one
     (the line meets P).
-    The subsets of up to n - 1 rows come from exact.independent_row_sets,
-    in that order; those of n rows from the lines below.
+    The subsets of up to n - 2 rows come from exact.independent_row_sets,
+    in that order; those of n - 1 rows from their planes, and those of n
+    rows from the lines, both below.
 
     Each face of fewer than n rows carries an upper bound on f over its
     affine hull: v_S when its E_S was solved and is consistent, its
@@ -321,9 +322,19 @@ def _face_walk(inst: Instance):
     previous level's bounds are kept.
 
     The last two levels run on lines.  An independent S of n - 1 rows has
-    the kernel line x = (X0 + t w) / L, and polyhedra.line_through meets it
-    with every row in one pass: the products A_i.w, the slacks and the
-    interval of t on which the line lies in P.  Its E_S is one equation in
+    the kernel line x = (X0 + t w) / L, met with every row: the products
+    A_i.w, the slacks and the interval of t on which the line lies in P
+    (polyhedra.Line).  Each such S is a plane S' of n - 2 rows plus a row j
+    > max S', and the line lies in the plane's two-dimensional solution
+    set, which exact._solution_space gives S' as X0 and two kernel vectors
+    over one L.  So the walk stops its row sets at n - 2 rows, keeps each
+    plane's solution (the one its stationarity solve already made, or, for
+    a dominated plane, one made only when some later row reduces to
+    nonzero on its echelon), and after the whole level n - 2 takes the
+    lines plane by plane, j ascending, from polyhedra.plane_lines: the
+    same ints as the echelon of S' plus row j gives, at O(m) ints a line,
+    in the same (size, lex) order.  For n = 1 the empty set is the line,
+    met by polyhedra.line_through.  A line's E_S is one equation in
     t, a t = b with a = sum_i 2 Q_i w_i^2 and b = w.(L H - 2 Q X0), solved
     in closed form, and its point, at t = b / a, lies in P exactly when t
     lies in the interval.  The n-sets are S + (j,) for the rows j > max S,
@@ -348,9 +359,10 @@ def _face_walk(inst: Instance):
     hull P is.
 
     Everything but the LP runs on the int rows of P.  The walk gives each
-    face the Bareiss echelon of [A_S | b_S], which gives A_S x = b_S as
-    x = (X0 + W y) / L, W the int kernel basis, with the same ints as
-    exact.solution_space_int.  With q = Q / d and h = H / d, the
+    face of up to n - 2 rows the Bareiss echelon of [A_S | b_S], which
+    gives A_S x = b_S as x = (X0 + W y) / L, W the int kernel basis, with
+    the same ints as exact.solution_space_int; a line's X0, W = (w,) and L
+    are those ints too.  With q = Q / d and h = H / d, the
     stationarity condition on these x is the (n - s) x (n - s) int system
     (W^T 2Q W) y = W^T (L H - 2Q X0); it is consistent exactly when E_S
     is, and E_S has rank s plus its rank.  Any of its solutions gives v_S,
@@ -369,33 +381,50 @@ def _face_walk(inst: Instance):
     wit = pending = None  # the witness, or the face whose LP gives it
     recedes = False  # some line's direction lies in P's recession cone
     level, above, bounds = 0, {}, {}  # the faces' bounds, one level up and this one
+    planes = []  # (S, echelon, pivots, solution or None) per (n - 2)-set, for its lines
     lines = []  # (S, line) per independent (n - 1)-set, for its leaves
-    for S, ech, pivots in exact.independent_row_sets(aug, n, 0, n - 1):
+
+    def faces():
+        """(S, echelon, pivots, None) per independent set of at most n - 2
+        rows, then (S, None, None, line) per independent set of n - 1."""
+        for S, ech, pivots in exact.independent_row_sets(aug, n, 0, n - 2):
+            yield S, ech, pivots, None
+        if n == 1:  # the empty set is the line
+            yield (), None, None, line_through(P, [0], [1], 1)
+        for S, ech, pivots, sol in planes:
+            start = S[-1] + 1 if S else 0
+            if sol is None:  # dominated: solved only when some line lies in it
+                if all(exact._extend_echelon(ech, pivots, aug[j], n) is None
+                       for j in range(start, len(aug))):
+                    continue
+                sol = exact._solution_space(ech, pivots, n)
+            for j, line in plane_lines(P, start, *sol):
+                yield S + (j,), None, None, line
+
+    for S, ech, pivots, line in faces():
         size = len(S)
         if size > level:
             level, above, bounds = size, bounds, {}
-        on_line = size == n - 1
-        up = above.get(S[:-1])
-        dominated = (up is not None and best is not None
-                     and up[0] * best[1] <= best[0] * up[1])
-        if dominated:
-            bounds[S] = up
-            if not on_line:  # a line is met anyway: its leaves, and the recession test
-                continue
-        X0, W, L = exact._solution_space(ech, pivots, n)
-        if on_line:
-            line = line_through(P, X0, W[0], L)
+        if line is not None:  # met anyway: its leaves, and the recession test
             lines.append((S, line))
             recedes = recedes or line.recedes
-        if dominated:
+        up = above.get(S[:-1])
+        if up is not None and best is not None and up[0] * best[1] <= best[0] * up[1]:
+            bounds[S] = up
+            if size == n - 2:
+                planes.append((S, ech, pivots, None))
             continue
-        if on_line:  # a t = b, solved as exact.solution_space_int would solve it
+        if line is not None:  # a t = b, solved as exact.solution_space_int would solve it
+            X0, W, L = line.X0, [line.w], line.L
             (w,) = W
             Qw = list(map(mul, Q2, w))
             a = sum(map(mul, Qw, w))
             b = L * sum(map(mul, w, H)) - sum(map(mul, Qw, X0))
             stat = ([b], [], a) if a else None if b else ([0], [[1]], 1)
         else:
+            X0, W, L = exact._solution_space(ech, pivots, n)
+            if size == n - 2:
+                planes.append((S, ech, pivots, (X0, W, L)))
             QW = [list(map(mul, Q2, w)) for w in W]
             g = [L * c - qx for c, qx in zip(H, map(mul, Q2, X0))]
             stat = exact.solution_space_int(
@@ -414,11 +443,11 @@ def _face_walk(inst: Instance):
         if best is not None and num * best[1] <= best[0] * den:
             continue
         if not free:
-            if not (line.holds(Y[0], e2) if on_line else contains_int(P, X, e)):
+            if not (line.holds(Y[0], e2) if line is not None else contains_int(P, X, e)):
                 continue
             pt = exact.rational_vector(X, e)
         elif len(free) == 1:  # E_S is a line, in P exactly where it meets P
-            if on_line:
+            if line is not None:
                 eline = line
             else:
                 (f,) = free

@@ -248,18 +248,20 @@ def normalize(inst: Instance, xd) -> tuple[Instance, tuple[int, ...]]:
     Returns the shifted instance and the translation (the original point)
     as ints; the shifted objective vanishes at the origin by construction.
     The point is scaled once: it is integer when its denominator is 1.  The
-    shifted instance holds the instance's polyhedron translated by it.
+    shifted instance holds the instance's polyhedron translated by it, and
+    its h_i = (H_i - 2 X_i Q_i) / d for i < k, one Fraction each from the
+    instance's int objective (Q, H, d).
     """
-    X, d = exact.integer_vector(xd)
-    if d != 1:
+    X, e = exact.integer_vector(xd)
+    if e != 1:
         raise InputError("anchor point must be integer")
     P = inst.polyhedron()
     if len(X) != inst.n:
         raise DimensionError(f"point has dim {len(X)}, polyhedron has {inst.n}")
     if not contains_int(P, X, 1):
         raise InputError("anchor point must be feasible")
-    h2 = tuple(inst.h[i] - 2 * X[i] * inst.q[i] if i < inst.k else inst.h[i]
-               for i in range(inst.n))
+    Q, H, d = inst.int_objective
+    h2 = tuple(Fraction(c - 2 * x * a, d) for c, x, a in zip(H, X, Q)) + inst.h[inst.k:]
     return Instance(translate(P, X), inst.k, inst.q, h2), tuple(X)
 
 

@@ -245,21 +245,24 @@ class Line(NamedTuple):
 
 
 def line_through(P: Polyhedron, X0: list[int], w: list[int], L: int) -> Line:
-    """The Line (X0 + t w) / L against P's int rows, in one pass over them.
+    """The Line (X0 + t w) / L against P's int rows: A_i.w and the slack
+    L b_i - A_i.X0 of each row, and then _line."""
+    rows, rhs = P.int_rows
+    return _line(X0, w, L, [sum(map(mul, row, w)) for row in rows],
+                 [L * c - sum(map(mul, row, X0)) for row, c in zip(rows, rhs)])
+
+
+def _line(X0: list[int], w: list[int], L: int, dots: list[int], slacks: list[int]) -> Line:
+    """The Line (X0 + t w) / L with its rows' products and slacks given, in
+    one pass over them.
 
     Each row with A_i.w > 0 bounds t above by its ratio slack_i / A_i.w,
     each with A_i.w < 0 below; a row with A_i.w = 0 holds on the whole line
     or on none of it, as slack_i >= 0 or not.
     """
-    rows, rhs = P.int_rows
-    dots, slacks = [], []
     lo = hi = None
     meets = True
-    for row, c in zip(rows, rhs):
-        dot = sum(map(mul, row, w))
-        s = L * c - sum(map(mul, row, X0))
-        dots.append(dot)
-        slacks.append(s)
+    for dot, s in zip(dots, slacks):
         if dot > 0:
             if hi is None or s * hi[1] < hi[0] * dot:
                 hi = (s, dot)
@@ -271,6 +274,71 @@ def line_through(P: Polyhedron, X0: list[int], w: list[int], L: int) -> Line:
     if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
         meets = False
     return Line(X0, w, L, dots, slacks, lo, hi, meets)
+
+
+def plane_lines(P: Polyhedron, start: int, X0: list[int], W: list[list[int]], L: int):
+    """(j, Line) for each row j >= start, in order, that is independent of
+    a plane's rows: the line of the plane and row j, with the ints that
+    exact._solution_space and line_through give on the echelon of the
+    plane's rows plus row j.
+
+    The plane is an independent set S of n - 2 int rows [A_i | b_i], given
+    by exact._solution_space of its echelon: x = (X0 + y_1 W1 + y_2 W2) / L,
+    with W = (W1, W2) for its free columns f1 < f2, W_f equal to L at f and
+    0 at the other free column, and X0 zero at both.  Every row i gets
+    three products, u_i = A_i.W1, v_i = A_i.W2 and s_i = L b_i - A_i.X0,
+    once and only when some row j >= start has (u_j, v_j) != (0, 0).
+
+    Row j reduced through S's echelon (exact._extend_echelon) is p A_j plus
+    a combination of S's rows, p the echelon's signed last pivot, |p| = L.
+    Dotted with (W1, 0), (W2, 0) and (X0, -L), which S's rows annihilate, it
+    reads r_j = sign(p) (u_j, v_j, s_j) in the columns f1, f2 and b, and 0
+    in S's pivot columns.  So row j is independent of S exactly when (u_j,
+    v_j) != (0, 0), and its pivot g is f1 when u_j != 0, else f2; f is the
+    other free column, and G, F are the products with W_g and W_f.  With
+    a = |G_j|, the child's L, and sigma = sign(G_j), back-substitution on
+    the child's echelon puts sigma s_j at g and 0 at f of its X0, and a at f
+    and -sigma F_j at g of its w.  Both are then fixed on S's solution set:
+
+        X0' = (a X0 + sigma s_j W_g) / L,   w = (a W_f - sigma F_j W_g) / L,
+
+    and each row's product and slack against them are
+
+        A_i.w = (a F_i - sigma F_j G_i) / L,
+        a b_i - A_i.X0' = (a s_i - sigma s_j G_i) / L.
+
+    Each is an int vector or int divided exactly, so a child costs O(m)
+    ints, with no echelon and no dot product of its own.
+    """
+    rows, rhs = P.int_rows
+    W1, W2 = W
+    U = [sum(map(mul, row, W1)) for row in rows[start:]]
+    V = [sum(map(mul, row, W2)) for row in rows[start:]]
+    if not (any(U) or any(V)):
+        return
+    U = [sum(map(mul, row, W1)) for row in rows[:start]] + U
+    V = [sum(map(mul, row, W2)) for row in rows[:start]] + V
+    T = [L * c - sum(map(mul, row, X0)) for row, c in zip(rows, rhs)]
+    for j in range(start, len(rows)):
+        if U[j]:
+            G, F, Wg, Wf = U, V, W1, W2
+        elif V[j]:
+            G, F, Wg, Wf = V, U, W2, W1
+        else:
+            continue
+        a, b, c = G[j], F[j], T[j]
+        if a < 0:  # a, b, c = |G_j|, sigma F_j, sigma s_j
+            a, b, c = -a, -b, -c
+        if L == 1:  # no division
+            yield j, _line([a * x + c * y for x, y in zip(X0, Wg)],
+                           [a * x - b * y for x, y in zip(Wf, Wg)], a,
+                           [a * f - b * g for f, g in zip(F, G)],
+                           [a * s - c * g for s, g in zip(T, G)])
+        else:
+            yield j, _line([(a * x + c * y) // L for x, y in zip(X0, Wg)],
+                           [(a * x - b * y) // L for x, y in zip(Wf, Wg)], a,
+                           [(a * f - b * g) // L for f, g in zip(F, G)],
+                           [(a * s - c * g) // L for s, g in zip(T, G)])
 
 
 def enumerate_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
@@ -365,10 +433,15 @@ def lattice_runs(P: Polyhedron, box=None, search=None) -> list[tuple[tuple[int, 
     hi = [b // e for b in highs]
     # Per coordinate j, the rows with a nonzero entry there: that entry
     # times e, and e times the least value over the box of the row's part
-    # past j.
-    bounds = [[(i, e * row[j], sum(a * (lows[t] if a > 0 else highs[t])
-                                   for t, a in enumerate(row[j + 1:], j + 1)))
-               for i, row in enumerate(rows) if row[j]] for j in range(n)]
+    # past j, summed in one backward pass per row.
+    bounds: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        tail = 0
+        for j in reversed(range(n)):
+            a = row[j]
+            if a:
+                bounds[j].append((i, e * a, tail))
+                tail += a * (lows[j] if a > 0 else highs[j])
     child, take = search.child, search.run
     out = []
     prefix: list[int] = []

@@ -175,6 +175,29 @@ def test_cmd_solve_malformed_instance(capsys, tmp_path, content):
     assert_one_input_error(capsys, ["solve", str(p)])
 
 
+LONG_JSON = "1" * 5000
+LONG_JSON_ECHO = f"{LONG_JSON[:80]!r}... (5000 characters)"
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"A": [[1], [-1]], "b": ["1", "1"], "q": ["1"], "h": LONG_JSON},
+     f"expected a JSON array of rationals, got {LONG_JSON_ECHO}"),
+    ({"A": LONG_JSON, "b": ["1", "1"], "q": ["1"], "h": ["0"]},
+     f"A must be a JSON array of rows, got {LONG_JSON_ECHO}"),
+    ({"A": [[1], LONG_JSON], "b": ["1", "1"], "q": ["1"], "h": ["0"]},
+     f"expected a JSON array of rationals, got {LONG_JSON_ECHO}"),
+    ({"A": [[1], [-1]], "b": ["1", "1"], "k": LONG_JSON, "q": ["1"], "h": ["0"]},
+     f"k must be a JSON integer, got {LONG_JSON_ECHO}"),
+], ids=["h", "A", "A-row", "k"])
+def test_cmd_solve_long_malformed_value(capsys, tmp_path, content, message):
+    """A malformed instance value is echoed as formats.echo cuts it, so the
+    error stays one short line however long the value is."""
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(content))
+    err = assert_one_input_error(capsys, ["solve", str(p)])
+    assert err == f"input error: {message}\n" and len(err) < 200
+
+
 def test_cmd_solve_infeasible(capsys, tmp_path):
     p = tmp_path / "bad.json"
     formats.save_instance(instance([[1], [-1]], [-1, 0], [1], [0]), str(p))

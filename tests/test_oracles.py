@@ -766,14 +766,20 @@ def test_fmax_cont_witness_face_constant_claim(monkeypatch):
 
 def test_fmax_cont_witness_face_constant_claim_at_a_superseded_face(monkeypatch):
     """At a face that a later one supersedes, before any LP: every line
-    comes out of line_through moved by e_0, off its E_S.  On x_0 in
-    [-1, 1/2] with f = -(x_0 - 5)^2, the E_S of the face x_0 = -1 is that
-    line; it still meets P, but its point at the end of its interval now
-    has x_0 = 0, where f is not v_S = -36.  Uncorrupted, the face x_0 = 1/2
-    supersedes it."""
-    inst = instance([[1, 0], [-1, 0], [0, 1], [0, -1], [2, 0]], [1, 1, 1, 1, 1],
-                    [1], [10, 0], 1)
-    assert oracles.fmax_cont_witness(inst)[1] == (F(1, 2), F(0))
+    comes out of line_through moved by e_0, off its E_S.  On the box
+    |x_i| <= 1 cut by 2 x_0 <= 1, with f = 25 - (x_0 - 5)^2 - x_1^2, the
+    plane x_0 = -1 (face (1,)) has the line x_0 = -1, x_1 = 0 as its E_S,
+    of value v_S = -11; it still meets P, but its point at the end of its
+    interval now has x_0 = 0, where f is 0.  Uncorrupted, the face
+    x_0 = 1/2 supersedes it.
+
+    The lines of n - 1 rows come from plane_lines, and the walk reads both
+    a line face's E_S and its point from that one Line, so on them f is
+    constant by construction; the claim is reached through the E_S lines
+    of the smaller faces, which line_through builds."""
+    inst = instance([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1],
+                     [2, 0, 0]], [1] * 7, [1, 1], [10, 0, 0], 2)
+    assert oracles.fmax_cont_witness(inst) == (F(19, 4), (F(1, 2), F(0), F(0)))
     real = oracles.line_through
     monkeypatch.setattr(oracles, "line_through", lambda P, X0, w, L: real(
         P, [X0[0] + L, *X0[1:]], w, L))
@@ -1206,12 +1212,13 @@ def test_line_walk_matches_level_walk(collect, inst):
 
 
 def face_walk_counts(monkeypatch, walk):
-    """Stationarity solves, rows tried on an echelon, faces reached and
-    lines met with P (polyhedra.line_through) by walk(); the rows a
-    stationarity solve adds to its own echelon are not counted."""
+    """Stationarity solves, rows tried on an echelon and those of them found
+    independent, planes handed to polyhedra.plane_lines and the lines it
+    derives, by walk(); the rows a stationarity solve adds to its own
+    echelon are not counted."""
     counts = Counter()
     solving = []
-    solve, extend, meet = exact.solution_space_int, exact._extend_echelon, oracles.line_through
+    solve, extend, derive = exact.solution_space_int, exact._extend_echelon, oracles.plane_lines
 
     def counted_solve(*args):
         counts["solves"] += 1
@@ -1225,72 +1232,87 @@ def face_walk_counts(monkeypatch, walk):
         ext = extend(*args)
         if not solving:
             counts["tried"] += 1
-            counts["faces"] += ext is not None
+            counts["independent"] += ext is not None
         return ext
 
-    def counted_meet(*args):
-        counts["lines"] += 1
-        return meet(*args)
+    def counted_derive(*args):
+        counts["planes"] += 1
+        for line in derive(*args):
+            counts["lines"] += 1
+            yield line
 
     monkeypatch.setattr(exact, "solution_space_int", counted_solve)
     monkeypatch.setattr(exact, "_extend_echelon", counted_extend)
-    monkeypatch.setattr(oracles, "line_through", counted_meet)
+    monkeypatch.setattr(oracles, "plane_lines", counted_derive)
     walk()
     return dict(counts)
 
 
 def test_face_walk_counts_on_prop44(monkeypatch):
-    """prop44 n = 8 has 16 rows in 8 opposite pairs, so an independent row
-    set takes at most one row of each pair: 3^8 sets.  The walk stops at 7
-    rows: it tries 8,944 rows to reach the 3^8 - 2^8 - 1 nonempty sets of
-    at most 7 rows (a fresh walk tries every one of the 39,202 nonempty
-    sets of at most 8 rows).  The 2^8 sets of 8 rows, the vertices, are
-    leaves of the 7-row lines, found by a ratio test with no echelon.  It
-    makes one stationarity solve, the empty set's: that gives the
-    unconstrained maximum of f, which the origin, a point of P, attains.
-    Every other face then lies under a bound no larger than the best value,
-    so none of the 3^8 - 2^8 - 1 other sets of fewer than 8 rows is
-    solved.  Each of the 8 * 2^7 = 1,024 sets of 7 rows is still met with
-    P as a line, for its leaves and the recession test."""
+    """prop44 n = 8 has 16 rows in 8 opposite pairs (rows 2p and 2p + 1),
+    so an independent row set takes at most one row of each pair.  The walk
+    stops at 6 rows: it tries 7,024 rows to reach the 5,280 nonempty sets
+    of at most 6 rows, sum_{s <= 6} C(8, s) 2^s.  It makes one stationarity
+    solve, the empty set's: that gives the unconstrained maximum of f,
+    which the origin, a point of P, attains.  Every other face then lies
+    under a bound no larger than the best value and is not solved.
+
+    Each of the 28 * 2^6 = 1,792 planes of 6 rows misses two pairs, and
+    tests its rows after its last one until one is independent: 1,344
+    rows.  A plane that holds a row of pair 7 has only that row's partner
+    after it, or nothing: 672 rows, none independent.  The 448 = 7 * 2^6
+    that miss pair 7 try 1 or 2 rows each, as their last row is the first
+    or the second of its pair, and find pair 7's first row, or pair 6's
+    when they also miss pair 6.  So 448 planes are solved and handed to
+    plane_lines, and the rows tried come to 7,024 + 1,344 = 8,368, of which
+    5,280 + 448 = 5,728 are independent.  A plane missing pairs 6 and 7
+    has 4 lines, one missing pair 7 and an earlier one 2: 64 * 4 + 384 * 2
+    = 1,024 lines, each of the 8 * 2^7 sets of 7 rows once (tried row by
+    row, they took 8,944 rows, and each line an echelon of its own)."""
     inst = build_prop44(F(1, 4), 3, n=8).instance
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
-        "solves": 1, "tried": 8944, "faces": 6304, "lines": 1024}
+        "solves": 1, "tried": 8368, "independent": 5728, "planes": 448, "lines": 1024}
 
 
 def test_face_walk_counts_on_pr_tight(monkeypatch):
     """pr-tight n = 3, like prop44, attains the unconstrained maximum in P,
-    so the empty set's solve is the only one of its 19 sets of fewer than
-    3 rows.  Its 21 rows tried reach those 18 nonempty sets; the sets of 3
-    rows are the leaves of the 12 2-row lines, each met with P."""
+    so the empty set's solve is the only one.  Its 6 rows, in 3 opposite
+    pairs, are its planes, all dominated.  Each tests its later rows: 2, 1,
+    2, 1, 1 and 0 rows, 7 in all, and the first four find one
+    independent.  Those 4 are solved and derive 4, 4, 2 and 2 lines: the 12
+    independent pairs of rows (tried row by row, they took 21 rows)."""
     inst = build_pr_tight(3, 1, 1, F(1, 2), F(2, 3)).instance
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
-        "solves": 1, "tried": 21, "faces": 18, "lines": 12}
+        "solves": 1, "tried": 13, "independent": 10, "planes": 4, "lines": 12}
 
 
 def test_face_walk_counts_on_ilp_tightness(monkeypatch):
     """The ilp family maximizes x_1 (k = 0), and e_1 lies in the span of
     no set of fewer than 3 of its rows.  So every such set has an
     inconsistent stationarity system, no face gets a bound to pass on, and
-    each of the 19 is solved: the 7 of fewer than 2 rows by
-    exact.solution_space_int, the 12 lines in closed form, each met with
-    P."""
+    each is solved: the empty set and its 6 rows by
+    exact.solution_space_int, the 12 lines in closed form.  No plane is
+    dominated, so none tests a row, and each of the 6 hands its solve to
+    plane_lines."""
     inst = build_ilp_tightness(3, 2, F(1, 2)).instance
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
-        "solves": 7, "tried": 21, "faces": 18, "lines": 12}
+        "solves": 7, "tried": 6, "independent": 6, "planes": 6, "lines": 12}
 
 
 def test_face_walk_counts_on_solve_mix(monkeypatch):
     """random_instance(56589932, n_max=4) is an n = 3, m = 9, k = 2
     instance of the benchmark's seed-0 solve pass.  Its walk tries the 9
-    single rows and the 36 pairs, reaching 42 faces, 33 of them pair lines
-    met with P; the 9 + 1 faces of fewer than 2 rows are each solved by exact.solution_space_int.  The 84
-    sets of 3 rows are the leaves of the pair lines: no echelon and no
-    solve each (walking them row by row took 114 rows tried, 103 faces and
-    35 solves)."""
+    single rows, its planes; the 9 + 1 faces of fewer than 2 rows are each
+    solved by exact.solution_space_int, and no plane is dominated.  The 9
+    planes derive the 33 independent pairs of rows as lines, with no
+    echelon of their own; the 84 sets of 3 rows are the leaves of those
+    lines, with no echelon and no solve each (walking them row by row took
+    114 rows tried, 103 faces and 35 solves; walking the pairs row by row,
+    45 rows tried)."""
     inst = random_instance(56589932, n_max=4)
     assert (inst.n, inst.m, inst.k) == (3, 9, 2)
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
-        "solves": 10, "tried": 45, "faces": 42, "lines": 33}
+        "solves": 10, "tried": 9, "independent": 9, "planes": 9, "lines": 33}
 
 
 def verdict_loop_delta_star(inst, eps):

@@ -246,6 +246,12 @@ def reference_normalized_rhs(inst, xd):
     return tuple(bi - exact.dot(row, exact.vec(xd)) for row, bi in zip(inst.A, inst.b))
 
 
+def reference_normalized_h(inst, xd):
+    """h shifted to xd by Fraction arithmetic: h_i - 2 xd_i q_i for i < k."""
+    return tuple(h - 2 * x * inst.q[i] if i < inst.k else h
+                 for i, (h, x) in enumerate(zip(inst.h, xd)))
+
+
 def reference_restricted_polyhedron(inst, zset):
     """The +-e_i rows appended and every entry re-wrapped by `polyhedron`."""
     rows = [list(r) for r in inst.A]
@@ -278,6 +284,8 @@ def test_normalize_and_restriction_match_fraction_reference():
         norm, _ = normalize(inst, xd)
         assert norm.b == reference_normalized_rhs(inst, xd)
         assert all(type(x) is F for x in norm.b)
+        assert norm.h == reference_normalized_h(inst, xd)
+        assert all(type(x) is F for x in norm.h) and norm.q == inst.q
         assert_fresh_int_rows(norm.polyhedron(), [F(rng.randint(-3, 3), 2)] * inst.n)
         for zset in ({0}, set(range(inst.n)), set()):
             P = restricted_polyhedron(norm, zset)

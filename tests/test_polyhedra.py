@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -273,6 +274,120 @@ def test_line_vertices_match_leaf_echelons(P):
         for num, den in ts:
             X = [den * x + num * y for x, y in zip(X0, w)]
             assert line.holds(num, den) == polyhedra.contains_int(P, X, L * den)
+
+
+def leaf_echelon_lines(P):
+    """(S, Line) for each independent set S of n - 1 int rows, in (size,
+    lex) order, each from the echelon of S: exact._solution_space and then
+    line_through, as the face walk built every line before it took them
+    from their planes."""
+    n = P.n
+    rows, rhs = P.int_rows
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    out = []
+    for S, a, pivots in exact.independent_row_sets(aug, n, n - 1, n - 1):
+        X0, (w,), L = exact._solution_space(a, pivots, n)
+        out.append((S, polyhedra.line_through(P, X0, w, L)))
+    return out
+
+
+def plane_derived_lines(P):
+    """The same lines as the face walk takes them: plane_lines on each
+    independent set S of n - 2 rows, given its exact._solution_space, for
+    the rows after S; for n = 1 the empty set's line, by line_through."""
+    n = P.n
+    if n == 1:
+        return [((), polyhedra.line_through(P, [0], [1], 1))]
+    rows, rhs = P.int_rows
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    return [(S + (j,), line)
+            for S, a, pivots in exact.independent_row_sets(aug, n, n - 2, n - 2)
+            for j, line in polyhedra.plane_lines(P, S[-1] + 1 if S else 0,
+                                                 *exact._solution_space(a, pivots, n))]
+
+
+def plane_line_cases(P) -> set[str]:
+    """The cases of P that plane_lines must get right: its dimension, zero
+    rows, rows equal or opposite up to a positive scale, a plane with rows
+    after it none of which is independent of it, a line whose row j has
+    u_j = 0 != v_j (its pivot is the second free column) and a plane with
+    L != 1 that has a line."""
+    n = P.n
+    rows, rhs = P.int_rows
+    cases = {f"n={n}"}
+    seen = set()
+    for row in rows:
+        g = math.gcd(*row)
+        if not g:
+            cases.add("zero row")
+            continue
+        unit = tuple(x // g for x in row)
+        if unit in seen:
+            cases.add("duplicate row")
+        if tuple(-x for x in unit) in seen:
+            cases.add("opposite row")
+        seen.add(unit)
+    if n == 1:
+        return cases
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    for S, a, pivots in exact.independent_row_sets(aug, n, n - 2, n - 2):
+        start = S[-1] + 1 if S else 0
+        X0, (W1, W2), L = exact._solution_space(a, pivots, n)
+        later = [(sum(map(mul, row, W1)), sum(map(mul, row, W2))) for row in rows[start:]]
+        if later and not any(u or v for u, v in later):
+            cases.add("dependent rows")
+        if any(v and not u for u, v in later):
+            cases.add("f2 pivot")
+        if L != 1 and any(u or v for u, v in later):
+            cases.add("L != 1")
+    return cases
+
+
+PLANE_CASES = ["n=1", "n=2", "n=3", "n=4", "zero row", "duplicate row", "opposite row",
+               "dependent rows", "f2 pivot", "L != 1"]
+PLANE_EXAMPLES = [
+    polyhedron([[2], [-1], [0], [4]], [3, 1, 0, F(1, 2)], 1),
+    polyhedron([[1, 0], [0, 1], [-1, -1], [0, 0]], [1, 1, 1, 0], 2),
+    polyhedron([[2, 1, 0], [0, 0, 1], [1, 1, 1], [-2, -1, 0], [2, 1, 0]], [1, 2, 3, 4, 5], 3),
+    polyhedron([[1, 0, 0], [0, 1, 0], [2, 0, 0], [0, 0, 0]], [1, 1, 1, 0], 3),
+    polyhedron([[1, 2, 0, -1], [0, 3, 1, 0], [1, 2, 0, -1], [0, 0, -2, 1], [-1, -2, 0, 1],
+                [1, 1, 1, 1]], [1, F(2, 3), 3, -1, 2, F(1, 2)], 4),
+]
+
+
+@st.composite
+def plane_systems(draw):
+    """Up to six int rows in n = 1..4 unknowns with entries in [-3, 3], and
+    up to three more, each zero or a copy or the negative of a row, put
+    anywhere; rational right-hand sides."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(["zero", "copy", "negative"]))
+        new = [0] * n if kind == "zero" else row if kind == "copy" else [-x for x in row]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    rhs = [draw(st.fractions(-4, 4, max_denominator=3)) for _ in rows]
+    return polyhedron(rows, rhs, n)
+
+
+def test_plane_line_examples_cover_every_case():
+    assert set().union(*map(plane_line_cases, PLANE_EXAMPLES)) == set(PLANE_CASES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plane_systems())
+@example(PLANE_EXAMPLES[0])
+@example(PLANE_EXAMPLES[1])
+@example(PLANE_EXAMPLES[2])
+@example(PLANE_EXAMPLES[3])
+@example(PLANE_EXAMPLES[4])
+def test_plane_lines_match_leaf_echelons(P):
+    """plane_lines gives, for each plane and in the same j order, the Line
+    that the echelon of the plane plus row j gives through
+    exact._solution_space and line_through: every field equal."""
+    assert plane_derived_lines(P) == leaf_echelon_lines(P)
 
 
 def reference_intersect_with_box(P, center, radius):
