@@ -80,13 +80,7 @@ def cmd_proximity(args) -> int:
     # this; only a wrong verdict reaches it.
     if not (vi.is_approx and vc.is_approx):
         raise ClaimViolation("approximation", "pipeline output failed its verdict")
-    verdicts = {
-        "int_ratio": None if vi.ratio is None else formats.rat_to_str(vi.ratio),
-        "cont_ratio": None if vc.ratio is None else formats.rat_to_str(vc.ratio),
-        "int_approx": vi.is_approx,
-        "cont_approx": vc.is_approx,
-    }
-    _emit(formats.run_report(inst, result, report, verdicts,
+    _emit(formats.run_report(inst, result, report, formats.verdicts_to_dict(vi, vc),
                              time.monotonic() - t0))
     return EXIT_OK
 
@@ -165,12 +159,16 @@ def cmd_cone(args) -> int:
     inst = formats.load_instance(args.instance)
     xa = _parse_point(args.xa, inst.n)
     xb = _parse_point(args.xb, inst.n)
-    cone = build_cone(inst.polyhedron().int_rows[0], xa, xb)
+    D, _ = exact.integer_vector(exact.vec_sub(xa, xb))  # xa - xb times a positive int
+    cone = build_cone(inst.polyhedron().int_rows[0], D)
     delta = subdeterminant_bound(inst)
     gens = enumerate_generators(cone, delta)
     _emit({"delta": delta,
            "generators": [formats.vec_to_strs(g) for g in gens]})
     return EXIT_OK
+
+
+REPORT_BLOCKS = ("schedule", "oracles", "verdicts")  # compared field by field
 
 
 def _read_report(path: str) -> dict:
@@ -182,14 +180,19 @@ def _read_report(path: str) -> dict:
             "digest": doc["digest"],
             "eps": formats.str_to_rat(doc["eps"]),
             "delta": formats.str_to_rat(doc["delta"]),
-            "bound": formats.str_to_rat(doc["schedule"]["theorem_bound"]),
             "distance_int": formats.str_to_rat(doc["distance_int"]),
             "distance_cont": formats.str_to_rat(doc["distance_cont"]),
         }
         for key in ("x_star_int", "x_star_cont", "xc", "xd"):
             fields[key] = formats.strs_to_vec(doc[key])
+        for key in REPORT_BLOCKS:
+            fields[key] = doc[key]
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed report: {type(e).__name__}: {e}") from e
+    for key in REPORT_BLOCKS:
+        if type(fields[key]) is not dict:
+            raise InputError(f"malformed report: {key} must be a JSON object, "
+                             f"got {formats.echo(fields[key])}")
     n = fields["inst"].n
     for key in ("x_star_int", "x_star_cont", "xc", "xd"):
         if len(fields[key]) != n:
@@ -207,6 +210,19 @@ def _point_problem(P, x, key: str, mode: str) -> str | None:
     return None
 
 
+def _block_problems(name: str, got: dict, want: dict) -> list[str]:
+    """A line for each field of the report block got that is not the JSON
+    value of its recomputed block want, type included (true is not 1)."""
+    out = []
+    for key, value in want.items():
+        if key not in got:
+            out.append(f"{name}.{key} is missing, recomputed {formats.echo(value)}")
+        elif json.dumps(got[key]) != json.dumps(value):
+            out.append(f"{name}.{key} is {formats.echo(got[key])}, "
+                       f"recomputed {formats.echo(value)}")
+    return out
+
+
 def cmd_verify_report(args) -> int:
     r = _read_report(args.report)
     inst, eps = r["inst"], r["eps"]
@@ -214,13 +230,16 @@ def cmd_verify_report(args) -> int:
         print("digest mismatch", file=sys.stderr)
         return EXIT_CLAIM
     delta = subdeterminant_bound(inst)
-    bound = compute_schedule(inst.n, delta, inst.k, eps).theorem_bound
+    schedule = compute_schedule(inst.n, delta, inst.k, eps)
+    bound = schedule.theorem_bound
     report = oracles.full_report(inst)
     problems = []
     if r["delta"] != delta:
         problems.append(f"delta is {r['delta']}, recomputed {delta}")
-    if r["bound"] != bound:
-        problems.append(f"theorem_bound is {r['bound']}, recomputed {bound}")
+    # The schedule's fields, theorem_bound among them, against their values
+    # recomputed from n, delta, k and eps.
+    problems += _block_problems("schedule", r["schedule"], formats.schedule_to_dict(schedule))
+    problems += _block_problems("oracles", r["oracles"], formats.oracles_to_dict(report))
     distances = {
         "distance_int": exact.inf_norm(exact.vec_sub(r["xc"], r["x_star_int"])),
         "distance_cont": exact.inf_norm(exact.vec_sub(r["x_star_cont"], r["xd"])),
@@ -231,13 +250,20 @@ def cmd_verify_report(args) -> int:
         if dist > bound:
             problems.append(f"{key} beyond the theorem bound")
     P = inst.polyhedron()
+    verdicts = []  # of the outputs that pass, each a feasible point within eps
     for key, mode in (("x_star_int", "integer"), ("x_star_cont", "continuous")):
         problem = _point_problem(P, r[key], key, mode)
-        if problem is None and not oracles.verdict(inst, r[key], eps, mode,
-                                                   report).is_approx:
-            problem = f"{key} fails its verdict"
+        if problem is None:
+            v = oracles.verdict(inst, r[key], eps, mode, report)
+            if v.is_approx:
+                verdicts.append(v)
+            else:
+                problem = f"{key} fails its verdict"
         if problem:
             problems.append(problem)
+    if len(verdicts) == 2:  # a failed output is named above, not its verdict
+        problems += _block_problems("verdicts", r["verdicts"],
+                                    formats.verdicts_to_dict(*verdicts))
     for key, mode, opt in (("xd", "integer", report.int_opt),
                            ("xc", "continuous", report.cont_opt)):
         problem = _point_problem(P, r[key], key, mode)

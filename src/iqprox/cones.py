@@ -53,21 +53,21 @@ class ConicDecomposition:
         return out
 
 
-def build_cone(rows, xa, xb) -> ProximityCone:
-    """Partition int rows by the sign of u.(xa - xb); ties go to both sides.
+def build_cone(rows, D) -> ProximityCone:
+    """Partition int rows by the sign of u.D; ties go to both sides.
 
     Each row is a row of a matrix times a positive int, as a polyhedron's
-    int_rows[0] are, so its sign is that of the matrix row.  The direction
-    d = xa - xb is scaled once to an integer vector D = L d with L > 0, so
-    each sign is that of an int dot product.  The rows are kept as given,
-    in order, each as a tuple.
+    int_rows[0] are, so its sign is that of the matrix row.  D is the
+    direction xa - xb of the cone's two points as ints, times any positive
+    int (L (xa - xb) with L the lcm of its denominators, or X of a point
+    X / d against the origin), so each sign is that of an int dot product.
+    The rows are kept as given, in order, each as a tuple.
     """
     if not rows:
         raise DimensionError("cone needs at least one row")
     n = len(rows[0])
-    if len(xa) != n or len(xb) != n:
+    if len(D) != n:
         raise DimensionError("point dimension does not match matrix columns")
-    D, _ = exact.integer_vector(exact.vec_sub(xa, xb))
     a1, a2 = [], []
     for r in map(tuple, rows):  # a tuple is itself
         if len(r) != n:

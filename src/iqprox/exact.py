@@ -84,17 +84,23 @@ def _integer_rows(M) -> tuple[list[list[int]], list[int]]:
 def integer_vector(v) -> tuple[list[int], int]:
     """v times the lcm d of its denominators, and d.
 
-    Entries may be ints, Fractions or anything ``Fraction`` accepts.
+    Entries may be ints, Fractions or anything ``Fraction`` accepts.  With
+    d = 1 the numerators are the ints, and nothing is rescaled.
     """
     xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
-    d = lcm(*(x.denominator for x in xs))
+    d = lcm(*[x.denominator for x in xs])
+    if d == 1:
+        return [x.numerator for x in xs], 1
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
 def rational_vector(X, d: int) -> tuple[Fraction, ...]:
     """The point X / d as Fractions, for ints X and an int d > 0: the
-    inverse of integer_vector."""
-    return tuple(Fraction(x, d) for x in X) if d != 1 else tuple(map(Fraction, X))
+    inverse of integer_vector.  With d = 1 each Fraction is made from its
+    int alone, with no gcd to take."""
+    if d == 1:
+        return tuple(map(Fraction, X))
+    return tuple([Fraction(x, d) for x in X])
 
 
 def _extend_echelon(a: list[list[int]], pivots: list[int], row: list[int],

@@ -171,6 +171,29 @@ def schedule_to_dict(sched) -> dict:
     }
 
 
+def oracles_to_dict(report) -> dict:
+    """The oracle block of a run report: both optima and both maxima."""
+    return {
+        "xd": vec_to_strs(report.int_opt.point),
+        "f_xd": rat_to_str(report.int_opt.value),
+        "xc": vec_to_strs(report.cont_opt.point),
+        "f_xc": rat_to_str(report.cont_opt.value),
+        "fmax_int": rat_to_str(report.fmax_int),
+        "fmax_cont": rat_to_str(report.fmax_cont),
+    }
+
+
+def verdicts_to_dict(vi, vc) -> dict:
+    """The verdict block of a run report, from the integer and the
+    continuous output's verdicts."""
+    return {
+        "int_ratio": None if vi.ratio is None else rat_to_str(vi.ratio),
+        "cont_ratio": None if vc.ratio is None else rat_to_str(vc.ratio),
+        "int_approx": vi.is_approx,
+        "cont_approx": vc.is_approx,
+    }
+
+
 def trace_to_list(trace) -> list[dict]:
     out = []
     for rec in trace:
@@ -202,14 +225,7 @@ def run_report(inst: Instance, result: PipelineResult, report, verdicts: dict,
         "distance_int": rat_to_str(result.distance_int),
         "distance_cont": rat_to_str(result.distance_cont),
         "trace": trace_to_list(result.trace),
-        "oracles": {
-            "xd": vec_to_strs(report.int_opt.point),
-            "f_xd": rat_to_str(report.int_opt.value),
-            "xc": vec_to_strs(report.cont_opt.point),
-            "f_xc": rat_to_str(report.cont_opt.value),
-            "fmax_int": rat_to_str(report.fmax_int),
-            "fmax_cont": rat_to_str(report.fmax_cont),
-        },
+        "oracles": oracles_to_dict(report),
         "verdicts": verdicts,
         "elapsed_seconds": elapsed,
     }

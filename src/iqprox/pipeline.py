@@ -80,6 +80,13 @@ class Instance:
         qh, d = exact.integer_vector(self.q + self.h)
         return qh[:self.k], qh[self.k:], d
 
+    @cached_property
+    def delta(self) -> int:
+        """Delta of A, floored at 1 for the cone machinery, scanned on first
+        use: the int rows of A (int_A) go to the scan as they are.  A run at
+        each eps of a sweep reads the one value."""
+        return max(1, exact._max_abs_subdeterminant_rows(self.int_A))
+
     def polyhedron(self) -> Polyhedron:
         return self.P
 
@@ -120,12 +127,9 @@ def _fractions(xs) -> tuple[Fraction, ...]:
 
 
 def subdeterminant_bound(inst: Instance) -> int:
-    """Delta of the constraint matrix, floored at 1 for the cone machinery.
-
-    The instance's A is read off its int rows as ints, which go to the
-    scan as they are.
-    """
-    return max(1, exact._max_abs_subdeterminant_rows(inst.int_A))
+    """Delta of the constraint matrix, floored at 1 for the cone machinery:
+    the instance's Instance.delta, scanned once per instance."""
+    return inst.delta
 
 
 @dataclass(frozen=True)
@@ -285,10 +289,11 @@ def _conic_step(inst: Instance, zset, x, X,
     The polyhedron is the feasible set with x_i = 0 for i in zset, the cone
     is its row-sign cone at x against the origin, and x is decomposed over
     the cone's integer generators by Caratheodory.  X is x times a positive
-    int: the cone's sign test takes it and the polyhedron's int rows.
+    int: the cone's direction, whose signs build_cone reads against the
+    polyhedron's int rows.
     """
     P = restricted_polyhedron(inst, zset)
-    cone = build_cone(P.int_rows[0], X, [0] * inst.n)
+    cone = build_cone(P.int_rows[0], X)
     return P, cone, caratheodory_decompose(list(x), enumerate_generators(cone, delta))
 
 
@@ -575,7 +580,7 @@ def run_pipeline(inst: Instance, eps, xc, xd) -> PipelineResult:
     once, X_c = d x_c, and the discrete anchor is the integer shift; the
     shift keeps d the denominator of every continuous point after it, and
     the integer points are over 1.  Fractions are built only for the
-    result.
+    result, whose anchors are the caller's values as Fractions (_fractions).
     """
     XC, d = exact.integer_vector(xc)
     if len(XC) != inst.n:
@@ -599,8 +604,8 @@ def run_pipeline(inst: Instance, eps, xc, xd) -> PipelineResult:
         case=r.case, x_ell=exact.rational_vector([a + dl * s for a, s in zip(YL, S)], dl),
         x_star_int=exact.rational_vector(XI, 1), x_star_cont=exact.rational_vector(XO, d),
         trace=r.trace, distance_int=r.distance_int, distance_cont=r.distance_cont,
-        schedule=r.schedule, delta=r.delta, xc=exact.rational_vector(XC, d),
-        xd=exact.rational_vector(S, 1), z_ell=r.z_ell, decomposition=r.decomposition,
+        schedule=r.schedule, delta=r.delta, xc=_fractions(xc),
+        xd=_fractions(xd), z_ell=r.z_ell, decomposition=r.decomposition,
         normalized=r, witnesses=r.witnesses)
     # Each distance p / q against the bound top / den, cross-multiplied.
     top, den = sched.theorem_bound.numerator, sched.theorem_bound.denominator

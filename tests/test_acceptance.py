@@ -172,12 +172,12 @@ def test_criterion_9_cone_generator_suite():
             xa = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
             xb = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
             delta = max(1, exact.max_abs_subdeterminant(A))
-            cone = build_cone(A, xa, xb)
+            diff = exact.vec_sub(xa, xb)
+            cone = build_cone(A, exact.integer_vector(diff)[0])
             gens = enumerate_generators(cone, delta)
             for g in gens:
                 assert exact.is_integral_vec(g)
                 assert exact.inf_norm(g) <= delta
-            diff = exact.vec_sub(xa, xb)
             assert cone_contains(cone, diff)
             for _ in range(100):
                 p = [F(rng.randint(-9, 9), rng.randint(1, 3))

@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import io
 import json
@@ -717,3 +718,78 @@ def test_verify_report_x_star_cont_fails_verdict(capsys, tmp_path):
                               distance_cont="9/4")
     assert code == 4
     assert err.strip().splitlines() == ["x_star_cont fails its verdict"]
+
+
+@pytest.fixture(scope="module")
+def prop45_report(tmp_path_factory):
+    """The proximity report of prop45 at n = 3, eps = 1/2."""
+    path = tmp_path_factory.mktemp("prop45") / "prop45.json"
+    formats.save_instance(build_prop45(3, 1, "1/2").instance, str(path))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["proximity", str(path), "--eps", "1/2"]) == 0
+    return json.loads(out.getvalue())
+
+
+def verify_forged_block(capsys, tmp_path, doc, block, key, value):
+    """verify-report on doc with doc[block][key] set to value: the exit code
+    and the stderr lines."""
+    code, err = verify_edited(capsys, tmp_path, doc, **{block: {**doc[block], key: value}})
+    return code, err.strip().splitlines()
+
+
+@pytest.mark.parametrize("key, value, line", [
+    ("fmax_cont", "999", "oracles.fmax_cont is '999', recomputed '1/4'"),
+    ("f_xd", "-999", "oracles.f_xd is '-999', recomputed '-6'"),
+    ("xc", ["10/3", "2/3", "1/3"],
+     "oracles.xc is ['10/3', '2/3', '1/3'], recomputed ['10/3', '2/3', '2/3']"),
+])
+def test_verify_report_forged_oracles(capsys, tmp_path, prop45_report, key, value, line):
+    """The oracle block is compared with the recomputed full_report."""
+    code, err = verify_forged_block(capsys, tmp_path, prop45_report, "oracles", key, value)
+    assert (code, err) == (4, [line])
+
+
+@pytest.mark.parametrize("key, value, line", [
+    ("int_ratio", "7/3", "verdicts.int_ratio is '7/3', recomputed '0'"),
+    ("int_approx", False, "verdicts.int_approx is False, recomputed True"),
+    ("cont_approx", 1, "verdicts.cont_approx is 1, recomputed True"),
+    ("cont_ratio", None, "verdicts.cont_ratio is None, recomputed '0'"),
+])
+def test_verify_report_forged_verdicts(capsys, tmp_path, prop45_report, key, value, line):
+    """The verdict block is compared with the two recomputed verdicts, as
+    JSON values: 1 is not true."""
+    code, err = verify_forged_block(capsys, tmp_path, prop45_report, "verdicts", key, value)
+    assert (code, err) == (4, [line])
+
+
+@pytest.mark.parametrize("key, value, line", [
+    ("chi", ["1"], "schedule.chi is ['1'], recomputed ['54', '918', '15606']"),
+    ("eps", "1/3", "schedule.eps is '1/3', recomputed '1/2'"),
+    ("n", 99, "schedule.n is 99, recomputed 3"),
+    ("psi", ["54", "972"], "schedule.psi is ['54', '972'], recomputed ['54', '972', '16578']"),
+    ("theorem_bound", "27784", "schedule.theorem_bound is '27784', recomputed '27783'"),
+])
+def test_verify_report_forged_schedule(capsys, tmp_path, prop45_report, key, value, line):
+    """The schedule block is compared with compute_schedule on the
+    instance's n, k and Delta and the report's eps."""
+    code, err = verify_forged_block(capsys, tmp_path, prop45_report, "schedule", key, value)
+    assert (code, err) == (4, [line])
+
+
+@pytest.mark.parametrize("block", ["schedule", "oracles", "verdicts"])
+def test_verify_report_block_field_missing_or_not_an_object(capsys, tmp_path,
+                                                            prop45_report, block):
+    """A block without one of its fields names the field, and exits 4; a
+    block that is not a JSON object is a malformed report, exit 2."""
+    doc = prop45_report
+    first = next(iter(doc[block]))
+    rest = {k: v for k, v in doc[block].items() if k != first}
+    code, err = verify_edited(capsys, tmp_path, doc, **{block: rest})
+    assert code == 4
+    assert err.strip().splitlines() == [
+        f"{block}.{first} is missing, recomputed {formats.echo(doc[block][first])}"]
+    code, err = verify_edited(capsys, tmp_path, doc, **{block: ["1"]})
+    assert code == 2
+    assert err.strip() == (f"input error: malformed report: {block} must be a JSON "
+                           "object, got ['1']")

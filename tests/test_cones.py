@@ -19,16 +19,22 @@ from iqprox.pipeline import restricted_polyhedron, run_pipeline
 from iqprox.polyhedra import polyhedron
 
 
+def direction(xa, xb) -> list[int]:
+    """xa - xb as ints, times the lcm of its denominators: the direction
+    build_cone takes for the cone of the points xa and xb."""
+    return exact.integer_vector(exact.vec_sub(xa, xb))[0]
+
+
 def test_build_cone_partitions_by_sign():
     A = [[1, 0], [0, 1], [1, 1]]
-    cone = build_cone(A, [2, -1], [0, 0])
+    cone = build_cone(A, [2, -1])
     # row 0: 2 > 0 -> a2;  row 1: -1 < 0 -> a1;  row 2: 1 > 0 -> a2
     assert cone.a1 == ((0, 1),)
     assert cone.a2 == ((1, 0), (1, 1))
 
 
 def test_build_cone_tie_goes_both_ways():
-    cone = build_cone([[1, -1]], [1, 1], [0, 0])
+    cone = build_cone([[1, -1]], [1, 1])
     assert len(cone.a1) == 1 and len(cone.a2) == 1
 
 
@@ -40,17 +46,17 @@ def test_build_cone_contains_difference():
              for _ in range(rng.randint(1, 4))]
         xa = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
         xb = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
-        cone = build_cone(A, xa, xb)
+        cone = build_cone(A, direction(xa, xb))
         assert cone_contains(cone, exact.vec_sub(xa, xb))
 
 
 def test_build_cone_empty_matrix():
     with pytest.raises(DimensionError):
-        build_cone([], [1], [0])
+        build_cone([], [1])
 
 
 def test_generators_halfspace():
-    cone = build_cone([[1, -1]], [1, 0], [0, 0])  # {x1 - x2 >= 0}
+    cone = build_cone([[1, -1]], [1, 0])  # {x1 - x2 >= 0}
     gens = enumerate_generators(cone, 1)
     assert set(gens) == {
         (F(1), F(1)), (F(1), F(0)), (F(0), F(-1)), (F(-1), F(-1))}
@@ -58,27 +64,27 @@ def test_generators_halfspace():
 
 def test_generators_orthant():
     A = [[-1, 0], [0, -1]]
-    cone = build_cone(A, [1, 1], [0, 0])  # nonnegative orthant
+    cone = build_cone(A, [1, 1])  # nonnegative orthant
     gens = enumerate_generators(cone, 1)
     assert set(gens) == {(F(1), F(0)), (F(0), F(1))}
 
 
 def test_generators_zero_cone():
     A = [[1], [-1]]
-    cone = build_cone(A, [0], [0])  # x <= 0 and x >= 0 in both halves
+    cone = build_cone(A, [0])  # x <= 0 and x >= 0 in both halves
     gens = enumerate_generators(cone, 1)
     assert gens == ()
 
 
 def test_generators_need_positive_delta():
-    cone = build_cone([[1]], [1], [0])
+    cone = build_cone([[1]], [1])
     with pytest.raises(InputError):
         enumerate_generators(cone, 0)
 
 
 def test_generators_beyond_delta_violate_a_claim():
     # {x1 + 2 x2 <= 0} has the generator (2, -1), whose norm 2 exceeds 1.
-    cone = build_cone([[1, 2]], [0, 0], [1, 1])
+    cone = build_cone([[1, 2]], [-1, -1])
     with pytest.raises(ClaimViolation) as err:
         enumerate_generators(cone, 1)
     assert err.value.claim == "generator-norm"
@@ -117,7 +123,7 @@ def assert_generators_match_orthants(A, xa, xb):
     Delta is taken on those rows."""
     rows = exact._integer_rows(A)[0]
     delta = max(1, exact.max_abs_subdeterminant(rows))
-    cone = build_cone(rows, xa, xb)
+    cone = build_cone(rows, direction(xa, xb))
     assert int_generators(enumerate_generators(cone, delta)) == orthant_generators(cone)
 
 
@@ -176,7 +182,7 @@ def test_generators_match_orthant_enumeration_restricted():
         zset = {i for i in range(inst.n) if rng.random() < 0.4}
         P = restricted_polyhedron(inst, zset)
         xa = [F(0) if i in zset else F(rng.randint(-2, 2)) for i in range(inst.n)]
-        cone = build_cone(P.int_rows[0], xa, [F(0)] * inst.n)
+        cone = build_cone(P.int_rows[0], direction(xa, [0] * inst.n))
         delta = max(1, exact.max_abs_subdeterminant(P.A))
         assert int_generators(enumerate_generators(cone, delta)) == orthant_generators(cone)
         ties = len(cone.a1) + len(cone.a2) - P.m
@@ -250,22 +256,22 @@ def generator_cones(draw):
     delta = draw(st.one_of(st.integers(1, 3), st.none()))
     if delta is None:
         delta = max(1, exact.max_abs_subdeterminant(rows))
-    return build_cone(rows, xa, xb), delta
+    return build_cone(rows, direction(xa, xb)), delta
 
 
 @settings(max_examples=200, deadline=None)
 @given(generator_cones())
 # ties of rank n: the cone is {0}
-@example((build_cone([[1, 0], [0, 1], [1, 1]], [0, 0], [0, 0]), 1))
-@example((build_cone([[2], [-1]], [1], [1]), 1))
+@example((build_cone([[1, 0], [0, 1], [1, 1]], [0, 0]), 1))
+@example((build_cone([[2], [-1]], [0]), 1))
 # ties of rank n - 1 and of rank 1 at n = 3
 @example((build_cone([[1, -1, 0], [2, -2, 0], [0, 0, 1], [1, 1, 1]],
-                     [1, 1, 0], [0, 0, 0]), 1))
-@example((build_cone([[1, -1, 0], [1, 0, 2], [0, 1, -1]], [1, 1, 0], [0, 0, 0]), 2))
+                     [1, 1, 0]), 1))
+@example((build_cone([[1, -1, 0], [1, 0, 2], [0, 1, -1]], [1, 1, 0]), 2))
 # ties of rank 2 at n = 3 whose line (2, -1, 1) is beyond Delta = 1
-@example((build_cone([[1, 2, 0], [0, 1, 1], [1, 0, 0]], [2, -1, 1], [0, 0, 0]), 1))
+@example((build_cone([[1, 2, 0], [0, 1, 1], [1, 0, 0]], [2, -1, 1]), 1))
 # n = 1 without a tie
-@example((build_cone([[1]], [0], [1]), 1))
+@example((build_cone([[1]], [-1]), 1))
 def test_generators_match_combinations_reference(case):
     """The same sorted generators as the combinations loop, as int tuples,
     or the same generator-norm violation naming the same generator."""
@@ -301,20 +307,20 @@ def test_generator_walk_prunes_by_count(monkeypatch):
     calls = []
     tried = counted_extend(monkeypatch)
     monkeypatch.setattr(exact, "solution_space_int", lambda *args: calls.append(args))
-    cone = build_cone([[1, -1, 2, 0, 1, -2, 1, 0, 1, 1]], [0] * 10, [1] + [0] * 9)
+    cone = build_cone([[1, -1, 2, 0, 1, -2, 1, 0, 1, 1]], [-1] + [0] * 9)
     assert len(enumerate_generators(cone, 2)) == 68
     assert (len(tried), calls) == (219, [])
 
 
 def test_generators_of_a_full_rank_tied_cone_try_no_hyperplane(monkeypatch):
-    """At xa = xb every row is on both sides of the cone.  They are added
+    """At a zero direction (xa = xb) every row is on both sides of the cone.  They are added
     until their rank is n, rows 0-3 here (row 2 is dependent), and then the
     cone is {0}: row 4 is not added and no hyperplane is tried."""
     tried = counted_extend(monkeypatch)
     monkeypatch.setattr(exact, "independent_row_sets",
                         lambda *args: pytest.fail("a hyperplane set was walked"))
     A = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]]
-    cone = build_cone(A, [F(1, 2)] * 3, [F(1, 2)] * 3)
+    cone = build_cone(A, [0] * 3)
     assert enumerate_generators(cone, 1) == ()
     assert [list(args[2]) for args in tried] == A[:4]
 
@@ -360,7 +366,7 @@ def test_prop44_construction_runs_no_conic_lp(monkeypatch):
 
 
 def test_conic_multipliers_roundtrip():
-    cone = build_cone([[1, -1]], [1, 0], [0, 0])
+    cone = build_cone([[1, -1]], [1, 0])
     gens = enumerate_generators(cone, 1)
     target = [F(5, 2), F(1, 3)]
     gamma = conic_multipliers(gens, target)
@@ -373,13 +379,13 @@ def test_conic_multipliers_roundtrip():
 
 
 def test_conic_multipliers_outside():
-    cone = build_cone([[1, -1]], [1, 0], [0, 0])
+    cone = build_cone([[1, -1]], [1, 0])
     gens = enumerate_generators(cone, 1)
     assert conic_multipliers(gens, [F(0), F(1)]) is None
 
 
 def test_caratheodory_small():
-    cone = build_cone([[1, -1]], [1, 0], [0, 0])
+    cone = build_cone([[1, -1]], [1, 0])
     gens = enumerate_generators(cone, 1)
     dec = caratheodory_decompose([F(3), F(1)], gens)
     assert dec.combine(2) == [F(3), F(1)]
@@ -389,14 +395,14 @@ def test_caratheodory_small():
 
 
 def test_caratheodory_rejects_outsider():
-    cone = build_cone([[-1, 0], [0, -1]], [1, 1], [0, 0])
+    cone = build_cone([[-1, 0], [0, -1]], [1, 1])
     gens = enumerate_generators(cone, 1)
     with pytest.raises(InputError):
         caratheodory_decompose([F(-1), F(0)], gens)
 
 
 def test_caratheodory_zero_target():
-    cone = build_cone([[1, -1]], [1, 0], [0, 0])
+    cone = build_cone([[1, -1]], [1, 0])
     gens = enumerate_generators(cone, 1)
     dec = caratheodory_decompose([F(0), F(0)], gens)
     assert dec.generators == []
@@ -563,7 +569,7 @@ def random_cone(rng):
     xa = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
     xb = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
     delta = max(1, exact.max_abs_subdeterminant(A))
-    return build_cone(A, xa, xb), delta, n
+    return build_cone(A, direction(xa, xb)), delta, n
 
 
 def test_generator_membership_equivalence():
@@ -603,7 +609,7 @@ def test_caratheodory_random_recombination():
 
 def test_check_two_representations():
     P = polyhedron([[-1, 0], [0, -1]], [0, 0])  # nonnegative quadrant
-    cone = build_cone(P.int_rows[0], [2, 1], [0, 0])
+    cone = build_cone(P.int_rows[0], [2, 1])
     v = (F(1), F(0))
     w = (F(0), F(1))
     pos = ConicDecomposition([v, w], [F(2), F(1)])
@@ -622,7 +628,7 @@ def test_check_two_representations():
 
 def test_check_two_representations_mismatch():
     P = polyhedron([[-1, 0], [0, -1]], [0, 0])
-    cone = build_cone(P.int_rows[0], [2, 1], [0, 0])
+    cone = build_cone(P.int_rows[0], [2, 1])
     pos = ConicDecomposition([(F(1), F(0))], [F(1)])
     neg = ConicDecomposition([], [])
     with pytest.raises(RepresentationMismatch):
@@ -631,7 +637,7 @@ def test_check_two_representations_mismatch():
 
 def test_check_two_representations_rejects_negative_coeff():
     P = polyhedron([[-1, 0], [0, -1]], [0, 0])
-    cone = build_cone(P.int_rows[0], [2, 1], [0, 0])
+    cone = build_cone(P.int_rows[0], [2, 1])
     bad = ConicDecomposition([(F(1), F(0))], [F(-1)])
     with pytest.raises(InputError):
         check_two_representations(P, cone, [0, 0], [2, 1], bad, bad)
@@ -642,7 +648,7 @@ def test_check_two_representations_rejects_a_generator_outside_the_cone():
     coordinate, so (1, -1) is no generator of it, even when both sums
     agree."""
     P = polyhedron([[-1, 0], [0, -1]], [0, 0])
-    cone = build_cone(P.int_rows[0], [2, 1], [0, 0])
+    cone = build_cone(P.int_rows[0], [2, 1])
     g = (F(1), F(-1))
     with pytest.raises(InputError, match=r"generator \(Fraction\(1, 1\), Fraction\(-1, 1\)\) "
                                          "is not in the cone"):
@@ -677,7 +683,7 @@ def cones_and_points(draw):
         x = [draw(st.fractions(-4, 4, max_denominator=6)) for _ in range(n)]
     else:  # xa - xb, on the boundary of every tie row
         x = exact.vec_sub(xa, xb)
-    return build_cone(exact._integer_rows(A)[0], xa, xb), x, kind
+    return build_cone(exact._integer_rows(A)[0], direction(xa, xb)), x, kind
 
 
 @settings(max_examples=200, deadline=None)
@@ -730,12 +736,15 @@ def partition_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(partition_cases())
 def test_build_cone_matches_fraction_reference(case):
-    """The cone of A's rows scaled to ints holds the scaled rows of the
-    reference partition of A, as int tuples."""
+    """The cone of A's rows scaled to ints, built on the direction xa - xb
+    as ints, holds the scaled rows of the reference partition of A, as int
+    tuples; any positive multiple of the direction gives the same cone."""
     A, xa, xb = case
     rows = exact._integer_rows(A)[0]
     scaled = {tuple(map(F, u)): tuple(r) for u, r in zip(A, rows)}
-    cone = build_cone(rows, xa, xb)
+    D = direction(xa, xb)
+    cone = build_cone(rows, D)
+    assert build_cone(rows, [3 * x for x in D]) == cone
     want = reference_build_cone(A, xa, xb)
     assert (cone.a1, cone.a2) == tuple(tuple(scaled[u] for u in side) for side in want)
     assert all(type(x) is int for r in cone.a1 + cone.a2 for x in r)
@@ -744,4 +753,9 @@ def test_build_cone_matches_fraction_reference(case):
 
 def test_build_cone_short_row():
     with pytest.raises(DimensionError):
-        build_cone([[1, 0], [1]], [1, 0], [0, 0])
+        build_cone([[1, 0], [1]], [1, 0])
+
+
+def test_build_cone_direction_of_another_dimension():
+    with pytest.raises(DimensionError):
+        build_cone([[1, 0], [0, 1]], [1])

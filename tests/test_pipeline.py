@@ -273,7 +273,7 @@ def assert_fresh_int_rows(P, x):
     """P's int rows, passed down from a parent, are the ones P would
     compute itself, and the cone at x against the origin keeps them."""
     assert P.int_rows == polyhedron(P.A, P.b, P.n).int_rows
-    assert rows_kept(build_cone(P.int_rows[0], x, [F(0)] * P.n), P)
+    assert rows_kept(build_cone(P.int_rows[0], exact.integer_vector(x)[0]), P)
 
 
 def test_normalize_and_restriction_match_fraction_reference():
@@ -577,7 +577,7 @@ def reference_one_step(inst, xa, zset, delta):
 
 def reference_conic_step(inst, zset, x, delta):
     P = restricted_polyhedron(inst, zset)
-    cone = build_cone(P.int_rows[0], x, tuple([F(0)] * inst.n))
+    cone = build_cone(P.int_rows[0], exact.integer_vector(x)[0])
     return P, cone, caratheodory_decompose(list(x), enumerate_generators(cone, delta))
 
 
@@ -1054,28 +1054,33 @@ def c2_run(case):
 
 
 @pytest.mark.parametrize("case, counts", [
-    # 5 and 0 with Fraction generators, 6 and 2 with a Fraction sequence,
-    # 15 and 10 with Fraction points
-    ("example-1-1", (3, 0)),
-    # 14 and 0 with Fraction generators, 17 and 0 when each generator was
-    # scaled for every use, 16 and 2 with a Fraction one_step, 18 and 5
-    # with a Fraction sequence, 34 and 14 with Fraction points
-    ("box-100", (6, 0)),
+    # 3 and 0 when build_cone scaled its direction, 5 and 0 with Fraction
+    # generators, 6 and 2 with a Fraction sequence, 15 and 10 with Fraction
+    # points
+    ("example-1-1", (2, 0)),
+    # 6 and 0 when build_cone scaled its direction, 14 and 0 with Fraction
+    # generators, 17 and 0 when each generator was scaled for every use, 16
+    # and 2 with a Fraction one_step, 18 and 5 with a Fraction sequence, 34
+    # and 14 with Fraction points
+    ("box-100", (4, 0)),
 ])
 def test_c2_run_scales_each_point_once(monkeypatch, case, counts):
     """exact.integer_vector and polyhedra.contains calls in one case c-2
     run (c2_run).  A point check that goes back to Fractions raises these
     counts.  one_step tests its points as ints, so no `contains` call is
-    left.  The box-100 run's 6 are: the anchor in run_pipeline and in
-    normalize (2); the cone's direction in build_cone, for one_step and for
-    the rounding step (2); and the two points of the representation check
-    (2), the next point being their common point.  The generators are int
-    tuples, so neither the candidate rays of enumerate_generators (6, each
-    once through cone_contains) nor the 2 generators of the representation
-    check (once each, for the cone test and both sums) are scaled.  The
-    example 1.1 run's 3 are the two anchor scalings and build_cone's
-    direction; its 2 candidate rays are not scaled either."""
+    left.  The box-100 run's 4 are: the anchor in run_pipeline and in
+    normalize (2); and the two points of the representation check (2), the
+    next point being their common point.  build_cone takes the int point
+    the conic step holds as its direction, for one_step and for the
+    rounding step, so it scales nothing.  The generators are int tuples, so
+    neither the candidate rays of enumerate_generators (6, each once
+    through cone_contains) nor the 2 generators of the representation check
+    (once each, for the cone test and both sums) are scaled.  The example
+    1.1 run's 2 are the two anchor scalings; its 2 candidate rays are not
+    scaled either.  The instance's int objective is built before the count
+    starts, as any earlier run on the instance builds it."""
     args = c2_run(case)
+    args[0].int_objective
     scaled = counted_calls(monkeypatch, exact, "integer_vector")
     tested = counted_calls(monkeypatch, polyhedra, "contains")
     assert run_pipeline(*args).case == "c2"
@@ -1152,6 +1157,66 @@ def test_subdeterminant_bound_reads_the_int_rows(monkeypatch):
     converted = counted_calls(monkeypatch, exact, "_integer_matrix")
     assert [subdeterminant_bound(inst) for inst in insts] == want
     assert converted == []
+
+
+@st.composite
+def delta_matrices(draw):
+    """Int matrices of 0-6 rows in n = 1..3 columns, with zero rows,
+    duplicate rows (copies or negations of an earlier row) and unit rows
+    +-e_i among them."""
+    n = draw(st.integers(1, 3))
+    A = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "zero", "duplicate", "unit"]))
+        if kind == "zero":
+            A.append([0] * n)
+        elif kind == "duplicate" and A:
+            row = draw(st.sampled_from(A))
+            A.append(list(row) if draw(st.booleans()) else [-x for x in row])
+        elif kind == "unit":
+            i, s = draw(st.integers(0, n - 1)), draw(st.sampled_from([1, -1]))
+            A.append([s * (j == i) for j in range(n)])
+        else:
+            A.append([draw(st.integers(-3, 3)) for _ in range(n)])
+    return A, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(delta_matrices())
+@example(([], 2))
+@example(([[0, 0], [1, 0], [0, -1]], 2))
+@example(([[2, 1], [-2, -1], [0, 0]], 2))
+def test_instance_delta_matches_the_scan(case):
+    """Instance.delta is Delta of A floored at 1, as the public scan and the
+    exhaustive witness scan give it, and is held on the instance once read;
+    the instance still equals one built afresh."""
+    A, n = case
+    inst = instance(A, [1] * len(A), [1], [0] * n)
+    want = max(1, exact.max_abs_subdeterminant(A))
+    assert want == max(1, exact.max_abs_subdeterminant_witness(A)[0])
+    assert "delta" not in vars(inst)
+    assert inst.delta == subdeterminant_bound(inst) == want
+    assert vars(inst)["delta"] == want
+    assert inst == instance(A, [1] * len(A), [1], [0] * n)
+
+
+def test_eps_sweep_scans_delta_once(monkeypatch):
+    """Three runs on one instance, at eps = 1/10, 1/2 and 1, scan Delta
+    once: the value is held on the instance (Instance.delta).  The shifted
+    instance of normalize starts without it, and each run equals the run
+    on a fresh copy of the instance."""
+    args = anchored(random_instance(5, n_max=4), 1)
+    inst, _, xc, xd = args
+    scans = counted_calls(monkeypatch, exact, "_max_abs_subdeterminant_rows")
+    shifted = counted_calls(monkeypatch, pipeline, "normalize")
+    results = [run_pipeline(inst, eps, xc, xd) for eps in (F(1, 10), F(1, 2), F(1))]
+    assert len(scans) == 1 and [r.delta for r in results] == [6, 6, 6]
+    assert len(shifted) == 3
+    assert all("delta" not in vars(norm) for (_, (norm, _)) in shifted)
+    fresh = [run_pipeline(random_instance(5, n_max=4), eps, xc, xd)
+             for eps in (F(1, 10), F(1, 2), F(1))]
+    assert results == fresh
+    assert len(scans) == 4
 
 
 # -- one_step on ints against the Fraction reference -----------------------
