@@ -187,6 +187,8 @@ def _read_report(path: str) -> dict:
             fields[key] = formats.strs_to_vec(doc[key])
         for key in REPORT_BLOCKS:
             fields[key] = doc[key]
+    except InputError:
+        raise
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed report: {type(e).__name__}: {e}") from e
     for key in REPORT_BLOCKS:

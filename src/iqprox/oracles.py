@@ -19,9 +19,9 @@ from .errors import (ClaimViolation, DimensionError, InfeasibleError, InputError
                      UnboundedError)
 from .pipeline import (Instance, PipelineResult, _objective_at, _objective_numerator,
                        checked_eps, eval_objective)
-from .polyhedra import (contains, contains_int, enumerate_lattice_points,
+from .polyhedra import (contains, contains_int, edge_lines, enumerate_lattice_points,
                         enumerate_vertices, intersect_with_box, lattice_runs,
-                        line_through, plane_lines)
+                        line_through)
 from .simplex import feasible_point
 
 # No oracle lists lattice points or tests a point through contains any
@@ -194,7 +194,7 @@ def _lattice_extremes(inst: Instance, box) -> tuple[OptResult, Fraction,
                                                    tuple[Fraction, ...]]:
     """The minimizer (with ties), the maximum and its lexicographically
     first maximizer over the lattice points of P, by one pruned lattice
-    walk (_Extremes) of the box, found by LP when None."""
+    walk (_Extremes) of the box, taken from P's vertices when None."""
     search = _Extremes(inst)
     lattice_runs(inst.polyhedron(), box, search)
     return search.result()
@@ -277,8 +277,8 @@ def _face_walk(inst: Instance):
     tells the cases apart).  On a nonempty polytope, verts holds every
     vertex and box their coordinate-wise extremes, P's exact bounding box,
     as ints over one denominator D, the form polyhedra.lattice_runs takes.
-    Otherwise verts is empty and box None, and the lattice walk finds the
-    box by LP, which gives no points or raises UnboundedError.
+    Otherwise verts is empty and box None, and the lattice walk, left to
+    find its own box, gives no points or raises UnboundedError.
 
     The maximizer lies in the relative interior of some face, where the
     gradient is orthogonal to the face's affine hull.  Each linearly
@@ -328,13 +328,11 @@ def _face_walk(inst: Instance):
     > max S', and the line lies in the plane's two-dimensional solution
     set, which exact._solution_space gives S' as X0 and two kernel vectors
     over one L.  So the walk stops its row sets at n - 2 rows, keeps each
-    plane's solution (the one its stationarity solve already made, or, for
-    a dominated plane, one made only when some later row reduces to
-    nonzero on its echelon), and after the whole level n - 2 takes the
-    lines plane by plane, j ascending, from polyhedra.plane_lines: the
-    same ints as the echelon of S' plus row j gives, at O(m) ints a line,
-    in the same (size, lex) order.  For n = 1 the empty set is the line,
-    met by polyhedra.line_through.  A line's E_S is one equation in
+    plane with its solution (the one its stationarity solve already made,
+    or None for a dominated plane), and after the whole level n - 2 takes
+    the lines from polyhedra.edge_lines on those planes: the same ints as
+    the echelon of S' plus row j gives, at O(m) ints a line, in the same
+    (size, lex) order.  A line's E_S is one equation in
     t, a t = b with a = sum_i 2 Q_i w_i^2 and b = w.(L H - 2 Q X0), solved
     in closed form, and its point, at t = b / a, lies in P exactly when t
     lies in the interval.  The n-sets are S + (j,) for the rows j > max S,
@@ -389,17 +387,8 @@ def _face_walk(inst: Instance):
         rows, then (S, None, None, line) per independent set of n - 1."""
         for S, ech, pivots in exact.independent_row_sets(aug, n, 0, n - 2):
             yield S, ech, pivots, None
-        if n == 1:  # the empty set is the line
-            yield (), None, None, line_through(P, [0], [1], 1)
-        for S, ech, pivots, sol in planes:
-            start = S[-1] + 1 if S else 0
-            if sol is None:  # dominated: solved only when some line lies in it
-                if all(exact._extend_echelon(ech, pivots, aug[j], n) is None
-                       for j in range(start, len(aug))):
-                    continue
-                sol = exact._solution_space(ech, pivots, n)
-            for j, line in plane_lines(P, start, *sol):
-                yield S + (j,), None, None, line
+        for S, line in edge_lines(P, planes):
+            yield S, None, None, line
 
     for S, ech, pivots, line in faces():
         size = len(S)

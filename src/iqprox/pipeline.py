@@ -337,8 +337,6 @@ def one_step(inst: Instance, xa, zset,
     residual = abs(xav[s])
     lam = [ZERO] * len(dec.generators)
     for i in selected:
-        if residual == 0:
-            break
         g = dec.generators[i]
         take = min(dec.coefficients[i], residual / abs(g[s]))
         lam[i] = take

@@ -1,12 +1,13 @@
 """H-representation polyhedra: membership, vertices, faces, lattice points.
 
 All enumeration routines assume desk-scale inputs and verify boundedness,
-raising UnboundedError otherwise: by LP before enumerating, or, for the
-vertices, from the edge lines the enumeration walks (``Line``), with an LP
-only when they do not show P a nonempty polytope.  The lattice walk
-instead takes the bounding box from a caller that has shown P bounded, and
-yields its points as runs along the last coordinate, pruned by the
-caller's search when it passes one.
+raising UnboundedError otherwise.  The vertices come from P's edge lines
+(``edge_lines``, ``Line``), which also show whether P is a nonempty
+polytope; when it is not, LPs (``bounding_box``) tell an empty P from an
+unbounded one.  The faces and the lattice walk's bounding box come from the
+vertices, so on a nonempty polytope no enumeration solves an LP.  The
+lattice walk yields its points as runs along the last coordinate, pruned
+by the caller's search when it passes one.
 Outputs are canonically ordered (lexicographic) so results are
 deterministic.
 
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from operator import mul
 from typing import NamedTuple
 
@@ -341,27 +341,53 @@ def plane_lines(P: Polyhedron, start: int, X0: list[int], W: list[list[int]], L:
                            [(a * s - c * g) // L for s, g in zip(T, G)])
 
 
+def edge_lines(P: Polyhedron, planes):
+    """(S, Line) for each independent set S of n - 1 int rows [A_i | b_i],
+    in lexicographic order: the line of S's solutions met with P.
+
+    planes are the independent sets S' of n - 2 rows in lexicographic
+    order, each as (S', echelon, pivots, solution), the echelon of its rows
+    and exact._solution_space of it, or None for a solution not made yet.
+    Each S is S' + (j,) for one plane and a row j > max S', and its line
+    comes from plane_lines.  A plane with no solution is solved only when
+    some row j reduces to nonzero on its echelon, that is, when it has a
+    line.  For n = 1 there is no plane and the empty set's line is the
+    axis.
+    """
+    if P.n == 1:
+        yield (), line_through(P, [0], [1], 1)
+    rows, rhs = P.int_rows
+    for S, ech, pivots, sol in planes:
+        start = S[-1] + 1 if S else 0
+        if sol is None:
+            if all(exact._extend_echelon(ech, pivots, [*rows[j], rhs[j]], P.n) is None
+                   for j in range(start, P.m)):
+                continue
+            sol = exact._solution_space(ech, pivots, P.n)
+        for j, line in plane_lines(P, start, *sol):
+            yield S + (j,), line
+
+
 def enumerate_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
     """Sorted vertex points, or UnboundedError for an unbounded P.
 
-    Each independent set S of n - 1 int rows [A_i | b_i]
-    (exact.independent_row_sets) spans a line, and each later row j that
-    meets it at a point of P (Line.vertices) gives the vertex of the
-    independent n-set S + (j,); every vertex arises so.  P is a nonempty
-    polytope exactly when some vertex is found and no line recedes: a
-    vertex gives A rank n, so the recession cone is pointed, and unless it
-    is {0} an extreme ray of it is tight on n - 1 independent rows and
-    spans the line of such an S.  Otherwise P is empty or unbounded, and
-    bounding_box's LPs tell which.
+    Each independent set S of n - 1 int rows [A_i | b_i] spans a line
+    (edge_lines, on the planes of exact.independent_row_sets), and each
+    later row j that meets it at a point of P (Line.vertices) gives the
+    vertex of the independent n-set S + (j,); every vertex arises so.  P
+    is a nonempty polytope exactly when some vertex is found and no line
+    recedes: a vertex gives A rank n, so the recession cone is pointed,
+    and unless it is {0} an extreme ray of it is tight on n - 1
+    independent rows and spans the line of such an S.  Otherwise P is
+    empty or unbounded, and bounding_box's LPs tell which.
     """
     rows, rhs = P.int_rows
     n = P.n
+    planes = ((S, a, pivots, None) for S, a, pivots in exact.independent_row_sets(
+        [[*row, b] for row, b in zip(rows, rhs)], n, n - 2, n - 2))
     seen = set()
     recedes = False
-    for S, a, pivots in exact.independent_row_sets(
-            [[*row, b] for row, b in zip(rows, rhs)], n, n - 1, n - 1):
-        X0, (w,), L = exact._solution_space(a, pivots, n)
-        line = line_through(P, X0, w, L)
+    for S, line in edge_lines(P, planes):
         recedes = recedes or line.recedes
         for X, e in line.vertices(S[-1] + 1 if S else 0):
             seen.add(exact.rational_vector(X, e))
@@ -408,8 +434,8 @@ def lattice_runs(P: Polyhedron, box=None, search=None) -> list[tuple[tuple[int, 
     lows[i] <= D x_i <= highs[i], containing P (integer_box makes one from
     rational pairs).  A caller that knows P is nonempty and bounded passes
     its exact bounding box (the coordinate-wise extremes of its vertices);
-    without one the box is found by 2n LPs, which also show P empty (no
-    runs) or unbounded (UnboundedError).
+    without one the box is those extremes over enumerate_vertices, which
+    also shows P empty (no runs) or unbounded (UnboundedError).
 
     search, when given, prunes the walk and takes its runs as they are
     reached, and the runs returned are those reached.  The walk carries a
@@ -420,10 +446,11 @@ def lattice_runs(P: Polyhedron, box=None, search=None) -> list[tuple[tuple[int, 
     each run reached, in order, with its prefix's value.
     """
     if box is None:
-        box = bounding_box(P)
-        if box is None:
+        verts = enumerate_vertices(P)
+        if not verts:
             return []
-        box = integer_box(box)
+        cols = list(zip(*verts))
+        box = integer_box(list(zip(map(min, cols), map(max, cols))))
     if search is None:
         search = _Unpruned()
     n = P.n
@@ -481,49 +508,27 @@ def enumerate_lattice_points(P: Polyhedron, box=None) -> list[tuple[int, ...]]:
 
 
 def enumerate_faces(P: Polyhedron) -> list[Face]:
-    """Every nonempty face of a small bounded P.
+    """Every nonempty face of a small bounded P, P itself and its vertices
+    among them, ordered by the size and then the rows of its maximal
+    equality set.
 
-    Each subset of rows forced to equality yields a face; faces are
-    deduplicated by their maximal equality set.  Includes P itself and all
-    vertices.
+    A bounded P is the convex hull of its vertices (enumerate_vertices),
+    and each face the convex hull of the vertices it holds, so a row is
+    tight on a whole face exactly when it is tight at each of them: the
+    maximal equality set of a face is the intersection of its vertices'
+    tight row sets.  Conversely, the intersection E of the tight sets of
+    some vertices is the maximal equality set of the face {x in P : A_E x
+    = b_E}: each vertex of that face is tight on E, and those vertices are
+    among them.  So the faces are the intersections of the vertices' tight
+    sets, whose family is closed under intersection one vertex at a time.
+    An empty P has no face; an unbounded one raises UnboundedError.
     """
-    assert_bounded(P)
-    if is_empty(P):
-        return []
-    faces: dict[frozenset[int], int] = {}
-    infeasible: list[frozenset[int]] = []
-
-    def face_system(S):
-        rows = [list(r) for r in P.A]
-        rhs = list(P.b)
-        for i in S:
-            rows.append([-c for c in P.A[i]])
-            rhs.append(-P.b[i])
-        return rows, rhs
-
-    for size in range(P.m + 1):
-        for S in combinations(range(P.m), size):
-            Sset = frozenset(S)
-            if any(bad <= Sset for bad in infeasible):
-                continue
-            rows, rhs = face_system(Sset)
-            if lp_solve(rows, rhs, [ZERO] * P.n, "min").status == "infeasible":
-                infeasible.append(Sset)
-                continue
-            # Maximal equality set: row i is forced iff min a_i.x over the
-            # face equals b_i.
-            eq = set(Sset)
-            for i in range(P.m):
-                if i in eq:
-                    continue
-                res = lp_solve(rows, rhs, list(P.A[i]), "min")
-                if res.objective == P.b[i]:
-                    eq.add(i)
-            E = frozenset(eq)
-            if E not in faces:
-                eq_rows = [list(P.A[i]) for i in sorted(E)]
-                faces[E] = P.n - exact.rank(eq_rows)
-    return sorted((Face(E, d) for E, d in faces.items()),
+    found: set[frozenset[int]] = set()
+    for v in enumerate_vertices(P):
+        T = tight_rows(P, v)
+        found |= {T & E for E in found} | {T}
+    rows = P.int_rows[0]
+    return sorted((Face(E, P.n - exact.rank([rows[i] for i in sorted(E)])) for E in found),
                   key=lambda f: (len(f.equality_rows), sorted(f.equality_rows)))
 
 

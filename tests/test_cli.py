@@ -582,10 +582,18 @@ def test_verify_report_string_vector(capsys, tmp_path, ex11_report, key):
 
 
 def test_verify_report_string_instance_vector(capsys, tmp_path, ex11_report):
+    """An InputError from a report's fields is its own message, not wrapped
+    as a malformed report's ValueError."""
     instance_doc = {**ex11_report["instance"], "b": "13"}
     code, err = verify_edited(capsys, tmp_path, ex11_report, instance=instance_doc)
     assert code == 2
-    assert "JSON array" in err and len(err.strip().splitlines()) == 1
+    assert err == "input error: expected a JSON array of rationals, got '13'\n"
+
+
+def test_verify_report_bad_eps_literal(capsys, tmp_path, ex11_report):
+    code, err = verify_edited(capsys, tmp_path, ex11_report, eps="1/0")
+    assert code == 2
+    assert err == "input error: bad rational literal '1/0'\n"
 
 
 def test_verify_report_infeasible_point(capsys, tmp_path, ex11_report):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iqprox import exact, oracles
+from iqprox import exact, oracles, polyhedra
 from iqprox.errors import (ClaimViolation, InfeasibleError, InputError,
                            UnboundedError)
 from iqprox.families import (build_example_1_1, build_ilp_tightness,
@@ -1218,7 +1218,7 @@ def face_walk_counts(monkeypatch, walk):
     echelon are not counted."""
     counts = Counter()
     solving = []
-    solve, extend, derive = exact.solution_space_int, exact._extend_echelon, oracles.plane_lines
+    solve, extend, derive = exact.solution_space_int, exact._extend_echelon, polyhedra.plane_lines
 
     def counted_solve(*args):
         counts["solves"] += 1
@@ -1243,7 +1243,7 @@ def face_walk_counts(monkeypatch, walk):
 
     monkeypatch.setattr(exact, "solution_space_int", counted_solve)
     monkeypatch.setattr(exact, "_extend_echelon", counted_extend)
-    monkeypatch.setattr(oracles, "plane_lines", counted_derive)
+    monkeypatch.setattr(polyhedra, "plane_lines", counted_derive)
     walk()
     return dict(counts)
 

@@ -14,6 +14,7 @@ from iqprox.polyhedra import (bounding_box, contains, coordinate_range,
                               enumerate_faces, enumerate_lattice_points,
                               enumerate_vertices, integer_box, intersect_with_box, is_empty,
                               polyhedron, tight_rows)
+from iqprox.simplex import lp_solve
 
 
 def square(r=2):
@@ -232,6 +233,75 @@ def test_vertices_of_a_polytope_take_no_lp(monkeypatch):
     assert enumerate_vertices(triangle()) == [(F(0), F(0)), (F(0), F(2)), (F(2), F(0))]
 
 
+def test_faces_and_lattice_of_a_polytope_take_no_lp(monkeypatch):
+    """The faces and the lattice walk's box come from the vertices, so on a
+    nonempty polytope neither solves an LP; a degenerate vertex (the apex
+    of a square pyramid, tight on four rows) included."""
+    pyramid = polyhedron([[0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
+                         [0, 2, 2, 2, 2])
+    want = {P: (reference_lp_faces(P), reference_lp_lattice_runs(P))
+            for P in (triangle(), square(2), pyramid)}
+    monkeypatch.setattr(polyhedra, "lp_solve", None)
+    for P, (faces, runs) in want.items():
+        assert enumerate_faces(P) == faces
+        assert polyhedra.lattice_runs(P) == runs
+    assert [f.dim for f in want[pyramid][0]] == [3] + [2] * 5 + [1] * 8 + [0] * 5
+
+
+def reference_echelon_vertices(P):
+    """enumerate_vertices as it walked the independent sets of n - 1 rows,
+    each line from its own echelon (leaf_echelon_lines)."""
+    seen, recedes = set(), False
+    for S, line in leaf_echelon_lines(P):
+        recedes = recedes or line.recedes
+        for X, e in line.vertices(S[-1] + 1 if S else 0):
+            seen.add(exact.rational_vector(X, e))
+    if (recedes or not seen) and bounding_box(P) is None:
+        return []
+    return sorted(seen)
+
+
+def reference_lp_lattice_runs(P):
+    """lattice_runs on the box of bounding_box's 2n LPs."""
+    box = bounding_box(P)
+    return [] if box is None else polyhedra.lattice_runs(P, integer_box(box))
+
+
+def reference_lp_faces(P):
+    """enumerate_faces by LP: each row set S forced to equality whose face
+    is nonempty, with its maximal equality set found by one LP per row."""
+    polyhedra.assert_bounded(P)
+    if is_empty(P):
+        return []
+    faces, infeasible = {}, []
+    for size in range(P.m + 1):
+        for S in map(frozenset, combinations(range(P.m), size)):
+            if any(bad <= S for bad in infeasible):
+                continue
+            rows = [list(r) for r in P.A] + [[-c for c in P.A[i]] for i in S]
+            rhs = list(P.b) + [-P.b[i] for i in S]
+            if lp_solve(rows, rhs, [F(0)] * P.n, "min").status == "infeasible":
+                infeasible.append(S)
+                continue
+            E = frozenset(S | {i for i in range(P.m) if i not in S
+                               and lp_solve(rows, rhs, list(P.A[i]), "min").objective == P.b[i]})
+            faces.setdefault(E, P.n - exact.rank([list(P.A[i]) for i in sorted(E)]))
+    return sorted((polyhedra.Face(E, d) for E, d in faces.items()),
+                  key=lambda f: (len(f.equality_rows), sorted(f.equality_rows)))
+
+
+def same_or_same_error(got, want):
+    """got() and want() give equal results, or UnboundedErrors of one text."""
+    try:
+        expected = want()
+    except UnboundedError as err:
+        with pytest.raises(UnboundedError) as raised:
+            got()
+        assert str(raised.value) == str(err)
+        return
+    assert got() == expected
+
+
 @settings(max_examples=150, deadline=None)
 @given(bounded_systems())
 @example(polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]],
@@ -291,19 +361,15 @@ def leaf_echelon_lines(P):
     return out
 
 
-def plane_derived_lines(P):
-    """The same lines as the face walk takes them: plane_lines on each
-    independent set S of n - 2 rows, given its exact._solution_space, for
-    the rows after S; for n = 1 the empty set's line, by line_through."""
+def edge_lines_on_planes(P, solved):
+    """polyhedra.edge_lines on the independent sets of n - 2 rows, each
+    with its exact._solution_space when solved, else with None."""
     n = P.n
-    if n == 1:
-        return [((), polyhedra.line_through(P, [0], [1], 1))]
     rows, rhs = P.int_rows
     aug = [[*row, b] for row, b in zip(rows, rhs)]
-    return [(S + (j,), line)
-            for S, a, pivots in exact.independent_row_sets(aug, n, n - 2, n - 2)
-            for j, line in polyhedra.plane_lines(P, S[-1] + 1 if S else 0,
-                                                 *exact._solution_space(a, pivots, n))]
+    planes = [(S, a, pivots, exact._solution_space(a, pivots, n) if solved else None)
+              for S, a, pivots in exact.independent_row_sets(aug, n, n - 2, n - 2)]
+    return list(polyhedra.edge_lines(P, planes))
 
 
 def plane_line_cases(P) -> set[str]:
@@ -384,10 +450,62 @@ def test_plane_line_examples_cover_every_case():
 @example(PLANE_EXAMPLES[3])
 @example(PLANE_EXAMPLES[4])
 def test_plane_lines_match_leaf_echelons(P):
-    """plane_lines gives, for each plane and in the same j order, the Line
-    that the echelon of the plane plus row j gives through
-    exact._solution_space and line_through: every field equal."""
-    assert plane_derived_lines(P) == leaf_echelon_lines(P)
+    """edge_lines gives, through plane_lines for each plane and in the same
+    j order, the Line that the echelon of the plane plus row j gives
+    through exact._solution_space and line_through: every field equal,
+    whether each plane comes solved or is solved on demand.  For n = 1 it
+    is the axis line."""
+    want = leaf_echelon_lines(P)
+    assert edge_lines_on_planes(P, True) == want
+    assert edge_lines_on_planes(P, False) == want
+
+
+VERTEX_EXAMPLES = [
+    polyhedron([[1], [-1]], [F(-1, 2), 0]),                         # empty, n = 1
+    polyhedron([[-1]], [0]),                                        # a ray, n = 1
+    polyhedron([[2], [-1]], [3, 1]),                                # a segment, n = 1
+    polyhedron([[1, 1], [-1, -1]], [2, 2]),                         # a strip: rank 1
+    polyhedron([[1, 0], [-1, 0], [0, 1]], [2, 2, 2]),               # open below
+    polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]],
+               [1, 1, 1, 1, 2]),                                    # (1, 1) tight on 3 rows
+    polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]],
+               [1, 1, 1, 1, 0, 0]),                                 # a diagonal segment
+    polyhedron([[0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
+               [0, 2, 2, 2, 2]),                                    # square pyramid
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(bounded_systems(), opened_systems(), plane_systems()))
+@example(VERTEX_EXAMPLES[0])
+@example(VERTEX_EXAMPLES[1])
+@example(VERTEX_EXAMPLES[2])
+@example(VERTEX_EXAMPLES[3])
+@example(VERTEX_EXAMPLES[4])
+@example(VERTEX_EXAMPLES[5])
+@example(VERTEX_EXAMPLES[6])
+@example(VERTEX_EXAMPLES[7])
+def test_vertices_and_lattice_runs_match_references(P):
+    """enumerate_vertices on the planes' lines gives what it gave on the
+    (n - 1)-row echelons, and lattice_runs on the vertex box what it gave
+    on the LP box: the same points and runs, or the same UnboundedError."""
+    same_or_same_error(lambda: enumerate_vertices(P), lambda: reference_echelon_vertices(P))
+    same_or_same_error(lambda: polyhedra.lattice_runs(P), lambda: reference_lp_lattice_runs(P))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(bounded_systems(), opened_systems()))
+@example(VERTEX_EXAMPLES[0])
+@example(VERTEX_EXAMPLES[1])
+@example(VERTEX_EXAMPLES[2])
+@example(VERTEX_EXAMPLES[3])
+@example(VERTEX_EXAMPLES[5])
+@example(VERTEX_EXAMPLES[6])
+@example(VERTEX_EXAMPLES[7])
+def test_faces_match_lp_reference(P):
+    """enumerate_faces from the vertices' tight rows gives the faces one LP
+    per row set and row gave, or the same UnboundedError."""
+    same_or_same_error(lambda: enumerate_faces(P), lambda: reference_lp_faces(P))
 
 
 def reference_intersect_with_box(P, center, radius):
