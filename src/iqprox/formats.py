@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 from .errors import InputError
@@ -51,12 +52,17 @@ def str_to_rat(s) -> Fraction:
     An ASCII p or p/q, p a sign and digits and q digits other than zero,
     is read by int; every other string by Fraction, which reads those the
     same way.  Both raise ValueError on a literal past the interpreter's
-    limit on int digits, which is then an InputError too.
+    limit on int digits, which is then an InputError too.  Fraction builds
+    the power of ten of an exponent literal ("1e3") whatever its size, so
+    an exponent whose absolute value exceeds that limit is an InputError
+    before Fraction reads it.
     """
     if type(s) not in (str, int):
         raise InputError(f"bad rational literal {echo(s)}: not a string or an int")
     try:
-        if type(s) is str and s.isascii():
+        if type(s) is int:
+            return Fraction(s)
+        if s.isascii():
             num, slash, den = s.partition("/")
             digits = num[1:] if num[:1] in ("+", "-") else num
             if digits.isdigit():
@@ -64,9 +70,12 @@ def str_to_rat(s) -> Fraction:
                     return Fraction(int(num))
                 if den.isdigit() and den.strip("0"):
                     return Fraction(int(num), int(den))
-        return Fraction(s)
+        _, mark, exp = s.upper().rpartition("E")
+        if not (mark and 0 < sys.get_int_max_str_digits() < abs(int(exp))):  # 0 is no limit
+            return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad rational literal {echo(s)}") from e
+    raise InputError(f"bad rational literal {echo(s)}: exponent past the limit on int digits")
 
 
 def vec_to_strs(v) -> list[str]:

@@ -8,7 +8,6 @@ size; everything here is exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -20,19 +19,18 @@ from .errors import (ClaimViolation, DimensionError, InfeasibleError, InputError
 from .pipeline import (Instance, PipelineResult, _objective_at, _objective_numerator,
                        checked_eps, eval_objective)
 from .polyhedra import (contains, contains_int, edge_lines, enumerate_lattice_points,
-                        enumerate_vertices, intersect_with_box, lattice_runs,
-                        line_through)
+                        enumerate_vertices, intersect_with_box, is_empty, lattice_runs,
+                        line_leaves, line_through, vertex_box, vertex_ints)
 from .simplex import feasible_point
 
-# No oracle lists lattice points or tests a point through contains any
-# more, but the benchmark's self-check (perfbench/selfcheck.py) rebinds
-# enumerate_lattice_points and contains by this module's name, so the names
-# stay bound here.
+# The benchmark's self-check (perfbench/selfcheck.py) rebinds
+# enumerate_lattice_points, enumerate_vertices and contains by this
+# module's name, which no oracle calls any more, so they stay bound here.
 __all__ = ["OptResult", "ApproxVerdict", "OracleReport", "DeltaStarResult",
            "solve_iqp", "solve_qp", "fmax_int", "fmax_int_witness", "fmax_cont",
            "fmax_cont_witness", "full_report", "verdict", "delta_star",
            "certify_no_cont_approx_within", "claim_cross_checks",
-           "enumerate_lattice_points", "contains"]
+           "enumerate_lattice_points", "enumerate_vertices", "contains"]
 
 ZERO = Fraction(0)
 
@@ -207,12 +205,14 @@ def solve_iqp(inst: Instance) -> OptResult:
 
 def solve_qp(inst: Instance) -> OptResult:
     """Continuous minimizer; a concave objective attains its min at a vertex."""
+    return _vertex_minimum(_valued(inst, vertex_ints(inst.polyhedron())))
+
+
+def _valued(inst: Instance, verts) -> list[tuple[list[int], int, int, int]]:
+    """(X, e, num, den) for each vertex (X, e): the point X / e has the
+    value num / den, an int numerator over d e^2 (Instance.int_objective)."""
     Q, H, d = inst.int_objective
-    verts = []
-    for p in enumerate_vertices(inst.polyhedron()):
-        X, e = exact.integer_vector(p)
-        verts.append((X, e, _objective_numerator(Q, H, X, e), d * e * e))
-    return _vertex_minimum(verts)
+    return [(X, e, _objective_numerator(Q, H, X, e), d * e * e) for X, e in verts]
 
 
 def _vertex_minimum(verts) -> OptResult:
@@ -255,7 +255,7 @@ def fmax_cont_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
     """
     fci, wci, _, box = _face_walk(inst)
     P = inst.polyhedron()
-    if box is None and (fci is not None or feasible_point(P.A, P.b) is not None):
+    if box is None and (fci is not None or not is_empty(P)):
         rows, _ = P.int_rows
         k, H = inst.k, inst.int_objective[1]
         # r in the coordinates i >= k: A r <= 0 and h.r >= 1, scaled by d > 0
@@ -275,10 +275,10 @@ def _face_walk(inst: Instance):
     fci and wci are None when no face attains a maximum in P; when f is
     unbounded above on P, fci may be a face's value (fmax_cont_witness
     tells the cases apart).  On a nonempty polytope, verts holds every
-    vertex and box their coordinate-wise extremes, P's exact bounding box,
-    as ints over one denominator D, the form polyhedra.lattice_runs takes.
-    Otherwise verts is empty and box None, and the lattice walk, left to
-    find its own box, gives no points or raises UnboundedError.
+    vertex, valued (_valued), and box is their polyhedra.vertex_box, P's
+    exact bounding box.  Otherwise verts is empty and box None, and the
+    lattice walk, left to find its own box, gives no points or raises
+    UnboundedError.
 
     The maximizer lies in the relative interior of some face, where the
     gradient is orthogonal to the face's affine hull.  Each linearly
@@ -341,20 +341,9 @@ def _face_walk(inst: Instance):
     the line (Line.vertices).  These leaves wait until the whole of level
     n - 1 is done: in (size, lex) order every (n - 1)-set comes before
     every n-set, so the best value each leaf is compared with, and the
-    witness it may become, are those of that order.
-
-    Every line is met with P, dominated or not, and every leaf is visited,
-    so the same walk also collects the vertices of P.  Each leaf in P is a
-    vertex, kept as (X, e, num, den): the point X / e of value num / den,
-    once per n-subset that gives it.  Each line has its direction w tested
-    (Line.recedes): if A_i w <= 0 for every row i, or >= 0 for every row
-    i, then w or -w lies in the recession cone C = {y : A y <= 0}, P is not
-    a polytope, and the vertices are dropped at the end.  When some vertex
-    exists, A has rank n, so C is pointed and, unless it is {0}, has an
-    extreme ray; that ray is tight on n - 1 independent rows, so it spans
-    the kernel line of such an S.  So the list ends nonempty exactly when P
-    is a nonempty polytope, and then holds every vertex of P, whose convex
-    hull P is.
+    witness it may become, are those of that order.  Every line is met with
+    P, dominated or not, so polyhedra.line_leaves of the lines gives every
+    leaf, and whether P is a nonempty polytope, whose vertices they are.
 
     Everything but the LP runs on the int rows of P.  The walk gives each
     face of up to n - 2 rows the Bareiss echelon of [A_S | b_S], which
@@ -377,7 +366,6 @@ def _face_walk(inst: Instance):
     Q2 = [2 * c for c in Q] + [0] * (n - k)
     best = None  # (numerator, denominator) of the best value so far
     wit = pending = None  # the witness, or the face whose LP gives it
-    recedes = False  # some line's direction lies in P's recession cone
     level, above, bounds = 0, {}, {}  # the faces' bounds, one level up and this one
     planes = []  # (S, echelon, pivots, solution or None) per (n - 2)-set, for its lines
     lines = []  # (S, line) per independent (n - 1)-set, for its leaves
@@ -394,9 +382,8 @@ def _face_walk(inst: Instance):
         size = len(S)
         if size > level:
             level, above, bounds = size, bounds, {}
-        if line is not None:  # met anyway: its leaves, and the recession test
+        if line is not None:  # met anyway, for its leaves
             lines.append((S, line))
-            recedes = recedes or line.recedes
         up = above.get(S[:-1])
         if up is not None and best is not None and up[0] * best[1] <= best[0] * up[1]:
             bounds[S] = up
@@ -455,13 +442,11 @@ def _face_walk(inst: Instance):
             if pt is None:
                 continue
         best, wit, pending = (num, den), tuple(pt), None
-    verts = []
-    for S, line in lines:  # the leaves S + (j,), in (S, j) order
-        for X, e in line.vertices(S[-1] + 1 if S else 0):
-            num, den = _objective_numerator(Q, H, X, e), d * e * e
-            verts.append((X, e, num, den))
-            if best is None or num * best[1] > best[0] * den:
-                best, wit, pending = (num, den), exact.rational_vector(X, e), None
+    leaves, polytope = line_leaves(lines)
+    verts = _valued(inst, leaves)
+    for X, e, num, den in verts:  # the leaves S + (j,), in (S, j) order
+        if best is None or num * best[1] > best[0] * den:
+            best, wit, pending = (num, den), exact.rational_vector(X, e), None
     if best is None:
         return None, None, [], None
     if pending is not None:
@@ -470,14 +455,9 @@ def _face_walk(inst: Instance):
         if pt is None:
             raise ClaimViolation("face-lp", f"face {S}: the LP finds no point of E_S in P")
         wit = tuple(pt)
-    if recedes:
-        verts = []
-    box = None
-    if verts:
-        D = math.lcm(*(e for _, e, _, _ in verts))
-        cols = list(zip(*([x * (D // e) for x in X] for X, e, _, _ in verts)))
-        box = [min(c) for c in cols], [max(c) for c in cols], D
-    return Fraction(*best), wit, verts, box
+    if not polytope:
+        return Fraction(*best), wit, [], None
+    return Fraction(*best), wit, verts, vertex_box(leaves)
 
 
 def _face_point(inst: Instance, S, W, L: int, value: Fraction) -> list[Fraction] | None:
@@ -622,11 +602,8 @@ def certify_no_cont_approx_within(inst: Instance, eps, xd, radius) -> bool:
     qp = _vertex_minimum(verts) if verts else solve_qp(inst)
     tau = qp.value + eps * (fmax - qp.value)
     box = intersect_with_box(inst.polyhedron(), xd, radius)
-    corners = enumerate_vertices(box)
-    if not corners:
-        return True
-    lo = min(eval_objective(inst, v) for v in corners)
-    return lo > tau
+    corners = vertex_ints(box)
+    return not corners or _vertex_minimum(_valued(inst, corners)).value > tau
 
 
 def claim_cross_checks(inst: Instance, result: PipelineResult, report: OracleReport):

@@ -1,11 +1,12 @@
 """H-representation polyhedra: membership, vertices, faces, lattice points.
 
 All enumeration routines assume desk-scale inputs and verify boundedness,
-raising UnboundedError otherwise.  The vertices come from P's edge lines
-(``edge_lines``, ``Line``), which also show whether P is a nonempty
-polytope; when it is not, LPs (``bounding_box``) tell an empty P from an
-unbounded one.  The faces and the lattice walk's bounding box come from the
-vertices, so on a nonempty polytope no enumeration solves an LP.  The
+raising UnboundedError otherwise.  The vertices are held as ints X / e,
+the leaves of P's edge lines (``edge_lines``, ``line_leaves``), which also
+show whether P is a nonempty polytope; when it is not, LPs
+(``bounding_box``) tell an empty P from an unbounded one (``vertex_ints``).
+The faces and the lattice walk's bounding box (``vertex_box``) come from
+the vertices, so on a nonempty polytope no enumeration solves an LP.  The
 lattice walk yields its points as runs along the last coordinate, pruned
 by the caller's search when it passes one.
 Outputs are canonically ordered (lexicographic) so results are
@@ -368,32 +369,52 @@ def edge_lines(P: Polyhedron, planes):
             yield S + (j,), line
 
 
-def enumerate_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
-    """Sorted vertex points, or UnboundedError for an unbounded P.
+def line_leaves(lines) -> tuple[list[tuple[list[int], int]], bool]:
+    """The leaves (X, e) of a stream of edge lines (S, Line), in (S, j)
+    order, and whether they show P a nonempty polytope.
 
-    Each independent set S of n - 1 int rows [A_i | b_i] spans a line
-    (edge_lines, on the planes of exact.independent_row_sets), and each
-    later row j that meets it at a point of P (Line.vertices) gives the
-    vertex of the independent n-set S + (j,); every vertex arises so.  P
-    is a nonempty polytope exactly when some vertex is found and no line
-    recedes: a vertex gives A rank n, so the recession cone is pointed,
-    and unless it is {0} an extreme ray of it is tight on n - 1
-    independent rows and spans the line of such an S.  Otherwise P is
-    empty or unbounded, and bounding_box's LPs tell which.
+    Each later row j that meets the line of S at a point of P
+    (Line.vertices) gives the vertex X / e of the independent n-set S +
+    (j,); a vertex tight on more than n rows comes once per such set.  P is
+    a nonempty polytope exactly when some leaf is found and no line
+    recedes: a vertex gives A rank n, so the recession cone is pointed, and
+    unless it is {0} an extreme ray of it is tight on n - 1 independent
+    rows and spans the line of such an S.  Then the leaves hold every
+    vertex of P, whose convex hull P is.
     """
-    rows, rhs = P.int_rows
-    n = P.n
-    planes = ((S, a, pivots, None) for S, a, pivots in exact.independent_row_sets(
-        [[*row, b] for row, b in zip(rows, rhs)], n, n - 2, n - 2))
-    seen = set()
-    recedes = False
-    for S, line in edge_lines(P, planes):
+    leaves, recedes = [], False
+    for S, line in lines:
         recedes = recedes or line.recedes
-        for X, e in line.vertices(S[-1] + 1 if S else 0):
-            seen.add(exact.rational_vector(X, e))
-    if (recedes or not seen) and bounding_box(P) is None:
+        leaves += line.vertices(S[-1] + 1 if S else 0)
+    return leaves, bool(leaves) and not recedes
+
+
+def vertex_box(verts) -> tuple[list[int], list[int], int]:
+    """The coordinate-wise extremes of the vertices (X, e), the points X /
+    e, as ints over the lcm D of the e: lows, highs and D, the box of
+    lattice_runs."""
+    D = math.lcm(*(e for _, e in verts))
+    cols = list(zip(*([x * (D // e) for x in X] for X, e in verts)))
+    return [min(c) for c in cols], [max(c) for c in cols], D
+
+
+def vertex_ints(P: Polyhedron) -> list[tuple[list[int], int]]:
+    """The vertices of P, the leaves (X, e) of its edge lines on the planes
+    of exact.independent_row_sets; [] for an empty P and UnboundedError for
+    an unbounded one, which bounding_box's LPs tell apart when the leaves
+    do not show P a nonempty polytope."""
+    rows, rhs = P.int_rows
+    planes = ((S, a, pivots, None) for S, a, pivots in exact.independent_row_sets(
+        [[*row, b] for row, b in zip(rows, rhs)], P.n, P.n - 2, P.n - 2))
+    leaves, polytope = line_leaves(edge_lines(P, planes))
+    if not polytope and bounding_box(P) is None:
         return []
-    return sorted(seen)
+    return leaves
+
+
+def enumerate_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
+    """Sorted vertex points of vertex_ints, or UnboundedError."""
+    return sorted({exact.rational_vector(X, e) for X, e in vertex_ints(P)})
 
 
 class _Unpruned:
@@ -407,13 +428,6 @@ class _Unpruned:
 
     def run(self, prefix, lo: int, hi: int, value: int):
         pass
-
-
-def integer_box(box) -> tuple[list[int], list[int], int]:
-    """A box of (lo, hi) rational pairs as ints over one denominator: lows,
-    highs and D > 0 with lo_i = lows[i] / D and hi_i = highs[i] / D."""
-    X, D = exact.integer_vector([v for pair in box for v in pair])
-    return X[0::2], X[1::2], D
 
 
 def lattice_runs(P: Polyhedron, box=None, search=None) -> list[tuple[tuple[int, ...], int, int]]:
@@ -431,11 +445,10 @@ def lattice_runs(P: Polyhedron, box=None, search=None) -> list[tuple[tuple[int, 
     bounded; it holds on a nonempty P.
 
     box is (lows, highs, D), ints with D > 0: the box of the x with
-    lows[i] <= D x_i <= highs[i], containing P (integer_box makes one from
-    rational pairs).  A caller that knows P is nonempty and bounded passes
-    its exact bounding box (the coordinate-wise extremes of its vertices);
-    without one the box is those extremes over enumerate_vertices, which
-    also shows P empty (no runs) or unbounded (UnboundedError).
+    lows[i] <= D x_i <= highs[i], containing P.  A caller that knows P is
+    nonempty and bounded passes its exact bounding box (vertex_box of its
+    vertices); without one the box is vertex_box of vertex_ints, which also
+    shows P empty (no runs) or unbounded (UnboundedError).
 
     search, when given, prunes the walk and takes its runs as they are
     reached, and the runs returned are those reached.  The walk carries a
@@ -446,11 +459,10 @@ def lattice_runs(P: Polyhedron, box=None, search=None) -> list[tuple[tuple[int, 
     each run reached, in order, with its prefix's value.
     """
     if box is None:
-        verts = enumerate_vertices(P)
+        verts = vertex_ints(P)
         if not verts:
             return []
-        cols = list(zip(*verts))
-        box = integer_box(list(zip(map(min, cols), map(max, cols))))
+        box = vertex_box(verts)
     if search is None:
         search = _Unpruned()
     n = P.n

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import inspect
 import io
@@ -70,6 +71,9 @@ def test_rational_strings():
             formats.str_to_rat(bad)
 
 
+PAST_LIMIT = ("1e5000", "1e-5000", "1e4301", "-3E-4301", "1e+0004301")
+
+
 @pytest.mark.parametrize("literal", [
     "3", "-3", "+3", "007", "-0", " 3", "3 ", " -3 ", "1_0", "\u0663", "\u00b2",
     "0.5", "1e3", "-1/2", " 3/4 ", "", "+", "-", "+-3", "3/0", "1.5.2",
@@ -81,14 +85,19 @@ def test_rational_strings():
     # past the interpreter's 4,300-digit limit on str to int
     pytest.param("1" * 4301, id="long-p"), pytest.param("-1/" + "1" * 4301, id="long-q"),
     pytest.param("1" * 4301 + "/3", id="long-p/q"),
+    # exponents up to that limit in absolute value, and past it
+    "1e4300", "-2.5E-4300", " 1e+4_300 ", "\u0661e\u0663",
+    *PAST_LIMIT, pytest.param("1.5e-" + "9" * 4301, id="long-exponent"),
 ])
 def test_str_to_rat_matches_fraction(literal):
     """str_to_rat reads an ASCII p or p/q, p a sign and digits and q
     digits, with int and every other string with Fraction: the value is
     Fraction(literal)'s, in lowest terms, and an InputError stands where
-    Fraction raises, and for every literal that is neither a string nor an
-    int ("\u0663" is the Arabic-Indic digit 3, "\u00b2" a superscript 2)."""
-    if type(literal) not in (str, int):
+    Fraction raises, where the literal's exponent exceeds the interpreter's
+    4,300-digit limit in absolute value, and for every literal that is
+    neither a string nor an int ("\u0663" is the Arabic-Indic digit 3,
+    "\u00b2" a superscript 2)."""
+    if type(literal) not in (str, int) or literal in PAST_LIMIT:
         with pytest.raises(errors.InputError):
             formats.str_to_rat(literal)
         return
@@ -801,3 +810,82 @@ def test_verify_report_block_field_missing_or_not_an_object(capsys, tmp_path,
     assert code == 2
     assert err.strip() == (f"input error: malformed report: {block} must be a JSON "
                            "object, got ['1']")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "instance document must be a JSON object"),
+    ({"A": [[1]], "b": ["1"], "h": ["0"]}, "malformed instance document: KeyError: 'q'"),
+    ({"n": 2, "A": [[1]], "b": ["1"], "q": ["1"], "h": ["0"]},
+     "declared n does not match the data"),
+    ({"m": 2, "A": [[1]], "b": ["1"], "q": ["1"], "h": ["0"]},
+     "declared m does not match the data"),
+    ({"A": [[1]], "b": ["1e5000"], "q": ["1"], "h": ["0"]},
+     "bad rational literal '1e5000': exponent past the limit on int digits"),
+], ids=["not-an-object", "no-q", "n", "m", "exponent"])
+def test_formats_instance_checks(tmp_path, doc, message):
+    """Each check of an instance file in formats raises its InputError."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(errors.InputError) as got:
+        formats.load_instance(str(path))
+    assert type(got.value) is errors.InputError and str(got.value) == message
+    assert got.traceback[-1].path.name == "formats.py"
+
+
+@pytest.mark.parametrize("literal", ["1e5000", "1e-5000"])
+def test_exponent_past_the_digit_limit_is_an_input_error(capsys, tmp_path, literal):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"A": [[1], [-1]], "b": [literal, "1"], "q": ["1"], "h": ["0"]}))
+    err = assert_one_input_error(capsys, ["solve", str(path)])
+    assert err == (f"input error: bad rational literal {literal!r}: "
+                   "exponent past the limit on int digits\n")
+
+
+def test_cmd_tightness_unknown_family():
+    """The parser admits only the five families; called directly with
+    another, cmd_tightness raises its InputError."""
+    args = argparse.Namespace(family="prop47", n=2, delta=1, t=1, beta="1/2", eps="1/2")
+    with pytest.raises(errors.InputError) as got:
+        cli.cmd_tightness(args)
+    assert str(got.value) == "unknown family 'prop47'"
+    assert got.traceback[-1].path.name == "cli.py"
+
+
+class UnwritableStdout(ClosedStdout):
+    """A ClosedStdout on a descriptor: fileno() gives it, or raises when it
+    is None."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def fileno(self):
+        if self.fd is None:
+            raise io.UnsupportedOperation("fileno")
+        return self.fd
+
+
+def test_main_with_stdout_none(capsys, monkeypatch, ex11_path):
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["solve", ex11_path]) == 2
+    assert capsys.readouterr().err == "output error: standard output is closed\n"
+
+
+@pytest.mark.parametrize("on_file", [True, False], ids=["descriptor", "no-descriptor"])
+def test_main_with_unwritable_stdout(capsys, monkeypatch, tmp_path, ex11_path, on_file):
+    """A write to stdout raises: exit 2 and one stderr line.  When stdout
+    has a descriptor, main points it at devnull, so a later write there
+    (the flush at exit) reaches no file."""
+    path = tmp_path / "out"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT) if on_file else None
+    try:
+        monkeypatch.setattr(sys, "stdout", UnwritableStdout(fd))
+        assert main(["solve", ex11_path]) == 2
+        if on_file:
+            os.write(fd, b"rest")
+    finally:
+        if on_file:
+            os.close(fd)
+    assert capsys.readouterr().err == "output error: cannot write standard output: Broken pipe\n"
+    if on_file:
+        assert path.read_bytes() == b""

@@ -759,3 +759,27 @@ def test_build_cone_short_row():
 def test_build_cone_direction_of_another_dimension():
     with pytest.raises(DimensionError):
         build_cone([[1, 0], [0, 1]], [1])
+
+
+PLANE_CONE = cones.ProximityCone(((1, 0),), ((0, 1),), 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cone_contains(PLANE_CONE, [0]), "point dimension mismatch"),
+    (lambda: cones.combination_int([0, 0], 1, [(F(1), [1], 1)], 1),
+     "generator dimension 1 vs 2"),
+    (lambda: check_two_representations(
+        polyhedron([[1, 0], [0, 1]], [1, 1]), PLANE_CONE, [0, 0], [0, 0],
+        ConicDecomposition([(1,)], [F(1)]), ConicDecomposition()),
+     "point dimension mismatch"),
+    (lambda: check_two_representations(
+        polyhedron([[1, 0], [0, 1]], [1, 1]), PLANE_CONE, [0], [0, 0],
+        ConicDecomposition(), ConicDecomposition()),
+     "point dimensions 1, 2 vs 2"),
+], ids=["cone_contains", "combination_int", "generator", "points"])
+def test_cones_dimension_checks(call, message):
+    """Each dimension check of cones raises its DimensionError."""
+    with pytest.raises(DimensionError) as got:
+        call()
+    assert type(got.value) is DimensionError and str(got.value) == message
+    assert got.traceback[-1].path.name == "cones.py"

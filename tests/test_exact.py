@@ -557,3 +557,26 @@ def test_rational_vector_inverts_integer_vector(v):
     assert got == tuple(v)
     assert all(type(x) is F for x in got)
     assert exact.integer_vector(got) == (X, d)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: exact.dot([1], [1, 2]), DimensionError, "dot: 1 vs 2"),
+    (lambda: exact.vec_add([1], [1, 2]), DimensionError, "vec_add: 1 vs 2"),
+    (lambda: exact.vec_sub([1], [1, 2]), DimensionError, "vec_sub: 1 vs 2"),
+    (lambda: exact.null_space([]), DimensionError,
+     "null_space of empty matrix needs ambient dimension"),
+    (lambda: exact._integer_matrix([[1, 0.5]]), DomainError,
+     "subdeterminants are defined here for integer matrices only"),
+], ids=["dot", "vec_add", "vec_sub", "null_space", "float-entry"])
+def test_exact_input_checks(call, error, message):
+    """Each input check of exact raises its own class and message; a float
+    entry of _integer_matrix, neither an int nor a Fraction, is read as a
+    Fraction first."""
+    with pytest.raises(error) as got:
+        call()
+    assert type(got.value) is error and str(got.value) == message
+    assert got.traceback[-1].path.name == "exact.py"
+
+
+def test_integer_matrix_reads_other_numbers_as_fractions():
+    assert exact._integer_matrix([[2.0, "3"], [F(4), -1]]) == [[2, 3], [4, -1]]

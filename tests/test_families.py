@@ -172,3 +172,19 @@ def test_random_instance_k_zero_slice():
     for seed in range(10):
         inst = random_instance(seed, k_max=0)
         assert inst.k == 0 and inst.q == ()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_example_1_1(-1), "t must be a nonnegative integer"),
+    (lambda: build_prop45(2, 1, 0), "eps must be in (0, 1], got 0"),
+    (lambda: build_prop45(1, 1, F(1, 2)), "need n >= 2 and delta >= 1"),
+    (lambda: build_prop44(1, 1), "eps must be in (0, 1), got 1"),
+    (lambda: build_prop44(F(1, 4), 0), "delta must be >= 1"),
+    (lambda: build_prop44(F(1, 4), 1, n=4), "n must be >= 5, got 4"),
+], ids=["example11-t", "prop45-eps", "prop45-n", "prop44-eps", "prop44-delta", "prop44-n"])
+def test_families_parameter_checks(call, message):
+    """Each parameter check of families raises its InputError."""
+    with pytest.raises(InputError) as got:
+        call()
+    assert type(got.value) is InputError and str(got.value) == message
+    assert got.traceback[-1].path.name == "families.py"

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -12,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqprox import exact, oracles, polyhedra
-from iqprox.errors import (ClaimViolation, InfeasibleError, InputError,
-                           UnboundedError)
+from iqprox.errors import (ClaimViolation, DimensionError, InfeasibleError,
+                           InputError, UnboundedError)
 from iqprox.families import (build_example_1_1, build_ilp_tightness,
                              build_pr_tight, build_prop44, build_prop45,
                              build_prop46, random_instance)
@@ -1399,3 +1400,81 @@ def test_certificate_matches_two_call_form_on_prop46(n, delta, eps):
 @example(instance([[-1]], [0], [], [1]), F(1, 2), [0, 0, 0], 1)           # f = x on x >= 0
 def test_certificate_matches_two_call_form(inst, eps, xd, radius):
     assert_same_certificate(inst, eps, xd[:inst.n], radius)
+
+
+SQUARE = box_instance([1, 1], [0, 0], r=2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: verdict(SQUARE, [0, 0], F(1, 2), "both", full_report(SQUARE)), InputError,
+     "mode must be 'integer' or 'continuous', got 'both'"),
+    (lambda: verdict(SQUARE, [0], F(1, 2), "integer", full_report(SQUARE)), DimensionError,
+     "point has dim 1, polyhedron has 2"),
+], ids=["mode", "dim"])
+def test_oracles_input_checks(call, error, message):
+    """Each input check of oracles raises its own class and message."""
+    with pytest.raises(error) as got:
+        call()
+    assert type(got.value) is error and str(got.value) == message
+    assert got.traceback[-1].path.name == "oracles.py"
+
+
+def fraction_solve_qp(inst):
+    """solve_qp as it was: the sorted Fraction vertices, each scaled back
+    to ints by exact.integer_vector and valued there."""
+    Q, H, d = inst.int_objective
+    verts = []
+    for p in enumerate_vertices(inst.polyhedron()):
+        X, e = exact.integer_vector(p)
+        verts.append((X, e, oracles._objective_numerator(Q, H, X, e), d * e * e))
+    return oracles._vertex_minimum(verts)
+
+
+def inline_walk_leaves(inst):
+    """_face_walk's vertices and box as its inline leaf, recession and box
+    code gave them, on P's edge lines: every leaf valued as (X, e, num,
+    den) in (S, j) order, all dropped when some line recedes, and their
+    extremes over the lcm of the e."""
+    P = inst.polyhedron()
+    n = P.n
+    rows, rhs = P.int_rows
+    Q, H, d = inst.int_objective
+    planes = [(S, a, pivots, exact._solution_space(a, pivots, n)) for S, a, pivots
+              in exact.independent_row_sets([[*r, c] for r, c in zip(rows, rhs)], n, n - 2, n - 2)]
+    verts, recedes = [], False
+    for S, line in polyhedra.edge_lines(P, planes):
+        recedes = recedes or line.recedes
+        for X, e in line.vertices(S[-1] + 1 if S else 0):
+            verts.append((X, e, oracles._objective_numerator(Q, H, X, e), d * e * e))
+    if recedes or not verts:
+        return [], None
+    D = math.lcm(*(e for _, e, _, _ in verts))
+    cols = list(zip(*([x * (D // e) for x in X] for X, e, _, _ in verts)))
+    return verts, ([min(c) for c in cols], [max(c) for c in cols], D)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(rational_objectives(), rational_regions(), report_regions()))
+@family_examples
+@face_examples
+@example(box_instance([F(1, 2)], [F(1, 3)], r=2))                         # n = 1
+@example(instance([[1], [-1]], [-1, 0], [1], [0]))                        # empty, n = 1
+@example(instance([[-1]], [0], [], [1]))                                  # a ray, n = 1
+@example(instance([[1, 1], [-1, -1]], [2, 2], [1], [0, 1]))               # a strip: rank 1
+@example(instance([[1, 0], [-1, 0], [0, 1]], [2, 2, 2], [1], [0, 1]))     # open below
+@example(instance([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]],
+                  [1, 1, 1, 1, 2], [1], [1, 1]))     # (1, 1) is tight on 3 rows
+def test_vertex_readers_match_references(inst):
+    """solve_qp on the int vertices gives what the Fraction round trip
+    gave, or the same error and text, and _face_walk the vertices and box
+    of its former inline leaf code."""
+    try:
+        want = fraction_solve_qp(inst)
+    except (InfeasibleError, UnboundedError) as err:
+        with pytest.raises(type(err)) as got:
+            solve_qp(inst)
+        assert str(got.value) == str(err)
+    else:
+        got = solve_qp(inst)
+        assert got == want and repr(got) == repr(want)
+    assert oracles._face_walk(inst)[2:] == inline_walk_leaves(inst)

@@ -1397,3 +1397,33 @@ def test_int_objective_is_q_and_h_scaled_once(case):
         qh, d = exact.integer_vector(it.q + it.h)
         assert it.int_objective == (qh[:it.k], qh[it.k:], d)
         assert it.int_objective is it.int_objective
+
+
+SQUARE = instance([[1, 0], [-1, 0], [0, 1], [0, -1]], [2, 2, 2, 2], [1, 1], [0, 0])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: instance([[1]], [1], [1], [0], k=0), InputError,
+     "k=0 but 1 quadratic coefficients given"),
+    (lambda: instance([[1, 0]], [1], [1], [0]), InputError, "matrix width does not match h"),
+    (lambda: one_step(SQUARE, ([0], 1), frozenset(), 1), DimensionError,
+     "point has dim 1, polyhedron has 2"),
+    (lambda: one_step(SQUARE, ([3, 0], 1), frozenset(), 1), InputError,
+     "step input must be feasible"),
+    (lambda: one_step(SQUARE, ([1, 0], 1), frozenset(), 1), InputError,
+     "supplied zero set does not match the point"),
+    (lambda: one_step(SQUARE, ([0, 0], 1), frozenset({0, 1}), 1), InputError,
+     "all quadratic coordinates are already zero"),
+    (lambda: run_pipeline(SQUARE, F(1, 2), [0], [0, 0]), DimensionError,
+     "point has dim 1, polyhedron has 2"),
+    (lambda: run_pipeline(SQUARE, F(1, 2), [3, 0], [0, 0]), InputError,
+     "continuous anchor is infeasible"),
+], ids=["instance-k", "instance-width", "one_step-dim", "one_step-infeasible",
+        "one_step-zero-set", "one_step-all-zero", "run_pipeline-dim",
+        "run_pipeline-infeasible"])
+def test_pipeline_input_checks(call, error, message):
+    """Each input check of pipeline raises its own class and message."""
+    with pytest.raises(error) as got:
+        call()
+    assert type(got.value) is error and str(got.value) == message
+    assert got.traceback[-1].path.name == "pipeline.py"

@@ -12,7 +12,7 @@ from iqprox import exact, polyhedra
 from iqprox.errors import DimensionError, InputError, UnboundedError
 from iqprox.polyhedra import (bounding_box, contains, coordinate_range,
                               enumerate_faces, enumerate_lattice_points,
-                              enumerate_vertices, integer_box, intersect_with_box, is_empty,
+                              enumerate_vertices, intersect_with_box, is_empty,
                               polyhedron, tight_rows)
 from iqprox.simplex import lp_solve
 
@@ -24,6 +24,13 @@ def square(r=2):
 def triangle():
     # x >= 0, y >= 0, x + y <= 2
     return polyhedron([[-1, 0], [0, -1], [1, 1]], [0, 0, 2])
+
+
+def integer_box(box):
+    """A box of (lo, hi) rational pairs as lattice_runs takes it: lows,
+    highs and D > 0 with lo_i = lows[i] / D and hi_i = highs[i] / D."""
+    X, D = exact.integer_vector([v for pair in box for v in pair])
+    return X[0::2], X[1::2], D
 
 
 def reference_contains(P, x):
@@ -663,3 +670,79 @@ def test_vertex_tight_rows_have_full_rank():
         for v in enumerate_vertices(P):
             rows = [list(P.A[i]) for i in tight_rows(P, v)]
             assert exact.rank(rows) == P.n
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: polyhedron([[1, 0], [1]], [1, 1]), "inconsistent row lengths"),
+    (lambda: polyhedron([], [], 0), "ambient dimension must be >= 1"),
+    (lambda: contains(square(), [0]), "point has dim 1, polyhedron has 2"),
+], ids=["row-lengths", "n=0", "point"])
+def test_polyhedra_dimension_checks(call, message):
+    """Each dimension check of polyhedra raises its DimensionError."""
+    with pytest.raises(DimensionError) as got:
+        call()
+    assert type(got.value) is DimensionError and str(got.value) == message
+    assert got.traceback[-1].path.name == "polyhedra.py"
+
+
+def reference_walk_leaves(lines):
+    """The face walk's leaf, recession and box code as it was inline: the
+    leaves (X, e) of the lines in (S, j) order, dropped when some line
+    recedes, and their coordinate-wise extremes over the lcm of the e, or
+    None without a leaf."""
+    leaves, recedes = [], False
+    for S, line in lines:
+        recedes = recedes or line.recedes
+        leaves += line.vertices(S[-1] + 1 if S else 0)
+    if recedes:
+        leaves = []
+    if not leaves:
+        return [], None
+    D = math.lcm(*(e for _, e in leaves))
+    cols = list(zip(*([x * (D // e) for x in X] for X, e in leaves)))
+    return leaves, ([min(c) for c in cols], [max(c) for c in cols], D)
+
+
+def rational_box(box):
+    lows, highs, D = box
+    return [(F(a, D), F(b, D)) for a, b in zip(lows, highs)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(bounded_systems(), opened_systems(), plane_systems()))
+@example(VERTEX_EXAMPLES[0])
+@example(VERTEX_EXAMPLES[1])
+@example(VERTEX_EXAMPLES[2])
+@example(VERTEX_EXAMPLES[3])
+@example(VERTEX_EXAMPLES[4])
+@example(VERTEX_EXAMPLES[5])
+@example(VERTEX_EXAMPLES[6])
+@example(VERTEX_EXAMPLES[7])
+def test_vertex_ints_and_box_match_references(P):
+    """line_leaves and vertex_box give the face walk's former inline
+    leaves and box on the same lines; vertex_ints gives the points of the
+    Fraction vertices, and vertex_box of them integer_box's rational box,
+    with lattice_runs the same on either: or the same UnboundedError."""
+    lines = leaf_echelon_lines(P)
+    leaves, polytope = polyhedra.line_leaves(lines)
+    got = (leaves, polyhedra.vertex_box(leaves)) if polytope else ([], None)
+    assert got == reference_walk_leaves(lines)
+    assert all(type(v) is int for X, e in leaves for v in [*X, e]) and all(e > 0 for _, e in leaves)
+    try:
+        want = reference_echelon_vertices(P)
+    except UnboundedError as err:
+        with pytest.raises(UnboundedError) as raised:
+            polyhedra.vertex_ints(P)
+        assert str(raised.value) == str(err)
+        return
+    verts = polyhedra.vertex_ints(P)
+    assert sorted({exact.rational_vector(X, e) for X, e in verts}) == want
+    if not want:
+        assert verts == [] and polyhedra.lattice_runs(P) == []
+        return
+    cols = list(zip(*want))  # the Fraction extremes, as integer_box scales them
+    want_box = integer_box(list(zip(map(min, cols), map(max, cols))))
+    box = polyhedra.vertex_box(verts)
+    assert rational_box(box) == rational_box(want_box)
+    assert (polyhedra.lattice_runs(P, box) == polyhedra.lattice_runs(P, want_box)
+            == polyhedra.lattice_runs(P))
