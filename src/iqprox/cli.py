@@ -38,7 +38,11 @@ def _parse_point(s: str, n: int) -> list:
 
 
 def _emit(doc):
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")  # the bytes json.dump writes
+    try:
+        text = json.dumps(doc, indent=2)
+    except ValueError as e:  # an int of doc past the limit on int digits
+        raise InputError(formats.past_digit_limit()) from e
+    sys.stdout.write(text + "\n")  # the bytes json.dump writes
     sys.stdout.flush()  # a closed pipe or a full device raises by here, inside main
 
 

@@ -4,7 +4,9 @@ The cone of two points puts each int row u (a row of a matrix times a
 positive int) on a side by the sign of u.(xa - xb); ties land on both
 sides.  Generators are the primitive integer extreme rays of the cone cut
 by each orthant, which keeps every generator's infinity norm within the
-subdeterminant bound of the source matrix; each is a tuple of ints.
+subdeterminant bound of the source matrix; each is a tuple of ints.  The
+elimination is exact's: _eliminate for the echelon of the cone's equality
+rows, independent_row_sets for the hyperplane sets on top of it.
 """
 
 from __future__ import annotations
@@ -109,9 +111,10 @@ def enumerate_generators(cone: ProximityCone,
     equalities, tight on the whole cone.  The hyperplanes tight on an
     extreme ray include these rows, so n-1 independent ones among them can
     be chosen to include a basis of these rows.  So the equality rows are
-    put into an echelon first, stopping at rank n (the cone is then {0} and
-    has no generator), and only the sets of n-1-r hyperplanes independent
-    on top of that rank-r echelon are walked (exact.independent_row_sets).
+    put into an echelon first by exact._eliminate, which stops at rank n
+    (the cone is then {0} and has no generator), and only the sets of
+    n-1-r hyperplanes independent on top of that rank-r echelon are walked
+    (exact.independent_row_sets).
     A hyperplane that depends on the equalities reduces to zero there and
     ends its own subtree.  Each set has a kernel line; its direction with a
     positive free entry, then the other, is divided by its gcd, tested on
@@ -128,16 +131,9 @@ def enumerate_generators(cone: ProximityCone,
         raise InputError("delta must be a positive integer")
     n = cone.ambient_dim
     both = set(cone.a2)
-    eq: list[list[int]] = []  # echelon of the equality rows
-    eq_pivots: list[int] = []
-    for row in cone.a1:
-        if row in both:
-            ext = exact._extend_echelon(eq, eq_pivots, row, n)
-            if ext is not None:
-                eq.append(ext[0])
-                eq_pivots.append(ext[1])
-                if len(eq) == n:
-                    return ()
+    eq, eq_pivots = exact._eliminate([row for row in cone.a1 if row in both], n)
+    if len(eq) == n:
+        return ()
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     hyperplanes = {}  # primitive nonzero rows up to sign, first nonzero entry > 0
     for r in chain(cone.a1, cone.a2, units):

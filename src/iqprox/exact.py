@@ -7,11 +7,12 @@ one fraction-free (Bareiss) elimination on Python ints: each row is scaled to
 integers by the lcm of its denominators on entry, and a ``Fraction`` is built
 only for the entries of the result.  ``solution_space_int`` is the entry
 point for rows that are already ints: ints in, ints out.  The elimination
-has one step, ``_extend_echelon``, which adds one row to an echelon:
-``_eliminate`` adds a matrix's rows one at a time, and
-``independent_row_sets`` walks the independent row sets of an int matrix,
-one added row per set.  The last pivot of an echelon is the minor on its
-rows and pivot columns, so determinants and Cramer's rule are read off it.
+has one step, ``_extend_echelon``, and one loop, ``_eliminate``, which adds
+a matrix's rows one at a time: determinants, ranks, null spaces, solves
+and the cone's equality echelon run on it.  Only ``independent_row_sets``,
+which walks the independent row sets of an int matrix, adds rows itself.
+The last pivot of an echelon is the minor on its rows and pivot columns,
+so determinants and Cramer's rule are read off it.
 The subdeterminant scan reads its 1x1 and 2x2 minors in closed form, and
 the larger ones by determinant.
 """
@@ -138,7 +139,9 @@ def _eliminate(rows: list[list[int]], ncols: int
     dropped, so the rows kept are those independent of the rows before
     them.  Columns from ncols on are an augmented right-hand side: a row
     whose pivot lands there is the equation 0 = c, and the result is None.
-    The rows are read, not changed.
+    Once the rank equals the row width every later row reduces to zero, so
+    the loop stops; [M | rhs] never gets there, for a pivot in its rhs
+    column returns None first.  The rows are read, not changed.
     """
     a: list[list[int]] = []
     pivots: list[int] = []
@@ -149,6 +152,8 @@ def _eliminate(rows: list[list[int]], ncols: int
                 return None
             a.append(ext[0])
             pivots.append(ext[1])
+            if len(a) == len(row):
+                break
     return a, pivots
 
 
@@ -227,20 +232,14 @@ def _kernel(a: list[list[int]], pivots: list[int], n: int) -> list[list[int]]:
 def _det_int(a: list[list[int]]) -> int:
     """Determinant of a square integer matrix, which is read, not changed.
 
-    Its rows are added one at a time, as _eliminate adds them, but the first
-    that reduces to zero makes it 0 at once.  Otherwise the last pivot is
-    the determinant with the columns in pivot order, and putting them back
-    in order multiplies it by -1 per inversion of the pivot list.
+    _eliminate adds its rows; fewer than n pivots make it 0.  Otherwise the
+    last pivot is the determinant with the columns in pivot order, and
+    putting them back in order multiplies it by -1 per inversion of the
+    pivot list.
     """
-    n = len(a)
-    rows: list[list[int]] = []
-    pivots: list[int] = []
-    for row in a:
-        ext = _extend_echelon(rows, pivots, row, n)
-        if ext is None:
-            return 0
-        rows.append(ext[0])
-        pivots.append(ext[1])
+    rows, pivots = _eliminate(a, len(a))
+    if len(pivots) < len(a):
+        return 0
     inversions = sum(p > q for i, p in enumerate(pivots) for q in pivots[i + 1:])
     return (-1) ** inversions * _last_pivot(rows, pivots)
 
@@ -253,17 +252,13 @@ def det(M) -> Fraction:
 
 
 def _integer_matrix(M) -> list[list[int]]:
-    """The entries of M as ints, in one pass; DomainError unless every entry
-    is an integer."""
+    """The entries of M as ints, integer_vector per row; DomainError unless
+    every entry is an integer."""
     out = []
     for row in M:
-        ints = []
-        for x in row:
-            if not isinstance(x, (int, Fraction)):
-                x = Fraction(x)
-            if x.denominator != 1:
-                raise DomainError("subdeterminants are defined here for integer matrices only")
-            ints.append(x.numerator)
+        ints, d = integer_vector(row)
+        if d != 1:
+            raise DomainError("subdeterminants are defined here for integer matrices only")
         out.append(ints)
     return out
 

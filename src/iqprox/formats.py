@@ -18,14 +18,24 @@ from .pipeline import Instance, PipelineResult, instance
 
 def rat_to_str(x) -> str:
     """The string "p/q", or "p" for an integer; an int or a Fraction is read
-    as it is."""
-    if type(x) is int:
-        return str(x)
-    if not isinstance(x, Fraction):
+    as it is.  InputError when p or q is past the limit on int digits, which
+    inputs within it can reach."""
+    if type(x) is not int and not isinstance(x, Fraction):
         x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if type(x) is int:
+            return str(x)
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as e:
+        raise InputError(past_digit_limit()) from e
+
+
+def past_digit_limit() -> str:
+    """The error message where str or json.dumps refuses an int's digits."""
+    return (f"a number to write has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit on int digits")
 
 
 ECHO_CHARS = 80  # the most of a rejected literal an error message repeats

@@ -330,16 +330,10 @@ def plane_lines(P: Polyhedron, start: int, X0: list[int], W: list[list[int]], L:
         a, b, c = G[j], F[j], T[j]
         if a < 0:  # a, b, c = |G_j|, sigma F_j, sigma s_j
             a, b, c = -a, -b, -c
-        if L == 1:  # no division
-            yield j, _line([a * x + c * y for x, y in zip(X0, Wg)],
-                           [a * x - b * y for x, y in zip(Wf, Wg)], a,
-                           [a * f - b * g for f, g in zip(F, G)],
-                           [a * s - c * g for s, g in zip(T, G)])
-        else:
-            yield j, _line([(a * x + c * y) // L for x, y in zip(X0, Wg)],
-                           [(a * x - b * y) // L for x, y in zip(Wf, Wg)], a,
-                           [(a * f - b * g) // L for f, g in zip(F, G)],
-                           [(a * s - c * g) // L for s, g in zip(T, G)])
+        yield j, _line([(a * x + c * y) // L for x, y in zip(X0, Wg)],
+                       [(a * x - b * y) // L for x, y in zip(Wf, Wg)], a,
+                       [(a * f - b * g) // L for f, g in zip(F, G)],
+                       [(a * s - c * g) // L for s, g in zip(T, G)])
 
 
 def edge_lines(P: Polyhedron, planes):

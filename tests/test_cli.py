@@ -841,6 +841,31 @@ def test_exponent_past_the_digit_limit_is_an_input_error(capsys, tmp_path, liter
                    "exponent past the limit on int digits\n")
 
 
+PAST_LIMIT_OUTPUTS = [
+    # b holds "1e4300", an accepted literal of 4,301 digits: the instance's
+    # digest is the first output to write it
+    (["solve"], {"A": [[1], [-1]], "b": ["1e4300", "1"], "q": [], "h": ["1"], "k": 0}),
+    # every input within the limit, but f squares b: f_xc is about -10^4400
+    (["solve"], {"A": [[1], [-1]], "b": ["1e2200", "0"], "q": ["1"], "h": ["0"], "k": 1}),
+    # the largest 2 x 2 minor is about 10^4400, a JSON int of the output
+    (["subdet"], {"A": [[10 ** 2200, 1], [1, 10 ** 2200]], "b": ["1", "1"], "q": [],
+                  "h": ["1", "1"], "k": 0}),
+]
+
+
+@pytest.mark.parametrize("argv, doc", PAST_LIMIT_OUTPUTS, ids=["input", "f", "json-int"])
+def test_an_output_past_the_digit_limit_is_an_input_error(capsys, tmp_path, argv, doc):
+    """A number to write with more digits than the interpreter's limit on
+    int digits exits 2 with one stderr line that names the limit, whether
+    it is a rational string (formats.rat_to_str) or a JSON int (_emit)."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    err = assert_one_input_error(capsys, [*argv, str(path)])
+    assert err == (f"input error: a number to write has more than "
+                   f"{sys.get_int_max_str_digits()} digits, the interpreter's limit on "
+                   "int digits\n")
+
+
 def test_cmd_tightness_unknown_family():
     """The parser admits only the five families; called directly with
     another, cmd_tightness raises its InputError."""

@@ -286,6 +286,120 @@ def test_generators_match_combinations_reference(case):
     assert int_generators(enumerate_generators(cone, delta)) == want
 
 
+def loop_equality_echelon(cone):
+    """The echelon of the cone's rows on both sides, as enumerate_generators
+    built it with its own loop before it ran exact._eliminate: each such row
+    of a1, in order, added by _extend_echelon, and no row added after the
+    echelon reaches rank n."""
+    n = cone.ambient_dim
+    both = set(cone.a2)
+    eq, eq_pivots = [], []
+    for row in cone.a1:
+        if row in both:
+            ext = exact._extend_echelon(eq, eq_pivots, row, n)
+            if ext is not None:
+                eq.append(ext[0])
+                eq_pivots.append(ext[1])
+                if len(eq) == n:
+                    break
+    return eq, eq_pivots
+
+
+def loop_enumerate_generators(cone, delta):
+    """enumerate_generators on loop_equality_echelon: the walk as it ran
+    before its equality echelon came from exact._eliminate."""
+    if delta < 1:
+        raise InputError("delta must be a positive integer")
+    n = cone.ambient_dim
+    eq, eq_pivots = loop_equality_echelon(cone)
+    if len(eq) == n:
+        return ()
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    hyperplanes = {}
+    for r in chain(cone.a1, cone.a2, units):
+        lead = next((x for x in r if x), 0)
+        if lead:
+            g = gcd(*r) if lead > 0 else -gcd(*r)
+            hyperplanes[tuple(x // g for x in r)] = None
+    size = n - 1 - len(eq)
+    found = set()
+    for _, a, pivots in exact.independent_row_sets(
+            list(hyperplanes), n, size, size, (eq, eq_pivots)):
+        w = exact._kernel(a, pivots, n)[0]
+        g = gcd(*w)
+        line = [x // g for x in w]
+        for r in (line, [-x for x in line]):
+            if cones._cone_holds(cone, r):
+                if max(map(abs, r)) > delta:
+                    raise ClaimViolation(
+                        "generator-norm",
+                        f"generator {tuple(r)} exceeds the subdeterminant bound {delta}")
+                found.add(tuple(r))
+    return tuple(sorted(found))
+
+
+TIED_EXAMPLES = [
+    # every row tied, rank n reached at row 2 with rows after it
+    (build_cone([[1, 0], [0, 1], [1, 1], [2, -1]], [0, 0]), 1),
+    # every row tied, rank n reached at the last row
+    (build_cone([[1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 3]], [0, 0, 0]), 3),
+    # tied rows of rank 1 < n, repeated and opposite
+    (build_cone([[1, -1, 0], [1, -1, 0], [-2, 2, 0], [0, 0, 1], [1, 1, 1]],
+                [1, 1, 0]), 2),
+    # no tied row
+    (build_cone([[1, 2], [-1, 1]], [1, 0]), 3),
+]
+
+
+def tie_cases(cone) -> set[str]:
+    """How the cone's rows on both sides stand: none, rank n reached (with
+    rows after it or not), or short of n; and whether one repeats."""
+    both = set(cone.a2)
+    tied = [row for row in cone.a1 if row in both]
+    if not tied:
+        return {"no tie"}
+    n = cone.ambient_dim
+    cases = {"repeated tie"} if len(set(tied)) < len(tied) else set()
+    r = exact.rank(tied)
+    if r < n:
+        return cases | {"ties short of rank n"}
+    first = next(k for k in range(1, len(tied) + 1) if exact.rank(tied[:k]) == n)
+    return cases | {"rank n before the last tie" if first < len(tied) else "rank n at the last tie"}
+
+
+def test_tied_examples_cover_every_case():
+    assert set().union(*(tie_cases(c) for c, _ in TIED_EXAMPLES)) == {
+        "no tie", "repeated tie", "ties short of rank n", "rank n before the last tie",
+        "rank n at the last tie"}
+
+
+def with_tied_examples(test):
+    for case in TIED_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_cones())
+@with_tied_examples
+def test_generators_match_the_equality_loop_they_replaced(case):
+    """exact._eliminate on the rows on both sides gives the echelon of the
+    former loop, and enumerate_generators its generators, or the same
+    generator-norm violation."""
+    cone, delta = case
+    both = set(cone.a2)
+    assert exact._eliminate([row for row in cone.a1 if row in both],
+                            cone.ambient_dim) == loop_equality_echelon(cone)
+    try:
+        want = loop_enumerate_generators(cone, delta)
+    except ClaimViolation as err:
+        with pytest.raises(ClaimViolation) as got:
+            enumerate_generators(cone, delta)
+        assert str(got.value) == str(err)
+        return
+    assert enumerate_generators(cone, delta) == want
+
+
 def counted_extend(monkeypatch):
     """The rows that exact._extend_echelon is asked to add, from now on."""
     tried = []

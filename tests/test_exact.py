@@ -68,6 +68,131 @@ def test_det_not_square():
         exact.det([[1, 2]])
 
 
+def loop_det_int(a):
+    """The determinant loop _det_int ran before it ran on exact._eliminate:
+    its rows added one at a time by _extend_echelon, 0 at the first that
+    reduces to zero, else the last pivot times -1 per inversion of the
+    pivot list."""
+    n = len(a)
+    rows, pivots = [], []
+    for row in a:
+        ext = exact._extend_echelon(rows, pivots, row, n)
+        if ext is None:
+            return 0
+        rows.append(ext[0])
+        pivots.append(ext[1])
+    inversions = sum(p > q for i, p in enumerate(pivots) for q in pivots[i + 1:])
+    return (-1) ** inversions * exact._last_pivot(rows, pivots)
+
+
+@st.composite
+def square_matrices_with_special_rows(draw):
+    """Square int matrices, n = 0..5, entries in -4..4, with zero,
+    duplicate and negated rows mixed in."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["random", "random", "duplicate", "negated", "zero"]))
+        if kind in ("duplicate", "negated") and rows:
+            r = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+            rows.append(list(r) if kind == "duplicate" else [-x for x in r])
+        elif kind == "zero":
+            rows.append([0] * n)
+        else:
+            rows.append([draw(st.integers(-4, 4)) for _ in range(n)])
+    return rows
+
+
+@given(square_matrices_with_special_rows())
+@settings(max_examples=300, deadline=None)
+@sign_examples
+@example([])                                    # n = 0: the empty minor, 1
+@example([[1, 2, 0], [0, 0, 0], [3, 1, 1]])     # a zero row before the last
+@example([[1, 2, 0], [1, 2, 0], [3, 1, 1]])     # a duplicate row
+@example([[0, 0, 0], [2, 1, 0], [-2, -1, 0]])   # a zero row, then a negated row
+def test_det_int_matches_the_loop_it_replaced(M):
+    """_det_int on exact._eliminate gives what its own loop gave, also when
+    a row reduces to zero before the last one, and reads M without
+    changing it."""
+    copy = [list(row) for row in M]
+    assert exact._det_int(M) == loop_det_int(M)
+    assert M == copy
+
+
+def loop_integer_matrix(M):
+    """The entry-by-entry conversion _integer_matrix made before it ran on
+    integer_vector per row."""
+    out = []
+    for row in M:
+        ints = []
+        for x in row:
+            if not isinstance(x, (int, F)):
+                x = F(x)
+            if x.denominator != 1:
+                raise DomainError("subdeterminants are defined here for integer matrices only")
+            ints.append(x.numerator)
+        out.append(ints)
+    return out
+
+
+@given(st.lists(st.lists(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=3),
+                                   st.integers(-9, 9).map(str)),
+                         min_size=2, max_size=2), max_size=4))
+@settings(max_examples=200, deadline=None)
+@example([[2.0, "3"], [F(4), -1]])
+@example([[1, F(1, 2)], [0, 0]])
+def test_integer_matrix_matches_the_loop_it_replaced(M):
+    """_integer_matrix gives the ints of the entry loop, or its DomainError."""
+    try:
+        want = loop_integer_matrix(M)
+    except DomainError as err:
+        with pytest.raises(DomainError) as got:
+            exact._integer_matrix(M)
+        assert str(got.value) == str(err)
+        return
+    got = exact._integer_matrix(M)
+    assert got == want
+    assert all(type(x) is int for row in got for x in row)
+
+
+def test_eliminate_stops_at_the_row_width(monkeypatch):
+    """Once the rank equals the row width, _eliminate adds no more rows.
+    An augmented [M | rhs] is one column wider than M, so an inconsistent
+    row after M has rank n still gives None: keyed on ncols, the stop would
+    miss the row (1, 1 | 3) here."""
+    M = [[1, 0], [0, 1], [1, 1]]
+    assert exact.solution_space_int(M, [1, 1, 3], 2) is None
+    assert exact.solution_space_int(M, [1, 1, 2], 2) == ([1, 1], [], 1)
+    assert exact._eliminate([[1, 0, 1], [0, 1, 1], [1, 1, 3]], 2) is None
+    tried = []
+    extend = exact._extend_echelon
+    monkeypatch.setattr(exact, "_extend_echelon",
+                        lambda *args: tried.append(args[2]) or extend(*args))
+    assert exact._eliminate([[0, 0], [1, 0], [1, 1], [5, 7], [2, 3]], 2) == (
+        [[1, 0], [0, 1]], [0, 1])
+    assert tried == [[0, 0], [1, 0], [1, 1]]
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_rank_and_null_space_of_tall_matrices(rational):
+    """rank and null_space of matrices with rows past full rank, which
+    _eliminate no longer adds, match the Fraction RREF."""
+    rng = random.Random(3141 + rational)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        M = random_matrix(rng, n + rng.randint(1, 4), n, rational)
+        r = len(rref_reference(M)[1])
+        assert exact.rank(M) == r
+        assert exact.null_space(M, n) == null_space_reference(M)
+        if r == n:
+            first = next(k for k in range(1, len(M) + 1) if exact.rank(M[:k]) == n)
+            seen.add("rows past full rank" if first < len(M) else "full rank at the last row")
+        else:
+            seen.add("rank below n")
+    assert seen == {"rows past full rank", "full rank at the last row", "rank below n"}
+
+
 def test_subdeterminant_known():
     M = [[1, -3], [-1, 3], [0, 1], [0, -1]]
     val, rows, cols = exact.max_abs_subdeterminant_witness(M)

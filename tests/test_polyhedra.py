@@ -1,8 +1,13 @@
+import importlib
+import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations, product
 from operator import mul
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -465,6 +470,109 @@ def test_plane_lines_match_leaf_echelons(P):
     want = leaf_echelon_lines(P)
     assert edge_lines_on_planes(P, True) == want
     assert edge_lines_on_planes(P, False) == want
+
+
+def two_path_plane_lines(P, start, X0, W, L):
+    """plane_lines as it was with a second yield for L = 1, which skipped
+    the exact divisions by L."""
+    rows, rhs = P.int_rows
+    W1, W2 = W
+    U = [sum(map(mul, row, W1)) for row in rows[start:]]
+    V = [sum(map(mul, row, W2)) for row in rows[start:]]
+    if not (any(U) or any(V)):
+        return
+    U = [sum(map(mul, row, W1)) for row in rows[:start]] + U
+    V = [sum(map(mul, row, W2)) for row in rows[:start]] + V
+    T = [L * c - sum(map(mul, row, X0)) for row, c in zip(rows, rhs)]
+    for j in range(start, len(rows)):
+        if U[j]:
+            G, F, Wg, Wf = U, V, W1, W2
+        elif V[j]:
+            G, F, Wg, Wf = V, U, W2, W1
+        else:
+            continue
+        a, b, c = G[j], F[j], T[j]
+        if a < 0:
+            a, b, c = -a, -b, -c
+        if L == 1:
+            yield j, polyhedra._line([a * x + c * y for x, y in zip(X0, Wg)],
+                                     [a * x - b * y for x, y in zip(Wf, Wg)], a,
+                                     [a * f - b * g for f, g in zip(F, G)],
+                                     [a * s - c * g for s, g in zip(T, G)])
+        else:
+            yield j, polyhedra._line([(a * x + c * y) // L for x, y in zip(X0, Wg)],
+                                     [(a * x - b * y) // L for x, y in zip(Wf, Wg)], a,
+                                     [(a * f - b * g) // L for f, g in zip(F, G)],
+                                     [(a * s - c * g) // L for s, g in zip(T, G)])
+
+
+def plane_line_pairs(P):
+    """(L, plane_lines' lines, two_path_plane_lines' lines) for each plane
+    of n - 2 int rows of P, as edge_lines hands it over."""
+    n = P.n
+    if n == 1:
+        return []
+    rows, rhs = P.int_rows
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    out = []
+    for S, a, pivots in exact.independent_row_sets(aug, n, n - 2, n - 2):
+        start = S[-1] + 1 if S else 0
+        sol = exact._solution_space(a, pivots, n)
+        out.append((sol[2], list(polyhedra.plane_lines(P, start, *sol)),
+                    list(two_path_plane_lines(P, start, *sol))))
+    return out
+
+
+def test_plane_line_examples_reach_both_paths():
+    """PLANE_EXAMPLES have lines on planes with L = 1 and with L > 1, the
+    two paths plane_lines once had."""
+    kinds = {"L = 1" if L == 1 else "L > 1"
+             for P in PLANE_EXAMPLES for L, got, _ in plane_line_pairs(P) if got}
+    assert kinds == {"L = 1", "L > 1"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(plane_systems())
+@example(PLANE_EXAMPLES[0])
+@example(PLANE_EXAMPLES[1])
+@example(PLANE_EXAMPLES[2])
+@example(PLANE_EXAMPLES[3])
+@example(PLANE_EXAMPLES[4])
+def test_plane_lines_match_their_two_path_reference(P):
+    """plane_lines' one dividing yield gives the Lines that the L = 1 copy
+    gave without division, and the same on L > 1 planes."""
+    for _, got, want in plane_line_pairs(P):
+        assert got == want
+
+
+def test_seed0_solve_lines_match_the_two_path_reference(monkeypatch, tmp_path):
+    """Every plane_lines call of the benchmark's seed-0 solve pass gives the
+    two-path reference's Lines: 1,254 lines on planes with L = 1 and 20 on
+    planes with L > 1, so both paths are reached."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", Path(__file__).resolve().parents[1] / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    saved = list(sys.path)
+    try:
+        spec.loader.exec_module(bench)
+    finally:
+        sys.path[:] = saved
+    mods = SimpleNamespace(**{m: importlib.import_module(f"iqprox.{m}") for m in bench.MODULES})
+    p = bench.workloads.WORKLOADS["solve"](mods, bench.workloads.DEFAULT_SEED, str(tmp_path))
+    p.prepare()
+    lines = {"L = 1": 0, "L > 1": 0}
+    one_path = polyhedra.plane_lines
+
+    def checked(P, start, X0, W, L):
+        got = list(one_path(P, start, X0, W, L))
+        assert got == list(two_path_plane_lines(P, start, X0, W, L))
+        lines["L = 1" if L == 1 else "L > 1"] += len(got)
+        return iter(got)
+
+    monkeypatch.setattr(polyhedra, "plane_lines", checked)
+    for op in p.ops:
+        op.check(op.run())
+    assert lines == {"L = 1": 1254, "L > 1": 20}
 
 
 VERTEX_EXAMPLES = [
