@@ -65,10 +65,13 @@ def str_to_rat(s) -> Fraction:
     limit on int digits, which is then an InputError too.  Fraction builds
     the power of ten of an exponent literal ("1e3") whatever its size, so
     an exponent whose absolute value exceeds that limit is an InputError
-    before Fraction reads it.
+    before Fraction reads it; a decimal or exponent literal whose value has
+    a numerator or denominator of more digits than the limit ("1e4300",
+    "1e-4300") is one after, as the same value written out in digits is.
     """
     if type(s) not in (str, int):
         raise InputError(f"bad rational literal {echo(s)}: not a string or an int")
+    limit = sys.get_int_max_str_digits()  # 0 is no limit
     try:
         if type(s) is int:
             return Fraction(s)
@@ -81,11 +84,15 @@ def str_to_rat(s) -> Fraction:
                 if den.isdigit() and den.strip("0"):
                     return Fraction(int(num), int(den))
         _, mark, exp = s.upper().rpartition("E")
-        if not (mark and 0 < sys.get_int_max_str_digits() < abs(int(exp))):  # 0 is no limit
-            return Fraction(s)
+        x = None if mark and 0 < limit < abs(int(exp)) else Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad rational literal {echo(s)}") from e
-    raise InputError(f"bad rational literal {echo(s)}: exponent past the limit on int digits")
+    if x is None:
+        raise InputError(f"bad rational literal {echo(s)}: exponent past the limit on int digits")
+    if limit and max(abs(x.numerator), x.denominator) >= 10 ** limit:
+        raise InputError(f"bad rational literal {echo(s)}: more than {limit} digits, "
+                         "the interpreter's limit on int digits")
+    return x
 
 
 def vec_to_strs(v) -> list[str]:

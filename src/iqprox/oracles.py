@@ -168,14 +168,15 @@ class _Extremes(_Values):
 
 
 class _Within(_Values):
-    """The search of delta_star: the lattice points of value v with
-    v * den <= cut, in walk order.  A prefix is skipped when even its least
-    possible value (value + low) fails."""
+    """The search of delta_star: near[i] = (dist, p), p the first point of
+    the walk with value v * den <= cut at the least distance dist / e from
+    the i-th tie X / e, dist = max_t |X_t - e p_t| (None while none passes).
+    A prefix is skipped when even its least possible value (value + low) fails."""
 
-    def __init__(self, inst: Instance, cut: int, den: int):
+    def __init__(self, inst: Instance, cut: int, den: int, ties):
         super().__init__(inst)
-        self.cut, self.den = cut, den
-        self.points: list[tuple[int, ...]] = []
+        self.cut, self.den, self.ties = cut, den, ties
+        self.near: list[tuple[int, tuple[int, ...]] | None] = [None] * len(ties)
 
     def child(self, j: int, value: int, v: int) -> int | None:
         value += (self.h[j] - self.q[j] * v) * v
@@ -183,9 +184,14 @@ class _Within(_Values):
 
     def run(self, prefix, lo: int, hi: int, base: int):
         j = len(prefix)
-        hj, qj, cut, den = self.h[j], self.q[j], self.cut, self.den
-        self.points += [(*prefix, v) for v in range(lo, hi + 1)
-                        if (base + (hj - qj * v) * v) * den <= cut]
+        hj, qj, cut, den, near = self.h[j], self.q[j], self.cut, self.den, self.near
+        for v in range(lo, hi + 1):
+            if (base + (hj - qj * v) * v) * den <= cut:
+                p = (*prefix, v)
+                for i, (X, e) in enumerate(self.ties):
+                    dist = max([abs(x - e * c) for x, c in zip(X, p)])
+                    if near[i] is None or dist < near[i][0]:
+                        near[i] = (dist, p)
 
 
 def _lattice_extremes(inst: Instance, box) -> tuple[OptResult, Fraction,
@@ -535,7 +541,6 @@ class DeltaStarResult:
     value: Fraction
     witness_opt: tuple[Fraction, ...]
     witness_point: tuple[Fraction, ...]
-    approx_points: tuple[tuple[Fraction, ...], ...]
     upper_bound_only: bool  # set when the continuous optimal set is a face
 
 
@@ -551,39 +556,33 @@ def delta_star(inst: Instance, eps) -> DeltaStarResult:
     when v - lo <= eps (hi - lo), lo and hi the least and largest values:
     every value shares the denominator d > 0.  With hi = lo this says
     v = lo, the degenerate verdict.  lo and hi come from the pruned walk of
-    the face walk's box (_lattice_extremes), and the passing points from a
-    second walk of that box pruned against the cut (_Within).  Each tied
-    optimum is scaled once, to X / e, and its distance to a lattice point
-    p is max_i |X_i - e p_i| / e, compared as ints; Fractions are built
-    only for the result.
+    the face walk's box (_lattice_extremes), and each tie X / e's nearest
+    passing point from a second walk pruned against the cut (_Within); the
+    first tie at the least distance wins.  Values and distances are ints:
+    the midpoint (f X + e Y) / (2 e f) of two ties has a value over d (2 e f)^2.
     """
     eps = checked_eps(eps)
     _, _, verts, box = _face_walk(inst)
     iqp, top, _ = _lattice_extremes(inst, box)
     qp = _vertex_minimum(verts)
-    d = inst.int_objective[2]
+    Q, H, d = inst.int_objective
     lo, hi = (iqp.value * d).numerator, (top * d).numerator
     cut = lo * eps.denominator + eps.numerator * (hi - lo)  # v passes iff v * den <= cut
-    within = _Within(inst, cut, eps.denominator)
+    ties = [exact.integer_vector(xc) for xc in qp.ties]
+    within = _Within(inst, cut, eps.denominator, ties)
     lattice_runs(inst.polyhedron(), box, within)
-    approx = within.points
-    if not approx:
+    near = within.near
+    if near[0] is None:
         raise InfeasibleError("no eps-approximate lattice point exists")
-    best = pair = None  # best is the distance num / den of the pair
-    for xc in qp.ties:
-        X, e = exact.integer_vector(xc)
-        for p in approx:
-            dist = max([abs(x - e * v) for x, v in zip(X, p)])
-            if best is None or dist * best[1] < best[0] * e:
-                best, pair = (dist, e), (xc, p)
-    flag = False
-    for a, b in combinations(qp.ties, 2):
-        mid = tuple((x + y) / 2 for x, y in zip(a, b))
-        if eval_objective(inst, mid) == qp.value:
-            flag = True
-            break
-    return DeltaStarResult(Fraction(*best), pair[0], exact.rational_vector(pair[1], 1),
-                           tuple(exact.rational_vector(p, 1) for p in approx), flag)
+    w = 0
+    for i, ((dist, _), (_, e)) in enumerate(zip(near, ties)):
+        if dist * ties[w][1] < near[w][0] * e:
+            w = i
+    flag = any(_objective_numerator(Q, H, [f * x + e * y for x, y in zip(X, Y)], 2 * e * f)
+               * qp.value.denominator == qp.value.numerator * d * (2 * e * f) ** 2
+               for (X, e), (Y, f) in combinations(ties, 2))
+    return DeltaStarResult(Fraction(near[w][0], ties[w][1]), qp.ties[w],
+                           exact.rational_vector(near[w][1], 1), flag)
 
 
 def certify_no_cont_approx_within(inst: Instance, eps, xd, radius) -> bool:

@@ -125,7 +125,11 @@ def test_criterion_6_distance_lower_bound_tight():
         fam = build_prop45(2, 1, F(1, 2))
         ds = oracles.delta_star(fam.instance, F(1, 2))
         assert ds.value == F(14, 3)
-        assert ds.approx_points == ((F(-2), F(0)),)  # only -u qualifies
+        rep = oracles.full_report(fam.instance)
+        approx = [p for p in enumerate_lattice_points(fam.instance.polyhedron())
+                  if oracles.verdict(fam.instance, p, F(1, 2), "integer", rep).is_approx]
+        assert approx == [(-2, 0)]  # only -u qualifies
+        assert ds.witness_point == (F(-2), F(0))
         assert not ds.upper_bound_only
         assert fam.expected["bound"] == F(14, 3)
 

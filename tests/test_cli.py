@@ -72,6 +72,8 @@ def test_rational_strings():
 
 
 PAST_LIMIT = ("1e5000", "1e-5000", "1e4301", "-3E-4301", "1e+0004301")
+# exponents within the limit, but values of 4,301 digits above or below
+VALUE_PAST_LIMIT = ("1e4300", " 1e+4_300 ", "12e4299", "1e-4300")
 
 
 @pytest.mark.parametrize("literal", [
@@ -86,7 +88,7 @@ PAST_LIMIT = ("1e5000", "1e-5000", "1e4301", "-3E-4301", "1e+0004301")
     pytest.param("1" * 4301, id="long-p"), pytest.param("-1/" + "1" * 4301, id="long-q"),
     pytest.param("1" * 4301 + "/3", id="long-p/q"),
     # exponents up to that limit in absolute value, and past it
-    "1e4300", "-2.5E-4300", " 1e+4_300 ", "\u0661e\u0663",
+    "-2.5E-4300", "\u0661e\u0663", *VALUE_PAST_LIMIT,
     *PAST_LIMIT, pytest.param("1.5e-" + "9" * 4301, id="long-exponent"),
 ])
 def test_str_to_rat_matches_fraction(literal):
@@ -94,10 +96,11 @@ def test_str_to_rat_matches_fraction(literal):
     digits, with int and every other string with Fraction: the value is
     Fraction(literal)'s, in lowest terms, and an InputError stands where
     Fraction raises, where the literal's exponent exceeds the interpreter's
-    4,300-digit limit in absolute value, and for every literal that is
-    neither a string nor an int ("\u0663" is the Arabic-Indic digit 3,
+    4,300-digit limit in absolute value or its value's numerator or
+    denominator has more digits than that limit, and for every literal that
+    is neither a string nor an int ("\u0663" is the Arabic-Indic digit 3,
     "\u00b2" a superscript 2)."""
-    if type(literal) not in (str, int) or literal in PAST_LIMIT:
+    if type(literal) not in (str, int) or literal in PAST_LIMIT + VALUE_PAST_LIMIT:
         with pytest.raises(errors.InputError):
             formats.str_to_rat(literal)
         return
@@ -841,10 +844,21 @@ def test_exponent_past_the_digit_limit_is_an_input_error(capsys, tmp_path, liter
                    "exponent past the limit on int digits\n")
 
 
+@pytest.mark.parametrize("literal", ["1e4300", "1e-4300"])
+def test_a_value_past_the_digit_limit_is_an_input_error(capsys, tmp_path, literal):
+    """A literal whose exponent is within the limit on int digits but whose
+    value has 4,301 digits, above or below, exits 2 as an input error
+    before any computation, as the same value written out in digits does."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"A": [[1], [-1]], "b": [literal, "1"], "q": [], "h": ["1"],
+                                "k": 0}))
+    err = assert_one_input_error(capsys, ["solve", str(path)])
+    assert err == (f"input error: bad rational literal {literal!r}: more than "
+                   f"{sys.get_int_max_str_digits()} digits, the interpreter's limit on "
+                   "int digits\n")
+
+
 PAST_LIMIT_OUTPUTS = [
-    # b holds "1e4300", an accepted literal of 4,301 digits: the instance's
-    # digest is the first output to write it
-    (["solve"], {"A": [[1], [-1]], "b": ["1e4300", "1"], "q": [], "h": ["1"], "k": 0}),
     # every input within the limit, but f squares b: f_xc is about -10^4400
     (["solve"], {"A": [[1], [-1]], "b": ["1e2200", "0"], "q": ["1"], "h": ["0"], "k": 1}),
     # the largest 2 x 2 minor is about 10^4400, a JSON int of the output
@@ -853,7 +867,7 @@ PAST_LIMIT_OUTPUTS = [
 ]
 
 
-@pytest.mark.parametrize("argv, doc", PAST_LIMIT_OUTPUTS, ids=["input", "f", "json-int"])
+@pytest.mark.parametrize("argv, doc", PAST_LIMIT_OUTPUTS, ids=["f", "json-int"])
 def test_an_output_past_the_digit_limit_is_an_input_error(capsys, tmp_path, argv, doc):
     """A number to write with more digits than the interpreter's limit on
     int digits exits 2 with one stderr line that names the limit, whether

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -210,8 +211,24 @@ def test_delta_star_prop45():
     fam = build_prop45(2, 1, F(1, 2))
     ds = delta_star(fam.instance, F(1, 2))
     assert ds.value == F(14, 3)
-    assert ds.approx_points == ((F(-2), F(0)),)
+    assert verdict_loop_approx(fam.instance, F(1, 2)) == [(F(-2), F(0))]  # only -u qualifies
+    assert ds.witness_point == (F(-2), F(0))
     assert not ds.upper_bound_only
+
+
+def test_delta_star_keeps_no_point_list():
+    """delta_star keeps each tied optimum's nearest eps-approximate point as
+    the walk reaches it, not the list of those points: example 1.1 with
+    t = 10^4 has 5,859 of them at eps = 1/2, which as a list of Fraction
+    tuples peaked at about 1.1 MB of allocations."""
+    inst = build_example_1_1(10 ** 4).instance
+    tracemalloc.start()
+    try:
+        assert delta_star(inst, F(1, 2)).value == F(3, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_delta_star_eps_one_nearest_lattice():
@@ -342,8 +359,7 @@ def test_points_leaving_oracles_are_fractions(fam):
                            oracles.fmax_int_witness(inst)[1],
                            oracles.fmax_cont_witness(inst)[1])
     ds = delta_star(inst, F(1, 2))
-    assert ds.approx_points
-    assert_fraction_points(ds.witness_opt, ds.witness_point, *ds.approx_points)
+    assert_fraction_points(ds.witness_opt, ds.witness_point)
 
 
 # sha256 of repr(full_report(inst)) as computed with the LP bounding box and
@@ -1316,14 +1332,17 @@ def test_face_walk_counts_on_solve_mix(monkeypatch):
         "solves": 10, "tried": 9, "independent": 9, "planes": 9, "lines": 33}
 
 
+def verdict_loop_approx(inst, eps):
+    """The eps-approximate lattice points, by one verdict call per point."""
+    report = full_report(inst)
+    return [tuple(map(F, p)) for p in enumerate_lattice_points(inst.polyhedron())
+            if verdict(inst, p, F(eps), "integer", report).is_approx]
+
+
 def verdict_loop_delta_star(inst, eps):
     """delta_star with one verdict call per lattice point."""
-    eps = F(eps)
-    report = full_report(inst)
-    pts = enumerate_lattice_points(inst.polyhedron())
-    qp = report.cont_opt
-    approx = [tuple(map(F, p)) for p in pts
-              if verdict(inst, p, eps, "integer", report).is_approx]
+    qp = full_report(inst).cont_opt
+    approx = verdict_loop_approx(inst, eps)
     if not approx:
         raise InfeasibleError("no eps-approximate lattice point exists")
     best = pair = None
@@ -1334,7 +1353,24 @@ def verdict_loop_delta_star(inst, eps):
                 best, pair = d, (xc, p)
     flag = any(eval_objective(inst, tuple((x + y) / 2 for x, y in zip(a, b))) == qp.value
                for a, b in combinations(qp.ties, 2))
-    return oracles.DeltaStarResult(best, pair[0], pair[1], tuple(approx), flag)
+    return oracles.DeltaStarResult(best, pair[0], pair[1], flag)
+
+
+# Tied continuous optima: the edge x_1 = -2 of a box, whose second tie
+# (-2, 3) is a lattice point and wins, with an optimal midpoint; and the four
+# corners of a square, with no optimal midpoint.
+TIED_EDGE = instance([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 2, 3, F(5, 2)], [2], [-1, 0], k=1)
+TIED_CORNERS = box_instance([1, 1], [0, 0], r=1)
+
+
+def test_delta_star_tied_examples():
+    """The tied examples of test_delta_star_matches_verdict_loop reach two
+    or more ties and both values of upper_bound_only."""
+    edge, corners = delta_star(TIED_EDGE, F(1, 2)), delta_star(TIED_CORNERS, F(1, 2))
+    assert solve_qp(TIED_EDGE).ties == ((F(-2), F(-5, 2)), (F(-2), F(3)))
+    assert (edge.value, edge.witness_opt, edge.upper_bound_only) == (0, (F(-2), F(3)), True)
+    assert len(solve_qp(TIED_CORNERS).ties) == 4
+    assert not corners.upper_bound_only
 
 
 @settings(max_examples=200, deadline=None)
@@ -1345,6 +1381,8 @@ def verdict_loop_delta_star(inst, eps):
 @example(box_instance([], [0], r=1), F(-1))
 @example(build_example_1_1(3).instance, F(2, 7))     # ratio exactly eps
 @example(box_instance([1], [0], r=2), F(-1, 3))      # no approximate point
+@example(TIED_EDGE, F(1, 2))
+@example(TIED_CORNERS, F(1, 2))
 def test_delta_star_matches_verdict_loop(inst, eps):
     try:
         want = verdict_loop_delta_star(inst, eps)
