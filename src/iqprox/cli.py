@@ -173,6 +173,7 @@ def cmd_cone(args) -> int:
 
 
 REPORT_BLOCKS = ("schedule", "oracles", "verdicts")  # compared field by field
+TERMINATION = {"c1": "small-norm", "c2": "all-large"}  # of the last trace record, by case
 
 
 def _read_report(path: str) -> dict:
@@ -191,6 +192,13 @@ def _read_report(path: str) -> dict:
             fields[key] = formats.strs_to_vec(doc[key])
         for key in REPORT_BLOCKS:
             fields[key] = doc[key]
+        fields["case"], trace = doc["case"], doc["trace"]
+        if type(trace) is not list or any(type(rec) is not dict for rec in trace):
+            raise InputError(f"malformed report: trace must be a JSON array of objects, "
+                             f"got {formats.echo(trace)}")
+        # Each record's number and termination; of the points, only the first.
+        fields["trace"] = [(rec["j"], rec["termination"]) for rec in trace]
+        fields["trace_x0"] = trace[0]["x"] if trace else None
     except InputError:
         raise
     except (KeyError, TypeError, ValueError) as e:
@@ -214,6 +222,35 @@ def _point_problem(P, x, key: str, mode: str) -> str | None:
     if mode == "integer" and not exact.is_integral_vec(x):
         return f"{key} is not integer"
     return None
+
+
+def _trace_problems(r: dict) -> list[str]:
+    """A line for each field of the report's case and trace that no run
+    writes, read without replaying the run: the case is c1 or c2; the
+    records are numbered 0, 1, ...; every record but the last has no
+    termination, and the last the one of its case; and the first point is
+    x_0 = xc - xd, the anchors' difference in the frame of x_d."""
+    case, trace = r["case"], r["trace"]
+    out = []
+    if case not in TERMINATION:
+        out.append(f"case is {formats.echo(case)}, not c1 or c2")
+    if not trace:
+        return out + ["trace has no record"]
+    for i, (j, term) in enumerate(trace):
+        if type(j) is not int or j != i:
+            out.append(f"trace[{i}].j is {formats.echo(j)}, expected {i}")
+        if i < len(trace) - 1:
+            ok, want = term is None, "None"
+        elif case in TERMINATION:
+            ok, want = term == TERMINATION[case], f"{TERMINATION[case]!r} for case {case}"
+        else:
+            ok, want = term in TERMINATION.values(), "'small-norm' or 'all-large'"
+        if not ok:
+            out.append(f"trace[{i}].termination is {formats.echo(term)}, expected {want}")
+    x0 = formats.vec_to_strs(exact.vec_sub(r["xc"], r["xd"]))
+    if r["trace_x0"] != x0:
+        out.append(f"trace[0].x is {formats.echo(r['trace_x0'])}, recomputed {formats.echo(x0)}")
+    return out
 
 
 def _block_problems(name: str, got: dict, want: dict) -> list[str]:
@@ -246,6 +283,7 @@ def cmd_verify_report(args) -> int:
     # recomputed from n, delta, k and eps.
     problems += _block_problems("schedule", r["schedule"], formats.schedule_to_dict(schedule))
     problems += _block_problems("oracles", r["oracles"], formats.oracles_to_dict(report))
+    problems += _trace_problems(r)
     distances = {
         "distance_int": exact.inf_norm(exact.vec_sub(r["xc"], r["x_star_int"])),
         "distance_cont": exact.inf_norm(exact.vec_sub(r["x_star_cont"], r["xd"])),

@@ -308,11 +308,12 @@ def _face_walk(inst: Instance):
       feasibility problem {A x <= b, E_S}, whose point must have the value
       v_S.
 
-    The witness is the candidate of the first face attaining the maximum.
-    A face whose E_S is a line has no candidate point until the end: only
-    if it is still the witness then does its LP run, on the rows it would
-    have had at once, so it gives the same point.  That LP must find one
-    (the line meets P).
+    The witness is the candidate of the first face attaining the maximum,
+    held as ints (X, e), the point X / e, until the walk ends, and made
+    Fractions once.  A face whose E_S is a line has no candidate point
+    until the end: only if it is still the witness then does its LP run, on
+    the rows it would have had at once, so it gives the same point.  That
+    LP must find one (the line meets P).
     The subsets of up to n - 2 rows come from exact.independent_row_sets,
     in that order; those of n - 1 rows from their planes, and those of n
     rows from the lines, both below.
@@ -328,20 +329,30 @@ def _face_walk(inst: Instance):
     previous level's bounds are kept.
 
     The last two levels run on lines.  An independent S of n - 1 rows has
-    the kernel line x = (X0 + t w) / L, met with every row: the products
-    A_i.w, the slacks and the interval of t on which the line lies in P
-    (polyhedra.Line).  Each such S is a plane S' of n - 2 rows plus a row j
-    > max S', and the line lies in the plane's two-dimensional solution
+    the kernel line x = (X0 + t w) / L, met with every row by one ratio
+    test: the interval of t on which the line lies in P, and whether it
+    meets P (polyhedra.Line).  Each such S is a plane S' of n - 2 rows plus
+    a row j > max S', and the line lies in the plane's two-dimensional solution
     set, which exact._solution_space gives S' as X0 and two kernel vectors
     over one L.  So the walk stops its row sets at n - 2 rows, keeps each
     plane with its solution (the one its stationarity solve already made,
     or None for a dominated plane), and after the whole level n - 2 takes
     the lines from polyhedra.edge_lines on those planes: the same ints as
-    the echelon of S' plus row j gives, at O(m) ints a line, in the same
-    (size, lex) order.  A line's E_S is one equation in
-    t, a t = b with a = sum_i 2 Q_i w_i^2 and b = w.(L H - 2 Q X0), solved
-    in closed form, and its point, at t = b / a, lies in P exactly when t
-    lies in the interval.  The n-sets are S + (j,) for the rows j > max S,
+    the echelon of S' plus row j gives, at one pass over the plane's
+    columns a line, in the same (size, lex) order.  The lines have a loop
+    of their own, after the row sets', and in it a line is
+
+    - kept for its leaves, and nothing more, when it misses P or its plane
+      is dominated: no face reads a line's bound;
+    - otherwise decided by its E_S, one equation in t, a t = b with a =
+      sum_i 2 Q_i w_i^2 >= 0 and b = w.(L H - 2 Q X0), solved in closed
+      form.  With a > 0 its one point, at t = b / a, lies in P exactly when
+      t lies in the interval, tested before the point is made or valued;
+      with a = 0 != b it has none; with a = b = 0 f is constant on the
+      line, valued at X0 / L, which then takes the face-constant claim
+      and, if it is still the witness at the end, its LP.
+
+    The n-sets are S + (j,) for the rows j > max S,
     independent exactly when A_j.w != 0; their E_S is A_S x = b_S alone,
     whose point is a vertex of P exactly when row j wins the ratio test on
     the line (Line.vertices).  These leaves wait until the whole of level
@@ -371,47 +382,31 @@ def _face_walk(inst: Instance):
     Q, H, d = inst.int_objective
     Q2 = [2 * c for c in Q] + [0] * (n - k)
     best = None  # (numerator, denominator) of the best value so far
-    wit = pending = None  # the witness, or the face whose LP gives it
+    wit = pending = None  # the witness as ints (X, e), or the face whose LP gives it
     level, above, bounds = 0, {}, {}  # the faces' bounds, one level up and this one
     planes = []  # (S, echelon, pivots, solution or None) per (n - 2)-set, for its lines
-    lines = []  # (S, line) per independent (n - 1)-set, for its leaves
 
-    def faces():
-        """(S, echelon, pivots, None) per independent set of at most n - 2
-        rows, then (S, None, None, line) per independent set of n - 1."""
-        for S, ech, pivots in exact.independent_row_sets(aug, n, 0, n - 2):
-            yield S, ech, pivots, None
-        for S, line in edge_lines(P, planes):
-            yield S, None, None, line
+    def dominated(S) -> bool:
+        up = above.get(S[:-1])
+        return up is not None and best is not None and up[0] * best[1] <= best[0] * up[1]
 
-    for S, ech, pivots, line in faces():
+    for S, ech, pivots in exact.independent_row_sets(aug, n, 0, n - 2):
         size = len(S)
         if size > level:
             level, above, bounds = size, bounds, {}
-        if line is not None:  # met anyway, for its leaves
-            lines.append((S, line))
-        up = above.get(S[:-1])
-        if up is not None and best is not None and up[0] * best[1] <= best[0] * up[1]:
-            bounds[S] = up
+        if dominated(S):
+            bounds[S] = above[S[:-1]]
             if size == n - 2:
                 planes.append((S, ech, pivots, None))
             continue
-        if line is not None:  # a t = b, solved as exact.solution_space_int would solve it
-            X0, W, L = line.X0, [line.w], line.L
-            (w,) = W
-            Qw = list(map(mul, Q2, w))
-            a = sum(map(mul, Qw, w))
-            b = L * sum(map(mul, w, H)) - sum(map(mul, Qw, X0))
-            stat = ([b], [], a) if a else None if b else ([0], [[1]], 1)
-        else:
-            X0, W, L = exact._solution_space(ech, pivots, n)
-            if size == n - 2:
-                planes.append((S, ech, pivots, (X0, W, L)))
-            QW = [list(map(mul, Q2, w)) for w in W]
-            g = [L * c - qx for c, qx in zip(H, map(mul, Q2, X0))]
-            stat = exact.solution_space_int(
-                [[sum(map(mul, u, w)) for w in W] for u in QW],
-                [sum(map(mul, w, g)) for w in W], n - size)
+        X0, W, L = exact._solution_space(ech, pivots, n)
+        if size == n - 2:
+            planes.append((S, ech, pivots, (X0, W, L)))
+        QW = [list(map(mul, Q2, w)) for w in W]
+        g = [L * c - qx for c, qx in zip(H, map(mul, Q2, X0))]
+        stat = exact.solution_space_int(
+            [[sum(map(mul, u, w)) for w in W] for u in QW],
+            [sum(map(mul, w, g)) for w in W], n - size)
         if stat is None:
             continue
         Y, free, e2 = stat
@@ -425,34 +420,52 @@ def _face_walk(inst: Instance):
         if best is not None and num * best[1] <= best[0] * den:
             continue
         if not free:
-            if not (line.holds(Y[0], e2) if line is not None else contains_int(P, X, e)):
+            if not contains_int(P, X, e):
                 continue
-            pt = exact.rational_vector(X, e)
+            best, wit, pending = (num, den), (X, e), None
         elif len(free) == 1:  # E_S is a line, in P exactly where it meets P
-            if line is not None:
-                eline = line
-            else:
-                (f,) = free
-                eline = line_through(P, X, [sum(map(mul, f, col)) for col in zip(*W)], e)
-            if not eline.meets:
+            (f,) = free
+            line = line_through(P, X, [sum(map(mul, f, col)) for col in zip(*W)], e)
+            if not line.meets:
                 continue
-            tn, td = eline.lo or eline.hi or (0, 1)  # one point of the line in P
-            Xt = [x * td + tn * c for x, c in zip(eline.X0, eline.w)]
-            et = eline.L * td
-            if _objective_numerator(Q, H, Xt, et) * den != num * d * et * et:
-                raise ClaimViolation("face-constant", f"face {S}: f is not constant on E_S")
+            _check_face_constant(inst, S, line, num, den)
             best, wit, pending = (num, den), None, (S, W, L)
-            continue
         else:
             pt = _face_point(inst, S, W, L, Fraction(num, den))
-            if pt is None:
+            if pt is not None:
+                best, wit, pending = (num, den), exact.integer_vector(pt), None
+    above = bounds  # the planes' bounds
+    lines = []  # (S, line) per independent (n - 1)-set, for its leaves
+    for S, line in edge_lines(P, planes):
+        lines.append((S, line))
+        if not line.meets or dominated(S):  # no face reads a line's bound
+            continue
+        # a t = b, solved as exact.solution_space_int would solve it
+        X0, w, L = line.X0, line.w, line.L
+        Qw = list(map(mul, Q2, w))
+        a = sum(map(mul, Qw, w))
+        b = L * sum(map(mul, w, H)) - sum(map(mul, Qw, X0))
+        if a:  # one point, at t = b / a, to test before it is valued
+            if not line.holds(b, a):
                 continue
-        best, wit, pending = (num, den), tuple(pt), None
+            X, e = [x * a + b * c for x, c in zip(X0, w)], L * a
+        elif b:
+            continue
+        else:  # f is constant on the line
+            X, e = X0, L
+        num, den = _objective_numerator(Q, H, X, e), d * e * e
+        if best is not None and num * best[1] <= best[0] * den:
+            continue
+        if a:
+            best, wit, pending = (num, den), (X, e), None
+        else:
+            _check_face_constant(inst, S, line, num, den)
+            best, wit, pending = (num, den), None, (S, [w], L)
     leaves, polytope = line_leaves(lines)
     verts = _valued(inst, leaves)
     for X, e, num, den in verts:  # the leaves S + (j,), in (S, j) order
         if best is None or num * best[1] > best[0] * den:
-            best, wit, pending = (num, den), exact.rational_vector(X, e), None
+            best, wit, pending = (num, den), (X, e), None
     if best is None:
         return None, None, [], None
     if pending is not None:
@@ -461,9 +474,22 @@ def _face_walk(inst: Instance):
         if pt is None:
             raise ClaimViolation("face-lp", f"face {S}: the LP finds no point of E_S in P")
         wit = tuple(pt)
+    else:
+        wit = exact.rational_vector(*wit)
     if not polytope:
         return Fraction(*best), wit, [], None
     return Fraction(*best), wit, verts, vertex_box(leaves)
+
+
+def _check_face_constant(inst: Instance, S, line, num: int, den: int):
+    """The face-constant claim at one point of the line of E_S in P, which
+    meets P: f has the face's value num / den there."""
+    Q, H, d = inst.int_objective
+    tn, td = line.lo or line.hi or (0, 1)  # one point of the line in P
+    Xt = [x * td + tn * c for x, c in zip(line.X0, line.w)]
+    et = line.L * td
+    if _objective_numerator(Q, H, Xt, et) * den != num * d * et * et:
+        raise ClaimViolation("face-constant", f"face {S}: f is not constant on E_S")
 
 
 def _face_point(inst: Instance, S, W, L: int, value: Fraction) -> list[Fraction] | None:

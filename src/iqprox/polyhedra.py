@@ -186,22 +186,35 @@ class Line(NamedTuple):
     w != 0 and an int L > 0, against the int rows of a polyhedron P.
 
     Row i holds at t exactly when t dots[i] <= slacks[i], with dots[i] =
-    A_i.w and slacks[i] = L b_i - A_i.X0 on the int row [A_i | b_i].  lo
-    is the greatest lower bound slacks[i] / dots[i] over the rows with
-    dots[i] < 0 and hi the least upper bound over those with dots[i] > 0,
-    each an int pair (num, den) with den > 0, or None when no row bounds t
-    on that side.  meets says whether some point of the line lies in P:
-    every row with dots[i] = 0 holds, and lo <= hi.
+    A_i.w and slacks[i] = L b_i - A_i.X0 on the int row [A_i | b_i].  The
+    line keeps no list of these: cols = (F, G, T, a, b, c, div) gives them
+    from three columns of ints over P's rows, shared by every line of one
+    plane (plane_lines), as dots[i] = (a F_i - b G_i) / div and slacks[i]
+    = (a T_i - c G_i) / div, each division exact and div > 0.  lo is the
+    greatest lower bound slacks[i] / dots[i] over the rows with dots[i] < 0
+    and hi the least upper bound over those with dots[i] > 0, each an int
+    pair (num, den) with den > 0, or None when no row bounds t on that
+    side.  meets says whether some point of the line lies in P: every row
+    with dots[i] = 0 holds, and lo <= hi.
     """
 
     X0: list[int]
     w: list[int]
     L: int
-    dots: list[int]
-    slacks: list[int]
     lo: tuple[int, int] | None
     hi: tuple[int, int] | None
     meets: bool
+    cols: tuple
+
+    @property
+    def dots(self) -> list[int]:
+        F, G, _, a, b, _, div = self.cols
+        return [(a * f - b * g) // div for f, g in zip(F, G)]
+
+    @property
+    def slacks(self) -> list[int]:
+        _, G, T, a, _, c, div = self.cols
+        return [(a * s - c * g) // div for s, g in zip(T, G)]
 
     @property
     def recedes(self) -> bool:
@@ -224,57 +237,74 @@ class Line(NamedTuple):
         = slacks[j] / dots[j].  When dots[j] > 0, hi is the least such ratio
         (the simplex ratio test), so t_j >= hi and t_j lies in [lo, hi]
         exactly when t_j = hi; when dots[j] < 0, exactly when t_j = lo.  The
-        point is X / e with e = |dots[j]| and X = (e X0 +- slacks[j] w) / L:
-        with X0 / L on rows S of rank n - 1 and w their cofactor vector up
-        to sign (exact._kernel), dots[j] is +- the determinant of S and row
-        j, so e x is integral by Cramer's rule and the division exact.
+        test runs on div dots[j] and div slacks[j], read off the columns
+        undivided.  The point is X / e with e = |dots[j]| and X = (e X0 +-
+        slacks[j] w) / L: with X0 / L on rows S of rank n - 1 and w their
+        cofactor vector up to sign (exact._kernel), dots[j] is +- the
+        determinant of S and row j, so e x is integral by Cramer's rule and
+        the division exact.
         """
         if not self.meets:
             return
-        X0, w, L = self.X0, self.w, self.L
-        for j in range(start, len(self.dots)):
-            dot, s = self.dots[j], self.slacks[j]
+        X0, w, L, lo, hi = self.X0, self.w, self.L, self.lo, self.hi
+        F, G, T, a, b, c, div = self.cols
+        for j in range(start, len(T)):
+            g = G[j]
+            dot = a * F[j] - b * g
             if not dot:
                 continue
-            end = self.hi if dot > 0 else self.lo
+            s = a * T[j] - c * g
+            end = hi if dot > 0 else lo
             if s * end[1] != end[0] * dot:
                 continue
-            e = abs(dot)
-            if dot < 0:
-                s = -s
+            e = abs(dot) // div
+            s = (s if dot > 0 else -s) // div
             yield [(e * x + s * y) // L for x, y in zip(X0, w)], e
 
 
-def line_through(P: Polyhedron, X0: list[int], w: list[int], L: int) -> Line:
-    """The Line (X0 + t w) / L against P's int rows: A_i.w and the slack
-    L b_i - A_i.X0 of each row, and then _line."""
-    rows, rhs = P.int_rows
-    return _line(X0, w, L, [sum(map(mul, row, w)) for row in rows],
-                 [L * c - sum(map(mul, row, X0)) for row, c in zip(rows, rhs)])
+def _line(X0: list[int], w: list[int], L: int, cols) -> Line:
+    """The Line (X0 + t w) / L on the columns cols = (F, G, T, a, b, c,
+    div) of Line: the simplex ratio test in one pass over them.
 
-
-def _line(X0: list[int], w: list[int], L: int, dots: list[int], slacks: list[int]) -> Line:
-    """The Line (X0 + t w) / L with its rows' products and slacks given, in
-    one pass over them.
-
-    Each row with A_i.w > 0 bounds t above by its ratio slack_i / A_i.w,
-    each with A_i.w < 0 below; a row with A_i.w = 0 holds on the whole line
-    or on none of it, as slack_i >= 0 or not.
+    Each row with a product A_i.w > 0 bounds t above by its ratio slack_i /
+    A_i.w, each with A_i.w < 0 below; a row with A_i.w = 0 holds on the
+    whole line or on none of it, as slack_i >= 0 or not.  The test compares
+    div A_i.w and div slack_i, the undivided ints: div > 0 scales both sides
+    of every comparison alike, so no comparison changes, and only the two
+    bounding ratios are divided by div.
     """
+    F, G, T, a, b, c, div = cols
     lo = hi = None
     meets = True
-    for dot, s in zip(dots, slacks):
+    for f, g, s in zip(F, G, T):
+        dot = a * f - b * g
         if dot > 0:
+            s = a * s - c * g
             if hi is None or s * hi[1] < hi[0] * dot:
                 hi = (s, dot)
         elif dot < 0:
+            s = a * s - c * g
             if lo is None or lo[0] * -dot < -s * lo[1]:
                 lo = (-s, -dot)
-        elif s < 0:
+        elif a * s < c * g:
             meets = False
+    if lo is not None:
+        lo = (lo[0] // div, lo[1] // div)
+    if hi is not None:
+        hi = (hi[0] // div, hi[1] // div)
     if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
         meets = False
-    return Line(X0, w, L, dots, slacks, lo, hi, meets)
+    return Line(X0, w, L, lo, hi, meets, cols)
+
+
+def line_through(P: Polyhedron, X0: list[int], w: list[int], L: int) -> Line:
+    """The Line (X0 + t w) / L against P's int rows, on its own columns: F
+    the products A_i.w, G = 0 and T the slacks L b_i - A_i.X0, with a = div
+    = 1 and b = c = 0."""
+    rows, rhs = P.int_rows
+    return _line(X0, w, L, ([sum(map(mul, row, w)) for row in rows], [0] * len(rows),
+                            [L * c - sum(map(mul, row, X0)) for row, c in zip(rows, rhs)],
+                            1, 0, 0, 1))
 
 
 def plane_lines(P: Polyhedron, start: int, X0: list[int], W: list[list[int]], L: int):
@@ -308,8 +338,10 @@ def plane_lines(P: Polyhedron, start: int, X0: list[int], W: list[list[int]], L:
         A_i.w = (a F_i - sigma F_j G_i) / L,
         a b_i - A_i.X0' = (a s_i - sigma s_j G_i) / L.
 
-    Each is an int vector or int divided exactly, so a child costs O(m)
-    ints, with no echelon and no dot product of its own.
+    Each is an int vector or int divided exactly.  The line keeps the
+    plane's columns F, G and T = (s_i) with (a, sigma F_j, sigma s_j, L)
+    (Line.cols), so a child costs one ratio-test pass over them (_line),
+    with no list of its own over the rows, no echelon and no dot product.
     """
     rows, rhs = P.int_rows
     W1, W2 = W
@@ -332,8 +364,7 @@ def plane_lines(P: Polyhedron, start: int, X0: list[int], W: list[list[int]], L:
             a, b, c = -a, -b, -c
         yield j, _line([(a * x + c * y) // L for x, y in zip(X0, Wg)],
                        [(a * x - b * y) // L for x, y in zip(Wf, Wg)], a,
-                       [(a * f - b * g) // L for f, g in zip(F, G)],
-                       [(a * s - c * g) // L for s, g in zip(T, G)])
+                       (F, G, T, a, b, c, L))
 
 
 def edge_lines(P: Polyhedron, planes):
@@ -412,7 +443,11 @@ def enumerate_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
 
 
 class _Unpruned:
-    """The search of the unpruned walk: every prefix kept."""
+    """The search of the unpruned walk: every prefix kept, and each run
+    kept in runs."""
+
+    def __init__(self):
+        self.runs: list[tuple[tuple[int, ...], int, int]] = []
 
     def start(self, lo, hi) -> int:
         return 0
@@ -421,10 +456,11 @@ class _Unpruned:
         return value
 
     def run(self, prefix, lo: int, hi: int, value: int):
-        pass
+        self.runs.append((tuple(prefix), lo, hi))
 
 
-def lattice_runs(P: Polyhedron, box=None, search=None) -> list[tuple[tuple[int, ...], int, int]]:
+def lattice_runs(P: Polyhedron, box=None,
+                 search=None) -> list[tuple[tuple[int, ...], int, int]] | None:
     """The integer points of a bounded P as runs (prefix, lo, hi), in
     lexicographic order: the points (*prefix, v) for lo <= v <= hi, every
     point of P with those first n - 1 coordinates.  Each run is nonempty.
@@ -436,7 +472,12 @@ def lattice_runs(P: Polyhedron, box=None, search=None) -> list[tuple[tuple[int, 
     denominator e, so each bound is one floor division of ints.  Each row's
     bound is exact at that row's last nonzero coordinate, so every point of
     a run lies in P and none is tested again.  An all-zero row is never
-    bounded; it holds on a nonempty P.
+    bounded; it holds on a nonempty P.  The last prefix level, j = n - 2,
+    runs in place: with x_j = v, a row's bound on the last coordinate is
+    (base - step v) // c, with base = e times the row's slack on the prefix
+    before x_j (no part of a row lies past the last coordinate) and step =
+    e A_ij, one (base, step) pair per row, so no child gets a slack list of
+    its own.
 
     box is (lows, highs, D), ints with D > 0: the box of the x with
     lows[i] <= D x_i <= highs[i], containing P.  A caller that knows P is
@@ -444,21 +485,25 @@ def lattice_runs(P: Polyhedron, box=None, search=None) -> list[tuple[tuple[int, 
     vertices); without one the box is vertex_box of vertex_ints, which also
     shows P empty (no runs) or unbounded (UnboundedError).
 
-    search, when given, prunes the walk and takes its runs as they are
-    reached, and the runs returned are those reached.  The walk carries a
-    value down from the root: search.start(lo, hi) gets the integer box,
-    lo[i] <= x_i <= hi[i], and returns the root's value; search.child(j,
-    value, v) returns the value of the prefix extended by x_j = v, or None
-    to skip every point under it; search.run(prefix, lo, hi, value) takes
-    each run reached, in order, with its prefix's value.
+    Without a search every run is kept and the list of them returned, as
+    enumerate_lattice_points reads it.  A search, when given, prunes the
+    walk and takes its runs as they are reached, and nothing is kept or
+    returned.  The walk carries a value down from the root:
+    search.start(lo, hi) gets the integer box, lo[i] <= x_i <= hi[i], and
+    returns the root's value; search.child(j, value, v) returns the value of
+    the prefix extended by x_j = v, or None to skip every point under it;
+    search.run(prefix, lo, hi, value) takes each run reached, in order,
+    with its prefix's value, the prefix as the walk's own list of n - 1
+    ints, which holds it only during the call.
     """
+    keep = search is None
+    if keep:
+        search = _Unpruned()
     if box is None:
         verts = vertex_ints(P)
         if not verts:
-            return []
+            return [] if keep else None
         box = vertex_box(verts)
-    if search is None:
-        search = _Unpruned()
     n = P.n
     rows, rhs = P.int_rows
     lows, highs, e = box
@@ -476,8 +521,7 @@ def lattice_runs(P: Polyhedron, box=None, search=None) -> list[tuple[tuple[int, 
                 bounds[j].append((i, e * a, tail))
                 tail += a * (lows[j] if a > 0 else highs[j])
     child, take = search.child, search.run
-    out = []
-    prefix: list[int] = []
+    prefix = [0] * (n - 1)
 
     def rec(j: int, slack: list[int], value):
         # slack[i] is rhs_i minus row i on the fixed prefix.
@@ -488,21 +532,34 @@ def lattice_runs(P: Polyhedron, box=None, search=None) -> list[tuple[tuple[int, 
                 hi_j = min(hi_j, s // c)
             else:
                 lo_j = max(lo_j, -(-s // c))
-        if j == n - 1:
+        if j == n - 1:  # n = 1: the run of the empty prefix
             if lo_j <= hi_j:
-                out.append((tuple(prefix), lo_j, hi_j))
-                take(*out[-1], value)
-            return
-        for v in range(lo_j, hi_j + 1):
-            below = child(j, value, v)
-            if below is None:
-                continue
-            prefix.append(v)
-            rec(j + 1, [s - row[j] * v for s, row in zip(slack, rows)], below)
-            prefix.pop()
+                take(prefix, lo_j, hi_j, value)
+        elif j < n - 2:
+            for v in range(lo_j, hi_j + 1):
+                below = child(j, value, v)
+                if below is not None:
+                    prefix[j] = v
+                    rec(j + 1, [s - row[j] * v for s, row in zip(slack, rows)], below)
+        else:  # the last prefix level, in place
+            steps = [(e * slack[i], e * rows[i][j], c) for i, c, _ in bounds[j + 1]]
+            for v in range(lo_j, hi_j + 1):
+                below = child(j, value, v)
+                if below is None:
+                    continue
+                lo_v, hi_v = lo[j + 1], hi[j + 1]
+                for base, step, c in steps:
+                    s = base - step * v
+                    if c > 0:
+                        hi_v = min(hi_v, s // c)
+                    else:
+                        lo_v = max(lo_v, -(-s // c))
+                if lo_v <= hi_v:
+                    prefix[j] = v
+                    take(prefix, lo_v, hi_v, below)
 
     rec(0, list(rhs), search.start(lo, hi))
-    return out
+    return search.runs if keep else None
 
 
 def enumerate_lattice_points(P: Polyhedron, box=None) -> list[tuple[int, ...]]:

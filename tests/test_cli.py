@@ -680,11 +680,13 @@ def test_proximity_scales_the_objective_once(capsys, tmp_path, monkeypatch, fi):
 
 
 def with_anchors(doc, xc, xd):
-    """doc with new anchors and the two distances recomputed to match them."""
+    """doc with new anchors and the two distances and the first trace
+    point, xc - xd, recomputed to match them."""
     xs_int, xs_cont = F(doc["x_star_int"][0]), F(doc["x_star_cont"][0])
+    trace = [{**doc["trace"][0], "x": [str(F(xc) - F(xd))]}, *doc["trace"][1:]]
     return {**doc, "xc": [str(xc)], "xd": [str(xd)],
             "distance_int": str(abs(F(xc) - xs_int)),
-            "distance_cont": str(abs(xs_cont - F(xd)))}
+            "distance_cont": str(abs(xs_cont - F(xd))), "trace": trace}
 
 
 def test_verify_report_forged_anchors(capsys, tmp_path):
@@ -795,6 +797,59 @@ def test_verify_report_forged_schedule(capsys, tmp_path, prop45_report, key, val
     instance's n, k and Delta and the report's eps."""
     code, err = verify_forged_block(capsys, tmp_path, prop45_report, "schedule", key, value)
     assert (code, err) == (4, [line])
+
+
+def forged_trace(doc, i, **fields):
+    """doc's trace with fields of record i replaced."""
+    return [{**rec, **fields} if k == i else rec for k, rec in enumerate(doc["trace"])]
+
+
+@pytest.mark.parametrize("edit, lines", [
+    (lambda doc: {"case": "c9"}, ["case is 'c9', not c1 or c2"]),
+    (lambda doc: {"case": "c2"},
+     ["trace[2].termination is 'small-norm', expected 'all-large' for case c2"]),
+    (lambda doc: {"trace": forged_trace(doc, 1, j=7)}, ["trace[1].j is 7, expected 1"]),
+    (lambda doc: {"trace": forged_trace(doc, 0, j=False)}, ["trace[0].j is False, expected 0"]),
+    (lambda doc: {"trace": forged_trace(doc, 0, termination="small-norm")},
+     ["trace[0].termination is 'small-norm', expected None"]),
+    (lambda doc: {"trace": forged_trace(doc, 2, termination=None)},
+     ["trace[2].termination is None, expected 'small-norm' for case c1"]),
+    (lambda doc: {"trace": forged_trace(doc, 0, x=["16/3", "2/3", "1/3"])},
+     ["trace[0].x is ['16/3', '2/3', '1/3'], recomputed ['16/3', '2/3', '2/3']"]),
+    (lambda doc: {"trace": doc["trace"][1:]},
+     ["trace[0].j is 1, expected 0", "trace[1].j is 2, expected 1",
+      "trace[0].x is ['14/3', '0', '2/3'], recomputed ['16/3', '2/3', '2/3']"]),
+    (lambda doc: {"trace": []}, ["trace has no record"]),
+    (lambda doc: {"case": "c9", "trace": [{**doc["trace"][0], "x": ["999", "999", "999"],
+                                           "termination": "bogus"}]},
+     ["case is 'c9', not c1 or c2",
+      "trace[0].termination is 'bogus', expected 'small-norm' or 'all-large'",
+      "trace[0].x is ['999', '999', '999'], recomputed ['16/3', '2/3', '2/3']"]),
+], ids=["case", "case-termination", "j", "j-bool", "termination-early", "termination-last",
+        "x0", "cut", "empty", "forged"])
+def test_verify_report_forged_case_and_trace(capsys, tmp_path, prop45_report, edit, lines):
+    """Without replaying the run, verify-report checks that the case is c1
+    or c2, that the records are numbered 0, 1, ..., that only the last
+    has a termination, the one of its case, and that the first point is
+    xc - xd.  The prop45 n = 3 report is a c1 run of three records; the
+    last forgery, its trace cut to one record at (999, 999, 999) with
+    termination "bogus" and its case "c9", once verified."""
+    assert [rec["termination"] for rec in prop45_report["trace"]] == [None, None, "small-norm"]
+    code, err = verify_edited(capsys, tmp_path, prop45_report, **edit(prop45_report))
+    assert (code, err.strip().splitlines()) == (4, lines)
+
+
+@pytest.mark.parametrize("trace, got", [
+    ({"j": 0}, "{'j': 0}"), (["1"], "['1']"), ([{"j": 0}], None),
+], ids=["object", "strings", "no-termination"])
+def test_verify_report_malformed_trace(capsys, tmp_path, prop45_report, trace, got):
+    """A trace that is not a JSON array of objects, or a record without one
+    of the fields read, is a malformed report: exit 2."""
+    code, err = verify_edited(capsys, tmp_path, prop45_report, trace=trace)
+    assert code == 2
+    want = ("input error: malformed report: KeyError: 'termination'" if got is None else
+            f"input error: malformed report: trace must be a JSON array of objects, got {got}")
+    assert err.strip() == want
 
 
 @pytest.mark.parametrize("block", ["schedule", "oracles", "verdicts"])

@@ -231,6 +231,36 @@ def test_delta_star_keeps_no_point_list():
     assert peak < 256 * 1024
 
 
+def test_pruned_walks_keep_no_runs(monkeypatch):
+    """A lattice walk with a search hands each run to the search and keeps
+    no list of them.  delta_star at eps = 1 on the box |x_i| <= 20 in R^3,
+    with q = (1) and h = (0, 1, 1), makes two such walks, which take 2,123
+    runs between them; when lattice_runs also listed every run it reached,
+    for its callers to drop, the walks peaked at about 250 kB of
+    allocations, against about 11 kB without the list."""
+    inst = box_instance([1], [0, 1, 1], r=20)
+    taken = []
+    real = oracles.lattice_runs
+
+    def counted(P, box, search):
+        take = search.run
+        search.run = lambda *args: taken.append(args[1:]) or take(*args)
+        return real(P, box, search)
+
+    monkeypatch.setattr(oracles, "lattice_runs", counted)
+    want = delta_star(inst, 1)
+    assert len(taken) == 2123
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        assert delta_star(inst, 1) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert want.value == 0 and want.witness_point == (-20, -20, -20)
+    assert peak < 64 * 1024
+
+
 def test_delta_star_eps_one_nearest_lattice():
     fam = build_example_1_1(2)
     ds = delta_star(fam.instance, F(1))
@@ -326,13 +356,19 @@ def test_full_report_enumerates_lattice_once(monkeypatch):
     so far and none beats the greatest (the unpruned walk reached all 49)."""
     calls = []
     real = oracles.lattice_runs
-    monkeypatch.setattr(oracles, "lattice_runs",
-                        lambda *a: calls.append((a, real(*a))) or calls[-1][1])
+
+    def counted(P, box, search):
+        take, reached = search.run, []
+        search.run = lambda prefix, *rest: reached.append(tuple(prefix)) or take(prefix, *rest)
+        calls.append((P, box, reached))
+        assert real(P, box, search) is None  # a search keeps no runs
+
+    monkeypatch.setattr(oracles, "lattice_runs", counted)
     inst = random_instance(6)
     assert (inst.n, inst.m, inst.k) == (3, 6, 0)
     rep = full_report(inst)
     assert len(calls) == 1
-    (P, box, _), reached = calls[0]
+    P, box, reached = calls[0]
     assert box is not None  # the box came from the vertices
     assert len(reached) == 13
     assert len(lattice_runs(P, box)) == 49
@@ -1231,11 +1267,31 @@ def test_line_walk_matches_level_walk(collect, inst):
 def face_walk_counts(monkeypatch, walk):
     """Stationarity solves, rows tried on an echelon and those of them found
     independent, planes handed to polyhedra.plane_lines and the lines it
-    derives, by walk(); the rows a stationarity solve adds to its own
-    echelon are not counted."""
+    derives, the edge lines _face_walk takes from polyhedra.edge_lines, and
+    the points it values (its pipeline._objective_numerator calls, the
+    leaves' among them), by walk(); the rows a stationarity solve adds to
+    its own echelon are not counted."""
     counts = Counter()
-    solving = []
+    solving, walking = [], []
     solve, extend, derive = exact.solution_space_int, exact._extend_echelon, polyhedra.plane_lines
+    face_walk, edge_lines = oracles._face_walk, oracles.edge_lines
+    value = oracles._objective_numerator
+
+    def counted_walk(*args):
+        walking.append(args)
+        try:
+            return face_walk(*args)
+        finally:
+            walking.pop()
+
+    def counted_edge_lines(*args):
+        for line in edge_lines(*args):
+            counts["edge lines"] += 1
+            yield line
+
+    def counted_value(*args):
+        counts["values"] += bool(walking)
+        return value(*args)
 
     def counted_solve(*args):
         counts["solves"] += 1
@@ -1261,6 +1317,9 @@ def face_walk_counts(monkeypatch, walk):
     monkeypatch.setattr(exact, "solution_space_int", counted_solve)
     monkeypatch.setattr(exact, "_extend_echelon", counted_extend)
     monkeypatch.setattr(polyhedra, "plane_lines", counted_derive)
+    monkeypatch.setattr(oracles, "_face_walk", counted_walk)
+    monkeypatch.setattr(oracles, "edge_lines", counted_edge_lines)
+    monkeypatch.setattr(oracles, "_objective_numerator", counted_value)
     walk()
     return dict(counts)
 
@@ -1285,10 +1344,13 @@ def test_face_walk_counts_on_prop44(monkeypatch):
     5,280 + 448 = 5,728 are independent.  A plane missing pairs 6 and 7
     has 4 lines, one missing pair 7 and an earlier one 2: 64 * 4 + 384 * 2
     = 1,024 lines, each of the 8 * 2^7 sets of 7 rows once (tried row by
-    row, they took 8,944 rows, and each line an echelon of its own)."""
+    row, they took 8,944 rows, and each line an echelon of its own).  Every
+    line is dominated, so the walk values only the empty set's point and
+    the 256 leaves, one per vertex of the 8 pairs."""
     inst = build_prop44(F(1, 4), 3, n=8).instance
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
-        "solves": 1, "tried": 8368, "independent": 5728, "planes": 448, "lines": 1024}
+        "solves": 1, "tried": 8368, "independent": 5728, "planes": 448, "lines": 1024,
+        "edge lines": 1024, "values": 257}
 
 
 def test_face_walk_counts_on_pr_tight(monkeypatch):
@@ -1297,10 +1359,12 @@ def test_face_walk_counts_on_pr_tight(monkeypatch):
     pairs, are its planes, all dominated.  Each tests its later rows: 2, 1,
     2, 1, 1 and 0 rows, 7 in all, and the first four find one
     independent.  Those 4 are solved and derive 4, 4, 2 and 2 lines: the 12
-    independent pairs of rows (tried row by row, they took 21 rows)."""
+    independent pairs of rows (tried row by row, they took 21 rows).  The
+    walk values the empty set's point and the 8 leaves."""
     inst = build_pr_tight(3, 1, 1, F(1, 2), F(2, 3)).instance
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
-        "solves": 1, "tried": 13, "independent": 10, "planes": 4, "lines": 12}
+        "solves": 1, "tried": 13, "independent": 10, "planes": 4, "lines": 12,
+        "edge lines": 12, "values": 9}
 
 
 def test_face_walk_counts_on_ilp_tightness(monkeypatch):
@@ -1310,10 +1374,12 @@ def test_face_walk_counts_on_ilp_tightness(monkeypatch):
     each is solved: the empty set and its 6 rows by
     exact.solution_space_int, the 12 lines in closed form.  No plane is
     dominated, so none tests a row, and each of the 6 hands its solve to
-    plane_lines."""
+    plane_lines.  No line has a consistent a t = b (f is linear and grows
+    along each), so the walk values only the 8 leaves."""
     inst = build_ilp_tightness(3, 2, F(1, 2)).instance
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
-        "solves": 7, "tried": 6, "independent": 6, "planes": 6, "lines": 12}
+        "solves": 7, "tried": 6, "independent": 6, "planes": 6, "lines": 12,
+        "edge lines": 12, "values": 8}
 
 
 def test_face_walk_counts_on_solve_mix(monkeypatch):
@@ -1325,11 +1391,34 @@ def test_face_walk_counts_on_solve_mix(monkeypatch):
     echelon of their own; the 84 sets of 3 rows are the leaves of those
     lines, with no echelon and no solve each (walking them row by row took
     114 rows tried, 103 faces and 35 solves; walking the pairs row by row,
-    45 rows tried)."""
+    45 rows tried).  The walk values 19 points; it valued 40 when it also
+    valued the lines that miss P and those whose stationary point lies off
+    their interval in P."""
     inst = random_instance(56589932, n_max=4)
     assert (inst.n, inst.m, inst.k) == (3, 9, 2)
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
-        "solves": 10, "tried": 9, "independent": 9, "planes": 9, "lines": 33}
+        "solves": 10, "tried": 9, "independent": 9, "planes": 9, "lines": 33,
+        "edge lines": 33, "values": 19}
+
+
+def test_face_walk_values_no_point_of_a_line_that_cannot_win(monkeypatch):
+    """The square |x_i| <= 1 with the row x_1 <= 2, under f = -x_0^2 + 3 x_0
+    + x_1 (k = 1): the empty set's stationarity system is inconsistent, so
+    no line is dominated.  Of its 5 edge lines, x_0 = +-1 have a = 0 != b
+    (f grows along them); x_1 = +-1 have a = 2 and t* = 3/2, off their
+    interval [-1, 1]; and x_1 = 2 misses P.  So the walk values only the 4
+    leaves, the square's corners; it valued 7 points when it valued the
+    last three lines before it tested them.  The maximum is f(1, 1) = 3, a
+    leaf."""
+    inst = instance([[1, 0], [-1, 0], [0, 1], [0, -1], [0, 1]], [1, 1, 1, 1, 2], [1], [3, 1], 1)
+    plane = ((), None, None, ([0, 0], [[1, 0], [0, 1]], 1))  # the empty set's solution
+    lines = [line for _, line in polyhedra.edge_lines(inst.polyhedron(), [plane])]
+    assert [(line.X0, line.w, line.meets) for line in lines[2:]] == [
+        ([0, 1], [1, 0], True), ([0, -1], [1, 0], True), ([0, 2], [1, 0], False)]
+    assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
+        "solves": 1, "planes": 1, "lines": 5, "edge lines": 5, "values": 4}
+    monkeypatch.undo()
+    assert oracles.fmax_cont_witness(inst) == (3, (1, 1))
 
 
 def verdict_loop_approx(inst, eps):

@@ -8,6 +8,7 @@ from itertools import combinations, product
 from operator import mul
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -358,18 +359,124 @@ def test_line_vertices_match_leaf_echelons(P):
             assert line.holds(num, den) == polyhedra.contains_int(P, X, L * den)
 
 
-def leaf_echelon_lines(P):
-    """(S, Line) for each independent set S of n - 1 int rows, in (size,
+class ListLine(NamedTuple):
+    """polyhedra.Line as it was, with a list of each row's product A_i.w and
+    slack L b_i - A_i.X0: the reference the column lines are checked
+    against (see polyhedra.Line for the fields)."""
+
+    X0: list[int]
+    w: list[int]
+    L: int
+    dots: list[int]
+    slacks: list[int]
+    lo: tuple[int, int] | None
+    hi: tuple[int, int] | None
+    meets: bool
+
+    @property
+    def recedes(self) -> bool:
+        return self.lo is None or self.hi is None
+
+    def vertices(self, start):
+        """Line.vertices as it was, on the lists."""
+        if not self.meets:
+            return
+        X0, w, L = self.X0, self.w, self.L
+        for j in range(start, len(self.dots)):
+            dot, s = self.dots[j], self.slacks[j]
+            if not dot:
+                continue
+            end = self.hi if dot > 0 else self.lo
+            if s * end[1] != end[0] * dot:
+                continue
+            e = abs(dot)
+            if dot < 0:
+                s = -s
+            yield [(e * x + s * y) // L for x, y in zip(X0, w)], e
+
+
+def list_line(X0, w, L, dots, slacks):
+    """polyhedra._line as it was: the ListLine of the given products and
+    slacks, by one ratio-test pass over the lists."""
+    lo = hi = None
+    meets = True
+    for dot, s in zip(dots, slacks):
+        if dot > 0:
+            if hi is None or s * hi[1] < hi[0] * dot:
+                hi = (s, dot)
+        elif dot < 0:
+            if lo is None or lo[0] * -dot < -s * lo[1]:
+                lo = (-s, -dot)
+        elif s < 0:
+            meets = False
+    if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
+        meets = False
+    return ListLine(X0, w, L, dots, slacks, lo, hi, meets)
+
+
+def list_line_through(P, X0, w, L):
+    """polyhedra.line_through as it was: both lists, then list_line."""
+    rows, rhs = P.int_rows
+    return list_line(X0, w, L, [sum(map(mul, row, w)) for row in rows],
+                     [L * c - sum(map(mul, row, X0)) for row, c in zip(rows, rhs)])
+
+
+def list_plane_lines(P, start, X0, W, L):
+    """polyhedra.plane_lines as it was: per line, the lists of its rows'
+    products and slacks, each divided by L, and then list_line."""
+    rows, rhs = P.int_rows
+    W1, W2 = W
+    U = [sum(map(mul, row, W1)) for row in rows[start:]]
+    V = [sum(map(mul, row, W2)) for row in rows[start:]]
+    if not (any(U) or any(V)):
+        return
+    U = [sum(map(mul, row, W1)) for row in rows[:start]] + U
+    V = [sum(map(mul, row, W2)) for row in rows[:start]] + V
+    T = [L * c - sum(map(mul, row, X0)) for row, c in zip(rows, rhs)]
+    for j in range(start, len(rows)):
+        if U[j]:
+            G, F, Wg, Wf = U, V, W1, W2
+        elif V[j]:
+            G, F, Wg, Wf = V, U, W2, W1
+        else:
+            continue
+        a, b, c = G[j], F[j], T[j]
+        if a < 0:
+            a, b, c = -a, -b, -c
+        yield j, list_line([(a * x + c * y) // L for x, y in zip(X0, Wg)],
+                           [(a * x - b * y) // L for x, y in zip(Wf, Wg)], a,
+                           [(a * f - b * g) // L for f, g in zip(F, G)],
+                           [(a * s - c * g) // L for s, g in zip(T, G)])
+
+
+LINE_FIELDS = ("X0", "w", "L", "dots", "slacks", "lo", "hi", "meets", "recedes")
+
+
+def assert_same_lines(got, want):
+    """got and want hold (key, line) pairs with the same keys in the same
+    order, and each line of got has the reference line's every field
+    (LINE_FIELDS) and its every leaf: the same vertices from each start
+    row, 0 through m."""
+    assert [key for key, _ in got] == [key for key, _ in want]
+    for (key, line), (_, ref) in zip(got, want):
+        for field in LINE_FIELDS:
+            assert getattr(line, field) == getattr(ref, field), (key, field)
+        for start in range(len(ref.dots) + 1):
+            assert list(line.vertices(start)) == list(ref.vertices(start)), (key, start)
+
+
+def leaf_echelon_lines(P, through=list_line_through):
+    """(S, line) for each independent set S of n - 1 int rows, in (size,
     lex) order, each from the echelon of S: exact._solution_space and then
-    line_through, as the face walk built every line before it took them
-    from their planes."""
+    through, list_line_through unless given, as the face walk built every
+    line before it took them from their planes."""
     n = P.n
     rows, rhs = P.int_rows
     aug = [[*row, b] for row, b in zip(rows, rhs)]
     out = []
     for S, a, pivots in exact.independent_row_sets(aug, n, n - 1, n - 1):
         X0, (w,), L = exact._solution_space(a, pivots, n)
-        out.append((S, polyhedra.line_through(P, X0, w, L)))
+        out.append((S, through(P, X0, w, L)))
     return out
 
 
@@ -388,8 +495,9 @@ def plane_line_cases(P) -> set[str]:
     """The cases of P that plane_lines must get right: its dimension, zero
     rows, rows equal or opposite up to a positive scale, a plane with rows
     after it none of which is independent of it, a line whose row j has
-    u_j = 0 != v_j (its pivot is the second free column) and a plane with
-    L != 1 that has a line."""
+    u_j = 0 != v_j (its pivot is the second free column), a plane with
+    L != 1 that has a line, and a line that misses P and one that recedes
+    (list_plane_lines)."""
     n = P.n
     rows, rhs = P.int_rows
     cases = {f"n={n}"}
@@ -418,11 +526,16 @@ def plane_line_cases(P) -> set[str]:
             cases.add("f2 pivot")
         if L != 1 and any(u or v for u, v in later):
             cases.add("L != 1")
+        for _, line in list_plane_lines(P, start, X0, (W1, W2), L):
+            if not line.meets:
+                cases.add("misses P")
+            if line.recedes:
+                cases.add("recedes")
     return cases
 
 
 PLANE_CASES = ["n=1", "n=2", "n=3", "n=4", "zero row", "duplicate row", "opposite row",
-               "dependent rows", "f2 pivot", "L != 1"]
+               "dependent rows", "f2 pivot", "L != 1", "misses P", "recedes"]
 PLANE_EXAMPLES = [
     polyhedron([[2], [-1], [0], [4]], [3, 1, 0, F(1, 2)], 1),
     polyhedron([[1, 0], [0, 1], [-1, -1], [0, 0]], [1, 1, 1, 0], 2),
@@ -464,17 +577,17 @@ def test_plane_line_examples_cover_every_case():
 def test_plane_lines_match_leaf_echelons(P):
     """edge_lines gives, through plane_lines for each plane and in the same
     j order, the Line that the echelon of the plane plus row j gives
-    through exact._solution_space and line_through: every field equal,
-    whether each plane comes solved or is solved on demand.  For n = 1 it
-    is the axis line."""
+    through exact._solution_space and the reference list_line_through: every
+    field and every leaf equal, whether each plane comes solved or is
+    solved on demand.  For n = 1 it is the axis line."""
     want = leaf_echelon_lines(P)
-    assert edge_lines_on_planes(P, True) == want
-    assert edge_lines_on_planes(P, False) == want
+    assert_same_lines(edge_lines_on_planes(P, True), want)
+    assert_same_lines(edge_lines_on_planes(P, False), want)
 
 
 def two_path_plane_lines(P, start, X0, W, L):
     """plane_lines as it was with a second yield for L = 1, which skipped
-    the exact divisions by L."""
+    the exact divisions by L, each line a ListLine."""
     rows, rhs = P.int_rows
     W1, W2 = W
     U = [sum(map(mul, row, W1)) for row in rows[start:]]
@@ -495,15 +608,15 @@ def two_path_plane_lines(P, start, X0, W, L):
         if a < 0:
             a, b, c = -a, -b, -c
         if L == 1:
-            yield j, polyhedra._line([a * x + c * y for x, y in zip(X0, Wg)],
-                                     [a * x - b * y for x, y in zip(Wf, Wg)], a,
-                                     [a * f - b * g for f, g in zip(F, G)],
-                                     [a * s - c * g for s, g in zip(T, G)])
+            yield j, list_line([a * x + c * y for x, y in zip(X0, Wg)],
+                               [a * x - b * y for x, y in zip(Wf, Wg)], a,
+                               [a * f - b * g for f, g in zip(F, G)],
+                               [a * s - c * g for s, g in zip(T, G)])
         else:
-            yield j, polyhedra._line([(a * x + c * y) // L for x, y in zip(X0, Wg)],
-                                     [(a * x - b * y) // L for x, y in zip(Wf, Wg)], a,
-                                     [(a * f - b * g) // L for f, g in zip(F, G)],
-                                     [(a * s - c * g) // L for s, g in zip(T, G)])
+            yield j, list_line([(a * x + c * y) // L for x, y in zip(X0, Wg)],
+                               [(a * x - b * y) // L for x, y in zip(Wf, Wg)], a,
+                               [(a * f - b * g) // L for f, g in zip(F, G)],
+                               [(a * s - c * g) // L for s, g in zip(T, G)])
 
 
 def plane_line_pairs(P):
@@ -539,16 +652,43 @@ def test_plane_line_examples_reach_both_paths():
 @example(PLANE_EXAMPLES[3])
 @example(PLANE_EXAMPLES[4])
 def test_plane_lines_match_their_two_path_reference(P):
-    """plane_lines' one dividing yield gives the Lines that the L = 1 copy
-    gave without division, and the same on L > 1 planes."""
+    """plane_lines' column lines have every field and every leaf of the
+    lines that the L = 1 copy gave without division, and the same on L > 1
+    planes."""
     for _, got, want in plane_line_pairs(P):
-        assert got == want
+        assert_same_lines(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plane_systems())
+@example(PLANE_EXAMPLES[0])
+@example(PLANE_EXAMPLES[1])
+@example(PLANE_EXAMPLES[2])
+@example(PLANE_EXAMPLES[3])
+@example(PLANE_EXAMPLES[4])
+def test_lines_match_the_list_reference(P):
+    """plane_lines' lines, each one ratio-test pass over its plane's
+    columns, have every field and every leaf of list_plane_lines' lines,
+    which built two lists each; line_through's lines, on every independent
+    set of n - 1 rows (the axis for n = 1), those of list_line_through.  The
+    draws hold zero and duplicate rows, lines that miss P, receding lines
+    and planes with L > 1 (plane_line_cases)."""
+    n = P.n
+    rows, rhs = P.int_rows
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    for S, a, pivots in exact.independent_row_sets(aug, n, n - 2, n - 2):
+        start = S[-1] + 1 if S else 0
+        sol = exact._solution_space(a, pivots, n)
+        assert_same_lines(list(polyhedra.plane_lines(P, start, *sol)),
+                          list(list_plane_lines(P, start, *sol)))
+    assert_same_lines(leaf_echelon_lines(P, polyhedra.line_through), leaf_echelon_lines(P))
 
 
 def test_seed0_solve_lines_match_the_two_path_reference(monkeypatch, tmp_path):
     """Every plane_lines call of the benchmark's seed-0 solve pass gives the
-    two-path reference's Lines: 1,254 lines on planes with L = 1 and 20 on
-    planes with L > 1, so both paths are reached."""
+    two-path reference's lines, field by field and leaf by leaf: 1,254
+    lines on planes with L = 1 and 20 on planes with L > 1, so both paths
+    are reached."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_run", Path(__file__).resolve().parents[1] / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
@@ -565,7 +705,7 @@ def test_seed0_solve_lines_match_the_two_path_reference(monkeypatch, tmp_path):
 
     def checked(P, start, X0, W, L):
         got = list(one_path(P, start, X0, W, L))
-        assert got == list(two_path_plane_lines(P, start, X0, W, L))
+        assert_same_lines(got, list(two_path_plane_lines(P, start, X0, W, L)))
         lines["L = 1" if L == 1 else "L > 1"] += len(got)
         return iter(got)
 
@@ -573,6 +713,120 @@ def test_seed0_solve_lines_match_the_two_path_reference(monkeypatch, tmp_path):
     for op in p.ops:
         op.check(op.run())
     assert lines == {"L = 1": 1254, "L > 1": 20}
+
+
+class KeepAll:
+    """The search of the reference walk without one: every prefix kept."""
+
+    def start(self, lo, hi):
+        return 0
+
+    def child(self, j, value, v):
+        return value
+
+    def run(self, prefix, lo, hi, value):
+        pass
+
+
+def recursive_lattice_runs(P, box=None, search=None):
+    """polyhedra.lattice_runs as it was: every level recursive, each child
+    prefix with a slack list of its own, and every run reached kept and
+    returned, with a search or without."""
+    if box is None:
+        verts = polyhedra.vertex_ints(P)
+        if not verts:
+            return []
+        box = polyhedra.vertex_box(verts)
+    if search is None:
+        search = KeepAll()
+    n = P.n
+    rows, rhs = P.int_rows
+    lows, highs, e = box
+    lo = [-(-a // e) for a in lows]
+    hi = [b // e for b in highs]
+    bounds = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        tail = 0
+        for j in reversed(range(n)):
+            a = row[j]
+            if a:
+                bounds[j].append((i, e * a, tail))
+                tail += a * (lows[j] if a > 0 else highs[j])
+    child, take = search.child, search.run
+    out = []
+    prefix = []
+
+    def rec(j, slack, value):
+        lo_j, hi_j = lo[j], hi[j]
+        for i, c, tail in bounds[j]:
+            s = e * slack[i] - tail
+            if c > 0:
+                hi_j = min(hi_j, s // c)
+            else:
+                lo_j = max(lo_j, -(-s // c))
+        if j == n - 1:
+            if lo_j <= hi_j:
+                out.append((tuple(prefix), lo_j, hi_j))
+                take(*out[-1], value)
+            return
+        for v in range(lo_j, hi_j + 1):
+            below = child(j, value, v)
+            if below is None:
+                continue
+            prefix.append(v)
+            rec(j + 1, [s - row[j] * v for s, row in zip(slack, rows)], below)
+            prefix.pop()
+
+    rec(0, list(rhs), search.start(lo, hi))
+    return out
+
+
+class RecordingSearch:
+    """A search that records every call the walk makes: start's box,
+    child's (j, value, v) with its answer, and each run with its value.  A
+    prefix's value is value * 3 + v + j; it is skipped when that value is a
+    multiple of modulus, and never when modulus is 0."""
+
+    def __init__(self, modulus):
+        self.modulus, self.calls = modulus, []
+
+    def start(self, lo, hi):
+        self.calls.append(("start", list(lo), list(hi)))
+        return 0
+
+    def child(self, j, value, v):
+        below = value * 3 + v + j
+        if self.modulus and below % self.modulus == 0:
+            below = None
+        self.calls.append(("child", j, value, v, below))
+        return below
+
+    def run(self, prefix, lo, hi, value):
+        self.calls.append(("run", tuple(prefix), lo, hi, value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(bounded_systems(), plane_systems()), st.sampled_from([0, 2, 3, 5]))
+@example(polyhedron([[2], [-1]], [3, 1]), 2)                                  # n = 1
+@example(square(2), 0)
+@example(square(2), 3)
+@example(polyhedron([[0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
+                    [0, 2, 2, 2, 2]), 2)                                      # square pyramid
+def test_lattice_runs_match_the_recursive_reference(P, modulus):
+    """lattice_runs, with its last prefix level in place, gives the runs of
+    the recursive walk without a search; with one, it makes the same calls
+    in the same order (the same children skipped, the same runs taken with
+    the same values) and returns nothing; or both raise the same
+    UnboundedError."""
+    same_or_same_error(lambda: polyhedra.lattice_runs(P), lambda: recursive_lattice_runs(P))
+    got, want = RecordingSearch(modulus), RecordingSearch(modulus)
+    try:
+        runs = recursive_lattice_runs(P, None, want)
+    except UnboundedError:
+        return
+    assert polyhedra.lattice_runs(P, None, got) is None
+    assert got.calls == want.calls
+    assert [call[1:4] for call in want.calls if call[0] == "run"] == runs
 
 
 VERTEX_EXAMPLES = [
