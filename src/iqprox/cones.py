@@ -40,19 +40,13 @@ class ProximityCone:
 class ConicDecomposition:
     """target = sum_i coefficients[i] * generators[i], all coefficients > 0.
 
-    The generators of enumerate_generators are int tuples.  combine sums any
-    coefficient list over the generators, so the floored or split
-    coefficients of a decomposition are combined by it too.
+    The generators of enumerate_generators are int tuples.  The rounding
+    step combines them with floored or split coefficients as ints
+    (pipeline._combine_int).
     """
 
     generators: list[tuple[int | Fraction, ...]] = field(default_factory=list)
     coefficients: list[Fraction] = field(default_factory=list)
-
-    def combine(self, n: int) -> list[Fraction]:
-        out = [ZERO] * n
-        for g, c in zip(self.generators, self.coefficients):
-            out = [o + c * gi for o, gi in zip(out, g)]
-        return out
 
 
 def build_cone(rows, D) -> ProximityCone:

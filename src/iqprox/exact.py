@@ -27,22 +27,12 @@ from operator import mul, neg
 from .errors import DimensionError, DomainError
 
 
-def vec(xs) -> list[Fraction]:
-    return [Fraction(x) for x in xs]
-
-
 def is_integral(x: Fraction) -> bool:
     return (x if isinstance(x, (int, Fraction)) else Fraction(x)).denominator == 1
 
 
 def is_integral_vec(v) -> bool:
     return all(is_integral(x) for x in v)
-
-
-def dot(u, v) -> Fraction:
-    if len(u) != len(v):
-        raise DimensionError(f"dot: {len(u)} vs {len(v)}")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
 def vec_add(u, v) -> list[Fraction]:

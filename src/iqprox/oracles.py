@@ -339,8 +339,9 @@ def _face_walk(inst: Instance):
     or None for a dominated plane), and after the whole level n - 2 takes
     the lines from polyhedra.edge_lines on those planes: the same ints as
     the echelon of S' plus row j gives, at one pass over the plane's
-    columns a line, in the same (size, lex) order.  The lines have a loop
-    of their own, after the row sets', and in it a line is
+    columns a line, in the same (size, lex) order.  The lines stream, after
+    the row sets, into polyhedra.line_leaves, and none is kept; each takes
+    its leaves there and then its face work, in which a line is
 
     - kept for its leaves, and nothing more, when it misses P or its plane
       is dominated: no face reads a line's bound;
@@ -359,7 +360,7 @@ def _face_walk(inst: Instance):
     n - 1 is done: in (size, lex) order every (n - 1)-set comes before
     every n-set, so the best value each leaf is compared with, and the
     witness it may become, are those of that order.  Every line is met with
-    P, dominated or not, so polyhedra.line_leaves of the lines gives every
+    P, dominated or not, so polyhedra.line_leaves of the stream gives every
     leaf, and whether P is a nonempty polytope, whose vertices they are.
 
     Everything but the LP runs on the int rows of P.  The walk gives each
@@ -435,33 +436,38 @@ def _face_walk(inst: Instance):
             if pt is not None:
                 best, wit, pending = (num, den), exact.integer_vector(pt), None
     above = bounds  # the planes' bounds
-    lines = []  # (S, line) per independent (n - 1)-set, for its leaves
-    for S, line in edge_lines(P, planes):
-        lines.append((S, line))
-        if not line.meets or dominated(S):  # no face reads a line's bound
-            continue
-        # a t = b, solved as exact.solution_space_int would solve it
-        X0, w, L = line.X0, line.w, line.L
-        Qw = list(map(mul, Q2, w))
-        a = sum(map(mul, Qw, w))
-        b = L * sum(map(mul, w, H)) - sum(map(mul, Qw, X0))
-        if a:  # one point, at t = b / a, to test before it is valued
-            if not line.holds(b, a):
+
+    def lines():
+        """The edge lines (S, line), each handed on to line_leaves as it
+        comes and then given its face work, so no list of them is kept."""
+        nonlocal best, wit, pending
+        for S, line in edge_lines(P, planes):
+            yield S, line
+            if not line.meets or dominated(S):  # no face reads a line's bound
                 continue
-            X, e = [x * a + b * c for x, c in zip(X0, w)], L * a
-        elif b:
-            continue
-        else:  # f is constant on the line
-            X, e = X0, L
-        num, den = _objective_numerator(Q, H, X, e), d * e * e
-        if best is not None and num * best[1] <= best[0] * den:
-            continue
-        if a:
-            best, wit, pending = (num, den), (X, e), None
-        else:
-            _check_face_constant(inst, S, line, num, den)
-            best, wit, pending = (num, den), None, (S, [w], L)
-    leaves, polytope = line_leaves(lines)
+            # a t = b, solved as exact.solution_space_int would solve it
+            X0, w, L = line.X0, line.w, line.L
+            Qw = list(map(mul, Q2, w))
+            a = sum(map(mul, Qw, w))
+            b = L * sum(map(mul, w, H)) - sum(map(mul, Qw, X0))
+            if a:  # one point, at t = b / a, to test before it is valued
+                if not line.holds(b, a):
+                    continue
+                X, e = [x * a + b * c for x, c in zip(X0, w)], L * a
+            elif b:
+                continue
+            else:  # f is constant on the line
+                X, e = X0, L
+            num, den = _objective_numerator(Q, H, X, e), d * e * e
+            if best is not None and num * best[1] <= best[0] * den:
+                continue
+            if a:
+                best, wit, pending = (num, den), (X, e), None
+            else:
+                _check_face_constant(inst, S, line, num, den)
+                best, wit, pending = (num, den), None, (S, [w], L)
+
+    leaves, polytope = line_leaves(lines())
     verts = _valued(inst, leaves)
     for X, e, num, den in verts:  # the leaves S + (j,), in (S, j) order
         if best is None or num * best[1] > best[0] * den:

@@ -1,7 +1,5 @@
 import random
 from fractions import Fraction as F
-from itertools import chain, combinations, product
-from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +15,7 @@ from iqprox.errors import (ClaimViolation, DimensionError, InputError,
 from iqprox.families import build_prop44, random_instance
 from iqprox.pipeline import restricted_polyhedron, run_pipeline
 from iqprox.polyhedra import polyhedron
+from reference import combine, dot, generators
 
 
 def direction(xa, xb) -> list[int]:
@@ -90,41 +89,13 @@ def test_generators_beyond_delta_violate_a_claim():
     assert err.value.claim == "generator-norm"
 
 
-def orthant_generators(cone):
-    """Reference: extreme rays of the cone cut by each orthant in turn.
-
-    Every linearly independent (n-1)-subset of the cone rows and coordinate
-    planes, without deduplicating rows, gives a line; its directions are
-    kept when they lie in the orthant and in the cone.  (The orthant loop is
-    inside the subset loop, so each null space and each cone membership is
-    computed once.)  Each kept direction is scaled to integers and divided
-    by its gcd.
-    """
-    n = cone.ambient_dim
-    hyperplanes = [list(r) for r in cone.a1] + [list(r) for r in cone.a2]
-    hyperplanes += [[F(int(i == j)) for j in range(n)] for i in range(n)]
-    found = set()
-    for S in combinations(hyperplanes, n - 1):
-        if exact.rank(list(S)) != n - 1:
-            continue
-        r = exact.null_space(list(S), n)[0]
-        rays = [d for d in (r, [-x for x in r]) if cone_contains(cone, d)]
-        for signs in product((1, -1), repeat=n):
-            for d in rays:
-                if all(s * x >= 0 for s, x in zip(signs, d)):
-                    D, _ = exact.integer_vector(d)
-                    g = gcd(*D)
-                    found.add(tuple(F(x // g) for x in D))
-    return tuple(sorted(found))
-
-
 def assert_generators_match_orthants(A, xa, xb):
-    """Both enumerations agree on the cone of A's rows scaled to ints, and
-    Delta is taken on those rows."""
+    """enumerate_generators agrees with the reference on the cone of A's
+    rows scaled to ints, and Delta is taken on those rows."""
     rows = exact._integer_rows(A)[0]
     delta = max(1, exact.max_abs_subdeterminant(rows))
     cone = build_cone(rows, direction(xa, xb))
-    assert int_generators(enumerate_generators(cone, delta)) == orthant_generators(cone)
+    assert int_generators(enumerate_generators(cone, delta)) == generators(cone, delta)
 
 
 def int_generators(gens):
@@ -184,47 +155,13 @@ def test_generators_match_orthant_enumeration_restricted():
         xa = [F(0) if i in zset else F(rng.randint(-2, 2)) for i in range(inst.n)]
         cone = build_cone(P.int_rows[0], direction(xa, [0] * inst.n))
         delta = max(1, exact.max_abs_subdeterminant(P.A))
-        assert int_generators(enumerate_generators(cone, delta)) == orthant_generators(cone)
+        assert int_generators(enumerate_generators(cone, delta)) == generators(cone, delta)
         ties = len(cone.a1) + len(cone.a2) - P.m
         seen.add((inst.n, bool(zset), ties > 2 * len(zset)))
     assert not any(quota.values())
     # Some cones have +-e_i rows, and some have further tie rows.
     assert {z for _, z, _ in seen} == {True, False}
     assert {t for _, _, t in seen} == {True, False}
-
-
-def combinations_enumerate_generators(cone, delta):
-    """enumerate_generators with one solution_space_int per (n-1)-subset of
-    the hyperplanes, in combinations order: the loop the walk replaced.  It
-    keeps the walk's former Fraction path too: each candidate ray is tested
-    by cone_contains, which scales it again, and each generator is a tuple
-    of Fractions."""
-    if delta < 1:
-        raise InputError("delta must be a positive integer")
-    n = cone.ambient_dim
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    hyperplanes = {}
-    for r in chain(cone.a1, cone.a2, units):
-        lead = next((x for x in r if x), 0)
-        if lead:
-            g = gcd(*r) if lead > 0 else -gcd(*r)
-            hyperplanes[tuple(x // g for x in r)] = None
-    zeros = [0] * (n - 1)
-    found = set()
-    for M in combinations(hyperplanes, n - 1):
-        _, W, _ = exact.solution_space_int(M, zeros, n)
-        if len(W) != 1:
-            continue
-        g = gcd(*W[0])
-        line = [x // g for x in W[0]]
-        for r in (line, [-x for x in line]):
-            if cone_contains(cone, r):
-                if max(map(abs, r)) > delta:
-                    raise ClaimViolation(
-                        "generator-norm",
-                        f"generator {tuple(r)} exceeds the subdeterminant bound {delta}")
-                found.add(tuple(r))
-    return tuple(tuple(map(F, g)) for g in sorted(found))
 
 
 @st.composite
@@ -246,96 +183,17 @@ def generator_cones(draw):
     ties = draw(st.sampled_from(["none", "all", "some"]))
     xb = list(xa) if ties == "all" else [draw(RATIONALS) for _ in range(n)]
     d = exact.vec_sub(xa, xb)
-    dd = exact.dot(d, d)
+    dd = dot(d, d)
     if ties == "some" and dd:
         for i, u in enumerate(A):
             if draw(st.booleans()):  # project out d: a tie row
-                c = exact.dot(u, d) / dd
+                c = dot(u, d) / dd
                 A[i] = [ui - c * di for ui, di in zip(u, d)]
     rows = exact._integer_rows(A)[0]
     delta = draw(st.one_of(st.integers(1, 3), st.none()))
     if delta is None:
         delta = max(1, exact.max_abs_subdeterminant(rows))
     return build_cone(rows, direction(xa, xb)), delta
-
-
-@settings(max_examples=200, deadline=None)
-@given(generator_cones())
-# ties of rank n: the cone is {0}
-@example((build_cone([[1, 0], [0, 1], [1, 1]], [0, 0]), 1))
-@example((build_cone([[2], [-1]], [0]), 1))
-# ties of rank n - 1 and of rank 1 at n = 3
-@example((build_cone([[1, -1, 0], [2, -2, 0], [0, 0, 1], [1, 1, 1]],
-                     [1, 1, 0]), 1))
-@example((build_cone([[1, -1, 0], [1, 0, 2], [0, 1, -1]], [1, 1, 0]), 2))
-# ties of rank 2 at n = 3 whose line (2, -1, 1) is beyond Delta = 1
-@example((build_cone([[1, 2, 0], [0, 1, 1], [1, 0, 0]], [2, -1, 1]), 1))
-# n = 1 without a tie
-@example((build_cone([[1]], [-1]), 1))
-def test_generators_match_combinations_reference(case):
-    """The same sorted generators as the combinations loop, as int tuples,
-    or the same generator-norm violation naming the same generator."""
-    cone, delta = case
-    try:
-        want = combinations_enumerate_generators(cone, delta)
-    except ClaimViolation as err:
-        with pytest.raises(ClaimViolation) as got:
-            enumerate_generators(cone, delta)
-        assert (got.value.claim, str(got.value)) == (err.claim, str(err))
-        return
-    assert int_generators(enumerate_generators(cone, delta)) == want
-
-
-def loop_equality_echelon(cone):
-    """The echelon of the cone's rows on both sides, as enumerate_generators
-    built it with its own loop before it ran exact._eliminate: each such row
-    of a1, in order, added by _extend_echelon, and no row added after the
-    echelon reaches rank n."""
-    n = cone.ambient_dim
-    both = set(cone.a2)
-    eq, eq_pivots = [], []
-    for row in cone.a1:
-        if row in both:
-            ext = exact._extend_echelon(eq, eq_pivots, row, n)
-            if ext is not None:
-                eq.append(ext[0])
-                eq_pivots.append(ext[1])
-                if len(eq) == n:
-                    break
-    return eq, eq_pivots
-
-
-def loop_enumerate_generators(cone, delta):
-    """enumerate_generators on loop_equality_echelon: the walk as it ran
-    before its equality echelon came from exact._eliminate."""
-    if delta < 1:
-        raise InputError("delta must be a positive integer")
-    n = cone.ambient_dim
-    eq, eq_pivots = loop_equality_echelon(cone)
-    if len(eq) == n:
-        return ()
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    hyperplanes = {}
-    for r in chain(cone.a1, cone.a2, units):
-        lead = next((x for x in r if x), 0)
-        if lead:
-            g = gcd(*r) if lead > 0 else -gcd(*r)
-            hyperplanes[tuple(x // g for x in r)] = None
-    size = n - 1 - len(eq)
-    found = set()
-    for _, a, pivots in exact.independent_row_sets(
-            list(hyperplanes), n, size, size, (eq, eq_pivots)):
-        w = exact._kernel(a, pivots, n)[0]
-        g = gcd(*w)
-        line = [x // g for x in w]
-        for r in (line, [-x for x in line]):
-            if cones._cone_holds(cone, r):
-                if max(map(abs, r)) > delta:
-                    raise ClaimViolation(
-                        "generator-norm",
-                        f"generator {tuple(r)} exceeds the subdeterminant bound {delta}")
-                found.add(tuple(r))
-    return tuple(sorted(found))
 
 
 TIED_EXAMPLES = [
@@ -382,22 +240,31 @@ def with_tied_examples(test):
 @settings(max_examples=200, deadline=None)
 @given(generator_cones())
 @with_tied_examples
-def test_generators_match_the_equality_loop_they_replaced(case):
-    """exact._eliminate on the rows on both sides gives the echelon of the
-    former loop, and enumerate_generators its generators, or the same
-    generator-norm violation."""
+# ties of rank n: the cone is {0}
+@example((build_cone([[1, 0], [0, 1], [1, 1]], [0, 0]), 1))
+@example((build_cone([[2], [-1]], [0]), 1))
+# ties of rank n - 1 and of rank 1 at n = 3
+@example((build_cone([[1, -1, 0], [2, -2, 0], [0, 0, 1], [1, 1, 1]],
+                     [1, 1, 0]), 1))
+@example((build_cone([[1, -1, 0], [1, 0, 2], [0, 1, -1]], [1, 1, 0]), 2))
+# ties of rank 2 at n = 3 whose line (2, -1, 1) is beyond Delta = 1
+@example((build_cone([[1, 2, 0], [0, 1, 1], [1, 0, 0]], [2, -1, 1]), 1))
+# n = 1 without a tie
+@example((build_cone([[1]], [-1]), 1))
+def test_generators_match_combinations_reference(case):
+    """The same sorted generators as the combinations loop, as int tuples,
+    or the same generator-norm violation naming the same generator; the
+    tied examples reach every way the rows on both sides stand
+    (tie_cases)."""
     cone, delta = case
-    both = set(cone.a2)
-    assert exact._eliminate([row for row in cone.a1 if row in both],
-                            cone.ambient_dim) == loop_equality_echelon(cone)
     try:
-        want = loop_enumerate_generators(cone, delta)
+        want = generators(cone, delta)
     except ClaimViolation as err:
         with pytest.raises(ClaimViolation) as got:
             enumerate_generators(cone, delta)
-        assert str(got.value) == str(err)
+        assert (got.value.claim, str(got.value)) == (err.claim, str(err))
         return
-    assert enumerate_generators(cone, delta) == want
+    assert int_generators(enumerate_generators(cone, delta)) == want
 
 
 def counted_extend(monkeypatch):
@@ -502,7 +369,7 @@ def test_caratheodory_small():
     cone = build_cone([[1, -1]], [1, 0])
     gens = enumerate_generators(cone, 1)
     dec = caratheodory_decompose([F(3), F(1)], gens)
-    assert dec.combine(2) == [F(3), F(1)]
+    assert combine(dec, 2) == [F(3), F(1)]
     assert len(dec.generators) <= 2
     assert all(c > 0 for c in dec.coefficients)
     assert exact.rank(list(dec.generators)) == len(dec.generators)
@@ -715,7 +582,7 @@ def test_caratheodory_random_recombination():
             c = F(rng.randint(0, 3), rng.randint(1, 2))
             target = exact.vec_add(target, [c * x for x in g])
         dec = caratheodory_decompose(target, gens)
-        assert dec.combine(n) == list(target)
+        assert combine(dec, n) == list(target)
         assert len(dec.generators) <= n
         assert exact.rank(list(dec.generators)) == len(dec.generators)
         checked += 1
@@ -773,9 +640,8 @@ def test_check_two_representations_rejects_a_generator_outside_the_cone():
 
 def reference_cone_contains(cone, x):
     """Cone membership in Fraction arithmetic."""
-    xv = exact.vec(x)
-    return (all(exact.dot(r, xv) <= 0 for r in cone.a1)
-            and all(exact.dot(r, xv) >= 0 for r in cone.a2))
+    return (all(dot(r, x) <= 0 for r in cone.a1)
+            and all(dot(r, x) >= 0 for r in cone.a2))
 
 
 RATIONALS = st.one_of(st.integers(-3, 3),
@@ -811,11 +677,10 @@ def test_cone_contains_matches_fraction_reference(case):
 
 def reference_build_cone(A, xa, xb):
     """The row partition in Fraction arithmetic, u.xa against u.xb."""
-    xav, xbv = exact.vec(xa), exact.vec(xb)
     a1, a2 = [], []
     for row in A:
         r = tuple(F(x) for x in row)
-        lhs, rhs = exact.dot(r, xav), exact.dot(r, xbv)
+        lhs, rhs = dot(r, xa), dot(r, xb)
         if lhs <= rhs:
             a1.append(r)
         if lhs >= rhs:
@@ -831,12 +696,12 @@ def partition_cases(draw):
     xa = [draw(RATIONALS) for _ in range(n)]
     xb = list(xa) if draw(st.booleans()) else [draw(RATIONALS) for _ in range(n)]
     d = exact.vec_sub(xa, xb)
-    dd = exact.dot(d, d)
+    dd = dot(d, d)
     A = []
     for _ in range(m):
         u = [draw(RATIONALS) for _ in range(n)]
         if dd and draw(st.booleans()):  # project out d: a tie row
-            c = exact.dot(u, d) / dd
+            c = dot(u, d) / dd
             u = [ui - c * di for ui, di in zip(u, d)]
         form = draw(st.sampled_from(["list", "fractions", "ints"]))
         if form == "fractions":

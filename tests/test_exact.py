@@ -8,24 +8,7 @@ from hypothesis import strategies as st
 
 from iqprox import exact
 from iqprox.errors import DimensionError, DomainError
-
-
-def det_by_expansion(M):
-    """Leibniz formula, the slowest possible determinant. Used as oracle."""
-    n = len(M)
-    total = F(0)
-    for perm in permutations(range(n)):
-        sign = 1
-        p = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if p[i] > p[j]:
-                    sign = -sign
-        term = F(1)
-        for i in range(n):
-            term *= F(M[i][perm[i]])
-        total += sign * term
-    return total
+from reference import delta_witness, det, dot, integer_matrix, solve
 
 
 small_int = st.integers(min_value=-6, max_value=6)
@@ -52,7 +35,7 @@ def sign_examples(test):
 @settings(max_examples=60, deadline=None)
 @sign_examples
 def test_det_matches_leibniz(M):
-    assert exact.det(M) == det_by_expansion(M)
+    assert exact.det(M) == det(M)
 
 
 @given(st.integers(min_value=1, max_value=3), st.data())
@@ -60,29 +43,12 @@ def test_det_matches_leibniz(M):
 def test_det_rational_matches_leibniz(n, data):
     rat = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     M = [[data.draw(rat) for _ in range(n)] for _ in range(n)]
-    assert exact.det(M) == det_by_expansion(M)
+    assert exact.det(M) == det(M)
 
 
 def test_det_not_square():
     with pytest.raises(DimensionError):
         exact.det([[1, 2]])
-
-
-def loop_det_int(a):
-    """The determinant loop _det_int ran before it ran on exact._eliminate:
-    its rows added one at a time by _extend_echelon, 0 at the first that
-    reduces to zero, else the last pivot times -1 per inversion of the
-    pivot list."""
-    n = len(a)
-    rows, pivots = [], []
-    for row in a:
-        ext = exact._extend_echelon(rows, pivots, row, n)
-        if ext is None:
-            return 0
-        rows.append(ext[0])
-        pivots.append(ext[1])
-    inversions = sum(p > q for i, p in enumerate(pivots) for q in pivots[i + 1:])
-    return (-1) ** inversions * exact._last_pivot(rows, pivots)
 
 
 @st.composite
@@ -110,29 +76,13 @@ def square_matrices_with_special_rows(draw):
 @example([[1, 2, 0], [0, 0, 0], [3, 1, 1]])     # a zero row before the last
 @example([[1, 2, 0], [1, 2, 0], [3, 1, 1]])     # a duplicate row
 @example([[0, 0, 0], [2, 1, 0], [-2, -1, 0]])   # a zero row, then a negated row
-def test_det_int_matches_the_loop_it_replaced(M):
-    """_det_int on exact._eliminate gives what its own loop gave, also when
+def test_det_int_matches_leibniz(M):
+    """_det_int on exact._eliminate gives the Leibniz determinant, also when
     a row reduces to zero before the last one, and reads M without
     changing it."""
     copy = [list(row) for row in M]
-    assert exact._det_int(M) == loop_det_int(M)
+    assert exact._det_int(M) == det(M)
     assert M == copy
-
-
-def loop_integer_matrix(M):
-    """The entry-by-entry conversion _integer_matrix made before it ran on
-    integer_vector per row."""
-    out = []
-    for row in M:
-        ints = []
-        for x in row:
-            if not isinstance(x, (int, F)):
-                x = F(x)
-            if x.denominator != 1:
-                raise DomainError("subdeterminants are defined here for integer matrices only")
-            ints.append(x.numerator)
-        out.append(ints)
-    return out
 
 
 @given(st.lists(st.lists(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=3),
@@ -141,10 +91,11 @@ def loop_integer_matrix(M):
 @settings(max_examples=200, deadline=None)
 @example([[2.0, "3"], [F(4), -1]])
 @example([[1, F(1, 2)], [0, 0]])
-def test_integer_matrix_matches_the_loop_it_replaced(M):
-    """_integer_matrix gives the ints of the entry loop, or its DomainError."""
+def test_integer_matrix_matches_its_definition(M):
+    """_integer_matrix gives the entries read as Fractions, as ints, or the
+    same DomainError."""
     try:
-        want = loop_integer_matrix(M)
+        want = integer_matrix(M)
     except DomainError as err:
         with pytest.raises(DomainError) as got:
             exact._integer_matrix(M)
@@ -230,23 +181,6 @@ def test_subdeterminant_converts_the_matrix_once(monkeypatch):
     assert len(calls) == 2
 
 
-def reference_max_abs_subdeterminant_witness(a):
-    """The scan over every square submatrix of an int matrix by its
-    determinant, 1x1 ones included, in (size, lex) order: the witness is the
-    first submatrix that attains the value."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    best, best_rows, best_cols = 0, (), ()
-    for size in range(1, min(m, n) + 1):
-        for rows in combinations(range(m), size):
-            for cols in combinations(range(n), size):
-                sub = [[a[r][c] for c in cols] for r in rows]
-                d = abs(exact._det_int(sub))
-                if d > best:
-                    best, best_rows, best_cols = d, rows, cols
-    return best, best_rows, best_cols
-
-
 @st.composite
 def witness_matrices(draw):
     """Int m x n matrices, m 0-5 and n 1-4, entries in -4..4; some all-zero."""
@@ -277,7 +211,7 @@ def test_subdeterminant_witness_matches_reference_scan(M):
     """Value, rows and cols of the witness equal the scan's, where ties
     among the 1x1 minors (entries of equal |a_ij|) are common.  The scan
     reads the 2x2 minors in closed form and the reference by determinant."""
-    assert exact.max_abs_subdeterminant_witness(M) == reference_max_abs_subdeterminant_witness(M)
+    assert exact.max_abs_subdeterminant_witness(M) == delta_witness(M)
 
 
 def test_is_integral_on_each_kind():
@@ -324,7 +258,7 @@ def test_reduced_subdeterminant_matches_exhaustive_scan(M):
 def test_int_row_subdeterminant_matches_reference_scan(M):
     """The int-row entry, which takes the rows as they are, gives the value
     of the determinant scan over every square submatrix."""
-    assert exact._max_abs_subdeterminant_rows(M) == reference_max_abs_subdeterminant_witness(M)[0]
+    assert exact._max_abs_subdeterminant_rows(M) == delta_witness(M)[0]
 
 
 @pytest.mark.parametrize("M, expected", [
@@ -373,7 +307,7 @@ def test_solve_linear_roundtrip(n, data):
     if exact.det(M) == 0:
         assert x is None
     else:
-        assert [exact.dot(row, x) for row in M] == rhs
+        assert [dot(row, x) for row in M] == rhs
 
 
 @given(st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4))
@@ -386,7 +320,7 @@ def test_null_space_is_kernel(M):
     basis = exact.null_space(M, n)
     assert len(basis) == n - exact.rank(M)
     for v in basis:
-        assert all(exact.dot(row, v) == 0 for row in M)
+        assert all(dot(row, v) == 0 for row in M)
 
 
 def rref_reference(M):
@@ -486,18 +420,6 @@ def test_solve_linear_matches_reference(rational):
             assert all(type(v) is F for v in x)
 
 
-def particular_solution_reference(M, rhs):
-    """Free coordinates 0 and pivot coordinates from the Fraction RREF."""
-    n = len(M[0])
-    a, pivots = rref_reference([list(row) + [b] for row, b in zip(M, rhs)])
-    if n in pivots:  # a pivot in the rhs column is the equation 0 = 1
-        return None
-    x = [F(0)] * n
-    for r, p in enumerate(pivots):
-        x[p] = a[r][n]
-    return x, len(pivots)
-
-
 def particular_solution(M, rhs, n):
     """The solution of M x = rhs whose free coordinates are 0, and the rank
     of M: (X / L, n - len(W)) from exact.solution_space_int, each equation
@@ -520,18 +442,18 @@ def test_particular_solution_matches_reference(rational):
         if rng.random() < 0.5:  # consistent by construction
             x0 = [F(rng.randint(-4, 4), rng.randint(1, 3) if rational else 1)
                   for _ in range(n)]
-            rhs = [exact.dot(row, x0) for row in M]
+            rhs = [dot(row, x0) for row in M]
         else:
             rhs = [F(rng.randint(-7, 7), rng.randint(1, 5) if rational else 1)
                    for _ in range(m)]
         got = particular_solution(M, rhs, n)
-        assert got == particular_solution_reference(M, rhs)
+        assert got == solve(M, rhs)
         if m == n:
             assert exact.solve_linear(M, rhs) == (got[0] if got and got[1] == n else None)
         if got is not None:
             x, r = got
             assert r == exact.rank(M)
-            assert [exact.dot(row, x) for row in M] == rhs
+            assert [dot(row, x) for row in M] == rhs
             assert all(type(v) is F for v in x)
             seen.add("full" if r == n else "deficient")
         else:
@@ -570,7 +492,7 @@ def test_solution_space_int_matches_references():
         rhs = ([sum(a * x for a, x in zip(row, x0)) for row in M]
                if rng.random() < 0.5 else [rng.randint(-7, 7) for _ in M])
         got = exact.solution_space_int(M, rhs, n)
-        want = particular_solution_reference(M, rhs) if M else ([F(0)] * n, 0)
+        want = solve(M, rhs) if M else ([F(0)] * n, 0)
         if want is None:
             assert got is None
             seen.add("inconsistent")
@@ -685,14 +607,13 @@ def test_rational_vector_inverts_integer_vector(v):
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: exact.dot([1], [1, 2]), DimensionError, "dot: 1 vs 2"),
     (lambda: exact.vec_add([1], [1, 2]), DimensionError, "vec_add: 1 vs 2"),
     (lambda: exact.vec_sub([1], [1, 2]), DimensionError, "vec_sub: 1 vs 2"),
     (lambda: exact.null_space([]), DimensionError,
      "null_space of empty matrix needs ambient dimension"),
     (lambda: exact._integer_matrix([[1, 0.5]]), DomainError,
      "subdeterminants are defined here for integer matrices only"),
-], ids=["dot", "vec_add", "vec_sub", "null_space", "float-entry"])
+], ids=["vec_add", "vec_sub", "null_space", "float-entry"])
 def test_exact_input_checks(call, error, message):
     """Each input check of exact raises its own class and message; a float
     entry of _integer_matrix, neither an int nor a Fraction, is read as a

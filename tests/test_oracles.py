@@ -1,12 +1,11 @@
+import contextlib
 import hashlib
-import math
 import random
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
-from operator import mul
 from unittest import mock
 
 import pytest
@@ -23,10 +22,11 @@ from iqprox.oracles import (certify_no_cont_approx_within, delta_star,
                             fmax_cont, fmax_int, full_report, solve_iqp,
                             solve_qp, verdict)
 from iqprox.pipeline import eval_objective, instance, run_pipeline
-from iqprox.polyhedra import (bounding_box, contains, contains_int,
-                              enumerate_lattice_points, enumerate_vertices,
+from iqprox.polyhedra import (contains_int, enumerate_lattice_points,
                               intersect_with_box, lattice_runs)
 from iqprox.simplex import feasible_point
+
+import reference
 
 
 def box_instance(q, h, r=3):
@@ -229,6 +229,23 @@ def test_delta_star_keeps_no_point_list():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
+
+
+def test_face_walk_keeps_no_line_list():
+    """_face_walk hands each edge line on to polyhedra.line_leaves as it
+    comes and keeps none: random_instance(0, n_max=7) (n = 7, m = 17) has
+    4,216 edge lines, which as a list held about 4.7 MB of allocations, and
+    the walk peaked at about 8.0 MB with that list, against about 4.2 MB
+    without it."""
+    inst = random_instance(0, n_max=7)
+    assert (inst.n, inst.m) == (7, 17)
+    tracemalloc.start()
+    try:
+        oracles._face_walk(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 1024 * 1024
 
 
 def test_pruned_walks_keep_no_runs(monkeypatch):
@@ -438,28 +455,14 @@ def reference_vertex_minimum(inst, verts):
     return oracles.OptResult(ties[0], best, ties)
 
 
-def subset_solve_vertices(P):
-    """The vertices from one linear solve per n-row subset of the Fraction
-    rows, once the LP bounding box shows P nonempty and bounded."""
-    if bounding_box(P) is None:
-        return []
-    pts = set()
-    for S in combinations(range(P.m), P.n):
-        x = exact.solve_linear([P.A[i] for i in S], [P.b[i] for i in S])
-        if x is not None and contains(P, x):
-            pts.add(tuple(x))
-    return sorted(pts)
-
-
 def reference_full_report(inst):
-    """full_report with the LP bounding box for the lattice walk and the
-    vertices from one linear solve per n-row subset."""
+    """full_report on the reference's lattice points and vertices."""
     P = inst.polyhedron()
-    pts = [tuple(map(F, p)) for p in enumerate_lattice_points(P)]
+    pts = [tuple(map(F, p)) for p in reference.lattice_points(P)]
     if not pts:
         raise InfeasibleError("no integer point in the feasible region")
     iqp, fdi, wdi = reference_lattice_extremes(inst, pts)
-    qp = reference_vertex_minimum(inst, subset_solve_vertices(P))
+    qp = reference_vertex_minimum(inst, reference.vertices(P))
     fci, wci = oracles.fmax_cont_witness(inst)
     return oracles.OracleReport(iqp, qp, fdi, wdi, fci, wci)
 
@@ -482,17 +485,6 @@ def rational_objectives(draw):
     h = [draw(st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=6)))
          for _ in range(base.n)]
     return instance(base.A, base.b, q, h, k)
-
-
-def point_list_lattice_extremes(inst, pts):
-    """_lattice_extremes over a list of lattice points: one int value per
-    point, and the extremes read off the list."""
-    q, h, d = inst.int_objective
-    vals = [oracles._objective_numerator(q, h, p, 1) for p in pts]
-    best, top = min(vals), max(vals)
-    ties = tuple(sorted(tuple(map(F, p)) for p, v in zip(pts, vals) if v == best))
-    wit = tuple(map(F, min(p for p, v in zip(pts, vals) if v == top)))
-    return oracles.OptResult(ties[0], F(best, d), ties), F(top, d), wit
 
 
 def diagonal_instance(q, h):
@@ -555,7 +547,8 @@ def unpruned_lattice_extremes(inst, runs, objective):
 def test_lattice_extremes_match_eval_objective(inst):
     P = inst.polyhedron()
     runs = lattice_runs(P)
-    pts = enumerate_lattice_points(P)
+    pts = reference.lattice_points(P)
+    assert enumerate_lattice_points(P) == pts
     assert pts == [(*p, v) for p, lo, hi in runs for v in range(lo, hi + 1)]
     # Each run is nonempty, maximal along the last coordinate, and the
     # prefixes increase.
@@ -567,46 +560,9 @@ def test_lattice_extremes_match_eval_objective(inst):
     got = oracles._lattice_extremes(inst, None)
     assert got == unpruned_lattice_extremes(inst, runs, objective)
     assert got == reference_lattice_extremes(inst, pts)
-    assert got == point_list_lattice_extremes(inst, pts)
     opt, top, wit = got
     assert type(opt.value) is F and type(top) is F
     assert all(type(v) is F for p in opt.ties + (wit,) for v in p)
-
-
-def reference_fmax_cont_witness(inst):
-    """fmax_cont_witness with one exact LP per independent row subset S.
-
-    The LP {A x <= b, A_S x = b_S, W^T grad f(x) = 0} decides every face;
-    its point is the candidate.
-    """
-    P = inst.polyhedron()
-    n = inst.n
-    best = wit = None
-    for size in range(min(n, P.m) + 1):
-        for S in combinations(range(P.m), size):
-            W = exact.null_space([list(P.A[i]) for i in S], n)
-            if len(W) != n - size:
-                continue
-            rows = [list(r) for r in P.A]
-            rhs = list(P.b)
-            for i in S:
-                rows.append([-c for c in P.A[i]])
-                rhs.append(-P.b[i])
-            for w in W:
-                coeff = [2 * w[i] * inst.q[i] if i < inst.k else F(0)
-                         for i in range(n)]
-                val = exact.dot(w, inst.h)
-                rows += [coeff, [-c for c in coeff]]
-                rhs += [val, -val]
-            pt = feasible_point(rows, rhs)
-            if pt is None:
-                continue
-            v = eval_objective(inst, pt)
-            if best is None or v > best:
-                best, wit = v, tuple(pt)
-    if best is None:
-        raise InfeasibleError("feasible region is empty")
-    return best, wit
 
 
 @st.composite
@@ -663,10 +619,11 @@ def face_examples(test):
     return test
 
 
-def assert_same_fmax_cont(inst, reference):
-    """fmax_cont_witness gives reference's (value, witness) or its InfeasibleError."""
+def assert_same_fmax_cont(inst):
+    """fmax_cont_witness gives the reference's (value, witness) or its
+    InfeasibleError."""
     try:
-        want = reference(inst)
+        want = reference.fmax_cont_witness(inst)
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
             oracles.fmax_cont_witness(inst)
@@ -676,91 +633,13 @@ def assert_same_fmax_cont(inst, reference):
     assert type(got[0]) is F and all(type(v) is F for v in got[1])
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(rational_objectives(), rational_regions()))
-@face_examples
-def test_fmax_cont_witness_matches_lp_per_face(inst):
-    assert_same_fmax_cont(inst, reference_fmax_cont_witness)
-
-
-def rref_particular_solution(M, rhs):
-    """One solution of M x = rhs, its free coordinates 0, and the rank of M,
-    by Gauss-Jordan elimination on Fractions; None when inconsistent."""
-    n = len(M[0])
-    a = [[F(x) for x in row] + [F(b)] for row, b in zip(M, rhs)]
-    pivots = []
-    for c in range(n + 1):
-        r = len(pivots)
-        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        if c == n:  # a pivot in the rhs column is the equation 0 = 1
-            return None
-        a[r], a[p] = a[p], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    x = [F(0)] * n
-    for r, p in enumerate(pivots):
-        x[p] = a[r][n]
-    return x, len(pivots)
-
-
-def fraction_fmax_cont_witness(inst):
-    """fmax_cont_witness on the Fraction rows of P, one face at a time.
-
-    Per subset S, exact.null_space of A_S and one rref_particular_solution
-    of E_S = [A_S; W^T 2Q] x = [b_S; W^T h], visited in the same order with
-    the same skip rules; the value is an eval_objective Fraction.
-    """
-    P = inst.polyhedron()
-    n = inst.n
-    best = wit = None
-    for size in range(min(n, P.m) + 1):
-        for S in combinations(range(P.m), size):
-            rowsS = [list(P.A[i]) for i in S]
-            W = exact.null_space(rowsS, n)
-            if len(W) != n - size:
-                continue
-            grad = [[2 * w[i] * inst.q[i] if i < inst.k else F(0)
-                     for i in range(n)] for w in W]
-            gval = [exact.dot(w, inst.h) for w in W]
-            sol = rref_particular_solution(rowsS + grad, [P.b[i] for i in S] + gval)
-            if sol is None:
-                continue
-            x, r = sol
-            v = eval_objective(inst, x)
-            if best is not None and v <= best:
-                continue
-            if r == n:
-                if not contains(P, x):
-                    continue
-                pt = x
-            else:
-                rows = [list(row) for row in P.A]
-                rhs = list(P.b)
-                for i in S:
-                    rows.append([-c for c in P.A[i]])
-                    rhs.append(-P.b[i])
-                for coeff, val in zip(grad, gval):
-                    rows += [coeff, [-c for c in coeff]]
-                    rhs += [val, -val]
-                pt = feasible_point(rows, rhs)
-                if pt is None:
-                    continue
-            best, wit = v, tuple(pt)
-    if best is None:
-        raise InfeasibleError("feasible region is empty")
-    return best, wit
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(rational_objectives(), rational_regions()))
 @face_examples
-def test_fmax_cont_witness_matches_fraction_elimination(inst):
-    assert_same_fmax_cont(inst, fraction_fmax_cont_witness)
+def test_fmax_cont_witness_matches_lp_per_face(inst):
+    """The reference's value and witness: one elimination, stationarity
+    solve and, with a free direction, LP per face."""
+    assert_same_fmax_cont(inst)
 
 
 def test_fmax_cont_witness_calls_no_fraction_kernel(monkeypatch):
@@ -799,10 +678,11 @@ def test_fmax_cont_witness_face_lps(monkeypatch, inst, lps):
     """A face whose E_S is a line is decided by meeting that line with P,
     and takes its LP only if it is still the witness at the end; a face
     with two or more free directions takes its LP at once."""
+    want = reference.fmax_cont_witness(inst)
     calls = []
     monkeypatch.setattr(oracles, "feasible_point",
                         lambda A, b: calls.append(A) or feasible_point(A, b))
-    assert oracles.fmax_cont_witness(inst) == reference_fmax_cont_witness(inst)
+    assert oracles.fmax_cont_witness(inst) == want
     assert len(calls) == lps
 
 
@@ -955,11 +835,11 @@ def test_pruned_walk_matches_unpruned_walk(inst):
 @example(instance([[1, 0], [-1, 0], [0, 1]], [2, 2, 2], [1], [0, 1]))   # open below
 @example(instance([[1], [-1]], [F(1, 3), F(-1, 4)], [1], [0]))          # a vertex, no lattice point
 def test_face_walk_collects_vertices_of_polytopes(inst):
-    """The walk's vertices are enumerate_vertices' points and their values
-    on a polytope, and none otherwise; its (value, witness) is the
-    combinations walk's without a vertex list."""
+    """The walk's vertices are the reference's points and their values on
+    a polytope, and none otherwise; its (value, witness) is the
+    reference's without a vertex list."""
     try:
-        want = enumerate_vertices(inst.polyhedron())
+        want = reference.vertices(inst.polyhedron())
     except UnboundedError:
         want = []
     verts = []
@@ -967,9 +847,9 @@ def test_face_walk_collects_vertices_of_polytopes(inst):
         got = face_walk_witness(inst, verts)
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
-            combinations_fmax_cont_witness(inst)
+            reference.fmax_cont_witness(inst)
     else:
-        assert got == combinations_fmax_cont_witness(inst)
+        assert got == reference.fmax_cont_witness(inst)
     points = [tuple(F(x, e) for x in X) for X, e, _, _ in verts]
     assert sorted(set(points)) == want
     for p, (_, _, num, den) in zip(points, verts):
@@ -977,7 +857,7 @@ def test_face_walk_collects_vertices_of_polytopes(inst):
 
 
 def face_walk_witness(inst, vertices=None):
-    """oracles._face_walk in the form of the reference walks below: its
+    """oracles._face_walk in the form of reference.fmax_cont_witness: its
     (value, witness), or InfeasibleError when no face attains a maximum,
     with its vertices appended to the list passed as vertices."""
     fci, wci, verts, _ = oracles._face_walk(inst)
@@ -986,80 +866,6 @@ def face_walk_witness(inst, vertices=None):
     if fci is None:
         raise InfeasibleError("feasible region is empty")
     return fci, wci
-
-
-def combinations_fmax_cont_witness(inst, vertices=None):
-    """fmax_cont_witness with one fresh elimination per row subset.
-
-    Every subset S of at most n rows, in itertools.combinations' (size,
-    lex) order, gets its own exact.solution_space_int of [A_S | b_S], and
-    every independent one its stationarity solve, size n included; the
-    skip rules, the vertex collection and the face LPs are the same.
-    """
-    P = inst.polyhedron()
-    n, k = inst.n, inst.k
-    rows, rhs = P.int_rows
-    Q, H, d = inst.int_objective
-    Q2 = [2 * c for c in Q] + [0] * (n - k)
-    best = wit = None
-    collect = vertices is not None
-    for size in range(min(n, P.m) + 1):
-        for S in combinations(range(P.m), size):
-            hull = exact.solution_space_int([rows[i] for i in S],
-                                            [rhs[i] for i in S], n)
-            if hull is None or len(hull[1]) != n - size:  # S is dependent
-                continue
-            X0, W, L = hull
-            if collect and size == n - 1:
-                dots = [sum(map(mul, row, W[0])) for row in rows]
-                collect = not (all(t <= 0 for t in dots) or all(t >= 0 for t in dots))
-            QW = [list(map(mul, Q2, w)) for w in W]
-            g = [L * c - qx for c, qx in zip(H, map(mul, Q2, X0))]
-            stat = exact.solution_space_int(
-                [[sum(map(mul, u, w)) for w in W] for u in QW],
-                [sum(map(mul, w, g)) for w in W], n - size)
-            if stat is None:
-                continue
-            Y, free, e2 = stat
-            X = [x * e2 + sum(w[j] * y for w, y in zip(W, Y))
-                 for j, x in enumerate(X0)]
-            e = L * e2
-            num, den = oracles._objective_numerator(Q, H, X, e), d * e * e
-            vertex = collect and size == n
-            if vertex:
-                if not contains_int(P, X, e):
-                    continue
-                vertices.append((X, e, num, den))
-            if best is not None and num * best[1] <= best[0] * den:
-                continue
-            if not free:
-                if not vertex and not contains_int(P, X, e):
-                    continue
-                pt = [F(x, e) for x in X]
-            else:
-                lp_rows = [list(row) for row in P.A]
-                lp_rhs = list(P.b)
-                for i in S:
-                    lp_rows.append([-c for c in P.A[i]])
-                    lp_rhs.append(-P.b[i])
-                for w in W:
-                    w = [F(x, L) for x in w]
-                    coeff = [2 * w[i] * inst.q[i] if i < k else F(0)
-                             for i in range(n)]
-                    val = exact.dot(w, inst.h)
-                    lp_rows += [coeff, [-c for c in coeff]]
-                    lp_rhs += [val, -val]
-                pt = oracles.feasible_point(lp_rows, lp_rhs)
-                if pt is None:
-                    continue
-                if eval_objective(inst, pt) != F(num, den):
-                    raise ClaimViolation("face-constant",
-                                         f"face {S}: f is not constant on E_S")
-            best = (num, den)
-            wit = tuple(pt)
-    if best is None:
-        raise InfeasibleError("feasible region is empty")
-    return F(*best), wit
 
 
 def face_walk_run(walk, inst, collect):
@@ -1084,20 +890,32 @@ def face_walk_run(walk, inst, collect):
                          for X, e, num, den in verts or []), lps)
 
 
-def assert_same_walk(run, reference):
+def assert_same_walk(run, ref):
     """run, a face_walk_run of the face walk, has the result and the
-    vertices of reference, a walk that runs each face's LP at once.  Its
-    face LPs are exactly the reference's on faces with two or more free
-    directions, in order, and then, when the reference's witness is the
-    point of an LP on a face whose E_S is a line, that LP once more: the
-    last LP with a point, since each such LP sets the best value, and a
-    later face replaces it only with a larger value at another point."""
-    assert run[:2] == reference[:2]
-    want = [lp for lp in reference[2] if lp[0] >= 2]
-    found = [lp for lp in reference[2] if lp[1] is not None]
-    if found and found[-1][0] == 1 and found[-1][1] == reference[0][1]:
+    vertices of ref, a walk that runs each face's LP at once.  Its face LPs
+    are exactly ref's on faces with two or more free directions, in order,
+    and then, when ref's witness is the point of an LP on a face whose E_S
+    is a line, that LP once more: the last LP with a point, since each such
+    LP sets the best value, and a later face replaces it only with a larger
+    value at another point."""
+    assert run[:2] == ref[:2]
+    want = [lp for lp in ref[2] if lp[0] >= 2]
+    found = [lp for lp in ref[2] if lp[1] is not None]
+    if found and found[-1][0] == 1 and found[-1][1] == ref[0][1]:
         want.append(found[-1])
     assert run[2] == want
+
+
+def assert_vertex_box(box, verts):
+    """box, _face_walk's, is None without a vertex in verts, and otherwise
+    holds the extremes of their points X / e as ints over one D > 0."""
+    if not verts:
+        assert box is None
+        return
+    lows, highs, D = box
+    assert all(type(v) is int for v in [*lows, *highs, D]) and D > 0
+    cols = list(zip(*([F(x, e) for x in X] for X, e, _, _ in verts)))
+    assert [(F(a, D), F(b, D)) for a, b in zip(lows, highs)] == [(min(c), max(c)) for c in cols]
 
 
 @pytest.mark.parametrize("collect", [False, True], ids=["value", "vertices"])
@@ -1108,126 +926,6 @@ def assert_same_walk(run, reference):
 @example(build_prop45(3, 1, F(1, 2)).instance)
 @example(build_pr_tight(3, 1, 1, F(1, 2), F(2, 3)).instance)
 @example(build_prop46(2, 2, F(1, 4)).instance)
-def test_level_walk_matches_combinations_walk(collect, inst):
-    """The walk gives the combinations walk's (value, witness) or its
-    InfeasibleError and its vertices, and the face LPs assert_same_walk
-    derives from its LPs.  The combinations walk solves every face, so the
-    walk's dominance skip is checked against it; the worst-case builders
-    are where the skip fires on every face below the root."""
-    assert_same_walk(face_walk_run(face_walk_witness, inst, collect),
-                     face_walk_run(combinations_fmax_cont_witness, inst, collect))
-
-
-def level_fmax_cont_witness(inst, vertices=None):
-    """fmax_cont_witness walking every level of independent row sets, n rows
-    included.
-
-    Each leaf S + (j,) of n rows gets its own echelon (exact._extend_echelon
-    in the walk), back-substitution and contains_int test; each face of
-    n - 1 rows its stationarity solve by exact.solution_space_int.  The
-    skip rules, the vertex collection and the face LPs are the same.
-    """
-    P = inst.polyhedron()
-    n, k = inst.n, inst.k
-    rows, rhs = P.int_rows
-    aug = [[*row, b] for row, b in zip(rows, rhs)]
-    Q, H, d = inst.int_objective
-    Q2 = [2 * c for c in Q] + [0] * (n - k)
-    best = None  # (numerator, denominator) of the best value so far
-    wit = None
-    collect = vertices is not None
-    level, above, bounds = 0, {}, {}  # the faces' bounds, one level up and this one
-    for S, a, pivots in exact.independent_row_sets(aug, n, 0, n):
-        size = len(S)
-        if size > level:
-            level, above, bounds = size, bounds, {}
-        up = above.get(S[:-1])
-        dominated = (size < n and up is not None and best is not None
-                     and up[0] * best[1] <= best[0] * up[1])
-        if dominated:
-            bounds[S] = up
-            if not (collect and size == n - 1):  # else the recession test needs W
-                continue
-        X0, W, L = exact._solution_space(a, pivots, n)
-        if collect and size == n - 1:
-            dots = [sum(map(mul, row, W[0])) for row in rows]
-            collect = not (all(t <= 0 for t in dots) or all(t >= 0 for t in dots))
-        if dominated:
-            continue
-        if size < n:
-            QW = [list(map(mul, Q2, w)) for w in W]
-            g = [L * c - qx for c, qx in zip(H, map(mul, Q2, X0))]
-            stat = exact.solution_space_int(
-                [[sum(map(mul, u, w)) for w in W] for u in QW],
-                [sum(map(mul, w, g)) for w in W], n - size)
-            if stat is None:
-                continue
-            Y, free, e2 = stat
-            X = [x * e2 + sum(w[j] * y for w, y in zip(W, Y))
-                 for j, x in enumerate(X0)]
-            e = L * e2
-        else:  # E_S is A_S x = b_S, with no kernel
-            X, free, e = X0, W, L
-            if collect and not contains_int(P, X, e):
-                continue
-        num, den = oracles._objective_numerator(Q, H, X, e), d * e * e
-        if size < n:
-            bounds[S] = (num, den)
-        vertex = collect and size == n
-        if vertex:
-            vertices.append((X, e, num, den))
-        if best is not None and num * best[1] <= best[0] * den:
-            continue
-        if not free:
-            if not vertex and not contains_int(P, X, e):
-                continue
-            pt = [F(x, e) for x in X]
-        else:
-            lp_rows = [list(row) for row in P.A]
-            lp_rhs = list(P.b)
-            for i in S:
-                lp_rows.append([-c for c in P.A[i]])
-                lp_rhs.append(-P.b[i])
-            for w in W:
-                w = [F(x, L) for x in w]
-                # w . grad f = sum_i w_i h_i - 2 sum_{i<k} w_i q_i x_i = 0
-                coeff = [2 * w[i] * inst.q[i] if i < k else F(0)
-                         for i in range(n)]
-                val = exact.dot(w, inst.h)
-                lp_rows += [coeff, [-c for c in coeff]]
-                lp_rhs += [val, -val]
-            pt = oracles.feasible_point(lp_rows, lp_rhs)
-            if pt is None:
-                continue
-            if eval_objective(inst, pt) != F(num, den):
-                raise ClaimViolation("face-constant",
-                                     f"face {S}: f is not constant on E_S")
-        best = (num, den)
-        wit = tuple(pt)
-    if best is None:
-        raise InfeasibleError("feasible region is empty")
-    return F(*best), wit
-
-
-def level_face_walk(inst):
-    """oracles._face_walk over level_fmax_cont_witness, with the box taken
-    as the extremes of the vertices' Fraction coordinates."""
-    verts = []
-    try:
-        fci, wci = level_fmax_cont_witness(inst, verts)
-    except InfeasibleError:
-        fci = wci = None
-    box = None
-    if verts:
-        corners = [[F(x, e) for x in X] for X, e, _, _ in verts]
-        box = [(min(c), max(c)) for c in zip(*corners)]
-    return fci, wci, verts, box
-
-
-@pytest.mark.parametrize("collect", [False, True], ids=["value", "vertices"])
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(rational_objectives(), rational_regions(), report_regions()))
-@face_examples
 @example(box_instance([F(1, 2)], [F(1, 3)], r=2))                         # n = 1
 @example(instance([[1, 0], [-1, 0], [0, 1], [0, -1], [2, 0]],
                   [1, 1, 1, 1, 1], [1], [0, 1]))     # the line x_0 = 1 misses 2 x_0 <= 1
@@ -1237,31 +935,24 @@ def level_face_walk(inst):
                   [F(3, 2), F(1, 2), F(5, 3), 1, F(7, 4)], [F(1, 2)],
                   [1, F(-1, 3)]))                    # rational b: scales != 1
 @example(instance([[1, 0], [-1, 0], [0, 1]], [2, 2, 2], [1], [0, 1]))     # open below
-@example(build_prop44(F(1, 4), 3, n=5).instance)
-def test_line_walk_matches_level_walk(collect, inst):
-    """The walk on lines gives the level walk's (value, witness) or its
+def test_level_walk_matches_combinations_walk(collect, inst):
+    """The walk gives the reference's (value, witness) or its
     InfeasibleError and its vertex list: the same ints (X, e, num, den) in
     the same order.  Its face LPs are those assert_same_walk derives from
-    the level walk's, which runs each face's LP at once.  With the
-    vertices, _face_walk gives the level walk's box, as ints over one
-    denominator."""
+    the reference's, which solves every face and runs each face's LP at
+    once, so the walk's dominance skip is checked against it; the
+    worst-case builders are where the skip fires on every face below the
+    root.  With the vertices, _face_walk gives their box."""
     lists = []
 
     def keeping(walk):
         return lambda inst, verts: lists.append(verts) or walk(inst, verts)
 
     assert_same_walk(face_walk_run(keeping(face_walk_witness), inst, collect),
-                     face_walk_run(keeping(level_fmax_cont_witness), inst, collect))
+                     face_walk_run(keeping(reference.fmax_cont_witness), inst, collect))
     assert lists[0] == lists[1]
     if collect:
-        box = oracles._face_walk(inst)[3]
-        want = level_face_walk(inst)[3]
-        if want is None:
-            assert box is None
-        else:
-            lows, highs, D = box
-            assert all(type(v) is int for v in [*lows, *highs, D]) and D > 0
-            assert [(F(a, D), F(b, D)) for a, b in zip(lows, highs)] == want
+        assert_vertex_box(oracles._face_walk(inst)[3], lists[1])
 
 
 def face_walk_counts(monkeypatch, walk):
@@ -1485,26 +1176,22 @@ def test_delta_star_matches_verdict_loop(inst, eps):
     assert repr(got) == repr(want)
 
 
-def two_call_certify(inst, eps, xd, radius):
-    """certify_no_cont_approx_within from separate solve_qp and fmax_cont calls."""
-    eps = F(eps)
-    qp = solve_qp(inst)
-    fmax = fmax_cont(inst)
-    tau = qp.value + eps * (fmax - qp.value)
-    verts = enumerate_vertices(intersect_with_box(inst.polyhedron(), exact.vec(xd), radius))
-    if not verts:
-        return True
-    return min(eval_objective(inst, v) for v in verts) > tau
-
-
 def assert_same_certificate(inst, eps, xd, radius):
+    """certify_no_cont_approx_within in its two-call form, on the
+    references: f exceeds f(x^c) + eps (f_max - f(x^c)) at every vertex of
+    the box around xd met with P, x^c the least vertex and f_max the
+    reference's; or the same error and text."""
     try:
-        want = two_call_certify(inst, eps, xd, radius)
+        qp = reference_vertex_minimum(inst, reference.vertices(inst.polyhedron()))
+        fmax, _ = reference.fmax_cont_witness(inst)
     except (InfeasibleError, UnboundedError) as err:
         with pytest.raises(type(err)) as got:
             certify_no_cont_approx_within(inst, eps, xd, radius)
         assert str(got.value) == str(err)
         return
+    tau = qp.value + F(eps) * (fmax - qp.value)
+    corners = reference.vertices(intersect_with_box(inst.polyhedron(), xd, radius))
+    want = all(eval_objective(inst, v) > tau for v in corners)
     assert certify_no_cont_approx_within(inst, eps, xd, radius) is want
 
 
@@ -1546,40 +1233,6 @@ def test_oracles_input_checks(call, error, message):
     assert got.traceback[-1].path.name == "oracles.py"
 
 
-def fraction_solve_qp(inst):
-    """solve_qp as it was: the sorted Fraction vertices, each scaled back
-    to ints by exact.integer_vector and valued there."""
-    Q, H, d = inst.int_objective
-    verts = []
-    for p in enumerate_vertices(inst.polyhedron()):
-        X, e = exact.integer_vector(p)
-        verts.append((X, e, oracles._objective_numerator(Q, H, X, e), d * e * e))
-    return oracles._vertex_minimum(verts)
-
-
-def inline_walk_leaves(inst):
-    """_face_walk's vertices and box as its inline leaf, recession and box
-    code gave them, on P's edge lines: every leaf valued as (X, e, num,
-    den) in (S, j) order, all dropped when some line recedes, and their
-    extremes over the lcm of the e."""
-    P = inst.polyhedron()
-    n = P.n
-    rows, rhs = P.int_rows
-    Q, H, d = inst.int_objective
-    planes = [(S, a, pivots, exact._solution_space(a, pivots, n)) for S, a, pivots
-              in exact.independent_row_sets([[*r, c] for r, c in zip(rows, rhs)], n, n - 2, n - 2)]
-    verts, recedes = [], False
-    for S, line in polyhedra.edge_lines(P, planes):
-        recedes = recedes or line.recedes
-        for X, e in line.vertices(S[-1] + 1 if S else 0):
-            verts.append((X, e, oracles._objective_numerator(Q, H, X, e), d * e * e))
-    if recedes or not verts:
-        return [], None
-    D = math.lcm(*(e for _, e, _, _ in verts))
-    cols = list(zip(*([x * (D // e) for x in X] for X, e, _, _ in verts)))
-    return verts, ([min(c) for c in cols], [max(c) for c in cols], D)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(rational_objectives(), rational_regions(), report_regions()))
 @family_examples
@@ -1592,11 +1245,11 @@ def inline_walk_leaves(inst):
 @example(instance([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]],
                   [1, 1, 1, 1, 2], [1], [1, 1]))     # (1, 1) is tight on 3 rows
 def test_vertex_readers_match_references(inst):
-    """solve_qp on the int vertices gives what the Fraction round trip
-    gave, or the same error and text, and _face_walk the vertices and box
-    of its former inline leaf code."""
+    """solve_qp gives the least value over the reference's vertices, or the
+    same error and text, and _face_walk the reference's vertex list and
+    their box."""
     try:
-        want = fraction_solve_qp(inst)
+        want = reference_vertex_minimum(inst, reference.vertices(inst.polyhedron()))
     except (InfeasibleError, UnboundedError) as err:
         with pytest.raises(type(err)) as got:
             solve_qp(inst)
@@ -1604,4 +1257,9 @@ def test_vertex_readers_match_references(inst):
     else:
         got = solve_qp(inst)
         assert got == want and repr(got) == repr(want)
-    assert oracles._face_walk(inst)[2:] == inline_walk_leaves(inst)
+    verts = []
+    with contextlib.suppress(InfeasibleError):
+        reference.fmax_cont_witness(inst, verts)
+    _, _, got_verts, box = oracles._face_walk(inst)
+    assert got_verts == verts
+    assert_vertex_box(box, verts)

@@ -9,20 +9,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqprox import cones, exact, formats, pipeline, polyhedra
-from iqprox.cones import (ConicDecomposition, build_cone, caratheodory_decompose,
-                          enumerate_generators)
-from iqprox.errors import (ClaimViolation, DimensionError, InputError,
-                           RepresentationMismatch)
+from iqprox.cones import ConicDecomposition, build_cone
+from iqprox.errors import ClaimViolation, DimensionError, InputError
 from iqprox.families import (build_example_1_1, build_pbar, build_prop44,
                              build_prop45, build_prop46, pbar_params, random_instance)
 from iqprox.oracles import (claim_cross_checks, full_report, solve_iqp, solve_qp,
                             verdict)
-from iqprox.pipeline import (Instance, MidpointWitnesses, PipelineResult, StepRecord,
-                             build_sequence, compute_schedule, construct_outputs,
-                             eval_objective, instance, midpoint_witnesses, normalize,
+from iqprox.pipeline import (Instance, StepRecord, build_sequence, compute_schedule,
+                             construct_outputs, eval_objective, instance, midpoint_witnesses, normalize,
                              one_step, restricted_polyhedron, run_pipeline,
                              subdeterminant_bound)
 from iqprox.polyhedra import contains, polyhedron
+
+import reference
+from reference import (reference_compute_schedule, reference_eval_objective,
+                       reference_normalized_h, reference_normalized_rhs, reference_one_step,
+                       reference_restricted_polyhedron, reference_run_pipeline)
 
 
 def test_instance_validation():
@@ -242,27 +244,6 @@ def test_subdeterminant_bound_floors_at_one():
     assert subdeterminant_bound(inst) == 1
 
 
-def reference_normalized_rhs(inst, xd):
-    return tuple(bi - exact.dot(row, exact.vec(xd)) for row, bi in zip(inst.A, inst.b))
-
-
-def reference_normalized_h(inst, xd):
-    """h shifted to xd by Fraction arithmetic: h_i - 2 xd_i q_i for i < k."""
-    return tuple(h - 2 * x * inst.q[i] if i < inst.k else h
-                 for i, (h, x) in enumerate(zip(inst.h, xd)))
-
-
-def reference_restricted_polyhedron(inst, zset):
-    """The +-e_i rows appended and every entry re-wrapped by `polyhedron`."""
-    rows = [list(r) for r in inst.A]
-    rhs = list(inst.b)
-    for i in sorted(zset):
-        e = [F(int(j == i)) for j in range(inst.n)]
-        rows += [e, [-x for x in e]]
-        rhs += [F(0), F(0)]
-    return polyhedron(rows, rhs, inst.n)
-
-
 def rows_kept(cone, P) -> bool:
     """Every row of the cone is a row of P's int rows itself, not a copy."""
     ids = set(map(id, P.int_rows[0]))
@@ -430,270 +411,6 @@ def test_strip_instances_reach_every_cell():
         ("c1", 3, "small-norm", True): 6,
         ("c2", 0, "all-large", False): 51,
     }
-
-
-# -- the Fraction construction, kept as the reference ----------------------
-
-def reference_compute_schedule(n, delta, k, eps):
-    """compute_schedule in Fraction arithmetic, chi_1 by its own rule."""
-    eps = F(eps)
-    nd = F(n * delta)
-    chi, psi = [], []
-    acc = F(0)  # running sum of delta * chi_i
-    for _ in range(k):
-        if not chi:
-            c = 8 * nd / eps + 2 * nd
-        else:
-            c = 2 * nd + F(8) / eps * (acc + nd)
-        chi.append(c)
-        acc += delta * c
-        psi.append(acc)
-    bound = nd * (10 * delta / eps + 1) ** k
-    if k and psi[-1] + nd > bound:
-        raise ClaimViolation("schedule-bound", f"psi_k + n*delta = {psi[-1] + nd} > {bound}")
-    return pipeline.Schedule(eps, n, delta, k, tuple(chi), tuple(psi), bound)
-
-
-def reference_normalize(inst, xd):
-    """normalize with the anchor in Fractions and a Fraction `contains`."""
-    xdv = tuple(F(x) for x in xd)
-    if not exact.is_integral_vec(xdv):
-        raise InputError("anchor point must be integer")
-    P = inst.polyhedron()
-    if not contains(P, xdv):
-        raise InputError("anchor point must be feasible")
-    P2 = polyhedra.translate(P, [x.numerator for x in xdv])
-    h2 = tuple(inst.h[i] - 2 * inst.q[i] * xdv[i] if i < inst.k else inst.h[i]
-               for i in range(inst.n))
-    return Instance(P2, inst.k, inst.q, h2), xdv
-
-
-def reference_build_sequence(inst, xc, schedule, delta):
-    """build_sequence with every point in Fractions, x_c - x_j through
-    `vec_sub` and a Fraction `contains`, and every norm an `inf_norm`."""
-    P = inst.polyhedron()
-    x = tuple(F(v) for v in xc)
-    xcv = x
-    trace = []
-    j = 0
-    while True:
-        z = frozenset(i for i in range(inst.k) if x[i] == 0)
-        nset = frozenset(range(inst.k)) - z
-        drift = exact.vec_sub(xcv, x)
-        if not contains(P, drift):
-            raise ClaimViolation("xell-a", f"x^c - x^{j} left the polyhedron")
-        if all(abs(x[i]) > schedule.chi[j] for i in nset):
-            trace.append(StepRecord(j, x, z, nset, termination_reason="all-large"))
-            break
-        s = min(nset, key=lambda i: (abs(x[i]), i))
-        if exact.inf_norm(x) <= delta * abs(x[s]):
-            trace.append(StepRecord(j, x, z, nset, s=s, termination_reason="small-norm"))
-            break
-        if j >= inst.k:
-            raise ClaimViolation("sequence-length", "more than k steps taken")
-        nxt, rec = reference_one_step(inst, x, z, delta)
-        rec.j = j
-        trace.append(rec)
-        if exact.inf_norm(exact.vec_sub(x, nxt)) > delta * schedule.chi[j]:
-            raise ClaimViolation("xell-step", f"step {j} exceeded delta*chi_{j + 1}")
-        if sum(nxt[i] == 0 for i in range(inst.k)) <= len(z):
-            raise ClaimViolation("zero-growth", "zero set did not grow")
-        x = nxt
-        j += 1
-    ell = trace[-1].j
-    if ell > inst.k:
-        raise ClaimViolation("sequence-length", f"ell={ell} > k={inst.k}")
-    if exact.inf_norm(drift) > schedule.psi_at(ell):
-        raise ClaimViolation("xell-b", "endpoint drifted beyond psi_ell")
-    return x, trace
-
-
-def reference_one_step(inst, xa, zset, delta):
-    """one_step with every point in Fractions: the greedy coefficients, the
-    next point through `vec_sub`, the two representations compared as
-    Fraction vectors, and each membership a Fraction `contains`."""
-    xav = tuple(F(v) for v in xa)
-    P = inst.polyhedron()
-    if len(xav) != inst.n:
-        raise DimensionError(f"point has dim {len(xav)}, polyhedron has {inst.n}")
-    if not contains(P, xav):
-        raise InputError("step input must be feasible")
-    z = frozenset(i for i in range(inst.k) if xav[i] == 0)
-    nset = frozenset(range(inst.k)) - z
-    if z != frozenset(zset):
-        raise InputError("supplied zero set does not match the point")
-    if not nset:
-        raise InputError("all quadratic coordinates are already zero")
-    s = min(nset, key=lambda i: (abs(xav[i]), i))
-    if exact.inf_norm(xav) <= delta * abs(xav[s]):
-        raise InputError("caller should have terminated: small-norm condition holds")
-
-    Pt, cone, dec = reference_conic_step(inst, z, xav, delta)
-
-    sgn = 1 if xav[s] > 0 else -1
-    selected = [i for i, g in enumerate(dec.generators)
-                if g[s] != 0 and (g[s] > 0) == (sgn > 0)]
-    residual = abs(xav[s])
-    lam = [F(0)] * len(dec.generators)
-    for i in selected:
-        if residual == 0:
-            break
-        g = dec.generators[i]
-        take = min(dec.coefficients[i], residual / abs(g[s]))
-        lam[i] = take
-        residual -= take * abs(g[s])
-    if residual != 0:
-        raise ClaimViolation("onestep", "greedy coefficients cannot cover x_s")
-
-    neg = ConicDecomposition([dec.generators[i] for i in selected if lam[i] != 0],
-                             [lam[i] for i in selected if lam[i] != 0])
-    xb = tuple(exact.vec_sub(xav, neg.combine(inst.n)))
-
-    rest = [(g, c - l) for g, c, l in zip(dec.generators, dec.coefficients, lam) if c != l]
-    pos = ConicDecomposition([g for g, _ in rest], [c for _, c in rest])
-    for combo in (pos, neg):
-        for g, c in zip(combo.generators, combo.coefficients):
-            if c < 0:
-                raise InputError("combination coefficients must be nonnegative")
-            if not cones.cone_contains(cone, g):
-                raise InputError(f"generator {g} is not in the cone")
-    p1 = pos.combine(inst.n)
-    p2 = exact.vec_sub(xav, neg.combine(inst.n))
-    if p1 != p2:
-        raise RepresentationMismatch(f"representations differ: {p1} vs {p2}")
-    if not contains(Pt, p1):
-        raise ClaimViolation("onestep-iii", "common point escaped the polyhedron")
-
-    if any(xb[i] != 0 for i in z | {s}):
-        raise ClaimViolation("onestep-i", f"coordinate not zeroed at {sorted(z | {s})}")
-    if exact.inf_norm(exact.vec_sub(xav, xb)) > delta * abs(xav[s]):
-        raise ClaimViolation("onestep-ii", "step moved too far")
-    if not contains(P, xb):
-        raise ClaimViolation("onestep", "step output left the polyhedron")
-
-    rec = StepRecord(j=-1, x_j=xav, z_set=z, n_set=nset, s=s, lam=lam, decomposition=dec)
-    return xb, rec
-
-
-def reference_conic_step(inst, zset, x, delta):
-    P = restricted_polyhedron(inst, zset)
-    cone = build_cone(P.int_rows[0], exact.integer_vector(x)[0])
-    return P, cone, caratheodory_decompose(list(x), enumerate_generators(cone, delta))
-
-
-def reference_construct_outputs(inst, xc, x_ell, trace, schedule, delta):
-    """construct_outputs with every point in Fractions and every membership
-    claim a Fraction `contains`."""
-    xcv = tuple(F(v) for v in xc)
-    n = inst.n
-    nd = F(n * delta)
-    last = trace[-1]
-    ell = last.j
-    origin = tuple([F(0)] * n)
-    P = inst.polyhedron()
-
-    if last.termination_reason == "small-norm":
-        if exact.inf_norm(xcv) > schedule.psi_at(ell + 1):
-            raise ClaimViolation("c1-distance", "anchors further apart than psi_{ell+1}")
-        dist = exact.inf_norm(xcv)
-        return PipelineResult(
-            case="c1", x_ell=tuple(x_ell), x_star_int=origin, x_star_cont=xcv,
-            trace=trace, distance_int=dist, distance_cont=dist,
-            schedule=schedule, delta=delta, xc=xcv, xd=origin,
-            z_ell=last.z_set)
-
-    zl = last.z_set
-    Pbar, _, dec = reference_conic_step(inst, zl, x_ell, delta)
-    floors = [math.floor(c) for c in dec.coefficients]
-    xstar = tuple(ConicDecomposition(dec.generators, floors).combine(n))
-    xcont = tuple(exact.vec_sub(xcv, xstar))
-
-    if not exact.is_integral_vec(xstar):
-        raise ClaimViolation("xstar-integrality", "rounded point is not integer")
-    if exact.inf_norm(exact.vec_sub(x_ell, xstar)) > nd:
-        raise ClaimViolation("floor-residual", "||x_ell - x_star|| > n*delta")
-    if not contains(Pbar, xstar):
-        raise ClaimViolation("xstar-membership", "x_star left the restricted polyhedron")
-    nl = last.n_set
-    if nl and ell < inst.k:
-        thresh = schedule.chi[ell] - nd
-        if any(abs(xstar[i]) < thresh for i in nl):
-            raise ClaimViolation("xstar-d", "a surviving coordinate is too small")
-    zstar = frozenset(i for i in range(inst.k) if xstar[i] == 0)
-    if zstar != zl:
-        raise ClaimViolation("xstar-e", f"zero sets differ: {sorted(zstar)} vs {sorted(zl)}")
-    dist = exact.inf_norm(exact.vec_sub(xcv, xstar))
-    if dist > schedule.psi_at(ell) + nd:
-        raise ClaimViolation("xstar-f", "||x_c - x_star|| > psi_ell + n*delta")
-    if not contains(P, xcont):
-        raise ClaimViolation("xstar-g", "x_c - x_star left the polyhedron")
-
-    return PipelineResult(
-        case="c2", x_ell=tuple(x_ell), x_star_int=xstar, x_star_cont=xcont,
-        trace=trace, distance_int=dist, distance_cont=dist,
-        schedule=schedule, delta=delta, xc=xcv, xd=origin,
-        z_ell=zl, decomposition=dec)
-
-
-def reference_midpoint_witnesses(inst, result):
-    n = inst.n
-    nd = F(n * result.delta)
-    dec = result.decomposition
-    x_tri = tuple(x / 2 for x in result.x_star_int)
-    floors = [math.floor(c) for c in dec.coefficients]
-    xl, xr = (tuple(ConicDecomposition(dec.generators, cs).combine(n))
-              for cs in ([f // 2 for f in floors], [f - f // 2 for f in floors]))
-    Pbar = restricted_polyhedron(inst, result.z_ell)
-    if not (exact.is_integral_vec(xl) and exact.is_integral_vec(xr)):
-        raise ClaimViolation("witness-integrality", "parity split is not integer")
-    if tuple((a + b) / 2 for a, b in zip(xl, xr)) != x_tri:
-        raise ClaimViolation("witness-midpoint", "parity split misses the midpoint")
-    if not (contains(Pbar, xl) and contains(Pbar, xr)):
-        raise ClaimViolation("witness-membership", "a witness left the restricted polyhedron")
-    if exact.inf_norm(exact.vec_sub(xr, xl)) > nd:
-        raise ClaimViolation("witness-span", "||x_r - x_l|| > n*delta")
-    x_dia = tuple((a + b) / 2 for a, b in zip(result.xc, result.x_star_cont))
-    if not contains(inst.polyhedron(), x_dia):
-        raise ClaimViolation("witness-diamond", "continuous midpoint left the polyhedron")
-    return MidpointWitnesses(x_tri, xl, xr, x_dia)
-
-
-def reference_run_pipeline(inst, eps, xc, xd):
-    """run_pipeline on the reference construction: the Fraction
-    normalize, schedule, sequence, rounding step and tail."""
-    xcv = tuple(F(v) for v in xc)
-    xdv = tuple(F(v) for v in xd)
-    P = inst.polyhedron()
-    if not contains(P, xcv):
-        raise InputError("continuous anchor is infeasible")
-    delta = subdeterminant_bound(inst)
-    norm_inst, shift = reference_normalize(inst, xdv)
-    sched = reference_compute_schedule(inst.n, delta, inst.k, eps)
-    yc = tuple(exact.vec_sub(xcv, shift))
-    y_ell, trace = reference_build_sequence(norm_inst, yc, sched, delta)
-    norm_result = reference_construct_outputs(norm_inst, yc, y_ell, trace, sched, delta)
-    if norm_result.case == "c2":
-        norm_result.witnesses = reference_midpoint_witnesses(norm_inst, norm_result)
-
-    back = lambda v: tuple(exact.vec_add(v, shift))
-    result = replace(
-        norm_result,
-        x_ell=back(norm_result.x_ell),
-        x_star_int=back(norm_result.x_star_int),
-        x_star_cont=back(norm_result.x_star_cont),
-        xc=xcv, xd=xdv,
-        normalized=norm_result)
-    if result.distance_int > sched.theorem_bound:
-        raise ClaimViolation("theorem-bound", "integer output beyond the proven distance")
-    if result.distance_cont > sched.theorem_bound:
-        raise ClaimViolation("theorem-bound", "continuous output beyond the proven distance")
-    if not exact.is_integral_vec(result.x_star_int):
-        raise ClaimViolation("xstar-integrality", "integer output is not integral")
-    if not contains(P, result.x_star_int):
-        raise ClaimViolation("xstar-feasible", "integer output is infeasible")
-    if not contains(P, result.x_star_cont):
-        raise ClaimViolation("xstarc-feasible", "continuous output is infeasible")
-    return result
 
 
 def anchored(inst, eps, xc=None, xd=None):
@@ -1316,22 +1033,13 @@ def test_one_step_claims_on_a_corrupted_conic_step(monkeypatch, r, x, zset, delt
     assert err.value.claim == claim
     assert str(err.value) == f"claim {claim} violated: {message}"
     # The Fraction reference raises the same on the same conic step.
-    monkeypatch.setitem(globals(), "reference_conic_step", lambda *args: step)
+    monkeypatch.setattr(reference, "reference_conic_step", lambda *args: step)
     with pytest.raises(ClaimViolation) as ref:
         reference_one_step(inst, list(map(F, x)), frozenset(zset), delta)
     assert str(ref.value) == str(err.value)
 
 
 # -- eval_objective on ints against Fractions -------------------------------
-
-def reference_eval_objective(inst, x):
-    """f(x) in Fraction arithmetic, through exact.vec and exact.dot."""
-    xv = exact.vec(x)
-    if len(xv) != inst.n:
-        raise DimensionError(f"point has dim {len(xv)}, instance has {inst.n}")
-    quad = sum((-inst.q[i] * xv[i] * xv[i] for i in range(inst.k)), F(0))
-    return quad + exact.dot(inst.h, xv)
-
 
 RATIONAL = st.one_of(st.integers(-50, 50), st.fractions(-50, 50, max_denominator=12))
 

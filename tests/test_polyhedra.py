@@ -4,23 +4,25 @@ import math
 import random
 import sys
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import combinations
 from operator import mul
 from pathlib import Path
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iqprox import exact, polyhedra
+from iqprox import exact, oracles, polyhedra
 from iqprox.errors import DimensionError, InputError, UnboundedError
 from iqprox.polyhedra import (bounding_box, contains, coordinate_range,
                               enumerate_faces, enumerate_lattice_points,
                               enumerate_vertices, intersect_with_box, is_empty,
                               polyhedron, tight_rows)
 from iqprox.simplex import lp_solve
+
+import reference
+from reference import recursive_lattice_runs
 
 
 def square(r=2):
@@ -39,48 +41,8 @@ def integer_box(box):
     return X[0::2], X[1::2], D
 
 
-def reference_contains(P, x):
-    """Membership in Fraction arithmetic, which the int rows must reproduce."""
-    xv = [F(v) for v in x]
-    return all(exact.dot(row, xv) <= bi for row, bi in zip(P.A, P.b))
-
-
 def reference_tight_rows(P, x):
-    xv = [F(v) for v in x]
-    return frozenset(i for i in range(P.m) if exact.dot(P.A[i], xv) == P.b[i])
-
-
-def reference_lattice_points(P):
-    """Fraction interval propagation over the box; also the points tested."""
-    box = bounding_box(P)
-    if box is None:
-        return [], []
-    out, visited, prefix = [], [], []
-
-    def rec(j):
-        if j == P.n:
-            visited.append(tuple(prefix))
-            if reference_contains(P, prefix):
-                out.append(tuple(prefix))
-            return
-        lo, hi = math.ceil(box[j][0]), math.floor(box[j][1])
-        for row, bi in zip(P.A, P.b):
-            if row[j] == 0:
-                continue
-            slack = bi - sum(row[t] * prefix[t] for t in range(j))
-            for t in range(j + 1, P.n):
-                slack -= row[t] * box[t][0 if row[t] > 0 else 1]
-            if row[j] > 0:
-                hi = min(hi, math.floor(slack / row[j]))
-            else:
-                lo = max(lo, math.ceil(slack / row[j]))
-        for v in range(lo, hi + 1):
-            prefix.append(F(v))
-            rec(j + 1)
-            prefix.pop()
-
-    rec(0)
-    return out, visited
+    return frozenset(i for i in range(P.m) if reference.dot(P.A[i], x) == P.b[i])
 
 
 RATIONALS = st.one_of(st.integers(-3, 3),
@@ -113,7 +75,7 @@ def systems_and_points(draw):
         i = draw(st.integers(0, m - 1))
         j = next((j for j, a in enumerate(A[i]) if a), None)
         if j is not None:
-            x[j] += (F(b[i]) - exact.dot(A[i], x)) / F(A[i][j])
+            x[j] += (F(b[i]) - reference.dot(A[i], x)) / F(A[i][j])
             facet = i
     return polyhedron(A, b, n), x, facet
 
@@ -124,11 +86,11 @@ def systems_and_points(draw):
 @example((polyhedron([[F(-2, 3)]], [F(2)]), [-3], 0))
 def test_membership_matches_fraction_reference(case):
     P, x, facet = case
-    assert contains(P, x) == reference_contains(P, x)
-    assert contains(P, tuple(map(F, x))) == reference_contains(P, x)
+    assert contains(P, x) == reference.contains(P, x)
+    assert contains(P, tuple(map(F, x))) == reference.contains(P, x)
     X, D = exact.integer_vector(x)
     assert (polyhedra.contains_int(P, [3 * v for v in X], 3 * D)
-            == reference_contains(P, x))
+            == reference.contains(P, x))
     tight = tight_rows(P, x)
     assert tight == reference_tight_rows(P, x)
     if facet is not None:
@@ -154,33 +116,16 @@ def bounded_systems(draw):
 @settings(max_examples=150, deadline=None)
 @given(bounded_systems())
 def test_lattice_points_match_fraction_reference(P):
-    """Same points as a box scan and the Fraction walk, as int tuples; every
-    leaf the walk reaches lies in P, with the LP box or a box passed in."""
-    want, want_visited = reference_lattice_points(P)
-    scan = [tuple(map(F, p)) for p in product(range(-3, 4), repeat=P.n)
-            if reference_contains(P, p)]
-    assert want == scan
-    assert want_visited == want
+    """Same points as the box scan, as int tuples, with the LP box or a box
+    passed in."""
     got = enumerate_lattice_points(P)
-    assert got == scan
+    assert got == reference.lattice_points(P)
     assert all(type(v) is int for p in got for v in p)
     box = bounding_box(P)
     if box is not None:
         assert enumerate_lattice_points(P, integer_box(box)) == got
         wide = [(lo - F(1, 2), hi + 1) for lo, hi in box]
         assert enumerate_lattice_points(P, integer_box(wide)) == got
-
-
-def reference_vertices(P):
-    """enumerate_vertices on the Fraction rows: one solve per n-row subset."""
-    if bounding_box(P) is None:
-        return []
-    seen = set()
-    for S in combinations(range(P.m), P.n):
-        x = exact.solve_linear([list(P.A[i]) for i in S], [P.b[i] for i in S])
-        if x is not None and reference_contains(P, x):
-            seen.add(tuple(x))
-    return sorted(seen)
 
 
 @st.composite
@@ -225,7 +170,7 @@ def test_vertices_match_fraction_reference(P):
         return real(M, rhs)
 
     try:
-        want = reference_vertices(P)
+        want = reference.vertices(P)
     except UnboundedError as err:
         with pytest.raises(UnboundedError) as got:
             enumerate_vertices(P)
@@ -252,32 +197,13 @@ def test_faces_and_lattice_of_a_polytope_take_no_lp(monkeypatch):
     of a square pyramid, tight on four rows) included."""
     pyramid = polyhedron([[0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
                          [0, 2, 2, 2, 2])
-    want = {P: (reference_lp_faces(P), reference_lp_lattice_runs(P))
+    want = {P: (reference_lp_faces(P), reference.runs(reference.lattice_points(P)))
             for P in (triangle(), square(2), pyramid)}
     monkeypatch.setattr(polyhedra, "lp_solve", None)
     for P, (faces, runs) in want.items():
         assert enumerate_faces(P) == faces
         assert polyhedra.lattice_runs(P) == runs
     assert [f.dim for f in want[pyramid][0]] == [3] + [2] * 5 + [1] * 8 + [0] * 5
-
-
-def reference_echelon_vertices(P):
-    """enumerate_vertices as it walked the independent sets of n - 1 rows,
-    each line from its own echelon (leaf_echelon_lines)."""
-    seen, recedes = set(), False
-    for S, line in leaf_echelon_lines(P):
-        recedes = recedes or line.recedes
-        for X, e in line.vertices(S[-1] + 1 if S else 0):
-            seen.add(exact.rational_vector(X, e))
-    if (recedes or not seen) and bounding_box(P) is None:
-        return []
-    return sorted(seen)
-
-
-def reference_lp_lattice_runs(P):
-    """lattice_runs on the box of bounding_box's 2n LPs."""
-    box = bounding_box(P)
-    return [] if box is None else polyhedra.lattice_runs(P, integer_box(box))
 
 
 def reference_lp_faces(P):
@@ -359,96 +285,6 @@ def test_line_vertices_match_leaf_echelons(P):
             assert line.holds(num, den) == polyhedra.contains_int(P, X, L * den)
 
 
-class ListLine(NamedTuple):
-    """polyhedra.Line as it was, with a list of each row's product A_i.w and
-    slack L b_i - A_i.X0: the reference the column lines are checked
-    against (see polyhedra.Line for the fields)."""
-
-    X0: list[int]
-    w: list[int]
-    L: int
-    dots: list[int]
-    slacks: list[int]
-    lo: tuple[int, int] | None
-    hi: tuple[int, int] | None
-    meets: bool
-
-    @property
-    def recedes(self) -> bool:
-        return self.lo is None or self.hi is None
-
-    def vertices(self, start):
-        """Line.vertices as it was, on the lists."""
-        if not self.meets:
-            return
-        X0, w, L = self.X0, self.w, self.L
-        for j in range(start, len(self.dots)):
-            dot, s = self.dots[j], self.slacks[j]
-            if not dot:
-                continue
-            end = self.hi if dot > 0 else self.lo
-            if s * end[1] != end[0] * dot:
-                continue
-            e = abs(dot)
-            if dot < 0:
-                s = -s
-            yield [(e * x + s * y) // L for x, y in zip(X0, w)], e
-
-
-def list_line(X0, w, L, dots, slacks):
-    """polyhedra._line as it was: the ListLine of the given products and
-    slacks, by one ratio-test pass over the lists."""
-    lo = hi = None
-    meets = True
-    for dot, s in zip(dots, slacks):
-        if dot > 0:
-            if hi is None or s * hi[1] < hi[0] * dot:
-                hi = (s, dot)
-        elif dot < 0:
-            if lo is None or lo[0] * -dot < -s * lo[1]:
-                lo = (-s, -dot)
-        elif s < 0:
-            meets = False
-    if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
-        meets = False
-    return ListLine(X0, w, L, dots, slacks, lo, hi, meets)
-
-
-def list_line_through(P, X0, w, L):
-    """polyhedra.line_through as it was: both lists, then list_line."""
-    rows, rhs = P.int_rows
-    return list_line(X0, w, L, [sum(map(mul, row, w)) for row in rows],
-                     [L * c - sum(map(mul, row, X0)) for row, c in zip(rows, rhs)])
-
-
-def list_plane_lines(P, start, X0, W, L):
-    """polyhedra.plane_lines as it was: per line, the lists of its rows'
-    products and slacks, each divided by L, and then list_line."""
-    rows, rhs = P.int_rows
-    W1, W2 = W
-    U = [sum(map(mul, row, W1)) for row in rows[start:]]
-    V = [sum(map(mul, row, W2)) for row in rows[start:]]
-    if not (any(U) or any(V)):
-        return
-    U = [sum(map(mul, row, W1)) for row in rows[:start]] + U
-    V = [sum(map(mul, row, W2)) for row in rows[:start]] + V
-    T = [L * c - sum(map(mul, row, X0)) for row, c in zip(rows, rhs)]
-    for j in range(start, len(rows)):
-        if U[j]:
-            G, F, Wg, Wf = U, V, W1, W2
-        elif V[j]:
-            G, F, Wg, Wf = V, U, W2, W1
-        else:
-            continue
-        a, b, c = G[j], F[j], T[j]
-        if a < 0:
-            a, b, c = -a, -b, -c
-        yield j, list_line([(a * x + c * y) // L for x, y in zip(X0, Wg)],
-                           [(a * x - b * y) // L for x, y in zip(Wf, Wg)], a,
-                           [(a * f - b * g) // L for f, g in zip(F, G)],
-                           [(a * s - c * g) // L for s, g in zip(T, G)])
-
-
 LINE_FIELDS = ("X0", "w", "L", "dots", "slacks", "lo", "hi", "meets", "recedes")
 
 
@@ -463,21 +299,6 @@ def assert_same_lines(got, want):
             assert getattr(line, field) == getattr(ref, field), (key, field)
         for start in range(len(ref.dots) + 1):
             assert list(line.vertices(start)) == list(ref.vertices(start)), (key, start)
-
-
-def leaf_echelon_lines(P, through=list_line_through):
-    """(S, line) for each independent set S of n - 1 int rows, in (size,
-    lex) order, each from the echelon of S: exact._solution_space and then
-    through, list_line_through unless given, as the face walk built every
-    line before it took them from their planes."""
-    n = P.n
-    rows, rhs = P.int_rows
-    aug = [[*row, b] for row, b in zip(rows, rhs)]
-    out = []
-    for S, a, pivots in exact.independent_row_sets(aug, n, n - 1, n - 1):
-        X0, (w,), L = exact._solution_space(a, pivots, n)
-        out.append((S, through(P, X0, w, L)))
-    return out
 
 
 def edge_lines_on_planes(P, solved):
@@ -497,7 +318,7 @@ def plane_line_cases(P) -> set[str]:
     after it none of which is independent of it, a line whose row j has
     u_j = 0 != v_j (its pivot is the second free column), a plane with
     L != 1 that has a line, and a line that misses P and one that recedes
-    (list_plane_lines)."""
+    (the reference's edge lines)."""
     n = P.n
     rows, rhs = P.int_rows
     cases = {f"n={n}"}
@@ -526,11 +347,11 @@ def plane_line_cases(P) -> set[str]:
             cases.add("f2 pivot")
         if L != 1 and any(u or v for u, v in later):
             cases.add("L != 1")
-        for _, line in list_plane_lines(P, start, X0, (W1, W2), L):
-            if not line.meets:
-                cases.add("misses P")
-            if line.recedes:
-                cases.add("recedes")
+    for _, line in reference.edge_lines(P):
+        if not line.meets:
+            cases.add("misses P")
+        if line.recedes:
+            cases.add("recedes")
     return cases
 
 
@@ -576,71 +397,20 @@ def test_plane_line_examples_cover_every_case():
 @example(PLANE_EXAMPLES[4])
 def test_plane_lines_match_leaf_echelons(P):
     """edge_lines gives, through plane_lines for each plane and in the same
-    j order, the Line that the echelon of the plane plus row j gives
-    through exact._solution_space and the reference list_line_through: every
-    field and every leaf equal, whether each plane comes solved or is
-    solved on demand.  For n = 1 it is the axis line."""
-    want = leaf_echelon_lines(P)
+    j order, the reference's line of each independent set of n - 1 rows,
+    from its own echelon: every field and every leaf equal, whether each
+    plane comes solved or is solved on demand.  For n = 1 it is the axis
+    line."""
+    want = reference.edge_lines(P)
     assert_same_lines(edge_lines_on_planes(P, True), want)
     assert_same_lines(edge_lines_on_planes(P, False), want)
 
 
-def two_path_plane_lines(P, start, X0, W, L):
-    """plane_lines as it was with a second yield for L = 1, which skipped
-    the exact divisions by L, each line a ListLine."""
-    rows, rhs = P.int_rows
-    W1, W2 = W
-    U = [sum(map(mul, row, W1)) for row in rows[start:]]
-    V = [sum(map(mul, row, W2)) for row in rows[start:]]
-    if not (any(U) or any(V)):
-        return
-    U = [sum(map(mul, row, W1)) for row in rows[:start]] + U
-    V = [sum(map(mul, row, W2)) for row in rows[:start]] + V
-    T = [L * c - sum(map(mul, row, X0)) for row, c in zip(rows, rhs)]
-    for j in range(start, len(rows)):
-        if U[j]:
-            G, F, Wg, Wf = U, V, W1, W2
-        elif V[j]:
-            G, F, Wg, Wf = V, U, W2, W1
-        else:
-            continue
-        a, b, c = G[j], F[j], T[j]
-        if a < 0:
-            a, b, c = -a, -b, -c
-        if L == 1:
-            yield j, list_line([a * x + c * y for x, y in zip(X0, Wg)],
-                               [a * x - b * y for x, y in zip(Wf, Wg)], a,
-                               [a * f - b * g for f, g in zip(F, G)],
-                               [a * s - c * g for s, g in zip(T, G)])
-        else:
-            yield j, list_line([(a * x + c * y) // L for x, y in zip(X0, Wg)],
-                               [(a * x - b * y) // L for x, y in zip(Wf, Wg)], a,
-                               [(a * f - b * g) // L for f, g in zip(F, G)],
-                               [(a * s - c * g) // L for s, g in zip(T, G)])
-
-
-def plane_line_pairs(P):
-    """(L, plane_lines' lines, two_path_plane_lines' lines) for each plane
-    of n - 2 int rows of P, as edge_lines hands it over."""
-    n = P.n
-    if n == 1:
-        return []
-    rows, rhs = P.int_rows
-    aug = [[*row, b] for row, b in zip(rows, rhs)]
-    out = []
-    for S, a, pivots in exact.independent_row_sets(aug, n, n - 2, n - 2):
-        start = S[-1] + 1 if S else 0
-        sol = exact._solution_space(a, pivots, n)
-        out.append((sol[2], list(polyhedra.plane_lines(P, start, *sol)),
-                    list(two_path_plane_lines(P, start, *sol))))
-    return out
-
-
 def test_plane_line_examples_reach_both_paths():
     """PLANE_EXAMPLES have lines on planes with L = 1 and with L > 1, the
-    two paths plane_lines once had."""
-    kinds = {"L = 1" if L == 1 else "L > 1"
-             for P in PLANE_EXAMPLES for L, got, _ in plane_line_pairs(P) if got}
+    two paths plane_lines once had: a line's columns end in its plane's L."""
+    kinds = {"L = 1" if line.cols[-1] == 1 else "L > 1"
+             for P in PLANE_EXAMPLES if P.n > 1 for _, line in edge_lines_on_planes(P, True)}
     assert kinds == {"L = 1", "L > 1"}
 
 
@@ -651,44 +421,22 @@ def test_plane_line_examples_reach_both_paths():
 @example(PLANE_EXAMPLES[2])
 @example(PLANE_EXAMPLES[3])
 @example(PLANE_EXAMPLES[4])
-def test_plane_lines_match_their_two_path_reference(P):
-    """plane_lines' column lines have every field and every leaf of the
-    lines that the L = 1 copy gave without division, and the same on L > 1
-    planes."""
-    for _, got, want in plane_line_pairs(P):
-        assert_same_lines(got, want)
-
-
-@settings(max_examples=200, deadline=None)
-@given(plane_systems())
-@example(PLANE_EXAMPLES[0])
-@example(PLANE_EXAMPLES[1])
-@example(PLANE_EXAMPLES[2])
-@example(PLANE_EXAMPLES[3])
-@example(PLANE_EXAMPLES[4])
 def test_lines_match_the_list_reference(P):
-    """plane_lines' lines, each one ratio-test pass over its plane's
-    columns, have every field and every leaf of list_plane_lines' lines,
-    which built two lists each; line_through's lines, on every independent
-    set of n - 1 rows (the axis for n = 1), those of list_line_through.  The
-    draws hold zero and duplicate rows, lines that miss P, receding lines
-    and planes with L > 1 (plane_line_cases)."""
-    n = P.n
-    rows, rhs = P.int_rows
-    aug = [[*row, b] for row, b in zip(rows, rhs)]
-    for S, a, pivots in exact.independent_row_sets(aug, n, n - 2, n - 2):
-        start = S[-1] + 1 if S else 0
-        sol = exact._solution_space(a, pivots, n)
-        assert_same_lines(list(polyhedra.plane_lines(P, start, *sol)),
-                          list(list_plane_lines(P, start, *sol)))
-    assert_same_lines(leaf_echelon_lines(P, polyhedra.line_through), leaf_echelon_lines(P))
+    """line_through's lines, each one ratio-test pass over its own columns,
+    have every field and every leaf of the reference's list lines on every
+    independent set of n - 1 rows (the axis for n = 1).  The draws hold
+    zero and duplicate rows, lines that miss P, receding lines and planes
+    with L > 1 (plane_line_cases)."""
+    want = reference.edge_lines(P)
+    assert_same_lines([(S, polyhedra.line_through(P, line.X0, line.w, line.L))
+                       for S, line in want], want)
 
 
-def test_seed0_solve_lines_match_the_two_path_reference(monkeypatch, tmp_path):
-    """Every plane_lines call of the benchmark's seed-0 solve pass gives the
-    two-path reference's lines, field by field and leaf by leaf: 1,254
-    lines on planes with L = 1 and 20 on planes with L > 1, so both paths
-    are reached."""
+def test_seed0_solve_lines_match_the_reference(monkeypatch, tmp_path):
+    """Every edge_lines call of the benchmark's seed-0 solve pass gives the
+    reference's edge lines, field by field and leaf by leaf: 1,254 lines on
+    planes with L = 1 and 20 on planes with L > 1, the two paths
+    plane_lines once had."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_run", Path(__file__).resolve().parents[1] / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
@@ -701,84 +449,20 @@ def test_seed0_solve_lines_match_the_two_path_reference(monkeypatch, tmp_path):
     p = bench.workloads.WORKLOADS["solve"](mods, bench.workloads.DEFAULT_SEED, str(tmp_path))
     p.prepare()
     lines = {"L = 1": 0, "L > 1": 0}
-    one_path = polyhedra.plane_lines
+    real = polyhedra.edge_lines
 
-    def checked(P, start, X0, W, L):
-        got = list(one_path(P, start, X0, W, L))
-        assert_same_lines(got, list(two_path_plane_lines(P, start, X0, W, L)))
-        lines["L = 1" if L == 1 else "L > 1"] += len(got)
+    def checked(P, planes):
+        got = list(real(P, planes))
+        assert_same_lines(got, reference.edge_lines(P))
+        for _, line in got:
+            lines["L = 1" if line.cols[-1] == 1 else "L > 1"] += 1
         return iter(got)
 
-    monkeypatch.setattr(polyhedra, "plane_lines", checked)
+    monkeypatch.setattr(polyhedra, "edge_lines", checked)
+    monkeypatch.setattr(oracles, "edge_lines", checked)
     for op in p.ops:
         op.check(op.run())
     assert lines == {"L = 1": 1254, "L > 1": 20}
-
-
-class KeepAll:
-    """The search of the reference walk without one: every prefix kept."""
-
-    def start(self, lo, hi):
-        return 0
-
-    def child(self, j, value, v):
-        return value
-
-    def run(self, prefix, lo, hi, value):
-        pass
-
-
-def recursive_lattice_runs(P, box=None, search=None):
-    """polyhedra.lattice_runs as it was: every level recursive, each child
-    prefix with a slack list of its own, and every run reached kept and
-    returned, with a search or without."""
-    if box is None:
-        verts = polyhedra.vertex_ints(P)
-        if not verts:
-            return []
-        box = polyhedra.vertex_box(verts)
-    if search is None:
-        search = KeepAll()
-    n = P.n
-    rows, rhs = P.int_rows
-    lows, highs, e = box
-    lo = [-(-a // e) for a in lows]
-    hi = [b // e for b in highs]
-    bounds = [[] for _ in range(n)]
-    for i, row in enumerate(rows):
-        tail = 0
-        for j in reversed(range(n)):
-            a = row[j]
-            if a:
-                bounds[j].append((i, e * a, tail))
-                tail += a * (lows[j] if a > 0 else highs[j])
-    child, take = search.child, search.run
-    out = []
-    prefix = []
-
-    def rec(j, slack, value):
-        lo_j, hi_j = lo[j], hi[j]
-        for i, c, tail in bounds[j]:
-            s = e * slack[i] - tail
-            if c > 0:
-                hi_j = min(hi_j, s // c)
-            else:
-                lo_j = max(lo_j, -(-s // c))
-        if j == n - 1:
-            if lo_j <= hi_j:
-                out.append((tuple(prefix), lo_j, hi_j))
-                take(*out[-1], value)
-            return
-        for v in range(lo_j, hi_j + 1):
-            below = child(j, value, v)
-            if below is None:
-                continue
-            prefix.append(v)
-            rec(j + 1, [s - row[j] * v for s, row in zip(slack, rows)], below)
-            prefix.pop()
-
-    rec(0, list(rhs), search.start(lo, hi))
-    return out
 
 
 class RecordingSearch:
@@ -855,11 +539,12 @@ VERTEX_EXAMPLES = [
 @example(VERTEX_EXAMPLES[6])
 @example(VERTEX_EXAMPLES[7])
 def test_vertices_and_lattice_runs_match_references(P):
-    """enumerate_vertices on the planes' lines gives what it gave on the
-    (n - 1)-row echelons, and lattice_runs on the vertex box what it gave
-    on the LP box: the same points and runs, or the same UnboundedError."""
-    same_or_same_error(lambda: enumerate_vertices(P), lambda: reference_echelon_vertices(P))
-    same_or_same_error(lambda: polyhedra.lattice_runs(P), lambda: reference_lp_lattice_runs(P))
+    """enumerate_vertices on the planes' lines gives the reference's
+    vertices, and lattice_runs on the vertex box the runs of the box scan's
+    points, or both raise the same UnboundedError."""
+    same_or_same_error(lambda: enumerate_vertices(P), lambda: reference.vertices(P))
+    same_or_same_error(lambda: polyhedra.lattice_runs(P),
+                       lambda: reference.runs(reference.lattice_points(P)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -907,7 +592,7 @@ def test_derived_polyhedra_match_fresh_ones(system, shift, zeros, center, radius
     assert all(type(x) is F for x in (*P.b, *(x for row in P.A for x in row)))
     X = shift[:P.n]
     T = polyhedra.translate(P, X)
-    assert T == polyhedron(P.A, [bi - exact.dot(row, X) for row, bi in zip(P.A, P.b)], P.n)
+    assert T == polyhedron(P.A, [bi - reference.dot(row, X) for row, bi in zip(P.A, P.b)], P.n)
     assert T.int_rows == polyhedron(T.A, T.b, T.n).int_rows
     assert all(type(x) is F for x in T.b)
     assert polyhedra.translate(T, [-x for x in X]) == P
@@ -991,10 +676,7 @@ def test_lattice_points_match_box_scan():
             rows.append(row)
             rhs.append(F(rng.randint(-2, 4)))
         P = polyhedron(rows, rhs, n)
-        got = enumerate_lattice_points(P)
-        want = [tuple(map(F, p)) for p in product(range(-3, 4), repeat=n)
-                if reference_contains(P, p)]
-        assert got == sorted(want)
+        assert enumerate_lattice_points(P) == reference.lattice_points(P)
 
 
 def test_faces_of_triangle():
@@ -1047,24 +729,6 @@ def test_polyhedra_dimension_checks(call, message):
     assert got.traceback[-1].path.name == "polyhedra.py"
 
 
-def reference_walk_leaves(lines):
-    """The face walk's leaf, recession and box code as it was inline: the
-    leaves (X, e) of the lines in (S, j) order, dropped when some line
-    recedes, and their coordinate-wise extremes over the lcm of the e, or
-    None without a leaf."""
-    leaves, recedes = [], False
-    for S, line in lines:
-        recedes = recedes or line.recedes
-        leaves += line.vertices(S[-1] + 1 if S else 0)
-    if recedes:
-        leaves = []
-    if not leaves:
-        return [], None
-    D = math.lcm(*(e for _, e in leaves))
-    cols = list(zip(*([x * (D // e) for x in X] for X, e in leaves)))
-    return leaves, ([min(c) for c in cols], [max(c) for c in cols], D)
-
-
 def rational_box(box):
     lows, highs, D = box
     return [(F(a, D), F(b, D)) for a, b in zip(lows, highs)]
@@ -1081,22 +745,23 @@ def rational_box(box):
 @example(VERTEX_EXAMPLES[6])
 @example(VERTEX_EXAMPLES[7])
 def test_vertex_ints_and_box_match_references(P):
-    """line_leaves and vertex_box give the face walk's former inline
-    leaves and box on the same lines; vertex_ints gives the points of the
-    Fraction vertices, and vertex_box of them integer_box's rational box,
-    with lattice_runs the same on either: or the same UnboundedError."""
-    lines = leaf_echelon_lines(P)
-    leaves, polytope = polyhedra.line_leaves(lines)
-    got = (leaves, polyhedra.vertex_box(leaves)) if polytope else ([], None)
-    assert got == reference_walk_leaves(lines)
+    """line_leaves on the reference's edge lines gives the reference's
+    vertices, and shows P a nonempty polytope exactly when it has one;
+    vertex_ints gives the points of the Fraction vertices, and vertex_box
+    of them integer_box's rational box, with lattice_runs the same on
+    either: or the same UnboundedError."""
+    leaves, polytope = polyhedra.line_leaves(reference.edge_lines(P))
     assert all(type(v) is int for X, e in leaves for v in [*X, e]) and all(e > 0 for _, e in leaves)
     try:
-        want = reference_echelon_vertices(P)
+        want = reference.vertices(P)
     except UnboundedError as err:
+        assert not polytope
         with pytest.raises(UnboundedError) as raised:
             polyhedra.vertex_ints(P)
         assert str(raised.value) == str(err)
         return
+    assert polytope == bool(want)
+    assert sorted({exact.rational_vector(X, e) for X, e in leaves}) == want
     verts = polyhedra.vertex_ints(P)
     assert sorted({exact.rational_vector(X, e) for X, e in verts}) == want
     if not want:
@@ -1104,6 +769,7 @@ def test_vertex_ints_and_box_match_references(P):
         return
     cols = list(zip(*want))  # the Fraction extremes, as integer_box scales them
     want_box = integer_box(list(zip(map(min, cols), map(max, cols))))
+    assert rational_box(polyhedra.vertex_box(leaves)) == rational_box(want_box)
     box = polyhedra.vertex_box(verts)
     assert rational_box(box) == rational_box(want_box)
     assert (polyhedra.lattice_runs(P, box) == polyhedra.lattice_runs(P, want_box)

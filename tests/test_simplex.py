@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from iqprox import exact, simplex
 from iqprox.errors import DimensionError, InputError
 from iqprox.simplex import feasible_point, lp_solve
+from reference import dot, reference_lp_solve
 
 
 def brute_force_max(A, b, c):
@@ -25,8 +26,8 @@ def brute_force_max(A, b, c):
         x = exact.solve_linear(M, rhs)
         if x is None:
             continue
-        if all(exact.dot(row, x) <= bi for row, bi in zip(A, b)):
-            v = exact.dot(c, x)
+        if all(dot(row, x) <= bi for row, bi in zip(A, b)):
+            v = dot(c, x)
             if best is None or v > best:
                 best = v
     return best
@@ -126,104 +127,8 @@ def test_random_against_vertex_oracle():
         else:
             assert res.is_optimal, (trial, A, b)
             assert res.objective == oracle, (trial, A, b, c)
-            assert all(exact.dot(row, res.point) <= bi
+            assert all(dot(row, res.point) <= bi
                        for row, bi in zip(A, b))
-
-
-def reference_pivot(tab, obj, basis, row, col, trail):
-    trail.append((row, col))
-    inv = tab[row][col]
-    tab[row] = [x / inv for x in tab[row]]
-    prow = tab[row]
-    for i, trow in enumerate(tab):
-        if i != row and trow[col] != 0:
-            f = trow[col]
-            tab[i] = [x - f * y for x, y in zip(trow, prow)]
-    if obj[col] != 0:
-        f = obj[col]
-        for j in range(len(obj)):
-            obj[j] -= f * prow[j]
-    basis[row] = col
-
-
-def reference_optimize(tab, obj, basis, allowed, trail):
-    ncols = len(obj) - 1
-    while True:
-        enter = next((j for j in range(ncols) if allowed[j] and obj[j] < 0), -1)
-        if enter < 0:
-            return "optimal"
-        leave = -1
-        best = None
-        for i, trow in enumerate(tab):
-            coeff = trow[enter]
-            if coeff > 0:
-                ratio = trow[-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return "unbounded"
-        reference_pivot(tab, obj, basis, leave, enter, trail)
-
-
-def reference_lp_solve(A, b, c, sense, trail):
-    """Reference: the two-phase Bland simplex on a Fraction tableau.
-
-    Rows with a negative rhs are negated and get an artificial of
-    coefficient 1; phase 1 minimizes the plain artificial sum.  Each pivot
-    (row, column) is appended to trail.
-    """
-    m, n = len(A), len(c)
-    cmin = [F(x) if sense == "min" else -F(x) for x in c]
-    if m == 0:
-        if all(x == 0 for x in cmin):
-            return "optimal", [F(0)] * n, F(0)
-        return "unbounded", None, None
-    nstruct = 2 * n + m
-    neg = [F(b[i]) < 0 for i in range(m)]
-    nart = sum(neg)
-    ncols = nstruct + nart
-    tab, basis, art_at = [], [0] * m, 0
-    for i in range(m):
-        sgn = F(-1) if neg[i] else F(1)
-        row = [sgn * F(x) for x in A[i]]
-        row += [-x for x in row[:n]] + [F(0)] * m
-        row[2 * n + i] = sgn
-        arts = [F(0)] * nart
-        if neg[i]:
-            arts[art_at] = F(1)
-            basis[i] = nstruct + art_at
-            art_at += 1
-        else:
-            basis[i] = 2 * n + i
-        tab.append(row + arts + [sgn * F(b[i])])
-    allowed = [True] * ncols
-    if nart:
-        obj = [F(0)] * nstruct + [F(1)] * nart + [F(0)]
-        for i in range(m):
-            if basis[i] >= nstruct:
-                obj = [o - t for o, t in zip(obj, tab[i])]
-        reference_optimize(tab, obj, basis, allowed, trail)
-        if obj[-1] != 0:
-            return "infeasible", None, None
-        for i in range(m):
-            if basis[i] >= nstruct:
-                j = next((j for j in range(nstruct) if tab[i][j] != 0), None)
-                if j is not None:
-                    reference_pivot(tab, obj, basis, i, j, trail)
-        allowed[nstruct:] = [False] * nart
-    obj = cmin + [-x for x in cmin] + [F(0)] * (ncols - 2 * n + 1)
-    for i in range(m):
-        f = obj[basis[i]]
-        if f != 0:
-            obj = [o - f * t for o, t in zip(obj, tab[i])]
-    if reference_optimize(tab, obj, basis, allowed, trail) == "unbounded":
-        return "unbounded", None, None
-    values = [F(0)] * ncols
-    for i in range(m):
-        values[basis[i]] = tab[i][-1]
-    x = [values[j] - values[n + j] for j in range(n)]
-    return "optimal", x, sum((F(ci) * xi for ci, xi in zip(c, x)), F(0))
 
 
 RATIONALS = st.one_of(st.integers(-3, 3),

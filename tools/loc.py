@@ -1,9 +1,9 @@
-"""Count the lines of each src/iqprox module.
+"""Count the lines of each src/iqprox module and of each tests module.
 
     python3 tools/loc.py
 
-Prints one line per module: its total lines and its code lines, then the
-totals.  Code lines leave out blank lines, comment-only lines and the lines
+Prints two blocks, src/iqprox and then tests, each headed by its directory:
+one line per module, its total lines and its code lines, then the totals.  Code lines leave out blank lines, comment-only lines and the lines
 of docstrings (the string that opens a module, a class or a function body,
 found with the stdlib ast module).  These are the two sizes that a change
 meant to simplify the package states.  Takes no options; the exit status is
@@ -15,7 +15,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "iqprox"
+ROOT = Path(__file__).resolve().parents[1]
+BLOCKS = ("src/iqprox", "tests")
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -42,13 +43,15 @@ def counts(path: Path) -> tuple[int, int]:
 
 
 def main() -> int:
-    total = code = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        t, c = counts(path)
-        total += t
-        code += c
-        print(f"{path.name:16} {t:6} {c:6}")
-    print(f"{'total':16} {total:6} {code:6}")
+    for block in BLOCKS:
+        print(block)
+        total = code = 0
+        for path in sorted((ROOT / block).glob("*.py")):
+            t, c = counts(path)
+            total += t
+            code += c
+            print(f"{path.name:24} {t:6} {c:6}")
+        print(f"{'total':24} {total:6} {code:6}")
     return 0
 
 
