@@ -406,6 +406,9 @@ def line_leaves(lines) -> tuple[list[tuple[list[int], int]], bool]:
     unless it is {0} an extreme ray of it is tight on n - 1 independent
     rows and spans the line of such an S.  Then the leaves hold every
     vertex of P, whose convex hull P is.
+
+    Every line of the stream is read, even once a line recedes:
+    oracles._face_walk does each line's face work as the stream reaches it.
     """
     leaves, recedes = [], False
     for S, line in lines:

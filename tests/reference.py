@@ -4,9 +4,12 @@ Each reference below is written from the definition of its quantity, as
 slowly as it likes: the vertices, the lattice points, the edge lines, the
 continuous maximum f_max with its witness, the largest subdeterminant
 Delta with its witness, and the cone generators, with the determinant, the
-int rows and Fraction forms of the vector arithmetic.  A path of the
-package is compared with the reference of its quantity; code a path
-replaced is not kept beside it.
+int rows, Gauss-Jordan elimination and Fraction forms of the vector
+arithmetic and of f.  They share no kernel with the paths they check, but
+for the edge lines, read off the package's int echelon of each row set
+alone, and the exact LP of f_max's faces.  A path of the package is
+compared with the reference of its quantity; code a path replaced is not
+kept beside it.
 
 The last section keeps the few references that check what no textbook
 reference can: the order of a walk's calls, the pivots of a simplex rule,
@@ -25,11 +28,11 @@ from typing import NamedTuple
 
 from iqprox import cones, exact, oracles, pipeline, polyhedra
 from iqprox.cones import (ConicDecomposition, build_cone, caratheodory_decompose,
-                          cone_contains, enumerate_generators)
+                          enumerate_generators)
 from iqprox.errors import (ClaimViolation, DimensionError, DomainError, InfeasibleError,
                            InputError, RepresentationMismatch)
 from iqprox.pipeline import (Instance, MidpointWitnesses, PipelineResult, StepRecord,
-                             eval_objective, restricted_polyhedron, subdeterminant_bound)
+                             restricted_polyhedron, subdeterminant_bound)
 from iqprox.polyhedra import bounding_box, polyhedron
 
 # ---------------------------------------------------------------------------
@@ -37,9 +40,18 @@ from iqprox.polyhedra import bounding_box, polyhedron
 
 
 def dot(u, v) -> F:
-    """u.v in Fractions."""
+    """u.v of int or Fraction vectors, summed from Fraction 0."""
     assert len(u) == len(v)
-    return sum((F(a) * F(b) for a, b in zip(u, v)), F(0))
+    return sum(map(mul, u, v), F(0))
+
+
+def objective(inst, x) -> F:
+    """f(x) = h.x - sum_{i<k} q_i x_i^2 in Fractions."""
+    xv = [F(v) for v in x]
+    if len(xv) != inst.n:
+        raise DimensionError(f"point has dim {len(xv)}, instance has {inst.n}")
+    quad = sum((-inst.q[i] * xv[i] * xv[i] for i in range(inst.k)), F(0))
+    return quad + dot(inst.h, xv)
 
 
 def combine(dec, n: int) -> list[F]:
@@ -51,16 +63,17 @@ def combine(dec, n: int) -> list[F]:
     return out
 
 
-def det(M) -> F:
+def det(M):
     """The Leibniz formula: a sum over every permutation, signed by its
-    inversions; 1 for the empty matrix."""
+    inversions, in the entries' own arithmetic, so an int matrix has an
+    int determinant; 1 for the empty matrix."""
     n = len(M)
-    total = F(0)
+    total = 0
     for perm in permutations(range(n)):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = F(-1) ** inversions
+        term = -1 if inversions % 2 else 1
         for i in range(n):
-            term *= F(M[i][perm[i]])
+            term *= M[i][perm[i]]
         total += term
     return total
 
@@ -74,29 +87,70 @@ def integer_matrix(M) -> list[list[int]]:
     return [[x.numerator for x in row] for row in rows]
 
 
-def solve(M, rhs):
-    """One solution of M x = rhs, its free coordinates 0, and the rank of
-    M, by Gauss-Jordan elimination on Fractions; None when inconsistent."""
-    n = len(M[0])
-    a = [[F(x) for x in row] + [F(b)] for row, b in zip(M, rhs)]
+def echelon(M):
+    """Gauss-Jordan elimination kept in ints: each row of M scaled to ints,
+    a row cleared by cross-multiplying it with the pivot row and divided by
+    its gcd.  The rows, in order, and the pivot columns: row r, for each
+    pivot, is row r of the reduced row echelon form times its pivot
+    row[pivots[r]], and the rows after the last pivot are zero."""
+    a = []
+    for row in M:
+        row = [x if isinstance(x, (int, F)) else F(x) for x in row]
+        d = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (d // x.denominator) for x in row])
     pivots = []
-    for c in range(n + 1):
+    for c in range(len(a[0])):
         r = len(pivots)
-        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
         if p is None:
             continue
-        if c == n:  # a pivot in the rhs column is the equation 0 = 1
-            return None
         a[r], a[p] = a[p], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        top = a[r]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i != r and f:
+                row = [top[c] * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row) or 1  # 1 for a row cleared to zero
+                a[i] = [x // g for x in row]
         pivots.append(c)
+    return a, pivots
+
+
+def rref(M):
+    """The reduced row echelon form of M in Fractions, off its echelon, and
+    its pivot columns."""
+    a, pivots = echelon(M)
+    return [[F(x, row[p]) for x in row] for row, p in zip(a, pivots)] + [
+        [F(0)] * len(row) for row in a[len(pivots):]], pivots
+
+
+def solve(M, rhs):
+    """One solution of M x = rhs, its free coordinates 0, and the rank of
+    M, read off the echelon of [M | rhs]; None when inconsistent."""
+    n = len(M[0])
+    a, pivots = echelon([[*row, b] for row, b in zip(M, rhs)])
+    if n in pivots:  # a pivot in the rhs column is the equation 0 = 1
+        return None
     x = [F(0)] * n
-    for r, p in enumerate(pivots):
-        x[p] = a[r][n]
+    for row, p in zip(a, pivots):
+        x[p] = F(row[n], row[p])
     return x, len(pivots)
+
+
+def null_space(M, n: int) -> list[list[F]]:
+    """The canonical kernel basis of M, with n columns, off its echelon:
+    per free column one vector, 1 there and 0 at the other free columns."""
+    a, pivots = echelon(M) if M else ([], [])
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [F(0)] * n
+        v[f] = F(1)
+        for row, p in zip(a, pivots):
+            v[p] = F(-row[f], row[p])
+        basis.append(v)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +186,17 @@ def lattice_points(P) -> list[tuple[int, ...]]:
         return []
     ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box]
     return [p for p in product(*ranges) if contains(P, p)]
+
+
+def vertex_box(verts):
+    """The box of lattice_runs over vertices (X, e, ...), the points X / e:
+    each coordinate's least and greatest value times the lcm D of the e,
+    as ints, and D; None without a vertex."""
+    if not verts:
+        return None
+    D = math.lcm(*(v[1] for v in verts))
+    cols = list(zip(*([F(x, v[1]) for x in v[0]] for v in verts)))
+    return [int(min(c) * D) for c in cols], [int(max(c) * D) for c in cols], D
 
 
 def runs(points) -> list[tuple[tuple[int, ...], int, int]]:
@@ -230,88 +295,82 @@ def edge_lines(P) -> list[tuple[tuple[int, ...], ListLine]]:
 
 
 def fmax_cont_witness(inst, vertices=None):
-    """fmax_cont_witness with one fresh elimination per row subset.
+    """The continuous maximum f_max of f over P and its witness, one face
+    at a time in Fractions.
 
     Every subset S of at most n rows, in itertools.combinations' (size,
-    lex) order, gets its own exact.solution_space_int of [A_S | b_S], and
-    every independent one its stationarity solve: the maximum of f over the
-    affine hull of S's face, whose value v_S bounds f there.  A face that
-    cannot raise the best value so far is skipped; one with a single
-    stationary point is decided by membership, and one with more by the
-    exact LP {A x <= b, A_S x = b_S, W^T grad f(x) = 0}
+    lex) order, whose rows are independent gets its stationarity solve
+    [A_S; 2 W^T Q] x = [b_S; W^T h], W the null_space of A_S and Q the
+    diagonal of q padded with zeros: the maximum of f over the affine hull
+    of S's face, whose value v_S = f(x) (objective) bounds f there.  A
+    face that cannot raise the best value so far is skipped; one with a
+    single stationary point is decided by membership, and one with more by
+    the exact LP {A x <= b, A_S x = b_S, W^T grad f(x) = 0}
     (oracles.feasible_point), whose point must have the value v_S.  The
     first face attaining the maximum gives the witness.
 
     With a vertices list, the n-row sets whose point lies in P are
-    appended to it as (X, e, num, den), the point X / e of value num / den,
-    unless some line of n - 1 independent rows recedes (P is then no
-    polytope).
+    appended to it as (X, e, num, den) by Cramer's rule on P's int rows:
+    e = |det A_S|, the point X / e, in P when every int row has
+    row.X <= e rhs, and its value num / den with den = d e^2, d the lcm of
+    the denominators of q and h.  None is appended once some line of n - 1
+    independent rows recedes (P is then no polytope).
     """
     P = inst.polyhedron()
     n, k = inst.n, inst.k
     rows, rhs = P.int_rows
-    Q, H, d = inst.int_objective
-    Q2 = [2 * c for c in Q] + [0] * (n - k)
+    d = math.lcm(*(F(c).denominator for c in inst.q + inst.h))
     best = wit = None
     collect = vertices is not None
     for size in range(min(n, P.m) + 1):
         for S in combinations(range(P.m), size):
-            hull = exact.solution_space_int([rows[i] for i in S],
-                                            [rhs[i] for i in S], n)
-            if hull is None or len(hull[1]) != n - size:  # S is dependent
+            A_S = [rows[i] for i in S]  # A_S x = b_S on the int rows
+            W = null_space(A_S, n) if size < n else []
+            if len(W) != n - size:  # S is dependent
                 continue
-            X0, W, L = hull
-            if collect and size == n - 1:
-                dots = [sum(map(mul, row, W[0])) for row in rows]
+            if collect and size == n - 1:  # the line's direction, scaled to ints
+                scale = math.lcm(*(x.denominator for x in W[0]))
+                w = [x.numerator * (scale // x.denominator) for x in W[0]]
+                dots = [sum(map(mul, row, w)) for row in rows]
                 collect = not (all(t <= 0 for t in dots) or all(t >= 0 for t in dots))
-            QW = [list(map(mul, Q2, w)) for w in W]
-            g = [L * c - qx for c, qx in zip(H, map(mul, Q2, X0))]
-            stat = exact.solution_space_int(
-                [[sum(map(mul, u, w)) for w in W] for u in QW],
-                [sum(map(mul, w, g)) for w in W], n - size)
-            if stat is None:
+            # w . grad f = w . h - 2 sum_{i<k} w_i q_i x_i = 0
+            grad = [[2 * w[i] * inst.q[i] if i < k else F(0) for i in range(n)] for w in W]
+            gval = [dot(w, inst.h) for w in W]
+            sol = solve(A_S + grad, [rhs[i] for i in S] + gval)
+            if sol is None or (size == n and sol[1] < n):  # or n dependent rows
                 continue
-            Y, free, e2 = stat
-            X = [x * e2 + sum(w[j] * y for w, y in zip(W, Y))
-                 for j, x in enumerate(X0)]
-            e = L * e2
-            num, den = oracles._objective_numerator(Q, H, X, e), d * e * e
+            x, rank = sol
+            v = objective(inst, x)
             vertex = collect and size == n
             if vertex:
-                if not polyhedra.contains_int(P, X, e):
-                    continue
-                vertices.append((X, e, num, den))
-            if best is not None and num * best[1] <= best[0] * den:
+                e = abs(det([rows[i] for i in S]))
+                X = [int(c * e) for c in x]  # ints, by Cramer's rule
+                if any(sum(map(mul, row, X)) > e * c for row, c in zip(rows, rhs)):
+                    continue  # X / e is not in P
+                den = d * e * e
+                vertices.append((X, e, int(v * den), den))
+            if best is not None and v <= best:
                 continue
-            if not free:
-                if not vertex and not polyhedra.contains_int(P, X, e):
+            if rank == n:
+                if not vertex and not contains(P, x):
                     continue
-                pt = [F(x, e) for x in X]
+                pt = x
             else:
-                lp_rows = [list(row) for row in P.A]
-                lp_rhs = list(P.b)
-                for i in S:
-                    lp_rows.append([-c for c in P.A[i]])
-                    lp_rhs.append(-P.b[i])
-                for w in W:
-                    w = [F(x, L) for x in w]
-                    # w . grad f = sum_i w_i h_i - 2 sum_{i<k} w_i q_i x_i = 0
-                    coeff = [2 * w[i] * inst.q[i] if i < k else F(0)
-                             for i in range(n)]
-                    val = dot(w, inst.h)
+                lp_rows = [list(row) for row in P.A] + [[-c for c in P.A[i]] for i in S]
+                lp_rhs = list(P.b) + [-P.b[i] for i in S]
+                for coeff, val in zip(grad, gval):
                     lp_rows += [coeff, [-c for c in coeff]]
                     lp_rhs += [val, -val]
                 pt = oracles.feasible_point(lp_rows, lp_rhs)
                 if pt is None:
                     continue
-                if eval_objective(inst, pt) != F(num, den):
+                if objective(inst, pt) != v:
                     raise ClaimViolation("face-constant",
                                          f"face {S}: f is not constant on E_S")
-            best = (num, den)
-            wit = tuple(pt)
+            best, wit = v, tuple(pt)
     if best is None:
         raise InfeasibleError("feasible region is empty")
-    return F(*best), wit
+    return best, wit
 
 
 def delta_witness(a) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -328,16 +387,16 @@ def delta_witness(a) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
                 d = abs(det([[a[r][c] for c in cols] for r in rows]))
                 if d > best:
                     best, best_rows, best_cols = d, rows, cols
-    return int(best), best_rows, best_cols
+    return best, best_rows, best_cols
 
 
 def generators(cone, delta):
-    """enumerate_generators with one solution_space_int per (n-1)-subset of
-    the hyperplanes, in combinations order: the cone's rows and the unit
-    rows, each once up to a positive scale.  Each line they leave is kept,
-    as its primitive int directions, where cone_contains holds; the
-    generator-norm claim fails on one beyond delta.  Each generator is a
-    tuple of Fractions."""
+    """The cone's primitive int generators, each a tuple of Fractions,
+    sorted: one null_space per (n-1)-subset of the hyperplanes, in
+    combinations order, the cone's rows and the unit rows, each once up to
+    a positive scale.  Each line they leave is kept, as its primitive int
+    directions, where the cone's rows hold (A1 r <= 0, A2 r >= 0); the
+    generator-norm claim fails on one beyond delta."""
     if delta < 1:
         raise InputError("delta must be a positive integer")
     n = cone.ambient_dim
@@ -348,16 +407,18 @@ def generators(cone, delta):
         if lead:
             g = gcd(*r) if lead > 0 else -gcd(*r)
             hyperplanes[tuple(x // g for x in r)] = None
-    zeros = [0] * (n - 1)
     found = set()
     for M in combinations(hyperplanes, n - 1):
-        _, W, _ = exact.solution_space_int(M, zeros, n)
+        W = null_space(M, n)
         if len(W) != 1:
             continue
-        g = gcd(*W[0])
-        line = [x // g for x in W[0]]
+        scale = math.lcm(*(x.denominator for x in W[0]))
+        line = [int(x * scale) for x in W[0]]
+        g = gcd(*line)
+        line = [x // g for x in line]
         for r in (line, [-x for x in line]):
-            if cone_contains(cone, r):
+            if (all(sum(map(mul, a, r)) <= 0 for a in cone.a1)
+                    and all(sum(map(mul, a, r)) >= 0 for a in cone.a2)):
                 if max(map(abs, r)) > delta:
                     raise ClaimViolation(
                         "generator-norm",
@@ -653,15 +714,6 @@ def reference_run_pipeline(inst, eps, xc, xd):
     if not contains(P, result.x_star_cont):
         raise ClaimViolation("xstarc-feasible", "continuous output is infeasible")
     return result
-
-
-def reference_eval_objective(inst, x):
-    """f(x) in Fraction arithmetic."""
-    xv = [F(v) for v in x]
-    if len(xv) != inst.n:
-        raise DimensionError(f"point has dim {len(xv)}, instance has {inst.n}")
-    quad = sum((-inst.q[i] * xv[i] * xv[i] for i in range(inst.k)), F(0))
-    return quad + dot(inst.h, xv)
 
 
 class KeepAll:

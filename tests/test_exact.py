@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from iqprox import exact
 from iqprox.errors import DimensionError, DomainError
-from reference import delta_witness, det, dot, integer_matrix, solve
+from reference import delta_witness, det, dot, integer_matrix, null_space, rref, solve
 
 
 small_int = st.integers(min_value=-6, max_value=6)
@@ -133,9 +133,9 @@ def test_rank_and_null_space_of_tall_matrices(rational):
     for _ in range(300):
         n = rng.randint(1, 4)
         M = random_matrix(rng, n + rng.randint(1, 4), n, rational)
-        r = len(rref_reference(M)[1])
+        r = len(rref(M)[1])
         assert exact.rank(M) == r
-        assert exact.null_space(M, n) == null_space_reference(M)
+        assert exact.null_space(M, n) == null_space(M, n)
         if r == n:
             first = next(k for k in range(1, len(M) + 1) if exact.rank(M[:k]) == n)
             seen.add("rows past full rank" if first < len(M) else "full rank at the last row")
@@ -323,39 +323,6 @@ def test_null_space_is_kernel(M):
         assert all(dot(row, v) == 0 for row in M)
 
 
-def rref_reference(M):
-    """Reduced row echelon form by Gauss-Jordan elimination on Fractions."""
-    a = [[F(x) for x in row] for row in M]
-    pivots = []
-    for c in range(len(a[0])):
-        r = len(pivots)
-        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    return a, pivots
-
-
-def null_space_reference(M):
-    """The canonical kernel basis: one free column 1, the other free ones 0."""
-    a, pivots = rref_reference(M)
-    basis = []
-    for f in range(len(M[0])):
-        if f in pivots:
-            continue
-        v = [F(0)] * len(M[0])
-        v[f] = F(1)
-        for r, p in enumerate(pivots):
-            v[p] = -a[r][f]
-        basis.append(v)
-    return basis
-
-
 def random_matrix(rng, m, n, rational):
     """Small entries; sometimes a zero first column or a repeated row."""
     def entry():
@@ -378,9 +345,9 @@ def test_null_space_is_the_rref_basis(rational):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         M = random_matrix(rng, m, n, rational)
         basis = exact.null_space(M, n)
-        assert basis == null_space_reference(M)
+        assert basis == null_space(M, n)
         assert all(type(x) is F for v in basis for x in v)
-        assert exact.rank(M) == len(rref_reference(M)[1])
+        assert exact.rank(M) == len(rref(M)[1])
 
 
 def test_null_space_skipped_pivot_column():
@@ -410,7 +377,7 @@ def test_solve_linear_matches_reference(rational):
         M = random_matrix(rng, n, n, rational)
         rhs = [F(rng.randint(-7, 7), rng.randint(1, 5) if rational else 1)
                for _ in range(n)]
-        a, pivots = rref_reference([list(row) + [b] for row, b in zip(M, rhs)])
+        a, pivots = rref([list(row) + [b] for row, b in zip(M, rhs)])
         x = exact.solve_linear(M, rhs)
         if pivots[:n] != list(range(n)):
             assert x is None

@@ -637,8 +637,9 @@ def assert_same_fmax_cont(inst):
 @given(st.one_of(rational_objectives(), rational_regions()))
 @face_examples
 def test_fmax_cont_witness_matches_lp_per_face(inst):
-    """The reference's value and witness: one elimination, stationarity
-    solve and, with a free direction, LP per face."""
+    """The reference's value and witness: per face a stationarity solve by
+    the reference's own elimination, valued by f in Fractions, and with a
+    free direction an exact LP; it shares no int kernel with the walk."""
     assert_same_fmax_cont(inst)
 
 
@@ -907,15 +908,11 @@ def assert_same_walk(run, ref):
 
 
 def assert_vertex_box(box, verts):
-    """box, _face_walk's, is None without a vertex in verts, and otherwise
-    holds the extremes of their points X / e as ints over one D > 0."""
-    if not verts:
-        assert box is None
-        return
-    lows, highs, D = box
-    assert all(type(v) is int for v in [*lows, *highs, D]) and D > 0
-    cols = list(zip(*([F(x, e) for x in X] for X, e, _, _ in verts)))
-    assert [(F(a, D), F(b, D)) for a, b in zip(lows, highs)] == [(min(c), max(c)) for c in cols]
+    """box, _face_walk's, is reference.vertex_box of verts: None without a
+    vertex, and otherwise the extremes of their points X / e as ints over
+    the lcm of the e."""
+    assert box == reference.vertex_box(verts)
+    assert box is None or all(type(v) is int for v in [*box[0], *box[1], box[2]])
 
 
 @pytest.mark.parametrize("collect", [False, True], ids=["value", "vertices"])

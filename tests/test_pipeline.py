@@ -22,8 +22,8 @@ from iqprox.pipeline import (Instance, StepRecord, build_sequence, compute_sched
 from iqprox.polyhedra import contains, polyhedron
 
 import reference
-from reference import (reference_compute_schedule, reference_eval_objective,
-                       reference_normalized_h, reference_normalized_rhs, reference_one_step,
+from reference import (objective, reference_compute_schedule, reference_normalized_h,
+                       reference_normalized_rhs, reference_one_step,
                        reference_restricted_polyhedron, reference_run_pipeline)
 
 
@@ -1062,7 +1062,7 @@ def objectives_and_points(draw):
 def test_eval_objective_matches_fraction_reference(case):
     inst, x = case
     try:
-        want = reference_eval_objective(inst, x)
+        want = objective(inst, x)
     except DimensionError as err:
         with pytest.raises(DimensionError) as got:
             eval_objective(inst, x)

@@ -729,11 +729,6 @@ def test_polyhedra_dimension_checks(call, message):
     assert got.traceback[-1].path.name == "polyhedra.py"
 
 
-def rational_box(box):
-    lows, highs, D = box
-    return [(F(a, D), F(b, D)) for a, b in zip(lows, highs)]
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(bounded_systems(), opened_systems(), plane_systems()))
 @example(VERTEX_EXAMPLES[0])
@@ -745,12 +740,15 @@ def rational_box(box):
 @example(VERTEX_EXAMPLES[6])
 @example(VERTEX_EXAMPLES[7])
 def test_vertex_ints_and_box_match_references(P):
-    """line_leaves on the reference's edge lines gives the reference's
-    vertices, and shows P a nonempty polytope exactly when it has one;
-    vertex_ints gives the points of the Fraction vertices, and vertex_box
-    of them integer_box's rational box, with lattice_runs the same on
-    either: or the same UnboundedError."""
-    leaves, polytope = polyhedra.line_leaves(reference.edge_lines(P))
+    """line_leaves reads every one of the reference's edge lines and gives
+    the reference's vertices, and shows P a nonempty polytope exactly when
+    it has one; vertex_ints gives the points of the Fraction vertices, and
+    vertex_box of either the reference's ints over the lcm of the e, with
+    lattice_runs the same on it as on integer_box's box of the Fraction
+    vertices: or the same UnboundedError."""
+    lines, read = reference.edge_lines(P), []
+    leaves, polytope = polyhedra.line_leaves(read.append(line) or line for line in lines)
+    assert read == lines  # every line, past one that recedes: _face_walk's face work
     assert all(type(v) is int for X, e in leaves for v in [*X, e]) and all(e > 0 for _, e in leaves)
     try:
         want = reference.vertices(P)
@@ -767,10 +765,10 @@ def test_vertex_ints_and_box_match_references(P):
     if not want:
         assert verts == [] and polyhedra.lattice_runs(P) == []
         return
+    assert polyhedra.vertex_box(leaves) == reference.vertex_box(leaves)
+    box = polyhedra.vertex_box(verts)
+    assert box == reference.vertex_box(verts)
     cols = list(zip(*want))  # the Fraction extremes, as integer_box scales them
     want_box = integer_box(list(zip(map(min, cols), map(max, cols))))
-    assert rational_box(polyhedra.vertex_box(leaves)) == rational_box(want_box)
-    box = polyhedra.vertex_box(verts)
-    assert rational_box(box) == rational_box(want_box)
     assert (polyhedra.lattice_runs(P, box) == polyhedra.lattice_runs(P, want_box)
             == polyhedra.lattice_runs(P))
