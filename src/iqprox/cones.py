@@ -40,12 +40,12 @@ class ProximityCone:
 class ConicDecomposition:
     """target = sum_i coefficients[i] * generators[i], all coefficients > 0.
 
-    The generators of enumerate_generators are int tuples.  The rounding
-    step combines them with floored or split coefficients as ints
+    The generators are the int tuples of enumerate_generators.  The
+    rounding step combines them with floored or split coefficients as ints
     (pipeline._combine_int).
     """
 
-    generators: list[tuple[int | Fraction, ...]] = field(default_factory=list)
+    generators: list[tuple[int, ...]] = field(default_factory=list)
     coefficients: list[Fraction] = field(default_factory=list)
 
 
@@ -57,13 +57,10 @@ def build_cone(rows, D) -> ProximityCone:
     direction xa - xb of the cone's two points as ints, times any positive
     int (L (xa - xb) with L the lcm of its denominators, or X of a point
     X / d against the origin), so each sign is that of an int dot product.
-    The rows are kept as given, in order, each as a tuple.
+    The rows are kept as given, in order, each as a tuple.  The ambient
+    dimension is that of D, so with no row the cone is all of it.
     """
-    if not rows:
-        raise DimensionError("cone needs at least one row")
-    n = len(rows[0])
-    if len(D) != n:
-        raise DimensionError("point dimension does not match matrix columns")
+    n = len(D)
     a1, a2 = [], []
     for r in map(tuple, rows):  # a tuple is itself
         if len(r) != n:
@@ -157,7 +154,7 @@ def conic_multipliers(gens, target) -> list[Fraction] | None:
     vs = list(gens)
     n = len(target)
     if not vs:
-        return [] if all(Fraction(t) == 0 for t in target) else None
+        return [] if not any(target) else None
     k = len(vs)
     rows, rhs = [], []
     for j in range(k):
@@ -166,11 +163,11 @@ def conic_multipliers(gens, target) -> list[Fraction] | None:
         rows.append(r)
         rhs.append(ZERO)
     for i in range(n):
-        r = [Fraction(v[i]) for v in vs]
+        r = [v[i] for v in vs]
         rows.append(r)
-        rhs.append(Fraction(target[i]))
+        rhs.append(target[i])
         rows.append([-x for x in r])
-        rhs.append(-Fraction(target[i]))
+        rhs.append(-target[i])
     res = lp_solve(rows, rhs, [ZERO] * k, "min")
     return res.point if res.is_optimal else None
 
@@ -227,20 +224,19 @@ def combination_int(X, d: int, terms, sign: int) -> tuple[list[int], int]:
     """The point X / d + sign * sum_i c_i g_i as ints V over D > 0, in lowest
     terms, for an int vector X, an int d > 0 and sign = +-1.
 
-    terms are (c, G, s), each a coefficient c and its generator scaled
-    once, g = G / s, so the term c g is p G over q s for c = p / q; D is the
-    lcm of d and those denominators.
+    terms are (c, g), each a coefficient c and an int generator g; the term
+    c g is p g over q for c = p / q, and D is the lcm of d and those q.
     """
-    D = lcm(d, *(c.denominator * s for c, _, s in terms))
+    D = lcm(d, *(c.denominator for c, _ in terms))
     V = [x * (D // d) for x in X]
-    for c, G, s in terms:
-        if len(G) != len(X):
-            raise DimensionError(f"generator dimension {len(G)} vs {len(X)}")
+    for c, g in terms:
+        if len(g) != len(X):
+            raise DimensionError(f"generator dimension {len(g)} vs {len(X)}")
         if c:
-            f = sign * c.numerator * (D // (c.denominator * s))
-            V = [v + f * y for v, y in zip(V, G)]
-    g = gcd(D, *V)
-    return [v // g for v in V], D // g
+            f = sign * c.numerator * (D // c.denominator)
+            V = [v + f * y for v, y in zip(V, g)]
+    h = gcd(D, *V)
+    return [v // h for v in V], D // h
 
 
 def check_two_representations(P: Polyhedron, cone: ProximityCone,
@@ -251,35 +247,30 @@ def check_two_representations(P: Polyhedron, cone: ProximityCone,
 
     A disagreement between the two expressions raises RepresentationMismatch.
     Returns the common point as ints (V, D), V / D in lowest terms, or None
-    when P does not hold it.  A generator of ints, as enumerate_generators
-    gives, is taken as it is, over 1; any other is scaled once.  Either
-    serves its cone test and both sums (combination_int), even when it is
-    in both.
+    when P does not hold it.  Each generator is an int vector, as
+    enumerate_generators gives (InputError naming the type of an entry
+    that is no int), tested on the cone and summed (combination_int) as
+    it is.
     """
-    scaled = {}
     for combo in (pos_combo, neg_combo):
         for g, c in zip(combo.generators, combo.coefficients):
             if c < 0:
                 raise InputError("combination coefficients must be nonnegative")
             if len(g) != cone.ambient_dim:
                 raise DimensionError("point dimension mismatch")
-            key = tuple(g)
-            if key not in scaled:
-                scaled[key] = ((key, 1) if all(type(x) is int for x in key)
-                               else exact.integer_vector(key))
-            if not _cone_holds(cone, scaled[key][0]):
+            for x in g:
+                if not isinstance(x, int):
+                    raise InputError(f"a generator entry must be an int, "
+                                     f"not {type(x).__name__}")
+            if not _cone_holds(cone, g):
                 raise InputError(f"generator {g} is not in the cone")
     n = P.n
     X1, d1 = exact.integer_vector(x1)
     X2, d2 = exact.integer_vector(x2)
     if len(X1) != n or len(X2) != n:
         raise DimensionError(f"point dimensions {len(X1)}, {len(X2)} vs {n}")
-
-    def terms(combo):
-        return [(c, *scaled[tuple(g)]) for g, c in zip(combo.generators, combo.coefficients)]
-
-    p1 = combination_int(X1, d1, terms(pos_combo), 1)
-    p2 = combination_int(X2, d2, terms(neg_combo), -1)
+    p1 = combination_int(X1, d1, list(zip(pos_combo.coefficients, pos_combo.generators)), 1)
+    p2 = combination_int(X2, d2, list(zip(neg_combo.coefficients, neg_combo.generators)), -1)
     if p1 != p2:  # both in lowest terms
         raise RepresentationMismatch("representations differ: "
                                      f"{list(exact.rational_vector(*p1))} vs "

@@ -24,11 +24,23 @@ from itertools import combinations
 from math import lcm, prod
 from operator import mul, neg
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, InputError
 
 
-def is_integral(x: Fraction) -> bool:
-    return (x if isinstance(x, (int, Fraction)) else Fraction(x)).denominator == 1
+def _denominators(xs) -> list[int]:
+    """The denominator of each entry of xs, a sequence of ints (a bool
+    counts as one) and Fractions; InputError naming the type of the first
+    entry of any other type."""
+    try:
+        return [x.denominator for x in xs]
+    except AttributeError:
+        other = next(x for x in xs if not isinstance(x, (int, Fraction)))
+        raise InputError(f"a number must be an int or a Fraction, "
+                         f"not {type(other).__name__}") from None
+
+
+def is_integral(x) -> bool:
+    return _denominators((x,))[0] == 1
 
 
 def is_integral_vec(v) -> bool:
@@ -48,7 +60,8 @@ def vec_sub(u, v) -> list[Fraction]:
 
 
 def inf_norm(v) -> Fraction:
-    return max((abs(Fraction(x)) for x in v), default=Fraction(0))
+    X, d = integer_vector(v)
+    return Fraction(max(map(abs, X), default=0), d)
 
 
 def _check_square(M):
@@ -61,12 +74,13 @@ def _check_square(M):
 def _integer_rows(M) -> tuple[list[list[int]], list[int]]:
     """Each row of a rational matrix times the lcm of its denominators.
 
-    Entries must be ints or Fractions.  Also returns the row multipliers;
-    their product is the factor by which the determinant grows.
+    Entries must be ints or Fractions (_denominators).  Also returns the
+    row multipliers; their product is the factor by which the determinant
+    grows.
     """
     rows, scales = [], []
     for row in M:
-        d = lcm(*(x.denominator for x in row))
+        d = lcm(*_denominators(row))
         rows.append([x.numerator * (d // x.denominator) for x in row])
         scales.append(d)
     return rows, scales
@@ -75,14 +89,13 @@ def _integer_rows(M) -> tuple[list[list[int]], list[int]]:
 def integer_vector(v) -> tuple[list[int], int]:
     """v times the lcm d of its denominators, and d.
 
-    Entries may be ints, Fractions or anything ``Fraction`` accepts.  With
-    d = 1 the numerators are the ints, and nothing is rescaled.
+    v is a sequence of ints and Fractions (_denominators).  With d = 1 the
+    numerators are the ints, and nothing is rescaled.
     """
-    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
-    d = lcm(*[x.denominator for x in xs])
+    d = lcm(*_denominators(v))
     if d == 1:
-        return [x.numerator for x in xs], 1
-    return [x.numerator * (d // x.denominator) for x in xs], d
+        return [x.numerator for x in v], 1
+    return [x.numerator * (d // x.denominator) for x in v], d
 
 
 def rational_vector(X, d: int) -> tuple[Fraction, ...]:

@@ -17,17 +17,18 @@ from .pipeline import Instance, PipelineResult, instance
 
 
 def rat_to_str(x) -> str:
-    """The string "p/q", or "p" for an integer; an int or a Fraction is read
-    as it is.  InputError when p or q is past the limit on int digits, which
-    inputs within it can reach."""
-    if type(x) is not int and not isinstance(x, Fraction):
-        x = Fraction(x)
+    """The string "p/q", or "p" for an integer, of an int (a bool counts as
+    one) or a Fraction; InputError for any other type, and when p or q is
+    past the limit on int digits, which inputs within it can reach."""
     try:
         if type(x) is int:
             return str(x)
         if x.denominator == 1:
             return str(x.numerator)
         return f"{x.numerator}/{x.denominator}"
+    except AttributeError:
+        raise InputError(f"a number must be an int or a Fraction, "
+                         f"not {type(x).__name__}") from None
     except ValueError as e:
         raise InputError(past_digit_limit()) from e
 
@@ -120,7 +121,7 @@ def instance_to_dict(inst: Instance) -> dict:
         "m": inst.m,
         "k": inst.k,
         "A": inst.int_A,
-        "b": vec_to_strs(inst.b),
+        "b": vec_to_strs(inst.P.b),
         "q": vec_to_strs(inst.q),
         "h": vec_to_strs(inst.h),
     }

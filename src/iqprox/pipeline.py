@@ -58,14 +58,6 @@ class Instance:
         return self.P.m
 
     @property
-    def A(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self.P.A
-
-    @property
-    def b(self) -> tuple[Fraction, ...]:
-        return self.P.b
-
-    @property
     def int_A(self) -> list[list[int]]:
         """A as ints, read off the int rows: A is integer, so row i's int
         row is A_i times its scale, and each division is exact."""
@@ -92,7 +84,8 @@ class Instance:
 
 
 def instance(A, b, q, h, k: int | None = None) -> Instance:
-    """Validated Instance: integer A, positive q, 0 <= k <= n."""
+    """Validated Instance: every entry an int or a Fraction, integer A,
+    positive q, 0 <= k <= n."""
     try:
         rows = exact._integer_matrix(A)
     except DomainError:
@@ -122,7 +115,10 @@ def instance(A, b, q, h, k: int | None = None) -> Instance:
 
 
 def _fractions(xs) -> tuple[Fraction, ...]:
-    """The entries as Fractions; a Fraction is kept as it is."""
+    """The entries as Fractions: a Fraction is kept as it is and an int (a
+    bool counts as one) made one; InputError for an entry of another type
+    (exact._denominators)."""
+    exact._denominators(xs)
     return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
@@ -311,7 +307,8 @@ def one_step(inst: Instance, xa, zset,
     the greedy coefficients lambda are Fractions, as the record reports them,
     and the next point is X / d minus their combination over one
     denominator: the common point of the representation check
-    (cones.check_two_representations), which scales each generator once.
+    (cones.check_two_representations), which takes the int generators as
+    they are.
     """
     X, d = xa
     P = inst.polyhedron()

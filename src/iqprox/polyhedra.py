@@ -95,19 +95,20 @@ def fix_zero(P: Polyhedron, coords) -> Polyhedron:
 
 
 def polyhedron(A, b, n: int | None = None) -> Polyhedron:
-    rows = tuple(tuple(Fraction(x) for x in row) for row in A)
-    rhs = tuple(Fraction(x) for x in b)
-    if len(rows) != len(rhs):
+    """{x : A x <= b} for a sequence of rows A and a sequence b, their
+    entries ints and Fractions; n is the ambient dimension, the row width
+    by default."""
+    if len(A) != len(b):
         raise DimensionError("row/rhs count mismatch")
     if n is None:
-        if not rows:
+        if not A:
             raise DimensionError("ambient dimension required for empty system")
-        n = len(rows[0])
-    if any(len(row) != n for row in rows):
+        n = len(A[0])
+    if any(len(row) != n for row in A):
         raise DimensionError("inconsistent row lengths")
     if n < 1:
         raise DimensionError("ambient dimension must be >= 1")
-    ints, scales = exact._integer_rows([[*row, c] for row, c in zip(rows, rhs)])
+    ints, scales = exact._integer_rows([[*row, c] for row, c in zip(A, b)])
     return Polyhedron((tuple(tuple(r[:-1]) for r in ints), tuple(r[-1] for r in ints)),
                       tuple(scales), n)
 
@@ -187,7 +188,8 @@ class Line(NamedTuple):
 
     Row i holds at t exactly when t dots[i] <= slacks[i], with dots[i] =
     A_i.w and slacks[i] = L b_i - A_i.X0 on the int row [A_i | b_i].  The
-    line keeps no list of these: cols = (F, G, T, a, b, c, div) gives them
+    line keeps no list of these, and has no field or property for one:
+    cols = (F, G, T, a, b, c, div) gives each of them, where it is read,
     from three columns of ints over P's rows, shared by every line of one
     plane (plane_lines), as dots[i] = (a F_i - b G_i) / div and slacks[i]
     = (a T_i - c G_i) / div, each division exact and div > 0.  lo is the
@@ -205,16 +207,6 @@ class Line(NamedTuple):
     hi: tuple[int, int] | None
     meets: bool
     cols: tuple
-
-    @property
-    def dots(self) -> list[int]:
-        F, G, _, a, b, _, div = self.cols
-        return [(a * f - b * g) // div for f, g in zip(F, G)]
-
-    @property
-    def slacks(self) -> list[int]:
-        _, G, T, a, _, c, div = self.cols
-        return [(a * s - c * g) // div for s, g in zip(T, G)]
 
     @property
     def recedes(self) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import DimensionError, InputError
 from .exact import _integer_rows
@@ -104,7 +105,9 @@ def lp_solve(A, b, c, sense: str = "max") -> LpResult:
     if sense not in ("max", "min"):
         raise InputError(f"sense must be 'max' or 'min', got {sense!r}")
     # Minimize internally, with the costs scaled to integers.
-    (cmin,), _ = _integer_rows([list(c) if sense == "min" else [-x for x in c]])
+    (cmin,), _ = _integer_rows([c])
+    if sense == "max":
+        cmin = [-x for x in cmin]
 
     if m == 0:
         if all(x == 0 for x in cmin):
@@ -181,7 +184,7 @@ def lp_solve(A, b, c, sense: str = "max") -> LpResult:
     for i in range(m):
         values[basis[i]] = tab[i][-1]
     x = [Fraction(values[j] - values[n + j], d) for j in range(n)]
-    objective = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), ZERO)
+    objective = sum(map(mul, c, x), ZERO)
     return LpResult("optimal", x, objective)
 
 

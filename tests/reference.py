@@ -2,12 +2,14 @@
 
 Each reference below is written from the definition of its quantity, as
 slowly as it likes: the vertices, the lattice points, the edge lines, the
-continuous maximum f_max with its witness, the largest subdeterminant
-Delta with its witness, and the cone generators, with the determinant, the
+faces, the continuous maximum f_max with its witness, the largest
+subdeterminant Delta with its witness, the cone generators, and the
+oracles' integer extremes and vertex minimum, with the determinant, the
 int rows, Gauss-Jordan elimination and Fraction forms of the vector
 arithmetic and of f.  They share no kernel with the paths they check, but
 for the edge lines, read off the package's int echelon of each row set
-alone, and the exact LP of f_max's faces.  A path of the package is
+alone, the package's exact LP of f_max's faces and of the faces of P, and
+the full report's f_max, taken from the package.  A path of the package is
 compared with the reference of its quantity; code a path replaced is not
 kept beside it.
 
@@ -34,6 +36,7 @@ from iqprox.errors import (ClaimViolation, DimensionError, DomainError, Infeasib
 from iqprox.pipeline import (Instance, MidpointWitnesses, PipelineResult, StepRecord,
                              restricted_polyhedron, subdeterminant_bound)
 from iqprox.polyhedra import bounding_box, polyhedron
+from iqprox.simplex import lp_solve
 
 # ---------------------------------------------------------------------------
 # Arithmetic: Fraction forms and the definitions of det and int rows.
@@ -79,12 +82,19 @@ def det(M):
 
 
 def integer_matrix(M) -> list[list[int]]:
-    """M's entries, each read as a Fraction, as ints; DomainError unless
-    every entry is an integer."""
-    rows = [[F(x) for x in row] for row in M]
-    if any(x.denominator != 1 for row in rows for x in row):
-        raise DomainError("subdeterminants are defined here for integer matrices only")
-    return [[x.numerator for x in row] for row in rows]
+    """M's entries as ints, row by row: InputError at the first entry that
+    is neither an int nor a Fraction, and DomainError at the first row
+    with an entry that is no integer."""
+    out = []
+    for row in M:
+        for x in row:
+            if not isinstance(x, (int, F)):
+                raise InputError(f"a number must be an int or a Fraction, "
+                                 f"not {type(x).__name__}")
+        if any(F(x).denominator != 1 for x in row):
+            raise DomainError("subdeterminants are defined here for integer matrices only")
+        out.append([int(x) for x in row])
+    return out
 
 
 def echelon(M):
@@ -290,6 +300,29 @@ def edge_lines(P) -> list[tuple[tuple[int, ...], ListLine]]:
     return out
 
 
+def reference_lp_faces(P):
+    """enumerate_faces by LP: each row set S forced to equality whose face
+    is nonempty, with its maximal equality set found by one LP per row."""
+    polyhedra.assert_bounded(P)
+    if polyhedra.is_empty(P):
+        return []
+    faces, infeasible = {}, []
+    for size in range(P.m + 1):
+        for S in map(frozenset, combinations(range(P.m), size)):
+            if any(bad <= S for bad in infeasible):
+                continue
+            rows = [list(r) for r in P.A] + [[-c for c in P.A[i]] for i in S]
+            rhs = list(P.b) + [-P.b[i] for i in S]
+            if lp_solve(rows, rhs, [F(0)] * P.n, "min").status == "infeasible":
+                infeasible.append(S)
+                continue
+            E = frozenset(S | {i for i in range(P.m) if i not in S
+                               and lp_solve(rows, rhs, list(P.A[i]), "min").objective == P.b[i]})
+            faces.setdefault(E, P.n - exact.rank([list(P.A[i]) for i in sorted(E)]))
+    return sorted((polyhedra.Face(E, d) for E, d in faces.items()),
+                  key=lambda f: (len(f.equality_rows), sorted(f.equality_rows)))
+
+
 # ---------------------------------------------------------------------------
 # The continuous maximum, Delta and the cone generators.
 
@@ -428,13 +461,53 @@ def generators(cone, delta):
 
 
 # ---------------------------------------------------------------------------
+# The oracles' optima: the lattice extremes, the vertex minimum and the
+# full report, every value f in Fractions (objective).
+
+
+def reference_lattice_extremes(inst, pts):
+    """oracles._lattice_extremes over the lattice points pts: the minimizer
+    with its ties in sorted order, the maximum and its lexicographically
+    first maximizer, every point a Fraction tuple.  InfeasibleError for no
+    point."""
+    if not pts:
+        raise InfeasibleError("no integer point in the feasible region")
+    pts = [tuple(map(F, p)) for p in pts]
+    vals = [objective(inst, p) for p in pts]
+    best, top = min(vals), max(vals)
+    ties = tuple(sorted(p for p, v in zip(pts, vals) if v == best))
+    wit = min(p for p, v in zip(pts, vals) if v == top)
+    return oracles.OptResult(ties[0], best, ties), top, wit
+
+
+def reference_vertex_minimum(inst, verts):
+    """The continuous optimum over Fraction vertices."""
+    if not verts:
+        raise InfeasibleError("feasible region is empty")
+    vals = [(objective(inst, v), v) for v in verts]
+    best = min(v for v, _ in vals)
+    ties = tuple(sorted(p for v, p in vals if v == best))
+    return oracles.OptResult(ties[0], best, ties)
+
+
+def reference_full_report(inst):
+    """full_report on the reference's lattice points and vertices, with
+    the package's f_max and its witness."""
+    P = inst.polyhedron()
+    iqp, fdi, wdi = reference_lattice_extremes(inst, lattice_points(P))
+    qp = reference_vertex_minimum(inst, vertices(P))
+    fci, wci = oracles.fmax_cont_witness(inst)
+    return oracles.OracleReport(iqp, qp, fdi, wdi, fci, wci)
+
+
+# ---------------------------------------------------------------------------
 # References of what no textbook reference shows: the pipeline's steps in
 # Fractions, each with the claims it checks; the order of the lattice walk's
 # search calls; and the pivots of the simplex's Bland rule.
 
 
 def reference_normalized_rhs(inst, xd):
-    return tuple(bi - dot(row, xd) for row, bi in zip(inst.A, inst.b))
+    return tuple(bi - dot(row, xd) for row, bi in zip(inst.P.A, inst.P.b))
 
 
 def reference_normalized_h(inst, xd):
@@ -445,8 +518,8 @@ def reference_normalized_h(inst, xd):
 
 def reference_restricted_polyhedron(inst, zset):
     """The +-e_i rows appended and every entry re-wrapped by `polyhedron`."""
-    rows = [list(r) for r in inst.A]
-    rhs = list(inst.b)
+    rows = [list(r) for r in inst.P.A]
+    rhs = list(inst.P.b)
     for i in sorted(zset):
         e = [F(int(j == i)) for j in range(inst.n)]
         rows += [e, [-x for x in e]]

@@ -50,8 +50,13 @@ def test_build_cone_contains_difference():
 
 
 def test_build_cone_empty_matrix():
-    with pytest.raises(DimensionError):
-        build_cone([], [1])
+    """With no row the cone is R^n, n the direction's length: its
+    generators are the 2n unit vectors +-e_i."""
+    for n in (1, 2, 3):
+        cone = build_cone([], [1] + [0] * (n - 1))
+        assert cone == cones.ProximityCone((), (), n)
+        units = [tuple(s * int(j == i) for j in range(n)) for i in range(n) for s in (1, -1)]
+        assert enumerate_generators(cone, 1) == tuple(sorted(units))
 
 
 def test_generators_halfspace():
@@ -591,8 +596,8 @@ def test_caratheodory_random_recombination():
 def test_check_two_representations():
     P = polyhedron([[-1, 0], [0, -1]], [0, 0])  # nonnegative quadrant
     cone = build_cone(P.int_rows[0], [2, 1])
-    v = (F(1), F(0))
-    w = (F(0), F(1))
+    v = (1, 0)
+    w = (0, 1)
     pos = ConicDecomposition([v, w], [F(2), F(1)])
     neg = ConicDecomposition([], [])
     assert check_two_representations(P, cone, [0, 0], [2, 1], pos, neg) == ([2, 1], 1)
@@ -610,7 +615,7 @@ def test_check_two_representations():
 def test_check_two_representations_mismatch():
     P = polyhedron([[-1, 0], [0, -1]], [0, 0])
     cone = build_cone(P.int_rows[0], [2, 1])
-    pos = ConicDecomposition([(F(1), F(0))], [F(1)])
+    pos = ConicDecomposition([(1, 0)], [F(1)])
     neg = ConicDecomposition([], [])
     with pytest.raises(RepresentationMismatch):
         check_two_representations(P, cone, [0, 0], [2, 1], pos, neg)
@@ -619,7 +624,7 @@ def test_check_two_representations_mismatch():
 def test_check_two_representations_rejects_negative_coeff():
     P = polyhedron([[-1, 0], [0, -1]], [0, 0])
     cone = build_cone(P.int_rows[0], [2, 1])
-    bad = ConicDecomposition([(F(1), F(0))], [F(-1)])
+    bad = ConicDecomposition([(1, 0)], [F(-1)])
     with pytest.raises(InputError):
         check_two_representations(P, cone, [0, 0], [2, 1], bad, bad)
 
@@ -630,12 +635,27 @@ def test_check_two_representations_rejects_a_generator_outside_the_cone():
     agree."""
     P = polyhedron([[-1, 0], [0, -1]], [0, 0])
     cone = build_cone(P.int_rows[0], [2, 1])
-    g = (F(1), F(-1))
-    with pytest.raises(InputError, match=r"generator \(Fraction\(1, 1\), Fraction\(-1, 1\)\) "
-                                         "is not in the cone"):
+    with pytest.raises(InputError, match=r"generator \(1, -1\) is not in the cone"):
         check_two_representations(P, cone, [0, 0], [2, 1],
-                                  ConicDecomposition([g, (F(1), F(2))], [F(1), F(1)]),
+                                  ConicDecomposition([(1, -1), (1, 2)], [F(1), F(1)]),
                                   ConicDecomposition([], []))
+
+
+@pytest.mark.parametrize("g, kind", [((F(1), 0), "Fraction"), ((1, 0.0), "float")])
+def test_check_two_representations_takes_int_generators(g, kind):
+    """A generator is an int vector, as enumerate_generators makes it (a
+    bool counts as an int); an entry of another type, a Fraction of an
+    integer value included, is an InputError naming its type."""
+    P = polyhedron([[-1, 0], [0, -1]], [0, 0])
+    cone = build_cone(P.int_rows[0], [2, 1])
+    ints = ConicDecomposition([(True, False), (0, 1)], [F(2), F(1)])
+    assert check_two_representations(P, cone, [0, 0], [2, 1], ints,
+                                     ConicDecomposition()) == ([2, 1], 1)
+    with pytest.raises(InputError) as got:
+        check_two_representations(P, cone, [0, 0], [2, 1],
+                                  ConicDecomposition([g, (0, 1)], [F(2), F(1)]),
+                                  ConicDecomposition())
+    assert str(got.value) == f"a generator entry must be an int, not {kind}"
 
 
 def reference_cone_contains(cone, x):
@@ -745,7 +765,7 @@ PLANE_CONE = cones.ProximityCone(((1, 0),), ((0, 1),), 2)
 
 @pytest.mark.parametrize("call, message", [
     (lambda: cone_contains(PLANE_CONE, [0]), "point dimension mismatch"),
-    (lambda: cones.combination_int([0, 0], 1, [(F(1), [1], 1)], 1),
+    (lambda: cones.combination_int([0, 0], 1, [(F(1), [1])], 1),
      "generator dimension 1 vs 2"),
     (lambda: check_two_representations(
         polyhedron([[1, 0], [0, 1]], [1, 1]), PLANE_CONE, [0, 0], [0, 0],

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iqprox import exact
-from iqprox.errors import DimensionError, DomainError
+from iqprox import exact, formats, oracles, pipeline, polyhedra, simplex
+from iqprox.errors import DimensionError, DomainError, InputError
 from reference import delta_witness, det, dot, integer_matrix, null_space, rref, solve
 
 
@@ -91,13 +91,16 @@ def test_det_int_matches_leibniz(M):
 @settings(max_examples=200, deadline=None)
 @example([[2.0, "3"], [F(4), -1]])
 @example([[1, F(1, 2)], [0, 0]])
+@example([[1, F(1, 2)], [0, "0"]])  # the DomainError of an earlier row comes first
 def test_integer_matrix_matches_its_definition(M):
-    """_integer_matrix gives the entries read as Fractions, as ints, or the
-    same DomainError."""
+    """_integer_matrix gives the entries as ints, or the same error: an
+    InputError naming the type of a str or float entry, which is no
+    number, or a DomainError for a row with an entry that is no integer,
+    whichever row comes first."""
     try:
         want = integer_matrix(M)
-    except DomainError as err:
-        with pytest.raises(DomainError) as got:
+    except (DomainError, InputError) as err:
+        with pytest.raises(type(err)) as got:
             exact._integer_matrix(M)
         assert str(got.value) == str(err)
         return
@@ -215,10 +218,14 @@ def test_subdeterminant_witness_matches_reference_scan(M):
 
 
 def test_is_integral_on_each_kind():
+    """An int, a bool and a Fraction are read; a str or a float, even of an
+    integer value, is no number."""
     assert exact.is_integral(3) and exact.is_integral(True) and exact.is_integral(F(4, 2))
     assert not exact.is_integral(F(1, 2))
-    assert exact.is_integral("6/3") and not exact.is_integral("1/3")
-    assert exact.is_integral(2.0) and not exact.is_integral(0.5)
+    for x, kind in (("6/3", "str"), (2.0, "float")):
+        with pytest.raises(InputError) as got:
+            exact.is_integral(x)
+        assert str(got.value) == f"a number must be an int or a Fraction, not {kind}"
 
 
 @st.composite
@@ -578,18 +585,70 @@ def test_rational_vector_inverts_integer_vector(v):
     (lambda: exact.vec_sub([1], [1, 2]), DimensionError, "vec_sub: 1 vs 2"),
     (lambda: exact.null_space([]), DimensionError,
      "null_space of empty matrix needs ambient dimension"),
-    (lambda: exact._integer_matrix([[1, 0.5]]), DomainError,
+    (lambda: exact._integer_matrix([[1, 0.5]]), InputError,
+     "a number must be an int or a Fraction, not float"),
+    (lambda: exact._integer_matrix([[1, F(1, 2)]]), DomainError,
      "subdeterminants are defined here for integer matrices only"),
-], ids=["vec_add", "vec_sub", "null_space", "float-entry"])
+], ids=["vec_add", "vec_sub", "null_space", "float-entry", "fraction-entry"])
 def test_exact_input_checks(call, error, message):
     """Each input check of exact raises its own class and message; a float
-    entry of _integer_matrix, neither an int nor a Fraction, is read as a
-    Fraction first."""
+    entry of _integer_matrix, neither an int nor a Fraction, is no number,
+    and a Fraction entry that is no integer is outside the domain."""
     with pytest.raises(error) as got:
         call()
     assert type(got.value) is error and str(got.value) == message
     assert got.traceback[-1].path.name == "exact.py"
 
 
-def test_integer_matrix_reads_other_numbers_as_fractions():
-    assert exact._integer_matrix([[2.0, "3"], [F(4), -1]]) == [[2, 3], [4, -1]]
+def test_integer_matrix_rejects_other_numbers():
+    """A float or a str entry is no number, even of an integer value: the
+    InputError names its type."""
+    for M, kind in (([[2.0, 3], [F(4), -1]], "float"), ([[2, "3"], [F(4), -1]], "str")):
+        with pytest.raises(InputError) as got:
+            exact._integer_matrix(M)
+        assert str(got.value) == f"a number must be an int or a Fraction, not {kind}"
+
+
+# -- the number contract: ints (a bool counts as one) and Fractions only ------
+
+BOX = polyhedra.polyhedron([[1], [-1]], [1, 1])  # -1 <= x <= 1
+UNIT = pipeline.instance([[1], [-1]], [1, 1], [1], [0])  # min -x^2 on BOX
+UNIT_REPORT = oracles.full_report(UNIT)
+
+# Each entry point that reads a caller's number x, with every other input valid.
+NUMBER_READERS = {
+    "integer_vector": lambda x: exact.integer_vector([1, x]),
+    "is_integral": lambda x: exact.is_integral(x),
+    "inf_norm": lambda x: exact.inf_norm([-1, x]),
+    "det": lambda x: exact.det([[2, 1], [x, 1]]),
+    "rank": lambda x: exact.rank([[1, 0], [0, x]]),
+    "lp_solve-A": lambda x: simplex.lp_solve([[x], [-1]], [1, 1], [1]),
+    "lp_solve-b": lambda x: simplex.lp_solve([[1], [-1]], [x, 1], [1]),
+    "lp_solve-c": lambda x: simplex.lp_solve([[1], [-1]], [1, 1], [x]),
+    "polyhedron-A": lambda x: polyhedra.polyhedron([[x], [-1]], [1, 1]),
+    "polyhedron-b": lambda x: polyhedra.polyhedron([[1], [-1]], [1, x]),
+    "instance-A": lambda x: pipeline.instance([[x], [-1]], [1, 1], [1], [0]),
+    "instance-b": lambda x: pipeline.instance([[1], [-1]], [x, 1], [1], [0]),
+    "instance-q": lambda x: pipeline.instance([[1], [-1]], [1, 1], [x], [0]),
+    "instance-h": lambda x: pipeline.instance([[1], [-1]], [1, 1], [1], [x]),
+    "contains": lambda x: polyhedra.contains(BOX, [x]),
+    "verdict": lambda x: oracles.verdict(UNIT, [x], F(1, 2), "continuous", UNIT_REPORT),
+    "eval_objective": lambda x: pipeline.eval_objective(UNIT, [x]),
+    "run_pipeline-xc": lambda x: pipeline.run_pipeline(UNIT, F(1, 2), [x], [1]),
+    "run_pipeline-xd": lambda x: pipeline.run_pipeline(UNIT, F(1, 2), [1], [x]),
+    "intersect_with_box": lambda x: polyhedra.intersect_with_box(BOX, [x], 1),
+    "rat_to_str": lambda x: formats.rat_to_str(x),
+}
+
+
+@pytest.mark.parametrize("x", [0.1, "1/3"], ids=["float", "str"])
+@pytest.mark.parametrize("name", list(NUMBER_READERS))
+def test_number_contract(name, x):
+    """A float or a str where a number goes is an InputError naming its
+    type, neither read as the Fraction it would make nor an AttributeError;
+    1, True and Fraction(1) in its place are read alike."""
+    call = NUMBER_READERS[name]
+    with pytest.raises(InputError) as got:
+        call(x)
+    assert str(got.value) == f"a number must be an int or a Fraction, not {type(x).__name__}"
+    assert call(1) == call(True) == call(F(1))

@@ -27,6 +27,8 @@ from iqprox.polyhedra import (contains_int, enumerate_lattice_points,
 from iqprox.simplex import feasible_point
 
 import reference
+from reference import (reference_full_report, reference_lattice_extremes,
+                       reference_vertex_minimum)
 
 
 def box_instance(q, h, r=3):
@@ -445,37 +447,6 @@ def test_large_full_report_digest(name):
     assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest
 
 
-def reference_vertex_minimum(inst, verts):
-    """The continuous optimum over Fraction vertices, f by eval_objective."""
-    if not verts:
-        raise InfeasibleError("feasible region is empty")
-    vals = [(eval_objective(inst, v), v) for v in verts]
-    best = min(v for v, _ in vals)
-    ties = tuple(sorted(p for v, p in vals if v == best))
-    return oracles.OptResult(ties[0], best, ties)
-
-
-def reference_full_report(inst):
-    """full_report on the reference's lattice points and vertices."""
-    P = inst.polyhedron()
-    pts = [tuple(map(F, p)) for p in reference.lattice_points(P)]
-    if not pts:
-        raise InfeasibleError("no integer point in the feasible region")
-    iqp, fdi, wdi = reference_lattice_extremes(inst, pts)
-    qp = reference_vertex_minimum(inst, reference.vertices(P))
-    fci, wci = oracles.fmax_cont_witness(inst)
-    return oracles.OracleReport(iqp, qp, fdi, wdi, fci, wci)
-
-
-def reference_lattice_extremes(inst, pts):
-    """_lattice_extremes with every value an eval_objective Fraction."""
-    vals = [eval_objective(inst, p) for p in pts]
-    best, top = min(vals), max(vals)
-    ties = tuple(sorted(p for p, v in zip(pts, vals) if v == best))
-    wit = min(p for p, v in zip(pts, vals) if v == top)
-    return oracles.OptResult(ties[0], best, ties), top, wit
-
-
 @st.composite
 def rational_objectives(draw):
     """A random_instance region with a fresh rational q and h."""
@@ -484,54 +455,12 @@ def rational_objectives(draw):
     q = [draw(st.fractions(F(1, 6), 4, max_denominator=6)) for _ in range(k)]
     h = [draw(st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=6)))
          for _ in range(base.n)]
-    return instance(base.A, base.b, q, h, k)
+    return instance(base.P.A, base.P.b, q, h, k)
 
 
 def diagonal_instance(q, h):
     """x_0 = x_1 on a box of radius 2: every lattice run is one point."""
     return instance([[1, -1], [-1, 1], [1, 0], [-1, 0]], [0, 0, 2, 2], q, h, len(q))
-
-
-def unpruned_lattice_extremes(inst, runs, objective):
-    """The extremes over every run of the unpruned walk, each run's prefix
-    value computed afresh: the minimizer (with ties), the maximum and its
-    lexicographically first maximizer, as _Extremes finds them."""
-    if not runs:
-        raise InfeasibleError("no integer point in the feasible region")
-    q, h, d = objective
-    j = inst.n - 1
-    hj, qj = h[j], (q[j] if j < inst.k else 0)
-
-    def g(v):
-        return (hj - qj * v) * v
-
-    best = top = wit = None
-    ties = []
-    for prefix, lo, hi in runs:
-        base = oracles._objective_numerator(q, h, prefix, 1)
-        if qj:
-            c = hj // (2 * qj)
-            a, b = min(max(c, lo), hi), min(max(c + 1, lo), hi)
-            vmax = b if g(b) > g(a) else a
-        else:
-            vmax = hi if hj > 0 else lo
-        if top is None or base + g(vmax) > top:
-            top, wit = base + g(vmax), (*prefix, vmax)
-        glo, ghi = g(lo), g(hi)
-        gmin = min(glo, ghi)
-        if best is None or base + gmin < best:
-            best, ties = base + gmin, []
-        elif base + gmin > best:
-            continue
-        if not qj and not hj:
-            ties.extend((*prefix, v) for v in range(lo, hi + 1))
-        else:
-            if glo == gmin:
-                ties.append((*prefix, lo))
-            if ghi == gmin and hi != lo:
-                ties.append((*prefix, hi))
-    fties = tuple(tuple(map(F, p)) for p in ties)
-    return oracles.OptResult(fties[0], F(best, d), fties), F(top, d), tuple(map(F, wit))
 
 
 @settings(max_examples=150, deadline=None)
@@ -556,9 +485,7 @@ def test_lattice_extremes_match_eval_objective(inst):
         assert lo <= hi
         assert not contains_int(P, [*p, lo - 1], 1) and not contains_int(P, [*p, hi + 1], 1)
     assert all(a[0] < b[0] for a, b in zip(runs, runs[1:]))
-    objective = inst.int_objective
     got = oracles._lattice_extremes(inst, None)
-    assert got == unpruned_lattice_extremes(inst, runs, objective)
     assert got == reference_lattice_extremes(inst, pts)
     opt, top, wit = got
     assert type(opt.value) is F and type(top) is F
@@ -751,7 +678,7 @@ def report_regions(draw):
     else:
         base = draw(rational_regions())
     n = base.n
-    rows, rhs = [list(r) for r in base.A], list(base.b)
+    rows, rhs = [list(r) for r in base.P.A], list(base.P.b)
     kind = draw(st.sampled_from(["as-is", "drop", "negate", "contradict",
                                  "few-rows", "one-plane"]))
     i = draw(st.integers(0, len(rows) - 1))
@@ -813,14 +740,13 @@ def family_examples(test):
 @example(box_instance([1], [0], r=2))                 # tied minimizers at both ends
 @example(diagonal_instance([], [0, 0]))               # f constant: every point ties
 def test_pruned_walk_matches_unpruned_walk(inst):
-    """The pruned walk (_Extremes) gives the extremes of every run of the
-    unpruned walk, with the same ties and witness, or the same error, on
-    the LP box and on the face walk's box."""
-    objective = inst.int_objective
+    """The pruned walk (_Extremes) gives the extremes over every lattice
+    point of the reference's scan, with the same ties and witness, or the
+    same error, on the box of P's vertices and on the face walk's box."""
     for box in (None, oracles._face_walk(inst)[3]):
         try:
-            want = unpruned_lattice_extremes(inst, lattice_runs(inst.polyhedron(), box),
-                                             objective)
+            want = reference_lattice_extremes(
+                inst, reference.lattice_points(inst.polyhedron()))
         except (InfeasibleError, UnboundedError) as err:
             with pytest.raises(type(err)) as got:
                 oracles._lattice_extremes(inst, box)

@@ -48,8 +48,8 @@ def test_instance_views_are_its_inputs():
     b = [F(7, 2), 0, F(-5, 6)]
     inst = instance(A, b, [F(1, 3)], [0, 1])
     assert inst.polyhedron().int_rows == (((2, -4), (0, 0), (-18, 6)), (7, 0, -5))
-    assert [list(row) for row in inst.A] == A and list(inst.b) == b
-    assert all(type(x) is F for x in (*inst.b, *(x for row in inst.A for x in row)))
+    assert [list(row) for row in inst.P.A] == A and list(inst.P.b) == b
+    assert all(type(x) is F for x in (*inst.P.b, *(x for row in inst.P.A for x in row)))
     assert inst.m == 3
     fam = build_prop46(3, 2, F(1, 5)).instance
     assert (formats.instance_digest(fam)
@@ -147,7 +147,7 @@ def test_normalize_moves_anchor_to_origin():
     fam = build_example_1_1(3)
     norm, shift = normalize(fam.instance, [F(-3)])
     assert shift == (-3,) and type(shift[0]) is int
-    assert norm.b == (F(27, 4), F(0))
+    assert norm.P.b == (F(27, 4), F(0))
     assert norm.h == (F(13, 2),)
     assert eval_objective(norm, [F(0)]) == 0
     # shifted objective equals the original up to the constant f(xd)
@@ -263,8 +263,8 @@ def test_normalize_and_restriction_match_fraction_reference():
         inst = random_instance(seed)
         xd = solve_iqp(inst).point
         norm, _ = normalize(inst, xd)
-        assert norm.b == reference_normalized_rhs(inst, xd)
-        assert all(type(x) is F for x in norm.b)
+        assert norm.P.b == reference_normalized_rhs(inst, xd)
+        assert all(type(x) is F for x in norm.P.b)
         assert norm.h == reference_normalized_h(inst, xd)
         assert all(type(x) is F for x in norm.h) and norm.q == inst.q
         assert_fresh_int_rows(norm.polyhedron(), [F(rng.randint(-3, 3), 2)] * inst.n)
@@ -280,7 +280,7 @@ def test_normalize_and_restriction_match_fraction_reference():
     # keeps its scale: lcm(2, den 3/2) = lcm(2, den 3) = 2
     inst = Instance(polyhedron([[F(1, 2), 1], [-1, 0]], [3, 2]), 0, (), (F(0), F(0)))
     norm, _ = normalize(inst, [F(-1), F(2)])
-    assert norm.b == reference_normalized_rhs(inst, [F(-1), F(2)]) == (F(3, 2), F(1))
+    assert norm.P.b == reference_normalized_rhs(inst, [F(-1), F(2)]) == (F(3, 2), F(1))
     assert norm.polyhedron().int_rows == (((1, 2), (-1, 0)), (3, 1))
     assert_fresh_int_rows(norm.polyhedron(), [F(1, 3), F(-2)])
     for zset in ({0}, {1}, {0, 1}):
@@ -869,7 +869,7 @@ def test_subdeterminant_bound_reads_the_int_rows(monkeypatch):
     to the scan as ints: no entry is validated again (_integer_matrix ran
     once, when the instance was built)."""
     insts = [box_product(100), *(random_instance(s, n_max=4) for s in range(20))]
-    want = [max(1, exact.max_abs_subdeterminant(inst.A)) for inst in insts]
+    want = [max(1, exact.max_abs_subdeterminant(inst.P.A)) for inst in insts]
     assert max(want) > 1
     converted = counted_calls(monkeypatch, exact, "_integer_matrix")
     assert [subdeterminant_bound(inst) for inst in insts] == want
@@ -1025,7 +1025,7 @@ def test_one_step_claims_on_a_corrupted_conic_step(monkeypatch, r, x, zset, delt
     polyhedron."""
     n = len(x)
     inst = box(n, r, n)
-    dec = ConicDecomposition([tuple(map(F, g)) for g in generators], list(map(F, coefficients)))
+    dec = ConicDecomposition([tuple(g) for g in generators], list(map(F, coefficients)))
     step = (box(n, restricted, n).polyhedron(), cones.ProximityCone((), (), n), dec)
     monkeypatch.setattr(pipeline, "_conic_step", lambda *args: step)
     with pytest.raises(ClaimViolation) as err:

@@ -4,7 +4,6 @@ import math
 import random
 import sys
 from fractions import Fraction as F
-from itertools import combinations
 from operator import mul
 from pathlib import Path
 from types import SimpleNamespace
@@ -197,36 +196,13 @@ def test_faces_and_lattice_of_a_polytope_take_no_lp(monkeypatch):
     of a square pyramid, tight on four rows) included."""
     pyramid = polyhedron([[0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
                          [0, 2, 2, 2, 2])
-    want = {P: (reference_lp_faces(P), reference.runs(reference.lattice_points(P)))
+    want = {P: (reference.reference_lp_faces(P), reference.runs(reference.lattice_points(P)))
             for P in (triangle(), square(2), pyramid)}
     monkeypatch.setattr(polyhedra, "lp_solve", None)
     for P, (faces, runs) in want.items():
         assert enumerate_faces(P) == faces
         assert polyhedra.lattice_runs(P) == runs
     assert [f.dim for f in want[pyramid][0]] == [3] + [2] * 5 + [1] * 8 + [0] * 5
-
-
-def reference_lp_faces(P):
-    """enumerate_faces by LP: each row set S forced to equality whose face
-    is nonempty, with its maximal equality set found by one LP per row."""
-    polyhedra.assert_bounded(P)
-    if is_empty(P):
-        return []
-    faces, infeasible = {}, []
-    for size in range(P.m + 1):
-        for S in map(frozenset, combinations(range(P.m), size)):
-            if any(bad <= S for bad in infeasible):
-                continue
-            rows = [list(r) for r in P.A] + [[-c for c in P.A[i]] for i in S]
-            rhs = list(P.b) + [-P.b[i] for i in S]
-            if lp_solve(rows, rhs, [F(0)] * P.n, "min").status == "infeasible":
-                infeasible.append(S)
-                continue
-            E = frozenset(S | {i for i in range(P.m) if i not in S
-                               and lp_solve(rows, rhs, list(P.A[i]), "min").objective == P.b[i]})
-            faces.setdefault(E, P.n - exact.rank([list(P.A[i]) for i in sorted(E)]))
-    return sorted((polyhedra.Face(E, d) for E, d in faces.items()),
-                  key=lambda f: (len(f.equality_rows), sorted(f.equality_rows)))
 
 
 def same_or_same_error(got, want):
@@ -270,8 +246,8 @@ def test_line_vertices_match_leaf_echelons(P):
                 if polyhedra.contains_int(P, X, e):
                     want.append((X, e))
         assert list(line.vertices(start)) == want
-        assert line.recedes == (all(t <= 0 for t in line.dots)
-                                or all(t >= 0 for t in line.dots))
+        dots, _ = products_and_slacks(line)
+        assert line.recedes == (all(t <= 0 for t in dots) or all(t >= 0 for t in dots))
         ts = [(0, 1)]
         for end in (line.lo, line.hi):
             if end is not None:
@@ -285,18 +261,27 @@ def test_line_vertices_match_leaf_echelons(P):
             assert line.holds(num, den) == polyhedra.contains_int(P, X, L * den)
 
 
-LINE_FIELDS = ("X0", "w", "L", "dots", "slacks", "lo", "hi", "meets", "recedes")
+LINE_FIELDS = ("X0", "w", "L", "lo", "hi", "meets", "recedes")
+
+
+def products_and_slacks(line):
+    """The products A_i.w and the slacks L b_i - A_i.X0 of a Line, read off
+    its columns as the Line docstring gives them."""
+    F_, G, T, a, b, c, div = line.cols
+    return ([(a * f - b * g) // div for f, g in zip(F_, G)],
+            [(a * s - c * g) // div for s, g in zip(T, G)])
 
 
 def assert_same_lines(got, want):
     """got and want hold (key, line) pairs with the same keys in the same
     order, and each line of got has the reference line's every field
-    (LINE_FIELDS) and its every leaf: the same vertices from each start
-    row, 0 through m."""
+    (LINE_FIELDS), its products and slacks, and its every leaf: the same
+    vertices from each start row, 0 through m."""
     assert [key for key, _ in got] == [key for key, _ in want]
     for (key, line), (_, ref) in zip(got, want):
         for field in LINE_FIELDS:
             assert getattr(line, field) == getattr(ref, field), (key, field)
+        assert products_and_slacks(line) == (ref.dots, ref.slacks), key
         for start in range(len(ref.dots) + 1):
             assert list(line.vertices(start)) == list(ref.vertices(start)), (key, start)
 
@@ -559,7 +544,7 @@ def test_vertices_and_lattice_runs_match_references(P):
 def test_faces_match_lp_reference(P):
     """enumerate_faces from the vertices' tight rows gives the faces one LP
     per row set and row gave, or the same UnboundedError."""
-    same_or_same_error(lambda: enumerate_faces(P), lambda: reference_lp_faces(P))
+    same_or_same_error(lambda: enumerate_faces(P), lambda: reference.reference_lp_faces(P))
 
 
 def reference_intersect_with_box(P, center, radius):
