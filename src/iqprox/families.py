@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
+from .formats import str_to_rat
 from .pipeline import Instance, instance
 from .polyhedra import Polyhedron, polyhedron
 
@@ -30,13 +31,28 @@ class PbarParams:
     beta: Fraction
 
 
+def _ints(**params):
+    """InputError unless each parameter is an int (a bool is not)."""
+    for name, v in params.items():
+        if type(v) is not int:
+            raise InputError(f"{name} must be an int, got {v!r}")
+
+
+def _rational(v) -> Fraction:
+    """v as a Fraction: an int, a Fraction or a rational string such as
+    "1/2" (formats.str_to_rat); InputError for any other type, a float or
+    a bool among them."""
+    return v if type(v) is Fraction else str_to_rat(v)
+
+
 def pbar_params(n, delta, t, beta) -> PbarParams:
-    beta = Fraction(beta)
+    _ints(n=n, delta=delta, t=t)
+    beta = _rational(beta)
     if n < 1 or delta < 1 or t < 0:
         raise InputError(f"need n >= 1, delta >= 1, t >= 0; got {n}, {delta}, {t}")
     if not 0 < beta < 1:
         raise InputError(f"beta must be in (0, 1), got {beta}")
-    return PbarParams(int(n), int(delta), int(t), beta)
+    return PbarParams(n, delta, t, beta)
 
 
 def build_pbar(p: PbarParams) -> Polyhedron:
@@ -79,7 +95,7 @@ def build_example_1_1(t: int) -> FamilyInstance:
     The additive constant -1/16 of the expanded square is dropped; it shifts
     every objective value equally and is recorded in expected["constant"].
     """
-    if t < 0:
+    if type(t) is not int or t < 0:
         raise InputError("t must be a nonnegative integer")
     inst = instance(A=[[1], [-1]], b=[Fraction(t) + Fraction(3, 4), Fraction(t)],
                     q=[1], h=[Fraction(1, 2)])
@@ -117,7 +133,7 @@ def build_pr_tight(n: int, delta: int, t: int, a, beta) -> FamilyInstance:
     optimum is -u and the continuous optimum is v.
     """
     p = pbar_params(n, delta, t, beta)
-    a = Fraction(a)
+    a = _rational(a)
     P = build_pbar(p)
     big = (Fraction(t + n * delta) / p.beta) ** 2
     q = [ONE] + [big] * (n - 1)
@@ -134,7 +150,8 @@ def build_pr_tight(n: int, delta: int, t: int, a, beta) -> FamilyInstance:
 
 def build_prop45(n: int, delta: int, eps) -> FamilyInstance:
     """Distance lower bound 4(1/eps - 1) + (2/3)(n-1)*delta, via pr-tight."""
-    eps = Fraction(eps)
+    _ints(n=n, delta=delta)
+    eps = _rational(eps)
     if not 0 < eps <= 1:
         raise InputError(f"eps must be in (0, 1], got {eps}")
     if n < 2 or delta < 1:
@@ -162,7 +179,8 @@ def build_prop44(eps, delta: int, n: int | None = None) -> FamilyInstance:
     explicit n >= 5 with (1 - 1/(n-3))^2 >= eps.  Either way the pr-tight
     parameters beta = (n-4)/(n-3), a = (n-4)*delta, t = (n-2)*delta are used.
     """
-    eps = Fraction(eps)
+    _ints(delta=delta)
+    eps = _rational(eps)
     if not 0 < eps < 1:
         raise InputError(f"eps must be in (0, 1), got {eps}")
     if delta < 1:
@@ -173,6 +191,7 @@ def build_prop44(eps, delta: int, n: int | None = None) -> FamilyInstance:
             raise InputError(
                 "sqrt(eps) is irrational; supply n explicitly instead")
         n = math.ceil((4 - 3 * s) / (1 - s))
+    _ints(n=n)
     if n < 5:
         raise InputError(f"n must be >= 5, got {n}")
     if (1 - Fraction(1, n - 3)) ** 2 < eps:
@@ -197,7 +216,8 @@ def build_prop46(n: int, delta: int, eps) -> FamilyInstance:
     (same matrix rows, so the subdeterminant bound is unchanged); objective
     is -x_1^2 alone (k = 1).
     """
-    eps = Fraction(eps)
+    _ints(n=n, delta=delta)
+    eps = _rational(eps)
     if not 0 < eps < Fraction(1, 2):
         raise InputError(f"eps must be in (0, 1/2), got {eps}")
     if n < 2 or delta < 2:

@@ -18,9 +18,9 @@ from .errors import (ClaimViolation, DimensionError, InfeasibleError, InputError
                      UnboundedError)
 from .pipeline import (Instance, PipelineResult, _objective_at, _objective_numerator,
                        checked_eps, eval_objective)
-from .polyhedra import (contains, contains_int, edge_lines, enumerate_lattice_points,
+from .polyhedra import (contains, contains_int, edge_walk, enumerate_lattice_points,
                         enumerate_vertices, intersect_with_box, is_empty, lattice_runs,
-                        line_leaves, line_through, vertex_box, vertex_ints)
+                        line_through, vertex_box, vertex_ints)
 from .simplex import feasible_point
 
 # The benchmark's self-check (perfbench/selfcheck.py) rebinds
@@ -330,18 +330,20 @@ def _face_walk(inst: Instance):
 
     The last two levels run on lines.  An independent S of n - 1 rows has
     the kernel line x = (X0 + t w) / L, met with every row by one ratio
-    test: the interval of t on which the line lies in P, and whether it
-    meets P (polyhedra.Line).  Each such S is a plane S' of n - 2 rows plus
-    a row j > max S', and the line lies in the plane's two-dimensional solution
+    test: the interval [lo, hi] of t on which the line lies in P, and
+    whether it meets P.  Each such S is a plane S' of n - 2 rows plus a row
+    j > max S', and the line lies in the plane's two-dimensional solution
     set, which exact._solution_space gives S' as X0 and two kernel vectors
     over one L.  So the walk stops its row sets at n - 2 rows, keeps each
     plane with its solution (the one its stationarity solve already made,
-    or None for a dominated plane), and after the whole level n - 2 takes
-    the lines from polyhedra.edge_lines on those planes: the same ints as
-    the echelon of S' plus row j gives, at one pass over the plane's
-    columns a line, in the same (size, lex) order.  The lines stream, after
-    the row sets, into polyhedra.line_leaves, and none is kept; each takes
-    its leaves there and then its face work, in which a line is
+    or None for a dominated plane), and after the whole level n - 2 hands
+    those planes to polyhedra.edge_walk: one loop over them, which gives
+    each line the same ints as the echelon of S' plus row j, at one
+    ratio-test pass over the plane's columns, in the same (size, lex)
+    order, and takes its leaves in that pass.  The walk reads each plane's
+    bound as edge_walk takes the plane, and edge_walk hands each line to
+    the walk's face work (visit) once its leaves are taken; no line is
+    kept.  In its face work a line is
 
     - kept for its leaves, and nothing more, when it misses P or its plane
       is dominated: no face reads a line's bound;
@@ -356,12 +358,12 @@ def _face_walk(inst: Instance):
     The n-sets are S + (j,) for the rows j > max S,
     independent exactly when A_j.w != 0; their E_S is A_S x = b_S alone,
     whose point is a vertex of P exactly when row j wins the ratio test on
-    the line (Line.vertices).  These leaves wait until the whole of level
+    the line (its leaves).  These leaves wait until the whole of level
     n - 1 is done: in (size, lex) order every (n - 1)-set comes before
     every n-set, so the best value each leaf is compared with, and the
     witness it may become, are those of that order.  Every line is met with
-    P, dominated or not, so polyhedra.line_leaves of the stream gives every
-    leaf, and whether P is a nonempty polytope, whose vertices they are.
+    P, dominated or not, so edge_walk gives every leaf, and whether P is a
+    nonempty polytope, whose vertices they are.
 
     Everything but the LP runs on the int rows of P.  The walk gives each
     face of up to n - 2 rows the Bareiss echelon of [A_S | b_S], which
@@ -387,16 +389,17 @@ def _face_walk(inst: Instance):
     level, above, bounds = 0, {}, {}  # the faces' bounds, one level up and this one
     planes = []  # (S, echelon, pivots, solution or None) per (n - 2)-set, for its lines
 
-    def dominated(S) -> bool:
-        up = above.get(S[:-1])
+    def dominated(up) -> bool:
+        """Whether a parent's bound up is no more than the best value so far."""
         return up is not None and best is not None and up[0] * best[1] <= best[0] * up[1]
 
     for S, ech, pivots in exact.independent_row_sets(aug, n, 0, n - 2):
         size = len(S)
         if size > level:
             level, above, bounds = size, bounds, {}
-        if dominated(S):
-            bounds[S] = above[S[:-1]]
+        up = above.get(S[:-1])
+        if dominated(up):
+            bounds[S] = up
             if size == n - 2:
                 planes.append((S, ech, pivots, None))
             continue
@@ -427,47 +430,52 @@ def _face_walk(inst: Instance):
         elif len(free) == 1:  # E_S is a line, in P exactly where it meets P
             (f,) = free
             line = line_through(P, X, [sum(map(mul, f, col)) for col in zip(*W)], e)
-            if not line.meets:
+            if not line[-1]:  # the line misses P
                 continue
-            _check_face_constant(inst, S, line, num, den)
+            _check_face_constant(inst, S, *line[:5], num, den)
             best, wit, pending = (num, den), None, (S, W, L)
         else:
             pt = _face_point(inst, S, W, L, Fraction(num, den))
             if pt is not None:
                 best, wit, pending = (num, den), exact.integer_vector(pt), None
-    above = bounds  # the planes' bounds
+    above, up = bounds, None  # the planes' bounds, and that of the plane edge_walk is on
 
-    def lines():
-        """The edge lines (S, line), each handed on to line_leaves as it
-        comes and then given its face work, so no list of them is kept."""
+    def walked_planes():
+        """The planes, each one's bound read into up as edge_walk takes it."""
+        nonlocal up
+        for plane in planes:
+            up = above.get(plane[0])
+            yield plane
+
+    def visit(S, X0, w, L, lo, hi, meets):
+        """A line's face work, done as edge_walk reaches the line, so no
+        list of the lines is kept."""
         nonlocal best, wit, pending
-        for S, line in edge_lines(P, planes):
-            yield S, line
-            if not line.meets or dominated(S):  # no face reads a line's bound
-                continue
-            # a t = b, solved as exact.solution_space_int would solve it
-            X0, w, L = line.X0, line.w, line.L
-            Qw = list(map(mul, Q2, w))
-            a = sum(map(mul, Qw, w))
-            b = L * sum(map(mul, w, H)) - sum(map(mul, Qw, X0))
-            if a:  # one point, at t = b / a, to test before it is valued
-                if not line.holds(b, a):
-                    continue
-                X, e = [x * a + b * c for x, c in zip(X0, w)], L * a
-            elif b:
-                continue
-            else:  # f is constant on the line
-                X, e = X0, L
-            num, den = _objective_numerator(Q, H, X, e), d * e * e
-            if best is not None and num * best[1] <= best[0] * den:
-                continue
-            if a:
-                best, wit, pending = (num, den), (X, e), None
-            else:
-                _check_face_constant(inst, S, line, num, den)
-                best, wit, pending = (num, den), None, (S, [w], L)
+        if not meets or dominated(up):
+            return  # no face reads a line's bound
+        # a t = b, solved as exact.solution_space_int would solve it
+        Qw = list(map(mul, Q2, w))
+        a = sum(map(mul, Qw, w))
+        b = L * sum(map(mul, w, H)) - sum(map(mul, Qw, X0))
+        if a:  # one point, at t = b / a, to test on [lo, hi] before it is valued
+            if ((lo is not None and b * lo[1] < lo[0] * a)
+                    or (hi is not None and hi[0] * a < b * hi[1])):
+                return
+            X, e = [x * a + b * c for x, c in zip(X0, w)], L * a
+        elif b:
+            return
+        else:  # f is constant on the line
+            X, e = X0, L
+        num, den = _objective_numerator(Q, H, X, e), d * e * e
+        if best is not None and num * best[1] <= best[0] * den:
+            return
+        if a:
+            best, wit, pending = (num, den), (X, e), None
+        else:
+            _check_face_constant(inst, S, X0, w, L, lo, hi, num, den)
+            best, wit, pending = (num, den), None, (S, [w], L)
 
-    leaves, polytope = line_leaves(lines())
+    leaves, polytope = edge_walk(P, walked_planes(), visit)
     verts = _valued(inst, leaves)
     for X, e, num, den in verts:  # the leaves S + (j,), in (S, j) order
         if best is None or num * best[1] > best[0] * den:
@@ -487,13 +495,14 @@ def _face_walk(inst: Instance):
     return Fraction(*best), wit, verts, vertex_box(leaves)
 
 
-def _check_face_constant(inst: Instance, S, line, num: int, den: int):
-    """The face-constant claim at one point of the line of E_S in P, which
-    meets P: f has the face's value num / den there."""
+def _check_face_constant(inst: Instance, S, X0, w, L: int, lo, hi, num: int, den: int):
+    """The face-constant claim at one point of the line (X0 + t w) / L of
+    E_S, which meets P on [lo, hi]: f has the face's value num / den
+    there."""
     Q, H, d = inst.int_objective
-    tn, td = line.lo or line.hi or (0, 1)  # one point of the line in P
-    Xt = [x * td + tn * c for x, c in zip(line.X0, line.w)]
-    et = line.L * td
+    tn, td = lo or hi or (0, 1)  # one point of the line in P
+    Xt = [x * td + tn * c for x, c in zip(X0, w)]
+    et = L * td
     if _objective_numerator(Q, H, Xt, et) * den != num * d * et * et:
         raise ClaimViolation("face-constant", f"face {S}: f is not constant on E_S")
 

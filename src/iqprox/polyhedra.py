@@ -2,9 +2,12 @@
 
 All enumeration routines assume desk-scale inputs and verify boundedness,
 raising UnboundedError otherwise.  The vertices are held as ints X / e,
-the leaves of P's edge lines (``edge_lines``, ``line_leaves``), which also
-show whether P is a nonempty polytope; when it is not, LPs
-(``bounding_box``) tell an empty P from an unbounded one (``vertex_ints``).
+the leaves of P's edge lines, which also show whether P is a nonempty
+polytope: ``edge_walk`` is one loop over the (n - 2)-row planes that meets
+each plane's lines with P by a ratio test on the plane's shared columns
+and takes each line's leaves in that same pass.  When P is no nonempty
+polytope, LPs (``bounding_box``) tell an empty P from an unbounded one
+(``vertex_ints``).
 The faces and the lattice walk's bounding box (``vertex_box``) come from
 the vertices, so on a nonempty polytope no enumeration solves an LP.  The
 lattice walk yields its points as runs along the last coordinate, pruned
@@ -27,8 +30,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 from operator import mul
-from typing import NamedTuple
 
 from . import exact
 from .errors import DimensionError, InputError, UnboundedError
@@ -182,146 +185,139 @@ def assert_bounded(P: Polyhedron):
     bounding_box(P)  # raises UnboundedError when any direction escapes
 
 
-class Line(NamedTuple):
-    """The line x = (X0 + t w) / L, t rational, for int vectors X0 and
-    w != 0 and an int L > 0, against the int rows of a polyhedron P.
+def _ratio_test(cols, X0: list[int], w: list[int], L: int, start: int,
+                leaves: list) -> tuple[tuple[int, int] | None, tuple[int, int] | None, bool]:
+    """lo, hi and meets of the line x = (X0 + t w) / L, t rational, against
+    P's int rows, by the simplex ratio test in one pass over its columns
+    cols = (F, G, T, a, b, c, div); the line's leaves from row start on are
+    appended to leaves in row order.
 
     Row i holds at t exactly when t dots[i] <= slacks[i], with dots[i] =
-    A_i.w and slacks[i] = L b_i - A_i.X0 on the int row [A_i | b_i].  The
-    line keeps no list of these, and has no field or property for one:
-    cols = (F, G, T, a, b, c, div) gives each of them, where it is read,
-    from three columns of ints over P's rows, shared by every line of one
-    plane (plane_lines), as dots[i] = (a F_i - b G_i) / div and slacks[i]
-    = (a T_i - c G_i) / div, each division exact and div > 0.  lo is the
-    greatest lower bound slacks[i] / dots[i] over the rows with dots[i] < 0
-    and hi the least upper bound over those with dots[i] > 0, each an int
-    pair (num, den) with den > 0, or None when no row bounds t on that
-    side.  meets says whether some point of the line lies in P: every row
-    with dots[i] = 0 holds, and lo <= hi.
-    """
+    A_i.w and slacks[i] = L b_i - A_i.X0 on the int row [A_i | b_i]; the
+    columns give them as dots[i] = (a F_i - b G_i) / div and slacks[i] =
+    (a T_i - c G_i) / div, each division exact and div > 0.  Each row with
+    dots[i] > 0 bounds t above by its ratio slacks[i] / dots[i], each with
+    dots[i] < 0 below; a row with dots[i] = 0 holds on the whole line or on
+    none of it, as slacks[i] >= 0 or not.  lo is the greatest lower bound
+    and hi the least upper bound, each an int pair (num, den) with den > 0,
+    or None when no row bounds t on that side; meets says whether some
+    point of the line lies in P: every row with dots[i] = 0 holds, and
+    lo <= hi.  The test compares div dots[i] and div slacks[i], the
+    undivided ints: div > 0 scales both sides of every comparison alike, so
+    no comparison changes, and only the two bounding ratios are divided by
+    div.
 
-    X0: list[int]
-    w: list[int]
-    L: int
-    lo: tuple[int, int] | None
-    hi: tuple[int, int] | None
-    meets: bool
-    cols: tuple
-
-    @property
-    def recedes(self) -> bool:
-        """Whether w or -w lies in the recession cone {y : A y <= 0}: no
-        row bounds t on one side, and P is no polytope."""
-        return self.lo is None or self.hi is None
-
-    def holds(self, num: int, den: int) -> bool:
-        """Whether the point at t = num / den, den > 0, lies in P."""
-        lo, hi = self.lo, self.hi
-        return (self.meets and (lo is None or lo[0] * den <= num * lo[1])
-                and (hi is None or num * hi[1] <= hi[0] * den))
-
-    def vertices(self, start: int):
-        """(X, e) for each row j >= start, in order, that meets the line in
-        one point of P: X / e with e > 0, the same ints as
-        exact._solution_space gives for the line's rows and row j.
-
-        Row j meets the line in one point exactly when dots[j] != 0, at t_j
-        = slacks[j] / dots[j].  When dots[j] > 0, hi is the least such ratio
-        (the simplex ratio test), so t_j >= hi and t_j lies in [lo, hi]
-        exactly when t_j = hi; when dots[j] < 0, exactly when t_j = lo.  The
-        test runs on div dots[j] and div slacks[j], read off the columns
-        undivided.  The point is X / e with e = |dots[j]| and X = (e X0 +-
-        slacks[j] w) / L: with X0 / L on rows S of rank n - 1 and w their
-        cofactor vector up to sign (exact._kernel), dots[j] is +- the
-        determinant of S and row j, so e x is integral by Cramer's rule and
-        the division exact.
-        """
-        if not self.meets:
-            return
-        X0, w, L, lo, hi = self.X0, self.w, self.L, self.lo, self.hi
-        F, G, T, a, b, c, div = self.cols
-        for j in range(start, len(T)):
-            g = G[j]
-            dot = a * F[j] - b * g
-            if not dot:
-                continue
-            s = a * T[j] - c * g
-            end = hi if dot > 0 else lo
-            if s * end[1] != end[0] * dot:
-                continue
-            e = abs(dot) // div
-            s = (s if dot > 0 else -s) // div
-            yield [(e * x + s * y) // L for x, y in zip(X0, w)], e
-
-
-def _line(X0: list[int], w: list[int], L: int, cols) -> Line:
-    """The Line (X0 + t w) / L on the columns cols = (F, G, T, a, b, c,
-    div) of Line: the simplex ratio test in one pass over them.
-
-    Each row with a product A_i.w > 0 bounds t above by its ratio slack_i /
-    A_i.w, each with A_i.w < 0 below; a row with A_i.w = 0 holds on the
-    whole line or on none of it, as slack_i >= 0 or not.  The test compares
-    div A_i.w and div slack_i, the undivided ints: div > 0 scales both sides
-    of every comparison alike, so no comparison changes, and only the two
-    bounding ratios are divided by div.
+    The pass also keeps the rows whose ratio equals the bound found so far
+    on each side, so no second pass finds the leaves.  Row j meets the line
+    in one point exactly when dots[j] != 0, at t_j = slacks[j] / dots[j];
+    when dots[j] > 0, t_j >= hi, so t_j lies in [lo, hi] exactly when t_j =
+    hi, and when dots[j] < 0 exactly when t_j = lo.  Its point is X / e with
+    e = |dots[j]| and X = (e X0 +- slacks[j] w) / L: with X0 / L on rows S
+    of rank n - 1 and w their cofactor vector up to sign (exact._kernel),
+    dots[j] is +- the determinant of S and row j, so e x is integral by
+    Cramer's rule and the division exact; these are the ints
+    exact._solution_space gives for the rows S and row j.
     """
     F, G, T, a, b, c, div = cols
-    lo = hi = None
-    meets = True
-    for f, g, s in zip(F, G, T):
+    ln, ld, hn, hd = -1, 0, 1, 0  # lo and hi times div, from -oo = -1/0 and +oo = 1/0
+    lows, highs, meets = [], [], True  # lows, highs: (i, num, den) of the rows attaining them
+    for i, f, g, s in zip(count(), F, G, T):
         dot = a * f - b * g
         if dot > 0:
             s = a * s - c * g
-            if hi is None or s * hi[1] < hi[0] * dot:
-                hi = (s, dot)
+            x = s * hd - hn * dot
+            if x < 0:
+                hn, hd, highs = s, dot, [(i, s, dot)]
+            elif not x:
+                highs.append((i, s, dot))
         elif dot < 0:
             s = a * s - c * g
-            if lo is None or lo[0] * -dot < -s * lo[1]:
-                lo = (-s, -dot)
+            x = s * ld - ln * dot
+            if x < 0:
+                ln, ld, lows = -s, -dot, [(i, -s, -dot)]
+            elif not x:
+                lows.append((i, -s, -dot))
         elif a * s < c * g:
             meets = False
-    if lo is not None:
-        lo = (lo[0] // div, lo[1] // div)
-    if hi is not None:
-        hi = (hi[0] // div, hi[1] // div)
-    if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
-        meets = False
-    return Line(X0, w, L, lo, hi, meets, cols)
+    meets = meets and ln * hd <= hn * ld
+    if meets:
+        for i, num, den in sorted(lows + highs):
+            if i >= start:
+                e, s = den // div, num // div
+                leaves.append(([(e * x + s * y) // L for x, y in zip(X0, w)], e))
+    return (ln // div, ld // div) if ld else None, (hn // div, hd // div) if hd else None, meets
 
 
-def line_through(P: Polyhedron, X0: list[int], w: list[int], L: int) -> Line:
-    """The Line (X0 + t w) / L against P's int rows, on its own columns: F
+def _own_columns(P: Polyhedron, X0: list[int], w: list[int], L: int):
+    """The columns of _ratio_test for the line (X0 + t w) / L on its own: F
     the products A_i.w, G = 0 and T the slacks L b_i - A_i.X0, with a = div
     = 1 and b = c = 0."""
     rows, rhs = P.int_rows
-    return _line(X0, w, L, ([sum(map(mul, row, w)) for row in rows], [0] * len(rows),
-                            [L * c - sum(map(mul, row, X0)) for row, c in zip(rows, rhs)],
-                            1, 0, 0, 1))
+    return ([sum(map(mul, row, w)) for row in rows], [0] * len(rows),
+            [L * c - sum(map(mul, row, X0)) for row, c in zip(rows, rhs)], 1, 0, 0, 1)
 
 
-def plane_lines(P: Polyhedron, start: int, X0: list[int], W: list[list[int]], L: int):
-    """(j, Line) for each row j >= start, in order, that is independent of
-    a plane's rows: the line of the plane and row j, with the ints that
-    exact._solution_space and line_through give on the echelon of the
-    plane's rows plus row j.
+def line_through(P: Polyhedron, X0: list[int], w: list[int], L: int):
+    """The line (X0 + t w) / L against P's int rows, as (X0, w, L, lo, hi,
+    meets) of _ratio_test on its own columns."""
+    return (X0, w, L, *_ratio_test(_own_columns(P, X0, w, L), X0, w, L, P.m, []))
 
-    The plane is an independent set S of n - 2 int rows [A_i | b_i], given
-    by exact._solution_space of its echelon: x = (X0 + y_1 W1 + y_2 W2) / L,
-    with W = (W1, W2) for its free columns f1 < f2, W_f equal to L at f and
-    0 at the other free column, and X0 zero at both.  Every row i gets
-    three products, u_i = A_i.W1, v_i = A_i.W2 and s_i = L b_i - A_i.X0,
-    once and only when some row j >= start has (u_j, v_j) != (0, 0).
 
-    Row j reduced through S's echelon (exact._extend_echelon) is p A_j plus
-    a combination of S's rows, p the echelon's signed last pivot, |p| = L.
-    Dotted with (W1, 0), (W2, 0) and (X0, -L), which S's rows annihilate, it
-    reads r_j = sign(p) (u_j, v_j, s_j) in the columns f1, f2 and b, and 0
-    in S's pivot columns.  So row j is independent of S exactly when (u_j,
-    v_j) != (0, 0), and its pivot g is f1 when u_j != 0, else f2; f is the
-    other free column, and G, F are the products with W_g and W_f.  With
-    a = |G_j|, the child's L, and sigma = sign(G_j), back-substitution on
-    the child's echelon puts sigma s_j at g and 0 at f of its X0, and a at f
-    and -sigma F_j at g of its w.  Both are then fixed on S's solution set:
+def _combine(cols, x, out=None) -> list[int]:
+    """The combination sum_k x_k cols[k] of P's columns, added to out when
+    given: one pass over a column per nonzero x_k."""
+    for c, col in zip(x, cols):
+        if c:
+            out = [c * a for a in col] if out is None else [o + c * a for o, a in zip(out, col)]
+    return out
+
+
+def _plane_columns(cols, rhs, start: int, X0: list[int], W: list[list[int]], L: int):
+    """The columns U = A W1, V = A W2 and T = L b - A X0 of a plane's
+    solution set (X0 + y_1 W1 + y_2 W2) / L over P's int rows [A | b], from
+    A's columns cols; None when no row j >= start has (U_j, V_j) != (0, 0),
+    for then the plane has no line."""
+    if start == len(rhs):
+        return None
+    U, V = _combine(cols, W[0]), _combine(cols, W[1])
+    if not (any(U[start:]) or any(V[start:])):
+        return None
+    return U, V, _combine(cols, [-x for x in X0], [L * c for c in rhs])
+
+
+def edge_walk(P: Polyhedron, planes, visit=None) -> tuple[list[tuple[list[int], int]], bool]:
+    """The leaves (X, e) of P's edge lines, in (S, j) order, and whether
+    they show P a nonempty polytope; each line also handed to visit, when
+    given, as visit(S, X0, w, L, lo, hi, meets) once its leaves are taken.
+
+    An edge line is the line x = (X0 + t w) / L of the solutions of an
+    independent set S of n - 1 int rows [A_i | b_i], met with P by
+    _ratio_test; the lines come in lexicographic order of S.  planes are
+    the independent sets S' of n - 2 rows in lexicographic order, each as
+    (S', echelon, pivots, solution), the echelon of its rows and
+    exact._solution_space of it, or None for a solution not made yet.  The
+    walk takes them one at a time, and visits every line of a plane before
+    it takes the next.  Each S is S' + (j,) for one plane and a row j >
+    max S'.  A plane with no solution is solved only when some row j
+    reduces to nonzero on its echelon, that is, when it has a line.  For
+    n = 1 there is no plane and the empty set's line is the axis.
+
+    A plane's solution set is x = (X0 + y_1 W1 + y_2 W2) / L, with W =
+    (W1, W2) for its free columns f1 < f2, W_f equal to L at f and 0 at the
+    other free column, and X0 zero at both.  Every row i gets three
+    products, u_i = A_i.W1, v_i = A_i.W2 and s_i = L b_i - A_i.X0, once per
+    plane (_plane_columns).  Row j reduced through the plane's echelon
+    (exact._extend_echelon) is p A_j plus a combination of the plane's
+    rows, p the echelon's signed last pivot, |p| = L.  Dotted with (W1, 0),
+    (W2, 0) and (X0, -L), which the plane's rows annihilate, it reads r_j =
+    sign(p) (u_j, v_j, s_j) in the columns f1, f2 and b, and 0 in the
+    plane's pivot columns.  So row j is independent of the plane exactly
+    when (u_j, v_j) != (0, 0), and its pivot g is f1 when u_j != 0, else
+    f2; f is the other free column, and G, F are the products with W_g and
+    W_f.  With a = |G_j|, the line's L, and sigma = sign(G_j),
+    back-substitution on the echelon of S puts sigma s_j at g and 0 at f of
+    the line's X0, and a at f and -sigma F_j at g of its w.  Both are then
+    fixed on the plane's solution set:
 
         X0' = (a X0 + sigma s_j W_g) / L,   w = (a W_f - sigma F_j W_g) / L,
 
@@ -330,82 +326,60 @@ def plane_lines(P: Polyhedron, start: int, X0: list[int], W: list[list[int]], L:
         A_i.w = (a F_i - sigma F_j G_i) / L,
         a b_i - A_i.X0' = (a s_i - sigma s_j G_i) / L.
 
-    Each is an int vector or int divided exactly.  The line keeps the
-    plane's columns F, G and T = (s_i) with (a, sigma F_j, sigma s_j, L)
-    (Line.cols), so a child costs one ratio-test pass over them (_line),
-    with no list of its own over the rows, no echelon and no dot product.
+    Each is an int vector or int divided exactly: the same ints as
+    exact._solution_space gives on the echelon of S.  So a line costs one
+    ratio-test pass over its plane's columns (F, G, T = (s_i), a, sigma
+    F_j, sigma s_j, L), with no list of its own over the rows, no echelon
+    and no dot product.
+
+    Each later row j that meets the line of S at a point of P gives the
+    vertex X / e of the independent n-set S + (j,); a vertex tight on more
+    than n rows comes once per such set.  P is a nonempty polytope exactly
+    when some leaf is found and no line recedes (no row bounds t on one
+    side, so w or -w lies in the recession cone {y : A y <= 0}): a vertex
+    gives A rank n, so the recession cone is pointed, and unless it is {0}
+    an extreme ray of it is tight on n - 1 independent rows and spans the
+    line of such an S.  Then the leaves hold every vertex of P, whose
+    convex hull P is.  Every line is walked, even once a line recedes:
+    oracles._face_walk does each line's face work in visit.
     """
+    n, m = P.n, P.m
     rows, rhs = P.int_rows
-    W1, W2 = W
-    U = [sum(map(mul, row, W1)) for row in rows[start:]]
-    V = [sum(map(mul, row, W2)) for row in rows[start:]]
-    if not (any(U) or any(V)):
-        return
-    U = [sum(map(mul, row, W1)) for row in rows[:start]] + U
-    V = [sum(map(mul, row, W2)) for row in rows[:start]] + V
-    T = [L * c - sum(map(mul, row, X0)) for row, c in zip(rows, rhs)]
-    for j in range(start, len(rows)):
-        if U[j]:
-            G, F, Wg, Wf = U, V, W1, W2
-        elif V[j]:
-            G, F, Wg, Wf = V, U, W2, W1
-        else:
-            continue
-        a, b, c = G[j], F[j], T[j]
-        if a < 0:  # a, b, c = |G_j|, sigma F_j, sigma s_j
-            a, b, c = -a, -b, -c
-        yield j, _line([(a * x + c * y) // L for x, y in zip(X0, Wg)],
-                       [(a * x - b * y) // L for x, y in zip(Wf, Wg)], a,
-                       (F, G, T, a, b, c, L))
-
-
-def edge_lines(P: Polyhedron, planes):
-    """(S, Line) for each independent set S of n - 1 int rows [A_i | b_i],
-    in lexicographic order: the line of S's solutions met with P.
-
-    planes are the independent sets S' of n - 2 rows in lexicographic
-    order, each as (S', echelon, pivots, solution), the echelon of its rows
-    and exact._solution_space of it, or None for a solution not made yet.
-    Each S is S' + (j,) for one plane and a row j > max S', and its line
-    comes from plane_lines.  A plane with no solution is solved only when
-    some row j reduces to nonzero on its echelon, that is, when it has a
-    line.  For n = 1 there is no plane and the empty set's line is the
-    axis.
-    """
-    if P.n == 1:
-        yield (), line_through(P, [0], [1], 1)
-    rows, rhs = P.int_rows
+    leaves, recedes = [], False
+    if n == 1:  # no plane: the empty set's line is the axis
+        lo, hi, meets = _ratio_test(_own_columns(P, [0], [1], 1), [0], [1], 1, 0, leaves)
+        recedes = lo is None or hi is None
+        if visit:
+            visit((), [0], [1], 1, lo, hi, meets)
+    cols = list(zip(*rows))
     for S, ech, pivots, sol in planes:
         start = S[-1] + 1 if S else 0
         if sol is None:
-            if all(exact._extend_echelon(ech, pivots, [*rows[j], rhs[j]], P.n) is None
-                   for j in range(start, P.m)):
+            if all(exact._extend_echelon(ech, pivots, [*rows[j], rhs[j]], n) is None
+                   for j in range(start, m)):
                 continue
-            sol = exact._solution_space(ech, pivots, P.n)
-        for j, line in plane_lines(P, start, *sol):
-            yield S + (j,), line
-
-
-def line_leaves(lines) -> tuple[list[tuple[list[int], int]], bool]:
-    """The leaves (X, e) of a stream of edge lines (S, Line), in (S, j)
-    order, and whether they show P a nonempty polytope.
-
-    Each later row j that meets the line of S at a point of P
-    (Line.vertices) gives the vertex X / e of the independent n-set S +
-    (j,); a vertex tight on more than n rows comes once per such set.  P is
-    a nonempty polytope exactly when some leaf is found and no line
-    recedes: a vertex gives A rank n, so the recession cone is pointed, and
-    unless it is {0} an extreme ray of it is tight on n - 1 independent
-    rows and spans the line of such an S.  Then the leaves hold every
-    vertex of P, whose convex hull P is.
-
-    Every line of the stream is read, even once a line recedes:
-    oracles._face_walk does each line's face work as the stream reaches it.
-    """
-    leaves, recedes = [], False
-    for S, line in lines:
-        recedes = recedes or line.recedes
-        leaves += line.vertices(S[-1] + 1 if S else 0)
+            sol = exact._solution_space(ech, pivots, n)
+        X0, W, L = sol
+        plane = _plane_columns(cols, rhs, start, X0, W, L)
+        if plane is None:
+            continue
+        U, V, T = plane
+        for j in range(start, m):
+            if U[j]:
+                G, F, Wg, Wf = U, V, W[0], W[1]
+            elif V[j]:
+                G, F, Wg, Wf = V, U, W[1], W[0]
+            else:
+                continue
+            a, b, c = G[j], F[j], T[j]
+            if a < 0:  # a, b, c = |G_j|, sigma F_j, sigma s_j
+                a, b, c = -a, -b, -c
+            X1 = [(a * x + c * y) // L for x, y in zip(X0, Wg)]  # X0'
+            w = [(a * x - b * y) // L for x, y in zip(Wf, Wg)]
+            lo, hi, meets = _ratio_test((F, G, T, a, b, c, L), X1, w, a, j + 1, leaves)
+            recedes = recedes or lo is None or hi is None
+            if visit:
+                visit(S + (j,), X1, w, a, lo, hi, meets)
     return leaves, bool(leaves) and not recedes
 
 
@@ -419,14 +393,14 @@ def vertex_box(verts) -> tuple[list[int], list[int], int]:
 
 
 def vertex_ints(P: Polyhedron) -> list[tuple[list[int], int]]:
-    """The vertices of P, the leaves (X, e) of its edge lines on the planes
-    of exact.independent_row_sets; [] for an empty P and UnboundedError for
+    """The vertices of P, the leaves (X, e) of edge_walk on the planes of
+    exact.independent_row_sets; [] for an empty P and UnboundedError for
     an unbounded one, which bounding_box's LPs tell apart when the leaves
     do not show P a nonempty polytope."""
     rows, rhs = P.int_rows
     planes = ((S, a, pivots, None) for S, a, pivots in exact.independent_row_sets(
         [[*row, b] for row, b in zip(rows, rhs)], P.n, P.n - 2, P.n - 2))
-    leaves, polytope = line_leaves(edge_lines(P, planes))
+    leaves, polytope = edge_walk(P, planes)
     if not polytope and bounding_box(P) is None:
         return []
     return leaves

@@ -225,7 +225,7 @@ class ListLine(NamedTuple):
     """The line x = (X0 + t w) / L against P's int rows, as lists: each
     row's product A_i.w (dots) and slack L b_i - A_i.X0 (slacks), and from
     them the interval [lo, hi] of t in P and whether the line meets P (see
-    polyhedra.Line for the fields)."""
+    polyhedra._ratio_test for the fields)."""
 
     X0: list[int]
     w: list[int]

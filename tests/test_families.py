@@ -8,6 +8,7 @@ from iqprox.families import (build_example_1_1, build_ilp_tightness,
                              build_pbar, build_pr_tight, build_prop44,
                              build_prop45, build_prop46, pbar_params, pbar_u,
                              pbar_v, random_instance)
+from iqprox.formats import rat_to_str
 from iqprox.pipeline import eval_objective
 from iqprox.polyhedra import contains, enumerate_lattice_points
 
@@ -188,3 +189,46 @@ def test_families_parameter_checks(call, message):
         call()
     assert type(got.value) is InputError and str(got.value) == message
     assert got.traceback[-1].path.name == "families.py"
+
+
+# Per builder: its valid arguments, and the positions of those it takes as
+# ints, by name, and as rationals.
+BUILDER_CALLS = {
+    "pbar_params": (pbar_params, (2, 1, 0, F(1, 10)), {"n": 0, "delta": 1, "t": 2},
+                    {"beta": 3}),
+    "build_pr_tight": (build_pr_tight, (2, 1, 1, F(1, 3), F(2, 3)),
+                       {"n": 0, "delta": 1, "t": 2}, {"a": 3, "beta": 4}),
+    "build_prop45": (build_prop45, (2, 1, F(1, 2)), {"n": 0, "delta": 1}, {"eps": 2}),
+    "build_prop44": (build_prop44, (F(1, 4), 1, 8), {"delta": 1, "n": 2}, {"eps": 0}),
+    "build_prop46": (build_prop46, (2, 2, F(1, 4)), {"n": 0, "delta": 1}, {"eps": 2}),
+}
+
+
+@pytest.mark.parametrize("name", list(BUILDER_CALLS))
+def test_builder_number_contract(name):
+    """A builder takes an int where it expects an int, and an int, a
+    Fraction or a rational string ("1/10", as perfbench/workloads.py and
+    CI's smoke step pass them) where it expects a rational, with the same
+    result for each.  A float, a bool or any other type there is an
+    InputError, which names an int parameter and is formats.str_to_rat's
+    for a rational one: pbar_params(2.7, 1, 0, 0.1) read n as 2 and beta as
+    3602879701896397/36028797018963968 when it took floats."""
+    build, args, ints, rationals = BUILDER_CALLS[name]
+    want = build(*args)
+
+    def call(i, v):
+        return build(*args[:i], v, *args[i + 1:])
+
+    for i in rationals.values():
+        assert call(i, rat_to_str(args[i])) == want
+        if args[i].denominator == 1:
+            assert call(i, int(args[i])) == want
+        for bad in (float(args[i]), True, None, [args[i]]):
+            with pytest.raises(InputError) as got:
+                call(i, bad)
+            assert str(got.value) == f"bad rational literal {bad!r}: not a string or an int"
+    for param, i in ints.items():
+        for bad in (float(args[i]), True, str(args[i]), F(args[i]), [args[i]]):
+            with pytest.raises(InputError) as got:
+                call(i, bad)
+            assert str(got.value) == f"{param} must be an int, got {bad!r}"

@@ -234,11 +234,11 @@ def test_delta_star_keeps_no_point_list():
 
 
 def test_face_walk_keeps_no_line_list():
-    """_face_walk hands each edge line on to polyhedra.line_leaves as it
-    comes and keeps none: random_instance(0, n_max=7) (n = 7, m = 17) has
-    4,216 edge lines, which as a list held about 4.7 MB of allocations, and
-    the walk peaked at about 8.0 MB with that list, against about 4.2 MB
-    without it."""
+    """_face_walk does each edge line's face work as polyhedra.edge_walk
+    visits it and keeps no line: random_instance(0, n_max=7) (n = 7, m =
+    17) has 4,216 edge lines, which as a list held about 4.7 MB of
+    allocations, and the walk peaked at about 8.0 MB with that list,
+    against about 4.2 MB without it."""
     inst = random_instance(0, n_max=7)
     assert (inst.n, inst.m) == (7, 17)
     tracemalloc.start()
@@ -634,10 +634,11 @@ def test_fmax_cont_witness_face_constant_claim_at_a_superseded_face(monkeypatch)
     interval now has x_0 = 0, where f is 0.  Uncorrupted, the face
     x_0 = 1/2 supersedes it.
 
-    The lines of n - 1 rows come from plane_lines, and the walk reads both
-    a line face's E_S and its point from that one Line, so on them f is
-    constant by construction; the claim is reached through the E_S lines
-    of the smaller faces, which line_through builds."""
+    The lines of n - 1 rows come from polyhedra.edge_walk, and the walk
+    reads both a line face's E_S and its point from the one line it is
+    visited with, so on them f is constant by construction; the claim is
+    reached through the E_S lines of the smaller faces, which line_through
+    builds."""
     inst = instance([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1],
                      [2, 0, 0]], [1] * 7, [1, 1], [10, 0, 0], 2)
     assert oracles.fmax_cont_witness(inst) == (F(19, 4), (F(1, 2), F(0), F(0)))
@@ -880,15 +881,17 @@ def test_level_walk_matches_combinations_walk(collect, inst):
 
 def face_walk_counts(monkeypatch, walk):
     """Stationarity solves, rows tried on an echelon and those of them found
-    independent, planes handed to polyhedra.plane_lines and the lines it
-    derives, the edge lines _face_walk takes from polyhedra.edge_lines, and
-    the points it values (its pipeline._objective_numerator calls, the
-    leaves' among them), by walk(); the rows a stationarity solve adds to
-    its own echelon are not counted."""
+    independent, planes whose columns polyhedra._plane_columns builds, the
+    lines polyhedra.edge_walk meets with P (its polyhedra._ratio_test
+    calls, not line_through's), the edge lines it hands _face_walk's visit,
+    and the points the walk values (its pipeline._objective_numerator
+    calls, the leaves' among them), by walk(); the rows a stationarity
+    solve adds to its own echelon are not counted."""
     counts = Counter()
-    solving, walking = [], []
-    solve, extend, derive = exact.solution_space_int, exact._extend_echelon, polyhedra.plane_lines
-    face_walk, edge_lines = oracles._face_walk, oracles.edge_lines
+    solving, walking, through = [], [], []
+    solve, extend = exact.solution_space_int, exact._extend_echelon
+    columns, ratio_test = polyhedra._plane_columns, polyhedra._ratio_test
+    face_walk, edge_walk, line_through = oracles._face_walk, oracles.edge_walk, oracles.line_through
     value = oracles._objective_numerator
 
     def counted_walk(*args):
@@ -898,10 +901,18 @@ def face_walk_counts(monkeypatch, walk):
         finally:
             walking.pop()
 
-    def counted_edge_lines(*args):
-        for line in edge_lines(*args):
+    def counted_edge_walk(P, planes, visit):
+        def counted_visit(*line):
             counts["edge lines"] += 1
-            yield line
+            visit(*line)
+        return edge_walk(P, planes, counted_visit)
+
+    def counted_line_through(*args):
+        through.append(args)
+        try:
+            return line_through(*args)
+        finally:
+            through.pop()
 
     def counted_value(*args):
         counts["values"] += bool(walking)
@@ -922,17 +933,21 @@ def face_walk_counts(monkeypatch, walk):
             counts["independent"] += ext is not None
         return ext
 
-    def counted_derive(*args):
+    def counted_columns(*args):
         counts["planes"] += 1
-        for line in derive(*args):
-            counts["lines"] += 1
-            yield line
+        return columns(*args)
+
+    def counted_ratio_test(*args):
+        counts["lines"] += not through
+        return ratio_test(*args)
 
     monkeypatch.setattr(exact, "solution_space_int", counted_solve)
     monkeypatch.setattr(exact, "_extend_echelon", counted_extend)
-    monkeypatch.setattr(polyhedra, "plane_lines", counted_derive)
+    monkeypatch.setattr(polyhedra, "_plane_columns", counted_columns)
+    monkeypatch.setattr(polyhedra, "_ratio_test", counted_ratio_test)
     monkeypatch.setattr(oracles, "_face_walk", counted_walk)
-    monkeypatch.setattr(oracles, "edge_lines", counted_edge_lines)
+    monkeypatch.setattr(oracles, "edge_walk", counted_edge_walk)
+    monkeypatch.setattr(oracles, "line_through", counted_line_through)
     monkeypatch.setattr(oracles, "_objective_numerator", counted_value)
     walk()
     return dict(counts)
@@ -953,9 +968,9 @@ def test_face_walk_counts_on_prop44(monkeypatch):
     after it, or nothing: 672 rows, none independent.  The 448 = 7 * 2^6
     that miss pair 7 try 1 or 2 rows each, as their last row is the first
     or the second of its pair, and find pair 7's first row, or pair 6's
-    when they also miss pair 6.  So 448 planes are solved and handed to
-    plane_lines, and the rows tried come to 7,024 + 1,344 = 8,368, of which
-    5,280 + 448 = 5,728 are independent.  A plane missing pairs 6 and 7
+    when they also miss pair 6.  So 448 planes are solved and have their
+    columns built, and the rows tried come to 7,024 + 1,344 = 8,368, of
+    which 5,280 + 448 = 5,728 are independent.  A plane missing pairs 6 and 7
     has 4 lines, one missing pair 7 and an earlier one 2: 64 * 4 + 384 * 2
     = 1,024 lines, each of the 8 * 2^7 sets of 7 rows once (tried row by
     row, they took 8,944 rows, and each line an echelon of its own).  Every
@@ -972,7 +987,7 @@ def test_face_walk_counts_on_pr_tight(monkeypatch):
     so the empty set's solve is the only one.  Its 6 rows, in 3 opposite
     pairs, are its planes, all dominated.  Each tests its later rows: 2, 1,
     2, 1, 1 and 0 rows, 7 in all, and the first four find one
-    independent.  Those 4 are solved and derive 4, 4, 2 and 2 lines: the 12
+    independent.  Those 4 are solved and have 4, 4, 2 and 2 lines: the 12
     independent pairs of rows (tried row by row, they took 21 rows).  The
     walk values the empty set's point and the 8 leaves."""
     inst = build_pr_tight(3, 1, 1, F(1, 2), F(2, 3)).instance
@@ -987,9 +1002,9 @@ def test_face_walk_counts_on_ilp_tightness(monkeypatch):
     inconsistent stationarity system, no face gets a bound to pass on, and
     each is solved: the empty set and its 6 rows by
     exact.solution_space_int, the 12 lines in closed form.  No plane is
-    dominated, so none tests a row, and each of the 6 hands its solve to
-    plane_lines.  No line has a consistent a t = b (f is linear and grows
-    along each), so the walk values only the 8 leaves."""
+    dominated, so none tests a row, and each of the 6 has its columns
+    built from its solve.  No line has a consistent a t = b (f is linear
+    and grows along each), so the walk values only the 8 leaves."""
     inst = build_ilp_tightness(3, 2, F(1, 2)).instance
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
         "solves": 7, "tried": 6, "independent": 6, "planes": 6, "lines": 12,
@@ -1001,7 +1016,7 @@ def test_face_walk_counts_on_solve_mix(monkeypatch):
     instance of the benchmark's seed-0 solve pass.  Its walk tries the 9
     single rows, its planes; the 9 + 1 faces of fewer than 2 rows are each
     solved by exact.solution_space_int, and no plane is dominated.  The 9
-    planes derive the 33 independent pairs of rows as lines, with no
+    planes give the 33 independent pairs of rows as lines, with no
     echelon of their own; the 84 sets of 3 rows are the leaves of those
     lines, with no echelon and no solve each (walking them row by row took
     114 rows tried, 103 faces and 35 solves; walking the pairs row by row,
@@ -1026,8 +1041,9 @@ def test_face_walk_values_no_point_of_a_line_that_cannot_win(monkeypatch):
     leaf."""
     inst = instance([[1, 0], [-1, 0], [0, 1], [0, -1], [0, 1]], [1, 1, 1, 1, 2], [1], [3, 1], 1)
     plane = ((), None, None, ([0, 0], [[1, 0], [0, 1]], 1))  # the empty set's solution
-    lines = [line for _, line in polyhedra.edge_lines(inst.polyhedron(), [plane])]
-    assert [(line.X0, line.w, line.meets) for line in lines[2:]] == [
+    lines = []
+    polyhedra.edge_walk(inst.polyhedron(), [plane], lambda *line: lines.append(line))
+    assert [(X0, w, meets) for _, X0, w, _, _, _, meets in lines[2:]] == [
         ([0, 1], [1, 0], True), ([0, -1], [1, 0], True), ([0, 2], [1, 0], False)]
     assert face_walk_counts(monkeypatch, lambda: full_report(inst)) == {
         "solves": 1, "planes": 1, "lines": 5, "edge lines": 5, "values": 4}

@@ -217,6 +217,68 @@ def same_or_same_error(got, want):
     assert got() == expected
 
 
+LINE_FIELDS = ("X0", "w", "L", "lo", "hi", "meets")
+
+
+def walk(P, solved):
+    """polyhedra.edge_walk on the independent sets of n - 2 rows, each with
+    its exact._solution_space when solved, else with None: the lines it
+    visits, (S, (X0, w, L, lo, hi, meets)) in order, its leaves and its
+    polytope verdict."""
+    n = P.n
+    rows, rhs = P.int_rows
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    planes = [(S, a, pivots, exact._solution_space(a, pivots, n) if solved else None)
+              for S, a, pivots in exact.independent_row_sets(aug, n, n - 2, n - 2)]
+    lines = []
+    leaves, polytope = polyhedra.edge_walk(P, planes, lambda S, *line: lines.append((S, line)))
+    return lines, leaves, polytope
+
+
+def reference_walk(P):
+    """The same from the reference's edge lines, each from its own echelon:
+    the lines' fields, the leaves ListLine.vertices(max S + 1) of each line
+    in order, and the verdict "some leaf, and no line recedes"."""
+    lines = reference.edge_lines(P)
+    leaves = [v for S, line in lines for v in line.vertices(S[-1] + 1 if S else 0)]
+    return ([(S, tuple(getattr(line, f) for f in LINE_FIELDS)) for S, line in lines],
+            leaves, bool(leaves) and not any(line.recedes for _, line in lines))
+
+
+def assert_same_lines(got, want):
+    """got and want hold (lines, leaves, polytope) as walk gives them: the
+    same sets S in the same order, each line with every field
+    (LINE_FIELDS) of the other's, the same leaves in the same order, and
+    the same verdict."""
+    (lines, leaves, polytope), (ref_lines, ref_leaves, ref_polytope) = got, want
+    assert [S for S, _ in lines] == [S for S, _ in ref_lines]
+    for (S, line), (_, ref) in zip(lines, ref_lines):
+        for field, x, y in zip(LINE_FIELDS, line, ref):
+            assert x == y, (S, field)
+    assert leaves == ref_leaves
+    assert polytope == ref_polytope
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_systems())
+@example(polyhedron([[2], [-1], [0], [4]], [3, 1, 0, F(1, 2)], 1))   # n = 1
+@example(polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1]],
+                    [1, -2, 1, 1]))                            # empty: 2 <= x_0 <= 1
+@example(polyhedron([[1, 0], [0, 1], [-1, 1]], [1, 1, 1]))   # unbounded below
+@example(polyhedron([[1, 0], [2, 0], [-1, 0], [-3, 0], [0, 1], [0, -1]],
+                    [1, 1, 1, 2, 1, 1]))                       # parallel rows
+@example(polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]],
+                    [1, 1, 1, 1, 2]))                          # (1, 1) tight on 3 rows
+def test_edge_walk_matches_the_reference(P):
+    """edge_walk visits the reference's line of each independent set of
+    n - 1 rows, in the same order and with every field equal, and gives
+    the reference's leaves in the same (S, j) order and its polytope
+    verdict, whether each plane comes solved or is solved on demand."""
+    want = reference_walk(P)
+    assert_same_lines(walk(P, True), want)
+    assert_same_lines(walk(P, False), want)
+
+
 @settings(max_examples=150, deadline=None)
 @given(bounded_systems())
 @example(polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]],
@@ -225,85 +287,52 @@ def same_or_same_error(got, want):
                     [1, 1, 1, 1, 1]))                          # x_0 = 1 misses 2 x_0 <= 1
 @example(polyhedron([[1], [-1]], [F(-1, 2), 0]))               # empty, n = 1
 def test_line_vertices_match_leaf_echelons(P):
-    """Per independent set S of n - 1 rows, Line.vertices gives what one
-    echelon per leaf gives: in row order, the ints exact._solution_space
-    finds for each independent S + (j,), j > max S, whose point lies in P.
-    holds agrees with contains_int at the ends of the line's interval, at
-    their midpoint and one step past them, and recedes with the signs of
-    the products A_i.w."""
+    """edge_walk's leaves are what one echelon per leaf gives: per
+    independent set S of n - 1 rows, in order, and then in row order, the
+    ints exact._solution_space finds for each independent S + (j,), j >
+    max S, whose point lies in P.  Each visited line lies in P exactly on
+    its interval [lo, hi]: membership agrees at its ends, at their midpoint
+    and one step past them, and at t = 0; and lo or hi is None exactly when
+    the products A_i.w all have one sign."""
     n = P.n
     rows, rhs = P.int_rows
     aug = [[*row, b] for row, b in zip(rows, rhs)]
+    want = []
     for S, a, pivots in exact.independent_row_sets(aug, n, n - 1, n - 1):
-        X0, (w,), L = exact._solution_space(a, pivots, n)
-        line = polyhedra.line_through(P, X0, w, L)
-        start = S[-1] + 1 if S else 0
-        want = []
-        for j in range(start, P.m):
+        for j in range(S[-1] + 1 if S else 0, P.m):
             ext = exact._extend_echelon(a, pivots, aug[j], n)
             if ext is not None:
                 X, _, e = exact._solution_space(a + [ext[0]], pivots + [ext[1]], n)
                 if polyhedra.contains_int(P, X, e):
                     want.append((X, e))
-        assert list(line.vertices(start)) == want
-        dots, _ = products_and_slacks(line)
-        assert line.recedes == (all(t <= 0 for t in dots) or all(t >= 0 for t in dots))
+    lines, leaves, _ = walk(P, False)
+    assert leaves == want
+    for S, (X0, w, L, lo, hi, meets) in lines:
+        dots = [sum(map(mul, row, w)) for row in rows]
+        assert (lo is None or hi is None) == (all(t <= 0 for t in dots)
+                                              or all(t >= 0 for t in dots))
         ts = [(0, 1)]
-        for end in (line.lo, line.hi):
+        for end in (lo, hi):
             if end is not None:
                 num, den = end
                 ts += [(num - den, den), (num, den), (num + den, den)]
-        if line.lo is not None and line.hi is not None:
-            (a0, a1), (b0, b1) = line.lo, line.hi
+        if lo is not None and hi is not None:
+            (a0, a1), (b0, b1) = lo, hi
             ts.append((a0 * b1 + b0 * a1, 2 * a1 * b1))
         for num, den in ts:
+            inside = (meets and (lo is None or lo[0] * den <= num * lo[1])
+                      and (hi is None or num * hi[1] <= hi[0] * den))
             X = [den * x + num * y for x, y in zip(X0, w)]
-            assert line.holds(num, den) == polyhedra.contains_int(P, X, L * den)
-
-
-LINE_FIELDS = ("X0", "w", "L", "lo", "hi", "meets", "recedes")
-
-
-def products_and_slacks(line):
-    """The products A_i.w and the slacks L b_i - A_i.X0 of a Line, read off
-    its columns as the Line docstring gives them."""
-    F_, G, T, a, b, c, div = line.cols
-    return ([(a * f - b * g) // div for f, g in zip(F_, G)],
-            [(a * s - c * g) // div for s, g in zip(T, G)])
-
-
-def assert_same_lines(got, want):
-    """got and want hold (key, line) pairs with the same keys in the same
-    order, and each line of got has the reference line's every field
-    (LINE_FIELDS), its products and slacks, and its every leaf: the same
-    vertices from each start row, 0 through m."""
-    assert [key for key, _ in got] == [key for key, _ in want]
-    for (key, line), (_, ref) in zip(got, want):
-        for field in LINE_FIELDS:
-            assert getattr(line, field) == getattr(ref, field), (key, field)
-        assert products_and_slacks(line) == (ref.dots, ref.slacks), key
-        for start in range(len(ref.dots) + 1):
-            assert list(line.vertices(start)) == list(ref.vertices(start)), (key, start)
-
-
-def edge_lines_on_planes(P, solved):
-    """polyhedra.edge_lines on the independent sets of n - 2 rows, each
-    with its exact._solution_space when solved, else with None."""
-    n = P.n
-    rows, rhs = P.int_rows
-    aug = [[*row, b] for row, b in zip(rows, rhs)]
-    planes = [(S, a, pivots, exact._solution_space(a, pivots, n) if solved else None)
-              for S, a, pivots in exact.independent_row_sets(aug, n, n - 2, n - 2)]
-    return list(polyhedra.edge_lines(P, planes))
+            assert inside == polyhedra.contains_int(P, X, L * den), (S, num, den)
 
 
 def plane_line_cases(P) -> set[str]:
-    """The cases of P that plane_lines must get right: its dimension, zero
-    rows, rows equal or opposite up to a positive scale, a plane with rows
-    after it none of which is independent of it, a line whose row j has
-    u_j = 0 != v_j (its pivot is the second free column), a plane with
-    L != 1 that has a line, and a line that misses P and one that recedes
-    (the reference's edge lines)."""
+    """The cases of P that edge_walk's plane lines must get right: its
+    dimension, zero rows, rows equal or opposite up to a positive scale, a
+    plane with rows after it none of which is independent of it, a line
+    whose row j has u_j = 0 != v_j (its pivot is the second free column), a
+    plane with L != 1 that has a line, and a line that misses P and one
+    that recedes (the reference's edge lines)."""
     n = P.n
     rows, rhs = P.int_rows
     cases = {f"n={n}"}
@@ -373,6 +402,8 @@ def test_plane_line_examples_cover_every_case():
     assert set().union(*map(plane_line_cases, PLANE_EXAMPLES)) == set(PLANE_CASES)
 
 
+
+
 @settings(max_examples=200, deadline=None)
 @given(plane_systems())
 @example(PLANE_EXAMPLES[0])
@@ -381,21 +412,25 @@ def test_plane_line_examples_cover_every_case():
 @example(PLANE_EXAMPLES[3])
 @example(PLANE_EXAMPLES[4])
 def test_plane_lines_match_leaf_echelons(P):
-    """edge_lines gives, through plane_lines for each plane and in the same
-    j order, the reference's line of each independent set of n - 1 rows,
-    from its own echelon: every field and every leaf equal, whether each
-    plane comes solved or is solved on demand.  For n = 1 it is the axis
-    line."""
-    want = reference.edge_lines(P)
-    assert_same_lines(edge_lines_on_planes(P, True), want)
-    assert_same_lines(edge_lines_on_planes(P, False), want)
+    """edge_walk gives, from each plane's columns and in the same j order,
+    the reference's line of each independent set of n - 1 rows, from its
+    own echelon, and the reference's leaves and verdict: whether each plane
+    comes solved or is solved on demand.  For n = 1 it is the axis line."""
+    want = reference_walk(P)
+    assert_same_lines(walk(P, True), want)
+    assert_same_lines(walk(P, False), want)
 
 
 def test_plane_line_examples_reach_both_paths():
     """PLANE_EXAMPLES have lines on planes with L = 1 and with L > 1, the
-    two paths plane_lines once had: a line's columns end in its plane's L."""
-    kinds = {"L = 1" if line.cols[-1] == 1 else "L > 1"
-             for P in PLANE_EXAMPLES if P.n > 1 for _, line in edge_lines_on_planes(P, True)}
+    two paths the plane lines once had."""
+    kinds = set()
+    for P in [P for P in PLANE_EXAMPLES if P.n > 1]:
+        rows, rhs = P.int_rows
+        aug = [[*row, b] for row, b in zip(rows, rhs)]
+        L = {S: exact._solution_space(a, pivots, P.n)[2]
+             for S, a, pivots in exact.independent_row_sets(aug, P.n, P.n - 2, P.n - 2)}
+        kinds |= {"L = 1" if L[S[:-1]] == 1 else "L > 1" for S, _ in walk(P, True)[0]}
     assert kinds == {"L = 1", "L > 1"}
 
 
@@ -408,20 +443,19 @@ def test_plane_line_examples_reach_both_paths():
 @example(PLANE_EXAMPLES[4])
 def test_lines_match_the_list_reference(P):
     """line_through's lines, each one ratio-test pass over its own columns,
-    have every field and every leaf of the reference's list lines on every
-    independent set of n - 1 rows (the axis for n = 1).  The draws hold
-    zero and duplicate rows, lines that miss P, receding lines and planes
-    with L > 1 (plane_line_cases)."""
-    want = reference.edge_lines(P)
-    assert_same_lines([(S, polyhedra.line_through(P, line.X0, line.w, line.L))
-                       for S, line in want], want)
+    have every field of the reference's list lines on every independent
+    set of n - 1 rows (the axis for n = 1).  The draws hold zero and
+    duplicate rows, lines that miss P, receding lines and planes with L > 1
+    (plane_line_cases)."""
+    want, _, _ = reference_walk(P)
+    assert [(S, polyhedra.line_through(P, *line[:3])) for S, line in want] == want
 
 
 def test_seed0_solve_lines_match_the_reference(monkeypatch, tmp_path):
-    """Every edge_lines call of the benchmark's seed-0 solve pass gives the
-    reference's edge lines, field by field and leaf by leaf: 1,254 lines on
-    planes with L = 1 and 20 on planes with L > 1, the two paths
-    plane_lines once had."""
+    """Every edge_walk call of the benchmark's seed-0 solve pass visits the
+    reference's edge lines, field by field, and gives its leaves and
+    verdict: 1,254 lines on planes with L = 1 and 20 on planes with L > 1,
+    the two paths the plane lines once had."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_run", Path(__file__).resolve().parents[1] / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
@@ -433,21 +467,32 @@ def test_seed0_solve_lines_match_the_reference(monkeypatch, tmp_path):
     mods = SimpleNamespace(**{m: importlib.import_module(f"iqprox.{m}") for m in bench.MODULES})
     p = bench.workloads.WORKLOADS["solve"](mods, bench.workloads.DEFAULT_SEED, str(tmp_path))
     p.prepare()
-    lines = {"L = 1": 0, "L > 1": 0}
-    real = polyhedra.edge_lines
+    counts = {"L = 1": 0, "L > 1": 0}
+    real = polyhedra.edge_walk
 
-    def checked(P, planes):
-        got = list(real(P, planes))
-        assert_same_lines(got, reference.edge_lines(P))
-        for _, line in got:
-            lines["L = 1" if line.cols[-1] == 1 else "L > 1"] += 1
-        return iter(got)
+    def checked(P, planes, visit=None):
+        plane_L, lines = [1], []  # the L of the plane the walk is on; 1 for the axis
 
-    monkeypatch.setattr(polyhedra, "edge_lines", checked)
-    monkeypatch.setattr(oracles, "edge_lines", checked)
+        def recorded_planes():
+            for S, ech, pivots, sol in planes:
+                plane_L[0] = (sol or exact._solution_space(ech, pivots, P.n))[2]
+                yield S, ech, pivots, sol
+
+        def recorded_visit(S, *line):
+            counts["L = 1" if plane_L[0] == 1 else "L > 1"] += 1
+            lines.append((S, line))
+            if visit is not None:
+                visit(S, *line)
+
+        leaves, polytope = real(P, recorded_planes(), recorded_visit)
+        assert_same_lines((lines, leaves, polytope), reference_walk(P))
+        return leaves, polytope
+
+    monkeypatch.setattr(polyhedra, "edge_walk", checked)
+    monkeypatch.setattr(oracles, "edge_walk", checked)
     for op in p.ops:
         op.check(op.run())
-    assert lines == {"L = 1": 1254, "L > 1": 20}
+    assert counts == {"L = 1": 1254, "L > 1": 20}
 
 
 class RecordingSearch:
@@ -725,15 +770,15 @@ def test_polyhedra_dimension_checks(call, message):
 @example(VERTEX_EXAMPLES[6])
 @example(VERTEX_EXAMPLES[7])
 def test_vertex_ints_and_box_match_references(P):
-    """line_leaves reads every one of the reference's edge lines and gives
+    """edge_walk visits every one of the reference's edge lines and gives
     the reference's vertices, and shows P a nonempty polytope exactly when
     it has one; vertex_ints gives the points of the Fraction vertices, and
     vertex_box of either the reference's ints over the lcm of the e, with
     lattice_runs the same on it as on integer_box's box of the Fraction
     vertices: or the same UnboundedError."""
-    lines, read = reference.edge_lines(P), []
-    leaves, polytope = polyhedra.line_leaves(read.append(line) or line for line in lines)
-    assert read == lines  # every line, past one that recedes: _face_walk's face work
+    lines, leaves, polytope = walk(P, False)
+    # every line, past one that recedes: _face_walk's face work
+    assert [S for S, _ in lines] == [S for S, _ in reference.edge_lines(P)]
     assert all(type(v) is int for X, e in leaves for v in [*X, e]) and all(e > 0 for _, e in leaves)
     try:
         want = reference.vertices(P)
