@@ -20,11 +20,8 @@ from operator import mul
 from . import exact
 from .errors import (ClaimViolation, DimensionError, InputError,
                      RepresentationMismatch)
-from .polyhedra import Polyhedron, contains_int
+from .polyhedra import Polyhedron, contains_int, polyhedron
 from .simplex import lp_solve
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -158,17 +155,17 @@ def conic_multipliers(gens, target) -> list[Fraction] | None:
     k = len(vs)
     rows, rhs = [], []
     for j in range(k):
-        r = [ZERO] * k
-        r[j] = -ONE
+        r = [0] * k
+        r[j] = -1
         rows.append(r)
-        rhs.append(ZERO)
+        rhs.append(0)
     for i in range(n):
         r = [v[i] for v in vs]
         rows.append(r)
         rhs.append(target[i])
         rows.append([-x for x in r])
         rhs.append(-target[i])
-    res = lp_solve(rows, rhs, [ZERO] * k, "min")
+    res = lp_solve(polyhedron(rows, rhs, k), [0] * k, "min")
     return res.point if res.is_optimal else None
 
 

@@ -57,6 +57,11 @@ def pbar_params(n, delta, t, beta) -> PbarParams:
 
 def build_pbar(p: PbarParams) -> Polyhedron:
     """Strip polytope: -t <= x_1 - delta*sum_{i>=2} x_i <= t, 0 <= x_i <= beta."""
+    return polyhedron(*_pbar_rows(p), p.n)
+
+
+def _pbar_rows(p: PbarParams) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """The rational rows and right-hand sides of build_pbar's polytope."""
     n, d = p.n, Fraction(p.delta)
     strip = [ONE] + [-d] * (n - 1)
     rows = [strip, [-x for x in strip]]
@@ -68,7 +73,7 @@ def build_pbar(p: PbarParams) -> Polyhedron:
         rhs.append(p.beta)
         rows.append([-x for x in e])
         rhs.append(ZERO)
-    return polyhedron(rows, rhs, n)
+    return rows, rhs
 
 
 def pbar_u(p: PbarParams) -> tuple[Fraction, ...]:
@@ -112,10 +117,9 @@ def build_example_1_1(t: int) -> FamilyInstance:
 def build_ilp_tightness(n: int, delta: int, beta, t: int = 1) -> FamilyInstance:
     """Linear worst case: maximize x_1 over the strip polytope (k = 0)."""
     p = pbar_params(n, delta, t, beta)
-    P = build_pbar(p)
     h = [ZERO] * n
     h[0] = -ONE  # minimizing -x_1 maximizes x_1
-    inst = instance(P.A, P.b, q=[], h=h, k=0)
+    inst = instance(*_pbar_rows(p), q=[], h=h, k=0)
     return FamilyInstance(
         inst, "ilp", {"n": n, "delta": delta, "beta": p.beta, "t": t},
         expected={
@@ -134,11 +138,10 @@ def build_pr_tight(n: int, delta: int, t: int, a, beta) -> FamilyInstance:
     """
     p = pbar_params(n, delta, t, beta)
     a = _rational(a)
-    P = build_pbar(p)
     big = (Fraction(t + n * delta) / p.beta) ** 2
     q = [ONE] + [big] * (n - 1)
     h = [2 * a] + [ZERO] * (n - 1)
-    inst = instance(P.A, P.b, q=q, h=h, k=n)
+    inst = instance(*_pbar_rows(p), q=q, h=h, k=n)
     expected = {"constant": -a * a, "u": pbar_u(p), "v": pbar_v(p)}
     if 0 < a < (n - 1) * p.beta * p.delta:
         expected["xd"] = tuple(-x for x in pbar_u(p))
@@ -225,12 +228,10 @@ def build_prop46(n: int, delta: int, eps) -> FamilyInstance:
     beta = Fraction(1, 2)
     t = math.floor(((n - 1) * beta * delta + beta - 1) / eps)
     p = pbar_params(n, delta, t, beta)
-    P = build_pbar(p)
-    rows = [list(r) for r in P.A] + [list(P.A[0])]
-    rhs = list(P.b) + [beta - 1 + t]
+    rows, rhs = _pbar_rows(p)
     q = [ONE]
     h = [ZERO] * n
-    inst = instance(rows, rhs, q=q, h=h, k=1)
+    inst = instance(rows + rows[:1], rhs + [beta - 1 + t], q=q, h=h, k=1)
     w = ((n - 1) * beta * delta + beta - 1 + t,) + (beta,) * (n - 1)
     return FamilyInstance(
         inst, "prop46", {"n": n, "delta": delta, "eps": eps, "t": t},

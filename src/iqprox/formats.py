@@ -121,7 +121,7 @@ def instance_to_dict(inst: Instance) -> dict:
         "m": inst.m,
         "k": inst.k,
         "A": inst.int_A,
-        "b": vec_to_strs(inst.P.b),
+        "b": vec_to_strs(Fraction(c, d) for c, d in zip(inst.P.int_rows[1], inst.P.scales)),
         "q": vec_to_strs(inst.q),
         "h": vec_to_strs(inst.h),
     }

@@ -18,9 +18,9 @@ from .errors import (ClaimViolation, DimensionError, InfeasibleError, InputError
                      UnboundedError)
 from .pipeline import (Instance, PipelineResult, _objective_at, _objective_numerator,
                        checked_eps, eval_objective)
-from .polyhedra import (contains, contains_int, edge_walk, enumerate_lattice_points,
-                        enumerate_vertices, intersect_with_box, is_empty, lattice_runs,
-                        line_through, vertex_box, vertex_ints)
+from .polyhedra import (Polyhedron, contains, contains_int, edge_walk,
+                        enumerate_lattice_points, enumerate_vertices, intersect_with_box,
+                        is_empty, lattice_runs, line_through, vertex_box, vertex_ints)
 from .simplex import feasible_point
 
 # The benchmark's self-check (perfbench/selfcheck.py) rebinds
@@ -211,7 +211,7 @@ def solve_iqp(inst: Instance) -> OptResult:
 
 def solve_qp(inst: Instance) -> OptResult:
     """Continuous minimizer; a concave objective attains its min at a vertex."""
-    return _vertex_minimum(_valued(inst, vertex_ints(inst.polyhedron())))
+    return _vertex_minimum(_valued(inst, vertex_ints(inst.polyhedron())))[0]
 
 
 def _valued(inst: Instance, verts) -> list[tuple[list[int], int, int, int]]:
@@ -221,19 +221,23 @@ def _valued(inst: Instance, verts) -> list[tuple[list[int], int, int, int]]:
     return [(X, e, _objective_numerator(Q, H, X, e), d * e * e) for X, e in verts]
 
 
-def _vertex_minimum(verts) -> OptResult:
+def _vertex_minimum(verts) -> tuple[OptResult, list[tuple[list[int], int]]]:
     """The least value over vertices (X, e, num, den), at X / e with value
-    num / den and den > 0, and every vertex attaining it; values are
-    compared by cross-multiplying."""
+    num / den and den > 0, and every vertex attaining it, with one (X, e)
+    per tie in the order of the result's ties; values are compared by
+    cross-multiplying."""
     if not verts:
         raise InfeasibleError("feasible region is empty")
     _, _, bn, bd = verts[0]
     for _, _, num, den in verts:
         if num * bd < bn * den:
             bn, bd = num, den
-    ties = tuple(sorted({exact.rational_vector(X, e)
-                         for X, e, num, den in verts if num * bd == bn * den}))
-    return OptResult(ties[0], Fraction(bn, bd), ties)
+    ints = {}
+    for X, e, num, den in verts:
+        if num * bd == bn * den:
+            ints.setdefault(exact.rational_vector(X, e), (X, e))
+    ties = tuple(sorted(ints))
+    return OptResult(ties[0], Fraction(bn, bd), ties), [ints[t] for t in ties]
 
 
 def fmax_int(inst: Instance) -> Fraction:
@@ -265,8 +269,9 @@ def fmax_cont_witness(inst: Instance) -> tuple[Fraction, tuple[Fraction, ...]]:
         rows, _ = P.int_rows
         k, H = inst.k, inst.int_objective[1]
         # r in the coordinates i >= k: A r <= 0 and h.r >= 1, scaled by d > 0
-        if feasible_point([row[k:] for row in rows] + [[-c for c in H[k:]]],
-                          [0] * len(rows) + [-1]) is not None:
+        rays = Polyhedron(((*(row[k:] for row in rows), tuple(-c for c in H[k:])),
+                           (0,) * P.m + (-1,)), (1,) * (P.m + 1), inst.n - k)
+        if feasible_point(rays) is not None:
             raise UnboundedError("the objective is unbounded above on the feasible region")
     if fci is None:
         raise InfeasibleError("feasible region is empty")
@@ -340,10 +345,10 @@ def _face_walk(inst: Instance):
     those planes to polyhedra.edge_walk: one loop over them, which gives
     each line the same ints as the echelon of S' plus row j, at one
     ratio-test pass over the plane's columns, in the same (size, lex)
-    order, and takes its leaves in that pass.  The walk reads each plane's
-    bound as edge_walk takes the plane, and edge_walk hands each line to
-    the walk's face work (visit) once its leaves are taken; no line is
-    kept.  In its face work a line is
+    order, and takes its leaves in that pass.  edge_walk hands each line to
+    the walk's face work (visit) once its leaves are taken, and the line
+    reads its plane's bound by the plane's row set; no line is kept.  In
+    its face work a line is
 
     - kept for its leaves, and nothing more, when it misses P or its plane
       is dominated: no face reads a line's bound;
@@ -365,7 +370,7 @@ def _face_walk(inst: Instance):
     P, dominated or not, so edge_walk gives every leaf, and whether P is a
     nonempty polytope, whose vertices they are.
 
-    Everything but the LP runs on the int rows of P.  The walk gives each
+    The walk and its LPs run on the int rows of P.  The walk gives each
     face of up to n - 2 rows the Bareiss echelon of [A_S | b_S], which
     gives A_S x = b_S as x = (X0 + W y) / L, W the int kernel basis, with
     the same ints as exact.solution_space_int; a line's X0, W = (w,) and L
@@ -438,20 +443,12 @@ def _face_walk(inst: Instance):
             pt = _face_point(inst, S, W, L, Fraction(num, den))
             if pt is not None:
                 best, wit, pending = (num, den), exact.integer_vector(pt), None
-    above, up = bounds, None  # the planes' bounds, and that of the plane edge_walk is on
-
-    def walked_planes():
-        """The planes, each one's bound read into up as edge_walk takes it."""
-        nonlocal up
-        for plane in planes:
-            up = above.get(plane[0])
-            yield plane
 
     def visit(S, X0, w, L, lo, hi, meets):
         """A line's face work, done as edge_walk reaches the line, so no
-        list of the lines is kept."""
+        list of the lines is kept; its plane S[:-1] has its bound in bounds."""
         nonlocal best, wit, pending
-        if not meets or dominated(up):
+        if not meets or dominated(bounds.get(S[:-1])):
             return  # no face reads a line's bound
         # a t = b, solved as exact.solution_space_int would solve it
         Qw = list(map(mul, Q2, w))
@@ -475,7 +472,7 @@ def _face_walk(inst: Instance):
             _check_face_constant(inst, S, X0, w, L, lo, hi, num, den)
             best, wit, pending = (num, den), None, (S, [w], L)
 
-    leaves, polytope = edge_walk(P, walked_planes(), visit)
+    leaves, polytope = edge_walk(P, planes, visit)
     verts = _valued(inst, leaves)
     for X, e, num, den in verts:  # the leaves S + (j,), in (S, j) order
         if best is None or num * best[1] > best[0] * den:
@@ -510,23 +507,26 @@ def _check_face_constant(inst: Instance, S, X0, w, L: int, lo, hi, num: int, den
 def _face_point(inst: Instance, S, W, L: int, value: Fraction) -> list[Fraction] | None:
     """The exact LP feasibility problem {A x <= b, E_S} of the face S, with
     the kernel basis W / L of A_S: its point, or None when it has none.  f
-    must have the face's value there.  The gradient rows are read off the
-    int objective, over L d."""
+    must have the face's value there.  The rows of S are negated with their
+    scales, and the gradient rows are read off the int objective, as ints
+    over L d."""
     P = inst.polyhedron()
     Q, H, d = inst.int_objective
-    pad = [ZERO] * (inst.n - inst.k)
-    lp_rows = [list(row) for row in P.A]
-    lp_rhs = list(P.b)
+    rows, rhs = P.int_rows
+    pad = (0,) * (inst.n - inst.k)
+    lp_rows, lp_rhs, scales = [*rows], [*rhs], [*P.scales]
     for i in S:
-        lp_rows.append([-c for c in P.A[i]])
-        lp_rhs.append(-P.b[i])
+        lp_rows.append(tuple(-c for c in rows[i]))
+        lp_rhs.append(-rhs[i])
+        scales.append(P.scales[i])
     for w in W:
         # (w / L) . grad f = (sum_i w_i H_i - 2 sum_{i<k} w_i Q_i x_i) / (L d) = 0
-        coeff = [Fraction(2 * x * c, L * d) for x, c in zip(w, Q)] + pad
-        val = Fraction(sum(map(mul, w, H)), L * d)
-        lp_rows += [coeff, [-c for c in coeff]]
+        coeff = (*(2 * x * c for x, c in zip(w, Q)), *pad)
+        val = sum(map(mul, w, H))
+        lp_rows += [coeff, tuple(-c for c in coeff)]
         lp_rhs += [val, -val]
-    pt = feasible_point(lp_rows, lp_rhs)
+        scales += [L * d, L * d]
+    pt = feasible_point(Polyhedron((tuple(lp_rows), tuple(lp_rhs)), tuple(scales), inst.n))
     if pt is not None and eval_objective(inst, pt) != value:
         raise ClaimViolation("face-constant", f"face {S}: f is not constant on E_S")
     return pt
@@ -543,7 +543,7 @@ def full_report(inst: Instance) -> OracleReport:
     iqp, fdi, wdi = _lattice_extremes(inst, box)
     # Some lattice point exists, so P is a nonempty polytope: verts holds
     # every vertex and the walk found the maximum.
-    return OracleReport(iqp, _vertex_minimum(verts), fdi, wdi, fci, wci)
+    return OracleReport(iqp, _vertex_minimum(verts)[0], fdi, wdi, fci, wci)
 
 
 def verdict(inst: Instance, x, eps, mode: str, report: OracleReport) -> ApproxVerdict:
@@ -605,11 +605,10 @@ def delta_star(inst: Instance, eps) -> DeltaStarResult:
     eps = checked_eps(eps)
     _, _, verts, box = _face_walk(inst)
     iqp, top, _ = _lattice_extremes(inst, box)
-    qp = _vertex_minimum(verts)
+    qp, ties = _vertex_minimum(verts)
     Q, H, d = inst.int_objective
     lo, hi = (iqp.value * d).numerator, (top * d).numerator
     cut = lo * eps.denominator + eps.numerator * (hi - lo)  # v passes iff v * den <= cut
-    ties = [exact.integer_vector(xc) for xc in qp.ties]
     within = _Within(inst, cut, eps.denominator, ties)
     lattice_runs(inst.polyhedron(), box, within)
     near = within.near
@@ -639,11 +638,11 @@ def certify_no_cont_approx_within(inst: Instance, eps, xd, radius) -> bool:
     # A polytope's vertices hold the continuous minimum.  Without vertices
     # P is empty or not a polytope, and solve_qp raises InfeasibleError or
     # UnboundedError.
-    qp = _vertex_minimum(verts) if verts else solve_qp(inst)
+    qp = _vertex_minimum(verts)[0] if verts else solve_qp(inst)
     tau = qp.value + eps * (fmax - qp.value)
     box = intersect_with_box(inst.polyhedron(), xd, radius)
     corners = vertex_ints(box)
-    return not corners or _vertex_minimum(_valued(inst, corners)).value > tau
+    return not corners or _vertex_minimum(_valued(inst, corners))[0].value > tau
 
 
 def claim_cross_checks(inst: Instance, result: PipelineResult, report: OracleReport):

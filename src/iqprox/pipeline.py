@@ -21,8 +21,9 @@ from . import exact
 from .cones import (ConicDecomposition, ProximityCone, build_cone,
                     caratheodory_decompose, check_two_representations,
                     enumerate_generators)
-from .errors import ClaimViolation, DimensionError, DomainError, InputError
-from .polyhedra import Polyhedron, contains, contains_int, fix_zero, translate
+from .errors import ClaimViolation, DimensionError, InputError
+from .polyhedra import (Polyhedron, contains, contains_int, fix_zero, polyhedron,
+                        translate)
 
 # run_pipeline and its stages test every point with contains_int, but the
 # benchmark's self-check (perfbench/selfcheck.py) rebinds contains by this
@@ -86,10 +87,6 @@ class Instance:
 def instance(A, b, q, h, k: int | None = None) -> Instance:
     """Validated Instance: every entry an int or a Fraction, integer A,
     positive q, 0 <= k <= n."""
-    try:
-        rows = exact._integer_matrix(A)
-    except DomainError:
-        raise InputError("constraint matrix must be integer") from None
     qv = _fractions(q)
     hv = _fractions(h)
     if k is None:
@@ -102,15 +99,16 @@ def instance(A, b, q, h, k: int | None = None) -> Instance:
         raise InputError(f"k={k} out of range for n={len(hv)}")
     if any(x <= 0 for x in qv):
         raise InputError("quadratic coefficients must be positive")
-    bv = _fractions(b)
-    if len(bv) != len(rows):
+    if len(b) != len(A):
         raise InputError("row/rhs count mismatch")
-    if any(len(r) != len(hv) for r in rows):
+    if any(len(r) != len(hv) for r in A):
         raise InputError("matrix width does not match h")
-    # A is integer, so row i's scale is the denominator of b_i.
-    scales = tuple(c.denominator for c in bv)
-    P = Polyhedron((tuple(tuple(a * d for a in row) for row, d in zip(rows, scales)),
-                    tuple(c.numerator for c in bv)), scales, len(hv))
+    P = polyhedron(A, b, len(hv))
+    # Row i's int row is [A_i | b_i] times its scale, the lcm of its
+    # denominators, so A_i is integer exactly when the scale divides each
+    # entry of its int row's A part.
+    if any(a % d for row, d in zip(P.int_rows[0], P.scales) if d != 1 for a in row):
+        raise InputError("constraint matrix must be integer")
     return Instance(P, k, qv, hv)
 
 

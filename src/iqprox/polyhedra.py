@@ -20,8 +20,8 @@ lcm d_i of its denominators.  Membership and lattice enumeration run on
 them: a point x is scaled once to X = D x over its common denominator D,
 and row i holds iff (d_i A_i).X <= D (d_i b_i).  ``polyhedron`` scales
 rational rows once; ``translate``, ``fix_zero`` and ``intersect_with_box``
-build their int rows from their parent's.  The rational A and b are views
-for the LPs.
+build their int rows from their parent's.  The LPs (simplex.lp_solve) read
+the int rows too, with the scales.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import count
 from operator import mul
 
@@ -37,14 +36,11 @@ from . import exact
 from .errors import DimensionError, InputError, UnboundedError
 from .simplex import lp_solve
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class Polyhedron:
     """{x in R^n : A x <= b} as its int rows: row i is [A_i | b_i] times
-    scales[i], split at the bar.  A and b are views, built on first use."""
+    scales[i], split at the bar."""
 
     int_rows: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
     scales: tuple[int, ...]
@@ -53,16 +49,6 @@ class Polyhedron:
     @property
     def m(self) -> int:
         return len(self.scales)
-
-    @cached_property
-    def A(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(exact.rational_vector(row, d)
-                     for row, d in zip(self.int_rows[0], self.scales))
-
-    @cached_property
-    def b(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c) if d == 1 else Fraction(c, d)
-                     for c, d in zip(self.int_rows[1], self.scales))
 
 
 def translate(P: Polyhedron, X) -> Polyhedron:
@@ -155,19 +141,19 @@ def tight_rows(P: Polyhedron, x) -> frozenset[int]:
 
 def coordinate_range(P: Polyhedron, i: int) -> tuple[Fraction, Fraction] | None:
     """Exact [min, max] of x_i over P; None if P is empty; raises if unbounded."""
-    obj = [ZERO] * P.n
-    obj[i] = ONE
-    hi = lp_solve(P.A, P.b, obj, "max")
+    obj = [0] * P.n
+    obj[i] = 1
+    hi = lp_solve(P, obj, "max")
     if hi.status == "infeasible":
         return None
-    lo = lp_solve(P.A, P.b, obj, "min")
+    lo = lp_solve(P, obj, "min")
     if hi.status == "unbounded" or lo.status == "unbounded":
         raise UnboundedError(f"coordinate {i} is unbounded")
     return lo.objective, hi.objective
 
 
 def is_empty(P: Polyhedron) -> bool:
-    return lp_solve(P.A, P.b, [ZERO] * P.n, "min").status == "infeasible"
+    return lp_solve(P, [0] * P.n, "min").status == "infeasible"
 
 
 def bounding_box(P: Polyhedron) -> list[tuple[Fraction, Fraction]] | None:
@@ -295,12 +281,11 @@ def edge_walk(P: Polyhedron, planes, visit=None) -> tuple[list[tuple[list[int], 
     _ratio_test; the lines come in lexicographic order of S.  planes are
     the independent sets S' of n - 2 rows in lexicographic order, each as
     (S', echelon, pivots, solution), the echelon of its rows and
-    exact._solution_space of it, or None for a solution not made yet.  The
-    walk takes them one at a time, and visits every line of a plane before
-    it takes the next.  Each S is S' + (j,) for one plane and a row j >
-    max S'.  A plane with no solution is solved only when some row j
-    reduces to nonzero on its echelon, that is, when it has a line.  For
-    n = 1 there is no plane and the empty set's line is the axis.
+    exact._solution_space of it, or None for a solution not made yet.  Each
+    S is S' + (j,) for one plane and a row j > max S'.  A plane with no
+    solution is solved only when some row j reduces to nonzero on its
+    echelon, that is, when it has a line.  For n = 1 there is no plane and
+    the empty set's line is the axis.
 
     A plane's solution set is x = (X0 + y_1 W1 + y_2 W2) / L, with W =
     (W1, W2) for its free columns f1 < f2, W_f equal to L at f and 0 at the

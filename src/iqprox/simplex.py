@@ -1,7 +1,8 @@
 """Exact linear programming over the rationals.
 
 Two-phase primal simplex with Bland's pivot rule (anti-cycling, so
-termination is guaranteed).  Variables are free; constraints are `A x <= b`.
+termination is guaranteed).  Variables are free; the constraints are a
+polyhedron's rows `A x <= b`, read as its int rows (polyhedra.Polyhedron).
 Equality constraints are encoded by callers as opposing inequality pairs.
 
 The tableau is fraction-free (Edmonds 1967): Python ints over one positive
@@ -19,7 +20,7 @@ from math import lcm
 from operator import mul
 
 from .errors import DimensionError, InputError
-from .exact import _integer_rows
+from .exact import integer_vector
 
 ZERO = Fraction(0)
 
@@ -92,20 +93,19 @@ def _optimize(tab, obj, basis, allowed, d):
         d = _pivot(tab, obj, basis, leave, enter, d)
 
 
-def lp_solve(A, b, c, sense: str = "max") -> LpResult:
-    """Exact optimum of c.x subject to A x <= b over free x.
+def lp_solve(P, c, sense: str = "max") -> LpResult:
+    """Exact optimum of c.x over the polyhedron P = {x : A x <= b}, x free.
 
-    Entries are ints or Fractions.  A zero objective turns this into a pure
-    feasibility check.
+    The entries of c are ints or Fractions.  A zero objective turns this
+    into a pure feasibility check.
     """
-    m = len(A)
-    n = len(c)
-    if len(b) != m or any(len(row) != n for row in A):
-        raise DimensionError("lp_solve: inconsistent system shape")
+    m, n = P.m, P.n
+    if len(c) != n:
+        raise DimensionError(f"lp_solve: objective has dim {len(c)}, polyhedron has {n}")
     if sense not in ("max", "min"):
         raise InputError(f"sense must be 'max' or 'min', got {sense!r}")
     # Minimize internally, with the costs scaled to integers.
-    (cmin,), _ = _integer_rows([c])
+    cmin, _ = integer_vector(c)
     if sense == "max":
         cmin = [-x for x in cmin]
 
@@ -115,14 +115,14 @@ def lp_solve(A, b, c, sense: str = "max") -> LpResult:
         return LpResult("unbounded")
 
     # Standard form: x = xp - xn, slack per row; negate rows with negative rhs
-    # and give those rows an artificial variable.  Row i of [A | b] is scaled
-    # to integers by the lcm d_i of its denominators, and its slack and
-    # artificial by 1/d_i, so the initial basis is the identity.  Scaling rows
-    # and variables by positive factors leaves every ratio-test order and
-    # every reduced-cost sign as in the unscaled tableau.
-    ab, scales = _integer_rows([[*row, bi] for row, bi in zip(A, b)])
+    # and give those rows an artificial variable.  Row i is P's int row, [A_i
+    # | b_i] times its scale d_i > 0, and its slack and artificial are scaled
+    # by 1/d_i, so the initial basis is the identity.  Scaling rows and
+    # variables by positive factors leaves every ratio-test order and every
+    # reduced-cost sign as in the unscaled tableau.
+    rows, rhs = P.int_rows
     nstruct = 2 * n + m
-    neg = [row[-1] < 0 for row in ab]
+    neg = [r < 0 for r in rhs]
     nart = sum(neg)
     ncols = nstruct + nart
     tab = []
@@ -130,7 +130,7 @@ def lp_solve(A, b, c, sense: str = "max") -> LpResult:
     art_rows = []
     for i in range(m):
         sgn = -1 if neg[i] else 1
-        row = [sgn * x for x in ab[i][:n]]
+        row = [sgn * x for x in rows[i]]
         row += [-x for x in row]
         row += [0] * (m + nart)
         row[2 * n + i] = sgn
@@ -140,7 +140,7 @@ def lp_solve(A, b, c, sense: str = "max") -> LpResult:
             art_rows.append(i)
         else:
             basis[i] = 2 * n + i
-        tab.append(row + [sgn * ab[i][-1]])
+        tab.append(row + [sgn * rhs[i]])
     d = 1
 
     allowed = [True] * ncols
@@ -148,10 +148,10 @@ def lp_solve(A, b, c, sense: str = "max") -> LpResult:
         # Phase 1: minimize the artificial sum.  The artificial of row i is
         # scaled by 1/d_i, so it costs L/d_i with L the lcm of those d_i: the
         # objective is L times the unscaled one.
-        common = lcm(*(scales[i] for i in art_rows))
+        common = lcm(*(P.scales[i] for i in art_rows))
         obj = [0] * (ncols + 1)
         for i in art_rows:
-            w = common // scales[i]
+            w = common // P.scales[i]
             obj[basis[i]] = w
             obj = [o - w * t for o, t in zip(obj, tab[i])]
         _, d = _optimize(tab, obj, basis, allowed, d)
@@ -188,8 +188,7 @@ def lp_solve(A, b, c, sense: str = "max") -> LpResult:
     return LpResult("optimal", x, objective)
 
 
-def feasible_point(A, b) -> list[Fraction] | None:
-    """A point of {x : A x <= b}, or None when the system is infeasible."""
-    n = len(A[0]) if A else 0
-    res = lp_solve(A, b, [ZERO] * n, "min")
+def feasible_point(P) -> list[Fraction] | None:
+    """A point of the polyhedron P, or None when P is empty."""
+    res = lp_solve(P, [0] * P.n, "min")
     return res.point if res.is_optimal else None

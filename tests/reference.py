@@ -57,6 +57,13 @@ def objective(inst, x) -> F:
     return quad + dot(inst.h, xv)
 
 
+def rational_rows(P) -> tuple[tuple[tuple[F, ...], ...], tuple[F, ...]]:
+    """P's rows A and b as Fractions: row i is its int row over scales[i]."""
+    rows, rhs = P.int_rows
+    return (tuple(tuple(F(x, d) for x in row) for row, d in zip(rows, P.scales)),
+            tuple(F(c, d) for c, d in zip(rhs, P.scales)))
+
+
 def combine(dec, n: int) -> list[F]:
     """sum_i c_i g_i over a ConicDecomposition's generators g_i and
     coefficients c_i, in Fractions."""
@@ -170,7 +177,7 @@ def null_space(M, n: int) -> list[list[F]]:
 def contains(P, x) -> bool:
     """Whether A x <= b holds on P's Fraction rows."""
     xv = [F(v) for v in x]
-    return all(sum(map(mul, row, xv)) <= bi for row, bi in zip(P.A, P.b))
+    return all(sum(map(mul, row, xv)) <= bi for row, bi in zip(*rational_rows(P)))
 
 
 def vertices(P) -> list[tuple[F, ...]]:
@@ -180,8 +187,9 @@ def vertices(P) -> list[tuple[F, ...]]:
     if bounding_box(P) is None:
         return []
     found = set()
+    A, b = rational_rows(P)
     for S in combinations(range(P.m), P.n):
-        sol = solve([P.A[i] for i in S], [P.b[i] for i in S])
+        sol = solve([A[i] for i in S], [b[i] for i in S])
         if sol is not None and sol[1] == P.n and contains(P, sol[0]):
             found.add(tuple(sol[0]))
     return sorted(found)
@@ -307,18 +315,19 @@ def reference_lp_faces(P):
     if polyhedra.is_empty(P):
         return []
     faces, infeasible = {}, []
+    A, b = rational_rows(P)
     for size in range(P.m + 1):
         for S in map(frozenset, combinations(range(P.m), size)):
             if any(bad <= S for bad in infeasible):
                 continue
-            rows = [list(r) for r in P.A] + [[-c for c in P.A[i]] for i in S]
-            rhs = list(P.b) + [-P.b[i] for i in S]
-            if lp_solve(rows, rhs, [F(0)] * P.n, "min").status == "infeasible":
+            Q = polyhedron([*A, *([-c for c in A[i]] for i in S)],
+                           [*b, *(-b[i] for i in S)], P.n)
+            if lp_solve(Q, [F(0)] * P.n, "min").status == "infeasible":
                 infeasible.append(S)
                 continue
             E = frozenset(S | {i for i in range(P.m) if i not in S
-                               and lp_solve(rows, rhs, list(P.A[i]), "min").objective == P.b[i]})
-            faces.setdefault(E, P.n - exact.rank([list(P.A[i]) for i in sorted(E)]))
+                               and lp_solve(Q, list(A[i]), "min").objective == b[i]})
+            faces.setdefault(E, P.n - exact.rank([list(A[i]) for i in sorted(E)]))
     return sorted((polyhedra.Face(E, d) for E, d in faces.items()),
                   key=lambda f: (len(f.equality_rows), sorted(f.equality_rows)))
 
@@ -352,6 +361,7 @@ def fmax_cont_witness(inst, vertices=None):
     P = inst.polyhedron()
     n, k = inst.n, inst.k
     rows, rhs = P.int_rows
+    A, b = rational_rows(P)  # the LP's rows
     d = math.lcm(*(F(c).denominator for c in inst.q + inst.h))
     best = wit = None
     collect = vertices is not None
@@ -389,12 +399,12 @@ def fmax_cont_witness(inst, vertices=None):
                     continue
                 pt = x
             else:
-                lp_rows = [list(row) for row in P.A] + [[-c for c in P.A[i]] for i in S]
-                lp_rhs = list(P.b) + [-P.b[i] for i in S]
+                lp_rows = [*A, *([-c for c in A[i]] for i in S)]
+                lp_rhs = [*b, *(-b[i] for i in S)]
                 for coeff, val in zip(grad, gval):
                     lp_rows += [coeff, [-c for c in coeff]]
                     lp_rhs += [val, -val]
-                pt = oracles.feasible_point(lp_rows, lp_rhs)
+                pt = oracles.feasible_point(polyhedron(lp_rows, lp_rhs, n))
                 if pt is None:
                     continue
                 if objective(inst, pt) != v:
@@ -507,7 +517,7 @@ def reference_full_report(inst):
 
 
 def reference_normalized_rhs(inst, xd):
-    return tuple(bi - dot(row, xd) for row, bi in zip(inst.P.A, inst.P.b))
+    return tuple(bi - dot(row, xd) for row, bi in zip(*rational_rows(inst.P)))
 
 
 def reference_normalized_h(inst, xd):
@@ -518,8 +528,8 @@ def reference_normalized_h(inst, xd):
 
 def reference_restricted_polyhedron(inst, zset):
     """The +-e_i rows appended and every entry re-wrapped by `polyhedron`."""
-    rows = [list(r) for r in inst.P.A]
-    rhs = list(inst.P.b)
+    A, b = rational_rows(inst.P)
+    rows, rhs = [list(r) for r in A], list(b)
     for i in sorted(zset):
         e = [F(int(j == i)) for j in range(inst.n)]
         rows += [e, [-x for x in e]]

@@ -18,7 +18,7 @@ from iqprox.families import (build_example_1_1, build_ilp_tightness,
 from iqprox.pipeline import compute_schedule, run_pipeline
 from iqprox.polyhedra import contains, enumerate_lattice_points
 
-from reference import combine
+from reference import combine, rational_rows
 
 
 @contextmanager
@@ -98,7 +98,7 @@ def test_criterion_4_strip_polytope_subdeterminants():
         for n in (2, 3, 4):
             for d in (1, 2, 3):
                 P = build_pbar(pbar_params(n, d, 1, F(1, 2)))
-                A = [[int(x) for x in row] for row in P.A]
+                A = [[int(x) for x in row] for row in rational_rows(P)[0]]
                 m = len(A)
                 seen = set()
                 from itertools import combinations

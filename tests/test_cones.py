@@ -15,7 +15,7 @@ from iqprox.errors import (ClaimViolation, DimensionError, InputError,
 from iqprox.families import build_prop44, random_instance
 from iqprox.pipeline import restricted_polyhedron, run_pipeline
 from iqprox.polyhedra import polyhedron
-from reference import combine, dot, generators
+from reference import combine, dot, generators, rational_rows
 
 
 def direction(xa, xb) -> list[int]:
@@ -159,7 +159,7 @@ def test_generators_match_orthant_enumeration_restricted():
         P = restricted_polyhedron(inst, zset)
         xa = [F(0) if i in zset else F(rng.randint(-2, 2)) for i in range(inst.n)]
         cone = build_cone(P.int_rows[0], direction(xa, [0] * inst.n))
-        delta = max(1, exact.max_abs_subdeterminant(P.A))
+        delta = max(1, exact.max_abs_subdeterminant(rational_rows(P)[0]))
         assert int_generators(enumerate_generators(cone, delta)) == generators(cone, delta)
         ties = len(cone.a1) + len(cone.a2) - P.m
         seen.add((inst.n, bool(zset), ties > 2 * len(zset)))

@@ -622,9 +622,9 @@ NUMBER_READERS = {
     "inf_norm": lambda x: exact.inf_norm([-1, x]),
     "det": lambda x: exact.det([[2, 1], [x, 1]]),
     "rank": lambda x: exact.rank([[1, 0], [0, x]]),
-    "lp_solve-A": lambda x: simplex.lp_solve([[x], [-1]], [1, 1], [1]),
-    "lp_solve-b": lambda x: simplex.lp_solve([[1], [-1]], [x, 1], [1]),
-    "lp_solve-c": lambda x: simplex.lp_solve([[1], [-1]], [1, 1], [x]),
+    "lp_solve-A": lambda x: simplex.lp_solve(polyhedra.polyhedron([[x], [-1]], [1, 1], 1), [1]),
+    "lp_solve-b": lambda x: simplex.lp_solve(polyhedra.polyhedron([[1], [-1]], [x, 1], 1), [1]),
+    "lp_solve-c": lambda x: simplex.lp_solve(polyhedra.polyhedron([[1], [-1]], [1, 1], 1), [x]),
     "polyhedron-A": lambda x: polyhedra.polyhedron([[x], [-1]], [1, 1]),
     "polyhedron-b": lambda x: polyhedra.polyhedron([[1], [-1]], [1, x]),
     "instance-A": lambda x: pipeline.instance([[x], [-1]], [1, 1], [1], [0]),

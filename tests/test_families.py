@@ -11,6 +11,7 @@ from iqprox.families import (build_example_1_1, build_ilp_tightness,
 from iqprox.formats import rat_to_str
 from iqprox.pipeline import eval_objective
 from iqprox.polyhedra import contains, enumerate_lattice_points
+from reference import rational_rows
 
 
 def test_pbar_param_validation():
@@ -26,7 +27,7 @@ def test_pbar_shape_and_subdet():
     p = pbar_params(2, 3, 1, F(1, 2))
     P = build_pbar(p)
     assert P.m == 2 + 2 * (p.n - 1)
-    assert exact.max_abs_subdeterminant(P.A) == 3
+    assert exact.max_abs_subdeterminant(rational_rows(P)[0]) == 3
 
 
 def test_pbar_u_and_v_membership():

@@ -27,7 +27,7 @@ from iqprox.polyhedra import (contains_int, enumerate_lattice_points,
 from iqprox.simplex import feasible_point
 
 import reference
-from reference import (reference_full_report, reference_lattice_extremes,
+from reference import (rational_rows, reference_full_report, reference_lattice_extremes,
                        reference_vertex_minimum)
 
 
@@ -104,7 +104,9 @@ OPEN_BELOW = instance([[1, 0], [-1, 0], [0, 1]], [2, 2, 2], [1], [0, 1])
     (instance([[0, -1]], [0], [1], [0, 1]), None),        # x_1 >= 0, f = -x_0^2 + x_1
     (instance([], [], [1], [0, 1]), None),                # R^2, the same f
     (OPEN_BELOW, (F(2), (F(0), F(2)))),                   # f falls along -e_1
-], ids=["ray", "half-plane", "plane", "open-below"])
+    # k = n: the LP for r has no column, and f falls along +-e_1
+    (instance([[1, 0], [-1, 0]], [2, 2], [1, 1], [0, 1], 2), (F(1, 4), (F(0), F(1, 2)))),
+], ids=["ray", "half-plane", "plane", "open-below", "strip-all-quadratic"])
 def test_fmax_cont_unbounded_above(inst, want):
     """f rises without bound along a ray r of P's recession cone with
     r_i = 0 for i < k and h.r > 0: both oracles raise UnboundedError.  On
@@ -455,7 +457,7 @@ def rational_objectives(draw):
     q = [draw(st.fractions(F(1, 6), 4, max_denominator=6)) for _ in range(k)]
     h = [draw(st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=6)))
          for _ in range(base.n)]
-    return instance(base.P.A, base.P.b, q, h, k)
+    return instance(*rational_rows(base.P), q, h, k)
 
 
 def diagonal_instance(q, h):
@@ -609,7 +611,7 @@ def test_fmax_cont_witness_face_lps(monkeypatch, inst, lps):
     want = reference.fmax_cont_witness(inst)
     calls = []
     monkeypatch.setattr(oracles, "feasible_point",
-                        lambda A, b: calls.append(A) or feasible_point(A, b))
+                        lambda P: calls.append(P) or feasible_point(P))
     assert oracles.fmax_cont_witness(inst) == want
     assert len(calls) == lps
 
@@ -618,7 +620,7 @@ def test_fmax_cont_witness_face_constant_claim(monkeypatch):
     """At the final witness: the LP of the face P itself, whose E_S is the
     line x_0 = 1/4, returns a point where f is not v_S = 1/16."""
     inst = box_instance([1], [F(1, 2), 0])
-    monkeypatch.setattr(oracles, "feasible_point", lambda A, b: [F(3), F(0)])
+    monkeypatch.setattr(oracles, "feasible_point", lambda P: [F(3), F(0)])
     with pytest.raises(ClaimViolation) as err:
         oracles.fmax_cont_witness(inst)
     assert err.value.claim == "face-constant"
@@ -656,7 +658,7 @@ def test_fmax_cont_witness_face_lp_claim(monkeypatch):
     """The final witness's line meets P, so its LP must find a point; an LP
     that finds none is a face-lp violation."""
     inst = box_instance([1], [F(1, 2), 0])
-    monkeypatch.setattr(oracles, "feasible_point", lambda A, b: None)
+    monkeypatch.setattr(oracles, "feasible_point", lambda P: None)
     with pytest.raises(ClaimViolation) as err:
         oracles.fmax_cont_witness(inst)
     assert err.value.claim == "face-lp"
@@ -679,7 +681,8 @@ def report_regions(draw):
     else:
         base = draw(rational_regions())
     n = base.n
-    rows, rhs = [list(r) for r in base.P.A], list(base.P.b)
+    A, b = rational_rows(base.P)
+    rows, rhs = [list(r) for r in A], list(b)
     kind = draw(st.sampled_from(["as-is", "drop", "negate", "contradict",
                                  "few-rows", "one-plane"]))
     i = draw(st.integers(0, len(rows) - 1))
@@ -804,9 +807,9 @@ def face_walk_run(walk, inst, collect):
     verts = [] if collect else None
     lps = []
 
-    def lp(A, b):
-        pt = feasible_point(A, b)
-        lps.append((inst.n - exact.rank(A[inst.m:]), pt and tuple(pt)))
+    def lp(P):
+        pt = feasible_point(P)
+        lps.append((inst.n - exact.rank(P.int_rows[0][inst.m:]), pt and tuple(pt)))
         return pt
 
     with mock.patch.object(oracles, "feasible_point", wraps=lp):

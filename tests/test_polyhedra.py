@@ -41,7 +41,8 @@ def integer_box(box):
 
 
 def reference_tight_rows(P, x):
-    return frozenset(i for i in range(P.m) if reference.dot(P.A[i], x) == P.b[i])
+    A, b = reference.rational_rows(P)
+    return frozenset(i for i in range(P.m) if reference.dot(A[i], x) == b[i])
 
 
 RATIONALS = st.one_of(st.integers(-3, 3),
@@ -132,7 +133,8 @@ def opened_systems(draw):
     """A bounded_systems region, opened (a row dropped or negated), emptied
     by a contradicting row pair, or cut down to fewer than n rows."""
     P = draw(bounded_systems())
-    rows, rhs = [list(r) for r in P.A], list(P.b)
+    A, b = reference.rational_rows(P)
+    rows, rhs = [list(r) for r in A], list(b)
     kind = draw(st.sampled_from(["drop", "negate", "contradict", "few-rows"]))
     i = draw(st.integers(0, len(rows) - 1))
     if kind == "drop":
@@ -596,7 +598,8 @@ def reference_intersect_with_box(P, center, radius):
     """The box rows +-e_i <= +-c_i + r appended to P's rational rows, and
     the whole system scaled again by `polyhedron`."""
     r = F(radius)
-    rows, rhs = [list(row) for row in P.A], list(P.b)
+    A, b = reference.rational_rows(P)
+    rows, rhs = [list(row) for row in A], list(b)
     for i in range(P.n):
         e = [F(int(j == i)) for j in range(P.n)]
         rows += [e, [-x for x in e]]
@@ -611,31 +614,35 @@ def reference_intersect_with_box(P, center, radius):
 @example(([[F(1, 2), F(1)], [F(-1), F(0)]], [F(3), F(2)], 2), [-1, 2, 0], {0, 1},
          [F(1, 2), F(-1, 3), 0], F(1, 2))
 def test_derived_polyhedra_match_fresh_ones(system, shift, zeros, center, radius):
-    """polyhedron's A and b views are its input rows, exactly and as
-    Fractions; translate, fix_zero and intersect_with_box give the
+    """polyhedron's int rows over their scales are its input rows, exactly
+    and as Fractions (reference.rational_rows); translate, fix_zero and intersect_with_box give the
     polyhedron a fresh build from Fraction rows has, int rows and scales
     included (fix_zero with no coordinate gives its input itself);
     translating by -X undoes it."""
     A, b, n = system
     P = polyhedron(A, b, n)
-    assert [list(row) for row in P.A] == A and list(P.b) == b
-    assert all(type(x) is F for x in (*P.b, *(x for row in P.A for x in row)))
+    rA, rb = reference.rational_rows(P)
+    assert [list(row) for row in rA] == A and list(rb) == b
+    assert all(type(x) is F for x in (*rb, *(x for row in rA for x in row)))
     X = shift[:P.n]
     T = polyhedra.translate(P, X)
-    assert T == polyhedron(P.A, [bi - reference.dot(row, X) for row, bi in zip(P.A, P.b)], P.n)
-    assert T.int_rows == polyhedron(T.A, T.b, T.n).int_rows
-    assert all(type(x) is F for x in T.b)
+    TA, Tb = reference.rational_rows(T)
+    assert T == polyhedron(rA, [bi - reference.dot(row, X) for row, bi in zip(rA, rb)], P.n)
+    assert T.int_rows == polyhedron(TA, Tb, T.n).int_rows
+    assert all(type(x) is F for x in Tb)
     assert polyhedra.translate(T, [-x for x in X]) == P
     coords = {i for i in zeros if i < P.n}
     Z = polyhedra.fix_zero(T, coords)
     units = [[F(s * (j == i)) for j in range(P.n)] for i in sorted(coords) for s in (1, -1)]
-    assert Z == polyhedron([*T.A, *units], [*T.b] + [F(0)] * len(units), P.n)
-    assert Z.int_rows == polyhedron(Z.A, Z.b, Z.n).int_rows
-    assert all(type(x) is F for r in Z.A for x in r)
+    ZA, Zb = reference.rational_rows(Z)
+    assert Z == polyhedron([*TA, *units], [*Tb] + [F(0)] * len(units), P.n)
+    assert Z.int_rows == polyhedron(ZA, Zb, Z.n).int_rows
+    assert all(type(x) is F for r in ZA for x in r)
     assert (Z is T) == (not coords)  # no coordinate to fix: T itself
     B = intersect_with_box(Z, center[:P.n], radius)
     assert B == reference_intersect_with_box(Z, center[:P.n], radius)
-    assert all(type(x) is F for x in (*B.b, *(x for row in B.A for x in row)))
+    BA, Bb = reference.rational_rows(B)
+    assert all(type(x) is F for x in (*Bb, *(x for row in BA for x in row)))
 
 
 def test_builder_validation():
@@ -731,7 +738,8 @@ def test_intersect_with_box():
     Q = intersect_with_box(P, [F(0), F(0)], F(1))
     assert contains(Q, [F(1), F(1)])
     assert not contains(Q, [F(2), F(0)])
-    assert exact.max_abs_subdeterminant(Q.A) == exact.max_abs_subdeterminant(P.A)
+    assert (exact.max_abs_subdeterminant(reference.rational_rows(Q)[0])
+            == exact.max_abs_subdeterminant(reference.rational_rows(P)[0]))
 
 
 def test_intersect_with_box_negative_radius():
@@ -742,7 +750,7 @@ def test_intersect_with_box_negative_radius():
 def test_vertex_tight_rows_have_full_rank():
     for P in (triangle(), square(3)):
         for v in enumerate_vertices(P):
-            rows = [list(P.A[i]) for i in tight_rows(P, v)]
+            rows = [list(reference.rational_rows(P)[0][i]) for i in tight_rows(P, v)]
             assert exact.rank(rows) == P.n
 
 
